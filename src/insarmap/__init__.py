@@ -1,7 +1,7 @@
 """Automotive interferometric SAR elevation mapping.
 
 End-to-end pipeline: synthesize dechirped FMCW captures for point-target
-scenes, form one complex SAR image per virtual element by fast
+scenes, form one complex SAR image per virtual element by direct
 backprojection, extract per-pixel elevation from vertical-baseline phase
 delays, and emit filtered 3D point clouds.
 """

@@ -59,15 +59,14 @@ def _cmd_simulate(args) -> int:
     window = None
     if "capture_start_s" in cfg or "capture_end_s" in cfg:
         window = (
-            float(cfg.get("capture_start_s", traj.start_time_s)),
-            float(cfg.get("capture_end_s", traj.end_time_s)),
+            configio._number(cfg, "capture_start_s", traj.start_time_s),
+            configio._number(cfg, "capture_end_s", traj.end_time_s),
         )
-    pattern = cfg.get("element_pattern_cos_power")
     capture = simulate.synthesize_capture(
         scene, traj, chirp, array, window,
-        pattern_cos_power=None if pattern is None else float(pattern),
+        pattern_cos_power=configio._number(cfg, "element_pattern_cos_power"),
     )
-    snr_db = float(cfg.get("per_sample_snr_db", float("inf")))
+    snr_db = configio._number(cfg, "per_sample_snr_db", float("inf"))
     capture = simulate.add_noise(capture, snr_db, seed=args.seed)
     formats.write_capture(capture, args.output)
     print(f"[simulate] wrote {args.output}")
@@ -274,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", required=True, help="output .insarraw path")
     p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("image", help="form per-VX SAR images by fast backprojection")
+    p = sub.add_parser("image", help="form per-VX SAR images by backprojection")
     p.add_argument("capture", help="input .insarraw capture")
     config_opt(p)
     p.add_argument("-o", "--output", required=True, help="output .insarimg path")

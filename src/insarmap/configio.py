@@ -31,6 +31,7 @@ CHIRP_KEYS = (
     "chirps_per_tx_per_frame",
     "num_tx",
 )
+_INT_CHIRP_KEYS = ("samples_per_chirp", "chirps_per_tx_per_frame", "num_tx")
 
 
 def _parse_value(text: str):
@@ -72,26 +73,30 @@ def parse_kv_file(path) -> dict:
     return values
 
 
-def _require(cfg: dict, key: str, source=""):
-    if key not in cfg:
-        raise ConfigError(f"{source or 'config'}: missing required key {key!r}")
-    return cfg[key]
+def _number(cfg: dict, key: str, default=None, *, integer: bool = False, source=""):
+    """cfg[key], or default when the key is absent, as a float (an int when
+    integer is set).  Returns None when both are absent.  Anything that is
+    not a number, NaN, and a non-integral value for an integer key raise
+    ConfigError."""
+    value = cfg.get(key, default)
+    if value is None:
+        return None
+    ok = isinstance(value, (int, float)) and not isinstance(value, bool) and value == value
+    if ok and integer:
+        ok = float(value).is_integer()
+    if not ok:
+        kind = "an integer" if integer else "a number"
+        raise ConfigError(f"{source or 'config'}: {key} must be {kind}, got {value!r}")
+    return int(value) if integer else float(value)
 
 
 def load_chirp_config(cfg: dict, source="") -> ChirpConfig:
-    kwargs = {key: _require(cfg, key, source) for key in CHIRP_KEYS}
-    try:
-        return ChirpConfig(
-            center_frequency_hz=float(kwargs["center_frequency_hz"]),
-            ramp_slope_hz_per_s=float(kwargs["ramp_slope_hz_per_s"]),
-            samples_per_chirp=int(kwargs["samples_per_chirp"]),
-            sample_rate_sps=float(kwargs["sample_rate_sps"]),
-            pri_s=float(kwargs["pri_s"]),
-            chirps_per_tx_per_frame=int(kwargs["chirps_per_tx_per_frame"]),
-            num_tx=int(kwargs["num_tx"]),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{source or 'config'}: bad chirp value: {exc}") from exc
+    missing = [key for key in CHIRP_KEYS if key not in cfg]
+    if missing:
+        raise ConfigError(f"{source or 'config'}: missing required key {missing[0]!r}")
+    return ChirpConfig(
+        **{key: _number(cfg, key, integer=key in _INT_CHIRP_KEYS, source=source) for key in CHIRP_KEYS}
+    )
 
 
 def load_virtual_array(cfg: dict, wavelength_m: float) -> VirtualArray:
@@ -110,52 +115,49 @@ def load_virtual_array(cfg: dict, wavelength_m: float) -> VirtualArray:
 def load_grid(cfg: dict) -> ImageGrid:
     origin = cfg.get("grid_origin_m", (-15.0, 0.0))
     extent = cfg.get("grid_extent_m", (30.0, 30.0))
-    pixel = cfg.get("pixel_size_m", 0.04)
+    pixel = _number(cfg, "pixel_size_m", 0.04)
     try:
         return ImageGrid(
             origin_m=np.asarray(origin, float).reshape(2),
             extent_m=np.asarray(extent, float).reshape(2),
-            pixel_size_m=float(pixel),
+            pixel_size_m=pixel,
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad grid configuration: {exc}") from exc
 
 
 def load_aperture(cfg: dict) -> Aperture:
-    center = cfg.get("aperture_center_time_s")
     return Aperture(
-        length_m=float(cfg.get("aperture_length_m", 1.0)),
-        center_time_s=None if center is None else float(center),
+        length_m=_number(cfg, "aperture_length_m", 1.0),
+        center_time_s=_number(cfg, "aperture_center_time_s"),
     )
 
 
 def load_imaging_options(cfg: dict) -> dict:
     return {
-        "oversample_factor": int(cfg.get("oversample_factor", 4)),
+        "oversample_factor": _number(cfg, "oversample_factor", 4, integer=True),
         "window": str(cfg.get("range_window", "rectangular")),
         "interpolation": str(cfg.get("interpolation", "linear")),
-        "image_height_m": float(cfg.get("image_height_m", 0.0)),
+        "image_height_m": _number(cfg, "image_height_m", 0.0),
     }
 
 
 def load_filter_config(cfg: dict) -> FilterConfig:
     defaults = FilterConfig()
-    min_z = cfg.get("min_z_m")
     return FilterConfig(
-        snr_threshold_db=float(cfg.get("snr_threshold_db", defaults.snr_threshold_db)),
-        max_elevation_angle_deg=float(
-            cfg.get("max_elevation_angle_deg", defaults.max_elevation_angle_deg)
-        ),
-        min_radius_m=float(cfg.get("min_radius_m", defaults.min_radius_m)),
-        front_azimuth_halfwidth_deg=float(
-            cfg.get("front_azimuth_halfwidth_deg", defaults.front_azimuth_halfwidth_deg)
-        ),
-        front_azimuth_deg=float(cfg.get("front_azimuth_deg", defaults.front_azimuth_deg)),
-        max_circular_variance=float(
-            cfg.get("max_circular_variance", defaults.max_circular_variance)
-        ),
-        sensor_height_m=float(cfg.get("sensor_height_m", defaults.sensor_height_m)),
-        min_z_m=None if min_z is None else float(min_z),
+        **{
+            key: _number(cfg, key, getattr(defaults, key))
+            for key in (
+                "snr_threshold_db",
+                "max_elevation_angle_deg",
+                "min_radius_m",
+                "front_azimuth_halfwidth_deg",
+                "front_azimuth_deg",
+                "max_circular_variance",
+                "sensor_height_m",
+            )
+        },
+        min_z_m=_number(cfg, "min_z_m"),
     )
 
 

@@ -30,26 +30,34 @@ INSARELV (elevation map)
 
 from __future__ import annotations
 
+import dataclasses
+import os
 import struct
 
 import numpy as np
 
-from .errors import DataFormatError
+from .errors import ConfigError, DataFormatError
 from .imaging import ImageGrid, SarImageStack
 from .interferometry import ElevationMap, InterferogramGrid
-from .simulate import PulseRecord, RawCapture
+from .simulate import RawCapture
 from .types import ChirpConfig, Pose, build_virtual_array
 
 MAGIC_RAW = b"INSARRAW"
 MAGIC_IMG = b"INSARIMG"
 MAGIC_ELV = b"INSARELV"
 FORMAT_VERSION = 1
+# ChirpConfig's fields, in declaration order
+_CHIRP_FORMAT = "<ddIddII"
 
 
 def _read_exact(fh, count: int, what: str) -> bytes:
-    data = fh.read(count)
+    """Read count bytes.  The size a header declared is checked against the
+    bytes left in the file before anything is allocated for it, so a
+    corrupt header cannot request an arbitrarily large allocation."""
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    data = fh.read(count) if count <= left else b""
     if len(data) != count:
-        raise DataFormatError(f"truncated file while reading {what}")
+        raise DataFormatError(f"truncated file while reading {what}: {count} bytes declared, {left} left")
     return data
 
 
@@ -76,74 +84,77 @@ def _read_positions(fh, count: int, what: str) -> np.ndarray:
     return np.frombuffer(raw, dtype="<f8").reshape(count, 3).copy()
 
 
+def _record_dtype(samples_per_chirp: int) -> np.dtype:
+    """One packed INSARRAW record."""
+    return np.dtype(
+        [
+            ("tx", "<u4"),
+            ("rx", "<u4"),
+            ("cycle", "<u4"),
+            ("time", "<f8"),
+            ("pose", "<f8", (8,)),  # time, position xyz, quaternion wxyz
+            ("iq", "<c8", (samples_per_chirp,)),
+        ]
+    )
+
+
 def write_capture(capture: RawCapture, path) -> None:
     cfg = capture.config
+    block = np.empty(capture.n_records, dtype=_record_dtype(cfg.samples_per_chirp))
+    block["tx"] = capture.tx
+    block["rx"] = capture.rx
+    block["cycle"] = capture.cycle
+    block["time"] = capture.time_s
+    pose_table = np.array([[p.time_s, *p.position, *p.quaternion] for p in capture.poses])
+    block["pose"] = pose_table.reshape(-1, 8)[capture.pose_index]
+    block["iq"] = capture.samples
     with open(path, "wb") as fh:
         fh.write(MAGIC_RAW)
         fh.write(struct.pack("<I", FORMAT_VERSION))
-        fh.write(
-            struct.pack(
-                "<ddIddII",
-                cfg.center_frequency_hz,
-                cfg.ramp_slope_hz_per_s,
-                cfg.samples_per_chirp,
-                cfg.sample_rate_sps,
-                cfg.pri_s,
-                cfg.chirps_per_tx_per_frame,
-                cfg.num_tx,
-            )
-        )
+        fh.write(struct.pack(_CHIRP_FORMAT, *dataclasses.astuple(cfg)))
         fh.write(struct.pack("<II", capture.array.n_tx, capture.array.n_rx))
         _write_positions(fh, capture.array.tx_positions)
         _write_positions(fh, capture.array.rx_positions)
         fh.write(struct.pack("<Q", capture.n_records))
-        for rec in capture.records:
-            fh.write(struct.pack("<IIId", rec.tx, rec.rx, rec.cycle, rec.time_s))
-            fh.write(struct.pack("<d", rec.pose.time_s))
-            fh.write(np.asarray(rec.pose.position, dtype="<f8").tobytes())
-            fh.write(np.asarray(rec.pose.quaternion, dtype="<f8").tobytes())
-            iq = np.empty(2 * rec.samples.shape[0], dtype="<f4")
-            iq[0::2] = rec.samples.real
-            iq[1::2] = rec.samples.imag
-            fh.write(iq.tobytes())
+        fh.write(block.data)
 
 
 def read_capture(path) -> RawCapture:
+    """Read an INSARRAW capture.  Raises DataFormatError for a header whose
+    sizes do not fit the file, for non-finite samples, and for record
+    columns that do not form a valid capture."""
     with open(path, "rb") as fh:
         _check_header(fh, MAGIC_RAW, path)
-        (f_c, slope, n_samp, fs, pri, cptf, n_tx_cfg) = _unpack(fh, "<ddIddII", "chirp config")
-        cfg = ChirpConfig(
-            center_frequency_hz=f_c,
-            ramp_slope_hz_per_s=slope,
-            samples_per_chirp=n_samp,
-            sample_rate_sps=fs,
-            pri_s=pri,
-            chirps_per_tx_per_frame=cptf,
-            num_tx=n_tx_cfg,
-        )
+        cfg = ChirpConfig(*_unpack(fh, _CHIRP_FORMAT, "chirp config"))
         n_tx, n_rx = _unpack(fh, "<II", "array size")
         tx = _read_positions(fh, n_tx, "TX positions")
         rx = _read_positions(fh, n_rx, "RX positions")
         array = build_virtual_array(tx, rx)
         (n_records,) = _unpack(fh, "<Q", "record count")
-        records = []
-        pose_cache: dict[bytes, Pose] = {}
-        for _ in range(n_records):
-            tx_i, rx_i, cycle, time_s = _unpack(fh, "<IIId", "record header")
-            pose_raw = _read_exact(fh, 8 * 8, "pose")
-            pose = pose_cache.get(pose_raw)
-            if pose is None:
-                vals = np.frombuffer(pose_raw, dtype="<f8")
-                pose = Pose(time_s=float(vals[0]), position=vals[1:4], quaternion=vals[4:8])
-                pose_cache[pose_raw] = pose
-            iq = np.frombuffer(
-                _read_exact(fh, 2 * n_samp * 4, "samples"), dtype="<f4"
-            ).astype(np.float64)
-            samples = iq[0::2] + 1j * iq[1::2]
-            records.append(
-                PulseRecord(time_s=time_s, cycle=cycle, tx=tx_i, rx=rx_i, pose=pose, samples=samples)
-            )
-    return RawCapture(config=cfg, array=array, records=tuple(records))
+        dtype = _record_dtype(cfg.samples_per_chirp)
+        block = np.frombuffer(_read_exact(fh, n_records * dtype.itemsize, "records"), dtype=dtype)
+    finite = np.isfinite(block["iq"]).all(axis=1)
+    if not finite.all():
+        raise DataFormatError(f"{path}: record {int(np.argmin(finite))} holds non-finite samples")
+    # one Pose per distinct pose, compared by its bytes
+    _, first, pose_index = np.unique(
+        block["pose"].view("<u8"), axis=0, return_index=True, return_inverse=True
+    )
+    try:
+        poses = tuple(Pose(time_s=float(r[0]), position=r[1:4], quaternion=r[4:8]) for r in block["pose"][first])
+        return RawCapture(
+            config=cfg,
+            array=array,
+            samples=block["iq"].astype(np.complex128),
+            tx=block["tx"],
+            rx=block["rx"],
+            cycle=block["cycle"],
+            time_s=block["time"],
+            poses=poses,
+            pose_index=pose_index.reshape(-1),
+        )
+    except ConfigError as exc:
+        raise DataFormatError(f"{path}: {exc}") from exc
 
 
 def _write_grid(fh, grid: ImageGrid) -> None:
@@ -175,9 +186,7 @@ def write_image_stack(stack: SarImageStack, path) -> None:
         _write_positions(fh, stack.array.tx_positions)
         _write_positions(fh, stack.array.rx_positions)
         fh.write(struct.pack("<III", stack.array.n_vx, stack.grid.n_u, stack.grid.n_v))
-        for k in range(stack.array.n_vx):
-            plane = np.ascontiguousarray(stack.images[k], dtype="<c8")
-            fh.write(plane.tobytes())
+        fh.write(np.ascontiguousarray(stack.images, dtype="<c8").tobytes())
 
 
 def read_image_stack(path) -> SarImageStack:
@@ -195,10 +204,8 @@ def read_image_stack(path) -> SarImageStack:
             raise DataFormatError(f"{path}: VX count {n_vx} does not match array {array.n_vx}")
         if (n_u, n_v) != (grid.n_u, grid.n_v):
             raise DataFormatError(f"{path}: plane dims {(n_u, n_v)} do not match grid")
-        images = np.empty((n_vx, n_u, n_v), dtype=np.complex128)
-        for k in range(n_vx):
-            raw = _read_exact(fh, n_u * n_v * 8, f"image plane {k}")
-            images[k] = np.frombuffer(raw, dtype="<c8").reshape(n_u, n_v)
+        raw = _read_exact(fh, n_vx * n_u * n_v * 8, "image planes")
+        images = np.frombuffer(raw, dtype="<c8").reshape(n_vx, n_u, n_v).astype(np.complex128)
     return SarImageStack(
         grid=grid,
         array=array,
@@ -237,10 +244,8 @@ def read_elevation_map(path) -> ElevationMap:
         n_u, n_v = _unpack(fh, "<II", "map dims")
         if (n_u, n_v) != (grid.n_u, grid.n_v):
             raise DataFormatError(f"{path}: plane dims {(n_u, n_v)} do not match grid")
-        planes = []
-        for name in ("elevation", "phase", "variance", "magnitude", "snr"):
-            raw = _read_exact(fh, n_u * n_v * 4, f"{name} plane")
-            planes.append(np.frombuffer(raw, dtype="<f4").reshape(n_u, n_v).astype(np.float64))
+        raw = _read_exact(fh, 5 * n_u * n_v * 4, "map planes")
+        planes = np.frombuffer(raw, dtype="<f4").reshape(5, n_u, n_v).astype(np.float64)
     intf = InterferogramGrid(
         grid=grid,
         mean_phase_delay=planes[1],

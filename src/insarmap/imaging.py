@@ -1,4 +1,5 @@
-"""SAR image formation: range compression plus fast backprojection.
+"""SAR image formation: range compression plus direct (time-domain)
+backprojection.
 
 One complex image is formed per virtual element on a shared world-frame
 grid.  All images reference the same phase center (the aperture-center
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataFormatError, DomainError
+from .errors import ConfigError, DomainError
 from .simulate import RawCapture
 from .types import C_LIGHT, Pose, VirtualArray, derive_chirp_params
 
@@ -108,17 +109,13 @@ class Aperture:
 
 @dataclass(frozen=True, eq=False)
 class RangeProfileSet:
-    """Per-pulse oversampled range profiles (rows follow capture.records)."""
+    """Per-pulse oversampled range profiles (row i is record i of the capture)."""
 
     capture: RawCapture
     profiles: np.ndarray  # (n_records, n_bins) complex
     bin_spacing_m: float
     oversample_factor: int
     window: str
-
-    @property
-    def n_bins(self) -> int:
-        return self.profiles.shape[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,12 +142,21 @@ class SarImageStack:
         object.__setattr__(self, "phase_center", pc)
 
 
-def _window_taps(window: str, n: int) -> np.ndarray:
-    if window == "rectangular":
-        return np.ones(n)
-    if window == "hann":
-        return np.hanning(n)
-    raise ConfigError(f"unknown window {window!r}; expected one of {WINDOWS}")
+def _range_setup(cfg, oversample_factor, window: str):
+    """Validated (window taps, padded length, bin spacing in m)."""
+    if int(oversample_factor) != oversample_factor or oversample_factor < 2:
+        raise ConfigError(f"oversample_factor must be an integer >= 2, got {oversample_factor!r}")
+    if window not in WINDOWS:
+        raise ConfigError(f"unknown window {window!r}; expected one of {WINDOWS}")
+    n = cfg.samples_per_chirp
+    n_padded = n * int(oversample_factor)
+    taps = np.hanning(n) if window == "hann" else np.ones(n)
+    return taps, n_padded, derive_chirp_params(cfg).max_range_m / n_padded
+
+
+def _compress(samples: np.ndarray, taps: np.ndarray, n_padded: int) -> np.ndarray:
+    """Windowed, zero-padded DFT of each row of samples."""
+    return np.fft.fft(samples * taps, n=n_padded, axis=1)
 
 
 def range_compress(
@@ -164,25 +170,12 @@ def range_compress(
     whole padded spectrum spans [0, max_range).  Oversampling >= 2 keeps the
     bin spacing at or below half the range resolution.
     """
-    if int(oversample_factor) != oversample_factor or oversample_factor < 2:
-        raise ConfigError(f"oversample_factor must be an integer >= 2, got {oversample_factor!r}")
-    oversample_factor = int(oversample_factor)
-    cfg = capture.config
-    n = cfg.samples_per_chirp
-    for rec in capture.records:
-        if rec.samples.shape != (n,):
-            raise DataFormatError("mismatched sample lengths in capture")
-    taps = _window_taps(window, n)
-    n_padded = n * oversample_factor
-    mat = np.array([rec.samples for rec in capture.records], dtype=np.complex128)
-    mat = mat.reshape(-1, n)  # keeps shape for empty captures
-    profiles = np.fft.fft(mat * taps, n=n_padded, axis=1)
-    derived = derive_chirp_params(cfg)
+    taps, n_padded, bin_spacing = _range_setup(capture.config, oversample_factor, window)
     return RangeProfileSet(
         capture=capture,
-        profiles=profiles,
-        bin_spacing_m=derived.max_range_m / n_padded,
-        oversample_factor=oversample_factor,
+        profiles=_compress(capture.samples, taps, n_padded),
+        bin_spacing_m=bin_spacing,
+        oversample_factor=int(oversample_factor),
         window=window,
     )
 
@@ -192,36 +185,32 @@ def _select_aperture(capture: RawCapture, aperture: Aperture):
     aperture center.  Returns (record indices, center pose, along-track unit)."""
     if capture.n_records == 0:
         raise DomainError("capture is empty")
-    records = capture.records
-    cycle_anchor: dict[int, Pose] = {}
-    for rec in records:
-        cycle_anchor.setdefault(rec.cycle, rec.pose)
-    cycles = sorted(cycle_anchor)
-    anchor_times = np.array([cycle_anchor[c].time_s for c in cycles])
+    # each cycle is anchored at the pose of its first record
+    _, first = np.unique(capture.cycle, return_index=True)
+    anchors = [capture.poses[k] for k in capture.pose_index[first]]
+    anchor_times = np.array([p.time_s for p in anchors])
 
     center_time = aperture.center_time_s
     if center_time is None:
         center_time = 0.5 * (anchor_times[0] + anchor_times[-1])
-    elif not (records[0].time_s <= center_time <= records[-1].time_s):
+    elif not (capture.time_s[0] <= center_time <= capture.time_s[-1]):
         raise DomainError(
             f"aperture center time {center_time!r} outside the capture span "
-            f"[{records[0].time_s!r}, {records[-1].time_s!r}]"
+            f"[{capture.time_s[0]!r}, {capture.time_s[-1]!r}]"
         )
-    center_pose = cycle_anchor[cycles[int(np.argmin(np.abs(anchor_times - center_time)))]]
+    center_pose = anchors[int(np.argmin(np.abs(anchor_times - center_time)))]
 
-    motion = cycle_anchor[cycles[-1]].position - cycle_anchor[cycles[0]].position
+    motion = anchors[-1].position - anchors[0].position
     span = float(np.linalg.norm(motion))
     u_hat = motion / span if span > 1e-12 else np.array([1.0, 0.0, 0.0])
 
-    half = aperture.length_m / 2.0
-    keep = [
-        i
-        for i, rec in enumerate(records)
-        if abs(float(np.dot(rec.pose.position - center_pose.position, u_hat))) <= half
-    ]
-    if not keep:
+    along = np.array(
+        [abs(float(np.dot(p.position - center_pose.position, u_hat))) for p in capture.poses]
+    )
+    keep = np.flatnonzero(along[capture.pose_index] <= aperture.length_m / 2.0)
+    if not keep.size:
         raise DomainError("aperture selects no pulses")
-    return np.asarray(keep), center_pose, u_hat
+    return keep, center_pose, u_hat
 
 
 def _interp_linear(profile: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -272,16 +261,95 @@ def _element_field(pose: Pose, offset: np.ndarray, px, py, pz, k_carrier):
     return d, np.exp(-1j * k_carrier * d)
 
 
-def _record_patch(profile_row, d_tx, d_rx, ph_tx, ph_rx, inv_bin, interp_fn):
-    """Contribution of one pulse record to a block of pixels."""
-    q = (0.5 * (d_tx + d_rx)) * inv_bin
-    return interp_fn(profile_row, q) * ph_tx * ph_rx
-
-
 def _chunk_bounds(n_pixels: int, threads: int) -> list[tuple[int, int]]:
     threads = max(1, min(int(threads), n_pixels))
     edges = np.linspace(0, n_pixels, threads + 1).astype(int)
     return [(int(a), int(b)) for a, b in zip(edges[:-1], edges[1:]) if b > a]
+
+
+def _backproject(
+    capture: RawCapture,
+    grid: ImageGrid,
+    aperture: Aperture,
+    bin_spacing_m: float,
+    profile_rows,
+    *,
+    interpolation: str,
+    image_height_m: float,
+    threads: int,
+    vx_index: int | None = None,
+):
+    """The one backprojection kernel.
+
+    Images every VX of the aperture's records (or only VX vx_index) and
+    returns (images (n_images, n_pix), center pose).  profile_rows maps an
+    array of record indices to their range profiles; it is called once per
+    batch of _CYCLE_BATCH cycles, which bounds the profile memory.  Pixel
+    blocks keep the working set cache-resident.  Per-pixel accumulation
+    runs in strict cycle order, so neither the decomposition nor the thread
+    count can change bits.
+    """
+    interp_fn = _INTERP_FNS.get(interpolation)
+    if interp_fn is None:
+        raise ConfigError(f"unknown interpolation {interpolation!r}; expected one of {INTERPOLATIONS}")
+    sel, center_pose, _ = _select_aperture(capture, aperture)
+    array = capture.array
+    slot = array.vx_index(capture.tx[sel], capture.rx[sel])
+    if vx_index is not None:
+        sel = sel[slot == vx_index]
+        if not sel.size:
+            raise DomainError(f"aperture contains no pulses for VX {vx_index}")
+        slot = np.zeros(sel.size, dtype=np.intp)
+    # group by TDM cycle, keeping time order within each cycle
+    order = np.argsort(capture.cycle[sel], kind="stable")
+    sel, slot = sel[order], slot[order]
+    cycle = capture.cycle[sel]
+    starts = np.flatnonzero(np.r_[True, cycle[1:] != cycle[:-1]])
+    bounds = np.r_[starts, sel.size].tolist()
+    cycle_pose = [capture.poses[k] for k in capture.pose_index[sel[starts]]]
+    tx_list, rx_list, slot_list = capture.tx[sel].tolist(), capture.rx[sel].tolist(), slot.tolist()
+
+    inv_bin = 1.0 / bin_spacing_m
+    k_carrier = 2.0 * np.pi * capture.config.center_frequency_hz / C_LIGHT
+    pu, pv = grid.pixel_centers_flat()
+    pz = center_pose.position[2] + image_height_m
+    n_pix = pu.shape[0]
+    images = np.zeros((1 if vx_index is not None else array.n_vx, n_pix), dtype=np.complex128)
+
+    def accumulate_block(lo, hi, c_lo, c_hi, rows):
+        px, py = pu[lo:hi], pv[lo:hi]
+
+        def field(fields, pose, offset):
+            # Shared by every record of the cycle that uses the same element
+            # position (keyed by offset, so coincident TX/RX positions share).
+            key = offset.tobytes()
+            if key not in fields:
+                fields[key] = _element_field(pose, offset, px, py, pz, k_carrier)
+            return fields[key]
+
+        for c in range(c_lo, c_hi):
+            fields: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
+            for r in range(bounds[c], bounds[c + 1]):
+                d_t, ph_t = field(fields, cycle_pose[c], array.tx_positions[tx_list[r]])
+                d_r, ph_r = field(fields, cycle_pose[c], array.rx_positions[rx_list[r]])
+                q = (0.5 * (d_t + d_r)) * inv_bin
+                images[slot_list[r], lo:hi] += interp_fn(rows[r - bounds[c_lo]], q) * ph_t * ph_r
+
+    blocks = _chunk_bounds(n_pix, max(threads, (n_pix + _BLOCK_PIXELS - 1) // _BLOCK_PIXELS))
+    pool = ThreadPoolExecutor(max_workers=min(int(threads), len(blocks))) if threads > 1 and len(blocks) > 1 else None
+    try:
+        for c_lo in range(0, len(starts), _CYCLE_BATCH):
+            c_hi = min(c_lo + _CYCLE_BATCH, len(starts))
+            rows = profile_rows(sel[bounds[c_lo] : bounds[c_hi]])
+            if pool is None:
+                for lo, hi in blocks:
+                    accumulate_block(lo, hi, c_lo, c_hi, rows)
+            else:
+                list(pool.map(lambda b: accumulate_block(b[0], b[1], c_lo, c_hi, rows), blocks))
+    finally:
+        if pool is not None:
+            pool.shutdown()
+    return images, center_pose
 
 
 def backproject(
@@ -304,45 +372,12 @@ def backproject(
     capture = profiles.capture
     if not 0 <= vx_index < capture.array.n_vx:
         raise DomainError(f"vx_index {vx_index} not in array of {capture.array.n_vx} VX")
-    if interpolation not in _INTERP_FNS:
-        raise ConfigError(f"unknown interpolation {interpolation!r}; expected one of {INTERPOLATIONS}")
-    sel, center_pose, _ = _select_aperture(capture, aperture)
-    vx = capture.array.vx_elements[vx_index]
-    rec_idx = [i for i in sel if capture.records[i].tx == vx.tx_index and capture.records[i].rx == vx.rx_index]
-    if not rec_idx:
-        raise DomainError(f"aperture contains no pulses for VX {vx_index}")
-
-    cfg = capture.config
-    interp_fn = _INTERP_FNS[interpolation]
-    inv_bin = 1.0 / profiles.bin_spacing_m
-    k_carrier = 2.0 * np.pi * cfg.center_frequency_hz / C_LIGHT
-    pu, pv = grid.pixel_centers_flat()
-    pz = center_pose.position[2] + image_height_m
-    tx_off = capture.array.tx_positions[vx.tx_index]
-    rx_off = capture.array.rx_positions[vx.rx_index]
-
-    image = np.zeros(pu.shape[0], dtype=np.complex128)
-    monostatic = tx_off.tobytes() == rx_off.tobytes()
-
-    def accumulate(lo: int, hi: int) -> None:
-        px, py = pu[lo:hi], pv[lo:hi]
-        for i in rec_idx:
-            rec = capture.records[i]
-            d_tx, ph_tx = _element_field(rec.pose, tx_off, px, py, pz, k_carrier)
-            d_rx, ph_rx = (d_tx, ph_tx) if monostatic else _element_field(
-                rec.pose, rx_off, px, py, pz, k_carrier
-            )
-            image[lo:hi] += _record_patch(
-                profiles.profiles[i], d_tx, d_rx, ph_tx, ph_rx, inv_bin, interp_fn
-            )
-
-    chunks = _chunk_bounds(image.shape[0], threads)
-    if len(chunks) == 1:
-        accumulate(*chunks[0])
-    else:
-        with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-            list(pool.map(lambda b: accumulate(*b), chunks))
-    return image.reshape(grid.n_u, grid.n_v)
+    images, _ = _backproject(
+        capture, grid, aperture, profiles.bin_spacing_m, lambda idx: profiles.profiles[idx],
+        interpolation=interpolation, image_height_m=image_height_m, threads=threads,
+        vx_index=vx_index,
+    )
+    return images[0].reshape(grid.n_u, grid.n_v)
 
 
 def image_stack(
@@ -358,96 +393,23 @@ def image_stack(
 ) -> SarImageStack:
     """Form one backprojected image per virtual element.
 
-    Equivalent to calling backproject once per VX on the full profile set
-    (bit-identical output), but streams range compression cycle by cycle and
-    shares per-element distance fields across the VX that use them, which
-    keeps memory flat and roughly halves the arithmetic.
+    The same kernel as backproject, with range compression streamed one
+    batch of cycles at a time (which keeps memory flat) and per-element
+    distance fields shared across the VX that use them.
     """
-    if interpolation not in _INTERP_FNS:
-        raise ConfigError(f"unknown interpolation {interpolation!r}; expected one of {INTERPOLATIONS}")
-    if int(oversample_factor) != oversample_factor or oversample_factor < 2:
-        raise ConfigError(f"oversample_factor must be an integer >= 2, got {oversample_factor!r}")
-    oversample_factor = int(oversample_factor)
-
-    sel, center_pose, _ = _select_aperture(capture, aperture)
-    cfg = capture.config
-    array = capture.array
-    derived = derive_chirp_params(cfg)
-    n = cfg.samples_per_chirp
-    n_padded = n * oversample_factor
-    taps = _window_taps(window, n)
-    # Same expression as range_compress/backproject so the floats match.
-    inv_bin = 1.0 / (derived.max_range_m / n_padded)
-    k_carrier = 2.0 * np.pi * cfg.center_frequency_hz / C_LIGHT
-    interp_fn = _INTERP_FNS[interpolation]
-
-    pu, pv = grid.pixel_centers_flat()
-    pz = center_pose.position[2] + image_height_m
-    n_pix = pu.shape[0]
-    images = np.zeros((array.n_vx, n_pix), dtype=np.complex128)
-
-    # Group selected records by TDM cycle, preserving time order.
-    by_cycle: dict[int, list[int]] = {}
-    for i in sel:
-        by_cycle.setdefault(capture.records[i].cycle, []).append(int(i))
-    cycles = sorted(by_cycle)
-
-    # Pixel blocks keep the working set cache-resident; cycle batches bound
-    # the profile memory.  Per-pixel accumulation still runs in strict cycle
-    # order, so the decomposition (and the thread count) cannot change bits.
-    blocks = _chunk_bounds(n_pix, max(threads, (n_pix + _BLOCK_PIXELS - 1) // _BLOCK_PIXELS))
-    pool = ThreadPoolExecutor(max_workers=min(int(threads), len(blocks))) if threads > 1 and len(blocks) > 1 else None
-
-    def accumulate_block(lo, hi, batch):
-        px, py = pu[lo:hi], pv[lo:hi]
-        for idxs, rows, pose in batch:
-            # Element fields are shared between every record that uses the
-            # same element position this cycle (keyed by offset, so
-            # coincident TX/RX positions share too).
-            fields: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
-            for row, i in zip(rows, idxs):
-                rec = capture.records[i]
-                key_t = array.tx_positions[rec.tx].tobytes()
-                got_t = fields.get(key_t)
-                if got_t is None:
-                    got_t = fields[key_t] = _element_field(
-                        pose, array.tx_positions[rec.tx], px, py, pz, k_carrier
-                    )
-                key_r = array.rx_positions[rec.rx].tobytes()
-                got_r = fields.get(key_r)
-                if got_r is None:
-                    got_r = fields[key_r] = _element_field(
-                        pose, array.rx_positions[rec.rx], px, py, pz, k_carrier
-                    )
-                k_vx = array.vx_index(rec.tx, rec.rx)
-                images[k_vx, lo:hi] += _record_patch(
-                    row, got_t[0], got_r[0], got_t[1], got_r[1], inv_bin, interp_fn
-                )
-
-    try:
-        for start in range(0, len(cycles), _CYCLE_BATCH):
-            batch = []
-            for cyc in cycles[start : start + _CYCLE_BATCH]:
-                idxs = by_cycle[cyc]
-                mat = np.array([capture.records[i].samples for i in idxs], dtype=np.complex128)
-                rows = np.fft.fft(mat * taps, n=n_padded, axis=1)
-                batch.append((idxs, rows, capture.records[idxs[0]].pose))
-            if pool is None:
-                for lo, hi in blocks:
-                    accumulate_block(lo, hi, batch)
-            else:
-                list(pool.map(lambda b: accumulate_block(b[0], b[1], batch), blocks))
-    finally:
-        if pool is not None:
-            pool.shutdown()
-
+    taps, n_padded, bin_spacing = _range_setup(capture.config, oversample_factor, window)
+    images, center_pose = _backproject(
+        capture, grid, aperture, bin_spacing,
+        lambda idx: _compress(capture.samples[idx], taps, n_padded),
+        interpolation=interpolation, image_height_m=image_height_m, threads=threads,
+    )
     return SarImageStack(
         grid=grid,
-        array=array,
-        images=images.reshape(array.n_vx, grid.n_u, grid.n_v),
+        array=capture.array,
+        images=images.reshape(capture.array.n_vx, grid.n_u, grid.n_v),
         phase_center=center_pose.position,
         aperture_length_m=aperture.length_m,
-        wavelength_m=derived.wavelength_m,
+        wavelength_m=derive_chirp_params(capture.config).wavelength_m,
     )
 
 

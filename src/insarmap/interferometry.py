@@ -52,12 +52,9 @@ def phase_from_elevation(phi: float, d_v: float, wavelength: float) -> float:
     return 4.0 * np.pi * (d_v / wavelength) * np.sin(phi)
 
 
-def elevation_from_phase(dpsi: float, d_v: float, wavelength: float) -> float:
-    """Invert the phase-delay relation: phi = arcsin(lambda*dpsi/(4*pi*d_v)).
-
-    Raises DomainError for baselines beyond lambda/4 (ambiguous fringes are
-    out of scope) and for arguments outside [-1, 1].
-    """
+def _check_baseline(d_v: float, wavelength: float) -> None:
+    """Raise DomainError unless 0 < d_v <= lambda/4: larger baselines have
+    ambiguous fringes, which are out of scope."""
     if not d_v > 0:
         raise DomainError(f"baseline must be > 0, got {d_v!r}")
     if not wavelength > 0:
@@ -67,6 +64,15 @@ def elevation_from_phase(dpsi: float, d_v: float, wavelength: float) -> float:
             f"ambiguous baseline: d_v = {d_v:.6g} m exceeds lambda/4 = "
             f"{0.25 * wavelength:.6g} m"
         )
+
+
+def elevation_from_phase(dpsi: float, d_v: float, wavelength: float) -> float:
+    """Invert the phase-delay relation: phi = arcsin(lambda*dpsi/(4*pi*d_v)).
+
+    Raises DomainError for baselines beyond lambda/4 (ambiguous fringes are
+    out of scope) and for arguments outside [-1, 1].
+    """
+    _check_baseline(d_v, wavelength)
     arg = wavelength * dpsi / (4.0 * np.pi * d_v)
     if abs(arg) > 1.0:
         raise DomainError(f"phase delay {dpsi!r} outside the recoverable domain for d_v={d_v!r}")
@@ -198,10 +204,7 @@ def build_elevation_map(stack: SarImageStack) -> ElevationMap:
     intf = combine_baselines(stack)
     d_v = stack.array.vertical_baselines[0].separation_m
     lam = stack.wavelength_m
-    if d_v > 0.25 * lam * (1.0 + _AMBIGUITY_SLACK):
-        raise DomainError(
-            f"ambiguous baseline: d_v = {d_v:.6g} m exceeds lambda/4 = {0.25 * lam:.6g} m"
-        )
+    _check_baseline(d_v, lam)
     arg = lam * intf.mean_phase_delay / (4.0 * np.pi * d_v)
     elevation = np.where(np.abs(arg) <= 1.0, np.arcsin(np.clip(arg, -1.0, 1.0)), np.nan)
     return ElevationMap(

@@ -12,7 +12,8 @@ the interferometric stage, and dropping it keeps the beat a pure tone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -81,41 +82,74 @@ class PulseRecord:
 
 @dataclass(frozen=True, eq=False)
 class RawCapture:
-    """Time-ordered pulse records plus the config and array that made them."""
+    """Time-ordered pulse records, stored as columns, plus the config and
+    array that made them.
+
+    Row i is one received chirp: samples[i] (complex fast-time samples)
+    recorded by RX rx[i] while TX tx[i] fired at time_s[i] in TDM cycle
+    cycle[i], from platform pose poses[pose_index[i]].  The pose table holds
+    each distinct pose once; a synthesized capture has one pose per cycle.
+    All arrays are read-only.
+    """
 
     config: ChirpConfig
     array: VirtualArray
-    records: tuple[PulseRecord, ...]
+    samples: np.ndarray  # (n_records, samples_per_chirp) complex128
+    tx: np.ndarray  # (n_records,) int
+    rx: np.ndarray  # (n_records,) int
+    cycle: np.ndarray  # (n_records,) int
+    time_s: np.ndarray  # (n_records,) float
+    poses: tuple[Pose, ...]
+    pose_index: np.ndarray  # (n_records,) int into poses
 
     def __post_init__(self) -> None:
-        records = tuple(self.records)
+        samples = np.asarray(self.samples, dtype=np.complex128)
         n = self.config.samples_per_chirp
-        last_t = -np.inf
-        for rec in records:
-            if rec.samples.shape != (n,):
-                raise ConfigError(
-                    f"record sample length {rec.samples.shape} != samples_per_chirp {n}"
-                )
-            if rec.time_s < last_t:
-                raise ConfigError("pulse records must be ordered by time")
-            last_t = rec.time_s
-        object.__setattr__(self, "records", records)
+        if samples.ndim != 2 or samples.shape[1] != n:
+            raise ConfigError(f"capture samples shape {samples.shape} != (n_records, {n})")
+        samples.setflags(write=False)
+        object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "poses", tuple(self.poses))
+        for name, dtype, limit in (
+            ("tx", np.intp, self.array.n_tx),
+            ("rx", np.intp, self.array.n_rx),
+            ("cycle", np.intp, np.inf),
+            ("pose_index", np.intp, len(self.poses)),
+            ("time_s", np.float64, None),
+        ):
+            col = np.array(getattr(self, name), dtype=dtype)
+            if col.shape != samples.shape[:1]:
+                raise ConfigError(f"RawCapture.{name} shape {col.shape} != ({samples.shape[0]},)")
+            if limit is not None and col.size and not (col.min() >= 0 and col.max() < limit):
+                raise ConfigError(f"RawCapture.{name} values must lie in [0, {limit})")
+            col.setflags(write=False)
+            object.__setattr__(self, name, col)
+        if np.any(np.diff(self.time_s) < 0):
+            raise ConfigError("pulse records must be ordered by time")
 
     @property
     def n_records(self) -> int:
-        return len(self.records)
+        return self.samples.shape[0]
 
     @property
     def n_cycles(self) -> int:
-        return 0 if not self.records else self.records[-1].cycle + 1
+        return int(self.cycle[-1]) + 1 if self.n_records else 0
 
     def duration_s(self) -> float:
-        if not self.records:
-            return 0.0
-        return self.records[-1].time_s - self.records[0].time_s
+        return float(self.time_s[-1] - self.time_s[0]) if self.n_records else 0.0
 
-    def records_for(self, tx: int, rx: int) -> list[int]:
-        return [i for i, r in enumerate(self.records) if r.tx == tx and r.rx == rx]
+    @cached_property
+    def records(self) -> tuple[PulseRecord, ...]:
+        """Per-record view of the columns, built on first access.  Records
+        with the same pose index share one Pose object; samples are
+        read-only views into the capture's sample array."""
+        return tuple(
+            PulseRecord(time_s=t, cycle=c, tx=tx, rx=rx, pose=self.poses[k], samples=row)
+            for t, c, tx, rx, k, row in zip(
+                self.time_s.tolist(), self.cycle.tolist(), self.tx.tolist(),
+                self.rx.tolist(), self.pose_index.tolist(), self.samples,
+            )
+        )
 
 
 def _pattern_gain(boresight: np.ndarray, element_pos: np.ndarray, target_pos: np.ndarray, power: float) -> float:
@@ -187,8 +221,6 @@ def synthesize_capture(
     balanced.  pattern_cos_power, when given, applies a cosine-power element
     pattern about the array boresight (+y in the array frame).
     """
-    if len(scene) == 0:
-        raise ConfigError("scene is empty")
     if array.n_tx != cfg.num_tx:
         raise ConfigError(
             f"array has {array.n_tx} TX but config expects {cfg.num_tx}"
@@ -210,10 +242,14 @@ def synthesize_capture(
     if n_cycles == 0:
         raise DomainError("trajectory too short: no complete TDM cycle fits the window")
 
-    records = []
+    # one row per (cycle, tx, rx), in firing order
+    cycle, tx, rx = np.indices((n_cycles, cfg.num_tx, array.n_rx)).reshape(3, -1)
+    samples = np.empty((cycle.size, cfg.samples_per_chirp), dtype=np.complex128)
+    poses = []
+    row = 0
     for cyc in range(n_cycles):
-        anchor = t_start + cyc * effective_pri
-        pose = pose_at_time(traj, anchor)
+        pose = pose_at_time(traj, t_start + cyc * effective_pri)
+        poses.append(pose)
         tx_world = pose.to_world(array.tx_positions)
         rx_world = pose.to_world(array.rx_positions)
         pattern = None
@@ -221,20 +257,20 @@ def synthesize_capture(
             boresight = pose.rotation_matrix() @ np.array([0.0, 1.0, 0.0])
             pattern = (float(pattern_cos_power), boresight)
         for i_tx in range(cfg.num_tx):
-            t_pulse = anchor + i_tx * cfg.pri_s
             for i_rx in range(array.n_rx):
-                samples = synthesize_chirp(scene, tx_world[i_tx], rx_world[i_rx], cfg, pattern)
-                records.append(
-                    PulseRecord(
-                        time_s=t_pulse,
-                        cycle=cyc,
-                        tx=i_tx,
-                        rx=i_rx,
-                        pose=pose,
-                        samples=samples,
-                    )
-                )
-    return RawCapture(config=cfg, array=array, records=tuple(records))
+                samples[row] = synthesize_chirp(scene, tx_world[i_tx], rx_world[i_rx], cfg, pattern)
+                row += 1
+    return RawCapture(
+        config=cfg,
+        array=array,
+        samples=samples,
+        tx=tx,
+        rx=rx,
+        cycle=cycle,
+        time_s=t_start + cycle * effective_pri + tx * cfg.pri_s,
+        poses=tuple(poses),
+        pose_index=cycle,
+    )
 
 
 def add_noise(
@@ -257,9 +293,7 @@ def add_noise(
         return capture
 
     if noise_power is None:
-        mean_power = float(
-            np.mean([np.mean(np.abs(r.samples) ** 2) for r in capture.records])
-        )
+        mean_power = float(np.mean(np.mean(np.abs(capture.samples) ** 2, axis=1)))
         if mean_power == 0.0:
             raise DomainError(
                 "capture has zero signal power; pass noise_power to add noise anyway"
@@ -268,19 +302,12 @@ def add_noise(
 
     rng = np.random.default_rng(seed)
     sigma = np.sqrt(noise_power / 2.0)
-    n = capture.config.samples_per_chirp
-    noise = rng.standard_normal((capture.n_records, n, 2))
-    new_records = []
-    for i, rec in enumerate(capture.records):
-        noisy = rec.samples + sigma * (noise[i, :, 0] + 1j * noise[i, :, 1])
-        new_records.append(
-            PulseRecord(
-                time_s=rec.time_s,
-                cycle=rec.cycle,
-                tx=rec.tx,
-                rx=rec.rx,
-                pose=rec.pose,
-                samples=noisy,
-            )
-        )
-    return RawCapture(config=capture.config, array=capture.array, records=tuple(new_records))
+    noise = rng.standard_normal((capture.n_records, capture.config.samples_per_chirp, 2))
+    # In place, so at most three capture-sized arrays are alive: the clean
+    # samples, the draw and the result.  Same floats as
+    # samples + sigma * (noise[..., 0] + 1j * noise[..., 1]).
+    noisy = noise[..., 1] * 1j
+    noisy += noise[..., 0]
+    noisy *= sigma
+    noisy += capture.samples
+    return replace(capture, samples=noisy)

@@ -1,6 +1,7 @@
 """CLI behavior: stages, exit codes, reports, and reproducibility."""
 
 import hashlib
+import struct
 
 import numpy as np
 import pytest
@@ -258,3 +259,91 @@ def test_elevate_without_baselines_is_a_domain_error(workdir, capsys):
     code = cli.main(["elevate", str(workdir / "s1.insarimg"), "-o", str(workdir / "m1.insarelv")])
     assert code == 4
     assert "baseline" in capsys.readouterr().err
+
+
+def run_pipeline(workdir, config, seed=1):
+    out = workdir / "run"
+    return out, cli.main(
+        ["--seed", str(seed), "pipeline", str(workdir / "scene.csv"), str(workdir / "traj.csv"),
+         "--config", str(config), "--out-dir", str(out)]
+    )
+
+
+def patch(path, offset, fmt, *values):
+    data = bytearray(path.read_bytes())
+    struct.pack_into(fmt, data, offset, *values)
+    path.write_bytes(bytes(data))
+
+
+# Header offsets for the 3 TX + 4 RX default array: INSARRAW's u64 record
+# count, and the grid extents plus plane dimensions of INSARIMG / INSARELV.
+RAW_COUNT = 12 + 44 + 8 + 7 * 24
+GRID_EXTENT = 12 + 16
+IMG_DIMS = 12 + 40 + 16 + 24 + 8 + 7 * 24
+ELV_DIMS = 12 + 40 + 24 + 16
+
+
+@pytest.mark.parametrize(
+    "artifact, patches, argv",
+    [
+        ("capture.insarraw", [(RAW_COUNT, "<Q", 10**12)], ["image", "--config", "CFG", "-o", "OUT"]),
+        (
+            "stack.insarimg",
+            [(GRID_EXTENT, "<2d", 4000.0, 4000.0), (IMG_DIMS, "<III", 12, 100_000, 100_000)],
+            ["elevate", "-o", "OUT"],
+        ),
+        (
+            "elevation.insarelv",
+            [(GRID_EXTENT, "<2d", 4000.0, 4000.0), (ELV_DIMS, "<II", 100_000, 100_000)],
+            ["report", "--config", "CFG"],
+        ),
+    ],
+)
+def test_oversized_header_is_a_format_error(workdir, capsys, artifact, patches, argv):
+    # a self-consistent header declaring far more data than the file holds
+    # (100 000 x 100 000 px, 10^12 records) must fail before allocating
+    out, code = run_pipeline(workdir, workdir / "radar.cfg")
+    assert code == 0
+    path = out / artifact
+    for offset, fmt, *values in patches:
+        patch(path, offset, fmt, *values)
+    names = {"CFG": str(workdir / "radar.cfg"), "OUT": str(workdir / "out.bin")}
+    capsys.readouterr()
+    code = cli.main([argv[0], str(path)] + [names.get(a, a) for a in argv[1:]])
+    assert code == 3
+    assert "truncated" in capsys.readouterr().err
+
+
+def test_non_finite_capture_sample_is_a_format_error(workdir, capsys):
+    out, code = run_pipeline(workdir, workdir / "radar.cfg")
+    assert code == 0
+    path = out / "capture.insarraw"
+    (n_records,) = struct.unpack_from("<Q", path.read_bytes(), RAW_COUNT)
+    record_bytes = 84 + 8 * 64  # columns and pose, then 64 complex64 samples
+    middle = n_records // 2  # inside the aperture
+    patch(path, RAW_COUNT + 8 + middle * record_bytes + 84, "<f", float("nan"))
+    capsys.readouterr()
+    code = cli.main(["image", str(path), "--config", str(workdir / "radar.cfg"),
+                     "-o", str(workdir / "s.insarimg")])
+    assert code == 3
+    assert f"record {middle} holds non-finite samples" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "oversample_factor = abc",
+        "oversample_factor = 2.5",
+        "samples_per_chirp = 64.5",
+        "per_sample_snr_db = loud",
+        "capture_start_s = (0, 1)",
+        "aperture_length_m = nan",
+        "snr_threshold_db = high",
+    ],
+)
+def test_bad_config_number_exit_code(workdir, capsys, line):
+    key = line.split()[0]
+    (workdir / "bad.cfg").write_text(CONFIG + line + "\n")
+    _, code = run_pipeline(workdir, workdir / "bad.cfg")
+    assert code == 2
+    assert key in capsys.readouterr().err

@@ -30,6 +30,24 @@ class TestCaptureFormat:
         for r1, r2 in zip(back.records, back2.records):
             assert np.array_equal(r1.samples, r2.samples)
 
+    def test_full_file_round_trip_and_record_view(self, tmp_path, small_e2e):
+        cap = im.add_noise(small_e2e["capture"], 20.0, seed=3)
+        path, path2 = tmp_path / "cap.insarraw", tmp_path / "cap2.insarraw"
+        formats.write_capture(cap, path)
+        back = formats.read_capture(path)
+        formats.write_capture(back, path2)
+        assert path2.read_bytes() == path.read_bytes()
+        # the record view is cached and agrees with the columns
+        assert back.records is back.records
+        poses_by_cycle = {}
+        for i, rec in enumerate(back.records):
+            assert (rec.tx, rec.rx, rec.cycle) == (back.tx[i], back.rx[i], back.cycle[i])
+            assert rec.time_s == back.time_s[i]
+            assert rec.pose is back.poses[back.pose_index[i]]
+            assert np.array_equal(rec.samples, back.samples[i])
+            poses_by_cycle.setdefault(rec.cycle, set()).add(id(rec.pose))
+        assert all(len(ids) == 1 for ids in poses_by_cycle.values())
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.insarraw"
         path.write_bytes(b"NOTMAGIC" + b"\x00" * 64)

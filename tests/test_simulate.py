@@ -1,5 +1,7 @@
 """Beat-signal synthesis, TDM scheduling, and noise injection."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -199,14 +201,7 @@ class TestAddNoise:
 
     def test_zero_capture_requires_override(self, small_chirp):
         cap = self.make_capture(small_chirp)
-        zero = im.RawCapture(
-            config=cap.config,
-            array=cap.array,
-            records=tuple(
-                im.PulseRecord(r.time_s, r.cycle, r.tx, r.rx, r.pose, np.zeros_like(r.samples))
-                for r in cap.records
-            ),
-        )
+        zero = dataclasses.replace(cap, samples=np.zeros_like(cap.samples))
         with pytest.raises(DomainError):
             im.add_noise(zero, 10.0, seed=0)
         noisy = im.add_noise(zero, 10.0, seed=0, noise_power=1.0)
