@@ -33,6 +33,7 @@ from __future__ import annotations
 import dataclasses
 import os
 import struct
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -48,6 +49,17 @@ MAGIC_ELV = b"INSARELV"
 FORMAT_VERSION = 1
 # ChirpConfig's fields, in declaration order
 _CHIRP_FORMAT = "<ddIddII"
+
+
+@contextmanager
+def _reading(path):
+    """Open path for reading.  Header values that the artifact's own types
+    reject (ConfigError) are a corrupt file, so they become DataFormatError."""
+    try:
+        with open(path, "rb") as fh:
+            yield fh
+    except ConfigError as exc:
+        raise DataFormatError(f"{path}: {exc}") from exc
 
 
 def _read_exact(fh, count: int, what: str) -> bytes:
@@ -121,9 +133,9 @@ def write_capture(capture: RawCapture, path) -> None:
 
 def read_capture(path) -> RawCapture:
     """Read an INSARRAW capture.  Raises DataFormatError for a header whose
-    sizes do not fit the file, for non-finite samples, and for record
+    sizes or values are invalid, for non-finite samples, and for record
     columns that do not form a valid capture."""
-    with open(path, "rb") as fh:
+    with _reading(path) as fh:
         _check_header(fh, MAGIC_RAW, path)
         cfg = ChirpConfig(*_unpack(fh, _CHIRP_FORMAT, "chirp config"))
         n_tx, n_rx = _unpack(fh, "<II", "array size")
@@ -133,14 +145,13 @@ def read_capture(path) -> RawCapture:
         (n_records,) = _unpack(fh, "<Q", "record count")
         dtype = _record_dtype(cfg.samples_per_chirp)
         block = np.frombuffer(_read_exact(fh, n_records * dtype.itemsize, "records"), dtype=dtype)
-    finite = np.isfinite(block["iq"]).all(axis=1)
-    if not finite.all():
-        raise DataFormatError(f"{path}: record {int(np.argmin(finite))} holds non-finite samples")
-    # one Pose per distinct pose, compared by its bytes
-    _, first, pose_index = np.unique(
-        block["pose"].view("<u8"), axis=0, return_index=True, return_inverse=True
-    )
-    try:
+        finite = np.isfinite(block["iq"]).all(axis=1)
+        if not finite.all():
+            raise DataFormatError(f"{path}: record {int(np.argmin(finite))} holds non-finite samples")
+        # one Pose per distinct pose, compared by its bytes
+        _, first, pose_index = np.unique(
+            block["pose"].view("<u8"), axis=0, return_index=True, return_inverse=True
+        )
         poses = tuple(Pose(time_s=float(r[0]), position=r[1:4], quaternion=r[4:8]) for r in block["pose"][first])
         return RawCapture(
             config=cfg,
@@ -153,8 +164,6 @@ def read_capture(path) -> RawCapture:
             poses=poses,
             pose_index=pose_index.reshape(-1),
         )
-    except ConfigError as exc:
-        raise DataFormatError(f"{path}: {exc}") from exc
 
 
 def _write_grid(fh, grid: ImageGrid) -> None:
@@ -186,11 +195,15 @@ def write_image_stack(stack: SarImageStack, path) -> None:
         _write_positions(fh, stack.array.tx_positions)
         _write_positions(fh, stack.array.rx_positions)
         fh.write(struct.pack("<III", stack.array.n_vx, stack.grid.n_u, stack.grid.n_v))
-        fh.write(np.ascontiguousarray(stack.images, dtype="<c8").tobytes())
+        # one plane at a time, so no stack-sized copy is made
+        for plane in stack.images:
+            fh.write(np.ascontiguousarray(plane, dtype="<c8"))
 
 
 def read_image_stack(path) -> SarImageStack:
-    with open(path, "rb") as fh:
+    """Read an INSARIMG stack.  Raises DataFormatError for a header whose
+    sizes or values are invalid and for non-finite pixels."""
+    with _reading(path) as fh:
         _check_header(fh, MAGIC_IMG, path)
         grid = _read_grid(fh)
         aperture_length, wavelength = _unpack(fh, "<dd", "stack header")
@@ -206,14 +219,18 @@ def read_image_stack(path) -> SarImageStack:
             raise DataFormatError(f"{path}: plane dims {(n_u, n_v)} do not match grid")
         raw = _read_exact(fh, n_vx * n_u * n_v * 8, "image planes")
         images = np.frombuffer(raw, dtype="<c8").reshape(n_vx, n_u, n_v).astype(np.complex128)
-    return SarImageStack(
-        grid=grid,
-        array=array,
-        images=images,
-        phase_center=phase_center,
-        aperture_length_m=aperture_length,
-        wavelength_m=wavelength,
-    )
+        # checked plane by plane, so no stack-sized mask is made
+        for k, plane in enumerate(images):
+            if not np.isfinite(plane).all():
+                raise DataFormatError(f"{path}: VX {k} image holds non-finite pixels")
+        return SarImageStack(
+            grid=grid,
+            array=array,
+            images=images,
+            phase_center=phase_center,
+            aperture_length_m=aperture_length,
+            wavelength_m=wavelength,
+        )
 
 
 def write_elevation_map(emap: ElevationMap, path) -> None:
@@ -236,7 +253,9 @@ def write_elevation_map(emap: ElevationMap, path) -> None:
 
 
 def read_elevation_map(path) -> ElevationMap:
-    with open(path, "rb") as fh:
+    """Read an INSARELV map.  Raises DataFormatError for a header whose
+    sizes or values are invalid; NaN elevation means "absent"."""
+    with _reading(path) as fh:
         _check_header(fh, MAGIC_ELV, path)
         grid = _read_grid(fh)
         phase_center = np.frombuffer(_read_exact(fh, 24, "phase center"), dtype="<f8").copy()
@@ -246,21 +265,21 @@ def read_elevation_map(path) -> ElevationMap:
             raise DataFormatError(f"{path}: plane dims {(n_u, n_v)} do not match grid")
         raw = _read_exact(fh, 5 * n_u * n_v * 4, "map planes")
         planes = np.frombuffer(raw, dtype="<f4").reshape(5, n_u, n_v).astype(np.float64)
-    intf = InterferogramGrid(
-        grid=grid,
-        mean_phase_delay=planes[1],
-        circular_variance=planes[2],
-        combined_magnitude=planes[3],
-        snr_db=planes[4],
-    )
-    return ElevationMap(
-        grid=grid,
-        phase_center=phase_center,
-        wavelength_m=wavelength,
-        baseline_m=baseline,
-        elevation=planes[0],
-        interferogram=intf,
-    )
+        intf = InterferogramGrid(
+            grid=grid,
+            mean_phase_delay=planes[1],
+            circular_variance=planes[2],
+            combined_magnitude=planes[3],
+            snr_db=planes[4],
+        )
+        return ElevationMap(
+            grid=grid,
+            phase_center=phase_center,
+            wavelength_m=wavelength,
+            baseline_m=baseline,
+            elevation=planes[0],
+            interferogram=intf,
+        )
 
 
 def write_pgm(image: np.ndarray, path, floor_db: float = -60.0) -> None:

@@ -37,9 +37,11 @@ _SINC_TAPS = 32
 _SINC_BETA = 10.0
 
 # image_stack tiling: pixel blocks sized to stay cache-resident, cycle
-# batches bounding how many range profiles are alive at once.
+# batches bounding how many range profiles are alive at once (16 cycles of
+# 12 records x 2048 bins are 6 MiB).  Per-pixel accumulation order does
+# not depend on either.
 _BLOCK_PIXELS = 16384
-_CYCLE_BATCH = 48
+_CYCLE_BATCH = 16
 
 
 @dataclass(frozen=True, eq=False)

@@ -8,6 +8,14 @@ target at two-way delay tau the beat is
 The residual video phase term slope*tau^2/2 is deliberately dropped: at a
 few percent fractional bandwidth it is far below the phase tolerances of
 the interferometric stage, and dropping it keeps the beat a pure tone.
+
+Synthesis is block-vectorised: a capture is filled a block of TDM cycles
+at a time, with one distance per (cycle, element, target) and the beat
+expression evaluated on whole (rows, samples) blocks.  Distances keep
+np.linalg.norm's rounding, so every capture row is bitwise equal to
+synthesize_chirp at that record's TX and RX positions.  Noise is drawn a
+block of rows at a time from one stream, so the capture's peak memory is
+the clean and the noisy sample arrays plus one small block.
 """
 
 from __future__ import annotations
@@ -26,6 +34,13 @@ from .types import (
     VirtualArray,
     pose_at_time,
 )
+
+# Block sizes, which bound the temporaries; results do not depend on them.
+# TDM cycles synthesized per step (16 cycles of 12 records x 512 samples are
+# 1.5 MiB per complex temporary), and capture rows per noise draw (128 rows
+# x 512 samples x 2 normals are 1 MiB).
+_SYNTH_CYCLES = 16
+_NOISE_ROWS = 128
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,14 +167,56 @@ class RawCapture:
         )
 
 
-def _pattern_gain(boresight: np.ndarray, element_pos: np.ndarray, target_pos: np.ndarray, power: float) -> float:
-    """Cosine-power element gain toward a target; zero behind the element."""
-    direction = target_pos - element_pos
-    norm = np.linalg.norm(direction)
-    if norm == 0.0:
-        return 1.0
-    cos = float(np.dot(boresight, direction) / norm)
-    return cos**power if cos > 0.0 else 0.0
+def _scene_table(scene: Scene) -> tuple[np.ndarray, np.ndarray]:
+    """Target positions (n_targets, 3) and amplitudes (n_targets,), in scene order."""
+    if len(scene) == 0:
+        raise ConfigError("scene is empty")
+    positions = np.array([t.position for t in scene.targets])
+    amplitudes = np.array([t.amplitude for t in scene.targets], dtype=float)
+    return positions, amplitudes
+
+
+def _element_legs(points: np.ndarray, targets: np.ndarray, pattern) -> tuple[np.ndarray, np.ndarray | None]:
+    """Distance from each element position (..., 3) to each target (T, 3),
+    shaped (..., T), and the element's gain toward it (None without a
+    pattern).
+
+    pattern = (cosine power, boresight (..., 3) per element): the gain is
+    cos(angle off boresight)**power, zero behind the element and one for a
+    target at the element.  Every distance and boresight projection is a
+    stacked (1, 3) @ (3, 1) product, the dot product np.linalg.norm and
+    np.dot use, so values round exactly as np.linalg.norm(target - point)
+    does; einsum or a summed square differs in the last bit.
+    """
+    offsets = targets - points[..., None, :]
+    rows = offsets[..., None, :]
+    dist = np.sqrt((rows @ offsets[..., :, None])[..., 0, 0])
+    if pattern is None:
+        return dist, None
+    power, boresight = pattern
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cos = (rows @ boresight[..., None, :, None])[..., 0, 0] / dist
+    gain = np.zeros_like(dist)
+    lit = cos > 0.0
+    # Python's float power; np.power's vector loop rounds differently
+    gain[lit] = [c**power for c in cos[lit].tolist()]
+    gain[dist == 0.0] = 1.0
+    return dist, gain
+
+
+def _beat(tau: np.ndarray, amplitude: np.ndarray, cfg: ChirpConfig, out: np.ndarray) -> None:
+    """Add every target's dechirped beat to out (rows, samples_per_chirp).
+
+    tau and amplitude are (rows, n_targets): two-way delay and amplitude of
+    each target on each row.  Targets accumulate in scene order.
+    """
+    n = np.arange(cfg.samples_per_chirp)
+    for tau_t, amp_t in zip(tau.T[:, :, None], amplitude.T[:, :, None]):
+        phase = 2.0 * np.pi * (
+            cfg.ramp_slope_hz_per_s * tau_t * n / cfg.sample_rate_sps
+            + cfg.center_frequency_hz * tau_t
+        )
+        out += amp_t * np.exp(1j * phase)
 
 
 def synthesize_chirp(
@@ -177,31 +234,19 @@ def synthesize_chirp(
     cos(angle off boresight)**power on both the TX and RX legs, for
     field-of-view studies.  Patterns change amplitudes only, never phases.
     """
-    if len(scene) == 0:
-        raise ConfigError("scene is empty")
-    tx_pos = np.asarray(tx_pos_world, dtype=float).reshape(3)
-    rx_pos = np.asarray(rx_pos_world, dtype=float).reshape(3)
-    if not (np.isfinite(tx_pos).all() and np.isfinite(rx_pos).all()):
+    positions, amplitudes = _scene_table(scene)
+    points = np.array([tx_pos_world, rx_pos_world], dtype=float).reshape(2, 3)
+    if not np.isfinite(points).all():
         raise ConfigError("TX/RX positions must be finite")
-
-    n = np.arange(cfg.samples_per_chirp)
-    out = np.zeros(cfg.samples_per_chirp, dtype=np.complex128)
-    for target in scene.targets:
-        tau = (
-            np.linalg.norm(target.position - tx_pos)
-            + np.linalg.norm(target.position - rx_pos)
-        ) / C_LIGHT
-        amplitude = target.amplitude
-        if pattern is not None:
-            power, boresight = pattern
-            amplitude = amplitude * _pattern_gain(boresight, tx_pos, target.position, power)
-            amplitude = amplitude * _pattern_gain(boresight, rx_pos, target.position, power)
-        phase = 2.0 * np.pi * (
-            cfg.ramp_slope_hz_per_s * tau * n / cfg.sample_rate_sps
-            + cfg.center_frequency_hz * tau
-        )
-        out += amplitude * np.exp(1j * phase)
-    return out
+    if pattern is not None:
+        power, boresight = pattern
+        pattern = (power, np.broadcast_to(np.asarray(boresight, dtype=float), points.shape))
+    dist, gain = _element_legs(points, positions, pattern)
+    if gain is not None:
+        amplitudes = amplitudes * gain[0] * gain[1]
+    out = np.zeros((1, cfg.samples_per_chirp), dtype=np.complex128)
+    _beat(((dist[0] + dist[1]) / C_LIGHT)[None], amplitudes[None], cfg, out)
+    return out[0]
 
 
 def synthesize_capture(
@@ -220,6 +265,9 @@ def synthesize_capture(
     records.  Only complete TDM cycles are emitted so every TX/RX pair stays
     balanced.  pattern_cos_power, when given, applies a cosine-power element
     pattern about the array boresight (+y in the array frame).
+
+    Row r equals synthesize_chirp at record r's TX and RX world positions,
+    bit for bit; rows are filled a fixed block of cycles at a time.
     """
     if array.n_tx != cfg.num_tx:
         raise ConfigError(
@@ -241,25 +289,33 @@ def synthesize_capture(
         n_cycles += 1
     if n_cycles == 0:
         raise DomainError("trajectory too short: no complete TDM cycle fits the window")
+    positions, amplitudes = _scene_table(scene)
 
     # one row per (cycle, tx, rx), in firing order
-    cycle, tx, rx = np.indices((n_cycles, cfg.num_tx, array.n_rx)).reshape(3, -1)
-    samples = np.empty((cycle.size, cfg.samples_per_chirp), dtype=np.complex128)
-    poses = []
-    row = 0
-    for cyc in range(n_cycles):
-        pose = pose_at_time(traj, t_start + cyc * effective_pri)
-        poses.append(pose)
-        tx_world = pose.to_world(array.tx_positions)
-        rx_world = pose.to_world(array.rx_positions)
+    n_tx, n_rx = cfg.num_tx, array.n_rx
+    cycle, tx, rx = np.indices((n_cycles, n_tx, n_rx)).reshape(3, -1)
+    samples = np.zeros((cycle.size, cfg.samples_per_chirp), dtype=np.complex128)
+    poses = [pose_at_time(traj, t_start + cyc * effective_pri) for cyc in range(n_cycles)]
+    for c_lo in range(0, n_cycles, _SYNTH_CYCLES):
+        block = poses[c_lo : c_lo + _SYNTH_CYCLES]
+        # world positions of every element, TX then RX: (cycles, n_tx + n_rx, 3)
+        points = np.array(
+            [np.concatenate([p.to_world(array.tx_positions), p.to_world(array.rx_positions)]) for p in block]
+        )
         pattern = None
         if pattern_cos_power is not None:
-            boresight = pose.rotation_matrix() @ np.array([0.0, 1.0, 0.0])
-            pattern = (float(pattern_cos_power), boresight)
-        for i_tx in range(cfg.num_tx):
-            for i_rx in range(array.n_rx):
-                samples[row] = synthesize_chirp(scene, tx_world[i_tx], rx_world[i_rx], cfg, pattern)
-                row += 1
+            boresight = np.array([p.rotation_matrix() @ np.array([0.0, 1.0, 0.0]) for p in block])
+            pattern = (float(pattern_cos_power), np.broadcast_to(boresight[:, None, :], points.shape))
+        dist, gain = _element_legs(points, positions, pattern)
+        # (cycles, n_tx, n_rx, n_targets), rows in firing order
+        tau = (dist[:, :n_tx, None] + dist[:, None, n_tx:]) / C_LIGHT
+        amp = amplitudes if gain is None else amplitudes * gain[:, :n_tx, None] * gain[:, None, n_tx:]
+        _beat(
+            tau.reshape(-1, len(positions)),
+            np.broadcast_to(amp, tau.shape).reshape(-1, len(positions)),
+            cfg,
+            samples[c_lo * n_tx * n_rx : (c_lo + len(block)) * n_tx * n_rx],
+        )
     return RawCapture(
         config=cfg,
         array=array,
@@ -292,8 +348,15 @@ def add_noise(
     if np.isinf(per_sample_snr_db) and per_sample_snr_db > 0:
         return capture
 
+    samples = capture.samples
+    blocks = [slice(lo, lo + _NOISE_ROWS) for lo in range(0, capture.n_records, _NOISE_ROWS)]
     if noise_power is None:
-        mean_power = float(np.mean(np.mean(np.abs(capture.samples) ** 2, axis=1)))
+        # the mean of per-row mean powers; each row's mean is independent
+        # of the other rows, so blocks give the same floats as one pass
+        row_power = np.empty(capture.n_records)
+        for rows in blocks:
+            row_power[rows] = np.mean(np.abs(samples[rows]) ** 2, axis=1)
+        mean_power = float(np.mean(row_power))
         if mean_power == 0.0:
             raise DomainError(
                 "capture has zero signal power; pass noise_power to add noise anyway"
@@ -302,12 +365,15 @@ def add_noise(
 
     rng = np.random.default_rng(seed)
     sigma = np.sqrt(noise_power / 2.0)
-    noise = rng.standard_normal((capture.n_records, capture.config.samples_per_chirp, 2))
-    # In place, so at most three capture-sized arrays are alive: the clean
-    # samples, the draw and the result.  Same floats as
-    # samples + sigma * (noise[..., 0] + 1j * noise[..., 1]).
-    noisy = noise[..., 1] * 1j
-    noisy += noise[..., 0]
-    noisy *= sigma
-    noisy += capture.samples
+    # Drawn one block of rows at a time: consecutive draws continue one
+    # stream, so the floats equal samples + sigma * (n[..., 0] + 1j * n[..., 1])
+    # for a single (n_records, samples_per_chirp, 2) draw n.
+    noisy = np.empty_like(samples)
+    for rows in blocks:
+        out = noisy[rows]
+        draw = rng.standard_normal((*out.shape, 2))
+        np.multiply(draw[..., 1], 1j, out=out)
+        out += draw[..., 0]
+        out *= sigma
+        out += samples[rows]
     return replace(capture, samples=noisy)

@@ -329,6 +329,48 @@ def test_non_finite_capture_sample_is_a_format_error(workdir, capsys):
     assert f"record {middle} holds non-finite samples" in capsys.readouterr().err
 
 
+def test_non_finite_image_pixel_is_a_format_error(workdir, capsys):
+    # one NaN pixel in VX 0 used to empty the cloud at exit 0 (the SNR
+    # map's median turned NaN); NaN elevation in INSARELV stays legal
+    out, code = run_pipeline(workdir, workdir / "radar.cfg")
+    assert code == 0
+    path = out / "stack.insarimg"
+    n_u, n_v = struct.unpack_from("<II", path.read_bytes(), IMG_DIMS + 4)
+    patch(path, IMG_DIMS + 12 + 8 * (n_u * n_v // 2), "<f", float("nan"))
+    capsys.readouterr()
+    code = cli.main(["elevate", str(path), "-o", str(workdir / "m.insarelv")])
+    assert code == 3
+    assert "VX 0 image holds non-finite pixels" in capsys.readouterr().err
+
+
+# Header value fields: INSARRAW's u32 samples_per_chirp, and the f64 pixel
+# size of the INSARIMG / INSARELV grid.
+RAW_SAMPLES = 12 + 16
+GRID_PIXEL = 12 + 32
+
+
+@pytest.mark.parametrize(
+    "artifact, offset, fmt, value, argv",
+    [
+        ("capture.insarraw", RAW_SAMPLES, "<I", 0, ["image", "--config", "CFG", "-o", "OUT"]),
+        ("stack.insarimg", GRID_PIXEL, "<d", -0.04, ["elevate", "-o", "OUT"]),
+        ("elevation.insarelv", GRID_PIXEL, "<d", -0.04, ["report", "--config", "CFG"]),
+    ],
+)
+def test_corrupt_header_value_is_a_format_error(workdir, capsys, artifact, offset, fmt, value, argv):
+    # a value the artifact's own types reject is a corrupt file (exit 3),
+    # not a config error (exit 2)
+    out, code = run_pipeline(workdir, workdir / "radar.cfg")
+    assert code == 0
+    path = out / artifact
+    patch(path, offset, fmt, value)
+    names = {"CFG": str(workdir / "radar.cfg"), "OUT": str(workdir / "out.bin")}
+    capsys.readouterr()
+    code = cli.main([argv[0], str(path)] + [names.get(a, a) for a in argv[1:]])
+    assert code == 3
+    assert str(path) in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "line",
     [

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import insarmap as im
+from insarmap import simulate as sim
 from insarmap.errors import ConfigError, DomainError
 
 from conftest import make_rail_trajectory
@@ -207,3 +208,91 @@ class TestAddNoise:
         noisy = im.add_noise(zero, 10.0, seed=0, noise_power=1.0)
         power = np.mean(np.abs(np.concatenate([r.samples for r in noisy.records])) ** 2)
         assert power == pytest.approx(1.0, rel=0.05)
+
+
+def loop_chirp(scene, tx_pos, rx_pos, cfg, pattern=None):
+    """One chirp as a per-target loop over np.linalg.norm and np.dot: the
+    arithmetic the vectorised synthesis must reproduce bit for bit."""
+    n = np.arange(cfg.samples_per_chirp)
+    out = np.zeros(cfg.samples_per_chirp, dtype=np.complex128)
+    for target in scene.targets:
+        p = target.position
+        tau = (np.linalg.norm(p - tx_pos) + np.linalg.norm(p - rx_pos)) / im.C_LIGHT
+        amplitude = target.amplitude
+        if pattern is not None:
+            power, boresight = pattern
+            for element in (tx_pos, rx_pos):
+                r = np.linalg.norm(p - element)
+                cos = float(np.dot(boresight, p - element) / r) if r else 1.0
+                amplitude = amplitude * (cos**power if cos > 0.0 else 0.0)
+        phase = 2.0 * np.pi * (
+            cfg.ramp_slope_hz_per_s * tau * n / cfg.sample_rate_sps
+            + cfg.center_frequency_hz * tau
+        )
+        out += amplitude * np.exp(1j * phase)
+    return out
+
+
+class TestBlockPaths:
+    """The block-wise synthesis and noise give the floats of the whole-array
+    arithmetic, for sizes that are not multiples of the block sizes."""
+
+    @pytest.mark.parametrize("samples_per_chirp", [256, 500])
+    @pytest.mark.parametrize("power", [None, 1.5])
+    def test_capture_rows_equal_single_chirps(self, samples_per_chirp, power):
+        cfg = im.ChirpConfig(77.4e9, 30e12, samples_per_chirp, 18.75e6, 63.9e-6, 256, 3)
+        array = im.default_virtual_array(im.derive_chirp_params(cfg).wavelength_m)
+        yaw = np.radians(4.0)
+        traj = im.Trajectory(
+            (
+                im.Pose(0.0, np.array([-0.1, 0.0, 0.5]), np.array([1.0, 0, 0, 0])),
+                im.Pose(0.1, np.array([0.1, 0.02, 0.5]), np.array([np.cos(yaw), 0, 0, np.sin(yaw)])),
+            )
+        )
+        scene = im.Scene(
+            tuple(
+                im.PointTarget(np.array(p), a)
+                for p, a in (
+                    ((0.0, 4.0, 0.5), 1.0),
+                    ((-1.2, 6.5, 1.3), 0.7),
+                    ((2.0, 3.0, -0.2), 2.0),
+                    ((0.3, -2.0, 0.5), 1.0),  # behind the array
+                    ((-0.1, 0.0, 0.5), 0.5),  # at TX 0 in cycle 0
+                )
+            )
+        )
+        n_cycles = 2 * sim._SYNTH_CYCLES + 5
+        window = (0.0, (3 * n_cycles - 1) * cfg.pri_s)
+        cap = im.synthesize_capture(scene, traj, cfg, array, window, pattern_cos_power=power)
+        assert cap.n_cycles == n_cycles
+        for r in range(cap.n_records):
+            pose = cap.poses[cap.pose_index[r]]
+            tx_pos = pose.to_world(array.tx_positions)[cap.tx[r]]
+            rx_pos = pose.to_world(array.rx_positions)[cap.rx[r]]
+            pattern = None if power is None else (power, pose.rotation_matrix() @ np.array([0.0, 1.0, 0.0]))
+            chirp = im.synthesize_chirp(scene, tx_pos, rx_pos, cfg, pattern)
+            assert cap.samples[r].tobytes() == chirp.tobytes()
+            assert chirp.tobytes() == loop_chirp(scene, tx_pos, rx_pos, cfg, pattern).tobytes()
+
+    def test_add_noise_equals_one_draw(self, small_chirp):
+        n_rows, n = 2 * sim._NOISE_ROWS + 37, small_chirp.samples_per_chirp
+        rng = np.random.default_rng(7)
+        samples = rng.standard_normal((n_rows, n)) + 1j * rng.standard_normal((n_rows, n))
+        cap = im.RawCapture(
+            config=small_chirp,
+            array=im.default_virtual_array(im.derive_chirp_params(small_chirp).wavelength_m),
+            samples=samples,
+            tx=np.zeros(n_rows, dtype=int),
+            rx=np.zeros(n_rows, dtype=int),
+            cycle=np.arange(n_rows),
+            time_s=np.arange(n_rows) * small_chirp.pri_s,
+            poses=(im.Pose(0.0, np.zeros(3), np.array([1.0, 0, 0, 0])),),
+            pose_index=np.zeros(n_rows, dtype=int),
+        )
+        snr_db = 7.0
+        # the one-pass mean power and one whole draw of the same seed
+        mean_power = np.mean(np.mean(np.abs(samples) ** 2, axis=1))
+        sigma = np.sqrt(mean_power / 10.0 ** (snr_db / 10.0) / 2.0)
+        draw = np.random.default_rng(11).standard_normal((n_rows, n, 2))
+        expected = samples + sigma * (draw[..., 0] + 1j * draw[..., 1])
+        assert im.add_noise(cap, snr_db, seed=11).samples.tobytes() == expected.tobytes()
