@@ -49,6 +49,8 @@ MAGIC_ELV = b"INSARELV"
 FORMAT_VERSION = 1
 # ChirpConfig's fields, in declaration order
 _CHIRP_FORMAT = "<ddIddII"
+# capture records read per block (about 1 MB at 512 samples per chirp)
+_READ_ROWS = 256
 
 
 @contextmanager
@@ -62,14 +64,21 @@ def _reading(path):
         raise DataFormatError(f"{path}: {exc}") from exc
 
 
-def _read_exact(fh, count: int, what: str) -> bytes:
-    """Read count bytes.  The size a header declared is checked against the
-    bytes left in the file before anything is allocated for it, so a
-    corrupt header cannot request an arbitrarily large allocation."""
+def _check_left(fh, count: int, what: str) -> None:
+    """Raise DataFormatError unless count bytes are left in the file.  Every
+    size a header declares is checked here before anything is allocated for
+    it, so a corrupt header cannot request an arbitrarily large allocation."""
     left = os.fstat(fh.fileno()).st_size - fh.tell()
-    data = fh.read(count) if count <= left else b""
-    if len(data) != count:
+    if count > left:
         raise DataFormatError(f"truncated file while reading {what}: {count} bytes declared, {left} left")
+
+
+def _read_exact(fh, count: int, what: str) -> bytes:
+    """Read count bytes, checked by _check_left first."""
+    _check_left(fh, count, what)
+    data = fh.read(count)
+    if len(data) != count:
+        raise DataFormatError(f"truncated file while reading {what}: {count} bytes declared, {len(data)} read")
     return data
 
 
@@ -134,7 +143,11 @@ def write_capture(capture: RawCapture, path) -> None:
 def read_capture(path) -> RawCapture:
     """Read an INSARRAW capture.  Raises DataFormatError for a header whose
     sizes or values are invalid, for non-finite samples, and for record
-    columns that do not form a valid capture."""
+    columns that do not form a valid capture.
+
+    Records are read _READ_ROWS at a time straight into the preallocated
+    complex128 samples, so the peak is the capture plus one block.
+    """
     with _reading(path) as fh:
         _check_header(fh, MAGIC_RAW, path)
         cfg = ChirpConfig(*_unpack(fh, _CHIRP_FORMAT, "chirp config"))
@@ -144,23 +157,33 @@ def read_capture(path) -> RawCapture:
         array = build_virtual_array(tx, rx)
         (n_records,) = _unpack(fh, "<Q", "record count")
         dtype = _record_dtype(cfg.samples_per_chirp)
-        block = np.frombuffer(_read_exact(fh, n_records * dtype.itemsize, "records"), dtype=dtype)
-        finite = np.isfinite(block["iq"]).all(axis=1)
-        if not finite.all():
-            raise DataFormatError(f"{path}: record {int(np.argmin(finite))} holds non-finite samples")
+        _check_left(fh, n_records * dtype.itemsize, "records")
+        samples = np.empty((n_records, cfg.samples_per_chirp), dtype=np.complex128)
+        columns = np.empty(n_records, dtype=dtype.descr[:-1])  # every field but iq
+        block = np.empty(min(n_records, _READ_ROWS), dtype=dtype)
+        for lo in range(0, n_records, _READ_ROWS):
+            rows = block[: min(_READ_ROWS, n_records - lo)]
+            if fh.readinto(rows.data) != rows.nbytes:
+                raise DataFormatError(f"{path}: truncated file while reading records")
+            finite = np.isfinite(rows["iq"]).all(axis=1)
+            if not finite.all():
+                raise DataFormatError(f"{path}: record {lo + int(np.argmin(finite))} holds non-finite samples")
+            samples[lo : lo + rows.shape[0]] = rows["iq"]
+            for name in columns.dtype.names:
+                columns[name][lo : lo + rows.shape[0]] = rows[name]
         # one Pose per distinct pose, compared by its bytes
         _, first, pose_index = np.unique(
-            block["pose"].view("<u8"), axis=0, return_index=True, return_inverse=True
+            columns["pose"].view("<u8"), axis=0, return_index=True, return_inverse=True
         )
-        poses = tuple(Pose(time_s=float(r[0]), position=r[1:4], quaternion=r[4:8]) for r in block["pose"][first])
+        poses = tuple(Pose(time_s=float(r[0]), position=r[1:4], quaternion=r[4:8]) for r in columns["pose"][first])
         return RawCapture(
             config=cfg,
             array=array,
-            samples=block["iq"].astype(np.complex128),
-            tx=block["tx"],
-            rx=block["rx"],
-            cycle=block["cycle"],
-            time_s=block["time"],
+            samples=samples,
+            tx=columns["tx"],
+            rx=columns["rx"],
+            cycle=columns["cycle"],
+            time_s=columns["time"],
             poses=poses,
             pose_index=pose_index.reshape(-1),
         )
@@ -254,7 +277,9 @@ def write_elevation_map(emap: ElevationMap, path) -> None:
 
 def read_elevation_map(path) -> ElevationMap:
     """Read an INSARELV map.  Raises DataFormatError for a header whose
-    sizes or values are invalid; NaN elevation means "absent"."""
+    sizes or values are invalid and for a non-finite value in the phase,
+    variance, magnitude or SNR plane (bar the -inf SNR of a zero-magnitude
+    pixel); NaN elevation means "absent"."""
     with _reading(path) as fh:
         _check_header(fh, MAGIC_ELV, path)
         grid = _read_grid(fh)
@@ -265,19 +290,27 @@ def read_elevation_map(path) -> ElevationMap:
             raise DataFormatError(f"{path}: plane dims {(n_u, n_v)} do not match grid")
         raw = _read_exact(fh, 5 * n_u * n_v * 4, "map planes")
         planes = np.frombuffer(raw, dtype="<f4").reshape(5, n_u, n_v).astype(np.float64)
+        elevation, phase, variance, magnitude, snr = planes
+        # -inf is the SNR of a zero-magnitude pixel (20*log10(0)), not damage
+        silent = (snr == -np.inf) & (magnitude == 0.0)
+        for name, plane in (
+            ("phase", phase), ("variance", variance), ("magnitude", magnitude), ("SNR", np.where(silent, 0.0, snr))
+        ):
+            if not np.isfinite(plane).all():
+                raise DataFormatError(f"{path}: {name} plane holds non-finite values")
         intf = InterferogramGrid(
             grid=grid,
-            mean_phase_delay=planes[1],
-            circular_variance=planes[2],
-            combined_magnitude=planes[3],
-            snr_db=planes[4],
+            mean_phase_delay=phase,
+            circular_variance=variance,
+            combined_magnitude=magnitude,
+            snr_db=snr,
         )
         return ElevationMap(
             grid=grid,
             phase_center=phase_center,
             wavelength_m=wavelength,
             baseline_m=baseline,
-            elevation=planes[0],
+            elevation=elevation,
             interferogram=intf,
         )
 

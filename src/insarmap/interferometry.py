@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import ConfigError, DomainError
 from .imaging import ImageGrid, SarImageStack
 from .types import C_LIGHT
 
@@ -195,6 +195,8 @@ class ElevationMap:
 
     def __post_init__(self) -> None:
         pc = np.asarray(self.phase_center, dtype=float).reshape(3)
+        if not np.isfinite(pc).all():
+            raise ConfigError("phase_center must be finite")
         pc.setflags(write=False)
         object.__setattr__(self, "phase_center", pc)
 

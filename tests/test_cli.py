@@ -343,10 +343,29 @@ def test_non_finite_image_pixel_is_a_format_error(workdir, capsys):
     assert "VX 0 image holds non-finite pixels" in capsys.readouterr().err
 
 
-# Header value fields: INSARRAW's u32 samples_per_chirp, and the f64 pixel
-# size of the INSARIMG / INSARELV grid.
+def test_non_finite_map_snr_is_a_format_error(workdir, capsys):
+    # a NaN SNR used to drop the pixel silently at exit 0; NaN elevation is
+    # "absent", but the four quality planes hold no absent values
+    out, code = run_pipeline(workdir, workdir / "radar.cfg")
+    assert code == 0
+    path = out / "elevation.insarelv"
+    n_u, n_v = struct.unpack_from("<II", path.read_bytes(), ELV_DIMS)
+    snr_plane = ELV_DIMS + 8 + 4 * 4 * n_u * n_v
+    patch(path, snr_plane + 4 * (n_u * n_v // 2), "<f", float("nan"))
+    capsys.readouterr()
+    code = cli.main(["pointcloud", str(path), "--config", str(workdir / "radar.cfg"),
+                     "-o", str(workdir / "c.pcd")])
+    assert code == 3
+    assert "SNR plane holds non-finite values" in capsys.readouterr().err
+
+
+# Header value fields: INSARRAW's u32 samples_per_chirp, the f64 origin u
+# and pixel size of the INSARIMG / INSARELV grid, and their phase center x.
 RAW_SAMPLES = 12 + 16
+GRID_ORIGIN = 12
 GRID_PIXEL = 12 + 32
+IMG_PHASE_CENTER = 12 + 40 + 16
+ELV_PHASE_CENTER = 12 + 40
 
 
 @pytest.mark.parametrize(
@@ -355,6 +374,11 @@ GRID_PIXEL = 12 + 32
         ("capture.insarraw", RAW_SAMPLES, "<I", 0, ["image", "--config", "CFG", "-o", "OUT"]),
         ("stack.insarimg", GRID_PIXEL, "<d", -0.04, ["elevate", "-o", "OUT"]),
         ("elevation.insarelv", GRID_PIXEL, "<d", -0.04, ["report", "--config", "CFG"]),
+        # a NaN grid origin or phase center used to empty the cloud at exit 0
+        ("stack.insarimg", GRID_ORIGIN, "<d", float("nan"), ["elevate", "-o", "OUT"]),
+        ("elevation.insarelv", GRID_ORIGIN, "<d", float("nan"), ["pointcloud", "--config", "CFG", "-o", "OUT"]),
+        ("stack.insarimg", IMG_PHASE_CENTER, "<d", float("nan"), ["elevate", "-o", "OUT"]),
+        ("elevation.insarelv", ELV_PHASE_CENTER, "<d", float("nan"), ["pointcloud", "--config", "CFG", "-o", "OUT"]),
     ],
 )
 def test_corrupt_header_value_is_a_format_error(workdir, capsys, artifact, offset, fmt, value, argv):

@@ -110,6 +110,44 @@ class TestElevationMapFormat:
         )
         assert back.baseline_m == emap.baseline_m
 
+    @pytest.mark.parametrize("plane, name", [(1, "phase"), (2, "variance"), (3, "magnitude"), (4, "SNR")])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_quality_value_is_a_format_error(self, tmp_path, small_e2e, plane, name, bad):
+        path = tmp_path / "map.insarelv"
+        formats.write_elevation_map(small_e2e["map"], path)
+        data = bytearray(path.read_bytes())
+        at = len(data) - (5 - plane) * 4 * small_e2e["grid"].n_u * small_e2e["grid"].n_v  # the last 5 planes
+        data[at : at + 4] = np.float32(bad).tobytes()
+        path.write_bytes(bytes(data))
+        with pytest.raises(DataFormatError, match=f"{name} plane holds non-finite values"):
+            formats.read_elevation_map(path)
+
+    def test_zero_magnitude_pixel_keeps_its_minus_inf_snr(self, tmp_path, small_e2e):
+        emap = small_e2e["map"]
+        intf = emap.interferogram
+        magnitude = intf.combined_magnitude.copy()
+        magnitude[0, 0] = 0.0
+        snr = im.snr_map(magnitude)
+        poked = im.ElevationMap(
+            grid=emap.grid,
+            phase_center=emap.phase_center,
+            wavelength_m=emap.wavelength_m,
+            baseline_m=emap.baseline_m,
+            elevation=emap.elevation,
+            interferogram=im.InterferogramGrid(
+                grid=emap.grid,
+                mean_phase_delay=intf.mean_phase_delay,
+                circular_variance=intf.circular_variance,
+                combined_magnitude=magnitude,
+                snr_db=snr,
+            ),
+        )
+        path = tmp_path / "map.insarelv"
+        formats.write_elevation_map(poked, path)
+        back = formats.read_elevation_map(path)
+        assert back.interferogram.snr_db[0, 0] == -np.inf
+        assert np.isfinite(back.interferogram.snr_db.reshape(-1)[1:]).all()
+
     def test_truncation(self, tmp_path, small_e2e):
         path = tmp_path / "map.insarelv"
         formats.write_elevation_map(small_e2e["map"], path)
@@ -131,3 +169,65 @@ class TestPgm:
         assert int(dims[0]) == stack.grid.n_u
         assert int(dims[1]) == stack.grid.n_v
         assert len(rest) == 2 * stack.grid.n_u * stack.grid.n_v
+
+
+class TestFuzz:
+    """Seeded byte flips and truncations of each binary format: every case
+    either loads or raises DataFormatError (CLI exit 3), never anything
+    else."""
+
+    CASES = 150
+
+    @pytest.fixture(scope="class")
+    def artifacts(self, tmp_path_factory):
+        cfg = im.ChirpConfig(77.4e9, 30e12, 16, 18.75e6, 63.9e-6, 256, 3)
+        array = im.default_virtual_array(im.derive_chirp_params(cfg).wavelength_m)
+        traj = im.Trajectory(
+            (
+                im.Pose(0.0, np.array([0.0, 0.0, 0.4]), np.array([1.0, 0, 0, 0])),
+                im.Pose(0.004, np.array([0.02, 0.0, 0.4]), np.array([1.0, 0, 0, 0])),
+            )
+        )
+        scene = im.Scene((im.PointTarget(np.array([0.0, 3.0, 0.5]), 1.0),))
+        cap = im.add_noise(im.synthesize_capture(scene, traj, cfg, array), 20.0, seed=1)
+        grid = im.ImageGrid(np.array([-0.2, 2.8]), np.array([0.4, 0.4]), 0.04)
+        stack = im.image_stack(cap, grid, im.Aperture(0.02))
+        out = tmp_path_factory.mktemp("fuzz")
+        paths = {"capture": out / "c.insarraw", "stack": out / "s.insarimg", "map": out / "m.insarelv"}
+        formats.write_capture(cap, paths["capture"])
+        formats.write_image_stack(stack, paths["stack"])
+        formats.write_elevation_map(im.build_elevation_map(stack), paths["map"])
+        return paths
+
+    # garbage header values may overflow in the readers' validation arithmetic
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.parametrize(
+        "kind, reader",
+        [
+            ("capture", formats.read_capture),
+            ("stack", formats.read_image_stack),
+            ("map", formats.read_elevation_map),
+        ],
+    )
+    def test_damage_loads_or_is_a_format_error(self, tmp_path, artifacts, kind, reader):
+        good = artifacts[kind].read_bytes()
+        reader(artifacts[kind])
+        rng = np.random.default_rng(2024)
+        path = tmp_path / artifacts[kind].name
+        for case in range(self.CASES):
+            data = bytearray(good)
+            if case % 3 == 0:
+                data = data[: int(rng.integers(0, len(data)))]
+            else:
+                # half the flips land in the first 512 bytes, where the
+                # header's sizes and values are
+                span = 512 if case % 3 == 1 else len(data)
+                for at in rng.integers(0, min(span, len(data)), size=int(rng.integers(1, 5))):
+                    data[at] = int(rng.integers(0, 256))
+            path.write_bytes(bytes(data))
+            try:
+                reader(path)
+            except DataFormatError:
+                pass
+            except Exception as exc:
+                pytest.fail(f"{kind} case {case}: {type(exc).__name__}: {exc}")

@@ -5,6 +5,7 @@ import pytest
 
 import insarmap as im
 from insarmap.errors import ConfigError, DomainError
+from insarmap import imaging
 from insarmap.imaging import _select_aperture
 
 from conftest import make_rail_trajectory, peak_near
@@ -268,6 +269,73 @@ def peak_near_stackless(img, grid, u, v, window_m=0.6):
     sub = np.abs(img)[np.ix_(mu, mv)]
     k = np.unravel_index(np.argmax(sub), sub.shape)
     return np.flatnonzero(mu)[k[0]], np.flatnonzero(mv)[k[1]]
+
+
+def exact_phasor(d, k_carrier):
+    """The reference carrier phasor: one complex exp per element."""
+    return np.exp(-1j * k_carrier * d)
+
+
+class TestPhasorTolerance:
+    """The kernel's float32 carrier phasor against the exact complex exp.
+
+    Bits depend on which SIMD path numpy dispatches cos and sin to, so these
+    bounds, not hashes, are the contract; CI reruns this class with numpy's
+    AVX512 paths disabled and with only its baseline path.
+    """
+
+    K = 2.0 * np.pi * 77.4e9 / im.C_LIGHT
+
+    @pytest.fixture(scope="class")
+    def exact_stack(self, small_e2e):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(imaging, "_carrier_phasor", exact_phasor)
+            return im.image_stack(small_e2e["capture"], small_e2e["grid"], small_e2e["aperture"], threads=2)
+
+    def test_phasor_within_1e6_up_to_100m(self):
+        # 0.1 mm steps put about 40 samples in each carrier wavelength
+        d = np.linspace(0.0, 100.0, 1_000_001)
+        err = np.abs(imaging._carrier_phasor(d, self.K) - exact_phasor(d, self.K))
+        assert err.max() <= 1e-6
+
+    def test_image_within_1e6_of_peak(self, small_e2e, exact_stack):
+        fast = small_e2e["stack"].images
+        peak = np.abs(exact_stack.images).max()
+        assert np.abs(fast - exact_stack.images).max() <= 1e-6 * peak
+
+    def test_baseline_phase_within_1e5_rad_above_15db(self, small_e2e, exact_stack):
+        stack = small_e2e["stack"]
+        strong = small_e2e["map"].interferogram.snr_db >= 15.0
+        assert strong.sum() >= 20
+        for b in stack.array.vertical_baselines:
+            fast = stack.images[b.lower_vx] * np.conj(stack.images[b.upper_vx])
+            exact = exact_stack.images[b.lower_vx] * np.conj(exact_stack.images[b.upper_vx])
+            assert np.abs(np.angle(fast[strong] * np.conj(exact[strong]))).max() <= 1e-5
+
+
+class TestInterpolation:
+    def test_slope_form_equals_two_point_form(self):
+        rng = np.random.default_rng(5)
+        profile = rng.standard_normal(300) + 1j * rng.standard_normal(300)
+        q = np.r_[rng.uniform(0.0, 299.0, 5000), 0.0, 298.0, 298.5, 299.0]
+        i0 = np.minimum(np.floor(q).astype(int), 298)
+        w = q - i0
+        two_point = profile[i0] * (1.0 - w) + profile[i0 + 1] * w
+        slope_form = imaging._interp_linear(profile, np.diff(profile), q)
+        assert np.allclose(slope_form, two_point, rtol=0, atol=1e-14 * np.abs(profile).max())
+
+    @pytest.mark.parametrize("interpolation", ["linear", "sinc"])
+    def test_pixels_beyond_profile_extent_are_zero(self, interpolation):
+        # max range is c*fs/(2*slope) = 93.7 m; a grid straddling it
+        cfg = im.ChirpConfig(77.4e9, 30e12, 64, 18.75e6, 63.9e-6, 256, 1)
+        max_range = im.derive_chirp_params(cfg).max_range_m
+        scene = im.Scene((im.PointTarget(np.array([0.0, 92.0, 0.0]), 1.0),))
+        cap = im.add_noise(monostatic_capture(cfg, scene, speed=1.0, t_half=0.002), 10.0, seed=4)
+        grid = im.ImageGrid(np.array([-0.5, max_range - 2.0]), np.array([1.0, 4.0]), 0.1)
+        img = im.backproject(im.range_compress(cap), 0, grid, im.Aperture(0.004), interpolation=interpolation)
+        v = grid.v_centers()
+        assert np.all(img[:, v > max_range + 0.1] == 0)
+        assert np.all(img[:, v < max_range - 0.5] != 0)
 
 
 class TestPredictedAzimuthResolution:
