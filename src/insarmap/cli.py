@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import dataclass, field
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -19,19 +19,6 @@ import numpy as np
 from . import configio, formats, imaging, interferometry, pointcloud, simulate
 from .errors import ConfigError, DataFormatError, DomainError
 from .types import derive_chirp_params
-
-
-@dataclass
-class PipelineRun:
-    """Record of one pipeline invocation: inputs, outputs, and stage timings."""
-
-    scene_path: str
-    trajectory_path: str
-    config_path: str
-    out_dir: Path
-    seed: int
-    artifacts: dict[str, Path] = field(default_factory=dict)
-    stage_seconds: dict[str, float] = field(default_factory=dict)
 
 
 def _load_config(path) -> dict:
@@ -46,8 +33,6 @@ def _cmd_simulate(args) -> int:
     derived = derive_chirp_params(chirp)
     array = configio.load_virtual_array(cfg, derived.wavelength_m)
     scene = configio.load_scene_csv(args.scene)
-    import warnings
-
     # surface the trajectory speed warning on stderr instead of the warning
     # machinery, so scripts see it regardless of -W settings
     with warnings.catch_warnings(record=True) as caught:
@@ -130,7 +115,7 @@ def _filter_report(cloud: pointcloud.ElevationPointCloud, cfg: pointcloud.Filter
             f"front cone (r < {cfg.min_radius_m:g} m, "
             f"|az - {cfg.front_azimuth_deg:g}| <= {cfg.front_azimuth_halfwidth_deg:g} deg)"
         ),
-        "underground": f"underground (z < {cloud.provenance.get('min_z_m', cfg.resolved_min_z_m):g} m)",
+        "underground": f"underground (z < {cfg.resolved_min_z_m:g} m)",
     }
     lines = [f"[filter] candidates: {stats.candidates}"]
     for key, count in stats.rejected.items():
@@ -173,80 +158,26 @@ def _cmd_report(args) -> int:
     return 0
 
 
-def run_pipeline(scene, trajectory, config, out_dir, seed=0, threads=1) -> PipelineRun:
-    """Run all four stages back to back, materializing every artifact.
-
-    Raises the stage's error on failure; on success returns the run record
-    with artifact paths and per-stage wall times.
-    """
-    run = PipelineRun(
-        scene_path=str(scene),
-        trajectory_path=str(trajectory),
-        config_path=str(config),
-        out_dir=Path(out_dir),
-        seed=int(seed),
-    )
-    run.out_dir.mkdir(parents=True, exist_ok=True)
-    run.artifacts = {
-        "capture": run.out_dir / "capture.insarraw",
-        "stack": run.out_dir / "stack.insarimg",
-        "map": run.out_dir / "elevation.insarelv",
-        "cloud": run.out_dir / "cloud.pcd",
-        "cloud_csv": run.out_dir / "cloud.csv",
-    }
-    stages = (
-        (
-            "simulate",
-            _cmd_simulate,
-            argparse.Namespace(
-                scene=scene,
-                trajectory=trajectory,
-                config=config,
-                seed=run.seed,
-                output=run.artifacts["capture"],
-            ),
-        ),
-        (
-            "image",
-            _cmd_image,
-            argparse.Namespace(
-                capture=run.artifacts["capture"],
-                config=config,
-                threads=threads,
-                output=run.artifacts["stack"],
-                pgm_dir=None,
-            ),
-        ),
-        (
-            "elevate",
-            _cmd_elevate,
-            argparse.Namespace(stack=run.artifacts["stack"], output=run.artifacts["map"]),
-        ),
-        (
-            "pointcloud",
-            _cmd_pointcloud,
-            argparse.Namespace(
-                map=run.artifacts["map"],
-                config=config,
-                output=run.artifacts["cloud"],
-                csv=run.artifacts["cloud_csv"],
-            ),
-        ),
-    )
-    for name, fn, stage_args in stages:
-        t0 = time.monotonic()
-        fn(stage_args)
-        run.stage_seconds[name] = time.monotonic() - t0
-        print(f"[pipeline] stage {name}: {run.stage_seconds[name]:.2f} s")
-    return run
-
-
 def _cmd_pipeline(args) -> int:
-    run = run_pipeline(
-        args.scene, args.trajectory, args.config, args.out_dir,
-        seed=args.seed, threads=args.threads,
+    """Run all four stages back to back, materializing every artifact."""
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    capture = out_dir / "capture.insarraw"
+    stack = out_dir / "stack.insarimg"
+    emap = out_dir / "elevation.insarelv"
+    # built per call, so a handler replaced on the module (say, wrapped by a
+    # tracer) is the one that runs
+    stages = (
+        ("simulate", _cmd_simulate, dict(scene=args.scene, trajectory=args.trajectory, output=capture)),
+        ("image", _cmd_image, dict(capture=capture, threads=args.threads, output=stack, pgm_dir=None)),
+        ("elevate", _cmd_elevate, dict(stack=stack, output=emap)),
+        ("pointcloud", _cmd_pointcloud, dict(map=emap, output=out_dir / "cloud.pcd", csv=out_dir / "cloud.csv")),
     )
-    print(f"[pipeline] artifacts in {run.out_dir}")
+    for name, handler, stage_args in stages:
+        t0 = time.monotonic()
+        handler(argparse.Namespace(config=args.config, seed=args.seed, **stage_args))
+        print(f"[pipeline] stage {name}: {time.monotonic() - t0:.2f} s")
+    print(f"[pipeline] artifacts in {out_dir}")
     return 0
 
 

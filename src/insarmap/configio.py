@@ -20,7 +20,7 @@ from .errors import ConfigError
 from .imaging import Aperture, ImageGrid
 from .pointcloud import FilterConfig
 from .simulate import PointTarget, Scene
-from .types import ChirpConfig, Pose, Trajectory, VirtualArray, default_virtual_array
+from .types import ChirpConfig, Pose, Trajectory, VirtualArray, build_virtual_array, default_virtual_array
 
 CHIRP_KEYS = (
     "center_frequency_hz",
@@ -101,8 +101,6 @@ def load_chirp_config(cfg: dict, source="") -> ChirpConfig:
 
 def load_virtual_array(cfg: dict, wavelength_m: float) -> VirtualArray:
     """Element positions from config, or the default two-layer layout."""
-    from .types import build_virtual_array
-
     tx = cfg.get("tx_positions_m")
     rx = cfg.get("rx_positions_m")
     if tx is None and rx is None:

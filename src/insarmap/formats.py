@@ -31,6 +31,7 @@ INSARELV (elevation map)
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
 import struct
 from contextlib import contextmanager
@@ -41,7 +42,7 @@ from .errors import ConfigError, DataFormatError
 from .imaging import ImageGrid, SarImageStack
 from .interferometry import ElevationMap, InterferogramGrid
 from .simulate import RawCapture
-from .types import ChirpConfig, Pose, build_virtual_array
+from .types import ChirpConfig, Pose, VirtualArray, build_virtual_array
 
 MAGIC_RAW = b"INSARRAW"
 MAGIC_IMG = b"INSARIMG"
@@ -87,7 +88,12 @@ def _unpack(fh, fmt: str, what: str):
     return struct.unpack(fmt, _read_exact(fh, size, what))
 
 
-def _check_header(fh, magic: bytes, path) -> None:
+def _write_preamble(fh, magic: bytes) -> None:
+    fh.write(magic)
+    fh.write(struct.pack("<I", FORMAT_VERSION))
+
+
+def _read_preamble(fh, magic: bytes, path) -> None:
     got = fh.read(len(magic))
     if got != magic:
         raise DataFormatError(f"{path}: bad magic {got!r}, expected {magic!r}")
@@ -96,13 +102,19 @@ def _check_header(fh, magic: bytes, path) -> None:
         raise DataFormatError(f"{path}: unsupported format version {version}")
 
 
-def _write_positions(fh, positions: np.ndarray) -> None:
-    fh.write(np.ascontiguousarray(positions, dtype="<f8").tobytes())
+def _write_array(fh, array: VirtualArray) -> None:
+    """The element-array section: u32 n_tx, u32 n_rx, then 3*f64 per
+    element, TX first."""
+    fh.write(struct.pack("<II", array.n_tx, array.n_rx))
+    for positions in (array.tx_positions, array.rx_positions):
+        fh.write(np.ascontiguousarray(positions, dtype="<f8").tobytes())
 
 
-def _read_positions(fh, count: int, what: str) -> np.ndarray:
-    raw = _read_exact(fh, count * 3 * 8, what)
-    return np.frombuffer(raw, dtype="<f8").reshape(count, 3).copy()
+def _read_array(fh) -> VirtualArray:
+    n_tx, n_rx = _unpack(fh, "<II", "array size")
+    raw = _read_exact(fh, (n_tx + n_rx) * 3 * 8, "element positions")
+    positions = np.frombuffer(raw, dtype="<f8").reshape(n_tx + n_rx, 3)
+    return build_virtual_array(positions[:n_tx], positions[n_tx:])
 
 
 def _record_dtype(samples_per_chirp: int) -> np.dtype:
@@ -130,31 +142,25 @@ def write_capture(capture: RawCapture, path) -> None:
     block["pose"] = pose_table.reshape(-1, 8)[capture.pose_index]
     block["iq"] = capture.samples
     with open(path, "wb") as fh:
-        fh.write(MAGIC_RAW)
-        fh.write(struct.pack("<I", FORMAT_VERSION))
+        _write_preamble(fh, MAGIC_RAW)
         fh.write(struct.pack(_CHIRP_FORMAT, *dataclasses.astuple(cfg)))
-        fh.write(struct.pack("<II", capture.array.n_tx, capture.array.n_rx))
-        _write_positions(fh, capture.array.tx_positions)
-        _write_positions(fh, capture.array.rx_positions)
+        _write_array(fh, capture.array)
         fh.write(struct.pack("<Q", capture.n_records))
         fh.write(block.data)
 
 
 def read_capture(path) -> RawCapture:
-    """Read an INSARRAW capture.  Raises DataFormatError for a header whose
-    sizes or values are invalid, for non-finite samples, and for record
-    columns that do not form a valid capture.
+    """Read an INSARRAW capture.  Raises DataFormatError for a damaged file:
+    bad magic or version, too few bytes for the sizes the header declares,
+    or values that ChirpConfig, Pose or RawCapture reject.
 
     Records are read _READ_ROWS at a time straight into the preallocated
     complex128 samples, so the peak is the capture plus one block.
     """
     with _reading(path) as fh:
-        _check_header(fh, MAGIC_RAW, path)
+        _read_preamble(fh, MAGIC_RAW, path)
         cfg = ChirpConfig(*_unpack(fh, _CHIRP_FORMAT, "chirp config"))
-        n_tx, n_rx = _unpack(fh, "<II", "array size")
-        tx = _read_positions(fh, n_tx, "TX positions")
-        rx = _read_positions(fh, n_rx, "RX positions")
-        array = build_virtual_array(tx, rx)
+        array = _read_array(fh)
         (n_records,) = _unpack(fh, "<Q", "record count")
         dtype = _record_dtype(cfg.samples_per_chirp)
         _check_left(fh, n_records * dtype.itemsize, "records")
@@ -165,9 +171,6 @@ def read_capture(path) -> RawCapture:
             rows = block[: min(_READ_ROWS, n_records - lo)]
             if fh.readinto(rows.data) != rows.nbytes:
                 raise DataFormatError(f"{path}: truncated file while reading records")
-            finite = np.isfinite(rows["iq"]).all(axis=1)
-            if not finite.all():
-                raise DataFormatError(f"{path}: record {lo + int(np.argmin(finite))} holds non-finite samples")
             samples[lo : lo + rows.shape[0]] = rows["iq"]
             for name in columns.dtype.names:
                 columns[name][lo : lo + rows.shape[0]] = rows[name]
@@ -190,16 +193,7 @@ def read_capture(path) -> RawCapture:
 
 
 def _write_grid(fh, grid: ImageGrid) -> None:
-    fh.write(
-        struct.pack(
-            "<5d",
-            grid.origin_m[0],
-            grid.origin_m[1],
-            grid.extent_m[0],
-            grid.extent_m[1],
-            grid.pixel_size_m,
-        )
-    )
+    fh.write(struct.pack("<5d", *grid.origin_m, *grid.extent_m, grid.pixel_size_m))
 
 
 def _read_grid(fh) -> ImageGrid:
@@ -209,47 +203,33 @@ def _read_grid(fh) -> ImageGrid:
 
 def write_image_stack(stack: SarImageStack, path) -> None:
     with open(path, "wb") as fh:
-        fh.write(MAGIC_IMG)
-        fh.write(struct.pack("<I", FORMAT_VERSION))
+        _write_preamble(fh, MAGIC_IMG)
         _write_grid(fh, stack.grid)
         fh.write(struct.pack("<dd", stack.aperture_length_m, stack.wavelength_m))
         fh.write(np.asarray(stack.phase_center, dtype="<f8").tobytes())
-        fh.write(struct.pack("<II", stack.array.n_tx, stack.array.n_rx))
-        _write_positions(fh, stack.array.tx_positions)
-        _write_positions(fh, stack.array.rx_positions)
-        fh.write(struct.pack("<III", stack.array.n_vx, stack.grid.n_u, stack.grid.n_v))
+        _write_array(fh, stack.array)
+        fh.write(struct.pack("<III", *stack.images.shape))
         # one plane at a time, so no stack-sized copy is made
         for plane in stack.images:
             fh.write(np.ascontiguousarray(plane, dtype="<c8"))
 
 
 def read_image_stack(path) -> SarImageStack:
-    """Read an INSARIMG stack.  Raises DataFormatError for a header whose
-    sizes or values are invalid and for non-finite pixels."""
+    """Read an INSARIMG stack.  Raises DataFormatError for a damaged file:
+    bad magic or version, too few bytes for the sizes the header declares,
+    or values that ImageGrid, the array or SarImageStack reject."""
     with _reading(path) as fh:
-        _check_header(fh, MAGIC_IMG, path)
+        _read_preamble(fh, MAGIC_IMG, path)
         grid = _read_grid(fh)
         aperture_length, wavelength = _unpack(fh, "<dd", "stack header")
         phase_center = np.frombuffer(_read_exact(fh, 24, "phase center"), dtype="<f8").copy()
-        n_tx, n_rx = _unpack(fh, "<II", "array size")
-        tx = _read_positions(fh, n_tx, "TX positions")
-        rx = _read_positions(fh, n_rx, "RX positions")
-        array = build_virtual_array(tx, rx)
-        n_vx, n_u, n_v = _unpack(fh, "<III", "stack dims")
-        if n_vx != array.n_vx:
-            raise DataFormatError(f"{path}: VX count {n_vx} does not match array {array.n_vx}")
-        if (n_u, n_v) != (grid.n_u, grid.n_v):
-            raise DataFormatError(f"{path}: plane dims {(n_u, n_v)} do not match grid")
-        raw = _read_exact(fh, n_vx * n_u * n_v * 8, "image planes")
-        images = np.frombuffer(raw, dtype="<c8").reshape(n_vx, n_u, n_v).astype(np.complex128)
-        # checked plane by plane, so no stack-sized mask is made
-        for k, plane in enumerate(images):
-            if not np.isfinite(plane).all():
-                raise DataFormatError(f"{path}: VX {k} image holds non-finite pixels")
+        array = _read_array(fh)
+        dims = _unpack(fh, "<III", "stack dims")
+        raw = _read_exact(fh, 8 * math.prod(dims), "image planes")
         return SarImageStack(
             grid=grid,
             array=array,
-            images=images,
+            images=np.frombuffer(raw, dtype="<c8").reshape(dims).astype(np.complex128),
             phase_center=phase_center,
             aperture_length_m=aperture_length,
             wavelength_m=wavelength,
@@ -259,8 +239,7 @@ def read_image_stack(path) -> SarImageStack:
 def write_elevation_map(emap: ElevationMap, path) -> None:
     intf = emap.interferogram
     with open(path, "wb") as fh:
-        fh.write(MAGIC_ELV)
-        fh.write(struct.pack("<I", FORMAT_VERSION))
+        _write_preamble(fh, MAGIC_ELV)
         _write_grid(fh, emap.grid)
         fh.write(np.asarray(emap.phase_center, dtype="<f8").tobytes())
         fh.write(struct.pack("<dd", emap.wavelength_m, emap.baseline_m))
@@ -276,42 +255,31 @@ def write_elevation_map(emap: ElevationMap, path) -> None:
 
 
 def read_elevation_map(path) -> ElevationMap:
-    """Read an INSARELV map.  Raises DataFormatError for a header whose
-    sizes or values are invalid and for a non-finite value in the phase,
-    variance, magnitude or SNR plane (bar the -inf SNR of a zero-magnitude
-    pixel); NaN elevation means "absent"."""
+    """Read an INSARELV map.  Raises DataFormatError for a damaged file:
+    bad magic or version, too few bytes for the sizes the header declares,
+    or values that ImageGrid, InterferogramGrid or ElevationMap reject."""
     with _reading(path) as fh:
-        _check_header(fh, MAGIC_ELV, path)
+        _read_preamble(fh, MAGIC_ELV, path)
         grid = _read_grid(fh)
         phase_center = np.frombuffer(_read_exact(fh, 24, "phase center"), dtype="<f8").copy()
         wavelength, baseline = _unpack(fh, "<dd", "map header")
         n_u, n_v = _unpack(fh, "<II", "map dims")
-        if (n_u, n_v) != (grid.n_u, grid.n_v):
-            raise DataFormatError(f"{path}: plane dims {(n_u, n_v)} do not match grid")
         raw = _read_exact(fh, 5 * n_u * n_v * 4, "map planes")
         planes = np.frombuffer(raw, dtype="<f4").reshape(5, n_u, n_v).astype(np.float64)
         elevation, phase, variance, magnitude, snr = planes
-        # -inf is the SNR of a zero-magnitude pixel (20*log10(0)), not damage
-        silent = (snr == -np.inf) & (magnitude == 0.0)
-        for name, plane in (
-            ("phase", phase), ("variance", variance), ("magnitude", magnitude), ("SNR", np.where(silent, 0.0, snr))
-        ):
-            if not np.isfinite(plane).all():
-                raise DataFormatError(f"{path}: {name} plane holds non-finite values")
-        intf = InterferogramGrid(
-            grid=grid,
-            mean_phase_delay=phase,
-            circular_variance=variance,
-            combined_magnitude=magnitude,
-            snr_db=snr,
-        )
         return ElevationMap(
             grid=grid,
             phase_center=phase_center,
             wavelength_m=wavelength,
             baseline_m=baseline,
             elevation=elevation,
-            interferogram=intf,
+            interferogram=InterferogramGrid(
+                grid=grid,
+                mean_phase_delay=phase,
+                circular_variance=variance,
+                combined_magnitude=magnitude,
+                snr_db=snr,
+            ),
         )
 
 

@@ -133,13 +133,15 @@ class RangeProfileSet:
     capture: RawCapture
     profiles: np.ndarray  # (n_records, n_bins) complex
     bin_spacing_m: float
-    oversample_factor: int
-    window: str
 
 
 @dataclass(frozen=True, eq=False)
 class SarImageStack:
-    """One complex image per VX on a common grid with a common phase center."""
+    """One complex image per VX on a common grid with a common phase center.
+
+    Pixels and the phase center must be finite, and the wavelength finite
+    and positive.
+    """
 
     grid: ImageGrid
     array: VirtualArray
@@ -154,8 +156,14 @@ class SarImageStack:
                 f"image stack shape {self.images.shape} does not match "
                 f"{self.array.n_vx} VX on a {self.grid.n_u}x{self.grid.n_v} grid"
             )
+        # checked plane by plane, so no stack-sized mask is made
+        for k, plane in enumerate(self.images):
+            if not np.isfinite(plane).all():
+                raise ConfigError(f"VX {k} image holds non-finite pixels")
         if not self.aperture_length_m > 0:
             raise ConfigError("aperture_length_m must be > 0")
+        if not (self.wavelength_m > 0 and np.isfinite(self.wavelength_m)):
+            raise ConfigError(f"wavelength_m must be finite and > 0, got {self.wavelength_m!r}")
         pc = np.asarray(self.phase_center, dtype=float).reshape(3)
         if not np.isfinite(pc).all():
             raise ConfigError("phase_center must be finite")
@@ -196,8 +204,6 @@ def range_compress(
         capture=capture,
         profiles=_compress(capture.samples, taps, n_padded),
         bin_spacing_m=bin_spacing,
-        oversample_factor=int(oversample_factor),
-        window=window,
     )
 
 
@@ -235,9 +241,10 @@ def _select_aperture(capture: RawCapture, aperture: Aperture):
 
 
 def _interp_linear(profile: np.ndarray, slope: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Linear interpolation at fractional bin positions q >= 0, in slope
-    form profile[i] + slope[i] * (q - i) with slope = np.diff(profile).
-    Queries past the last bin are the caller's to zero."""
+    """Linear interpolation at fractional bin positions 0 <= q <= last bin,
+    in slope form profile[i] + slope[i] * (q - i) with slope =
+    np.diff(profile).  The kernel clamps queries past the last bin and
+    zeroes their values."""
     i0 = q.astype(np.intp)  # truncation == floor for non-negative q
     np.minimum(i0, slope.shape[0] - 1, out=i0)
     out = np.take(slope, i0)
@@ -250,13 +257,11 @@ _SINC_OFFSETS = np.arange(-_SINC_TAPS // 2 + 1, _SINC_TAPS // 2 + 1)
 
 
 def _interp_sinc(profile: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Kaiser-windowed sinc interpolation at fractional bin positions q >= 0;
-    taps outside the profile read zero.  Queries past the last bin are the
-    caller's to zero."""
+    """Kaiser-windowed sinc interpolation at fractional bin positions
+    0 <= q <= last bin; taps outside the profile read zero."""
     n = profile.shape[0]
-    qc = np.minimum(q, float(n - 1))
-    base = qc.astype(np.intp)
-    frac = qc - base
+    base = q.astype(np.intp)
+    frac = q - base
     # tap positions relative to the query, (n_pix, taps)
     t = frac[:, None] - _SINC_OFFSETS[None, :]
     x = np.clip(2.0 * t / _SINC_TAPS, -1.0, 1.0)
@@ -332,6 +337,8 @@ def _backproject(
     """
     if interpolation not in INTERPOLATIONS:
         raise ConfigError(f"unknown interpolation {interpolation!r}; expected one of {INTERPOLATIONS}")
+    if not np.isfinite(image_height_m):
+        raise ConfigError(f"image_height_m must be finite, got {image_height_m!r}")
     sel, center_pose, _ = _select_aperture(capture, aperture)
     array = capture.array
     slot = array.vx_index(capture.tx[sel], capture.rx[sel])
@@ -385,14 +392,18 @@ def _backproject(
                     fields[s] = _element_field(world[c, s], px, py, pz, k_carrier, half_inv_bin)
                 (q_t, ph_t), (q_r, ph_r) = fields[t], fields[s]
                 q = q_t + q_r
+                if not in_extent:
+                    # clamped first: a far pixel's bin can overflow an index
+                    beyond = q > last_bin
+                    q[beyond] = last_bin
                 if linear:
                     value = _interp_linear(rows[r - base], slopes[r - base], q)
                 else:
                     value = _interp_sinc(rows[r - base], q)
-                if not in_extent:
-                    value[q > last_bin] = 0.0
                 value *= ph_t
                 value *= ph_r
+                if not in_extent:
+                    value[beyond] = 0.0
                 images[slot_list[r], lo:hi] += value
 
     blocks = _chunk_bounds(n_pix, max(threads, (n_pix + _BLOCK_PIXELS - 1) // _BLOCK_PIXELS))

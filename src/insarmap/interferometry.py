@@ -107,6 +107,11 @@ def mean_phase_delay(lower, upper, axis: int = 0):
     return mean_phase, variance
 
 
+def _check_plane(grid: ImageGrid, name: str, plane: np.ndarray) -> None:
+    if np.shape(plane) != (grid.n_u, grid.n_v):
+        raise ConfigError(f"{name} plane shape {np.shape(plane)} does not match the {grid.n_u}x{grid.n_v} grid")
+
+
 @dataclass(frozen=True)
 class InterferogramPixel:
     """Scalar view of one interferogram pixel."""
@@ -119,13 +124,33 @@ class InterferogramPixel:
 
 @dataclass(frozen=True, eq=False)
 class InterferogramGrid:
-    """Per-pixel interferometric measurements on an image grid."""
+    """Per-pixel interferometric measurements on an image grid.
+
+    Every plane has the grid's shape and holds finite values, except the
+    -inf SNR of a pixel whose magnitude is exactly zero (20*log10(0)).
+    """
 
     grid: ImageGrid
     mean_phase_delay: np.ndarray
     circular_variance: np.ndarray
     combined_magnitude: np.ndarray
     snr_db: np.ndarray
+
+    def __post_init__(self) -> None:
+        planes = {
+            "phase": self.mean_phase_delay,
+            "variance": self.circular_variance,
+            "magnitude": self.combined_magnitude,
+            "SNR": self.snr_db,
+        }
+        for name, plane in planes.items():
+            _check_plane(self.grid, name, plane)
+        # -inf is the SNR of a zero-magnitude pixel, not damage
+        silent = (self.snr_db == -np.inf) & (self.combined_magnitude == 0.0)
+        planes["SNR"] = np.where(silent, 0.0, self.snr_db)
+        for name, plane in planes.items():
+            if not np.isfinite(plane).all():
+                raise ConfigError(f"{name} plane holds non-finite values")
 
     def pixel(self, iu: int, iv: int) -> InterferogramPixel:
         return InterferogramPixel(
@@ -183,7 +208,7 @@ class ElevationMap:
     """Per-pixel elevation angles plus the interferometric quality maps.
 
     elevation is NaN where the angle is unrecoverable (correlation argument
-    outside the arcsin domain).
+    outside the arcsin domain); its shape is the grid's.
     """
 
     grid: ImageGrid
@@ -194,6 +219,7 @@ class ElevationMap:
     interferogram: InterferogramGrid
 
     def __post_init__(self) -> None:
+        _check_plane(self.grid, "elevation", self.elevation)
         pc = np.asarray(self.phase_center, dtype=float).reshape(3)
         if not np.isfinite(pc).all():
             raise ConfigError("phase_center must be finite")

@@ -14,7 +14,7 @@ measured from the along-track axis, phi the elevation about that axis.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -118,7 +118,6 @@ class ElevationPointCloud:
     snr_db: np.ndarray
     circular_variance: np.ndarray
     stats: FilterStats
-    provenance: dict = field(default_factory=dict)
 
     def __len__(self) -> int:
         return self.x.shape[0]
@@ -194,7 +193,6 @@ def filter_points(emap: ElevationMap, cfg: FilterConfig | None = None) -> Elevat
         snr_db=intf.snr_db[keep],
         circular_variance=intf.circular_variance[keep],
         stats=stats,
-        provenance={"filter_config": cfg, "phase_center": tuple(pc), "baseline_m": emap.baseline_m},
     )
 
 

@@ -37,10 +37,12 @@ from .types import (
 
 # Block sizes, which bound the temporaries; results do not depend on them.
 # TDM cycles synthesized per step (16 cycles of 12 records x 512 samples are
-# 1.5 MiB per complex temporary), and capture rows per noise draw (128 rows
-# x 512 samples x 2 normals are 1 MiB).
+# 1.5 MiB per complex temporary), and capture rows per noise draw and per
+# finiteness check (128 rows x 512 samples x 2 normals are 1 MiB).
 _SYNTH_CYCLES = 16
 _NOISE_ROWS = 128
+# The most TDM cycles a capture may hold: its file indexes cycles with a u32.
+_MAX_CYCLES = 2**32
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,7 +106,8 @@ class RawCapture:
     recorded by RX rx[i] while TX tx[i] fired at time_s[i] in TDM cycle
     cycle[i], from platform pose poses[pose_index[i]].  The pose table holds
     each distinct pose once; a synthesized capture has one pose per cycle.
-    All arrays are read-only.
+    Samples and times must be finite, and times ordered.  All arrays are
+    read-only.
     """
 
     config: ChirpConfig
@@ -122,6 +125,11 @@ class RawCapture:
         n = self.config.samples_per_chirp
         if samples.ndim != 2 or samples.shape[1] != n:
             raise ConfigError(f"capture samples shape {samples.shape} != (n_records, {n})")
+        # checked a block of rows at a time, so no capture-sized mask is made
+        for lo in range(0, samples.shape[0], _NOISE_ROWS):
+            finite = np.isfinite(samples[lo : lo + _NOISE_ROWS]).all(axis=1)
+            if not finite.all():
+                raise ConfigError(f"record {lo + int(np.argmin(finite))} holds non-finite samples")
         samples.setflags(write=False)
         object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "poses", tuple(self.poses))
@@ -139,8 +147,8 @@ class RawCapture:
                 raise ConfigError(f"RawCapture.{name} values must lie in [0, {limit})")
             col.setflags(write=False)
             object.__setattr__(self, name, col)
-        if np.any(np.diff(self.time_s) < 0):
-            raise ConfigError("pulse records must be ordered by time")
+        if not np.isfinite(self.time_s).all() or np.any(np.diff(self.time_s) < 0):
+            raise ConfigError("pulse record times must be finite and ordered")
 
     @property
     def n_records(self) -> int:
@@ -194,6 +202,8 @@ def _element_legs(points: np.ndarray, targets: np.ndarray, pattern) -> tuple[np.
     if pattern is None:
         return dist, None
     power, boresight = pattern
+    if not power >= 0.0:
+        raise ConfigError(f"element pattern cosine power must be >= 0, got {power!r}")
     with np.errstate(divide="ignore", invalid="ignore"):
         cos = (rows @ boresight[..., None, :, None])[..., 0, 0] / dist
     gain = np.zeros_like(dist)
@@ -284,7 +294,12 @@ def synthesize_capture(
         )
     effective_pri = cfg.num_tx * cfg.pri_s
     last_offset = (cfg.num_tx - 1) * cfg.pri_s
-    n_cycles = 0
+    # Start just below the closed-form count of complete cycles, then let
+    # the firing-time test settle it, so rounding cannot add or drop one.
+    cycles = (t_end - t_start - last_offset) / effective_pri
+    if not cycles < _MAX_CYCLES:
+        raise DomainError(f"capture window holds {cycles:.3g} TDM cycles, more than {_MAX_CYCLES}")
+    n_cycles = max(0, int(cycles) - 1)
     while t_start + n_cycles * effective_pri + last_offset <= t_end:
         n_cycles += 1
     if n_cycles == 0:
@@ -338,14 +353,17 @@ def add_noise(
     """Add circularly-symmetric complex white Gaussian noise to a capture.
 
     Noise variance is set so mean signal power / noise power equals
-    10**(snr_db/10).  An infinite SNR returns the capture unchanged.  An
-    all-zero capture has no power to scale against and raises DomainError
-    unless an absolute noise_power override is given.  Deterministic for a
-    fixed seed.
+    10**(snr_db/10).  An SNR of +inf, or one too large for that ratio to be
+    a float, returns the capture unchanged; NaN, -inf and an SNR too small
+    for it raise ConfigError.  An all-zero capture has no power to scale
+    against and raises DomainError unless an absolute noise_power override
+    is given.  Deterministic for a fixed seed.
     """
     if capture.n_records == 0:
         raise DomainError("capture is empty")
-    if np.isinf(per_sample_snr_db) and per_sample_snr_db > 0:
+    if not per_sample_snr_db > -np.inf:
+        raise ConfigError(f"per_sample_snr_db must be a number above -inf, got {per_sample_snr_db!r}")
+    if per_sample_snr_db == np.inf:
         return capture
 
     samples = capture.samples
@@ -361,7 +379,12 @@ def add_noise(
             raise DomainError(
                 "capture has zero signal power; pass noise_power to add noise anyway"
             )
-        noise_power = mean_power / 10.0 ** (per_sample_snr_db / 10.0)
+        try:
+            noise_power = mean_power / 10.0 ** (per_sample_snr_db / 10.0)
+        except OverflowError:  # about 3 080 dB and up: no noise to add
+            return capture
+        except ZeroDivisionError:
+            raise ConfigError(f"per_sample_snr_db {per_sample_snr_db!r} makes the noise infinite") from None
 
     rng = np.random.default_rng(seed)
     sigma = np.sqrt(noise_power / 2.0)

@@ -14,6 +14,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import bisect
 import math
 import warnings
 from dataclasses import dataclass
@@ -241,7 +242,8 @@ def default_virtual_array(wavelength_m: float) -> VirtualArray:
 
 def _quat_normalize(q: np.ndarray) -> np.ndarray:
     norm = float(np.linalg.norm(q))
-    if abs(norm - 1.0) > 1e-9:
+    # written so that a NaN norm fails too
+    if not abs(norm - 1.0) <= 1e-9:
         raise ConfigError(f"quaternion norm {norm!r} is not 1 within 1e-9")
     return q / norm
 
@@ -250,7 +252,8 @@ def _quat_normalize(q: np.ndarray) -> np.ndarray:
 class Pose:
     """Platform pose: world position plus world-from-array rotation.
 
-    quaternion is scalar-first (w, x, y, z) and must be unit to 1e-9.
+    time_s and position must be finite; quaternion is scalar-first
+    (w, x, y, z) and must be unit to 1e-9.
     """
 
     time_s: float
@@ -259,6 +262,8 @@ class Pose:
 
     def __post_init__(self) -> None:
         pos = np.asarray(self.position, dtype=float).reshape(3)
+        if not (math.isfinite(self.time_s) and np.isfinite(pos).all()):
+            raise ConfigError(f"pose time and position must be finite, got {self.time_s!r}, {pos.tolist()}")
         quat = _quat_normalize(np.asarray(self.quaternion, dtype=float).reshape(4))
         pos.setflags(write=False)
         quat.setflags(write=False)
@@ -346,8 +351,6 @@ def pose_at_time(traj: Trajectory, t: float) -> Pose:
         raise DomainError(
             f"time {t!r} outside trajectory span [{times[0]!r}, {times[-1]!r}]"
         )
-    import bisect
-
     i = bisect.bisect_left(times, t)
     if i < len(times) and times[i] == t:
         return traj.poses[i]

@@ -1,7 +1,9 @@
 """CLI behavior: stages, exit codes, reports, and reproducibility."""
 
 import hashlib
+import random
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -360,12 +362,14 @@ def test_non_finite_map_snr_is_a_format_error(workdir, capsys):
 
 
 # Header value fields: INSARRAW's u32 samples_per_chirp, the f64 origin u
-# and pixel size of the INSARIMG / INSARELV grid, and their phase center x.
+# and pixel size of the INSARIMG / INSARELV grid, their phase center x, and
+# the INSARIMG wavelength.
 RAW_SAMPLES = 12 + 16
 GRID_ORIGIN = 12
 GRID_PIXEL = 12 + 32
 IMG_PHASE_CENTER = 12 + 40 + 16
 ELV_PHASE_CENTER = 12 + 40
+IMG_WAVELENGTH = 12 + 40 + 8
 
 
 @pytest.mark.parametrize(
@@ -379,6 +383,9 @@ ELV_PHASE_CENTER = 12 + 40
         ("elevation.insarelv", GRID_ORIGIN, "<d", float("nan"), ["pointcloud", "--config", "CFG", "-o", "OUT"]),
         ("stack.insarimg", IMG_PHASE_CENTER, "<d", float("nan"), ["elevate", "-o", "OUT"]),
         ("elevation.insarelv", ELV_PHASE_CENTER, "<d", float("nan"), ["pointcloud", "--config", "CFG", "-o", "OUT"]),
+        # a NaN or negative wavelength used to exit 4 (a domain error)
+        ("stack.insarimg", IMG_WAVELENGTH, "<d", float("nan"), ["elevate", "-o", "OUT"]),
+        ("stack.insarimg", IMG_WAVELENGTH, "<d", -0.004, ["elevate", "-o", "OUT"]),
     ],
 )
 def test_corrupt_header_value_is_a_format_error(workdir, capsys, artifact, offset, fmt, value, argv):
@@ -405,6 +412,7 @@ def test_corrupt_header_value_is_a_format_error(workdir, capsys, artifact, offse
         "capture_start_s = (0, 1)",
         "aperture_length_m = nan",
         "snr_threshold_db = high",
+        "per_sample_snr_db = -inf",
     ],
 )
 def test_bad_config_number_exit_code(workdir, capsys, line):
@@ -413,3 +421,129 @@ def test_bad_config_number_exit_code(workdir, capsys, line):
     _, code = run_pipeline(workdir, workdir / "bad.cfg")
     assert code == 2
     assert key in capsys.readouterr().err
+
+
+def test_non_finite_pose_in_capture_is_a_format_error(workdir, capsys):
+    # a NaN pose position used to drop that cycle's records from the image
+    out, code = run_pipeline(workdir, workdir / "radar.cfg")
+    assert code == 0
+    path = out / "capture.insarraw"
+    (n_records,) = struct.unpack_from("<Q", path.read_bytes(), RAW_COUNT)
+    record_bytes = 84 + 8 * 64
+    pose_x = 12 + 8 + 8  # after tx, rx, cycle, the record time and the pose time
+    patch(path, RAW_COUNT + 8 + (n_records // 2) * record_bytes + pose_x, "<d", float("nan"))
+    capsys.readouterr()
+    code = cli.main(["image", str(path), "--config", str(workdir / "radar.cfg"),
+                     "-o", str(workdir / "s.insarimg")])
+    assert code == 3
+    assert "pose time and position must be finite" in capsys.readouterr().err
+
+
+# A last trajectory row with a NaN position, a NaN quaternion, or a NaN or
+# infinite time (which used to hang simulate while counting TDM cycles).
+NON_FINITE_LAST_ROWS = (
+    "0.02,nan,0,0.4,1,0,0,0",
+    "0.02,0.1,0,0.4,nan,0,0,0",
+    "nan,0.1,0,0.4,1,0,0,0",
+    "inf,0.1,0,0.4,1,0,0,0",
+)
+
+
+def with_last_row(row):
+    return "\n".join(TRAJ.splitlines()[:2] + [row]) + "\n"
+
+
+@pytest.mark.parametrize("row", NON_FINITE_LAST_ROWS)
+def test_non_finite_trajectory_value_is_a_config_error(workdir, capsys, row):
+    (workdir / "traj.csv").write_text(with_last_row(row))
+    out, code = run_pipeline(workdir, workdir / "radar.cfg")
+    assert code == 2
+    assert not (out / "capture.insarraw").exists()
+    capsys.readouterr()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_overflowing_scene_amplitude_is_a_config_error(workdir, capsys):
+    # the samples overflow to inf when noise is added; the capture was written
+    (workdir / "scene.csv").write_text(SCENE + "0.3,4.2,0.5,1e300\n")
+    out, code = run_pipeline(workdir, workdir / "radar.cfg")
+    assert code == 2
+    assert "holds non-finite samples" in capsys.readouterr().err
+    assert not (out / "capture.insarraw").exists()
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_stage_cannot_write_a_stack_the_next_stage_rejects(workdir, capsys):
+    # 2*pi*f_c/c overflows at f_c = 1e308, so every pixel is NaN; the image
+    # stage used to write that stack at exit 0 for elevate to reject
+    (workdir / "hot.cfg").write_text(CONFIG + "center_frequency_hz = 1e308\n")
+    out, code = run_pipeline(workdir, workdir / "hot.cfg")
+    assert code == 2
+    assert "image holds non-finite pixels" in capsys.readouterr().err
+    assert (out / "capture.insarraw").exists()
+    assert not (out / "stack.insarimg").exists()
+
+
+# Hostile config values and CSV cells: text that is not a number, NaN,
+# +-inf, 1e+-300, and values of the wrong shape.
+HOSTILE = ("abc", "nan", "inf", "-inf", "1e300", "-1e300", "1e-300", "-1e-300")
+
+
+def hostile_inputs(rng):
+    """(what, config, scene, trajectory) texts, each with one hostile value:
+    every config key and CSV cell gets three seeded picks from HOSTILE and
+    one wrong shape, and the cases reproduced from known faults are added."""
+    lines = CONFIG.strip().splitlines()
+    for i, line in enumerate(lines):
+        key, value = (part.strip() for part in line.split("="))
+        if value.startswith("("):  # a pair: hostile first element, or 1 or 3 elements
+            picks = [f"({bad}, {value[1:-1].split(',')[1].strip()})" for bad in rng.sample(HOSTILE, 3)]
+            picks += ["7", "(1, 2, 3)"]
+        else:
+            picks = [*rng.sample(HOSTILE, 3), "(1, 2)"]
+        for bad in picks:
+            config = "\n".join(lines[:i] + [f"{key} = {bad}"] + lines[i + 1 :]) + "\n"
+            yield f"{key} = {bad}", config, SCENE, TRAJ
+    for name, text in (("scene", SCENE), ("trajectory", TRAJ)):
+        rows = text.strip().splitlines()
+        for r in range(1, len(rows)):
+            cells = rows[r].split(",")
+            for c in range(len(cells)):
+                for bad in [*rng.sample(HOSTILE, 3), f"{cells[c]},1"]:
+                    row = ",".join(cells[:c] + [bad] + cells[c + 1 :])
+                    edited = "\n".join(rows[:r] + [row] + rows[r + 1 :]) + "\n"
+                    scene, traj = (edited, TRAJ) if name == "scene" else (SCENE, edited)
+                    yield f"{name} row {r} cell {c} = {bad}", CONFIG, scene, traj
+    for extra in (
+        "per_sample_snr_db = -inf",
+        "image_height_m = inf",
+        "image_height_m = 1e300",
+        "grid_origin_m = (1e20, 0)",
+        "center_frequency_hz = 1e308",
+    ):
+        yield extra, CONFIG + extra + "\n", SCENE, TRAJ
+    for row in NON_FINITE_LAST_ROWS:
+        yield f"trajectory last row {row}", CONFIG, SCENE, with_last_row(row)
+    yield "scene amplitude 1e300", CONFIG, SCENE + "0.3,4.2,0.5,1e300\n", TRAJ
+
+
+def test_hostile_config_and_csv_values_fail_cleanly(tmp_path, capsys):
+    # Every hostile input either runs or exits 2 (config) or 4 (domain):
+    # no traceback, and never 3, which here could only mean that one stage
+    # wrote an artifact the next stage rejects.
+    failures = []
+    for k, (what, config, scene, traj) in enumerate(hostile_inputs(random.Random(2025))):
+        case = tmp_path / str(k)
+        case.mkdir()
+        for name, text in (("radar.cfg", config), ("scene.csv", scene), ("traj.csv", traj)):
+            (case / name).write_text(text)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                _, code = run_pipeline(case, case / "radar.cfg")
+        except Exception as exc:  # noqa: BLE001 -- the failure being tested for
+            code = f"{type(exc).__name__}: {exc}"
+        err = capsys.readouterr().err
+        if code not in (0, 2, 4) or "Traceback" in err:
+            failures.append(f"{what}: {code} {err.strip()[-200:]}")
+    assert not failures, "\n".join(failures)

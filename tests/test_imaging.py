@@ -326,16 +326,20 @@ class TestInterpolation:
 
     @pytest.mark.parametrize("interpolation", ["linear", "sinc"])
     def test_pixels_beyond_profile_extent_are_zero(self, interpolation):
-        # max range is c*fs/(2*slope) = 93.7 m; a grid straddling it
+        # max range is c*fs/(2*slope) = 93.7 m; a grid straddling it, and
+        # one about 1e20 m away, whose bin positions overflow an index
         cfg = im.ChirpConfig(77.4e9, 30e12, 64, 18.75e6, 63.9e-6, 256, 1)
         max_range = im.derive_chirp_params(cfg).max_range_m
         scene = im.Scene((im.PointTarget(np.array([0.0, 92.0, 0.0]), 1.0),))
         cap = im.add_noise(monostatic_capture(cfg, scene, speed=1.0, t_half=0.002), 10.0, seed=4)
-        grid = im.ImageGrid(np.array([-0.5, max_range - 2.0]), np.array([1.0, 4.0]), 0.1)
-        img = im.backproject(im.range_compress(cap), 0, grid, im.Aperture(0.004), interpolation=interpolation)
-        v = grid.v_centers()
-        assert np.all(img[:, v > max_range + 0.1] == 0)
-        assert np.all(img[:, v < max_range - 0.5] != 0)
+        profiles = im.range_compress(cap)
+        for origin in ((-0.5, max_range - 2.0), (1e20, 0.0)):
+            grid = im.ImageGrid(np.array(origin), np.array([1.0, 4.0]), 0.1)
+            img = im.backproject(profiles, 0, grid, im.Aperture(0.004), interpolation=interpolation)
+            # pixel ranges from the sensor, which moves along x at the origin
+            r = np.hypot(*np.meshgrid(grid.u_centers(), grid.v_centers(), indexing="ij"))
+            assert np.all(img[r > max_range + 0.1] == 0)
+            assert np.all(img[r < max_range - 0.5] != 0)
 
 
 class TestPredictedAzimuthResolution:
@@ -364,3 +368,29 @@ class TestGrid:
     def test_subpixel_grid_rejected(self):
         with pytest.raises(ConfigError):
             im.ImageGrid(np.array([0.0, 0.0]), np.array([0.01, 0.01]), 0.04)
+
+
+class TestStackValues:
+    def stack_with(self, stack, **changes):
+        fields = dict(
+            grid=stack.grid, array=stack.array, images=stack.images, phase_center=stack.phase_center,
+            aperture_length_m=stack.aperture_length_m, wavelength_m=stack.wavelength_m,
+        )
+        return im.SarImageStack(**{**fields, **changes})
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_pixel_rejected_with_its_vx(self, small_e2e, bad):
+        images = small_e2e["stack"].images.copy()
+        images[3, 1, 2] = bad
+        with pytest.raises(ConfigError, match="VX 3 image holds non-finite pixels"):
+            self.stack_with(small_e2e["stack"], images=images)
+
+    @pytest.mark.parametrize("wavelength", [np.nan, -0.004, 0.0, np.inf])
+    def test_wavelength_must_be_finite_and_positive(self, small_e2e, wavelength):
+        with pytest.raises(ConfigError, match="wavelength"):
+            self.stack_with(small_e2e["stack"], wavelength_m=wavelength)
+
+    @pytest.mark.parametrize("height", [np.inf, -np.inf, np.nan])
+    def test_non_finite_image_height_rejected(self, small_e2e, height):
+        with pytest.raises(ConfigError, match="image_height_m"):
+            im.image_stack(small_e2e["capture"], small_e2e["grid"], small_e2e["aperture"], image_height_m=height)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import insarmap as im
-from insarmap.errors import DomainError
+from insarmap.errors import ConfigError, DomainError
 
 C = 299_792_458.0
 LAM = C / 77.4e9
@@ -239,3 +239,43 @@ class TestCombineBaselines:
         px = intf.pixel(3, 4)
         assert px.mean_phase_delay == pytest.approx(float(intf.mean_phase_delay[3, 4]))
         assert 0.0 <= px.circular_variance <= 1.0
+
+
+class TestMapValues:
+    def planes(self, small_e2e, **changes):
+        intf = small_e2e["map"].interferogram
+        planes = dict(
+            mean_phase_delay=intf.mean_phase_delay, circular_variance=intf.circular_variance,
+            combined_magnitude=intf.combined_magnitude, snr_db=intf.snr_db,
+        )
+        return {**planes, **changes}
+
+    @pytest.mark.parametrize("field", ["mean_phase_delay", "circular_variance", "combined_magnitude", "snr_db"])
+    def test_plane_shape_must_match_the_grid(self, small_e2e, field):
+        plane = getattr(small_e2e["map"].interferogram, field)
+        with pytest.raises(ConfigError, match="does not match"):
+            im.InterferogramGrid(grid=small_e2e["grid"], **self.planes(small_e2e, **{field: plane[1:]}))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_quality_value_rejected(self, small_e2e, bad):
+        variance = small_e2e["map"].interferogram.circular_variance.copy()
+        variance[2, 2] = bad
+        with pytest.raises(ConfigError, match="variance plane holds non-finite values"):
+            im.InterferogramGrid(grid=small_e2e["grid"], **self.planes(small_e2e, circular_variance=variance))
+
+    def test_minus_inf_snr_only_at_zero_magnitude(self, small_e2e):
+        magnitude = small_e2e["map"].interferogram.combined_magnitude.copy()
+        magnitude[0, 0] = 0.0
+        snr = im.snr_map(magnitude)
+        im.InterferogramGrid(grid=small_e2e["grid"], **self.planes(small_e2e, combined_magnitude=magnitude, snr_db=snr))
+        snr[0, 1] = -np.inf
+        with pytest.raises(ConfigError, match="SNR plane"):
+            im.InterferogramGrid(grid=small_e2e["grid"], **self.planes(small_e2e, combined_magnitude=magnitude, snr_db=snr))
+
+    def test_elevation_shape_must_match_the_grid(self, small_e2e):
+        emap = small_e2e["map"]
+        with pytest.raises(ConfigError, match="elevation plane shape"):
+            im.ElevationMap(
+                grid=emap.grid, phase_center=emap.phase_center, wavelength_m=emap.wavelength_m,
+                baseline_m=emap.baseline_m, elevation=emap.elevation.T, interferogram=emap.interferogram,
+            )

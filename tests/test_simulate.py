@@ -133,6 +133,14 @@ class TestSynthesizeCapture:
 
 
 class TestElementPattern:
+    @pytest.mark.parametrize("power", [-1e300, -2.0, np.nan])
+    def test_negative_power_rejected(self, small_chirp, power):
+        # a negative power used to raise OverflowError off boresight
+        with pytest.raises(ConfigError, match="cosine power"):
+            im.synthesize_chirp(
+                single_target(5.0), np.zeros(3), np.zeros(3), small_chirp, pattern=(power, np.array([0.0, 1, 0]))
+            )
+
     def test_boresight_target_unscaled(self, small_chirp):
         scene = single_target(5.0)
         iso = im.synthesize_chirp(scene, np.zeros(3), np.zeros(3), small_chirp)
@@ -208,6 +216,55 @@ class TestAddNoise:
         noisy = im.add_noise(zero, 10.0, seed=0, noise_power=1.0)
         power = np.mean(np.abs(np.concatenate([r.samples for r in noisy.records])) ** 2)
         assert power == pytest.approx(1.0, rel=0.05)
+
+    @pytest.mark.parametrize("snr_db", [np.nan, -np.inf, -1e300])
+    def test_snr_without_a_finite_noise_power_rejected(self, small_chirp, snr_db):
+        # -inf used to die with ZeroDivisionError
+        with pytest.raises(ConfigError, match="per_sample_snr_db"):
+            im.add_noise(self.make_capture(small_chirp), snr_db, seed=0)
+
+    def test_snr_beyond_float_range_adds_no_noise(self, small_chirp):
+        cap = self.make_capture(small_chirp)
+        assert im.add_noise(cap, 1e300, seed=0) is cap
+
+
+class TestCaptureValues:
+    def test_non_finite_sample_rejected_with_its_record(self, small_chirp):
+        # a record past the first check block, so the block offset counts
+        array = im.default_virtual_array(im.derive_chirp_params(small_chirp).wavelength_m)
+        cap = im.synthesize_capture(single_target(5.0), make_rail_trajectory(1.0, 0.01, 0.0), small_chirp, array)
+        row = sim._NOISE_ROWS + 5
+        assert cap.n_records > row
+        for bad in (np.nan, np.inf):
+            samples = cap.samples.copy()
+            samples[row, 3] = bad
+            with pytest.raises(ConfigError, match=f"record {row} holds non-finite samples"):
+                dataclasses.replace(cap, samples=samples)
+        times = cap.time_s.copy()
+        times[-1] = np.nan
+        with pytest.raises(ConfigError, match="finite"):
+            dataclasses.replace(cap, time_s=times)
+
+    def test_overflowing_amplitude_fails_in_simulate(self, small_chirp):
+        # the samples are finite until noise is added, which overflows
+        array = im.default_virtual_array(im.derive_chirp_params(small_chirp).wavelength_m)
+        cap = im.synthesize_capture(
+            single_target(5.0, 1e300), make_rail_trajectory(1.0, 0.001, 0.0), small_chirp, array
+        )
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ConfigError, match="non-finite"):
+            im.add_noise(cap, 20.0, seed=0)
+
+    def test_window_with_too_many_cycles_rejected(self, small_chirp):
+        # counting 5e303 cycles one at a time used to hang
+        array = im.default_virtual_array(im.derive_chirp_params(small_chirp).wavelength_m)
+        traj = im.Trajectory(
+            (
+                im.Pose(0.0, np.zeros(3), np.array([1.0, 0, 0, 0])),
+                im.Pose(1e300, np.zeros(3), np.array([1.0, 0, 0, 0])),
+            )
+        )
+        with pytest.raises(DomainError, match="TDM cycles"):
+            im.synthesize_capture(single_target(5.0), traj, small_chirp, array)
 
 
 def loop_chirp(scene, tx_pos, rx_pos, cfg, pattern=None):

@@ -182,3 +182,19 @@ class TestPoseInterpolation:
     def test_bad_quaternion_rejected(self):
         with pytest.raises(ConfigError):
             im.Pose(0.0, np.zeros(3), np.array([0.5, 0, 0, 0]))
+
+    @pytest.mark.parametrize(
+        "time_s, position, quaternion",
+        [
+            (np.nan, [0.0, 0, 0], [1.0, 0, 0, 0]),
+            (np.inf, [0.0, 0, 0], [1.0, 0, 0, 0]),
+            (0.0, [np.nan, 0, 0], [1.0, 0, 0, 0]),
+            (0.0, [0.0, -np.inf, 0], [1.0, 0, 0, 0]),
+            # abs(nan - 1) > 1e-9 is False, so a NaN quaternion used to pass
+            (0.0, [0.0, 0, 0], [np.nan, 0, 0, 0]),
+            (0.0, [0.0, 0, 0], [1.0, np.nan, 0, 0]),
+        ],
+    )
+    def test_non_finite_pose_rejected(self, time_s, position, quaternion):
+        with pytest.raises(ConfigError):
+            im.Pose(time_s, np.array(position), np.array(quaternion))
