@@ -50,8 +50,37 @@ MAGIC_ELV = b"INSARELV"
 FORMAT_VERSION = 1
 # ChirpConfig's fields, in declaration order
 _CHIRP_FORMAT = "<ddIddII"
-# capture records read per block (about 1 MB at 512 samples per chirp)
-_READ_ROWS = 256
+# capture records read or written per block (about 1 MB at 512 samples per chirp)
+_BLOCK_ROWS = 256
+
+
+@contextmanager
+def _writing(path):
+    """Open path for writing.  A writer that raises leaves no file behind."""
+    with open(path, "wb") as fh:
+        try:
+            yield fh
+        except BaseException:
+            fh.close()
+            os.remove(path)
+            raise
+
+
+def _encode(values: np.ndarray, dtype: str) -> np.ndarray:
+    """values cast to the float32 or complex64 dtype of a file."""
+    with np.errstate(over="ignore"):
+        return np.asarray(values).astype(dtype)
+
+
+def _fits(encoded: np.ndarray, values: np.ndarray) -> bool:
+    """Whether float32 or complex64 encoding kept every finite value finite.
+    float32 holds magnitudes up to about 3.4e38; a finite value beyond that
+    becomes inf, which the reader's types reject, so the writers refuse it
+    instead."""
+    # the float32 view is the fast test; non-finite values need the slow one
+    return bool(np.isfinite(encoded.view(np.float32)).all()) or np.array_equal(
+        np.isfinite(encoded), np.isfinite(values)
+    )
 
 
 @contextmanager
@@ -132,21 +161,32 @@ def _record_dtype(samples_per_chirp: int) -> np.dtype:
 
 
 def write_capture(capture: RawCapture, path) -> None:
+    """Write an INSARRAW capture.  Records are packed _BLOCK_ROWS at a time
+    into one reused block.  Raises ConfigError, and leaves no file, for a
+    sample beyond float32's range."""
     cfg = capture.config
-    block = np.empty(capture.n_records, dtype=_record_dtype(cfg.samples_per_chirp))
-    block["tx"] = capture.tx
-    block["rx"] = capture.rx
-    block["cycle"] = capture.cycle
-    block["time"] = capture.time_s
-    pose_table = np.array([[p.time_s, *p.position, *p.quaternion] for p in capture.poses])
-    block["pose"] = pose_table.reshape(-1, 8)[capture.pose_index]
-    block["iq"] = capture.samples
-    with open(path, "wb") as fh:
+    n_records = capture.n_records
+    pose_table = np.array([[p.time_s, *p.position, *p.quaternion] for p in capture.poses]).reshape(-1, 8)
+    block = np.empty(min(n_records, _BLOCK_ROWS), dtype=_record_dtype(cfg.samples_per_chirp))
+    with _writing(path) as fh:
         _write_preamble(fh, MAGIC_RAW)
         fh.write(struct.pack(_CHIRP_FORMAT, *dataclasses.astuple(cfg)))
         _write_array(fh, capture.array)
-        fh.write(struct.pack("<Q", capture.n_records))
-        fh.write(block.data)
+        fh.write(struct.pack("<Q", n_records))
+        for lo in range(0, n_records, _BLOCK_ROWS):
+            rows = block[: min(_BLOCK_ROWS, n_records - lo)]
+            hi = lo + rows.shape[0]
+            rows["tx"] = capture.tx[lo:hi]
+            rows["rx"] = capture.rx[lo:hi]
+            rows["cycle"] = capture.cycle[lo:hi]
+            rows["time"] = capture.time_s[lo:hi]
+            rows["pose"] = pose_table[capture.pose_index[lo:hi]]
+            with np.errstate(over="ignore"):
+                rows["iq"] = capture.samples[lo:hi]
+            if not _fits(rows["iq"], capture.samples[lo:hi]):
+                first = lo + int(np.argmin(np.isfinite(rows["iq"]).all(axis=1)))
+                raise ConfigError(f"record {first} holds samples beyond float32 range")
+            fh.write(rows.data)
 
 
 def read_capture(path) -> RawCapture:
@@ -154,7 +194,7 @@ def read_capture(path) -> RawCapture:
     bad magic or version, too few bytes for the sizes the header declares,
     or values that ChirpConfig, Pose or RawCapture reject.
 
-    Records are read _READ_ROWS at a time straight into the preallocated
+    Records are read _BLOCK_ROWS at a time straight into the preallocated
     complex128 samples, so the peak is the capture plus one block.
     """
     with _reading(path) as fh:
@@ -166,9 +206,9 @@ def read_capture(path) -> RawCapture:
         _check_left(fh, n_records * dtype.itemsize, "records")
         samples = np.empty((n_records, cfg.samples_per_chirp), dtype=np.complex128)
         columns = np.empty(n_records, dtype=dtype.descr[:-1])  # every field but iq
-        block = np.empty(min(n_records, _READ_ROWS), dtype=dtype)
-        for lo in range(0, n_records, _READ_ROWS):
-            rows = block[: min(_READ_ROWS, n_records - lo)]
+        block = np.empty(min(n_records, _BLOCK_ROWS), dtype=dtype)
+        for lo in range(0, n_records, _BLOCK_ROWS):
+            rows = block[: min(_BLOCK_ROWS, n_records - lo)]
             if fh.readinto(rows.data) != rows.nbytes:
                 raise DataFormatError(f"{path}: truncated file while reading records")
             samples[lo : lo + rows.shape[0]] = rows["iq"]
@@ -202,7 +242,9 @@ def _read_grid(fh) -> ImageGrid:
 
 
 def write_image_stack(stack: SarImageStack, path) -> None:
-    with open(path, "wb") as fh:
+    """Write an INSARIMG stack.  Raises ConfigError, and leaves no file, for
+    a pixel beyond float32's range."""
+    with _writing(path) as fh:
         _write_preamble(fh, MAGIC_IMG)
         _write_grid(fh, stack.grid)
         fh.write(struct.pack("<dd", stack.aperture_length_m, stack.wavelength_m))
@@ -210,8 +252,11 @@ def write_image_stack(stack: SarImageStack, path) -> None:
         _write_array(fh, stack.array)
         fh.write(struct.pack("<III", *stack.images.shape))
         # one plane at a time, so no stack-sized copy is made
-        for plane in stack.images:
-            fh.write(np.ascontiguousarray(plane, dtype="<c8"))
+        for k, plane in enumerate(stack.images):
+            encoded = _encode(plane, "<c8")
+            if not _fits(encoded, plane):
+                raise ConfigError(f"VX {k} image holds pixels beyond float32 range")
+            fh.write(encoded)
 
 
 def read_image_stack(path) -> SarImageStack:
@@ -237,21 +282,27 @@ def read_image_stack(path) -> SarImageStack:
 
 
 def write_elevation_map(emap: ElevationMap, path) -> None:
+    """Write an INSARELV map.  Raises ConfigError, and leaves no file, for a
+    finite value beyond float32's range (NaN elevations and -inf SNRs are
+    stored as they are)."""
     intf = emap.interferogram
-    with open(path, "wb") as fh:
+    with _writing(path) as fh:
         _write_preamble(fh, MAGIC_ELV)
         _write_grid(fh, emap.grid)
         fh.write(np.asarray(emap.phase_center, dtype="<f8").tobytes())
         fh.write(struct.pack("<dd", emap.wavelength_m, emap.baseline_m))
         fh.write(struct.pack("<II", emap.grid.n_u, emap.grid.n_v))
-        for plane in (
-            emap.elevation,
-            intf.mean_phase_delay,
-            intf.circular_variance,
-            intf.combined_magnitude,
-            intf.snr_db,
+        for name, plane in (
+            ("elevation", emap.elevation),
+            ("mean phase delay", intf.mean_phase_delay),
+            ("circular variance", intf.circular_variance),
+            ("combined magnitude", intf.combined_magnitude),
+            ("snr_db", intf.snr_db),
         ):
-            fh.write(np.ascontiguousarray(plane, dtype="<f4").tobytes())
+            encoded = _encode(plane, "<f4")
+            if not _fits(encoded, plane):
+                raise ConfigError(f"{name} plane holds values beyond float32 range")
+            fh.write(encoded.tobytes())
 
 
 def read_elevation_map(path) -> ElevationMap:

@@ -25,10 +25,16 @@ tests hold both bounds.  The float32 bits depend on which SIMD path numpy
 dispatches cos and sin to, so artifacts are byte-identical only on one
 numpy build and CPU dispatch path.
 
-Linear interpolation uses the slope form P[i] + (P[i+1] - P[i])*w, with
-the differences taken once per batch of cycles.  Pixels whose range lies
-beyond the profile extent contribute zero; whether any pixel of a pixel
-block can be that far is checked once per block and cycle batch.
+Pixel blocks are whole grid rows, so each element's squared distance is
+the outer sum of per-row and per-column squares plus the height term, the
+same operations in the same order as a per-pixel sum.  Range profiles are
+cut after the last bin any pixel of the grid can reach, plus the sinc
+half-width and a margin, so the first differences and the interpolation
+read only the bins in use.  Linear interpolation uses the slope form
+P[i] + (P[i+1] - P[i])*w, with the differences taken once per batch of
+cycles.  Pixels whose range lies beyond the profile extent contribute
+zero; whether any pixel of a pixel block can be that far is checked once
+per block and cycle batch, and only such blocks pay for the clamping.
 """
 
 from __future__ import annotations
@@ -51,12 +57,17 @@ INTERPOLATIONS = ("linear", "sinc")
 _SINC_TAPS = 32
 _SINC_BETA = 10.0
 
-# image_stack tiling: pixel blocks sized to stay cache-resident, cycle
-# batches bounding how many range profiles are alive at once (8 cycles of
-# 12 records x 2048 bins are 3 MiB, and as much again for their first
-# differences).  Per-pixel accumulation order does not depend on either.
+# image_stack tiling: pixel blocks of whole grid rows, about this many
+# pixels each, sized to stay cache-resident; cycle batches bounding how many
+# range profiles are alive at once (8 cycles of 12 records x 2048 bins are
+# 3 MiB, plus the first differences of the bins in reach).  Per-pixel
+# accumulation order does not depend on either.
 _BLOCK_PIXELS = 16384
 _CYCLE_BATCH = 8
+
+# The most pixels an ImageGrid may hold: 2**26 is 119 times the default
+# 750 x 750 grid, and its 12-VX stack is 12 GiB of complex128.
+_MAX_PIXELS = 2**26
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,7 +75,8 @@ class ImageGrid:
     """World-frame pixel grid.  u = along-track axis, v = cross-track axis.
 
     origin_m is the low corner; pixel (iu, iv) is centered at
-    origin + (iu + 0.5, iv + 0.5) * pixel_size.
+    origin + (iu + 0.5, iv + 0.5) * pixel_size.  A grid holds at least one
+    pixel along each axis and at most _MAX_PIXELS (2**26) in all.
     """
 
     origin_m: np.ndarray  # (2,)
@@ -80,8 +92,11 @@ class ImageGrid:
             raise ConfigError("grid origin must be finite")
         if not (np.all(extent > 0) and np.isfinite(extent).all()):
             raise ConfigError("grid extent must be positive")
-        if np.any(np.round(extent / self.pixel_size_m).astype(int) < 1):
+        n_u, n_v = np.round(extent / self.pixel_size_m).tolist()
+        if not (n_u >= 1 and n_v >= 1):
             raise ConfigError("grid extent smaller than one pixel")
+        if not n_u * n_v <= _MAX_PIXELS:
+            raise ConfigError(f"grid of {n_u:.4g} x {n_v:.4g} pixels exceeds the cap of {_MAX_PIXELS}")
         origin.setflags(write=False)
         extent.setflags(write=False)
         object.__setattr__(self, "origin_m", origin)
@@ -105,12 +120,6 @@ class ImageGrid:
 
     def v_centers(self) -> np.ndarray:
         return self.origin_m[1] + (np.arange(self.n_v) + 0.5) * self.pixel_size_m
-
-    def pixel_centers_flat(self) -> tuple[np.ndarray, np.ndarray]:
-        """Flat (u, v) center coordinates, u-major (index = iu * n_v + iv)."""
-        u = np.repeat(self.u_centers(), self.n_v)
-        v = np.tile(self.v_centers(), self.n_u)
-        return u, v
 
 
 @dataclass(frozen=True)
@@ -240,15 +249,21 @@ def _select_aperture(capture: RawCapture, aperture: Aperture):
     return keep, center_pose, u_hat
 
 
-def _interp_linear(profile: np.ndarray, slope: np.ndarray, q: np.ndarray) -> np.ndarray:
+def _interp_linear(profile: np.ndarray, slope: np.ndarray, q: np.ndarray, inside: bool = False) -> np.ndarray:
     """Linear interpolation at fractional bin positions 0 <= q <= last bin,
     in slope form profile[i] + slope[i] * (q - i) with slope =
     np.diff(profile).  The kernel clamps queries past the last bin and
-    zeroes their values."""
+    zeroes their values.  inside promises q < last bin, so i needs no clamp
+    and the weight is q - floor(q), which equals q - i for q >= 0."""
     i0 = q.astype(np.intp)  # truncation == floor for non-negative q
-    np.minimum(i0, slope.shape[0] - 1, out=i0)
+    if inside:
+        w = np.floor(q)
+        np.subtract(q, w, out=w)
+    else:
+        np.minimum(i0, slope.shape[0] - 1, out=i0)
+        w = q - i0
     out = np.take(slope, i0)
-    out *= q - i0
+    out *= w
     out += np.take(profile, i0)
     return out
 
@@ -289,11 +304,15 @@ def _carrier_phasor(d: np.ndarray, k_carrier: float) -> np.ndarray:
     return phasor
 
 
-def _element_field(world: np.ndarray, px, py, pz, k_carrier, half_inv_bin):
+def _element_field(world: np.ndarray, pu, pv, pz, k_carrier, half_inv_bin):
     """Each pixel's distance d from an element at world, times half_inv_bin
     (so that a record's fractional bin is the sum of its two legs), plus the
-    one-leg carrier phasor exp(-j*k*d)."""
-    d = np.sqrt((px - world[0]) ** 2 + (py - world[1]) ** 2 + (pz - world[2]) ** 2)
+    one-leg carrier phasor exp(-j*k*d).  The pixels are the grid rows at u
+    centers pu, each over the v centers pv, u-major; d is
+    sqrt(((u - x)**2 + (v - y)**2) + (pz - z)**2) per pixel."""
+    d = np.add.outer((pu - world[0]) ** 2, (pv - world[1]) ** 2).reshape(-1)
+    d += (pz - world[2]) ** 2
+    np.sqrt(d, out=d)
     phasor = _carrier_phasor(d, k_carrier)
     d *= half_inv_bin
     return d, phasor
@@ -307,9 +326,9 @@ def _farthest(points: np.ndarray, px, py, pz) -> float:
     return float(np.sqrt(np.max(du * du + dv * dv + (points[..., 2] - pz) ** 2)))
 
 
-def _chunk_bounds(n_pixels: int, threads: int) -> list[tuple[int, int]]:
-    threads = max(1, min(int(threads), n_pixels))
-    edges = np.linspace(0, n_pixels, threads + 1).astype(int)
+def _chunk_bounds(n_items: int, threads: int) -> list[tuple[int, int]]:
+    threads = max(1, min(int(threads), n_items))
+    edges = np.linspace(0, n_items, threads + 1).astype(int)
     return [(int(a), int(b)) for a, b in zip(edges[:-1], edges[1:]) if b > a]
 
 
@@ -330,10 +349,11 @@ def _backproject(
     Images every VX of the aperture's records (or only VX vx_index) and
     returns (images (n_images, n_pix), center pose).  profile_rows maps an
     array of record indices to their range profiles; it is called once per
-    batch of _CYCLE_BATCH cycles, which bounds the profile memory.  Pixel
-    blocks keep the working set cache-resident.  Per-pixel accumulation
-    runs in strict cycle order, so neither the decomposition nor the thread
-    count can change bits.
+    batch of _CYCLE_BATCH cycles, which bounds the profile memory, and only
+    the bins the grid can reach are kept.  Pixel blocks of whole grid rows
+    keep the working set cache-resident.  Per-pixel accumulation runs in
+    strict cycle order, so neither the decomposition nor the thread count
+    can change bits.
     """
     if interpolation not in INTERPOLATIONS:
         raise ConfigError(f"unknown interpolation {interpolation!r}; expected one of {INTERPOLATIONS}")
@@ -368,28 +388,34 @@ def _backproject(
     half_inv_bin = 0.5 * inv_bin
     k_carrier = 2.0 * np.pi * capture.config.center_frequency_hz / C_LIGHT
     linear = interpolation == "linear"
-    pu, pv = grid.pixel_centers_flat()
+    u, v = grid.u_centers(), grid.v_centers()
     pz = center_pose.position[2] + image_height_m
-    n_pix = pu.shape[0]
-    images = np.zeros((1 if vx_index is not None else array.n_vx, n_pix), dtype=np.complex128)
+    n_v = v.shape[0]
+    images = np.zeros((1 if vx_index is not None else array.n_vx, u.shape[0] * n_v), dtype=np.complex128)
+    # A record's fractional bin (d_tx + d_rx) / 2 in bins is at most the
+    # farthest element's distance in bins, reach; both round monotonically,
+    # so no bin past floor(reach) + 1 is read by linear interpolation, nor
+    # past floor(reach) + _SINC_TAPS // 2 by sinc.  Profiles keep the bins
+    # through floor(reach) + _SINC_TAPS // 2 + 2.
+    reach = _farthest(world, u, v, pz) * inv_bin
+    keep_bins = reach + (_SINC_TAPS // 2 + 3)
 
-    def accumulate_block(lo, hi, c_lo, c_hi, rows, slopes):
-        px, py = pu[lo:hi], pv[lo:hi]
-        # A record's fractional bin (d_tx + d_rx) / 2 in bins is at most the
-        # farthest element's distance in bins, so when that is inside the
-        # profile (with 1e-6 bins to spare for rounding), no pixel of this
-        # block needs the beyond-the-extent zeroing.
-        last_bin = rows.shape[1] - 1
-        in_extent = _farthest(world[c_lo:c_hi], px, py, pz) * inv_bin < last_bin - 1e-6
+    def accumulate_block(lo, hi, c_lo, c_hi, rows, slopes, last_bin):
+        bu = u[lo:hi]
+        pixels = slice(lo * n_v, hi * n_v)
+        # When the block's farthest bin is inside the full profile (with
+        # 1e-6 bins to spare for rounding), no pixel of it needs the
+        # beyond-the-extent zeroing.
+        in_extent = _farthest(world[c_lo:c_hi], bu, v, pz) * inv_bin < last_bin - 1e-6
         base = bounds[c_lo]
         for c in range(c_lo, c_hi):
             fields: list = [None] * len(offsets)
             for r in range(bounds[c], bounds[c + 1]):
                 t, s = tx_list[r], rx_list[r]
                 if fields[t] is None:
-                    fields[t] = _element_field(world[c, t], px, py, pz, k_carrier, half_inv_bin)
+                    fields[t] = _element_field(world[c, t], bu, v, pz, k_carrier, half_inv_bin)
                 if fields[s] is None:
-                    fields[s] = _element_field(world[c, s], px, py, pz, k_carrier, half_inv_bin)
+                    fields[s] = _element_field(world[c, s], bu, v, pz, k_carrier, half_inv_bin)
                 (q_t, ph_t), (q_r, ph_r) = fields[t], fields[s]
                 q = q_t + q_r
                 if not in_extent:
@@ -397,27 +423,31 @@ def _backproject(
                     beyond = q > last_bin
                     q[beyond] = last_bin
                 if linear:
-                    value = _interp_linear(rows[r - base], slopes[r - base], q)
+                    value = _interp_linear(rows[r - base], slopes[r - base], q, in_extent)
                 else:
                     value = _interp_sinc(rows[r - base], q)
                 value *= ph_t
                 value *= ph_r
                 if not in_extent:
                     value[beyond] = 0.0
-                images[slot_list[r], lo:hi] += value
+                images[slot_list[r], pixels] += value
 
-    blocks = _chunk_bounds(n_pix, max(threads, (n_pix + _BLOCK_PIXELS - 1) // _BLOCK_PIXELS))
+    n_blocks = -(-images.shape[1] // _BLOCK_PIXELS)
+    blocks = _chunk_bounds(u.shape[0], max(threads, n_blocks))
     pool = ThreadPoolExecutor(max_workers=min(int(threads), len(blocks))) if threads > 1 and len(blocks) > 1 else None
     try:
         for c_lo in range(0, len(starts), _CYCLE_BATCH):
             c_hi = min(c_lo + _CYCLE_BATCH, len(starts))
             rows = profile_rows(sel[bounds[c_lo] : bounds[c_hi]])
+            last_bin = rows.shape[1] - 1
+            if keep_bins < rows.shape[1]:
+                rows = rows[:, : int(keep_bins)]
             slopes = np.diff(rows, axis=1) if linear else None
             if pool is None:
                 for lo, hi in blocks:
-                    accumulate_block(lo, hi, c_lo, c_hi, rows, slopes)
+                    accumulate_block(lo, hi, c_lo, c_hi, rows, slopes, last_bin)
             else:
-                list(pool.map(lambda b: accumulate_block(b[0], b[1], c_lo, c_hi, rows, slopes), blocks))
+                list(pool.map(lambda b: accumulate_block(b[0], b[1], c_lo, c_hi, rows, slopes, last_bin), blocks))
     finally:
         if pool is not None:
             pool.shutdown()

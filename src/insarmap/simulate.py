@@ -11,11 +11,13 @@ the interferometric stage, and dropping it keeps the beat a pure tone.
 
 Synthesis is block-vectorised: a capture is filled a block of TDM cycles
 at a time, with one distance per (cycle, element, target) and the beat
-expression evaluated on whole (rows, samples) blocks.  Distances keep
-np.linalg.norm's rounding, so every capture row is bitwise equal to
+expression evaluated on whole (rows, samples) blocks, into work buffers
+made once per capture rather than fresh temporaries per target.  Distances
+keep np.linalg.norm's rounding, so every capture row is bitwise equal to
 synthesize_chirp at that record's TX and RX positions.  Noise is drawn a
-block of rows at a time from one stream, so the capture's peak memory is
-the clean and the noisy sample arrays plus one small block.
+block of rows at a time from one stream, straight into the noisy sample
+array, so the capture's peak memory is the clean and the noisy sample
+arrays plus the synthesis work buffers.
 """
 
 from __future__ import annotations
@@ -35,10 +37,10 @@ from .types import (
     pose_at_time,
 )
 
-# Block sizes, which bound the temporaries; results do not depend on them.
+# Block sizes, which bound the work buffers; results do not depend on them.
 # TDM cycles synthesized per step (16 cycles of 12 records x 512 samples are
-# 1.5 MiB per complex temporary), and capture rows per noise draw and per
-# finiteness check (128 rows x 512 samples x 2 normals are 1 MiB).
+# 1.5 MiB per complex buffer), and capture rows per noise draw, power sum
+# and finiteness check (128 rows x 512 samples are 1 MiB of complex128).
 _SYNTH_CYCLES = 16
 _NOISE_ROWS = 128
 # The most TDM cycles a capture may hold: its file indexes cycles with a u32.
@@ -214,19 +216,42 @@ def _element_legs(points: np.ndarray, targets: np.ndarray, pattern) -> tuple[np.
     return dist, gain
 
 
-def _beat(tau: np.ndarray, amplitude: np.ndarray, cfg: ChirpConfig, out: np.ndarray) -> None:
+def _beat_work(rows: int, cfg: ChirpConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_beat's work buffers for up to rows rows: the phase, the complex
+    argument (whose real part stays 0) and the exponential."""
+    shape = (rows, cfg.samples_per_chirp)
+    return np.empty(shape), np.zeros(shape, dtype=np.complex128), np.empty(shape, dtype=np.complex128)
+
+
+def _beat(
+    tau: np.ndarray,
+    amplitude: np.ndarray,
+    cfg: ChirpConfig,
+    out: np.ndarray,
+    work: tuple[np.ndarray, np.ndarray, np.ndarray],
+) -> None:
     """Add every target's dechirped beat to out (rows, samples_per_chirp).
 
     tau and amplitude are (rows, n_targets): two-way delay and amplitude of
     each target on each row.  Targets accumulate in scene order.
+
+    The phase, the complex argument and the exponential are evaluated into
+    the leading rows of the _beat_work buffers, which a capture reuses for
+    every block, in the order of the formula 2*pi*((slope*tau*n)/fs +
+    f_c*tau).  The argument's real part stays 0, and exp(+-0 + j*phase) is
+    bit for bit exp(1j*phase).
     """
-    n = np.arange(cfg.samples_per_chirp)
+    n = np.arange(cfg.samples_per_chirp, dtype=np.float64)
+    phase, arg, term = (w[: out.shape[0]] for w in work)
     for tau_t, amp_t in zip(tau.T[:, :, None], amplitude.T[:, :, None]):
-        phase = 2.0 * np.pi * (
-            cfg.ramp_slope_hz_per_s * tau_t * n / cfg.sample_rate_sps
-            + cfg.center_frequency_hz * tau_t
-        )
-        out += amp_t * np.exp(1j * phase)
+        np.multiply(cfg.ramp_slope_hz_per_s * tau_t, n, out=phase)
+        phase /= cfg.sample_rate_sps
+        phase += cfg.center_frequency_hz * tau_t
+        phase *= 2.0 * np.pi
+        arg.imag = phase
+        np.exp(arg, out=term)
+        term *= amp_t
+        out += term
 
 
 def synthesize_chirp(
@@ -255,7 +280,7 @@ def synthesize_chirp(
     if gain is not None:
         amplitudes = amplitudes * gain[0] * gain[1]
     out = np.zeros((1, cfg.samples_per_chirp), dtype=np.complex128)
-    _beat(((dist[0] + dist[1]) / C_LIGHT)[None], amplitudes[None], cfg, out)
+    _beat(((dist[0] + dist[1]) / C_LIGHT)[None], amplitudes[None], cfg, out, _beat_work(1, cfg))
     return out[0]
 
 
@@ -311,6 +336,7 @@ def synthesize_capture(
     cycle, tx, rx = np.indices((n_cycles, n_tx, n_rx)).reshape(3, -1)
     samples = np.zeros((cycle.size, cfg.samples_per_chirp), dtype=np.complex128)
     poses = [pose_at_time(traj, t_start + cyc * effective_pri) for cyc in range(n_cycles)]
+    work = _beat_work(min(n_cycles, _SYNTH_CYCLES) * n_tx * n_rx, cfg)
     for c_lo in range(0, n_cycles, _SYNTH_CYCLES):
         block = poses[c_lo : c_lo + _SYNTH_CYCLES]
         # world positions of every element, TX then RX: (cycles, n_tx + n_rx, 3)
@@ -330,6 +356,7 @@ def synthesize_capture(
             np.broadcast_to(amp, tau.shape).reshape(-1, len(positions)),
             cfg,
             samples[c_lo * n_tx * n_rx : (c_lo + len(block)) * n_tx * n_rx],
+            work,
         )
     return RawCapture(
         config=cfg,
@@ -388,15 +415,14 @@ def add_noise(
 
     rng = np.random.default_rng(seed)
     sigma = np.sqrt(noise_power / 2.0)
-    # Drawn one block of rows at a time: consecutive draws continue one
-    # stream, so the floats equal samples + sigma * (n[..., 0] + 1j * n[..., 1])
-    # for a single (n_records, samples_per_chirp, 2) draw n.
+    # Drawn one block of rows at a time, straight into the noisy array's
+    # (real, imaginary) float pairs: consecutive draws continue one stream,
+    # so the floats equal samples + sigma * (n[..., 0] + 1j * n[..., 1]) for
+    # a single (n_records, samples_per_chirp, 2) draw n.
     noisy = np.empty_like(samples)
+    pairs = noisy.view(np.float64).reshape(*noisy.shape, 2)
     for rows in blocks:
-        out = noisy[rows]
-        draw = rng.standard_normal((*out.shape, 2))
-        np.multiply(draw[..., 1], 1j, out=out)
-        out += draw[..., 0]
-        out *= sigma
-        out += samples[rows]
+        rng.standard_normal(out=pairs[rows])
+        pairs[rows] *= sigma
+        noisy[rows] += samples[rows]
     return replace(capture, samples=noisy)

@@ -291,19 +291,20 @@ ELV_DIMS = 12 + 40 + 24 + 16
         ("capture.insarraw", [(RAW_COUNT, "<Q", 10**12)], ["image", "--config", "CFG", "-o", "OUT"]),
         (
             "stack.insarimg",
-            [(GRID_EXTENT, "<2d", 4000.0, 4000.0), (IMG_DIMS, "<III", 12, 100_000, 100_000)],
+            [(GRID_EXTENT, "<2d", 320.0, 320.0), (IMG_DIMS, "<III", 12, 8000, 8000)],
             ["elevate", "-o", "OUT"],
         ),
         (
             "elevation.insarelv",
-            [(GRID_EXTENT, "<2d", 4000.0, 4000.0), (ELV_DIMS, "<II", 100_000, 100_000)],
+            [(GRID_EXTENT, "<2d", 320.0, 320.0), (ELV_DIMS, "<II", 8000, 8000)],
             ["report", "--config", "CFG"],
         ),
     ],
 )
 def test_oversized_header_is_a_format_error(workdir, capsys, artifact, patches, argv):
     # a self-consistent header declaring far more data than the file holds
-    # (100 000 x 100 000 px, 10^12 records) must fail before allocating
+    # (8 000 x 8 000 px, just under ImageGrid's pixel cap, or 10^12
+    # records) must fail before allocating
     out, code = run_pipeline(workdir, workdir / "radar.cfg")
     assert code == 0
     path = out / artifact
@@ -484,9 +485,49 @@ def test_stage_cannot_write_a_stack_the_next_stage_rejects(workdir, capsys):
     assert not (out / "stack.insarimg").exists()
 
 
+def noiseless_with_amplitude(workdir, amplitude):
+    """The small config without noise, plus one target of the amplitude."""
+    (workdir / "quiet.cfg").write_text(CONFIG + "per_sample_snr_db = inf\n")
+    (workdir / "scene.csv").write_text(SCENE + f"0.3,4.2,0.5,{amplitude}\n")
+    return run_pipeline(workdir, workdir / "quiet.cfg")
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_capture_beyond_float32_is_a_config_error(workdir, capsys):
+    # 1e39 is finite in memory but inf as float32; simulate used to write
+    # that capture at exit 0 for image to reject (exit 3)
+    out, code = noiseless_with_amplitude(workdir, "1e39")
+    assert code == 2
+    assert "holds samples beyond float32 range" in capsys.readouterr().err
+    assert not (out / "capture.insarraw").exists()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_stack_beyond_float32_is_a_config_error(workdir, capsys):
+    # 1e37 fits the capture, but the focused pixels do not fit float32;
+    # image used to write an all-inf stack for elevate to reject (exit 3)
+    out, code = noiseless_with_amplitude(workdir, "1e37")
+    assert code == 2
+    assert "image holds pixels beyond float32 range" in capsys.readouterr().err
+    assert (out / "capture.insarraw").exists()
+    assert not (out / "stack.insarimg").exists()
+
+
+@pytest.mark.parametrize("extent", ["(1e5, 1e5)", "(1e300, 1e300)"])
+def test_oversized_grid_is_a_config_error(workdir, capsys, extent):
+    # 1e5 m at 4 cm pixels used to die allocating 45.5 TiB (exit 1); at
+    # 1e300 m the pixel count wrapped negative into "smaller than one pixel"
+    (workdir / "big.cfg").write_text(CONFIG + f"grid_extent_m = {extent}\n")
+    out, code = run_pipeline(workdir, workdir / "big.cfg")
+    assert code == 2
+    assert "pixels exceeds the cap" in capsys.readouterr().err
+    assert not (out / "stack.insarimg").exists()
+
+
 # Hostile config values and CSV cells: text that is not a number, NaN,
-# +-inf, 1e+-300, and values of the wrong shape.
-HOSTILE = ("abc", "nan", "inf", "-inf", "1e300", "-1e300", "1e-300", "-1e-300")
+# +-inf, 1e+-300, 1e39 (finite, but beyond float32), and values of the
+# wrong shape.
+HOSTILE = ("abc", "nan", "inf", "-inf", "1e300", "-1e300", "1e-300", "-1e-300", "1e39")
 
 
 def hostile_inputs(rng):
@@ -520,11 +561,15 @@ def hostile_inputs(rng):
         "image_height_m = 1e300",
         "grid_origin_m = (1e20, 0)",
         "center_frequency_hz = 1e308",
+        "grid_extent_m = (1e5, 1e5)",
     ):
         yield extra, CONFIG + extra + "\n", SCENE, TRAJ
     for row in NON_FINITE_LAST_ROWS:
         yield f"trajectory last row {row}", CONFIG, SCENE, with_last_row(row)
     yield "scene amplitude 1e300", CONFIG, SCENE + "0.3,4.2,0.5,1e300\n", TRAJ
+    for amplitude in ("1e39", "1e37"):
+        quiet = CONFIG + "per_sample_snr_db = inf\n"
+        yield f"noiseless scene amplitude {amplitude}", quiet, SCENE + f"0.3,4.2,0.5,{amplitude}\n", TRAJ
 
 
 def test_hostile_config_and_csv_values_fail_cleanly(tmp_path, capsys):

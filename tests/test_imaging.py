@@ -1,12 +1,14 @@
 """Range compression, backprojection, and the image-stack contracts."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 import insarmap as im
 from insarmap.errors import ConfigError, DomainError
 from insarmap import imaging
-from insarmap.imaging import _select_aperture
+from insarmap.imaging import INTERPOLATIONS, _select_aperture
 
 from conftest import make_rail_trajectory, peak_near
 
@@ -340,6 +342,106 @@ class TestInterpolation:
             r = np.hypot(*np.meshgrid(grid.u_centers(), grid.v_centers(), indexing="ij"))
             assert np.all(img[r > max_range + 0.1] == 0)
             assert np.all(img[r < max_range - 0.5] != 0)
+
+
+def oracle_stack(capture, grid, aperture, interpolation, image_height_m, oversample_factor=4):
+    """image_stack as a plain loop over the aperture's records, in cycle
+    order: per pixel, the 3-D distance to the record's TX and RX elements,
+    the fractional bin (d_tx + d_rx) / 2, the full range profile read with
+    the slope-form two-point formula p[i] + (p[i+1] - p[i]) * (q - i) or
+    the kernel's sinc, and one _carrier_phasor per leg.  Pixels past the
+    profile's last bin read zero."""
+    profiles = im.range_compress(capture, oversample_factor)
+    sel, center, _ = _select_aperture(capture, aperture)
+    sel = sel[np.argsort(capture.cycle[sel], kind="stable")]
+    array = capture.array
+    last = profiles.profiles.shape[1] - 1
+    half_inv_bin = 0.5 * (1.0 / profiles.bin_spacing_m)
+    k_carrier = 2.0 * np.pi * capture.config.center_frequency_hz / im.C_LIGHT
+    pu = np.repeat(grid.u_centers(), grid.n_v)
+    pv = np.tile(grid.v_centers(), grid.n_u)
+    pz = center.position[2] + image_height_m
+    images = np.zeros((array.n_vx, pu.size), dtype=np.complex128)
+    for r in sel:
+        pose = capture.poses[capture.pose_index[r]]
+        tx_w = pose.to_world(array.tx_positions)[capture.tx[r]]
+        rx_w = pose.to_world(array.rx_positions)[capture.rx[r]]
+        d_tx, d_rx = (np.sqrt((pu - x) ** 2 + (pv - y) ** 2 + (pz - z) ** 2) for x, y, z in (tx_w, rx_w))
+        q = d_tx * half_inv_bin + d_rx * half_inv_bin
+        beyond = q > last
+        q[beyond] = last
+        profile = profiles.profiles[r]
+        if interpolation == "linear":
+            i = np.minimum(np.floor(q).astype(int), last - 1)
+            value = profile[i] + (profile[i + 1] - profile[i]) * (q - i)
+        else:
+            value = imaging._interp_sinc(profile, q)
+        value = value * imaging._carrier_phasor(d_tx, k_carrier) * imaging._carrier_phasor(d_rx, k_carrier)
+        value[beyond] = 0.0
+        images[array.vx_index(capture.tx[r], capture.rx[r])] += value
+    return images.reshape(array.n_vx, grid.n_u, grid.n_v)
+
+
+class TestKernelOracle:
+    """image_stack equals oracle_stack bit for bit: row blocks, profiles cut
+    to the bins in reach, and the unclamped weights change no float."""
+
+    @pytest.fixture(scope="class")
+    def capture(self, small_chirp):
+        cfg = dataclasses.replace(small_chirp, samples_per_chirp=64)
+        array = im.default_virtual_array(im.derive_chirp_params(cfg).wavelength_m)
+        max_range = im.derive_chirp_params(cfg).max_range_m
+        scene = im.Scene(
+            (
+                im.PointTarget(np.array([0.1, 3.6, 0.9]), 1.0),
+                im.PointTarget(np.array([-0.2, 4.1, 0.2]), 0.8),
+                im.PointTarget(np.array([0.0, max_range - 0.6, 0.5]), 1.0),
+            )
+        )
+        traj = make_rail_trajectory(5.0, 0.004, 0.5)
+        # noise keeps every profile bin non-zero
+        return im.add_noise(im.synthesize_capture(scene, traj, cfg, array), 10.0, seed=3)
+
+    @pytest.fixture(scope="class")
+    def grids(self, capture):
+        max_range = im.derive_chirp_params(capture.config).max_range_m
+        # (grid, image_height_m)
+        return {
+            # within reach of a few dozen of the 256 bins, so profiles are
+            # cut; 0.4 m below the sensor, so the height term counts
+            "near": (im.ImageGrid(np.array([-0.5, 3.2]), np.array([1.0, 1.2]), 0.04), -0.4),
+            # straddling the profile extent at max range
+            "straddle": (im.ImageGrid(np.array([-0.5, max_range - 1.6]), np.array([1.0, 2.1]), 0.1), 0.0),
+        }
+
+    @pytest.fixture(scope="class")
+    def oracles(self, capture, grids):
+        aperture = im.Aperture(0.03)
+        return {
+            (name, interp): oracle_stack(capture, grid, aperture, interp, height)
+            for name, (grid, height) in grids.items()
+            for interp in INTERPOLATIONS
+        }
+
+    @pytest.mark.parametrize("block_rows", [None, 4])
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("interpolation", INTERPOLATIONS)
+    @pytest.mark.parametrize("grid_name", ["near", "straddle"])
+    def test_stack_equals_per_record_loop(
+        self, capture, grids, oracles, grid_name, interpolation, threads, block_rows, monkeypatch
+    ):
+        grid, height = grids[grid_name]
+        if block_rows is not None:
+            # blocks of 3 or 4 rows: the rows do not split evenly
+            monkeypatch.setattr(imaging, "_BLOCK_PIXELS", block_rows * grid.n_v)
+            assert grid.n_u % block_rows
+        stack = im.image_stack(
+            capture, grid, im.Aperture(0.03), interpolation=interpolation, image_height_m=height, threads=threads
+        )
+        oracle = oracles[(grid_name, interpolation)]
+        assert np.count_nonzero(oracle) > oracle.size // 2
+        assert oracle.all() == (grid_name == "near")
+        assert stack.images.tobytes() == oracle.tobytes()
 
 
 class TestPredictedAzimuthResolution:
