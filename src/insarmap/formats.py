@@ -33,8 +33,9 @@ from __future__ import annotations
 import dataclasses
 import math
 import os
+import stat
 import struct
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 
 import numpy as np
 
@@ -56,13 +57,18 @@ _BLOCK_ROWS = 256
 
 @contextmanager
 def _writing(path):
-    """Open path for writing.  A writer that raises leaves no file behind."""
+    """Open path for writing.  A writer that raises leaves no file behind:
+    it removes the regular file it opened, but never a device, a pipe or a
+    symlink given as path (such as /dev/null or /dev/stdout)."""
     with open(path, "wb") as fh:
         try:
             yield fh
         except BaseException:
+            opened = os.fstat(fh.fileno())
             fh.close()
-            os.remove(path)
+            with suppress(OSError):
+                if stat.S_ISREG(opened.st_mode) and os.path.samestat(os.lstat(path), opened):
+                    os.remove(path)
             raise
 
 

@@ -25,9 +25,10 @@ tests hold both bounds.  The float32 bits depend on which SIMD path numpy
 dispatches cos and sin to, so artifacts are byte-identical only on one
 numpy build and CPU dispatch path.
 
-Pixel blocks are whole grid rows, so each element's squared distance is
-the outer sum of per-row and per-column squares plus the height term, the
-same operations in the same order as a per-pixel sum.  Range profiles are
+Pixel blocks are whole grid rows, or slices of one row when a row is
+longer than a block, so each element's squared distance is the outer sum
+of per-row and per-column squares plus the height term, the same
+operations in the same order as a per-pixel sum.  Range profiles are
 cut after the last bin any pixel of the grid can reach, plus the sinc
 half-width and a margin, so the first differences and the interpolation
 read only the bins in use.  Linear interpolation uses the slope form
@@ -57,11 +58,12 @@ INTERPOLATIONS = ("linear", "sinc")
 _SINC_TAPS = 32
 _SINC_BETA = 10.0
 
-# image_stack tiling: pixel blocks of whole grid rows, about this many
-# pixels each, sized to stay cache-resident; cycle batches bounding how many
-# range profiles are alive at once (8 cycles of 12 records x 2048 bins are
-# 3 MiB, plus the first differences of the bins in reach).  Per-pixel
-# accumulation order does not depend on either.
+# image_stack tiling: pixel blocks of whole grid rows (or of single-row
+# slices, for rows longer than a block), about this many pixels each, sized
+# to stay cache-resident; cycle batches bounding how many range profiles
+# are alive at once (8 cycles of 12 records x 2048 bins are 3 MiB, plus the
+# first differences of the bins in reach).  Per-pixel accumulation order
+# does not depend on either.
 _BLOCK_PIXELS = 16384
 _CYCLE_BATCH = 8
 
@@ -249,19 +251,14 @@ def _select_aperture(capture: RawCapture, aperture: Aperture):
     return keep, center_pose, u_hat
 
 
-def _interp_linear(profile: np.ndarray, slope: np.ndarray, q: np.ndarray, inside: bool = False) -> np.ndarray:
+def _interp_linear(profile: np.ndarray, slope: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Linear interpolation at fractional bin positions 0 <= q <= last bin,
     in slope form profile[i] + slope[i] * (q - i) with slope =
     np.diff(profile).  The kernel clamps queries past the last bin and
-    zeroes their values.  inside promises q < last bin, so i needs no clamp
-    and the weight is q - floor(q), which equals q - i for q >= 0."""
+    zeroes their values."""
     i0 = q.astype(np.intp)  # truncation == floor for non-negative q
-    if inside:
-        w = np.floor(q)
-        np.subtract(q, w, out=w)
-    else:
-        np.minimum(i0, slope.shape[0] - 1, out=i0)
-        w = q - i0
+    np.minimum(i0, slope.shape[0] - 1, out=i0)
+    w = q - i0
     out = np.take(slope, i0)
     out *= w
     out += np.take(profile, i0)
@@ -332,6 +329,17 @@ def _chunk_bounds(n_items: int, threads: int) -> list[tuple[int, int]]:
     return [(int(a), int(b)) for a, b in zip(edges[:-1], edges[1:]) if b > a]
 
 
+def _pixel_blocks(n_u: int, n_v: int, n_blocks: int) -> list[tuple[int, int, int, int]]:
+    """About n_blocks (u_lo, u_hi, v_lo, v_hi) blocks covering an n_u x n_v
+    grid: runs of whole rows, or, when there are fewer rows than blocks,
+    slices of single rows.  Either way a block's pixels are contiguous in
+    the u-major flat layout."""
+    if n_blocks <= n_u:
+        return [(lo, hi, 0, n_v) for lo, hi in _chunk_bounds(n_u, n_blocks)]
+    per_row = _chunk_bounds(n_v, -(-n_blocks // n_u))
+    return [(r, r + 1, lo, hi) for r in range(n_u) for lo, hi in per_row]
+
+
 def _backproject(
     capture: RawCapture,
     grid: ImageGrid,
@@ -350,10 +358,11 @@ def _backproject(
     returns (images (n_images, n_pix), center pose).  profile_rows maps an
     array of record indices to their range profiles; it is called once per
     batch of _CYCLE_BATCH cycles, which bounds the profile memory, and only
-    the bins the grid can reach are kept.  Pixel blocks of whole grid rows
-    keep the working set cache-resident.  Per-pixel accumulation runs in
-    strict cycle order, so neither the decomposition nor the thread count
-    can change bits.
+    the bins the grid can reach are kept.  Pixel blocks of about
+    _BLOCK_PIXELS (whole grid rows, or slices of one row when a row is
+    longer) keep the working set cache-resident.  Per-pixel accumulation
+    runs in strict cycle order, so neither the decomposition nor the thread
+    count can change bits.
     """
     if interpolation not in INTERPOLATIONS:
         raise ConfigError(f"unknown interpolation {interpolation!r}; expected one of {INTERPOLATIONS}")
@@ -400,22 +409,23 @@ def _backproject(
     reach = _farthest(world, u, v, pz) * inv_bin
     keep_bins = reach + (_SINC_TAPS // 2 + 3)
 
-    def accumulate_block(lo, hi, c_lo, c_hi, rows, slopes, last_bin):
-        bu = u[lo:hi]
-        pixels = slice(lo * n_v, hi * n_v)
+    def accumulate_block(block, c_lo, c_hi, rows, slopes, last_bin):
+        u_lo, u_hi, v_lo, v_hi = block
+        bu, bv = u[u_lo:u_hi], v[v_lo:v_hi]
+        pixels = slice(u_lo * n_v + v_lo, (u_hi - 1) * n_v + v_hi)
         # When the block's farthest bin is inside the full profile (with
         # 1e-6 bins to spare for rounding), no pixel of it needs the
         # beyond-the-extent zeroing.
-        in_extent = _farthest(world[c_lo:c_hi], bu, v, pz) * inv_bin < last_bin - 1e-6
+        in_extent = _farthest(world[c_lo:c_hi], bu, bv, pz) * inv_bin < last_bin - 1e-6
         base = bounds[c_lo]
         for c in range(c_lo, c_hi):
             fields: list = [None] * len(offsets)
             for r in range(bounds[c], bounds[c + 1]):
                 t, s = tx_list[r], rx_list[r]
                 if fields[t] is None:
-                    fields[t] = _element_field(world[c, t], bu, v, pz, k_carrier, half_inv_bin)
+                    fields[t] = _element_field(world[c, t], bu, bv, pz, k_carrier, half_inv_bin)
                 if fields[s] is None:
-                    fields[s] = _element_field(world[c, s], bu, v, pz, k_carrier, half_inv_bin)
+                    fields[s] = _element_field(world[c, s], bu, bv, pz, k_carrier, half_inv_bin)
                 (q_t, ph_t), (q_r, ph_r) = fields[t], fields[s]
                 q = q_t + q_r
                 if not in_extent:
@@ -423,7 +433,7 @@ def _backproject(
                     beyond = q > last_bin
                     q[beyond] = last_bin
                 if linear:
-                    value = _interp_linear(rows[r - base], slopes[r - base], q, in_extent)
+                    value = _interp_linear(rows[r - base], slopes[r - base], q)
                 else:
                     value = _interp_sinc(rows[r - base], q)
                 value *= ph_t
@@ -433,7 +443,7 @@ def _backproject(
                 images[slot_list[r], pixels] += value
 
     n_blocks = -(-images.shape[1] // _BLOCK_PIXELS)
-    blocks = _chunk_bounds(u.shape[0], max(threads, n_blocks))
+    blocks = _pixel_blocks(u.shape[0], n_v, max(threads, n_blocks))
     pool = ThreadPoolExecutor(max_workers=min(int(threads), len(blocks))) if threads > 1 and len(blocks) > 1 else None
     try:
         for c_lo in range(0, len(starts), _CYCLE_BATCH):
@@ -444,10 +454,10 @@ def _backproject(
                 rows = rows[:, : int(keep_bins)]
             slopes = np.diff(rows, axis=1) if linear else None
             if pool is None:
-                for lo, hi in blocks:
-                    accumulate_block(lo, hi, c_lo, c_hi, rows, slopes, last_bin)
+                for block in blocks:
+                    accumulate_block(block, c_lo, c_hi, rows, slopes, last_bin)
             else:
-                list(pool.map(lambda b: accumulate_block(b[0], b[1], c_lo, c_hi, rows, slopes, last_bin), blocks))
+                list(pool.map(lambda b: accumulate_block(b, c_lo, c_hi, rows, slopes, last_bin), blocks))
     finally:
         if pool is not None:
             pool.shutdown()

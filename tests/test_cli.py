@@ -1,7 +1,9 @@
 """CLI behavior: stages, exit codes, reports, and reproducibility."""
 
 import hashlib
+import os
 import random
+import stat
 import struct
 import warnings
 
@@ -289,22 +291,14 @@ ELV_DIMS = 12 + 40 + 24 + 16
     "artifact, patches, argv",
     [
         ("capture.insarraw", [(RAW_COUNT, "<Q", 10**12)], ["image", "--config", "CFG", "-o", "OUT"]),
-        (
-            "stack.insarimg",
-            [(GRID_EXTENT, "<2d", 320.0, 320.0), (IMG_DIMS, "<III", 12, 8000, 8000)],
-            ["elevate", "-o", "OUT"],
-        ),
-        (
-            "elevation.insarelv",
-            [(GRID_EXTENT, "<2d", 320.0, 320.0), (ELV_DIMS, "<II", 8000, 8000)],
-            ["report", "--config", "CFG"],
-        ),
+        ("stack.insarimg", [(IMG_DIMS, "<III", 12, 100_000, 100_000)], ["elevate", "-o", "OUT"]),
+        ("elevation.insarelv", [(ELV_DIMS, "<II", 100_000, 100_000)], ["report", "--config", "CFG"]),
     ],
 )
 def test_oversized_header_is_a_format_error(workdir, capsys, artifact, patches, argv):
-    # a self-consistent header declaring far more data than the file holds
-    # (8 000 x 8 000 px, just under ImageGrid's pixel cap, or 10^12
-    # records) must fail before allocating
+    # a header declaring far more data than the file holds (100 000 x
+    # 100 000 px, or 10^12 records) must fail on the byte count before
+    # allocating, and before the dims are compared with the grid
     out, code = run_pipeline(workdir, workdir / "radar.cfg")
     assert code == 0
     path = out / artifact
@@ -315,6 +309,23 @@ def test_oversized_header_is_a_format_error(workdir, capsys, artifact, patches, 
     code = cli.main([argv[0], str(path)] + [names.get(a, a) for a in argv[1:]])
     assert code == 3
     assert "truncated" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "artifact, argv",
+    [("stack.insarimg", ["elevate", "-o", "OUT"]), ("elevation.insarelv", ["report", "--config", "CFG"])],
+)
+def test_header_grid_over_the_pixel_cap_is_a_format_error(workdir, capsys, artifact, argv):
+    # a 4 000 m grid at 4 cm pixels is 10^10 px, over ImageGrid's cap
+    out, code = run_pipeline(workdir, workdir / "radar.cfg")
+    assert code == 0
+    path = out / artifact
+    patch(path, GRID_EXTENT, "<2d", 4000.0, 4000.0)
+    names = {"CFG": str(workdir / "radar.cfg"), "OUT": str(workdir / "out.bin")}
+    capsys.readouterr()
+    code = cli.main([argv[0], str(path)] + [names.get(a, a) for a in argv[1:]])
+    assert code == 3
+    assert "pixels exceeds the cap" in capsys.readouterr().err
 
 
 def test_non_finite_capture_sample_is_a_format_error(workdir, capsys):
@@ -500,6 +511,38 @@ def test_capture_beyond_float32_is_a_config_error(workdir, capsys):
     assert code == 2
     assert "holds samples beyond float32 range" in capsys.readouterr().err
     assert not (out / "capture.insarraw").exists()
+
+
+@pytest.mark.parametrize("kind", ["symlink", "fifo"])
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_failing_writer_leaves_a_non_regular_target_in_place(workdir, capsys, kind):
+    # a writer that raises removes the regular file it made, but never a
+    # symlink, device or pipe named by -o (as /dev/stdout or /dev/null are)
+    (workdir / "quiet.cfg").write_text(CONFIG + "per_sample_snr_db = inf\n")
+    (workdir / "scene.csv").write_text(SCENE + "0.3,4.2,0.5,1e39\n")
+    out = workdir / "out.insarraw"
+    reader = None
+    if kind == "symlink":
+        (workdir / "target.bin").write_bytes(b"")
+        out.symlink_to(workdir / "target.bin")
+    else:
+        os.mkfifo(out)
+        # an open reader lets the writer open the pipe without blocking
+        reader = os.open(out, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        code = cli.main(
+            ["simulate", str(workdir / "scene.csv"), str(workdir / "traj.csv"),
+             "--config", str(workdir / "quiet.cfg"), "-o", str(out)]
+        )
+    finally:
+        if reader is not None:
+            os.close(reader)
+    assert code == 2
+    assert "holds samples beyond float32 range" in capsys.readouterr().err
+    if kind == "symlink":
+        assert out.is_symlink() and (workdir / "target.bin").is_file()
+    else:
+        assert stat.S_ISFIFO(os.lstat(out).st_mode)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")

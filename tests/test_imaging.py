@@ -423,18 +423,25 @@ class TestKernelOracle:
             for interp in INTERPOLATIONS
         }
 
-    @pytest.mark.parametrize("block_rows", [None, 4])
+    @pytest.mark.parametrize("blocks", [None, "rows", "row slices"])
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("interpolation", INTERPOLATIONS)
     @pytest.mark.parametrize("grid_name", ["near", "straddle"])
     def test_stack_equals_per_record_loop(
-        self, capture, grids, oracles, grid_name, interpolation, threads, block_rows, monkeypatch
+        self, capture, grids, oracles, grid_name, interpolation, threads, blocks, monkeypatch
     ):
         grid, height = grids[grid_name]
-        if block_rows is not None:
+        if blocks == "rows":
             # blocks of 3 or 4 rows: the rows do not split evenly
-            monkeypatch.setattr(imaging, "_BLOCK_PIXELS", block_rows * grid.n_v)
-            assert grid.n_u % block_rows
+            monkeypatch.setattr(imaging, "_BLOCK_PIXELS", 4 * grid.n_v)
+            assert grid.n_u % 4
+        elif blocks == "row slices":
+            # rows longer than a block split into slices of uneven length
+            monkeypatch.setattr(imaging, "_BLOCK_PIXELS", 4)
+            n_blocks = max(threads, -(-grid.n_u * grid.n_v // 4))
+            slices = imaging._pixel_blocks(grid.n_u, grid.n_v, n_blocks)
+            assert all(u_hi == u_lo + 1 for u_lo, u_hi, _, _ in slices)
+            assert len({v_hi - v_lo for _, _, v_lo, v_hi in slices}) > 1
         stack = im.image_stack(
             capture, grid, im.Aperture(0.03), interpolation=interpolation, image_height_m=height, threads=threads
         )
@@ -442,6 +449,20 @@ class TestKernelOracle:
         assert np.count_nonzero(oracle) > oracle.size // 2
         assert oracle.all() == (grid_name == "near")
         assert stack.images.tobytes() == oracle.tobytes()
+
+
+@pytest.mark.parametrize("n_u, n_v, threads", [(1, 100_000, 1), (750, 750, 2), (1, 50, 2), (3, 20_000, 8)])
+def test_pixel_blocks_tile_the_grid_in_bounded_blocks(n_u, n_v, threads):
+    # a block is at most about two _BLOCK_PIXELS, even for one long row,
+    # and each thread gets a block while there are pixels to share
+    n_blocks = max(threads, -(-n_u * n_v // imaging._BLOCK_PIXELS))
+    blocks = imaging._pixel_blocks(n_u, n_v, n_blocks)
+    flat = [(u_lo * n_v + v_lo, (u_hi - 1) * n_v + v_hi) for u_lo, u_hi, v_lo, v_hi in blocks]
+    assert [lo for lo, _ in flat] == [0] + [hi for _, hi in flat[:-1]]
+    assert flat[-1][1] == n_u * n_v
+    assert all(v_hi == n_v or u_hi == u_lo + 1 for u_lo, u_hi, _, v_hi in blocks)
+    assert max(hi - lo for lo, hi in flat) <= 2 * imaging._BLOCK_PIXELS
+    assert len(blocks) >= min(threads, n_u * n_v)
 
 
 class TestPredictedAzimuthResolution:
