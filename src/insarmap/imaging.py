@@ -18,12 +18,21 @@ accumulates zero phase regardless of its grid position.
 Each one-leg carrier phasor exp(-j*2*pi*f_c*d/c) is evaluated from the
 phase range-reduced to [-pi, pi] in float64 and then rounded to float32 for
 numpy's vectorized cos and sin: it is within 1e-6 of the complex exp for
-any leg up to 100 m (1.9e-7 measured).  Distances, interpolation weights
-and the accumulation stay float64/complex128, and an image differs from one
-made with the exact complex exp by at most 1e-6 of its peak magnitude; the
-tests hold both bounds.  The float32 bits depend on which SIMD path numpy
-dispatches cos and sin to, so artifacts are byte-identical only on one
-numpy build and CPU dispatch path.
+any leg up to 100 m (1.9e-7 measured).  Distances, fractional bins and the
+range reduction stay float64.  Each record's value, the interpolated
+profile times its two phasors, is computed in single precision: the kept
+profile bins and their first differences are rounded to complex64 once per
+batch of cycles, interpolation weights to float32, and the phasors are
+complex64.  Each VX sums its records' values per pixel in complex64 over
+one batch of at most _CYCLE_BATCH cycles, and adds that partial sum into
+its complex128 image.  An image differs from one made with the exact
+complex exp and complex128 values by at most 1e-6 of its peak magnitude;
+the tests hold these bounds.  The float32 bits depend on which SIMD path
+numpy dispatches cos and sin to, so artifacts are byte-identical only on
+one numpy build and CPU dispatch path.  Single precision ends at about
+3.4e38, as the stack file's float32 does, so a range profile bin or a
+partial sum beyond that is refused as a ConfigError.  A NaN pixel, as from
+a non-finite carrier, is left to SarImageStack's finiteness check.
 
 Pixel blocks are whole grid rows, or slices of one row when a row is
 longer than a block, so each element's squared distance is the outer sum
@@ -33,15 +42,18 @@ cut after the last bin any pixel of the grid can reach, plus the sinc
 half-width and a margin, so the first differences and the interpolation
 read only the bins in use.  Linear interpolation uses the slope form
 P[i] + (P[i+1] - P[i])*w, with the differences taken once per batch of
-cycles.  Pixels whose range lies beyond the profile extent contribute
-zero; whether any pixel of a pixel block can be that far is checked once
-per block and cycle batch, and only such blocks pay for the clamping.
+cycles.  Sinc interpolation reads its tap weights from one table over
+the fractional bin.  Pixels whose range lies beyond the profile extent
+contribute zero; whether any pixel of a pixel block can be that far is
+checked once per block and cycle batch, and only such blocks pay for the
+clamping.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -54,9 +66,12 @@ INTERPOLATIONS = ("linear", "sinc")
 
 # Windowed-sinc interpolator: 32 taps under a continuous Kaiser window is
 # enough to keep interpolation error below ~1e-4 for profiles oversampled
-# 4x or more.
+# 4x or more.  The tap weights are tabulated at _SINC_STEPS + 1 fractional
+# bins over [0, 1] and read by linear interpolation between entries, within
+# 1e-7 of the direct form (9.9e-8 measured).
 _SINC_TAPS = 32
 _SINC_BETA = 10.0
+_SINC_STEPS = 2048
 
 # image_stack tiling: pixel blocks of whole grid rows (or of single-row
 # slices, for rows longer than a block), about this many pixels each, sized
@@ -253,12 +268,13 @@ def _select_aperture(capture: RawCapture, aperture: Aperture):
 
 def _interp_linear(profile: np.ndarray, slope: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Linear interpolation at fractional bin positions 0 <= q <= last bin,
-    in slope form profile[i] + slope[i] * (q - i) with slope =
-    np.diff(profile).  The kernel clamps queries past the last bin and
-    zeroes their values."""
+    in slope form profile[i] + slope[i] * w with slope = np.diff(profile)
+    and the weight w = q - i rounded to the tables' real dtype (float32 for
+    the kernel's complex64 tables).  The kernel clamps queries past the
+    last bin and zeroes their values."""
     i0 = q.astype(np.intp)  # truncation == floor for non-negative q
     np.minimum(i0, slope.shape[0] - 1, out=i0)
-    w = q - i0
+    w = (q - i0).astype(slope.real.dtype, copy=False)
     out = np.take(slope, i0)
     out *= w
     out += np.take(profile, i0)
@@ -268,16 +284,39 @@ def _interp_linear(profile: np.ndarray, slope: np.ndarray, q: np.ndarray) -> np.
 _SINC_OFFSETS = np.arange(-_SINC_TAPS // 2 + 1, _SINC_TAPS // 2 + 1)
 
 
+@cache
+def _sinc_table() -> tuple[np.ndarray, np.ndarray]:
+    """The tap weights sinc(t) * Kaiser(t) at the fractional bins
+    k / _SINC_STEPS, k = 0.._SINC_STEPS, (_SINC_STEPS + 1, taps), and their
+    first differences along k.  Built on first use, so only sinc runs pay
+    for the np.i0 calls."""
+    # tap positions relative to the query
+    t = np.linspace(0.0, 1.0, _SINC_STEPS + 1)[:, None] - _SINC_OFFSETS[None, :]
+    x = np.clip(2.0 * t / _SINC_TAPS, -1.0, 1.0)
+    table = np.sinc(t) * (np.i0(_SINC_BETA * np.sqrt(1.0 - x * x)) / np.i0(_SINC_BETA))
+    return table, np.diff(table, axis=0)
+
+
+def _sinc_weights(frac: np.ndarray) -> np.ndarray:
+    """(n_pix, taps) tap weights at fractional bins 0 <= frac <= 1, read
+    from _sinc_table by linear interpolation between entries."""
+    table, steps = _sinc_table()
+    pos = frac * _SINC_STEPS
+    k = pos.astype(np.intp)
+    np.minimum(k, _SINC_STEPS - 1, out=k)
+    weights = np.take(steps, k, axis=0)
+    weights *= (pos - k)[:, None]
+    weights += np.take(table, k, axis=0)
+    return weights
+
+
 def _interp_sinc(profile: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Kaiser-windowed sinc interpolation at fractional bin positions
-    0 <= q <= last bin; taps outside the profile read zero."""
+    0 <= q <= last bin, with the weights rounded to the profile's real
+    dtype; taps outside the profile read zero."""
     n = profile.shape[0]
     base = q.astype(np.intp)
-    frac = q - base
-    # tap positions relative to the query, (n_pix, taps)
-    t = frac[:, None] - _SINC_OFFSETS[None, :]
-    x = np.clip(2.0 * t / _SINC_TAPS, -1.0, 1.0)
-    weights = np.sinc(t) * (np.i0(_SINC_BETA * np.sqrt(1.0 - x * x)) / np.i0(_SINC_BETA))
+    weights = _sinc_weights(q - base).astype(profile.real.dtype, copy=False)
     idx = base[:, None] + _SINC_OFFSETS[None, :]
     inside = (idx >= 0) & (idx < n)
     np.clip(idx, 0, n - 1, out=idx)
@@ -285,7 +324,8 @@ def _interp_sinc(profile: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 def _carrier_phasor(d: np.ndarray, k_carrier: float) -> np.ndarray:
-    """exp(-j*k_carrier*d), to within 1e-6 for d up to 100 m (1.9e-7 measured).
+    """exp(-j*k_carrier*d) in complex64, to within 1e-6 for d up to 100 m
+    (1.9e-7 measured).
 
     The phase is range-reduced in float64 (d in carrier wavelengths, minus
     the nearest whole number), so only the reduced phase in [-pi, pi] is
@@ -295,7 +335,7 @@ def _carrier_phasor(d: np.ndarray, k_carrier: float) -> np.ndarray:
     waves = d * (k_carrier / (2.0 * np.pi))
     waves -= np.rint(waves)
     theta = (waves * (-2.0 * np.pi)).astype(np.float32)
-    phasor = np.empty(d.shape, dtype=np.complex128)
+    phasor = np.empty(d.shape, dtype=np.complex64)
     phasor.real = np.cos(theta)
     phasor.imag = np.sin(theta)
     return phasor
@@ -358,11 +398,14 @@ def _backproject(
     returns (images (n_images, n_pix), center pose).  profile_rows maps an
     array of record indices to their range profiles; it is called once per
     batch of _CYCLE_BATCH cycles, which bounds the profile memory, and only
-    the bins the grid can reach are kept.  Pixel blocks of about
-    _BLOCK_PIXELS (whole grid rows, or slices of one row when a row is
-    longer) keep the working set cache-resident.  Per-pixel accumulation
-    runs in strict cycle order, so neither the decomposition nor the thread
-    count can change bits.
+    the bins the grid can reach are kept, rounded to complex64.  Pixel
+    blocks of about _BLOCK_PIXELS (whole grid rows, or slices of one row
+    when a row is longer) keep the working set cache-resident.  Per pixel,
+    each VX sums its records' complex64 values in strict cycle order over
+    one cycle batch, then adds the sum to its complex128 image, so neither
+    the decomposition nor the thread count can change bits.  Raises
+    ConfigError when a partial sum is beyond float32's range, as a profile
+    bin beyond it makes one.
     """
     if interpolation not in INTERPOLATIONS:
         raise ConfigError(f"unknown interpolation {interpolation!r}; expected one of {INTERPOLATIONS}")
@@ -409,6 +452,10 @@ def _backproject(
     reach = _farthest(world, u, v, pz) * inv_bin
     keep_bins = reach + (_SINC_TAPS // 2 + 3)
 
+    # A value beyond float32's range, a profile bin or a sum, makes some
+    # partial sum inf, which is refused below; the steps on the way need not
+    # warn.
+    @np.errstate(over="ignore", invalid="ignore")
     def accumulate_block(block, c_lo, c_hi, rows, slopes, last_bin):
         u_lo, u_hi, v_lo, v_hi = block
         bu, bv = u[u_lo:u_hi], v[v_lo:v_hi]
@@ -418,6 +465,8 @@ def _backproject(
         # beyond-the-extent zeroing.
         in_extent = _farthest(world[c_lo:c_hi], bu, bv, pz) * inv_bin < last_bin - 1e-6
         base = bounds[c_lo]
+        # each VX's values over this cycle batch, at most _CYCLE_BATCH per VX
+        partial = np.zeros((images.shape[0], pixels.stop - pixels.start), dtype=np.complex64)
         for c in range(c_lo, c_hi):
             fields: list = [None] * len(offsets)
             for r in range(bounds[c], bounds[c + 1]):
@@ -440,7 +489,12 @@ def _backproject(
                 value *= ph_r
                 if not in_extent:
                     value[beyond] = 0.0
-                images[slot_list[r], pixels] += value
+                partial[slot_list[r]] += value
+        overflowed = np.isinf(partial.view(np.float32)).any(axis=1)
+        if overflowed.any():
+            vx = int(np.argmax(overflowed)) if vx_index is None else vx_index
+            raise ConfigError(f"VX {vx} image holds pixels beyond float32 range")
+        images[:, pixels] += partial
 
     n_blocks = -(-images.shape[1] // _BLOCK_PIXELS)
     blocks = _pixel_blocks(u.shape[0], n_v, max(threads, n_blocks))
@@ -452,7 +506,9 @@ def _backproject(
             last_bin = rows.shape[1] - 1
             if keep_bins < rows.shape[1]:
                 rows = rows[:, : int(keep_bins)]
-            slopes = np.diff(rows, axis=1) if linear else None
+            with np.errstate(over="ignore"):
+                slopes = np.diff(rows, axis=1).astype(np.complex64) if linear else None
+                rows = rows.astype(np.complex64)
             if pool is None:
                 for block in blocks:
                     accumulate_block(block, c_lo, c_hi, rows, slopes, last_bin)

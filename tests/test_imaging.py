@@ -281,6 +281,9 @@ def exact_phasor(d, k_carrier):
 class TestPhasorTolerance:
     """The kernel's float32 carrier phasor against the exact complex exp.
 
+    The exact stack is reference_stack's complex128 loop with the complex
+    exp, so it carries neither the float32 phasors nor the kernel's
+    complex64 values; the image bounds hold the kernel to it with both.
     Bits depend on which SIMD path numpy dispatches cos and sin to, so these
     bounds, not hashes, are the contract; CI reruns this class with numpy's
     AVX512 paths disabled and with only its baseline path.
@@ -290,9 +293,9 @@ class TestPhasorTolerance:
 
     @pytest.fixture(scope="class")
     def exact_stack(self, small_e2e):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(imaging, "_carrier_phasor", exact_phasor)
-            return im.image_stack(small_e2e["capture"], small_e2e["grid"], small_e2e["aperture"], threads=2)
+        return reference_stack(
+            small_e2e["capture"], small_e2e["grid"], small_e2e["aperture"], "linear", phasor=exact_phasor
+        )
 
     def test_phasor_within_1e6_up_to_100m(self):
         # 0.1 mm steps put about 40 samples in each carrier wavelength
@@ -301,21 +304,77 @@ class TestPhasorTolerance:
         assert err.max() <= 1e-6
 
     def test_image_within_1e6_of_peak(self, small_e2e, exact_stack):
-        fast = small_e2e["stack"].images
-        peak = np.abs(exact_stack.images).max()
-        assert np.abs(fast - exact_stack.images).max() <= 1e-6 * peak
+        assert_within_1e6_of_peak(small_e2e["stack"].images, exact_stack)
 
     def test_baseline_phase_within_1e5_rad_above_15db(self, small_e2e, exact_stack):
-        stack = small_e2e["stack"]
-        strong = small_e2e["map"].interferogram.snr_db >= 15.0
-        assert strong.sum() >= 20
-        for b in stack.array.vertical_baselines:
-            fast = stack.images[b.lower_vx] * np.conj(stack.images[b.upper_vx])
-            exact = exact_stack.images[b.lower_vx] * np.conj(exact_stack.images[b.upper_vx])
-            assert np.abs(np.angle(fast[strong] * np.conj(exact[strong]))).max() <= 1e-5
+        assert_baseline_phases_within_1e5_rad(small_e2e["stack"], exact_stack, small_e2e["map"])
+
+
+def assert_within_1e6_of_peak(images, reference):
+    assert np.abs(images - reference).max() <= 1e-6 * np.abs(reference).max()
+
+
+def assert_baseline_phases_within_1e5_rad(stack, reference, emap):
+    """Every vertical baseline's phase agrees with reference's to 1e-5 rad
+    on the map's pixels at 15 dB SNR or more."""
+    strong = emap.interferogram.snr_db >= 15.0
+    assert strong.sum() >= 20
+    for b in stack.array.vertical_baselines:
+        fast = stack.images[b.lower_vx] * np.conj(stack.images[b.upper_vx])
+        slow = reference[b.lower_vx] * np.conj(reference[b.upper_vx])
+        assert np.abs(np.angle(fast[strong] * np.conj(slow[strong]))).max() <= 1e-5
+
+
+class TestSinglePrecisionTolerance:
+    """image_stack's complex64 values and per-batch partial sums, and the
+    tabulated sinc weights, against reference_stack: the same phasors, with
+    float64 weights, the direct-form sinc weights and every record added
+    straight into a complex128 image.  CI reruns this class on numpy's other
+    SIMD paths."""
+
+    @pytest.fixture(scope="class")
+    def case(self, small_e2e):
+        # both targets, under a shorter aperture that keeps the direct-form
+        # sinc reference quick
+        grid = im.ImageGrid(np.array([-0.6, 3.7]), np.array([0.9, 1.7]), 0.04)
+        return small_e2e["capture"], grid, im.Aperture(0.1)
+
+    @pytest.fixture(scope="class", params=INTERPOLATIONS)
+    def stacks(self, request, case):
+        stack = im.image_stack(*case, interpolation=request.param, threads=2)
+        return stack, reference_stack(*case, request.param)
+
+    def test_image_within_1e6_of_peak(self, stacks):
+        stack, reference = stacks
+        assert_within_1e6_of_peak(stack.images, reference)
+
+    def test_baseline_phase_within_1e5_rad_above_15db(self, stacks):
+        stack, reference = stacks
+        assert_baseline_phases_within_1e5_rad(stack, reference, im.build_elevation_map(stack))
+
+
+def kaiser_sinc_weights(frac):
+    """The direct form of the sinc interpolator's (n, taps) tap weights:
+    sinc(t) times the Kaiser window, by np.i0, at each tap's offset t from
+    the fractional bin."""
+    t = frac[:, None] - imaging._SINC_OFFSETS[None, :]
+    x = np.clip(2.0 * t / imaging._SINC_TAPS, -1.0, 1.0)
+    return np.sinc(t) * (np.i0(imaging._SINC_BETA * np.sqrt(1.0 - x * x)) / np.i0(imaging._SINC_BETA))
 
 
 class TestInterpolation:
+    def test_sinc_weights_within_2e7_of_direct_form(self):
+        # every table entry, the midpoints between entries, and the rest
+        # of [0, 1) at random
+        steps = imaging._SINC_STEPS
+        frac = np.r_[
+            np.arange(steps + 1) / steps,
+            (np.arange(steps) + 0.5) / steps,
+            np.random.default_rng(7).uniform(0.0, 1.0, 20_000),
+        ]
+        err = np.abs(imaging._sinc_weights(frac) - kaiser_sinc_weights(frac))
+        assert err.max() <= 2e-7
+
     def test_slope_form_equals_two_point_form(self):
         rng = np.random.default_rng(5)
         profile = rng.standard_normal(300) + 1j * rng.standard_normal(300)
@@ -344,25 +403,24 @@ class TestInterpolation:
             assert np.all(img[r < max_range - 0.5] != 0)
 
 
-def oracle_stack(capture, grid, aperture, interpolation, image_height_m, oversample_factor=4):
-    """image_stack as a plain loop over the aperture's records, in cycle
-    order: per pixel, the 3-D distance to the record's TX and RX elements,
-    the fractional bin (d_tx + d_rx) / 2, the full range profile read with
-    the slope-form two-point formula p[i] + (p[i+1] - p[i]) * (q - i) or
-    the kernel's sinc, and one _carrier_phasor per leg.  Pixels past the
-    profile's last bin read zero."""
+def aperture_records(capture, grid, aperture, image_height_m, oversample_factor=4):
+    """The aperture's records in cycle order, each as (cycle batch, VX, full
+    range profile, d_tx, d_rx, q, beyond): per pixel, the 3-D distance to
+    the record's TX and RX elements and the fractional bin
+    q = (d_tx + d_rx) / 2, clamped to the profile's last bin where it lies
+    beyond (those pixels read zero).  Cycle batches are runs of
+    _CYCLE_BATCH cycles, as the kernel reads them."""
     profiles = im.range_compress(capture, oversample_factor)
     sel, center, _ = _select_aperture(capture, aperture)
     sel = sel[np.argsort(capture.cycle[sel], kind="stable")]
+    batch = np.unique(capture.cycle[sel], return_inverse=True)[1] // imaging._CYCLE_BATCH
     array = capture.array
     last = profiles.profiles.shape[1] - 1
     half_inv_bin = 0.5 * (1.0 / profiles.bin_spacing_m)
-    k_carrier = 2.0 * np.pi * capture.config.center_frequency_hz / im.C_LIGHT
     pu = np.repeat(grid.u_centers(), grid.n_v)
     pv = np.tile(grid.v_centers(), grid.n_u)
     pz = center.position[2] + image_height_m
-    images = np.zeros((array.n_vx, pu.size), dtype=np.complex128)
-    for r in sel:
+    for r, b in zip(sel, batch):
         pose = capture.poses[capture.pose_index[r]]
         tx_w = pose.to_world(array.tx_positions)[capture.tx[r]]
         rx_w = pose.to_world(array.rx_positions)[capture.rx[r]]
@@ -370,21 +428,73 @@ def oracle_stack(capture, grid, aperture, interpolation, image_height_m, oversam
         q = d_tx * half_inv_bin + d_rx * half_inv_bin
         beyond = q > last
         q[beyond] = last
-        profile = profiles.profiles[r]
+        yield b, array.vx_index(capture.tx[r], capture.rx[r]), profiles.profiles[r], d_tx, d_rx, q, beyond
+
+
+def carrier_wavenumber(capture):
+    return 2.0 * np.pi * capture.config.center_frequency_hz / im.C_LIGHT
+
+
+def oracle_stack(capture, grid, aperture, interpolation, image_height_m, oversample_factor=4):
+    """image_stack as a plain loop over the aperture's records, with the
+    kernel's precision steps: the full range profile and its first
+    differences rounded to complex64, read with the slope-form two-point
+    formula p[i] + (p[i+1] - p[i]) * w, w = q - i rounded to float32, or
+    the kernel's sinc; times one complex64 _carrier_phasor per leg.  Each
+    VX sums its records' values in complex64 over a cycle batch, then adds
+    the sum into its complex128 image."""
+    k = carrier_wavenumber(capture)
+    images = np.zeros((capture.array.n_vx, grid.n_u * grid.n_v), dtype=np.complex128)
+    partial = np.zeros(images.shape, dtype=np.complex64)
+    current = 0
+    for batch, vx, profile, d_tx, d_rx, q, beyond in aperture_records(
+        capture, grid, aperture, image_height_m, oversample_factor
+    ):
+        if batch != current:
+            images += partial
+            partial[:] = 0.0
+            current = batch
         if interpolation == "linear":
-            i = np.minimum(np.floor(q).astype(int), last - 1)
+            i = np.minimum(np.floor(q).astype(int), profile.size - 2)
+            slope = (profile[i + 1] - profile[i]).astype(np.complex64)
+            value = profile[i].astype(np.complex64) + slope * (q - i).astype(np.float32)
+        else:
+            value = imaging._interp_sinc(profile.astype(np.complex64), q)
+        value = value * imaging._carrier_phasor(d_tx, k) * imaging._carrier_phasor(d_rx, k)
+        value[beyond] = 0.0
+        partial[vx] += value
+    images += partial
+    return images.reshape(capture.array.n_vx, grid.n_u, grid.n_v)
+
+
+def reference_stack(capture, grid, aperture, interpolation, image_height_m=0.0, phasor=None):
+    """The per-record loop in complex128: float64 weights, the direct-form
+    sinc weights, and each record's value added straight into its image.
+    phasor(d, k) defaults to the kernel's float32 cos/sin carrier phasor."""
+    if phasor is None:
+        def phasor(d, k):
+            return imaging._carrier_phasor(d, k).astype(np.complex128)
+    k = carrier_wavenumber(capture)
+    images = np.zeros((capture.array.n_vx, grid.n_u * grid.n_v), dtype=np.complex128)
+    for _, vx, profile, d_tx, d_rx, q, beyond in aperture_records(capture, grid, aperture, image_height_m):
+        if interpolation == "linear":
+            i = np.minimum(np.floor(q).astype(int), profile.size - 2)
             value = profile[i] + (profile[i + 1] - profile[i]) * (q - i)
         else:
-            value = imaging._interp_sinc(profile, q)
-        value = value * imaging._carrier_phasor(d_tx, k_carrier) * imaging._carrier_phasor(d_rx, k_carrier)
+            base = q.astype(int)
+            idx = base[:, None] + imaging._SINC_OFFSETS[None, :]
+            taps = np.where((idx >= 0) & (idx < profile.size), profile[np.clip(idx, 0, profile.size - 1)], 0.0)
+            value = np.sum(taps * kaiser_sinc_weights(q - base), axis=1)
+        value = value * phasor(d_tx, k) * phasor(d_rx, k)
         value[beyond] = 0.0
-        images[array.vx_index(capture.tx[r], capture.rx[r])] += value
-    return images.reshape(array.n_vx, grid.n_u, grid.n_v)
+        images[vx] += value
+    return images.reshape(capture.array.n_vx, grid.n_u, grid.n_v)
 
 
 class TestKernelOracle:
     """image_stack equals oracle_stack bit for bit: row blocks, profiles cut
-    to the bins in reach, and the unclamped weights change no float."""
+    to the bins in reach and the unclamped weights change no float, and the
+    complex64 partial sums run per pixel, VX and cycle batch."""
 
     @pytest.fixture(scope="class")
     def capture(self, small_chirp):
@@ -512,6 +622,18 @@ class TestStackValues:
     def test_wavelength_must_be_finite_and_positive(self, small_e2e, wavelength):
         with pytest.raises(ConfigError, match="wavelength"):
             self.stack_with(small_e2e["stack"], wavelength_m=wavelength)
+
+    @pytest.mark.parametrize("amplitude", [1e36, 1e37])
+    def test_values_beyond_float32_are_refused(self, small_chirp, amplitude):
+        # at 1e36 every range profile bin fits float32 (6.3e37 at most) but
+        # a cycle batch's complex64 sum does not; at 1e37 the bins do not
+        cfg = dataclasses.replace(small_chirp, samples_per_chirp=64)
+        array = im.default_virtual_array(im.derive_chirp_params(cfg).wavelength_m)
+        scene = im.Scene((im.PointTarget(np.array([0.0, 3.8, 0.5]), amplitude),))
+        capture = im.synthesize_capture(scene, make_rail_trajectory(5.0, 0.004, 0.5), cfg, array)
+        grid = im.ImageGrid(np.array([-0.5, 3.2]), np.array([1.0, 1.2]), 0.04)
+        with pytest.raises(ConfigError, match="VX 0 image holds pixels beyond float32 range"):
+            im.image_stack(capture, grid, im.Aperture(0.03))
 
     @pytest.mark.parametrize("height", [np.inf, -np.inf, np.nan])
     def test_non_finite_image_height_rejected(self, small_e2e, height):
