@@ -12,7 +12,6 @@ from .imaging import (
     ImageGrid,
     RangeProfileSet,
     SarImageStack,
-    backproject,
     image_stack,
     predicted_azimuth_resolution,
     range_compress,
@@ -20,7 +19,6 @@ from .imaging import (
 from .interferometry import (
     ElevationMap,
     InterferogramGrid,
-    InterferogramPixel,
     build_elevation_map,
     combine_baselines,
     elevation_from_phase,
@@ -31,7 +29,6 @@ from .interferometry import (
     tau_from_elevation,
 )
 from .pointcloud import (
-    CloudPoint,
     ElevationPointCloud,
     FilterConfig,
     filter_points,
@@ -71,7 +68,6 @@ __all__ = [
     "Aperture",
     "C_LIGHT",
     "ChirpConfig",
-    "CloudPoint",
     "ConfigError",
     "DataFormatError",
     "DerivedChirpParams",
@@ -82,7 +78,6 @@ __all__ = [
     "ImageGrid",
     "InsarError",
     "InterferogramGrid",
-    "InterferogramPixel",
     "PointTarget",
     "Pose",
     "PulseRecord",
@@ -95,7 +90,6 @@ __all__ = [
     "VirtualArray",
     "VirtualElement",
     "add_noise",
-    "backproject",
     "build_elevation_map",
     "build_virtual_array",
     "combine_baselines",

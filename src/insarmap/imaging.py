@@ -6,6 +6,11 @@ grid.  All images reference the same phase center (the aperture-center
 pose), which keeps inter-VX pixel phase differences physically meaningful
 for the interferometric stage.
 
+image_stack is the one imaging entry point: it range-compresses the
+aperture's records one batch of cycles at a time and backprojects them
+into every VX's image.  range_compress applies the same compression to a
+whole capture at once, for inspecting the profiles.
+
 Backprojection accumulates, per pixel p and pulse k,
 
     I(p) += P_k(R_k(p)) * exp(-j*2*pi*f_c*(d_tx + d_rx)/c)
@@ -51,6 +56,7 @@ clamping.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cache
@@ -85,6 +91,11 @@ _CYCLE_BATCH = 8
 # The most pixels an ImageGrid may hold: 2**26 is 119 times the default
 # 750 x 750 grid, and its 12-VX stack is 12 GiB of complex128.
 _MAX_PIXELS = 2**26
+
+# The most bins a padded range profile may hold: 2**18 is 128 times the
+# default 512-sample chirp at 4x, and one cycle batch of the default 12-VX
+# array, 96 records of complex128 profiles, is 384 MiB at the cap.
+_MAX_PROFILE_BINS = 2**18
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,7 +167,6 @@ class Aperture:
 class RangeProfileSet:
     """Per-pulse oversampled range profiles (row i is record i of the capture)."""
 
-    capture: RawCapture
     profiles: np.ndarray  # (n_records, n_bins) complex
     bin_spacing_m: float
 
@@ -205,6 +215,11 @@ def _range_setup(cfg, oversample_factor, window: str):
         raise ConfigError(f"unknown window {window!r}; expected one of {WINDOWS}")
     n = cfg.samples_per_chirp
     n_padded = n * int(oversample_factor)
+    if n_padded > _MAX_PROFILE_BINS:
+        raise ConfigError(
+            f"samples_per_chirp ({n}) x oversample_factor makes range profiles longer than the cap "
+            f"of {_MAX_PROFILE_BINS} bins"
+        )
     taps = np.hanning(n) if window == "hann" else np.ones(n)
     return taps, n_padded, derive_chirp_params(cfg).max_range_m / n_padded
 
@@ -227,7 +242,6 @@ def range_compress(
     """
     taps, n_padded, bin_spacing = _range_setup(capture.config, oversample_factor, window)
     return RangeProfileSet(
-        capture=capture,
         profiles=_compress(capture.samples, taps, n_padded),
         bin_spacing_m=bin_spacing,
     )
@@ -369,6 +383,14 @@ def _chunk_bounds(n_items: int, threads: int) -> list[tuple[int, int]]:
     return [(int(a), int(b)) for a, b in zip(edges[:-1], edges[1:]) if b > a]
 
 
+def _available_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one, else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _pixel_blocks(n_u: int, n_v: int, n_blocks: int) -> list[tuple[int, int, int, int]]:
     """About n_blocks (u_lo, u_hi, v_lo, v_hi) blocks covering an n_u x n_v
     grid: runs of whole rows, or, when there are fewer rows than blocks,
@@ -380,45 +402,45 @@ def _pixel_blocks(n_u: int, n_v: int, n_blocks: int) -> list[tuple[int, int, int
     return [(r, r + 1, lo, hi) for r in range(n_u) for lo, hi in per_row]
 
 
-def _backproject(
+def image_stack(
     capture: RawCapture,
     grid: ImageGrid,
     aperture: Aperture,
-    bin_spacing_m: float,
-    profile_rows,
     *,
-    interpolation: str,
-    image_height_m: float,
-    threads: int,
-    vx_index: int | None = None,
-):
-    """The one backprojection kernel.
+    oversample_factor: int = 4,
+    window: str = "rectangular",
+    interpolation: str = "linear",
+    image_height_m: float = 0.0,
+    threads: int = 1,
+) -> SarImageStack:
+    """Form one backprojected image per virtual element: the one
+    backprojection kernel.
 
-    Images every VX of the aperture's records (or only VX vx_index) and
-    returns (images (n_images, n_pix), center pose).  profile_rows maps an
-    array of record indices to their range profiles; it is called once per
-    batch of _CYCLE_BATCH cycles, which bounds the profile memory, and only
-    the bins the grid can reach are kept, rounded to complex64.  Pixel
-    blocks of about _BLOCK_PIXELS (whole grid rows, or slices of one row
-    when a row is longer) keep the working set cache-resident.  Per pixel,
-    each VX sums its records' complex64 values in strict cycle order over
-    one cycle batch, then adds the sum to its complex128 image, so neither
-    the decomposition nor the thread count can change bits.  Raises
-    ConfigError when a partial sum is beyond float32's range, as a profile
-    bin beyond it makes one.
+    The image plane sits at image_height_m relative to the phase-center
+    height (default 0: the sensor plane).  Range compression is streamed
+    one batch of _CYCLE_BATCH cycles at a time, which bounds the profile
+    memory, and only the bins the grid can reach are kept, rounded to
+    complex64.  Per-element distance fields are shared across the VX that
+    use them.  Pixel blocks of about _BLOCK_PIXELS (whole grid rows, or
+    slices of one row when a row is longer) keep the working set
+    cache-resident.  Per pixel, each VX sums its records' complex64 values
+    in strict cycle order over one cycle batch, then adds the sum to its
+    complex128 image, so neither the decomposition nor the thread count can
+    change bits.  threads must be >= 1; at most as many workers run as the
+    process has CPUs.  Pixel ranges beyond the profile extent contribute
+    zero.  Raises ConfigError when a partial sum is beyond float32's range,
+    as a profile bin beyond it makes one.
     """
     if interpolation not in INTERPOLATIONS:
         raise ConfigError(f"unknown interpolation {interpolation!r}; expected one of {INTERPOLATIONS}")
     if not np.isfinite(image_height_m):
         raise ConfigError(f"image_height_m must be finite, got {image_height_m!r}")
+    if not threads >= 1:
+        raise ConfigError(f"threads must be >= 1, got {threads!r}")
+    taps, n_padded, bin_spacing_m = _range_setup(capture.config, oversample_factor, window)
     sel, center_pose, _ = _select_aperture(capture, aperture)
     array = capture.array
     slot = array.vx_index(capture.tx[sel], capture.rx[sel])
-    if vx_index is not None:
-        sel = sel[slot == vx_index]
-        if not sel.size:
-            raise DomainError(f"aperture contains no pulses for VX {vx_index}")
-        slot = np.zeros(sel.size, dtype=np.intp)
     # group by TDM cycle, keeping time order within each cycle
     order = np.argsort(capture.cycle[sel], kind="stable")
     sel, slot = sel[order], slot[order]
@@ -443,7 +465,7 @@ def _backproject(
     u, v = grid.u_centers(), grid.v_centers()
     pz = center_pose.position[2] + image_height_m
     n_v = v.shape[0]
-    images = np.zeros((1 if vx_index is not None else array.n_vx, u.shape[0] * n_v), dtype=np.complex128)
+    images = np.zeros((array.n_vx, u.shape[0] * n_v), dtype=np.complex128)
     # A record's fractional bin (d_tx + d_rx) / 2 in bins is at most the
     # farthest element's distance in bins, reach; both round monotonically,
     # so no bin past floor(reach) + 1 is read by linear interpolation, nor
@@ -492,17 +514,19 @@ def _backproject(
                 partial[slot_list[r]] += value
         overflowed = np.isinf(partial.view(np.float32)).any(axis=1)
         if overflowed.any():
-            vx = int(np.argmax(overflowed)) if vx_index is None else vx_index
-            raise ConfigError(f"VX {vx} image holds pixels beyond float32 range")
+            raise ConfigError(f"VX {int(np.argmax(overflowed))} image holds pixels beyond float32 range")
         images[:, pixels] += partial
 
+    # workers beyond the CPUs add no speed, and each would cost a thread and
+    # a pixel block of its own
+    workers = int(min(threads, _available_cpus()))
     n_blocks = -(-images.shape[1] // _BLOCK_PIXELS)
-    blocks = _pixel_blocks(u.shape[0], n_v, max(threads, n_blocks))
-    pool = ThreadPoolExecutor(max_workers=min(int(threads), len(blocks))) if threads > 1 and len(blocks) > 1 else None
+    blocks = _pixel_blocks(u.shape[0], n_v, max(workers, n_blocks))
+    pool = ThreadPoolExecutor(max_workers=min(workers, len(blocks))) if workers > 1 and len(blocks) > 1 else None
     try:
         for c_lo in range(0, len(starts), _CYCLE_BATCH):
             c_hi = min(c_lo + _CYCLE_BATCH, len(starts))
-            rows = profile_rows(sel[bounds[c_lo] : bounds[c_hi]])
+            rows = _compress(capture.samples[sel[bounds[c_lo] : bounds[c_hi]]], taps, n_padded)
             last_bin = rows.shape[1] - 1
             if keep_bins < rows.shape[1]:
                 rows = rows[:, : int(keep_bins)]
@@ -517,64 +541,10 @@ def _backproject(
     finally:
         if pool is not None:
             pool.shutdown()
-    return images, center_pose
-
-
-def backproject(
-    profiles: RangeProfileSet,
-    vx_index: int,
-    grid: ImageGrid,
-    aperture: Aperture,
-    *,
-    image_height_m: float = 0.0,
-    interpolation: str = "linear",
-    threads: int = 1,
-) -> np.ndarray:
-    """Backproject one virtual element's pulses onto the grid.
-
-    The image plane sits at image_height_m relative to the phase-center
-    height (default 0: the sensor plane).  Pixel ranges beyond the profile
-    extent contribute zero.  Accumulation over pulses is sequential per
-    pixel, so results do not depend on the thread count.
-    """
-    capture = profiles.capture
-    if not 0 <= vx_index < capture.array.n_vx:
-        raise DomainError(f"vx_index {vx_index} not in array of {capture.array.n_vx} VX")
-    images, _ = _backproject(
-        capture, grid, aperture, profiles.bin_spacing_m, lambda idx: profiles.profiles[idx],
-        interpolation=interpolation, image_height_m=image_height_m, threads=threads,
-        vx_index=vx_index,
-    )
-    return images[0].reshape(grid.n_u, grid.n_v)
-
-
-def image_stack(
-    capture: RawCapture,
-    grid: ImageGrid,
-    aperture: Aperture,
-    *,
-    oversample_factor: int = 4,
-    window: str = "rectangular",
-    interpolation: str = "linear",
-    image_height_m: float = 0.0,
-    threads: int = 1,
-) -> SarImageStack:
-    """Form one backprojected image per virtual element.
-
-    The same kernel as backproject, with range compression streamed one
-    batch of cycles at a time (which keeps memory flat) and per-element
-    distance fields shared across the VX that use them.
-    """
-    taps, n_padded, bin_spacing = _range_setup(capture.config, oversample_factor, window)
-    images, center_pose = _backproject(
-        capture, grid, aperture, bin_spacing,
-        lambda idx: _compress(capture.samples[idx], taps, n_padded),
-        interpolation=interpolation, image_height_m=image_height_m, threads=threads,
-    )
     return SarImageStack(
         grid=grid,
-        array=capture.array,
-        images=images.reshape(capture.array.n_vx, grid.n_u, grid.n_v),
+        array=array,
+        images=images.reshape(array.n_vx, grid.n_u, grid.n_v),
         phase_center=center_pose.position,
         aperture_length_m=aperture.length_m,
         wavelength_m=derive_chirp_params(capture.config).wavelength_m,

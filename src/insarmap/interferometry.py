@@ -112,16 +112,6 @@ def _check_plane(grid: ImageGrid, name: str, plane: np.ndarray) -> None:
         raise ConfigError(f"{name} plane shape {np.shape(plane)} does not match the {grid.n_u}x{grid.n_v} grid")
 
 
-@dataclass(frozen=True)
-class InterferogramPixel:
-    """Scalar view of one interferogram pixel."""
-
-    mean_phase_delay: float  # radians in (-pi, pi]
-    circular_variance: float  # [0, 1]
-    combined_magnitude: float
-    snr_db: float
-
-
 @dataclass(frozen=True, eq=False)
 class InterferogramGrid:
     """Per-pixel interferometric measurements on an image grid.
@@ -151,14 +141,6 @@ class InterferogramGrid:
         for name, plane in planes.items():
             if not np.isfinite(plane).all():
                 raise ConfigError(f"{name} plane holds non-finite values")
-
-    def pixel(self, iu: int, iv: int) -> InterferogramPixel:
-        return InterferogramPixel(
-            mean_phase_delay=float(self.mean_phase_delay[iu, iv]),
-            circular_variance=float(self.circular_variance[iu, iv]),
-            combined_magnitude=float(self.combined_magnitude[iu, iv]),
-            snr_db=float(self.snr_db[iu, iv]),
-        )
 
 
 def snr_map(magnitude: np.ndarray) -> np.ndarray:

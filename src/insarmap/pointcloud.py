@@ -87,18 +87,6 @@ def spherical_to_cartesian(r: float, theta: float, phi: float):
 
 
 @dataclass(frozen=True)
-class CloudPoint:
-    """One de-projected point with its quality attributes."""
-
-    x: float
-    y: float
-    z: float
-    intensity: float
-    snr_db: float
-    circular_variance: float
-
-
-@dataclass(frozen=True)
 class FilterStats:
     """Per-predicate accounting over all grid pixels."""
 
@@ -121,16 +109,6 @@ class ElevationPointCloud:
 
     def __len__(self) -> int:
         return self.x.shape[0]
-
-    def point(self, i: int) -> CloudPoint:
-        return CloudPoint(
-            x=float(self.x[i]),
-            y=float(self.y[i]),
-            z=float(self.z[i]),
-            intensity=float(self.intensity[i]),
-            snr_db=float(self.snr_db[i]),
-            circular_variance=float(self.circular_variance[i]),
-        )
 
 
 def _wrap_angle(a: np.ndarray) -> np.ndarray:

@@ -121,9 +121,8 @@ class TestCriterion3AzimuthPointResponse:
         traj = make_rail_trajectory(self.SPEED, 0.11, 0.9, margin_s=cfg.pri_s)
         scene = im.Scene((im.PointTarget(np.array([0.0, 10.0, 0.9]), 1.0),))
         capture = im.synthesize_capture(scene, traj, cfg, array)
-        profiles = im.range_compress(capture)
         grid = im.ImageGrid(np.array([-0.54, 9.58]), np.array([1.08, 0.84]), 0.04)
-        img = im.backproject(profiles, 0, grid, im.Aperture(1.0), threads=2)
+        img = im.image_stack(capture, grid, im.Aperture(1.0), threads=2).images[0]
 
         mag = np.abs(img)
         iu, iv = np.unravel_index(np.argmax(mag), mag.shape)
@@ -225,8 +224,7 @@ class TestCriterion6BackprojectionOracle:
         )
         grid = im.ImageGrid(np.array([-4.0, 4.0]), np.array([8.0, 8.0]), 0.25)
         aperture = im.Aperture(1.0)
-        profiles = im.range_compress(capture, oversample_factor=8)
-        img = im.backproject(profiles, 0, grid, aperture, interpolation="sinc")
+        img = im.image_stack(capture, grid, aperture, oversample_factor=8, interpolation="sinc").images[0]
 
         sel, center, _ = _select_aperture(capture, aperture)
         n = np.arange(cfg.samples_per_chirp)

@@ -567,6 +567,31 @@ def test_oversized_grid_is_a_config_error(workdir, capsys, extent):
     assert not (out / "stack.insarimg").exists()
 
 
+@pytest.mark.parametrize("factor", ["1000000000", "1e300"])
+def test_oversized_oversample_factor_is_a_config_error(workdir, capsys, factor):
+    # both used to exit 1, refused by numpy before any memory was touched:
+    # 1e9 as an allocation of TiB, 1e300 as "Maximum allowed dimension
+    # exceeded"
+    (workdir / "big.cfg").write_text(CONFIG + f"oversample_factor = {factor}\n")
+    out, code = run_pipeline(workdir, workdir / "big.cfg")
+    assert code == 2
+    assert "range profiles longer than the cap" in capsys.readouterr().err
+    assert not (out / "stack.insarimg").exists()
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_threads_below_one_is_a_config_error(workdir, capsys, threads):
+    # used to exit 0, imaging serially
+    out = workdir / "run"
+    code = cli.main(
+        ["--threads", threads, "pipeline", str(workdir / "scene.csv"), str(workdir / "traj.csv"),
+         "--config", str(workdir / "radar.cfg"), "--out-dir", str(out)]
+    )
+    assert code == 2
+    assert "threads must be >= 1" in capsys.readouterr().err
+    assert not (out / "stack.insarimg").exists()
+
+
 # Hostile config values and CSV cells: text that is not a number, NaN,
 # +-inf, 1e+-300, 1e39 (finite, but beyond float32), and values of the
 # wrong shape.

@@ -80,6 +80,8 @@ class TestRangeCompress:
             im.range_compress(small_e2e["capture"], oversample_factor=1)
         with pytest.raises(ConfigError):
             im.range_compress(small_e2e["capture"], window="blackman")
+        with pytest.raises(ConfigError, match="cap of"):
+            im.range_compress(small_e2e["capture"], oversample_factor=10**9)
 
 
 class TestBackproject:
@@ -87,11 +89,10 @@ class TestBackproject:
         cfg = im.ChirpConfig(77.4e9, 30e12, 256, 18.75e6, 191.7e-6, 256, 1)
         scene = im.Scene((im.PointTarget(np.array([0.0, 10.0, 0.0]), 1.0),))
         cap = monostatic_capture(cfg, scene, speed=5.0, t_half=0.105)
-        prof = im.range_compress(cap)
         # grid aligned so the target sits on a pixel center: the azimuth
         # mainlobe (~2 cm here) is narrower than the 4 cm pixel pitch
         grid = im.ImageGrid(np.array([-1.02, 9.02]), np.array([2.0, 2.0]), 0.04)
-        img = im.backproject(prof, 0, grid, im.Aperture(1.0))
+        img = im.image_stack(cap, grid, im.Aperture(1.0)).images[0]
         iu, iv = np.unravel_index(np.argmax(np.abs(img)), img.shape)
         # within one pixel of truth (the range mainlobe spans ~9 pixels, so
         # interpolation straddle may move the peak by one pixel in v)
@@ -105,21 +106,16 @@ class TestBackproject:
         for amp in (1.0, 2.0):
             scene = im.Scene((im.PointTarget(np.array([0.0, 4.5, 0.0]), amp),))
             cap = monostatic_capture(cfg, scene, speed=2.0, t_half=0.02)
-            prof = im.range_compress(cap)
-            imgs.append(im.backproject(prof, 0, grid, im.Aperture(0.1)))
+            imgs.append(im.image_stack(cap, grid, im.Aperture(0.1)).images[0])
         assert np.allclose(imgs[1], 2 * imgs[0], rtol=1e-12, atol=0)
 
     def test_empty_aperture_rejected(self, small_e2e):
-        prof = im.range_compress(small_e2e["capture"])
         with pytest.raises(DomainError):
-            im.backproject(
-                prof,
-                0,
+            im.image_stack(
+                small_e2e["capture"],
                 small_e2e["grid"],
                 im.Aperture(length_m=1.0, center_time_s=1e6),
             )
-        with pytest.raises(DomainError):
-            im.backproject(prof, 99, small_e2e["grid"], small_e2e["aperture"])
 
     def test_elevated_target_peaks_at_slant_range(self):
         # projection effect: peak lands at slant range, not ground range
@@ -127,29 +123,56 @@ class TestBackproject:
         target = np.array([0.0, 4.0, 1.5])  # slant 4.272 m from sensor plane
         scene = im.Scene((im.PointTarget(target, 1.0),))
         cap = monostatic_capture(cfg, scene, speed=5.0, t_half=0.055)
-        prof = im.range_compress(cap)
         grid = im.ImageGrid(np.array([-0.3, 3.5]), np.array([0.6, 1.4]), 0.04)
-        img = im.backproject(prof, 0, grid, im.Aperture(0.5))
+        img = im.image_stack(cap, grid, im.Aperture(0.5)).images[0]
         iu, iv = np.unravel_index(np.argmax(np.abs(img)), img.shape)
         slant = np.linalg.norm(target)
         assert abs(grid.v_centers()[iv] - slant) <= 0.04
         assert abs(grid.v_centers()[iv] - 4.0) > 0.2
 
     def test_threads_do_not_change_bits(self, small_e2e):
-        prof = im.range_compress(small_e2e["capture"])
-        a = im.backproject(prof, 3, small_e2e["grid"], small_e2e["aperture"], threads=1)
-        b = im.backproject(prof, 3, small_e2e["grid"], small_e2e["aperture"], threads=2)
-        assert np.array_equal(a, b)
+        a = im.image_stack(small_e2e["capture"], small_e2e["grid"], small_e2e["aperture"], threads=1)
+        b = im.image_stack(small_e2e["capture"], small_e2e["grid"], small_e2e["aperture"], threads=2)
+        assert np.array_equal(a.images, b.images)
+
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_threads_below_one_rejected(self, small_e2e, threads):
+        with pytest.raises(ConfigError, match="threads must be >= 1"):
+            im.image_stack(small_e2e["capture"], small_e2e["grid"], small_e2e["aperture"], threads=threads)
+
+    def test_workers_capped_at_available_cpus(self, monkeypatch):
+        # A fake pool records the workers asked for and runs its tasks
+        # serially, so no thread starts.  Uncapped, threads=100_000 would
+        # split this 10 x 10 grid into 100 one-pixel blocks and ask for 100
+        # workers.
+        asked, tasks = [], []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def map(self, fn, items):
+                tasks.append(len(items))
+                return map(fn, items)
+
+            def shutdown(self):
+                pass
+
+        monkeypatch.setattr(imaging, "ThreadPoolExecutor", SerialPool)
+        monkeypatch.setattr(imaging, "_available_cpus", lambda: 3)
+        cfg = im.ChirpConfig(77.4e9, 30e12, 64, 18.75e6, 63.9e-6, 256, 1)
+        scene = im.Scene((im.PointTarget(np.array([0.0, 4.5, 0.0]), 1.0),))
+        cap = monostatic_capture(cfg, scene, speed=2.0, t_half=0.02)
+        grid = im.ImageGrid(np.array([-0.5, 4.0]), np.array([1.0, 1.0]), 0.1)
+        serial = im.image_stack(cap, grid, im.Aperture(0.1), threads=1)
+        assert asked == []
+        many = im.image_stack(cap, grid, im.Aperture(0.1), threads=100_000)
+        assert asked == [3]
+        assert tasks and set(tasks) == {3}
+        assert many.images.tobytes() == serial.images.tobytes()
 
 
 class TestImageStack:
-    def test_stack_matches_per_vx_backprojection_bitwise(self, small_e2e):
-        stack = small_e2e["stack"]
-        prof = im.range_compress(small_e2e["capture"])
-        for k in (0, 5, 11):
-            img = im.backproject(prof, k, small_e2e["grid"], small_e2e["aperture"])
-            assert np.array_equal(stack.images[k], img)
-
     def test_stack_shape_and_phase_center(self, small_e2e):
         stack = small_e2e["stack"]
         assert stack.images.shape == (12, stack.grid.n_u, stack.grid.n_v)
@@ -235,8 +258,7 @@ class TestOracleEquivalence:
         cap = im.synthesize_capture(scene, traj, cfg, array, window)
         grid = im.ImageGrid(np.array([-4.0, 4.0]), np.array([8.0, 8.0]), 0.25)
         aperture = im.Aperture(1.0)
-        prof = im.range_compress(cap, oversample_factor=8)
-        img = im.backproject(prof, 0, grid, aperture, interpolation="sinc")
+        img = im.image_stack(cap, grid, aperture, oversample_factor=8, interpolation="sinc").images[0]
 
         sel, center, _ = _select_aperture(cap, aperture)
         n = np.arange(cfg.samples_per_chirp)
@@ -393,10 +415,9 @@ class TestInterpolation:
         max_range = im.derive_chirp_params(cfg).max_range_m
         scene = im.Scene((im.PointTarget(np.array([0.0, 92.0, 0.0]), 1.0),))
         cap = im.add_noise(monostatic_capture(cfg, scene, speed=1.0, t_half=0.002), 10.0, seed=4)
-        profiles = im.range_compress(cap)
         for origin in ((-0.5, max_range - 2.0), (1e20, 0.0)):
             grid = im.ImageGrid(np.array(origin), np.array([1.0, 4.0]), 0.1)
-            img = im.backproject(profiles, 0, grid, im.Aperture(0.004), interpolation=interpolation)
+            img = im.image_stack(cap, grid, im.Aperture(0.004), interpolation=interpolation).images[0]
             # pixel ranges from the sensor, which moves along x at the origin
             r = np.hypot(*np.meshgrid(grid.u_centers(), grid.v_centers(), indexing="ij"))
             assert np.all(img[r > max_range + 0.1] == 0)

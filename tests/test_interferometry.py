@@ -234,12 +234,6 @@ class TestCombineBaselines:
             assert emap.interferogram.circular_variance[iu, iv] < 0.01
             assert emap.interferogram.snr_db[iu, iv] > 15.0
 
-    def test_interferogram_pixel_accessor(self, small_e2e):
-        intf = small_e2e["map"].interferogram
-        px = intf.pixel(3, 4)
-        assert px.mean_phase_delay == pytest.approx(float(intf.mean_phase_delay[3, 4]))
-        assert 0.0 <= px.circular_variance <= 1.0
-
 
 class TestMapValues:
     def planes(self, small_e2e, **changes):

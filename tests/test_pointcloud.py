@@ -277,10 +277,3 @@ class TestPcdIo:
         lines = path.read_text().splitlines()
         assert lines[0] == "x,y,z,intensity,snr_db,circ_var"
         assert len(lines) == 11
-
-    def test_point_accessor(self):
-        rng = np.random.default_rng(4)
-        cloud = self.make_cloud(5, rng)
-        p = cloud.point(2)
-        assert p.x == cloud.x[2]
-        assert p.circular_variance == cloud.circular_variance[2]
