@@ -42,16 +42,20 @@ a non-finite carrier, is left to SarImageStack's finiteness check.
 Pixel blocks are whole grid rows, or slices of one row when a row is
 longer than a block, so each element's squared distance is the outer sum
 of per-row and per-column squares plus the height term, the same
-operations in the same order as a per-pixel sum.  Range profiles are
-cut after the last bin any pixel of the grid can reach, plus the sinc
-half-width and a margin, so the first differences and the interpolation
-read only the bins in use.  Linear interpolation uses the slope form
+operations in the same order as a per-pixel sum.  Each TDM cycle
+evaluates the distance and phasor fields of every distinct element in
+one pass over (elements, pixels), into work buffers that a pixel block
+reuses for all its cycles and records.  Range profiles are cut after the
+last bin any pixel of the grid can reach, plus the sinc half-width and a
+margin, so the first differences and the interpolation read only the
+bins in use.  Linear interpolation uses the slope form
 P[i] + (P[i+1] - P[i])*w, with the differences taken once per batch of
-cycles.  Sinc interpolation reads its tap weights from one table over
+cycles and the weight rounded straight to complex64, without a cast
+buffer.  Sinc interpolation reads its tap weights from one table over
 the fractional bin.  Pixels whose range lies beyond the profile extent
 contribute zero; whether any pixel of a pixel block can be that far is
-checked once per block and cycle batch, and only such blocks pay for the
-clamping.
+checked once per block and cycle batch, and only such blocks clamp the
+fractional bins and their integer parts.
 """
 
 from __future__ import annotations
@@ -209,7 +213,11 @@ class SarImageStack:
 
 def _range_setup(cfg, oversample_factor, window: str):
     """Validated (window taps, padded length, bin spacing in m)."""
-    if int(oversample_factor) != oversample_factor or oversample_factor < 2:
+    try:
+        whole = int(oversample_factor) == oversample_factor
+    except (TypeError, ValueError, OverflowError):  # int() of None, NaN or inf
+        whole = False
+    if not whole or oversample_factor < 2:
         raise ConfigError(f"oversample_factor must be an integer >= 2, got {oversample_factor!r}")
     if window not in WINDOWS:
         raise ConfigError(f"unknown window {window!r}; expected one of {WINDOWS}")
@@ -280,18 +288,27 @@ def _select_aperture(capture: RawCapture, aperture: Aperture):
     return keep, center_pose, u_hat
 
 
-def _interp_linear(profile: np.ndarray, slope: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Linear interpolation at fractional bin positions 0 <= q <= last bin,
-    in slope form profile[i] + slope[i] * w with slope = np.diff(profile)
-    and the weight w = q - i rounded to the tables' real dtype (float32 for
-    the kernel's complex64 tables).  The kernel clamps queries past the
-    last bin and zeroes their values."""
-    i0 = q.astype(np.intp)  # truncation == floor for non-negative q
-    np.minimum(i0, slope.shape[0] - 1, out=i0)
-    w = (q - i0).astype(slope.real.dtype, copy=False)
-    out = np.take(slope, i0)
+def _interp_linear(profile, slope, q, clamp: bool, work, out):
+    """Linear interpolation at fractional bin positions q >= 0 into out, in
+    slope form profile[i] + slope[i] * w with slope = np.diff(profile),
+    i = trunc(q) and w = q - i rounded to the tables' dtype (complex64 for
+    the kernel, the rounding numpy gives a float32 factor of a complex64
+    product).  work holds q-shaped float64, intp and table-dtype buffers.
+    Unclamped, every q must be below len(slope).  Clamped, q may reach the
+    last bin, len(slope): the integer part is clamped to len(slope) - 1,
+    so the last bin reads w = 1 of the last slope.  The kernel clamps
+    queries past the last bin to it and zeroes their values."""
+    f, i, w = work
+    np.trunc(q, out=f)
+    if clamp:
+        np.minimum(f, slope.shape[0] - 1, out=f)
+    np.copyto(i, f, casting="unsafe")
+    np.subtract(q, f, out=f)
+    np.copyto(w, f)
+    # mode="clip" lets take write to out unbuffered; i is in range already
+    slope.take(i, out=out, mode="clip")
     out *= w
-    out += np.take(profile, i0)
+    out += profile.take(i, out=w, mode="clip")
     return out
 
 
@@ -337,36 +354,27 @@ def _interp_sinc(profile: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.sum(np.where(inside, np.take(profile, idx), 0.0) * weights, axis=1)
 
 
-def _carrier_phasor(d: np.ndarray, k_carrier: float) -> np.ndarray:
+def _carrier_phasor(d: np.ndarray, k_carrier: float, out=None, work=None) -> np.ndarray:
     """exp(-j*k_carrier*d) in complex64, to within 1e-6 for d up to 100 m
-    (1.9e-7 measured).
+    (1.9e-7 measured), into out; out and work (float64 and float32 buffers
+    of d's shape) are allocated when not given.
 
     The phase is range-reduced in float64 (d in carrier wavelengths, minus
     the nearest whole number), so only the reduced phase in [-pi, pi] is
     rounded to float32, where numpy's cos and sin run vectorized.  A scalar
     complex exp of the ~1e4 rad phase is about ten times slower.
     """
-    waves = d * (k_carrier / (2.0 * np.pi))
-    waves -= np.rint(waves)
-    theta = (waves * (-2.0 * np.pi)).astype(np.float32)
-    phasor = np.empty(d.shape, dtype=np.complex64)
-    phasor.real = np.cos(theta)
-    phasor.imag = np.sin(theta)
-    return phasor
-
-
-def _element_field(world: np.ndarray, pu, pv, pz, k_carrier, half_inv_bin):
-    """Each pixel's distance d from an element at world, times half_inv_bin
-    (so that a record's fractional bin is the sum of its two legs), plus the
-    one-leg carrier phasor exp(-j*k*d).  The pixels are the grid rows at u
-    centers pu, each over the v centers pv, u-major; d is
-    sqrt(((u - x)**2 + (v - y)**2) + (pz - z)**2) per pixel."""
-    d = np.add.outer((pu - world[0]) ** 2, (pv - world[1]) ** 2).reshape(-1)
-    d += (pz - world[2]) ** 2
-    np.sqrt(d, out=d)
-    phasor = _carrier_phasor(d, k_carrier)
-    d *= half_inv_bin
-    return d, phasor
+    if out is None:
+        out = np.empty(d.shape, dtype=np.complex64)
+    waves, theta = work if work is not None else (np.empty(d.shape), np.empty(d.shape, dtype=np.float32))
+    np.multiply(d, k_carrier / (2.0 * np.pi), out=waves)
+    # out's bytes hold the nearest whole numbers until cos and sin fill it
+    waves -= np.rint(waves, out=out.view(np.float64))
+    waves *= -2.0 * np.pi
+    np.copyto(theta, waves, casting="same_kind")
+    np.cos(theta, out=out.real)
+    np.sin(theta, out=out.imag)
+    return out
 
 
 def _farthest(points: np.ndarray, px, py, pz) -> float:
@@ -420,16 +428,18 @@ def image_stack(
     height (default 0: the sensor plane).  Range compression is streamed
     one batch of _CYCLE_BATCH cycles at a time, which bounds the profile
     memory, and only the bins the grid can reach are kept, rounded to
-    complex64.  Per-element distance fields are shared across the VX that
-    use them.  Pixel blocks of about _BLOCK_PIXELS (whole grid rows, or
+    complex64.  Pixel blocks of about _BLOCK_PIXELS (whole grid rows, or
     slices of one row when a row is longer) keep the working set
-    cache-resident.  Per pixel, each VX sums its records' complex64 values
-    in strict cycle order over one cycle batch, then adds the sum to its
+    cache-resident.  Per block and cycle, one pass evaluates the distance
+    and phasor fields of every distinct element, which the VX that use
+    them share.  Per pixel, each VX sums its records' complex64 values in
+    strict cycle order over one cycle batch, then adds the sum to its
     complex128 image, so neither the decomposition nor the thread count can
     change bits.  threads must be >= 1; at most as many workers run as the
     process has CPUs.  Pixel ranges beyond the profile extent contribute
-    zero.  Raises ConfigError when a partial sum is beyond float32's range,
-    as a profile bin beyond it makes one.
+    zero; only blocks that can reach past it clamp.  Raises ConfigError
+    when a partial sum is beyond float32's range, as a profile bin beyond
+    it makes one.
     """
     if interpolation not in INTERPOLATIONS:
         raise ConfigError(f"unknown interpolation {interpolation!r}; expected one of {INTERPOLATIONS}")
@@ -483,35 +493,50 @@ def image_stack(
         bu, bv = u[u_lo:u_hi], v[v_lo:v_hi]
         pixels = slice(u_lo * n_v + v_lo, (u_hi - 1) * n_v + v_hi)
         # When the block's farthest bin is inside the full profile (with
-        # 1e-6 bins to spare for rounding), no pixel of it needs the
-        # beyond-the-extent zeroing.
+        # 1e-6 bins to spare for rounding), no pixel of it needs clamping or
+        # zeroing, and no bin index passes the last kept slope.
         in_extent = _farthest(world[c_lo:c_hi], bu, bv, pz) * inv_bin < last_bin - 1e-6
         base = bounds[c_lo]
+        n_px = pixels.stop - pixels.start
         # each VX's values over this cycle batch, at most _CYCLE_BATCH per VX
-        partial = np.zeros((images.shape[0], pixels.stop - pixels.start), dtype=np.complex64)
+        partial = np.zeros((images.shape[0], n_px), dtype=np.complex64)
+        # buffers reused by every cycle: each element's distance (then in
+        # half bins) and phasor; and by every record
+        dist = np.empty((len(offsets), n_px))
+        phasor = np.empty(dist.shape, dtype=np.complex64)
+        phase_work = (np.empty(dist.shape), np.empty(dist.shape, dtype=np.float32))
+        q, beyond, value = np.empty(n_px), np.empty(n_px, dtype=bool), np.empty(n_px, dtype=np.complex64)
+        work = (np.empty(n_px), np.empty(n_px, dtype=np.intp), np.empty(n_px, dtype=np.complex64))
         for c in range(c_lo, c_hi):
-            fields: list = [None] * len(offsets)
+            # every element's field at once: the same operations in the same
+            # order as sqrt(((u - x)**2 + (v - y)**2) + (pz - z)**2) per pixel
+            xyz = world[c]
+            np.add(
+                ((bu - xyz[:, :1]) ** 2)[:, :, None],
+                ((bv - xyz[:, 1:2]) ** 2)[:, None, :],
+                out=dist.reshape(-1, bu.shape[0], bv.shape[0]),
+            )
+            dist += (pz - xyz[:, 2:]) ** 2
+            np.sqrt(dist, out=dist)
+            _carrier_phasor(dist, k_carrier, phasor, phase_work)
+            dist *= half_inv_bin
             for r in range(bounds[c], bounds[c + 1]):
                 t, s = tx_list[r], rx_list[r]
-                if fields[t] is None:
-                    fields[t] = _element_field(world[c, t], bu, bv, pz, k_carrier, half_inv_bin)
-                if fields[s] is None:
-                    fields[s] = _element_field(world[c, s], bu, bv, pz, k_carrier, half_inv_bin)
-                (q_t, ph_t), (q_r, ph_r) = fields[t], fields[s]
-                q = q_t + q_r
+                np.add(dist[t], dist[s], out=q)
                 if not in_extent:
-                    # clamped first: a far pixel's bin can overflow an index
-                    beyond = q > last_bin
-                    q[beyond] = last_bin
+                    # clamped first: a far pixel's bin can overflow an index;
+                    # _interp_linear clamps the integer part too
+                    np.greater(q, last_bin, out=beyond)
+                    np.minimum(q, last_bin, out=q)
                 if linear:
-                    value = _interp_linear(rows[r - base], slopes[r - base], q)
+                    out = _interp_linear(rows[r - base], slopes[r - base], q, not in_extent, work, value)
                 else:
-                    value = _interp_sinc(rows[r - base], q)
-                value *= ph_t
-                value *= ph_r
+                    out = _interp_sinc(rows[r - base], q)
+                out *= phasor[t]
+                out *= phasor[s]
                 if not in_extent:
-                    value[beyond] = 0.0
-                partial[slot_list[r]] += value
+                    out[beyond] = 0.0
+                partial[slot_list[r]] += out
         overflowed = np.isinf(partial.view(np.float32)).any(axis=1)
         if overflowed.any():
             raise ConfigError(f"VX {int(np.argmax(overflowed))} image holds pixels beyond float32 range")

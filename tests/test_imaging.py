@@ -78,6 +78,14 @@ class TestRangeCompress:
     def test_bad_oversample_rejected(self, small_e2e):
         with pytest.raises(ConfigError):
             im.range_compress(small_e2e["capture"], oversample_factor=1)
+        # non-finite factors are refused before int() can raise on them
+        for factor in (float("inf"), float("nan")):
+            with pytest.raises(ConfigError, match="oversample_factor"):
+                im.range_compress(small_e2e["capture"], oversample_factor=factor)
+            with pytest.raises(ConfigError, match="oversample_factor"):
+                im.image_stack(
+                    small_e2e["capture"], small_e2e["grid"], small_e2e["aperture"], oversample_factor=factor
+                )
         with pytest.raises(ConfigError):
             im.range_compress(small_e2e["capture"], window="blackman")
         with pytest.raises(ConfigError, match="cap of"):
@@ -400,12 +408,27 @@ class TestInterpolation:
     def test_slope_form_equals_two_point_form(self):
         rng = np.random.default_rng(5)
         profile = rng.standard_normal(300) + 1j * rng.standard_normal(300)
+        slope = np.diff(profile)
         q = np.r_[rng.uniform(0.0, 299.0, 5000), 0.0, 298.0, 298.5, 299.0]
+
+        def interp(q, clamp):
+            # complex128 tables and buffers, so the slope form is compared
+            # in double precision
+            work = (np.empty(q.size), np.empty(q.size, dtype=np.intp), np.empty(q.size, dtype=complex))
+            return imaging._interp_linear(profile, slope, q, clamp, work, np.empty(q.size, dtype=complex))
+
         i0 = np.minimum(np.floor(q).astype(int), 298)
         w = q - i0
         two_point = profile[i0] * (1.0 - w) + profile[i0 + 1] * w
-        slope_form = imaging._interp_linear(profile, np.diff(profile), q)
-        assert np.allclose(slope_form, two_point, rtol=0, atol=1e-14 * np.abs(profile).max())
+        clamped = interp(q, clamp=True)
+        assert np.allclose(clamped, two_point, rtol=0, atol=1e-14 * np.abs(profile).max())
+        # the last bin reads w = 1 of the last slope: P[last]
+        assert q[-1] == 299.0
+        assert clamped[-1] == profile[298] + slope[298]
+        assert clamped[-1] == pytest.approx(profile[-1], rel=0, abs=1e-14 * np.abs(profile).max())
+        # up to the bin before the last, the clamp changes no bit
+        below = q <= 298.0
+        assert interp(q[below], clamp=False).tobytes() == clamped[below].tobytes()
 
     @pytest.mark.parametrize("interpolation", ["linear", "sinc"])
     def test_pixels_beyond_profile_extent_are_zero(self, interpolation):
@@ -518,20 +541,32 @@ class TestKernelOracle:
     complex64 partial sums run per pixel, VX and cycle batch."""
 
     @pytest.fixture(scope="class")
-    def capture(self, small_chirp):
-        cfg = dataclasses.replace(small_chirp, samples_per_chirp=64)
-        array = im.default_virtual_array(im.derive_chirp_params(cfg).wavelength_m)
-        max_range = im.derive_chirp_params(cfg).max_range_m
-        scene = im.Scene(
+    def config(self, small_chirp):
+        return dataclasses.replace(small_chirp, samples_per_chirp=64)
+
+    @pytest.fixture(scope="class")
+    def scene(self, config):
+        max_range = im.derive_chirp_params(config).max_range_m
+        return im.Scene(
             (
                 im.PointTarget(np.array([0.1, 3.6, 0.9]), 1.0),
                 im.PointTarget(np.array([-0.2, 4.1, 0.2]), 0.8),
                 im.PointTarget(np.array([0.0, max_range - 0.6, 0.5]), 1.0),
             )
         )
+
+    @pytest.fixture(scope="class")
+    def capture(self, config, scene):
+        array = im.default_virtual_array(im.derive_chirp_params(config).wavelength_m)
         traj = make_rail_trajectory(5.0, 0.004, 0.5)
         # noise keeps every profile bin non-zero
-        return im.add_noise(im.synthesize_capture(scene, traj, cfg, array), 10.0, seed=3)
+        return im.add_noise(im.synthesize_capture(scene, traj, config, array), 10.0, seed=3)
+
+    @pytest.fixture(scope="class")
+    def monostatic(self, config, scene):
+        # TX and RX coincide, so both legs of every record read one field
+        cfg = dataclasses.replace(config, num_tx=1)
+        return im.add_noise(monostatic_capture(cfg, scene, speed=5.0, t_half=0.004, height=0.5), 10.0, seed=3)
 
     @pytest.fixture(scope="class")
     def grids(self, capture):
@@ -577,6 +612,17 @@ class TestKernelOracle:
             capture, grid, im.Aperture(0.03), interpolation=interpolation, image_height_m=height, threads=threads
         )
         oracle = oracles[(grid_name, interpolation)]
+        assert np.count_nonzero(oracle) > oracle.size // 2
+        assert oracle.all() == (grid_name == "near")
+        assert stack.images.tobytes() == oracle.tobytes()
+
+    @pytest.mark.parametrize("interpolation", INTERPOLATIONS)
+    @pytest.mark.parametrize("grid_name", ["near", "straddle"])
+    def test_monostatic_stack_equals_per_record_loop(self, monostatic, grids, grid_name, interpolation):
+        grid, height = grids[grid_name]
+        assert monostatic.array.n_vx == 1
+        stack = im.image_stack(monostatic, grid, im.Aperture(0.03), interpolation=interpolation, image_height_m=height)
+        oracle = oracle_stack(monostatic, grid, im.Aperture(0.03), interpolation, height)
         assert np.count_nonzero(oracle) > oracle.size // 2
         assert oracle.all() == (grid_name == "near")
         assert stack.images.tobytes() == oracle.tobytes()
