@@ -32,7 +32,6 @@ from .pointcloud import (
     ElevationPointCloud,
     FilterConfig,
     filter_points,
-    pixel_to_spherical,
     read_pcd,
     spherical_to_cartesian,
     write_csv,
@@ -55,7 +54,6 @@ from .types import (
     Trajectory,
     VerticalBaseline,
     VirtualArray,
-    VirtualElement,
     build_virtual_array,
     default_virtual_array,
     derive_chirp_params,
@@ -88,7 +86,6 @@ __all__ = [
     "Trajectory",
     "VerticalBaseline",
     "VirtualArray",
-    "VirtualElement",
     "add_noise",
     "build_elevation_map",
     "build_virtual_array",
@@ -101,7 +98,6 @@ __all__ = [
     "mean_phase_delay",
     "phase_delay",
     "phase_from_elevation",
-    "pixel_to_spherical",
     "pose_at_time",
     "predicted_azimuth_resolution",
     "range_compress",

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import ast
 import csv
+import dataclasses
+import typing
 
 import numpy as np
 
@@ -21,18 +23,6 @@ from .imaging import Aperture, ImageGrid
 from .pointcloud import FilterConfig
 from .simulate import PointTarget, Scene
 from .types import ChirpConfig, Pose, Trajectory, VirtualArray, build_virtual_array, default_virtual_array
-
-CHIRP_KEYS = (
-    "center_frequency_hz",
-    "ramp_slope_hz_per_s",
-    "samples_per_chirp",
-    "sample_rate_sps",
-    "pri_s",
-    "chirps_per_tx_per_frame",
-    "num_tx",
-)
-_INT_CHIRP_KEYS = ("samples_per_chirp", "chirps_per_tx_per_frame", "num_tx")
-
 
 def _parse_value(text: str):
     text = text.strip()
@@ -91,12 +81,13 @@ def _number(cfg: dict, key: str, default=None, *, integer: bool = False, source=
 
 
 def load_chirp_config(cfg: dict, source="") -> ChirpConfig:
-    missing = [key for key in CHIRP_KEYS if key not in cfg]
+    """Every ChirpConfig field is a required key; int fields take integers."""
+    keys = [f.name for f in dataclasses.fields(ChirpConfig)]
+    missing = [key for key in keys if key not in cfg]
     if missing:
         raise ConfigError(f"{source or 'config'}: missing required key {missing[0]!r}")
-    return ChirpConfig(
-        **{key: _number(cfg, key, integer=key in _INT_CHIRP_KEYS, source=source) for key in CHIRP_KEYS}
-    )
+    hints = typing.get_type_hints(ChirpConfig)
+    return ChirpConfig(**{key: _number(cfg, key, integer=hints[key] is int, source=source) for key in keys})
 
 
 def load_virtual_array(cfg: dict, wavelength_m: float) -> VirtualArray:
@@ -141,22 +132,8 @@ def load_imaging_options(cfg: dict) -> dict:
 
 
 def load_filter_config(cfg: dict) -> FilterConfig:
-    defaults = FilterConfig()
-    return FilterConfig(
-        **{
-            key: _number(cfg, key, getattr(defaults, key))
-            for key in (
-                "snr_threshold_db",
-                "max_elevation_angle_deg",
-                "min_radius_m",
-                "front_azimuth_halfwidth_deg",
-                "front_azimuth_deg",
-                "max_circular_variance",
-                "sensor_height_m",
-            )
-        },
-        min_z_m=_number(cfg, "min_z_m"),
-    )
+    """Every FilterConfig field is an optional key with the field's default."""
+    return FilterConfig(**{f.name: _number(cfg, f.name, f.default) for f in dataclasses.fields(FilterConfig)})
 
 
 def _read_csv_rows(path, expected_header: list[str]):
@@ -201,18 +178,3 @@ def load_scene_csv(path) -> Scene:
         raise ConfigError(f"{path}: scene has no targets")
     targets = [PointTarget(position=np.array(r[0:3]), amplitude=r[3]) for r in rows]
     return Scene(targets=tuple(targets))
-
-
-def write_scene_csv(scene: Scene, path) -> None:
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("x,y,z,amplitude\n")
-        for t in scene.targets:
-            fh.write(f"{t.position[0]:.9g},{t.position[1]:.9g},{t.position[2]:.9g},{t.amplitude:.9g}\n")
-
-
-def write_trajectory_csv(traj: Trajectory, path) -> None:
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("t,x,y,z,qw,qx,qy,qz\n")
-        for p in traj.poses:
-            fields = [p.time_s, *p.position, *p.quaternion]
-            fh.write(",".join(f"{v:.12g}" for v in fields) + "\n")

@@ -53,6 +53,8 @@ FORMAT_VERSION = 1
 _CHIRP_FORMAT = "<ddIddII"
 # capture records read or written per block (about 1 MB at 512 samples per chirp)
 _BLOCK_ROWS = 256
+# write_pgm clips magnitudes this far below the image peak
+_PGM_FLOOR_DB = -60.0
 
 
 @contextmanager
@@ -340,21 +342,22 @@ def read_elevation_map(path) -> ElevationMap:
         )
 
 
-def write_pgm(image: np.ndarray, path, floor_db: float = -60.0) -> None:
+def write_pgm(image: np.ndarray, path) -> None:
     """Dump a complex image as 16-bit log-magnitude PGM for inspection.
 
-    Magnitudes are scaled to dB below the image peak, clipped at floor_db,
-    and mapped to the full 16-bit range.  Rows run along v, columns along u.
+    Magnitudes are scaled to dB below the image peak, clipped at
+    _PGM_FLOOR_DB, and mapped to the full 16-bit range.  Rows run along v,
+    columns along u.
     """
     mag = np.abs(np.asarray(image))
     peak = mag.max()
     if peak <= 0:
-        db = np.full_like(mag, floor_db, dtype=float)
+        db = np.full_like(mag, _PGM_FLOOR_DB, dtype=float)
     else:
         with np.errstate(divide="ignore"):
             db = 20.0 * np.log10(mag / peak)
-        db = np.maximum(db, floor_db)
-    scaled = np.round((db - floor_db) / (-floor_db) * 65535.0).astype(">u2")
+        db = np.maximum(db, _PGM_FLOOR_DB)
+    scaled = np.round((db - _PGM_FLOOR_DB) / (-_PGM_FLOOR_DB) * 65535.0).astype(">u2")
     scaled = scaled.T  # (n_v, n_u): image row = cross-track line
     with open(path, "wb") as fh:
         fh.write(f"P5\n{scaled.shape[1]} {scaled.shape[0]}\n65535\n".encode("ascii"))

@@ -134,11 +134,6 @@ class ImageGrid:
         object.__setattr__(self, "origin_m", origin)
         object.__setattr__(self, "extent_m", extent)
 
-    @staticmethod
-    def default(origin=(-15.0, 0.0)) -> "ImageGrid":
-        """30 m x 30 m grid at 4 cm pixels."""
-        return ImageGrid(origin_m=np.asarray(origin, float), extent_m=np.array([30.0, 30.0]), pixel_size_m=0.04)
-
     @property
     def n_u(self) -> int:
         return int(round(self.extent_m[0] / self.pixel_size_m))
@@ -257,7 +252,7 @@ def range_compress(
 
 def _select_aperture(capture: RawCapture, aperture: Aperture):
     """Pick records whose cycle pose lies within +-L/2 along-track of the
-    aperture center.  Returns (record indices, center pose, along-track unit)."""
+    aperture center.  Returns (record indices, center pose)."""
     if capture.n_records == 0:
         raise DomainError("capture is empty")
     # each cycle is anchored at the pose of its first record
@@ -285,7 +280,7 @@ def _select_aperture(capture: RawCapture, aperture: Aperture):
     keep = np.flatnonzero(along[capture.pose_index] <= aperture.length_m / 2.0)
     if not keep.size:
         raise DomainError("aperture selects no pulses")
-    return keep, center_pose, u_hat
+    return keep, center_pose
 
 
 def _interp_linear(profile, slope, q, clamp: bool, work, out):
@@ -448,7 +443,7 @@ def image_stack(
     if not threads >= 1:
         raise ConfigError(f"threads must be >= 1, got {threads!r}")
     taps, n_padded, bin_spacing_m = _range_setup(capture.config, oversample_factor, window)
-    sel, center_pose, _ = _select_aperture(capture, aperture)
+    sel, center_pose = _select_aperture(capture, aperture)
     array = capture.array
     slot = array.vx_index(capture.tx[sel], capture.rx[sel])
     # group by TDM cycle, keeping time order within each cycle

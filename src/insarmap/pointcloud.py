@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataFormatError
-from .imaging import ImageGrid
 from .interferometry import ElevationMap
 
 
@@ -46,7 +45,7 @@ class FilterConfig:
         # every other threshold must be a real number.
         if math.isnan(self.snr_threshold_db):
             raise ConfigError("FilterConfig.snr_threshold_db must not be NaN")
-        for name in ("min_radius_m", "max_circular_variance", "sensor_height_m"):
+        for name in ("min_radius_m", "front_azimuth_deg", "max_circular_variance", "sensor_height_m"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"FilterConfig.{name} must be finite")
         for name in ("max_elevation_angle_deg", "front_azimuth_halfwidth_deg"):
@@ -59,21 +58,6 @@ class FilterConfig:
     @property
     def resolved_min_z_m(self) -> float:
         return -self.sensor_height_m if self.min_z_m is None else self.min_z_m
-
-
-def pixel_to_spherical(grid: ImageGrid, iu: int, iv: int, phi: float, phase_center) -> tuple[float, float, float]:
-    """Spherical coordinates (r, theta, phi) of a pixel center.
-
-    r is the slant range from the phase center, theta the cone angle about
-    the along-track axis (atan2 of cross-track over along-track offset), and
-    phi is passed through as the interferometric elevation about that axis.
-    """
-    if not (0 <= iu < grid.n_u and 0 <= iv < grid.n_v):
-        raise ConfigError(f"pixel ({iu}, {iv}) outside {grid.n_u}x{grid.n_v} grid")
-    pc = np.asarray(phase_center, dtype=float).reshape(-1)
-    du = grid.origin_m[0] + (iu + 0.5) * grid.pixel_size_m - pc[0]
-    dv = grid.origin_m[1] + (iv + 0.5) * grid.pixel_size_m - pc[1]
-    return float(np.hypot(du, dv)), float(np.arctan2(dv, du)), float(phi)
 
 
 def spherical_to_cartesian(r: float, theta: float, phi: float):

@@ -375,7 +375,6 @@ def add_noise(
     capture: RawCapture,
     per_sample_snr_db: float,
     seed: int,
-    noise_power: float | None = None,
 ) -> RawCapture:
     """Add circularly-symmetric complex white Gaussian noise to a capture.
 
@@ -383,8 +382,7 @@ def add_noise(
     10**(snr_db/10).  An SNR of +inf, or one too large for that ratio to be
     a float, returns the capture unchanged; NaN, -inf and an SNR too small
     for it raise ConfigError.  An all-zero capture has no power to scale
-    against and raises DomainError unless an absolute noise_power override
-    is given.  Deterministic for a fixed seed.
+    against and raises DomainError.  Deterministic for a fixed seed.
     """
     if capture.n_records == 0:
         raise DomainError("capture is empty")
@@ -395,26 +393,23 @@ def add_noise(
 
     samples = capture.samples
     blocks = [slice(lo, lo + _NOISE_ROWS) for lo in range(0, capture.n_records, _NOISE_ROWS)]
-    if noise_power is None:
-        # the mean of per-row mean powers; each row's mean is independent
-        # of the other rows, so blocks give the same floats as one pass
-        row_power = np.empty(capture.n_records)
-        for rows in blocks:
-            row_power[rows] = np.mean(np.abs(samples[rows]) ** 2, axis=1)
-        mean_power = float(np.mean(row_power))
-        if mean_power == 0.0:
-            raise DomainError(
-                "capture has zero signal power; pass noise_power to add noise anyway"
-            )
-        try:
-            noise_power = mean_power / 10.0 ** (per_sample_snr_db / 10.0)
-        except OverflowError:  # about 3 080 dB and up: no noise to add
-            return capture
-        except ZeroDivisionError:
-            raise ConfigError(f"per_sample_snr_db {per_sample_snr_db!r} makes the noise infinite") from None
+    # the mean of per-row mean powers; each row's mean is independent of the
+    # other rows, so blocks give the same floats as one pass
+    row_power = np.empty(capture.n_records)
+    for rows in blocks:
+        row_power[rows] = np.mean(np.abs(samples[rows]) ** 2, axis=1)
+    mean_power = float(np.mean(row_power))
+    if mean_power == 0.0:
+        raise DomainError("capture has zero signal power")
+    try:
+        noise_variance = mean_power / 10.0 ** (per_sample_snr_db / 10.0)
+    except OverflowError:  # about 3 080 dB and up: no noise to add
+        return capture
+    except ZeroDivisionError:
+        raise ConfigError(f"per_sample_snr_db {per_sample_snr_db!r} makes the noise infinite") from None
 
     rng = np.random.default_rng(seed)
-    sigma = np.sqrt(noise_power / 2.0)
+    sigma = np.sqrt(noise_variance / 2.0)
     # Drawn one block of rows at a time, straight into the noisy array's
     # (real, imaginary) float pairs: consecutive draws continue one stream,
     # so the floats equal samples + sigma * (n[..., 0] + 1j * n[..., 1]) for

@@ -17,7 +17,7 @@ from __future__ import annotations
 import bisect
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -58,18 +58,10 @@ class ChirpConfig:
     num_tx: int
 
     def __post_init__(self) -> None:
-        for name in (
-            "center_frequency_hz",
-            "ramp_slope_hz_per_s",
-            "samples_per_chirp",
-            "sample_rate_sps",
-            "pri_s",
-            "chirps_per_tx_per_frame",
-            "num_tx",
-        ):
-            value = getattr(self, name)
+        for field in fields(self):
+            value = getattr(self, field.name)
             if not math.isfinite(float(value)) or value <= 0:
-                raise ConfigError(f"ChirpConfig.{name} must be strictly positive, got {value!r}")
+                raise ConfigError(f"ChirpConfig.{field.name} must be strictly positive, got {value!r}")
         if self.samples_per_chirp < 2:
             raise ConfigError("ChirpConfig.samples_per_chirp must be >= 2")
         if self.pulse_length_s > self.pri_s:
@@ -116,19 +108,10 @@ def derive_chirp_params(cfg: ChirpConfig) -> DerivedChirpParams:
 
 
 @dataclass(frozen=True, eq=False)
-class VirtualElement:
-    """Monostatic-equivalent phase center of one TX/RX pair."""
-
-    tx_index: int
-    rx_index: int
-    position: np.ndarray  # (3,), array frame, (tx + rx) / 2
-
-
-@dataclass(frozen=True, eq=False)
 class VerticalBaseline:
     """Pair of VX sharing horizontal position, separated vertically.
 
-    lower_vx / upper_vx index into VirtualArray.vx_elements; separation_m is
+    lower_vx / upper_vx index into VirtualArray.vx_positions; separation_m is
     the vertical VX distance d_v (always > 0).
     """
 
@@ -143,7 +126,7 @@ class VirtualArray:
 
     tx_positions: np.ndarray  # (n_tx, 3)
     rx_positions: np.ndarray  # (n_rx, 3)
-    vx_elements: tuple[VirtualElement, ...]
+    vx_positions: np.ndarray  # (n_tx * n_rx, 3), TX-major, (tx + rx) / 2
     vertical_baselines: tuple[VerticalBaseline, ...]
 
     @property
@@ -156,7 +139,7 @@ class VirtualArray:
 
     @property
     def n_vx(self) -> int:
-        return len(self.vx_elements)
+        return self.vx_positions.shape[0]
 
     def vx_index(self, tx_index: int, rx_index: int) -> int:
         return tx_index * self.n_rx + rx_index
@@ -180,18 +163,14 @@ def build_virtual_array(tx_positions, rx_positions) -> VirtualArray:
     if not (np.isfinite(tx).all() and np.isfinite(rx).all()):
         raise ConfigError("element positions must be finite")
 
-    elements = []
-    for i, t in enumerate(tx):
-        for j, r in enumerate(rx):
-            pos = 0.5 * (t + r)
-            pos.setflags(write=False)
-            elements.append(VirtualElement(tx_index=i, rx_index=j, position=pos))
+    vx = (0.5 * (tx[:, None] + rx[None, :])).reshape(-1, 3)
+    vx.setflags(write=False)
 
     baselines = []
-    for a in range(len(elements)):
-        for b in range(a + 1, len(elements)):
-            pa = elements[a].position
-            pb = elements[b].position
+    for a in range(len(vx)):
+        for b in range(a + 1, len(vx)):
+            pa = vx[a]
+            pb = vx[b]
             if (
                 abs(pa[0] - pb[0]) <= HORIZONTAL_TOL_M
                 and abs(pa[1] - pb[1]) <= HORIZONTAL_TOL_M
@@ -213,7 +192,7 @@ def build_virtual_array(tx_positions, rx_positions) -> VirtualArray:
     return VirtualArray(
         tx_positions=tx,
         rx_positions=rx,
-        vx_elements=tuple(elements),
+        vx_positions=vx,
         vertical_baselines=tuple(baselines),
     )
 

@@ -226,7 +226,7 @@ class TestCriterion6BackprojectionOracle:
         aperture = im.Aperture(1.0)
         img = im.image_stack(capture, grid, aperture, oversample_factor=8, interpolation="sinc").images[0]
 
-        sel, center, _ = _select_aperture(capture, aperture)
+        sel, center = _select_aperture(capture, aperture)
         n = np.arange(cfg.samples_per_chirp)
         worst = 0.0
         for t in targets:

@@ -425,6 +425,8 @@ def test_corrupt_header_value_is_a_format_error(workdir, capsys, artifact, offse
         "aperture_length_m = nan",
         "snr_threshold_db = high",
         "per_sample_snr_db = -inf",
+        "front_azimuth_deg = inf",
+        "front_azimuth_deg = -inf",
     ],
 )
 def test_bad_config_number_exit_code(workdir, capsys, line):

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-import insarmap as im
 from insarmap import configio
 from insarmap.errors import ConfigError
 
@@ -74,30 +73,20 @@ class TestKvParsing:
 
 class TestCsvFormats:
     def test_trajectory_round_trip(self, tmp_path):
-        traj = im.Trajectory(
-            (
-                im.Pose(0.0, np.array([0.0, 0, 1.0]), np.array([1.0, 0, 0, 0])),
-                im.Pose(0.5, np.array([2.5, 0, 1.0]), np.array([1.0, 0, 0, 0])),
-            )
-        )
         path = tmp_path / "traj.csv"
-        configio.write_trajectory_csv(traj, path)
+        path.write_text("t,x,y,z,qw,qx,qy,qz\n0,0,0,1,1,0,0,0\n0.5,2.5,0,1,1,0,0,0\n")
         back = configio.load_trajectory_csv(path)
         assert len(back.poses) == 2
-        assert back.poses[1].position == pytest.approx(traj.poses[1].position)
+        assert back.poses[1].time_s == 0.5
+        assert back.poses[1].position == pytest.approx([2.5, 0.0, 1.0])
 
     def test_scene_round_trip(self, tmp_path):
-        scene = im.Scene(
-            (
-                im.PointTarget(np.array([1.0, 2.0, 3.0]), 0.5),
-                im.PointTarget(np.array([-1.0, 4.0, 0.0]), 2.0),
-            )
-        )
         path = tmp_path / "scene.csv"
-        configio.write_scene_csv(scene, path)
+        path.write_text("x,y,z,amplitude\n1,2,3,0.5\n-1,4,0,2\n")
         back = configio.load_scene_csv(path)
         assert len(back) == 2
         assert back.targets[0].amplitude == 0.5
+        assert back.targets[1].position == pytest.approx([-1.0, 4.0, 0.0])
 
     def test_empty_scene_file_names_the_file(self, tmp_path):
         path = tmp_path / "empty.csv"

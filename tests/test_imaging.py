@@ -7,7 +7,7 @@ import pytest
 
 import insarmap as im
 from insarmap.errors import ConfigError, DomainError
-from insarmap import imaging
+from insarmap import configio, imaging
 from insarmap.imaging import INTERPOLATIONS, _select_aperture
 
 from conftest import make_rail_trajectory, peak_near
@@ -249,60 +249,6 @@ class TestImageStack:
         assert np.max(np.abs(d1[bright] - d0[bright])) <= 1e-6
 
 
-class TestOracleEquivalence:
-    def test_fbp_matches_time_domain_correlation(self):
-        # independent oracle: correlate raw samples against the model beat
-        # signal of a unit target at the pixel, no range compression involved
-        cfg = im.ChirpConfig(77.4e9, 30e12, 128, 18.75e6, 63.9e-6, 8, 1)
-        array = im.build_virtual_array([(0.0, 0, 0)], [(0.0, 0, 0)])
-        traj = make_rail_trajectory(1.0, 0.01, 0.0)
-        targets = [
-            im.PointTarget(np.array([1.0, 6.0, 0.0]), 1.0),
-            im.PointTarget(np.array([-2.0, 7.5, 0.0]), 0.7),
-            im.PointTarget(np.array([2.5, 9.0, 0.3]), 1.3),
-        ]
-        scene = im.Scene(tuple(targets))
-        window = (-0.01, -0.01 + 48 * cfg.pri_s)
-        cap = im.synthesize_capture(scene, traj, cfg, array, window)
-        grid = im.ImageGrid(np.array([-4.0, 4.0]), np.array([8.0, 8.0]), 0.25)
-        aperture = im.Aperture(1.0)
-        img = im.image_stack(cap, grid, aperture, oversample_factor=8, interpolation="sinc").images[0]
-
-        sel, center, _ = _select_aperture(cap, aperture)
-        n = np.arange(cfg.samples_per_chirp)
-        for t in targets:
-            slant = np.hypot(t.position[1] - center.position[1], t.position[2] - center.position[2])
-            iu, iv = peak_near_stackless(img, grid, t.position[0], slant)
-            pixel = np.array([grid.u_centers()[iu], grid.v_centers()[iv], center.position[2]])
-            oracle = 0.0 + 0.0j
-            for i in sel:
-                rec = cap.records[i]
-                tx_w = rec.pose.to_world(array.tx_positions[rec.tx])
-                rx_w = rec.pose.to_world(array.rx_positions[rec.rx])
-                tau = (
-                    np.linalg.norm(pixel - tx_w) + np.linalg.norm(pixel - rx_w)
-                ) / im.C_LIGHT
-                model = np.exp(
-                    2j
-                    * np.pi
-                    * (
-                        cfg.ramp_slope_hz_per_s * tau * n / cfg.sample_rate_sps
-                        + cfg.center_frequency_hz * tau
-                    )
-                )
-                oracle += np.vdot(model, rec.samples)
-            rel_err = abs(img[iu, iv] - oracle) / abs(oracle)
-            assert rel_err < 1e-3
-
-
-def peak_near_stackless(img, grid, u, v, window_m=0.6):
-    mu = np.abs(grid.u_centers() - u) <= window_m
-    mv = np.abs(grid.v_centers() - v) <= window_m
-    sub = np.abs(img)[np.ix_(mu, mv)]
-    k = np.unravel_index(np.argmax(sub), sub.shape)
-    return np.flatnonzero(mu)[k[0]], np.flatnonzero(mv)[k[1]]
-
-
 def exact_phasor(d, k_carrier):
     """The reference carrier phasor: one complex exp per element."""
     return np.exp(-1j * k_carrier * d)
@@ -455,7 +401,7 @@ def aperture_records(capture, grid, aperture, image_height_m, oversample_factor=
     beyond (those pixels read zero).  Cycle batches are runs of
     _CYCLE_BATCH cycles, as the kernel reads them."""
     profiles = im.range_compress(capture, oversample_factor)
-    sel, center, _ = _select_aperture(capture, aperture)
+    sel, center = _select_aperture(capture, aperture)
     sel = sel[np.argsort(capture.cycle[sel], kind="stable")]
     batch = np.unique(capture.cycle[sel], return_inverse=True)[1] // imaging._CYCLE_BATCH
     array = capture.array
@@ -662,7 +608,7 @@ class TestPredictedAzimuthResolution:
 
 class TestGrid:
     def test_default_grid_is_750_square(self):
-        grid = im.ImageGrid.default()
+        grid = configio.load_grid({})
         assert (grid.n_u, grid.n_v) == (750, 750)
 
     def test_subpixel_grid_rejected(self):

@@ -34,29 +34,6 @@ def synthetic_map(rng, n=24, snr_spread=30.0):
 
 
 class TestSpherical:
-    def test_pixel_straight_ahead(self):
-        grid = ImageGrid(np.array([-5.0, 0.0]), np.array([10.0, 10.0]), 0.1)
-        # pixel centered at (u, v) = (0.05, 9.95); use phase center at origin
-        r, theta, phi = im.pixel_to_spherical(grid, 50, 99, 0.0, np.zeros(3))
-        assert r == pytest.approx(np.hypot(0.05, 9.95), rel=1e-12)
-        assert theta == pytest.approx(np.arctan2(9.95, 0.05), rel=1e-12)
-        assert phi == 0.0
-
-    def test_pythagoras(self):
-        grid = ImageGrid(np.array([0.0, 0.0]), np.array([10.0, 10.0]), 1.0)
-        r, _, _ = im.pixel_to_spherical(grid, 5, 7, 0.2, np.zeros(3))
-        assert r == pytest.approx(np.hypot(5.5, 7.5), rel=1e-12)
-
-    def test_on_axis_pixel_has_zero_cone_angle(self):
-        grid = ImageGrid(np.array([0.0, -0.5]), np.array([12.0, 1.0]), 1.0)
-        r, theta, _ = im.pixel_to_spherical(grid, 9, 0, 0.0, np.zeros(3))
-        assert theta == pytest.approx(0.0, abs=1e-12)
-
-    def test_outside_grid_rejected(self):
-        grid = ImageGrid(np.array([0.0, 0.0]), np.array([2.0, 2.0]), 1.0)
-        with pytest.raises(ConfigError):
-            im.pixel_to_spherical(grid, 5, 0, 0.0, np.zeros(3))
-
     def test_cartesian_example(self):
         s = im.spherical_to_cartesian(10.0, np.radians(90), np.radians(30))
         assert s[0] == pytest.approx(0.0, abs=1e-12)
@@ -219,6 +196,10 @@ class TestFilterChain:
             im.FilterConfig(max_elevation_angle_deg=0.0)
         with pytest.raises(ConfigError):
             im.FilterConfig(front_azimuth_halfwidth_deg=120.0)
+        # a non-finite cone axis used to turn the front-cone filter off
+        for value in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ConfigError, match="front_azimuth_deg"):
+                im.FilterConfig(front_azimuth_deg=value)
 
 
 class TestPcdIo:

@@ -83,7 +83,7 @@ class TestSynthesizeCapture:
         cap = im.synthesize_capture(single_target(5.0), traj, cfg, array)
         from insarmap.imaging import _select_aperture
 
-        sel, _, _ = _select_aperture(cap, im.Aperture(length_m=1.0))
+        sel, _ = _select_aperture(cap, im.Aperture(length_m=1.0))
         cycles = {cap.records[i].cycle for i in sel}
         assert len(cycles) == 5217
 
@@ -213,9 +213,6 @@ class TestAddNoise:
         zero = dataclasses.replace(cap, samples=np.zeros_like(cap.samples))
         with pytest.raises(DomainError):
             im.add_noise(zero, 10.0, seed=0)
-        noisy = im.add_noise(zero, 10.0, seed=0, noise_power=1.0)
-        power = np.mean(np.abs(np.concatenate([r.samples for r in noisy.records])) ** 2)
-        assert power == pytest.approx(1.0, rel=0.05)
 
     @pytest.mark.parametrize("snr_db", [np.nan, -np.inf, -1e300])
     def test_snr_without_a_finite_noise_power_rejected(self, small_chirp, snr_db):

@@ -62,21 +62,21 @@ class TestBuildVirtualArray:
         lam = C / 77.4e9
         arr = im.default_virtual_array(lam)
         assert arr.n_vx == 12
-        heights = np.array([v.position[2] for v in arr.vx_elements])
+        heights = arr.vx_positions[:, 2]
         assert np.sum(heights < 1e-12) == 8
         assert np.sum(heights > 1e-12) == 4
         assert len(arr.vertical_baselines) == 4
         for b in arr.vertical_baselines:
             assert b.separation_m == pytest.approx(lam / 4, rel=1e-12)
-            lo = arr.vx_elements[b.lower_vx].position
-            hi = arr.vx_elements[b.upper_vx].position
+            lo = arr.vx_positions[b.lower_vx]
+            hi = arr.vx_positions[b.upper_vx]
             assert lo[2] < hi[2]
             assert abs(lo[0] - hi[0]) <= 1e-9 and abs(lo[1] - hi[1]) <= 1e-9
 
     def test_single_pair_at_origin(self):
         arr = im.build_virtual_array([(0.0, 0, 0)], [(0.0, 0, 0)])
         assert arr.n_vx == 1
-        assert np.allclose(arr.vx_elements[0].position, 0.0)
+        assert np.allclose(arr.vx_positions[0], 0.0)
         assert arr.vertical_baselines == ()
 
     def test_stacked_tx_pair(self):
@@ -93,15 +93,20 @@ class TestBuildVirtualArray:
         rx = rng.normal(size=(4, 3)) * 1e-3
         arr = im.build_virtual_array(tx, rx)
         assert arr.n_vx == 12
+        # each VX is its pair's midpoint, in the order vx_index gives
+        for i in range(3):
+            for j in range(4):
+                assert np.array_equal(arr.vx_positions[arr.vx_index(i, j)], 0.5 * (tx[i] + rx[j]))
+        assert not arr.vx_positions.flags.writeable
         arr_perm = im.build_virtual_array(tx[::-1], rx[::-1])
         as_set = lambda a: {
-            tuple(np.round(v.position, 12)) for v in a.vx_elements
+            tuple(np.round(v, 12)) for v in a.vx_positions
         }
         assert as_set(arr) == as_set(arr_perm)
 
         def baseline_set(a):
             return {
-                (tuple(np.round(a.vx_elements[b.lower_vx].position, 12)), round(b.separation_m, 12))
+                (tuple(np.round(a.vx_positions[b.lower_vx], 12)), round(b.separation_m, 12))
                 for b in a.vertical_baselines
             }
 
