@@ -98,7 +98,11 @@ def load_virtual_array(cfg: dict, wavelength_m: float) -> VirtualArray:
         return default_virtual_array(wavelength_m)
     if tx is None or rx is None:
         raise ConfigError("tx_positions_m and rx_positions_m must be given together")
-    return build_virtual_array(np.asarray(tx, float), np.asarray(rx, float))
+    try:
+        tx, rx = np.asarray(tx, float), np.asarray(rx, float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"bad element positions: {exc}") from exc
+    return build_virtual_array(tx, rx)
 
 
 def load_grid(cfg: dict) -> ImageGrid:
@@ -111,7 +115,7 @@ def load_grid(cfg: dict) -> ImageGrid:
             extent_m=np.asarray(extent, float).reshape(2),
             pixel_size_m=pixel,
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad grid configuration: {exc}") from exc
 
 
@@ -123,10 +127,17 @@ def load_aperture(cfg: dict) -> Aperture:
 
 
 def load_imaging_options(cfg: dict) -> dict:
+    """image_stack's keyword options.  The interpolation key may only be
+    linear, the kernel's one interpolator, as it is when absent."""
+    interpolation = cfg.get("interpolation", "linear")
+    if interpolation != "linear":
+        raise ConfigError(
+            f"interpolation must be 'linear', got {interpolation!r}; "
+            "raise oversample_factor for finer interpolation"
+        )
     return {
         "oversample_factor": _number(cfg, "oversample_factor", 4, integer=True),
         "window": str(cfg.get("range_window", "rectangular")),
-        "interpolation": str(cfg.get("interpolation", "linear")),
         "image_height_m": _number(cfg, "image_height_m", 0.0),
     }
 

@@ -46,16 +46,15 @@ operations in the same order as a per-pixel sum.  Each TDM cycle
 evaluates the distance and phasor fields of every distinct element in
 one pass over (elements, pixels), into work buffers that a pixel block
 reuses for all its cycles and records.  Range profiles are cut after the
-last bin any pixel of the grid can reach, plus the sinc half-width and a
-margin, so the first differences and the interpolation read only the
-bins in use.  Linear interpolation uses the slope form
+last bin any pixel of the grid can reach, plus a margin, so the first
+differences and the interpolation read only the bins in use.  Profiles
+are read by linear interpolation, the one interpolator, in the slope form
 P[i] + (P[i+1] - P[i])*w, with the differences taken once per batch of
 cycles and the weight rounded straight to complex64, without a cast
-buffer.  Sinc interpolation reads its tap weights from one table over
-the fractional bin.  Pixels whose range lies beyond the profile extent
-contribute zero; whether any pixel of a pixel block can be that far is
-checked once per block and cycle batch, and only such blocks clamp the
-fractional bins and their integer parts.
+buffer; a larger oversample_factor makes it finer.  Pixels whose range
+lies beyond the profile extent contribute zero; whether any pixel of a
+pixel block can be that far is checked once per block and cycle batch,
+and only such blocks clamp the fractional bins and their integer parts.
 """
 
 from __future__ import annotations
@@ -63,7 +62,6 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
 
@@ -72,16 +70,6 @@ from .simulate import RawCapture
 from .types import C_LIGHT, VirtualArray, derive_chirp_params
 
 WINDOWS = ("rectangular", "hann")
-INTERPOLATIONS = ("linear", "sinc")
-
-# Windowed-sinc interpolator: 32 taps under a continuous Kaiser window is
-# enough to keep interpolation error below ~1e-4 for profiles oversampled
-# 4x or more.  The tap weights are tabulated at _SINC_STEPS + 1 fractional
-# bins over [0, 1] and read by linear interpolation between entries, within
-# 1e-7 of the direct form (9.9e-8 measured).
-_SINC_TAPS = 32
-_SINC_BETA = 10.0
-_SINC_STEPS = 2048
 
 # image_stack tiling: pixel blocks of whole grid rows (or of single-row
 # slices, for rows longer than a block), about this many pixels each, sized
@@ -307,48 +295,6 @@ def _interp_linear(profile, slope, q, clamp: bool, work, out):
     return out
 
 
-_SINC_OFFSETS = np.arange(-_SINC_TAPS // 2 + 1, _SINC_TAPS // 2 + 1)
-
-
-@cache
-def _sinc_table() -> tuple[np.ndarray, np.ndarray]:
-    """The tap weights sinc(t) * Kaiser(t) at the fractional bins
-    k / _SINC_STEPS, k = 0.._SINC_STEPS, (_SINC_STEPS + 1, taps), and their
-    first differences along k.  Built on first use, so only sinc runs pay
-    for the np.i0 calls."""
-    # tap positions relative to the query
-    t = np.linspace(0.0, 1.0, _SINC_STEPS + 1)[:, None] - _SINC_OFFSETS[None, :]
-    x = np.clip(2.0 * t / _SINC_TAPS, -1.0, 1.0)
-    table = np.sinc(t) * (np.i0(_SINC_BETA * np.sqrt(1.0 - x * x)) / np.i0(_SINC_BETA))
-    return table, np.diff(table, axis=0)
-
-
-def _sinc_weights(frac: np.ndarray) -> np.ndarray:
-    """(n_pix, taps) tap weights at fractional bins 0 <= frac <= 1, read
-    from _sinc_table by linear interpolation between entries."""
-    table, steps = _sinc_table()
-    pos = frac * _SINC_STEPS
-    k = pos.astype(np.intp)
-    np.minimum(k, _SINC_STEPS - 1, out=k)
-    weights = np.take(steps, k, axis=0)
-    weights *= (pos - k)[:, None]
-    weights += np.take(table, k, axis=0)
-    return weights
-
-
-def _interp_sinc(profile: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Kaiser-windowed sinc interpolation at fractional bin positions
-    0 <= q <= last bin, with the weights rounded to the profile's real
-    dtype; taps outside the profile read zero."""
-    n = profile.shape[0]
-    base = q.astype(np.intp)
-    weights = _sinc_weights(q - base).astype(profile.real.dtype, copy=False)
-    idx = base[:, None] + _SINC_OFFSETS[None, :]
-    inside = (idx >= 0) & (idx < n)
-    np.clip(idx, 0, n - 1, out=idx)
-    return np.sum(np.where(inside, np.take(profile, idx), 0.0) * weights, axis=1)
-
-
 def _carrier_phasor(d: np.ndarray, k_carrier: float, out=None, work=None) -> np.ndarray:
     """exp(-j*k_carrier*d) in complex64, to within 1e-6 for d up to 100 m
     (1.9e-7 measured), into out; out and work (float64 and float32 buffers
@@ -412,7 +358,6 @@ def image_stack(
     *,
     oversample_factor: int = 4,
     window: str = "rectangular",
-    interpolation: str = "linear",
     image_height_m: float = 0.0,
     threads: int = 1,
 ) -> SarImageStack:
@@ -436,8 +381,6 @@ def image_stack(
     when a partial sum is beyond float32's range, as a profile bin beyond
     it makes one.
     """
-    if interpolation not in INTERPOLATIONS:
-        raise ConfigError(f"unknown interpolation {interpolation!r}; expected one of {INTERPOLATIONS}")
     if not np.isfinite(image_height_m):
         raise ConfigError(f"image_height_m must be finite, got {image_height_m!r}")
     if not threads >= 1:
@@ -466,18 +409,18 @@ def image_stack(
     inv_bin = 1.0 / bin_spacing_m
     half_inv_bin = 0.5 * inv_bin
     k_carrier = 2.0 * np.pi * capture.config.center_frequency_hz / C_LIGHT
-    linear = interpolation == "linear"
     u, v = grid.u_centers(), grid.v_centers()
     pz = center_pose.position[2] + image_height_m
     n_v = v.shape[0]
     images = np.zeros((array.n_vx, u.shape[0] * n_v), dtype=np.complex128)
-    # A record's fractional bin (d_tx + d_rx) / 2 in bins is at most the
-    # farthest element's distance in bins, reach; both round monotonically,
-    # so no bin past floor(reach) + 1 is read by linear interpolation, nor
-    # past floor(reach) + _SINC_TAPS // 2 by sinc.  Profiles keep the bins
-    # through floor(reach) + _SINC_TAPS // 2 + 2.
+    # A record's fractional bin q = (d_tx + d_rx) / 2 in bins is at most
+    # the farthest element's distance in bins, reach, up to rounding.
+    # Interpolation reads bins trunc(q) and trunc(q) + 1: none past
+    # floor(reach) + 1, or floor(reach) + 2 where rounding lifts q across
+    # the integer just above reach.  Profiles keep the bins through
+    # floor(reach) + 2.
     reach = _farthest(world, u, v, pz) * inv_bin
-    keep_bins = reach + (_SINC_TAPS // 2 + 3)
+    keep_bins = reach + 3
 
     # A value beyond float32's range, a profile bin or a sum, makes some
     # partial sum inf, which is refused below; the steps on the way need not
@@ -523,10 +466,7 @@ def image_stack(
                     # _interp_linear clamps the integer part too
                     np.greater(q, last_bin, out=beyond)
                     np.minimum(q, last_bin, out=q)
-                if linear:
-                    out = _interp_linear(rows[r - base], slopes[r - base], q, not in_extent, work, value)
-                else:
-                    out = _interp_sinc(rows[r - base], q)
+                out = _interp_linear(rows[r - base], slopes[r - base], q, not in_extent, work, value)
                 out *= phasor[t]
                 out *= phasor[s]
                 if not in_extent:
@@ -551,7 +491,7 @@ def image_stack(
             if keep_bins < rows.shape[1]:
                 rows = rows[:, : int(keep_bins)]
             with np.errstate(over="ignore"):
-                slopes = np.diff(rows, axis=1).astype(np.complex64) if linear else None
+                slopes = np.diff(rows, axis=1).astype(np.complex64)
                 rows = rows.astype(np.complex64)
             if pool is None:
                 for block in blocks:

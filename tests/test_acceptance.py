@@ -224,7 +224,9 @@ class TestCriterion6BackprojectionOracle:
         )
         grid = im.ImageGrid(np.array([-4.0, 4.0]), np.array([8.0, 8.0]), 0.25)
         aperture = im.Aperture(1.0)
-        img = im.image_stack(capture, grid, aperture, oversample_factor=8, interpolation="sinc").images[0]
+        # linear interpolation meets the bound from 64x oversampling on
+        # (3.8e-4 measured; 1.6e-3 at 32x)
+        img = im.image_stack(capture, grid, aperture, oversample_factor=64).images[0]
 
         sel, center = _select_aperture(capture, aperture)
         n = np.arange(cfg.samples_per_chirp)

@@ -594,6 +594,38 @@ def test_threads_below_one_is_a_config_error(workdir, capsys, threads):
     assert not (out / "stack.insarimg").exists()
 
 
+@pytest.mark.parametrize("value", ["sinc", "3"])
+def test_interpolation_other_than_linear_is_a_config_error(workdir, capsys, value):
+    # linear is the kernel's one interpolator; the message points to
+    # oversample_factor for finer interpolation
+    (workdir / "interp.cfg").write_text(CONFIG + f"interpolation = {value}\n")
+    out, code = run_pipeline(workdir, workdir / "interp.cfg")
+    assert code == 2
+    assert "oversample_factor" in capsys.readouterr().err
+    assert not (out / "stack.insarimg").exists()
+
+
+# element positions that are not numbers, or rows of unequal length
+BAD_TX_POSITIONS = ("abc", "[(0, 0, 0), (1, 1)]")
+# an integer literal beyond float's range
+HUGE_INT = str(10**400)
+
+
+@pytest.mark.parametrize("tx", [*BAD_TX_POSITIONS, pytest.param(f"[({HUGE_INT}, 0, 0)]", id="int beyond float")])
+def test_malformed_element_positions_are_a_config_error(workdir, capsys, tx):
+    # all used to end in a numpy ValueError or an OverflowError traceback
+    # (exit 1)
+    (workdir / "array.cfg").write_text(CONFIG + f"tx_positions_m = {tx}\nrx_positions_m = [(0, 0, 0)]\n")
+    out = workdir / "cap.insarraw"
+    code = cli.main(
+        ["simulate", str(workdir / "scene.csv"), str(workdir / "traj.csv"),
+         "--config", str(workdir / "array.cfg"), "-o", str(out)]
+    )
+    assert code == 2
+    assert "bad element positions" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # Hostile config values and CSV cells: text that is not a number, NaN,
 # +-inf, 1e+-300, 1e39 (finite, but beyond float32), and values of the
 # wrong shape.
@@ -632,6 +664,8 @@ def hostile_inputs(rng):
         "grid_origin_m = (1e20, 0)",
         "center_frequency_hz = 1e308",
         "grid_extent_m = (1e5, 1e5)",
+        *(f"tx_positions_m = {tx}\nrx_positions_m = [(0, 0, 0)]" for tx in BAD_TX_POSITIONS),
+        f"grid_origin_m = ({HUGE_INT}, 0)",
     ):
         yield extra, CONFIG + extra + "\n", SCENE, TRAJ
     for row in NON_FINITE_LAST_ROWS:

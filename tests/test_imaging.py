@@ -8,9 +8,13 @@ import pytest
 import insarmap as im
 from insarmap.errors import ConfigError, DomainError
 from insarmap import configio, imaging
-from insarmap.imaging import INTERPOLATIONS, _select_aperture
+from insarmap.imaging import _select_aperture
 
 from conftest import make_rail_trajectory, peak_near
+
+# The kernel's one interpolator; the tolerance, oracle and profile-extent
+# cases carry its name in their ids.
+LINEAR = ["linear"]
 
 
 def monostatic_capture(cfg, scene, speed=5.0, t_half=0.11, height=0.0, margin=None):
@@ -270,7 +274,7 @@ class TestPhasorTolerance:
     @pytest.fixture(scope="class")
     def exact_stack(self, small_e2e):
         return reference_stack(
-            small_e2e["capture"], small_e2e["grid"], small_e2e["aperture"], "linear", phasor=exact_phasor
+            small_e2e["capture"], small_e2e["grid"], small_e2e["aperture"], phasor=exact_phasor
         )
 
     def test_phasor_within_1e6_up_to_100m(self):
@@ -302,23 +306,21 @@ def assert_baseline_phases_within_1e5_rad(stack, reference, emap):
 
 
 class TestSinglePrecisionTolerance:
-    """image_stack's complex64 values and per-batch partial sums, and the
-    tabulated sinc weights, against reference_stack: the same phasors, with
-    float64 weights, the direct-form sinc weights and every record added
-    straight into a complex128 image.  CI reruns this class on numpy's other
-    SIMD paths."""
+    """image_stack's complex64 values and per-batch partial sums against
+    reference_stack: the same phasors, with float64 weights and every record
+    added straight into a complex128 image.  CI reruns this class on numpy's
+    other SIMD paths."""
 
     @pytest.fixture(scope="class")
     def case(self, small_e2e):
-        # both targets, under a shorter aperture that keeps the direct-form
-        # sinc reference quick
+        # both targets, under a shorter aperture that keeps the per-record
+        # reference quick
         grid = im.ImageGrid(np.array([-0.6, 3.7]), np.array([0.9, 1.7]), 0.04)
         return small_e2e["capture"], grid, im.Aperture(0.1)
 
-    @pytest.fixture(scope="class", params=INTERPOLATIONS)
-    def stacks(self, request, case):
-        stack = im.image_stack(*case, interpolation=request.param, threads=2)
-        return stack, reference_stack(*case, request.param)
+    @pytest.fixture(scope="class", params=LINEAR)
+    def stacks(self, case):
+        return im.image_stack(*case, threads=2), reference_stack(*case)
 
     def test_image_within_1e6_of_peak(self, stacks):
         stack, reference = stacks
@@ -329,28 +331,7 @@ class TestSinglePrecisionTolerance:
         assert_baseline_phases_within_1e5_rad(stack, reference, im.build_elevation_map(stack))
 
 
-def kaiser_sinc_weights(frac):
-    """The direct form of the sinc interpolator's (n, taps) tap weights:
-    sinc(t) times the Kaiser window, by np.i0, at each tap's offset t from
-    the fractional bin."""
-    t = frac[:, None] - imaging._SINC_OFFSETS[None, :]
-    x = np.clip(2.0 * t / imaging._SINC_TAPS, -1.0, 1.0)
-    return np.sinc(t) * (np.i0(imaging._SINC_BETA * np.sqrt(1.0 - x * x)) / np.i0(imaging._SINC_BETA))
-
-
 class TestInterpolation:
-    def test_sinc_weights_within_2e7_of_direct_form(self):
-        # every table entry, the midpoints between entries, and the rest
-        # of [0, 1) at random
-        steps = imaging._SINC_STEPS
-        frac = np.r_[
-            np.arange(steps + 1) / steps,
-            (np.arange(steps) + 0.5) / steps,
-            np.random.default_rng(7).uniform(0.0, 1.0, 20_000),
-        ]
-        err = np.abs(imaging._sinc_weights(frac) - kaiser_sinc_weights(frac))
-        assert err.max() <= 2e-7
-
     def test_slope_form_equals_two_point_form(self):
         rng = np.random.default_rng(5)
         profile = rng.standard_normal(300) + 1j * rng.standard_normal(300)
@@ -376,7 +357,7 @@ class TestInterpolation:
         below = q <= 298.0
         assert interp(q[below], clamp=False).tobytes() == clamped[below].tobytes()
 
-    @pytest.mark.parametrize("interpolation", ["linear", "sinc"])
+    @pytest.mark.parametrize("interpolation", LINEAR)
     def test_pixels_beyond_profile_extent_are_zero(self, interpolation):
         # max range is c*fs/(2*slope) = 93.7 m; a grid straddling it, and
         # one about 1e20 m away, whose bin positions overflow an index
@@ -386,7 +367,7 @@ class TestInterpolation:
         cap = im.add_noise(monostatic_capture(cfg, scene, speed=1.0, t_half=0.002), 10.0, seed=4)
         for origin in ((-0.5, max_range - 2.0), (1e20, 0.0)):
             grid = im.ImageGrid(np.array(origin), np.array([1.0, 4.0]), 0.1)
-            img = im.image_stack(cap, grid, im.Aperture(0.004), interpolation=interpolation).images[0]
+            img = im.image_stack(cap, grid, im.Aperture(0.004)).images[0]
             # pixel ranges from the sensor, which moves along x at the origin
             r = np.hypot(*np.meshgrid(grid.u_centers(), grid.v_centers(), indexing="ij"))
             assert np.all(img[r > max_range + 0.1] == 0)
@@ -425,14 +406,14 @@ def carrier_wavenumber(capture):
     return 2.0 * np.pi * capture.config.center_frequency_hz / im.C_LIGHT
 
 
-def oracle_stack(capture, grid, aperture, interpolation, image_height_m, oversample_factor=4):
+def oracle_stack(capture, grid, aperture, image_height_m, oversample_factor=4):
     """image_stack as a plain loop over the aperture's records, with the
     kernel's precision steps: the full range profile and its first
     differences rounded to complex64, read with the slope-form two-point
-    formula p[i] + (p[i+1] - p[i]) * w, w = q - i rounded to float32, or
-    the kernel's sinc; times one complex64 _carrier_phasor per leg.  Each
-    VX sums its records' values in complex64 over a cycle batch, then adds
-    the sum into its complex128 image."""
+    formula p[i] + (p[i+1] - p[i]) * w, w = q - i rounded to float32;
+    times one complex64 _carrier_phasor per leg.  Each VX sums its records'
+    values in complex64 over a cycle batch, then adds the sum into its
+    complex128 image."""
     k = carrier_wavenumber(capture)
     images = np.zeros((capture.array.n_vx, grid.n_u * grid.n_v), dtype=np.complex128)
     partial = np.zeros(images.shape, dtype=np.complex64)
@@ -444,12 +425,9 @@ def oracle_stack(capture, grid, aperture, interpolation, image_height_m, oversam
             images += partial
             partial[:] = 0.0
             current = batch
-        if interpolation == "linear":
-            i = np.minimum(np.floor(q).astype(int), profile.size - 2)
-            slope = (profile[i + 1] - profile[i]).astype(np.complex64)
-            value = profile[i].astype(np.complex64) + slope * (q - i).astype(np.float32)
-        else:
-            value = imaging._interp_sinc(profile.astype(np.complex64), q)
+        i = np.minimum(np.floor(q).astype(int), profile.size - 2)
+        slope = (profile[i + 1] - profile[i]).astype(np.complex64)
+        value = profile[i].astype(np.complex64) + slope * (q - i).astype(np.float32)
         value = value * imaging._carrier_phasor(d_tx, k) * imaging._carrier_phasor(d_rx, k)
         value[beyond] = 0.0
         partial[vx] += value
@@ -457,9 +435,9 @@ def oracle_stack(capture, grid, aperture, interpolation, image_height_m, oversam
     return images.reshape(capture.array.n_vx, grid.n_u, grid.n_v)
 
 
-def reference_stack(capture, grid, aperture, interpolation, image_height_m=0.0, phasor=None):
-    """The per-record loop in complex128: float64 weights, the direct-form
-    sinc weights, and each record's value added straight into its image.
+def reference_stack(capture, grid, aperture, image_height_m=0.0, phasor=None):
+    """The per-record loop in complex128: float64 weights, and each
+    record's value added straight into its image.
     phasor(d, k) defaults to the kernel's float32 cos/sin carrier phasor."""
     if phasor is None:
         def phasor(d, k):
@@ -467,14 +445,8 @@ def reference_stack(capture, grid, aperture, interpolation, image_height_m=0.0, 
     k = carrier_wavenumber(capture)
     images = np.zeros((capture.array.n_vx, grid.n_u * grid.n_v), dtype=np.complex128)
     for _, vx, profile, d_tx, d_rx, q, beyond in aperture_records(capture, grid, aperture, image_height_m):
-        if interpolation == "linear":
-            i = np.minimum(np.floor(q).astype(int), profile.size - 2)
-            value = profile[i] + (profile[i + 1] - profile[i]) * (q - i)
-        else:
-            base = q.astype(int)
-            idx = base[:, None] + imaging._SINC_OFFSETS[None, :]
-            taps = np.where((idx >= 0) & (idx < profile.size), profile[np.clip(idx, 0, profile.size - 1)], 0.0)
-            value = np.sum(taps * kaiser_sinc_weights(q - base), axis=1)
+        i = np.minimum(np.floor(q).astype(int), profile.size - 2)
+        value = profile[i] + (profile[i + 1] - profile[i]) * (q - i)
         value = value * phasor(d_tx, k) * phasor(d_rx, k)
         value[beyond] = 0.0
         images[vx] += value
@@ -529,15 +501,11 @@ class TestKernelOracle:
     @pytest.fixture(scope="class")
     def oracles(self, capture, grids):
         aperture = im.Aperture(0.03)
-        return {
-            (name, interp): oracle_stack(capture, grid, aperture, interp, height)
-            for name, (grid, height) in grids.items()
-            for interp in INTERPOLATIONS
-        }
+        return {name: oracle_stack(capture, grid, aperture, height) for name, (grid, height) in grids.items()}
 
     @pytest.mark.parametrize("blocks", [None, "rows", "row slices"])
     @pytest.mark.parametrize("threads", [1, 2])
-    @pytest.mark.parametrize("interpolation", INTERPOLATIONS)
+    @pytest.mark.parametrize("interpolation", LINEAR)
     @pytest.mark.parametrize("grid_name", ["near", "straddle"])
     def test_stack_equals_per_record_loop(
         self, capture, grids, oracles, grid_name, interpolation, threads, blocks, monkeypatch
@@ -554,21 +522,19 @@ class TestKernelOracle:
             slices = imaging._pixel_blocks(grid.n_u, grid.n_v, n_blocks)
             assert all(u_hi == u_lo + 1 for u_lo, u_hi, _, _ in slices)
             assert len({v_hi - v_lo for _, _, v_lo, v_hi in slices}) > 1
-        stack = im.image_stack(
-            capture, grid, im.Aperture(0.03), interpolation=interpolation, image_height_m=height, threads=threads
-        )
-        oracle = oracles[(grid_name, interpolation)]
+        stack = im.image_stack(capture, grid, im.Aperture(0.03), image_height_m=height, threads=threads)
+        oracle = oracles[grid_name]
         assert np.count_nonzero(oracle) > oracle.size // 2
         assert oracle.all() == (grid_name == "near")
         assert stack.images.tobytes() == oracle.tobytes()
 
-    @pytest.mark.parametrize("interpolation", INTERPOLATIONS)
+    @pytest.mark.parametrize("interpolation", LINEAR)
     @pytest.mark.parametrize("grid_name", ["near", "straddle"])
     def test_monostatic_stack_equals_per_record_loop(self, monostatic, grids, grid_name, interpolation):
         grid, height = grids[grid_name]
         assert monostatic.array.n_vx == 1
-        stack = im.image_stack(monostatic, grid, im.Aperture(0.03), interpolation=interpolation, image_height_m=height)
-        oracle = oracle_stack(monostatic, grid, im.Aperture(0.03), interpolation, height)
+        stack = im.image_stack(monostatic, grid, im.Aperture(0.03), image_height_m=height)
+        oracle = oracle_stack(monostatic, grid, im.Aperture(0.03), height)
         assert np.count_nonzero(oracle) > oracle.size // 2
         assert oracle.all() == (grid_name == "near")
         assert stack.images.tobytes() == oracle.tobytes()
@@ -614,6 +580,14 @@ class TestGrid:
     def test_subpixel_grid_rejected(self):
         with pytest.raises(ConfigError):
             im.ImageGrid(np.array([0.0, 0.0]), np.array([0.01, 0.01]), 0.04)
+
+
+def test_interpolation_key_may_be_linear_or_absent():
+    # the shipped configs say interpolation = linear; image_stack takes no
+    # interpolation option
+    options = configio.load_imaging_options({"interpolation": "linear"})
+    assert options == configio.load_imaging_options({})
+    assert "interpolation" not in options
 
 
 class TestStackValues:
