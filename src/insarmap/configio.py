@@ -66,18 +66,22 @@ def parse_kv_file(path) -> dict:
 def _number(cfg: dict, key: str, default=None, *, integer: bool = False, source=""):
     """cfg[key], or default when the key is absent, as a float (an int when
     integer is set).  Returns None when both are absent.  Anything that is
-    not a number, NaN, and a non-integral value for an integer key raise
-    ConfigError."""
+    not a number, NaN, an integer literal beyond float's range, and a
+    non-integral value for an integer key raise ConfigError."""
     value = cfg.get(key, default)
     if value is None:
         return None
     ok = isinstance(value, (int, float)) and not isinstance(value, bool) and value == value
+    try:
+        number = float(value) if ok else None
+    except OverflowError:  # an int that no float holds
+        raise ConfigError(f"{source or 'config'}: {key} is beyond float range") from None
     if ok and integer:
-        ok = float(value).is_integer()
+        ok = number.is_integer()
     if not ok:
         kind = "an integer" if integer else "a number"
         raise ConfigError(f"{source or 'config'}: {key} must be {kind}, got {value!r}")
-    return int(value) if integer else float(value)
+    return int(value) if integer else number
 
 
 def load_chirp_config(cfg: dict, source="") -> ChirpConfig:

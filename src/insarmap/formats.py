@@ -42,7 +42,7 @@ import numpy as np
 from .errors import ConfigError, DataFormatError
 from .imaging import ImageGrid, SarImageStack
 from .interferometry import ElevationMap, InterferogramGrid
-from .simulate import RawCapture
+from .simulate import RawCapture, _round_samples
 from .types import ChirpConfig, Pose, VirtualArray, build_virtual_array
 
 MAGIC_RAW = b"INSARRAW"
@@ -189,11 +189,7 @@ def write_capture(capture: RawCapture, path) -> None:
             rows["cycle"] = capture.cycle[lo:hi]
             rows["time"] = capture.time_s[lo:hi]
             rows["pose"] = pose_table[capture.pose_index[lo:hi]]
-            with np.errstate(over="ignore"):
-                rows["iq"] = capture.samples[lo:hi]
-            if not _fits(rows["iq"], capture.samples[lo:hi]):
-                first = lo + int(np.argmin(np.isfinite(rows["iq"]).all(axis=1)))
-                raise ConfigError(f"record {first} holds samples beyond float32 range")
+            _round_samples(capture.samples[lo:hi], rows["iq"], lo)
             fh.write(rows.data)
 
 
@@ -202,8 +198,9 @@ def read_capture(path) -> RawCapture:
     bad magic or version, too few bytes for the sizes the header declares,
     or values that ChirpConfig, Pose or RawCapture reject.
 
-    Records are read _BLOCK_ROWS at a time straight into the preallocated
-    complex128 samples, so the peak is the capture plus one block.
+    The samples keep the file's precision, complex64.  Records are read
+    _BLOCK_ROWS at a time straight into the preallocated samples, so the
+    peak is the capture plus one block.
     """
     with _reading(path) as fh:
         _read_preamble(fh, MAGIC_RAW, path)
@@ -212,7 +209,7 @@ def read_capture(path) -> RawCapture:
         (n_records,) = _unpack(fh, "<Q", "record count")
         dtype = _record_dtype(cfg.samples_per_chirp)
         _check_left(fh, n_records * dtype.itemsize, "records")
-        samples = np.empty((n_records, cfg.samples_per_chirp), dtype=np.complex128)
+        samples = np.empty((n_records, cfg.samples_per_chirp), dtype=np.complex64)
         columns = np.empty(n_records, dtype=dtype.descr[:-1])  # every field but iq
         block = np.empty(min(n_records, _BLOCK_ROWS), dtype=dtype)
         for lo in range(0, n_records, _BLOCK_ROWS):
@@ -270,7 +267,11 @@ def write_image_stack(stack: SarImageStack, path) -> None:
 def read_image_stack(path) -> SarImageStack:
     """Read an INSARIMG stack.  Raises DataFormatError for a damaged file:
     bad magic or version, too few bytes for the sizes the header declares,
-    or values that ImageGrid, the array or SarImageStack reject."""
+    or values that ImageGrid, the array or SarImageStack reject.
+
+    The images are complex128.  Planes are read one at a time straight into
+    the preallocated stack, so the peak is the stack plus one complex64
+    plane."""
     with _reading(path) as fh:
         _read_preamble(fh, MAGIC_IMG, path)
         grid = _read_grid(fh)
@@ -278,11 +279,18 @@ def read_image_stack(path) -> SarImageStack:
         phase_center = np.frombuffer(_read_exact(fh, 24, "phase center"), dtype="<f8").copy()
         array = _read_array(fh)
         dims = _unpack(fh, "<III", "stack dims")
-        raw = _read_exact(fh, 8 * math.prod(dims), "image planes")
+        _check_left(fh, 8 * math.prod(dims), "image planes")
+        images = np.empty(dims, dtype=np.complex128)
+        # a header with no VX allocates no plane, whatever n_u and n_v it declares
+        plane = np.empty(dims[1:] if dims[0] else 0, dtype="<c8")
+        for image in images:
+            if fh.readinto(plane.data) != plane.nbytes:
+                raise DataFormatError(f"{path}: truncated file while reading image planes")
+            image[...] = plane
         return SarImageStack(
             grid=grid,
             array=array,
-            images=np.frombuffer(raw, dtype="<c8").reshape(dims).astype(np.complex128),
+            images=images,
             phase_center=phase_center,
             aperture_length_m=aperture_length,
             wavelength_m=wavelength,

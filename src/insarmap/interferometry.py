@@ -83,24 +83,40 @@ def mean_phase_delay(lower, upper, axis: int = 0):
     """Average phase delay over baselines by complex (vector) summation.
 
     lower/upper are arrays of complex pixel values with the baseline
-    dimension on `axis`.  Returns (mean_phase, circular_variance) with the
-    baseline axis reduced.  Vector averaging is immune to wrap-around at
+    dimension on `axis`, or, with axis 0, sequences of equally shaped
+    planes, one per baseline.  Returns (mean_phase, circular_variance) with
+    the baseline axis reduced.  Vector averaging is immune to wrap-around at
     +-pi and reduces to the arithmetic mean for small spreads.  Baselines
     with an exactly zero correlation are dropped from the variance; if all
     are zero the phase is 0 and the variance 1.
-    """
-    lower = np.asarray(lower)
-    upper = np.asarray(upper)
-    corr = lower * np.conj(upper)
-    total = np.sum(corr, axis=axis)
-    mean_phase = np.angle(total)
 
-    mag = np.abs(corr)
-    nonzero = mag > 0.0
-    count = np.sum(nonzero, axis=axis)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        unit = np.where(nonzero, corr / np.where(nonzero, mag, 1.0), 0.0)
-    resultant = np.abs(np.sum(unit, axis=axis))
+    Baselines are summed one at a time, in order and from zero, which gives
+    the floats of numpy's axis-0 sum over the stacked baselines while
+    holding only one baseline's temporaries at a time.
+    """
+    if axis != 0:
+        lower = np.moveaxis(np.asarray(lower), axis, 0)
+        upper = np.moveaxis(np.asarray(upper), axis, 0)
+    total = unit_total = count = None
+    for lo, up in zip(lower, upper):
+        # conj(upper) * lower, in that order: numpy's complex multiply is not
+        # bitwise commutative, and this is the order its temporary elision
+        # gave lower * conj(upper) over stacked baselines
+        corr = np.multiply(np.conj(up), lo)
+        mag = np.abs(corr)
+        nonzero = mag > 0.0
+        with np.errstate(invalid="ignore", divide="ignore"):
+            unit = np.where(nonzero, corr / np.where(nonzero, mag, 1.0), 0.0)
+        if total is None:  # sums start from zero, as numpy's do: 0 + -0 is +0
+            total, unit_total, count = np.zeros_like(corr), np.zeros_like(unit), np.zeros_like(nonzero, np.intp)
+        total += corr
+        unit_total += unit
+        count += nonzero
+    if total is None:  # no baseline, so no nonzero correlation
+        shape = np.shape(lower)[1:]
+        return np.zeros(shape), np.ones(shape)
+    mean_phase = np.angle(total)
+    resultant = np.abs(unit_total)
     with np.errstate(invalid="ignore", divide="ignore"):
         variance = np.where(count > 0, 1.0 - resultant / np.maximum(count, 1), 1.0)
     variance = np.clip(variance, 0.0, 1.0)
@@ -164,6 +180,9 @@ def combine_baselines(stack: SarImageStack) -> InterferogramGrid:
 
     All baselines must share the same separation; mixed spacings would need
     per-baseline phase scaling that this pipeline does not implement.
+    Baselines, and the VX planes of the mean magnitude, are summed one at a
+    time, so the peak memory is a few planes whatever the number of
+    baselines or VX.
     """
     baselines = stack.array.vertical_baselines
     if not baselines:
@@ -172,10 +191,15 @@ def combine_baselines(stack: SarImageStack) -> InterferogramGrid:
     if np.any(np.abs(seps - seps[0]) > 1e-12 * seps[0]):
         raise DomainError(f"mixed baseline separations are unsupported: {sorted(set(seps))}")
 
-    lower = stack.images[[b.lower_vx for b in baselines]]
-    upper = stack.images[[b.upper_vx for b in baselines]]
-    mean_phase, variance = mean_phase_delay(lower, upper, axis=0)
-    magnitude = np.mean(np.abs(stack.images), axis=0)
+    lower = [stack.images[b.lower_vx] for b in baselines]
+    upper = [stack.images[b.upper_vx] for b in baselines]
+    mean_phase, variance = mean_phase_delay(lower, upper)
+    # the floats of np.mean(np.abs(stack.images), axis=0), one plane at a time
+    magnitude = np.abs(stack.images[0])
+    plane = np.empty_like(magnitude)
+    for image in stack.images[1:]:
+        magnitude += np.abs(image, out=plane)
+    magnitude /= stack.images.shape[0]
     return InterferogramGrid(
         grid=stack.grid,
         mean_phase_delay=mean_phase,

@@ -15,9 +15,10 @@ expression evaluated on whole (rows, samples) blocks, into work buffers
 made once per capture rather than fresh temporaries per target.  Distances
 keep np.linalg.norm's rounding, so every capture row is bitwise equal to
 synthesize_chirp at that record's TX and RX positions.  Noise is drawn a
-block of rows at a time from one stream, straight into the noisy sample
-array, so the capture's peak memory is the clean and the noisy sample
-arrays plus the synthesis work buffers.
+block of rows at a time from one stream into one complex128 block, added
+to the clean rows, and rounded into the complex64 noisy samples, so the
+simulate stage's peak memory is the clean complex128 samples, the
+complex64 noisy samples and one noise block.
 """
 
 from __future__ import annotations
@@ -77,6 +78,29 @@ class Scene:
         return len(self.targets)
 
 
+def _sample_array(samples) -> np.ndarray:
+    """Capture samples as an array: complex64 samples are kept as they are
+    (INSARRAW's precision, as read or noised), and any other input becomes
+    complex128 (a clean synthesized capture, which add_noise needs at full
+    precision)."""
+    samples = np.asarray(samples)
+    return samples if samples.dtype == np.complex64 else samples.astype(np.complex128, copy=False)
+
+
+def _round_samples(values: np.ndarray, out: np.ndarray, first_record: int) -> None:
+    """Round sample rows into out, a complex64 array of their shape: the
+    precision of an INSARRAW file.  Raises ConfigError for a finite value
+    that float32 cannot hold, which would round to inf; first_record is the
+    capture index of values' first row, for the message."""
+    with np.errstate(over="ignore"):
+        out[...] = values
+    # the float32 view is the fast test; a non-finite value needs the slow one
+    if not np.isfinite(out.view(np.float32)).all():
+        lost = (np.isfinite(out) != np.isfinite(values)).any(axis=1)
+        if lost.any():
+            raise ConfigError(f"record {first_record + int(np.argmax(lost))} holds samples beyond float32 range")
+
+
 @dataclass(frozen=True, eq=False)
 class PulseRecord:
     """One received chirp: which TX fired, which RX listened, where, when.
@@ -91,10 +115,10 @@ class PulseRecord:
     tx: int
     rx: int
     pose: Pose
-    samples: np.ndarray  # (samples_per_chirp,) complex
+    samples: np.ndarray  # (samples_per_chirp,) complex64 or complex128, as _sample_array
 
     def __post_init__(self) -> None:
-        samples = np.asarray(self.samples, dtype=np.complex128)
+        samples = _sample_array(self.samples)
         samples.setflags(write=False)
         object.__setattr__(self, "samples", samples)
 
@@ -110,11 +134,17 @@ class RawCapture:
     each distinct pose once; a synthesized capture has one pose per cycle.
     Samples and times must be finite, and times ordered.  All arrays are
     read-only.
+
+    Samples have one of two dtypes.  complex64 samples, the precision of
+    an INSARRAW file, are kept as they are: read_capture and add_noise make
+    them.  Any other samples become complex128: synthesize_capture's clean
+    samples stay at full precision, because add_noise adds its noise to
+    those values before it rounds them.
     """
 
     config: ChirpConfig
     array: VirtualArray
-    samples: np.ndarray  # (n_records, samples_per_chirp) complex128
+    samples: np.ndarray  # (n_records, samples_per_chirp) complex64 or complex128
     tx: np.ndarray  # (n_records,) int
     rx: np.ndarray  # (n_records,) int
     cycle: np.ndarray  # (n_records,) int
@@ -123,7 +153,7 @@ class RawCapture:
     pose_index: np.ndarray  # (n_records,) int into poses
 
     def __post_init__(self) -> None:
-        samples = np.asarray(self.samples, dtype=np.complex128)
+        samples = _sample_array(self.samples)
         n = self.config.samples_per_chirp
         if samples.ndim != 2 or samples.shape[1] != n:
             raise ConfigError(f"capture samples shape {samples.shape} != (n_records, {n})")
@@ -379,10 +409,16 @@ def add_noise(
     """Add circularly-symmetric complex white Gaussian noise to a capture.
 
     Noise variance is set so mean signal power / noise power equals
-    10**(snr_db/10).  An SNR of +inf, or one too large for that ratio to be
-    a float, returns the capture unchanged; NaN, -inf and an SNR too small
-    for it raise ConfigError.  An all-zero capture has no power to scale
-    against and raises DomainError.  Deterministic for a fixed seed.
+    10**(snr_db/10); the power is summed in float64 whatever the samples'
+    dtype.  An SNR of +inf, or one too large for that ratio to be a float,
+    returns the capture unchanged; NaN, -inf and an SNR too small for it
+    raise ConfigError.  An all-zero capture has no power to scale against
+    and raises DomainError.  Deterministic for a fixed seed.
+
+    The noisy capture holds complex64 samples, the rounding write_capture
+    applies, so a finite noisy sample beyond float32's range raises
+    ConfigError as the writer does.  Allocates the complex64 result and
+    one complex128 block of _NOISE_ROWS rows.
     """
     if capture.n_records == 0:
         raise DomainError("capture is empty")
@@ -397,7 +433,7 @@ def add_noise(
     # other rows, so blocks give the same floats as one pass
     row_power = np.empty(capture.n_records)
     for rows in blocks:
-        row_power[rows] = np.mean(np.abs(samples[rows]) ** 2, axis=1)
+        row_power[rows] = np.mean(np.abs(samples[rows].astype(np.complex128, copy=False)) ** 2, axis=1)
     mean_power = float(np.mean(row_power))
     if mean_power == 0.0:
         raise DomainError("capture has zero signal power")
@@ -410,14 +446,18 @@ def add_noise(
 
     rng = np.random.default_rng(seed)
     sigma = np.sqrt(noise_variance / 2.0)
-    # Drawn one block of rows at a time, straight into the noisy array's
-    # (real, imaginary) float pairs: consecutive draws continue one stream,
-    # so the floats equal samples + sigma * (n[..., 0] + 1j * n[..., 1]) for
-    # a single (n_records, samples_per_chirp, 2) draw n.
-    noisy = np.empty_like(samples)
-    pairs = noisy.view(np.float64).reshape(*noisy.shape, 2)
+    # Drawn one block of rows at a time into the block's (real, imaginary)
+    # float pairs: consecutive draws continue one stream, so before rounding
+    # the floats equal samples + sigma * (n[..., 0] + 1j * n[..., 1]) for a
+    # single (n_records, samples_per_chirp, 2) draw n.
+    noisy = np.empty(samples.shape, dtype=np.complex64)
+    block = np.empty((min(capture.n_records, _NOISE_ROWS), samples.shape[1]), dtype=np.complex128)
     for rows in blocks:
-        rng.standard_normal(out=pairs[rows])
-        pairs[rows] *= sigma
-        noisy[rows] += samples[rows]
+        clean = samples[rows]
+        noise = block[: clean.shape[0]]
+        pairs = noise.view(np.float64).reshape(*noise.shape, 2)
+        rng.standard_normal(out=pairs)
+        pairs *= sigma
+        noise += clean
+        _round_samples(noise, noisy[rows], rows.start)
     return replace(capture, samples=noisy)

@@ -39,6 +39,9 @@ TRAJ = """t,x,y,z,qw,qx,qy,qz
 0.02,0.1,0,0.4,1,0,0,0
 """
 
+# an integer literal beyond float's range
+HUGE_INT = str(10**400)
+
 
 @pytest.fixture()
 def workdir(tmp_path):
@@ -427,6 +430,8 @@ def test_corrupt_header_value_is_a_format_error(workdir, capsys, artifact, offse
         "per_sample_snr_db = -inf",
         "front_azimuth_deg = inf",
         "front_azimuth_deg = -inf",
+        pytest.param(f"pixel_size_m = {HUGE_INT}", id="pixel_size_m = int beyond float"),
+        pytest.param(f"samples_per_chirp = {HUGE_INT}", id="samples_per_chirp = int beyond float"),
     ],
 )
 def test_bad_config_number_exit_code(workdir, capsys, line):
@@ -513,6 +518,23 @@ def test_capture_beyond_float32_is_a_config_error(workdir, capsys):
     assert code == 2
     assert "holds samples beyond float32 range" in capsys.readouterr().err
     assert not (out / "capture.insarraw").exists()
+
+
+def test_noisy_capture_beyond_float32_is_a_config_error(workdir, capsys):
+    # the noisy samples are finite as complex128 but inf once rounded to the
+    # file's complex64; simulate refuses them as the writer does, with no
+    # overflow warning, even when warnings are errors
+    (workdir / "scene.csv").write_text(SCENE + "0.3,4.2,0.5,1e39\n")
+    out = workdir / "noisy.insarraw"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(
+            ["simulate", str(workdir / "scene.csv"), str(workdir / "traj.csv"),
+             "--config", str(workdir / "radar.cfg"), "-o", str(out)]
+        )
+    assert code == 2
+    assert "holds samples beyond float32 range" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("kind", ["symlink", "fifo"])
@@ -607,8 +629,6 @@ def test_interpolation_other_than_linear_is_a_config_error(workdir, capsys, valu
 
 # element positions that are not numbers, or rows of unequal length
 BAD_TX_POSITIONS = ("abc", "[(0, 0, 0), (1, 1)]")
-# an integer literal beyond float's range
-HUGE_INT = str(10**400)
 
 
 @pytest.mark.parametrize("tx", [*BAD_TX_POSITIONS, pytest.param(f"[({HUGE_INT}, 0, 0)]", id="int beyond float")])
@@ -666,11 +686,14 @@ def hostile_inputs(rng):
         "grid_extent_m = (1e5, 1e5)",
         *(f"tx_positions_m = {tx}\nrx_positions_m = [(0, 0, 0)]" for tx in BAD_TX_POSITIONS),
         f"grid_origin_m = ({HUGE_INT}, 0)",
+        f"pixel_size_m = {HUGE_INT}",
+        f"samples_per_chirp = {HUGE_INT}",
     ):
         yield extra, CONFIG + extra + "\n", SCENE, TRAJ
     for row in NON_FINITE_LAST_ROWS:
         yield f"trajectory last row {row}", CONFIG, SCENE, with_last_row(row)
-    yield "scene amplitude 1e300", CONFIG, SCENE + "0.3,4.2,0.5,1e300\n", TRAJ
+    for amplitude in ("1e300", "1e39"):
+        yield f"scene amplitude {amplitude}", CONFIG, SCENE + f"0.3,4.2,0.5,{amplitude}\n", TRAJ
     for amplitude in ("1e39", "1e37"):
         quiet = CONFIG + "per_sample_snr_db = inf\n"
         yield f"noiseless scene amplitude {amplitude}", quiet, SCENE + f"0.3,4.2,0.5,{amplitude}\n", TRAJ

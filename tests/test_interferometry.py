@@ -144,6 +144,11 @@ class TestMeanPhaseDelay:
         assert phase == 0.0
         assert var == 1.0
 
+    def test_no_baselines(self):
+        phase, var = im.mean_phase_delay(np.zeros((0, 2, 3), complex), np.zeros((0, 2, 3), complex))
+        assert np.array_equal(phase, np.zeros((2, 3)))
+        assert np.array_equal(var, np.ones((2, 3)))
+
 
 class TestSqrtNGain:
     def test_four_baselines_halve_phase_error(self):
@@ -217,6 +222,40 @@ class TestCombineBaselines:
         )
         with pytest.raises(DomainError, match="mixed"):
             im.combine_baselines(bad)
+
+    def test_floats_equal_axis0_reductions_over_stacked_planes(self, small_e2e):
+        # combine_baselines sums one baseline or VX plane at a time; the
+        # floats must be those of numpy's axis-0 reductions over the stacked
+        # planes, including pixels where some correlations are exactly zero.
+        # np.multiply fixes the operand order, which an operator's temporary
+        # elision may swap.
+        stack = small_e2e["stack"]
+        images = stack.images.copy()
+        images[0, :10] = 0.0
+        images[[b.upper_vx for b in stack.array.vertical_baselines], :, :5] = 0.0
+        stack = im.SarImageStack(
+            grid=stack.grid,
+            array=stack.array,
+            images=images,
+            phase_center=stack.phase_center,
+            aperture_length_m=stack.aperture_length_m,
+            wavelength_m=stack.wavelength_m,
+        )
+        baselines = stack.array.vertical_baselines
+        corr = np.multiply(np.conj(images[[b.upper_vx for b in baselines]]), images[[b.lower_vx for b in baselines]])
+        mag = np.abs(corr)
+        nonzero = mag > 0.0
+        with np.errstate(invalid="ignore", divide="ignore"):
+            unit = np.where(nonzero, corr / np.where(nonzero, mag, 1.0), 0.0)
+        count = np.sum(nonzero, axis=0)
+        variance = np.clip(
+            np.where(count > 0, 1.0 - np.abs(np.sum(unit, axis=0)) / np.maximum(count, 1), 1.0), 0.0, 1.0
+        )
+        intf = im.combine_baselines(stack)
+        assert (count == 0).any() and (count < len(baselines)).sum() > (count == 0).sum()
+        assert intf.mean_phase_delay.tobytes() == np.angle(np.sum(corr, axis=0)).tobytes()
+        assert intf.circular_variance.tobytes() == variance.tobytes()
+        assert intf.combined_magnitude.tobytes() == np.mean(np.abs(images), axis=0).tobytes()
 
     def test_end_to_end_map_matches_truth(self, small_e2e, small_scene_truth):
         emap = small_e2e["map"]

@@ -220,12 +220,37 @@ class TestAddNoise:
         with pytest.raises(ConfigError, match="per_sample_snr_db"):
             im.add_noise(self.make_capture(small_chirp), snr_db, seed=0)
 
+    def test_noise_power_is_summed_in_float64(self, small_chirp):
+        # a complex64 capture gets the noise of its exact complex128 values
+        cap = self.make_capture(small_chirp)
+        single = dataclasses.replace(cap, samples=cap.samples.astype(np.complex64))
+        double = dataclasses.replace(cap, samples=single.samples.astype(np.complex128))
+        noisy = im.add_noise(single, 3.0, seed=5)
+        assert noisy.samples.tobytes() == im.add_noise(double, 3.0, seed=5).samples.tobytes()
+
     def test_snr_beyond_float_range_adds_no_noise(self, small_chirp):
         cap = self.make_capture(small_chirp)
         assert im.add_noise(cap, 1e300, seed=0) is cap
 
 
 class TestCaptureValues:
+    def test_sample_dtype_rule(self, small_chirp):
+        # complex64, the file's precision, is kept as it is; anything else
+        # becomes complex128, the precision of a clean synthesized capture
+        array = im.default_virtual_array(im.derive_chirp_params(small_chirp).wavelength_m)
+        cap = im.synthesize_capture(single_target(5.0), make_rail_trajectory(1.0, 0.001, 0.0), small_chirp, array)
+        assert cap.samples.dtype == np.complex128
+        single = cap.samples.astype(np.complex64)
+        kept = dataclasses.replace(cap, samples=single)
+        assert kept.samples is single
+        assert kept.records[0].samples.dtype == np.complex64
+        assert np.shares_memory(kept.records[0].samples, single)
+        for other in (cap.samples.real, cap.samples.real.astype(np.float32), cap.samples.astype(">c8"),
+                      cap.samples.tolist()):
+            widened = dataclasses.replace(cap, samples=other)
+            assert widened.samples.dtype == np.complex128
+            assert widened.records[0].samples.dtype == np.complex128
+
     def test_non_finite_sample_rejected_with_its_record(self, small_chirp):
         # a record past the first check block, so the block offset counts
         array = im.default_virtual_array(im.derive_chirp_params(small_chirp).wavelength_m)
@@ -250,6 +275,17 @@ class TestCaptureValues:
         )
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ConfigError, match="non-finite"):
             im.add_noise(cap, 20.0, seed=0)
+
+    def test_noisy_sample_beyond_float32_rejected_with_its_record(self, small_chirp):
+        # finite in complex128, but inf once rounded to the file's complex64;
+        # a record past the first noise block, so the block offset counts
+        array = im.default_virtual_array(im.derive_chirp_params(small_chirp).wavelength_m)
+        cap = im.synthesize_capture(single_target(5.0), make_rail_trajectory(1.0, 0.01, 0.0), small_chirp, array)
+        row = sim._NOISE_ROWS + 5
+        samples = cap.samples.copy()
+        samples[row] = 1e39
+        with pytest.raises(ConfigError, match=f"record {row} holds samples beyond float32 range"):
+            im.add_noise(dataclasses.replace(cap, samples=samples), 20.0, seed=0)
 
     def test_window_with_too_many_cycles_rejected(self, small_chirp):
         # counting 5e303 cycles one at a time used to hang
@@ -380,4 +416,6 @@ class TestBlockPaths:
         sigma = np.sqrt(mean_power / 10.0 ** (snr_db / 10.0) / 2.0)
         draw = np.random.default_rng(11).standard_normal((n_rows, n, 2))
         expected = samples + sigma * (draw[..., 0] + 1j * draw[..., 1])
-        assert im.add_noise(cap, snr_db, seed=11).samples.tobytes() == expected.tobytes()
+        # the noisy capture holds the file's precision: the sum, rounded
+        noisy = im.add_noise(cap, snr_db, seed=11).samples
+        assert noisy.tobytes() == expected.astype(np.complex64).tobytes()
