@@ -42,7 +42,7 @@ import numpy as np
 from .errors import ConfigError, DataFormatError
 from .imaging import ImageGrid, SarImageStack
 from .interferometry import ElevationMap, InterferogramGrid
-from .simulate import RawCapture, _round_samples
+from .simulate import RawCapture
 from .types import ChirpConfig, Pose, VirtualArray, build_virtual_array
 
 MAGIC_RAW = b"INSARRAW"
@@ -170,8 +170,8 @@ def _record_dtype(samples_per_chirp: int) -> np.dtype:
 
 def write_capture(capture: RawCapture, path) -> None:
     """Write an INSARRAW capture.  Records are packed _BLOCK_ROWS at a time
-    into one reused block.  Raises ConfigError, and leaves no file, for a
-    sample beyond float32's range."""
+    into one reused block.  The samples are copied as they are: RawCapture
+    holds them at the file's precision, complex64, and finite."""
     cfg = capture.config
     n_records = capture.n_records
     pose_table = np.array([[p.time_s, *p.position, *p.quaternion] for p in capture.poses]).reshape(-1, 8)
@@ -189,7 +189,7 @@ def write_capture(capture: RawCapture, path) -> None:
             rows["cycle"] = capture.cycle[lo:hi]
             rows["time"] = capture.time_s[lo:hi]
             rows["pose"] = pose_table[capture.pose_index[lo:hi]]
-            _round_samples(capture.samples[lo:hi], rows["iq"], lo)
+            rows["iq"] = capture.samples[lo:hi]
             fh.write(rows.data)
 
 

@@ -253,8 +253,8 @@ def _select_aperture(capture: RawCapture, aperture: Aperture):
         center_time = 0.5 * (anchor_times[0] + anchor_times[-1])
     elif not (capture.time_s[0] <= center_time <= capture.time_s[-1]):
         raise DomainError(
-            f"aperture center time {center_time!r} outside the capture span "
-            f"[{capture.time_s[0]!r}, {capture.time_s[-1]!r}]"
+            f"aperture center time {float(center_time)!r} outside the capture span "
+            f"[{float(capture.time_s[0])!r}, {float(capture.time_s[-1])!r}]"
         )
     center_pose = anchors[int(np.argmin(np.abs(anchor_times - center_time)))]
 
@@ -379,7 +379,7 @@ def image_stack(
     process has CPUs.  Pixel ranges beyond the profile extent contribute
     zero; only blocks that can reach past it clamp.  Raises ConfigError
     when a partial sum is beyond float32's range, as a profile bin beyond
-    it makes one.
+    it makes one, and when a pixel's distance from the aperture overflows.
     """
     if not np.isfinite(image_height_m):
         raise ConfigError(f"image_height_m must be finite, got {image_height_m!r}")
@@ -419,7 +419,13 @@ def image_stack(
     # floor(reach) + 1, or floor(reach) + 2 where rounding lifts q across
     # the integer just above reach.  Profiles keep the bins through
     # floor(reach) + 2.
-    reach = _farthest(world, u, v, pz) * inv_bin
+    with np.errstate(over="ignore"):
+        reach = _farthest(world, u, v, pz) * inv_bin
+    if not np.isfinite(reach):
+        raise ConfigError(
+            f"the image grid's farthest pixel lies at no finite distance from the aperture "
+            f"(image_height_m = {float(image_height_m)!r})"
+        )
     keep_bins = reach + 3
 
     # A value beyond float32's range, a profile bin or a sum, makes some

@@ -13,12 +13,13 @@ Synthesis is block-vectorised: a capture is filled a block of TDM cycles
 at a time, with one distance per (cycle, element, target) and the beat
 expression evaluated on whole (rows, samples) blocks, into work buffers
 made once per capture rather than fresh temporaries per target.  Distances
-keep np.linalg.norm's rounding, so every capture row is bitwise equal to
-synthesize_chirp at that record's TX and RX positions.  Noise is drawn a
-block of rows at a time from one stream into one complex128 block, added
-to the clean rows, and rounded into the complex64 noisy samples, so the
-simulate stage's peak memory is the clean complex128 samples, the
-complex64 noisy samples and one noise block.
+keep np.linalg.norm's rounding, so every block row is bitwise equal to
+synthesize_chirp at that record's TX and RX positions; each block is then
+rounded into the capture's complex64 samples, the precision of an INSARRAW
+file.  Noise is drawn a block of rows at a time from one stream into one
+complex128 block, added to the widened clean rows, and rounded into the
+complex64 noisy samples, so the simulate stage's peak memory is the clean
+and the noisy complex64 samples and one work block.
 """
 
 from __future__ import annotations
@@ -79,12 +80,15 @@ class Scene:
 
 
 def _sample_array(samples) -> np.ndarray:
-    """Capture samples as an array: complex64 samples are kept as they are
-    (INSARRAW's precision, as read or noised), and any other input becomes
-    complex128 (a clean synthesized capture, which add_noise needs at full
-    precision)."""
+    """Capture samples as complex64, the precision of an INSARRAW file:
+    complex64 samples are kept as they are, and any other input is rounded
+    by _round_samples."""
     samples = np.asarray(samples)
-    return samples if samples.dtype == np.complex64 else samples.astype(np.complex128, copy=False)
+    if samples.dtype == np.complex64:
+        return samples
+    rounded = np.empty(samples.shape, dtype=np.complex64)
+    _round_samples(samples, rounded, 0)
+    return rounded
 
 
 def _round_samples(values: np.ndarray, out: np.ndarray, first_record: int) -> None:
@@ -96,7 +100,7 @@ def _round_samples(values: np.ndarray, out: np.ndarray, first_record: int) -> No
         out[...] = values
     # the float32 view is the fast test; a non-finite value needs the slow one
     if not np.isfinite(out.view(np.float32)).all():
-        lost = (np.isfinite(out) != np.isfinite(values)).any(axis=1)
+        lost = np.atleast_2d(np.isfinite(out) != np.isfinite(values)).any(axis=1)
         if lost.any():
             raise ConfigError(f"record {first_record + int(np.argmax(lost))} holds samples beyond float32 range")
 
@@ -115,7 +119,7 @@ class PulseRecord:
     tx: int
     rx: int
     pose: Pose
-    samples: np.ndarray  # (samples_per_chirp,) complex64 or complex128, as _sample_array
+    samples: np.ndarray  # (samples_per_chirp,) complex64, as _sample_array
 
     def __post_init__(self) -> None:
         samples = _sample_array(self.samples)
@@ -135,16 +139,15 @@ class RawCapture:
     Samples and times must be finite, and times ordered.  All arrays are
     read-only.
 
-    Samples have one of two dtypes.  complex64 samples, the precision of
-    an INSARRAW file, are kept as they are: read_capture and add_noise make
-    them.  Any other samples become complex128: synthesize_capture's clean
-    samples stay at full precision, because add_noise adds its noise to
-    those values before it rounds them.
+    Samples have one dtype, complex64, the precision of an INSARRAW file.
+    complex64 samples are kept as they are; any other samples are rounded
+    to complex64, and a finite value beyond float32's range raises
+    ConfigError ("record N holds samples beyond float32 range").
     """
 
     config: ChirpConfig
     array: VirtualArray
-    samples: np.ndarray  # (n_records, samples_per_chirp) complex64 or complex128
+    samples: np.ndarray  # (n_records, samples_per_chirp) complex64
     tx: np.ndarray  # (n_records,) int
     rx: np.ndarray  # (n_records,) int
     cycle: np.ndarray  # (n_records,) int
@@ -153,10 +156,11 @@ class RawCapture:
     pose_index: np.ndarray  # (n_records,) int into poses
 
     def __post_init__(self) -> None:
-        samples = _sample_array(self.samples)
+        samples = np.asarray(self.samples)
         n = self.config.samples_per_chirp
         if samples.ndim != 2 or samples.shape[1] != n:
             raise ConfigError(f"capture samples shape {samples.shape} != (n_records, {n})")
+        samples = _sample_array(samples)
         # checked a block of rows at a time, so no capture-sized mask is made
         for lo in range(0, samples.shape[0], _NOISE_ROWS):
             finite = np.isfinite(samples[lo : lo + _NOISE_ROWS]).all(axis=1)
@@ -329,10 +333,15 @@ def synthesize_capture(
     cycle at the cycle's first chirp and shared by all of that cycle's
     records.  Only complete TDM cycles are emitted so every TX/RX pair stays
     balanced.  pattern_cos_power, when given, applies a cosine-power element
-    pattern about the array boresight (+y in the array frame).
+    pattern about the array boresight (+y in the array frame).  A
+    non-finite window bound raises ConfigError.
 
-    Row r equals synthesize_chirp at record r's TX and RX world positions,
-    bit for bit; rows are filled a fixed block of cycles at a time.
+    Row r equals synthesize_chirp at record r's TX and RX world positions
+    rounded to complex64, bit for bit.  Rows are synthesized a fixed block
+    of cycles at a time into one reused complex128 block, which is rounded
+    into the complex64 result, so a finite sample beyond float32's range
+    raises ConfigError.  Allocates the result and one block's work
+    buffers.
     """
     if array.n_tx != cfg.num_tx:
         raise ConfigError(
@@ -342,6 +351,9 @@ def synthesize_capture(
         traj.start_time_s,
         traj.end_time_s,
     )
+    t_start, t_end = float(t_start), float(t_end)
+    if not (np.isfinite(t_start) and np.isfinite(t_end)):
+        raise ConfigError(f"capture window [{t_start!r}, {t_end!r}] must be finite")
     if t_start < traj.start_time_s or t_end > traj.end_time_s:
         raise DomainError(
             f"trajectory [{traj.start_time_s}, {traj.end_time_s}] does not span "
@@ -364,9 +376,11 @@ def synthesize_capture(
     # one row per (cycle, tx, rx), in firing order
     n_tx, n_rx = cfg.num_tx, array.n_rx
     cycle, tx, rx = np.indices((n_cycles, n_tx, n_rx)).reshape(3, -1)
-    samples = np.zeros((cycle.size, cfg.samples_per_chirp), dtype=np.complex128)
+    samples = np.empty((cycle.size, cfg.samples_per_chirp), dtype=np.complex64)
     poses = [pose_at_time(traj, t_start + cyc * effective_pri) for cyc in range(n_cycles)]
-    work = _beat_work(min(n_cycles, _SYNTH_CYCLES) * n_tx * n_rx, cfg)
+    block_rows = min(n_cycles, _SYNTH_CYCLES) * n_tx * n_rx
+    work = _beat_work(block_rows, cfg)
+    beat = np.empty((block_rows, cfg.samples_per_chirp), dtype=np.complex128)
     for c_lo in range(0, n_cycles, _SYNTH_CYCLES):
         block = poses[c_lo : c_lo + _SYNTH_CYCLES]
         # world positions of every element, TX then RX: (cycles, n_tx + n_rx, 3)
@@ -381,13 +395,17 @@ def synthesize_capture(
         # (cycles, n_tx, n_rx, n_targets), rows in firing order
         tau = (dist[:, :n_tx, None] + dist[:, None, n_tx:]) / C_LIGHT
         amp = amplitudes if gain is None else amplitudes * gain[:, :n_tx, None] * gain[:, None, n_tx:]
+        r_lo = c_lo * n_tx * n_rx
+        rows = beat[: len(block) * n_tx * n_rx]
+        rows.fill(0.0)
         _beat(
             tau.reshape(-1, len(positions)),
             np.broadcast_to(amp, tau.shape).reshape(-1, len(positions)),
             cfg,
-            samples[c_lo * n_tx * n_rx : (c_lo + len(block)) * n_tx * n_rx],
+            rows,
             work,
         )
+        _round_samples(rows, samples[r_lo : r_lo + rows.shape[0]], r_lo)
     return RawCapture(
         config=cfg,
         array=array,
@@ -409,16 +427,18 @@ def add_noise(
     """Add circularly-symmetric complex white Gaussian noise to a capture.
 
     Noise variance is set so mean signal power / noise power equals
-    10**(snr_db/10); the power is summed in float64 whatever the samples'
-    dtype.  An SNR of +inf, or one too large for that ratio to be a float,
-    returns the capture unchanged; NaN, -inf and an SNR too small for it
-    raise ConfigError.  An all-zero capture has no power to scale against
+    10**(snr_db/10); the power is summed in float64, over the samples
+    widened to complex128.  An SNR of +inf, or one too large for that
+    ratio to be a float, returns the capture unchanged; NaN, -inf and an
+    SNR too small for it raise ConfigError.  An all-zero capture has no power to scale against
     and raises DomainError.  Deterministic for a fixed seed.
 
-    The noisy capture holds complex64 samples, the rounding write_capture
-    applies, so a finite noisy sample beyond float32's range raises
-    ConfigError as the writer does.  Allocates the complex64 result and
-    one complex128 block of _NOISE_ROWS rows.
+    The noise is added to the complex64 samples widened to complex128,
+    and each sum is rounded to complex64.  For a synthesized capture, each
+    noisy component is within one float32 ulp of max(|clean|, |noisy|) of
+    the same noise added to the unrounded complex128 synthesis.  A finite
+    noisy sample beyond float32's range raises ConfigError.  Allocates the
+    complex64 result and one complex128 block of _NOISE_ROWS rows.
     """
     if capture.n_records == 0:
         raise DomainError("capture is empty")
@@ -433,7 +453,7 @@ def add_noise(
     # other rows, so blocks give the same floats as one pass
     row_power = np.empty(capture.n_records)
     for rows in blocks:
-        row_power[rows] = np.mean(np.abs(samples[rows].astype(np.complex128, copy=False)) ** 2, axis=1)
+        row_power[rows] = np.mean(np.abs(samples[rows].astype(np.complex128)) ** 2, axis=1)
     mean_power = float(np.mean(row_power))
     if mean_power == 0.0:
         raise DomainError("capture has zero signal power")

@@ -481,14 +481,47 @@ def test_non_finite_trajectory_value_is_a_config_error(workdir, capsys, row):
     capsys.readouterr()
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_overflowing_scene_amplitude_is_a_config_error(workdir, capsys):
-    # the samples overflow to inf when noise is added; the capture was written
+    # the samples are finite in the complex128 synthesis block but beyond
+    # float32 once rounded into the capture; no capture is written
     (workdir / "scene.csv").write_text(SCENE + "0.3,4.2,0.5,1e300\n")
     out, code = run_pipeline(workdir, workdir / "radar.cfg")
     assert code == 2
-    assert "holds non-finite samples" in capsys.readouterr().err
+    assert "holds samples beyond float32 range" in capsys.readouterr().err
     assert not (out / "capture.insarraw").exists()
+
+
+@pytest.mark.parametrize("line", ["capture_start_s = inf", "capture_end_s = -inf"])
+def test_non_finite_capture_window_is_a_config_error(workdir, capsys, line):
+    # an infinite bound used to end in OverflowError while counting cycles
+    (workdir / "window.cfg").write_text(CONFIG + line + "\n")
+    out, code = run_pipeline(workdir, workdir / "window.cfg")
+    assert code == 2
+    assert "capture window" in capsys.readouterr().err
+    assert not (out / "capture.insarraw").exists()
+
+
+@pytest.mark.parametrize("height", ["1e300", "-1e300"])
+def test_grid_at_no_finite_distance_is_a_config_error(workdir, capsys, height):
+    # the farthest pixel's squared distance overflowed with a warning, and
+    # the all-zero image then failed as a domain error (exit 4)
+    (workdir / "far.cfg").write_text(CONFIG + f"image_height_m = {height}\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out, code = run_pipeline(workdir, workdir / "far.cfg")
+    assert code == 2
+    assert "no finite distance" in capsys.readouterr().err
+    assert (out / "capture.insarraw").exists()
+    assert not (out / "stack.insarimg").exists()
+
+
+def test_aperture_center_outside_capture_names_plain_floats(workdir, capsys):
+    (workdir / "late.cfg").write_text(CONFIG + "aperture_center_time_s = inf\n")
+    _, code = run_pipeline(workdir, workdir / "late.cfg")
+    assert code == 4
+    err = capsys.readouterr().err
+    assert "outside the capture span [-0.02, " in err
+    assert "np.float64(" not in err
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
@@ -650,6 +683,13 @@ def test_malformed_element_positions_are_a_config_error(workdir, capsys, tx):
 # +-inf, 1e+-300, 1e39 (finite, but beyond float32), and values of the
 # wrong shape.
 HOSTILE = ("abc", "nan", "inf", "-inf", "1e300", "-1e300", "1e-300", "-1e-300", "1e39")
+OPTIONAL_KEYS = (
+    "capture_start_s",
+    "capture_end_s",
+    "element_pattern_cos_power",
+    "aperture_center_time_s",
+    "range_window",
+)
 
 
 def hostile_inputs(rng):
@@ -697,12 +737,17 @@ def hostile_inputs(rng):
     for amplitude in ("1e39", "1e37"):
         quiet = CONFIG + "per_sample_snr_db = inf\n"
         yield f"noiseless scene amplitude {amplitude}", quiet, SCENE + f"0.3,4.2,0.5,{amplitude}\n", TRAJ
+    # keys the CLI reads that CONFIG leaves at their defaults
+    for key in OPTIONAL_KEYS:
+        for bad in HOSTILE:
+            yield f"{key} = {bad}", CONFIG + f"{key} = {bad}\n", SCENE, TRAJ
 
 
 def test_hostile_config_and_csv_values_fail_cleanly(tmp_path, capsys):
     # Every hostile input either runs or exits 2 (config) or 4 (domain):
     # no traceback, and never 3, which here could only mean that one stage
-    # wrote an artifact the next stage rejects.
+    # wrote an artifact the next stage rejects.  Messages name plain
+    # numbers, not numpy reprs.
     failures = []
     for k, (what, config, scene, traj) in enumerate(hostile_inputs(random.Random(2025))):
         case = tmp_path / str(k)
@@ -716,6 +761,6 @@ def test_hostile_config_and_csv_values_fail_cleanly(tmp_path, capsys):
         except Exception as exc:  # noqa: BLE001 -- the failure being tested for
             code = f"{type(exc).__name__}: {exc}"
         err = capsys.readouterr().err
-        if code not in (0, 2, 4) or "Traceback" in err:
+        if code not in (0, 2, 4) or "Traceback" in err or "np.float64(" in err:
             failures.append(f"{what}: {code} {err.strip()[-200:]}")
     assert not failures, "\n".join(failures)

@@ -51,6 +51,21 @@ def clean_capture(reference_chirp):
     return im.synthesize_capture(scene, make_rail_trajectory(1.0, 0.01, 0.4), reference_chirp, array)
 
 
+def test_synthesize_capture_allocates_its_complex64_result_and_one_block(reference_chirp):
+    array = im.default_virtual_array(im.derive_chirp_params(reference_chirp).wavelength_m)
+    scene = im.Scene((im.PointTarget(np.array([0.0, 4.0, 0.4]), 1.0),))
+    traj = make_rail_trajectory(1.0, 0.02, 0.4)
+    capture, peak = traced_peak(lambda: im.synthesize_capture(scene, traj, reference_chirp, array))
+    n_records, n = capture.samples.shape
+    result = n_records * n * np.dtype(np.complex64).itemsize
+    # the complex128 block that is rounded into the result, and _beat's
+    # complex128 exponential and float64 phase buffers of the same rows
+    rows = sim._SYNTH_CYCLES * array.n_tx * array.n_rx
+    block = rows * n * (2 * np.dtype(np.complex128).itemsize + np.dtype(np.float64).itemsize)
+    assert peak <= result + block + COLUMN_BYTES_PER_RECORD * n_records + SLACK
+    assert capture.samples.dtype == np.complex64
+
+
 def test_add_noise_allocates_its_complex64_result_and_one_block(clean_capture):
     n_records, n = clean_capture.samples.shape
     noisy, peak = traced_peak(lambda: im.add_noise(clean_capture, 20.0, seed=1))

@@ -104,19 +104,19 @@ class TestSynthesizeCapture:
             im.synthesize_capture(single_target(5.0), short, small_chirp, array)
 
     def test_superposition_exact_for_added_target(self, small_chirp):
-        array = im.build_virtual_array([(0.0, 0, 0)], [(0.0, 0, 0)])
+        # synthesize_chirp's complex128 sum: a capture row is that sum
+        # rounded to complex64, where the rounding of each part can differ
         cfg = im.ChirpConfig(77.4e9, 30e12, 64, 18.75e6, 63.9e-6, 256, 1)
-        traj = make_rail_trajectory(1.0, 0.01, 0.0)
-        window = (-0.01, -0.01 + 8 * cfg.pri_s)
         a = im.PointTarget(np.array([1.0, 6.0, 0.0]), 1.0)
         b = im.PointTarget(np.array([-2.0, 8.0, 0.5]), 0.7)
         c = im.PointTarget(np.array([0.5, 12.0, -0.2]), 1.3)
-        cap_ab = im.synthesize_capture(im.Scene((a, b)), traj, cfg, array, window)
-        cap_c = im.synthesize_capture(im.Scene((c,)), traj, cfg, array, window)
-        cap_abc = im.synthesize_capture(im.Scene((a, b, c)), traj, cfg, array, window)
-        for rec_abc, rec_ab, rec_c in zip(cap_abc.records, cap_ab.records, cap_c.records):
+        for x in np.linspace(-0.01, 0.01, 8):
+            pos = np.array([x, 0.0, 0.0])
+            ab = im.synthesize_chirp(im.Scene((a, b)), pos, pos, cfg)
+            only_c = im.synthesize_chirp(im.Scene((c,)), pos, pos, cfg)
+            abc = im.synthesize_chirp(im.Scene((a, b, c)), pos, pos, cfg)
             # sequential in-order accumulation makes this exact, not just close
-            assert np.array_equal(rec_abc.samples, rec_ab.samples + rec_c.samples)
+            assert np.array_equal(abc, ab + only_c)
 
     def test_range_shift_moves_beat_by_predicted_bins(self, reference_chirp):
         array = im.build_virtual_array([(0.0, 0, 0)], [(0.0, 0, 0)])
@@ -232,24 +232,65 @@ class TestAddNoise:
         cap = self.make_capture(small_chirp)
         assert im.add_noise(cap, 1e300, seed=0) is cap
 
+    @pytest.mark.parametrize("snr_db", [3.0, 25.0])
+    def test_noisy_capture_within_one_ulp_of_noising_complex128(self, small_chirp, snr_db):
+        # the capture is rounded to complex64 before the noise is added: each
+        # noisy float32 component stays within one float32 ulp of
+        # max(|clean|, |noisy|) of the same noise added to the unrounded
+        # complex128 synthesis and rounded once
+        array = im.default_virtual_array(im.derive_chirp_params(small_chirp).wavelength_m)
+        scene = im.Scene(
+            (im.PointTarget(np.array([0.0, 4.0, 0.4]), 1.0), im.PointTarget(np.array([-0.3, 4.6, 0.9]), 0.3))
+        )
+        cap = im.synthesize_capture(scene, make_rail_trajectory(1.0, 0.01, 0.4), small_chirp, array)
+        clean = np.array(
+            [
+                im.synthesize_chirp(
+                    scene,
+                    cap.poses[k].to_world(array.tx_positions)[tx],
+                    cap.poses[k].to_world(array.rx_positions)[rx],
+                    small_chirp,
+                )
+                for k, tx, rx in zip(cap.pose_index, cap.tx, cap.rx)
+            ]
+        )
+        mean_power = np.mean(np.mean(np.abs(clean) ** 2, axis=1))
+        sigma = np.sqrt(mean_power / 10.0 ** (snr_db / 10.0) / 2.0)
+        draw = np.random.default_rng(4).standard_normal((*clean.shape, 2))
+        exact = (clean + sigma * (draw[..., 0] + 1j * draw[..., 1])).astype(np.complex64).view(np.float32)
+        noisy = im.add_noise(cap, snr_db, seed=4).samples.view(np.float32)
+        ulp = np.spacing(np.maximum(np.abs(clean.view(np.float64)), np.abs(exact)).astype(np.float32))
+        assert np.all(np.abs(noisy.astype(np.float64) - exact) <= ulp)
+        # rounding the capture first changes some components, not most
+        assert 0.0 < np.mean(noisy != exact) < 0.5
+
 
 class TestCaptureValues:
     def test_sample_dtype_rule(self, small_chirp):
-        # complex64, the file's precision, is kept as it is; anything else
-        # becomes complex128, the precision of a clean synthesized capture
+        # one dtype, complex64, the file's precision: complex64 is kept as it
+        # is, and anything else is rounded to it
         array = im.default_virtual_array(im.derive_chirp_params(small_chirp).wavelength_m)
-        cap = im.synthesize_capture(single_target(5.0), make_rail_trajectory(1.0, 0.001, 0.0), small_chirp, array)
-        assert cap.samples.dtype == np.complex128
-        single = cap.samples.astype(np.complex64)
+        cap = im.synthesize_capture(single_target(5.0), make_rail_trajectory(1.0, 0.01, 0.0), small_chirp, array)
+        assert cap.samples.dtype == np.complex64
+        single = cap.samples.copy()
         kept = dataclasses.replace(cap, samples=single)
         assert kept.samples is single
         assert kept.records[0].samples.dtype == np.complex64
         assert np.shares_memory(kept.records[0].samples, single)
-        for other in (cap.samples.real, cap.samples.real.astype(np.float32), cap.samples.astype(">c8"),
-                      cap.samples.tolist()):
-            widened = dataclasses.replace(cap, samples=other)
-            assert widened.samples.dtype == np.complex128
-            assert widened.records[0].samples.dtype == np.complex128
+        wide = cap.samples.astype(np.complex128) * (1.0 + 1e-12)
+        for other in (wide, wide.real, wide.real.astype(np.float32), wide.astype(">c8"), wide.tolist()):
+            rounded = dataclasses.replace(cap, samples=other)
+            assert rounded.samples.dtype == np.complex64
+            assert rounded.samples.tobytes() == np.asarray(other).astype(np.complex64).tobytes()
+            assert rounded.records[0].samples.dtype == np.complex64
+        record = sim.PulseRecord(0.0, 0, 0, 0, cap.poses[0], wide[0])
+        assert record.samples.tobytes() == wide[0].astype(np.complex64).tobytes()
+        # a finite value that complex64 cannot hold is refused, with its record
+        row = sim._NOISE_ROWS + 5
+        assert cap.n_records > row
+        wide[row, 3] = 1e39
+        with pytest.raises(ConfigError, match=f"record {row} holds samples beyond float32 range"):
+            dataclasses.replace(cap, samples=wide)
 
     def test_non_finite_sample_rejected_with_its_record(self, small_chirp):
         # a record past the first check block, so the block offset counts
@@ -268,22 +309,23 @@ class TestCaptureValues:
             dataclasses.replace(cap, time_s=times)
 
     def test_overflowing_amplitude_fails_in_simulate(self, small_chirp):
-        # the samples are finite until noise is added, which overflows
+        # finite in the complex128 synthesis block, but beyond float32 once
+        # rounded into the capture
         array = im.default_virtual_array(im.derive_chirp_params(small_chirp).wavelength_m)
-        cap = im.synthesize_capture(
-            single_target(5.0, 1e300), make_rail_trajectory(1.0, 0.001, 0.0), small_chirp, array
-        )
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ConfigError, match="non-finite"):
-            im.add_noise(cap, 20.0, seed=0)
+        with pytest.raises(ConfigError, match="record 0 holds samples beyond float32 range"):
+            im.synthesize_capture(
+                single_target(5.0, 1e300), make_rail_trajectory(1.0, 0.001, 0.0), small_chirp, array
+            )
 
     def test_noisy_sample_beyond_float32_rejected_with_its_record(self, small_chirp):
-        # finite in complex128, but inf once rounded to the file's complex64;
-        # a record past the first noise block, so the block offset counts
+        # the largest float32 plus noise is finite in complex128, but inf once
+        # rounded to the file's complex64; a record past the first noise
+        # block, so the block offset counts
         array = im.default_virtual_array(im.derive_chirp_params(small_chirp).wavelength_m)
         cap = im.synthesize_capture(single_target(5.0), make_rail_trajectory(1.0, 0.01, 0.0), small_chirp, array)
         row = sim._NOISE_ROWS + 5
         samples = cap.samples.copy()
-        samples[row] = 1e39
+        samples[row] = np.finfo(np.float32).max
         with pytest.raises(ConfigError, match=f"record {row} holds samples beyond float32 range"):
             im.add_noise(dataclasses.replace(cap, samples=samples), 20.0, seed=0)
 
@@ -324,9 +366,11 @@ def loop_chirp(scene, tx_pos, rx_pos, cfg, pattern=None):
 
 
 class TestBeatOracle:
-    """synthesize_capture rows equal the plain per-target sum of
+    """synthesize_chirp equals the plain per-target sum of
     amplitude * np.exp(1j * 2*pi*(slope*tau*n/fs + f_c*tau)) in scene order
-    (loop_chirp), bit for bit, whatever work buffers the synthesis reuses."""
+    (loop_chirp) in complex128, and synthesize_capture rows equal that sum
+    rounded to complex64, bit for bit, whatever work buffers the synthesis
+    reuses."""
 
     @pytest.mark.parametrize("samples_per_chirp", [64, 300])
     def test_capture_rows_equal_plain_exp_sum(self, samples_per_chirp):
@@ -351,12 +395,15 @@ class TestBeatOracle:
             pose = cap.poses[cap.pose_index[r]]
             tx_pos = pose.to_world(array.tx_positions)[cap.tx[r]]
             rx_pos = pose.to_world(array.rx_positions)[cap.rx[r]]
-            assert cap.samples[r].tobytes() == loop_chirp(scene, tx_pos, rx_pos, cfg).tobytes()
+            oracle = loop_chirp(scene, tx_pos, rx_pos, cfg)
+            assert im.synthesize_chirp(scene, tx_pos, rx_pos, cfg).tobytes() == oracle.tobytes()
+            assert cap.samples[r].tobytes() == oracle.astype(np.complex64).tobytes()
 
 
 class TestBlockPaths:
     """The block-wise synthesis and noise give the floats of the whole-array
-    arithmetic, for sizes that are not multiples of the block sizes."""
+    arithmetic, for sizes that are not multiples of the block sizes: a
+    noiseless capture row is synthesize_chirp rounded to complex64."""
 
     @pytest.mark.parametrize("samples_per_chirp", [256, 500])
     @pytest.mark.parametrize("power", [None, 1.5])
@@ -392,13 +439,13 @@ class TestBlockPaths:
             rx_pos = pose.to_world(array.rx_positions)[cap.rx[r]]
             pattern = None if power is None else (power, pose.rotation_matrix() @ np.array([0.0, 1.0, 0.0]))
             chirp = im.synthesize_chirp(scene, tx_pos, rx_pos, cfg, pattern)
-            assert cap.samples[r].tobytes() == chirp.tobytes()
+            assert cap.samples[r].tobytes() == chirp.astype(np.complex64).tobytes()
             assert chirp.tobytes() == loop_chirp(scene, tx_pos, rx_pos, cfg, pattern).tobytes()
 
     def test_add_noise_equals_one_draw(self, small_chirp):
         n_rows, n = 2 * sim._NOISE_ROWS + 37, small_chirp.samples_per_chirp
         rng = np.random.default_rng(7)
-        samples = rng.standard_normal((n_rows, n)) + 1j * rng.standard_normal((n_rows, n))
+        samples = (rng.standard_normal((n_rows, n)) + 1j * rng.standard_normal((n_rows, n))).astype(np.complex64)
         cap = im.RawCapture(
             config=small_chirp,
             array=im.default_virtual_array(im.derive_chirp_params(small_chirp).wavelength_m),
@@ -411,11 +458,13 @@ class TestBlockPaths:
             pose_index=np.zeros(n_rows, dtype=int),
         )
         snr_db = 7.0
-        # the one-pass mean power and one whole draw of the same seed
-        mean_power = np.mean(np.mean(np.abs(samples) ** 2, axis=1))
+        # the one-pass float64 mean power and one whole draw of the same seed,
+        # added to the samples widened to complex128
+        wide = samples.astype(np.complex128)
+        mean_power = np.mean(np.mean(np.abs(wide) ** 2, axis=1))
         sigma = np.sqrt(mean_power / 10.0 ** (snr_db / 10.0) / 2.0)
         draw = np.random.default_rng(11).standard_normal((n_rows, n, 2))
-        expected = samples + sigma * (draw[..., 0] + 1j * draw[..., 1])
+        expected = wide + sigma * (draw[..., 0] + 1j * draw[..., 1])
         # the noisy capture holds the file's precision: the sum, rounded
         noisy = im.add_noise(cap, snr_db, seed=11).samples
         assert noisy.tobytes() == expected.astype(np.complex64).tobytes()
