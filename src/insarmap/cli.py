@@ -62,6 +62,12 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+def _peak_magnitude(images: np.ndarray) -> float:
+    """The largest |pixel| of a stack, one plane at a time: np.abs of the
+    whole stack would be a float64 temporary of its size."""
+    return max(float(np.abs(plane).max()) for plane in images)
+
+
 def _cmd_image(args) -> int:
     cfg = _load_config(args.config)
     capture = formats.read_capture(args.capture)
@@ -70,7 +76,7 @@ def _cmd_image(args) -> int:
     options = configio.load_imaging_options(cfg)
     stack = imaging.image_stack(capture, grid, aperture, threads=args.threads, **options)
     formats.write_image_stack(stack, args.output)
-    peak = float(np.abs(stack.images).max())
+    peak = _peak_magnitude(stack.images)
     print(f"[image] wrote {args.output}")
     print(
         f"[image] {stack.array.n_vx} VX images of {grid.n_u}x{grid.n_v} px "

@@ -10,16 +10,22 @@ few percent fractional bandwidth it is far below the phase tolerances of
 the interferometric stage, and dropping it keeps the beat a pure tone.
 
 Synthesis is block-vectorised: a capture is filled a block of TDM cycles
-at a time, with one distance per (cycle, element, target) and the beat
-expression evaluated on whole (rows, samples) blocks, into work buffers
-made once per capture rather than fresh temporaries per target.  Distances
-keep np.linalg.norm's rounding, so every block row is bitwise equal to
-synthesize_chirp at that record's TX and RX positions; each block is then
-rounded into the capture's complex64 samples, the precision of an INSARRAW
-file.  Noise is drawn a block of rows at a time from one stream into one
-complex128 block, added to the widened clean rows, and rounded into the
-complex64 noisy samples, so the simulate stage's peak memory is the clean
-and the noisy complex64 samples and one work block.
+at a time, with one distance per (cycle, element, target).  A record's beat
+is the product of its TX's and its RX's one-way beats, so each block
+evaluates one beat row per (element, target), n_tx + n_rx rows per cycle
+rather than n_tx * n_rx, and multiplies them per record, into work buffers
+made once per capture rather than fresh temporaries per target.  Phases
+are range-reduced in float64 before cos and sin, and a beat is within
+5e-11 per unit amplitude of the direct two-way np.exp sum for targets
+within 30 m.  synthesize_chirp runs the same path with its two elements,
+and distances keep np.linalg.norm's rounding, so every block row is
+bitwise equal to synthesize_chirp at that record's TX and RX positions;
+each block is then rounded into the capture's complex64 samples, the
+precision of an INSARRAW file.  Noise is drawn a block of rows at a time
+from one stream into one complex128 block, added to the widened clean
+rows, and rounded into the complex64 noisy samples, so the simulate
+stage's peak memory is the clean and the noisy complex64 samples and one
+work block.
 """
 
 from __future__ import annotations
@@ -223,7 +229,8 @@ def _scene_table(scene: Scene) -> tuple[np.ndarray, np.ndarray]:
 def _element_legs(points: np.ndarray, targets: np.ndarray, pattern) -> tuple[np.ndarray, np.ndarray | None]:
     """Distance from each element position (..., 3) to each target (T, 3),
     shaped (..., T), and the element's gain toward it (None without a
-    pattern).
+    pattern).  A distance that is not finite (coordinates whose squared
+    distance overflows) raises ConfigError.
 
     pattern = (cosine power, boresight (..., 3) per element): the gain is
     cos(angle off boresight)**power, zero behind the element and one for a
@@ -232,9 +239,16 @@ def _element_legs(points: np.ndarray, targets: np.ndarray, pattern) -> tuple[np.
     np.dot use, so values round exactly as np.linalg.norm(target - point)
     does; einsum or a summed square differs in the last bit.
     """
-    offsets = targets - points[..., None, :]
-    rows = offsets[..., None, :]
-    dist = np.sqrt((rows @ offsets[..., :, None])[..., 0, 0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        offsets = targets - points[..., None, :]
+        rows = offsets[..., None, :]
+        dist = np.sqrt((rows @ offsets[..., :, None])[..., 0, 0])
+    if not np.isfinite(dist).all():
+        *element, target = np.argwhere(~np.isfinite(dist))[0]
+        raise ConfigError(
+            f"target {int(target)} at {tuple(targets[target].tolist())} lies at no finite distance "
+            f"from the array element at {tuple(points[tuple(element)].tolist())}"
+        )
     if pattern is None:
         return dist, None
     power, boresight = pattern
@@ -250,42 +264,66 @@ def _element_legs(points: np.ndarray, targets: np.ndarray, pattern) -> tuple[np.
     return dist, gain
 
 
-def _beat_work(rows: int, cfg: ChirpConfig) -> tuple[np.ndarray, np.ndarray]:
-    """_beat's work buffers for up to rows rows: the phase and the
-    exponential."""
-    shape = (rows, cfg.samples_per_chirp)
-    return np.empty(shape), np.empty(shape, dtype=np.complex128)
+def _beat_work(cycles: int, n_tx: int, n_rx: int, cfg: ChirpConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_beat's work buffers for up to cycles TDM cycles: the phases and the
+    one-way beats of every element (cycles, n_tx + n_rx, samples), and one
+    TX's records (cycles, n_rx, samples)."""
+    n = cfg.samples_per_chirp
+    return (
+        np.empty((cycles, n_tx + n_rx, n)),
+        np.empty((cycles, n_tx + n_rx, n), dtype=np.complex128),
+        np.empty((cycles, n_rx, n), dtype=np.complex128),
+    )
 
 
 def _beat(
-    tau: np.ndarray,
-    amplitude: np.ndarray,
+    dist: np.ndarray,
+    gain: np.ndarray | None,
+    amplitudes: np.ndarray,
     cfg: ChirpConfig,
     out: np.ndarray,
-    work: tuple[np.ndarray, np.ndarray],
+    work: tuple[np.ndarray, np.ndarray, np.ndarray],
 ) -> None:
-    """Add every target's dechirped beat to out (rows, samples_per_chirp).
+    """Add every target's dechirped beat to out (cycles, n_tx, n_rx,
+    samples_per_chirp), one row per TDM record.
 
-    tau and amplitude are (rows, n_targets): two-way delay and amplitude of
-    each target on each row.  Targets accumulate in scene order.
+    dist and gain are _element_legs' (cycles, n_tx + n_rx, n_targets), TX
+    then RX; amplitudes is (n_targets,).  A record's beat factors exactly
+    into the one-way beats of its two elements,
 
-    The phase and the exponential are evaluated into the leading rows of
-    the _beat_work buffers, which a capture reuses for every block, in the
-    order of the formula 2*pi*((slope*tau*n)/fs + f_c*tau).  The
-    exponential is written as cos(phase) + j*sin(phase), which is bit for
-    bit np.exp(1j*phase) (checked by the tests) and cheaper.
+        exp(j*2*pi*(slope*n/fs + f_c)*(d_tx + d_rx)/c) = E_tx[n] * E_rx[n],
+        E_e[n] = exp(j*2*pi*(slope*n/fs + f_c)*d_e/c),
+
+    so each element's beat is evaluated once per (cycle, target), and each
+    record adds (amplitude*g_tx*E_tx) * (g_rx*E_rx), target by target in
+    scene order.  Each phase is range-reduced in float64, in cycles minus
+    the nearest whole number, before the 2*pi, so cos and sin see at most
+    pi.  Against amplitude * np.exp(1j * phase) of the record's two-way
+    phase, whose own rounding grows with the phase, a sample differs by
+    less than 5e-11 per unit amplitude for targets within 30 m (tested).
+    The one-way beats and one TX's products are formed in the leading
+    cycles of the _beat_work buffers, which a capture reuses for every
+    block.
     """
-    n = np.arange(cfg.samples_per_chirp, dtype=np.float64)
-    phase, term = (w[: out.shape[0]] for w in work)
-    for tau_t, amp_t in zip(tau.T[:, :, None], amplitude.T[:, :, None]):
-        np.multiply(cfg.ramp_slope_hz_per_s * tau_t, n, out=phase)
-        phase /= cfg.sample_rate_sps
-        phase += cfg.center_frequency_hz * tau_t
+    cycles, n_tx = out.shape[:2]
+    n = cfg.samples_per_chirp
+    phase, element, record = (w[:cycles] for w in work)
+    freq = cfg.ramp_slope_hz_per_s * np.arange(n) / cfg.sample_rate_sps
+    freq += cfg.center_frequency_hz
+    weight = np.ones(dist.shape) if gain is None else gain.copy()
+    weight[:, :n_tx] *= amplitudes
+    for tau_t, weight_t in zip(np.moveaxis(dist / C_LIGHT, -1, 0), np.moveaxis(weight, -1, 0)):
+        np.multiply(tau_t[..., None], freq, out=phase)
+        # element's bytes hold the nearest whole numbers until cos and sin fill it
+        phase -= np.rint(phase, out=element.view(np.float64)[..., :n])
         phase *= 2.0 * np.pi
-        np.cos(phase, out=term.real)
-        np.sin(phase, out=term.imag)
-        term *= amp_t
-        out += term
+        np.cos(phase, out=element.real)
+        np.sin(phase, out=element.imag)
+        scaled = element.view(np.float64)
+        scaled *= weight_t[..., None]
+        for t in range(n_tx):
+            np.multiply(element[:, t, None], element[:, n_tx:], out=record)
+            out[:, t] += record
 
 
 def synthesize_chirp(
@@ -302,20 +340,21 @@ def synthesize_chirp(
     unit vector in world coordinates) weights each target's amplitude by
     cos(angle off boresight)**power on both the TX and RX legs, for
     field-of-view studies.  Patterns change amplitudes only, never phases.
+    The beat is _beat's, with one TX and one RX element: within 5e-11 per
+    unit amplitude of the direct two-way np.exp sum for targets within
+    30 m.
     """
     positions, amplitudes = _scene_table(scene)
-    points = np.array([tx_pos_world, rx_pos_world], dtype=float).reshape(2, 3)
+    points = np.array([tx_pos_world, rx_pos_world], dtype=float).reshape(1, 2, 3)
     if not np.isfinite(points).all():
         raise ConfigError("TX/RX positions must be finite")
     if pattern is not None:
         power, boresight = pattern
         pattern = (power, np.broadcast_to(np.asarray(boresight, dtype=float), points.shape))
     dist, gain = _element_legs(points, positions, pattern)
-    if gain is not None:
-        amplitudes = amplitudes * gain[0] * gain[1]
-    out = np.zeros((1, cfg.samples_per_chirp), dtype=np.complex128)
-    _beat(((dist[0] + dist[1]) / C_LIGHT)[None], amplitudes[None], cfg, out, _beat_work(1, cfg))
-    return out[0]
+    out = np.zeros((1, 1, 1, cfg.samples_per_chirp), dtype=np.complex128)
+    _beat(dist, gain, amplitudes, cfg, out, _beat_work(1, 1, 1, cfg))
+    return out.reshape(-1)
 
 
 def synthesize_capture(
@@ -337,11 +376,14 @@ def synthesize_capture(
     non-finite window bound raises ConfigError.
 
     Row r equals synthesize_chirp at record r's TX and RX world positions
-    rounded to complex64, bit for bit.  Rows are synthesized a fixed block
-    of cycles at a time into one reused complex128 block, which is rounded
+    rounded to complex64, bit for bit; so each component is within 5e-11
+    per unit amplitude plus one float32 ulp of the direct two-way np.exp
+    sum, for targets within 30 m.  Rows are synthesized a fixed block of
+    cycles at a time into one reused complex128 block, which is rounded
     into the complex64 result, so a finite sample beyond float32's range
-    raises ConfigError.  Allocates the result and one block's work
-    buffers.
+    raises ConfigError, as does a target at no finite distance from an
+    element.  Allocates the result, one block, and the one-way beats of
+    one block's elements and one TX's records.
     """
     if array.n_tx != cfg.num_tx:
         raise ConfigError(
@@ -378,9 +420,9 @@ def synthesize_capture(
     cycle, tx, rx = np.indices((n_cycles, n_tx, n_rx)).reshape(3, -1)
     samples = np.empty((cycle.size, cfg.samples_per_chirp), dtype=np.complex64)
     poses = [pose_at_time(traj, t_start + cyc * effective_pri) for cyc in range(n_cycles)]
-    block_rows = min(n_cycles, _SYNTH_CYCLES) * n_tx * n_rx
-    work = _beat_work(block_rows, cfg)
-    beat = np.empty((block_rows, cfg.samples_per_chirp), dtype=np.complex128)
+    block_cycles = min(n_cycles, _SYNTH_CYCLES)
+    work = _beat_work(block_cycles, n_tx, n_rx, cfg)
+    beat = np.empty((block_cycles, n_tx, n_rx, cfg.samples_per_chirp), dtype=np.complex128)
     for c_lo in range(0, n_cycles, _SYNTH_CYCLES):
         block = poses[c_lo : c_lo + _SYNTH_CYCLES]
         # world positions of every element, TX then RX: (cycles, n_tx + n_rx, 3)
@@ -392,19 +434,12 @@ def synthesize_capture(
             boresight = np.array([p.rotation_matrix() @ np.array([0.0, 1.0, 0.0]) for p in block])
             pattern = (float(pattern_cos_power), np.broadcast_to(boresight[:, None, :], points.shape))
         dist, gain = _element_legs(points, positions, pattern)
-        # (cycles, n_tx, n_rx, n_targets), rows in firing order
-        tau = (dist[:, :n_tx, None] + dist[:, None, n_tx:]) / C_LIGHT
-        amp = amplitudes if gain is None else amplitudes * gain[:, :n_tx, None] * gain[:, None, n_tx:]
-        r_lo = c_lo * n_tx * n_rx
-        rows = beat[: len(block) * n_tx * n_rx]
+        # (cycles, n_tx, n_rx, samples), rows in firing order
+        rows = beat[: len(block)]
         rows.fill(0.0)
-        _beat(
-            tau.reshape(-1, len(positions)),
-            np.broadcast_to(amp, tau.shape).reshape(-1, len(positions)),
-            cfg,
-            rows,
-            work,
-        )
+        _beat(dist, gain, amplitudes, cfg, rows, work)
+        r_lo = c_lo * n_tx * n_rx
+        rows = rows.reshape(-1, cfg.samples_per_chirp)
         _round_samples(rows, samples[r_lo : r_lo + rows.shape[0]], r_lo)
     return RawCapture(
         config=cfg,

@@ -515,6 +515,28 @@ def test_grid_at_no_finite_distance_is_a_config_error(workdir, capsys, height):
     assert not (out / "stack.insarimg").exists()
 
 
+@pytest.mark.parametrize(
+    "scene, traj",
+    [
+        (SCENE + "1e300,4.2,0.5,1.0\n", TRAJ),
+        (SCENE, TRAJ.replace("0.02,0.1,0,0.4", "0.02,0.1,-1e300,0.4")),
+    ],
+)
+def test_target_at_no_finite_distance_is_a_config_error(workdir, capsys, scene, traj):
+    # an element-target distance overflowed in simulate with a warning, and
+    # the beat then warned of invalid values before the capture failed
+    (workdir / "scene.csv").write_text(scene)
+    (workdir / "traj.csv").write_text(traj)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out, code = run_pipeline(workdir, workdir / "radar.cfg")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "lies at no finite distance from the array element at" in err
+    assert "np.float64(" not in err
+    assert not (out / "capture.insarraw").exists()
+
+
 def test_aperture_center_outside_capture_names_plain_floats(workdir, capsys):
     (workdir / "late.cfg").write_text(CONFIG + "aperture_center_time_s = inf\n")
     _, code = run_pipeline(workdir, workdir / "late.cfg")
@@ -524,7 +546,6 @@ def test_aperture_center_outside_capture_names_plain_floats(workdir, capsys):
     assert "np.float64(" not in err
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 def test_stage_cannot_write_a_stack_the_next_stage_rejects(workdir, capsys):
     # 2*pi*f_c/c overflows at f_c = 1e308, so every pixel is NaN; the image
     # stage used to write that stack at exit 0 for elevate to reject
@@ -543,7 +564,6 @@ def noiseless_with_amplitude(workdir, amplitude):
     return run_pipeline(workdir, workdir / "quiet.cfg")
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_capture_beyond_float32_is_a_config_error(workdir, capsys):
     # 1e39 is finite in memory but inf as float32; simulate used to write
     # that capture at exit 0 for image to reject (exit 3)
@@ -571,7 +591,6 @@ def test_noisy_capture_beyond_float32_is_a_config_error(workdir, capsys):
 
 
 @pytest.mark.parametrize("kind", ["symlink", "fifo"])
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_failing_writer_leaves_a_non_regular_target_in_place(workdir, capsys, kind):
     # a writer that raises removes the regular file it made, but never a
     # symlink, device or pipe named by -o (as /dev/stdout or /dev/null are)
@@ -602,7 +621,6 @@ def test_failing_writer_leaves_a_non_regular_target_in_place(workdir, capsys, ki
         assert stat.S_ISFIFO(os.lstat(out).st_mode)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_stack_beyond_float32_is_a_config_error(workdir, capsys):
     # 1e37 fits the capture, but the focused pixels do not fit float32;
     # image used to write an all-inf stack for elevate to reject (exit 3)
@@ -756,7 +774,7 @@ def test_hostile_config_and_csv_values_fail_cleanly(tmp_path, capsys):
             (case / name).write_text(text)
         try:
             with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
+                warnings.simplefilter("error")
                 _, code = run_pipeline(case, case / "radar.cfg")
         except Exception as exc:  # noqa: BLE001 -- the failure being tested for
             code = f"{type(exc).__name__}: {exc}"

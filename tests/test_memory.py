@@ -1,4 +1,4 @@
-"""Peak memory of the capture and elevate paths.
+"""Peak memory of the capture, image and elevate paths.
 
 numpy reports its array allocations to tracemalloc, so a traced peak is
 the bytes of every array a call held at once.  Each bound is the arrays the
@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import insarmap as im
-from insarmap import formats
+from insarmap import cli, formats
 from insarmap import simulate as sim
 
 from conftest import make_rail_trajectory
@@ -59,7 +59,9 @@ def test_synthesize_capture_allocates_its_complex64_result_and_one_block(referen
     n_records, n = capture.samples.shape
     result = n_records * n * np.dtype(np.complex64).itemsize
     # the complex128 block that is rounded into the result, and _beat's
-    # complex128 exponential and float64 phase buffers of the same rows
+    # float64 phases and complex128 one-way beats of the 3 + 4 elements and
+    # complex128 products of one TX's 4 records: 424 bytes per cycle and
+    # sample, within this bound of 40 bytes per record (480 per cycle)
     rows = sim._SYNTH_CYCLES * array.n_tx * array.n_rx
     block = rows * n * (2 * np.dtype(np.complex128).itemsize + np.dtype(np.float64).itemsize)
     assert peak <= result + block + COLUMN_BYTES_PER_RECORD * n_records + SLACK
@@ -131,3 +133,12 @@ def test_build_elevation_map_peak_does_not_grow_with_baselines():
     # one complex plane is 640 KB, so a peak that held a plane per baseline
     # or per VX would exceed this by megabytes
     assert peaks[8] <= peaks[2] + SLACK
+
+
+def test_image_stage_peak_magnitude_takes_one_plane_at_a_time():
+    stack = random_stack(im.default_virtual_array(WAVELENGTH))
+    peak, traced = traced_peak(lambda: cli._peak_magnitude(stack.images))
+    assert peak == float(np.abs(stack.images).max())
+    # one float64 plane of |pixel|, against 3.8 MB for the whole stack's
+    plane = GRID.n_u * GRID.n_v * np.dtype(np.float64).itemsize
+    assert traced <= plane + SLACK
