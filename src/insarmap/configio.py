@@ -26,11 +26,6 @@ from .types import ChirpConfig, Pose, Trajectory, VirtualArray, build_virtual_ar
 
 def _parse_value(text: str):
     text = text.strip()
-    lowered = text.lower()
-    if lowered in ("inf", "+inf"):
-        return float("inf")
-    if lowered == "-inf":
-        return float("-inf")
     try:
         return int(text)
     except ValueError:

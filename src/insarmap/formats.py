@@ -42,7 +42,7 @@ import numpy as np
 from .errors import ConfigError, DataFormatError
 from .imaging import ImageGrid, SarImageStack
 from .interferometry import ElevationMap, InterferogramGrid
-from .simulate import RawCapture
+from .simulate import RawCapture, _round_rows
 from .types import ChirpConfig, Pose, VirtualArray, build_virtual_array
 
 MAGIC_RAW = b"INSARRAW"
@@ -72,23 +72,6 @@ def _writing(path):
                 if stat.S_ISREG(opened.st_mode) and os.path.samestat(os.lstat(path), opened):
                     os.remove(path)
             raise
-
-
-def _encode(values: np.ndarray, dtype: str) -> np.ndarray:
-    """values cast to the float32 or complex64 dtype of a file."""
-    with np.errstate(over="ignore"):
-        return np.asarray(values).astype(dtype)
-
-
-def _fits(encoded: np.ndarray, values: np.ndarray) -> bool:
-    """Whether float32 or complex64 encoding kept every finite value finite.
-    float32 holds magnitudes up to about 3.4e38; a finite value beyond that
-    becomes inf, which the reader's types reject, so the writers refuse it
-    instead."""
-    # the float32 view is the fast test; non-finite values need the slow one
-    return bool(np.isfinite(encoded.view(np.float32)).all()) or np.array_equal(
-        np.isfinite(encoded), np.isfinite(values)
-    )
 
 
 @contextmanager
@@ -256,10 +239,10 @@ def write_image_stack(stack: SarImageStack, path) -> None:
         fh.write(np.asarray(stack.phase_center, dtype="<f8").tobytes())
         _write_array(fh, stack.array)
         fh.write(struct.pack("<III", *stack.images.shape))
-        # one plane at a time, so no stack-sized copy is made
+        # one plane at a time into one buffer, so no stack-sized copy is made
+        encoded = np.empty(stack.images.shape[1:], dtype="<c8")
         for k, plane in enumerate(stack.images):
-            encoded = _encode(plane, "<c8")
-            if not _fits(encoded, plane):
+            if _round_rows(plane, encoded) is not None:
                 raise ConfigError(f"VX {k} image holds pixels beyond float32 range")
             fh.write(encoded)
 
@@ -308,6 +291,7 @@ def write_elevation_map(emap: ElevationMap, path) -> None:
         fh.write(np.asarray(emap.phase_center, dtype="<f8").tobytes())
         fh.write(struct.pack("<dd", emap.wavelength_m, emap.baseline_m))
         fh.write(struct.pack("<II", emap.grid.n_u, emap.grid.n_v))
+        encoded = np.empty((emap.grid.n_u, emap.grid.n_v), dtype="<f4")
         for name, plane in (
             ("elevation", emap.elevation),
             ("mean phase delay", intf.mean_phase_delay),
@@ -315,10 +299,9 @@ def write_elevation_map(emap: ElevationMap, path) -> None:
             ("combined magnitude", intf.combined_magnitude),
             ("snr_db", intf.snr_db),
         ):
-            encoded = _encode(plane, "<f4")
-            if not _fits(encoded, plane):
+            if _round_rows(plane, encoded) is not None:
                 raise ConfigError(f"{name} plane holds values beyond float32 range")
-            fh.write(encoded.tobytes())
+            fh.write(encoded)
 
 
 def read_elevation_map(path) -> ElevationMap:

@@ -51,10 +51,10 @@ differences and the interpolation read only the bins in use.  Profiles
 are read by linear interpolation, the one interpolator, in the slope form
 P[i] + (P[i+1] - P[i])*w, with the differences taken once per batch of
 cycles and the weight rounded straight to complex64, without a cast
-buffer; a larger oversample_factor makes it finer.  Pixels whose range
-lies beyond the profile extent contribute zero; whether any pixel of a
-pixel block can be that far is checked once per block and cycle batch,
-and only such blocks clamp the fractional bins and their integer parts.
+buffer; a larger oversample_factor makes it finer.  A grid whose farthest
+pixel needs the profile's last bin is refused, since a dechirped return
+from that far aliases into a near bin; so every q lies below the last kept
+slope.
 """
 
 from __future__ import annotations
@@ -271,20 +271,15 @@ def _select_aperture(capture: RawCapture, aperture: Aperture):
     return keep, center_pose
 
 
-def _interp_linear(profile, slope, q, clamp: bool, work, out):
+def _interp_linear(profile, slope, q, work, out):
     """Linear interpolation at fractional bin positions q >= 0 into out, in
     slope form profile[i] + slope[i] * w with slope = np.diff(profile),
     i = trunc(q) and w = q - i rounded to the tables' dtype (complex64 for
     the kernel, the rounding numpy gives a float32 factor of a complex64
     product).  work holds q-shaped float64, intp and table-dtype buffers.
-    Unclamped, every q must be below len(slope).  Clamped, q may reach the
-    last bin, len(slope): the integer part is clamped to len(slope) - 1,
-    so the last bin reads w = 1 of the last slope.  The kernel clamps
-    queries past the last bin to it and zeroes their values."""
+    Every q lies below the last kept slope, len(slope)."""
     f, i, w = work
     np.trunc(q, out=f)
-    if clamp:
-        np.minimum(f, slope.shape[0] - 1, out=f)
     np.copyto(i, f, casting="unsafe")
     np.subtract(q, f, out=f)
     np.copyto(w, f)
@@ -376,10 +371,11 @@ def image_stack(
     strict cycle order over one cycle batch, then adds the sum to its
     complex128 image, so neither the decomposition nor the thread count can
     change bits.  threads must be >= 1; at most as many workers run as the
-    process has CPUs.  Pixel ranges beyond the profile extent contribute
-    zero; only blocks that can reach past it clamp.  Raises ConfigError
-    when a partial sum is beyond float32's range, as a profile bin beyond
-    it makes one, and when a pixel's distance from the aperture overflows.
+    process has CPUs.  Raises ConfigError when the grid's farthest pixel
+    needs the range profile's last bin or one past it, at or beyond
+    c*fs/(2*slope), so every q lies below the last kept slope; when a
+    partial sum is beyond float32's range, as a profile bin beyond it
+    makes one; and when a pixel's distance from the aperture overflows.
     """
     if not np.isfinite(image_height_m):
         raise ConfigError(f"image_height_m must be finite, got {image_height_m!r}")
@@ -418,13 +414,21 @@ def image_stack(
     # Interpolation reads bins trunc(q) and trunc(q) + 1: none past
     # floor(reach) + 1, or floor(reach) + 2 where rounding lifts q across
     # the integer just above reach.  Profiles keep the bins through
-    # floor(reach) + 2.
+    # floor(reach) + 2, or all of them for a grid that reaches that far.
     with np.errstate(over="ignore"):
-        reach = _farthest(world, u, v, pz) * inv_bin
+        farthest = _farthest(world, u, v, pz)
+        reach = farthest * inv_bin
     if not np.isfinite(reach):
         raise ConfigError(
             f"the image grid's farthest pixel lies at no finite distance from the aperture "
             f"(image_height_m = {float(image_height_m)!r})"
+        )
+    # with 1e-6 bins to spare for rounding, by which q may pass reach
+    if not reach < n_padded - 1 - 1e-6:
+        raise ConfigError(
+            f"the image grid's farthest pixel lies {farthest:.4g} m from the aperture, at or past the "
+            f"range profile's last bin at {(n_padded - 1) * bin_spacing_m:.4g} m "
+            f"(range limit c*fs/(2*slope) = {n_padded * bin_spacing_m:.4g} m)"
         )
     keep_bins = reach + 3
 
@@ -432,14 +436,10 @@ def image_stack(
     # partial sum inf, which is refused below; the steps on the way need not
     # warn.
     @np.errstate(over="ignore", invalid="ignore")
-    def accumulate_block(block, c_lo, c_hi, rows, slopes, last_bin):
+    def accumulate_block(block, c_lo, c_hi, rows, slopes):
         u_lo, u_hi, v_lo, v_hi = block
         bu, bv = u[u_lo:u_hi], v[v_lo:v_hi]
         pixels = slice(u_lo * n_v + v_lo, (u_hi - 1) * n_v + v_hi)
-        # When the block's farthest bin is inside the full profile (with
-        # 1e-6 bins to spare for rounding), no pixel of it needs clamping or
-        # zeroing, and no bin index passes the last kept slope.
-        in_extent = _farthest(world[c_lo:c_hi], bu, bv, pz) * inv_bin < last_bin - 1e-6
         base = bounds[c_lo]
         n_px = pixels.stop - pixels.start
         # each VX's values over this cycle batch, at most _CYCLE_BATCH per VX
@@ -449,7 +449,7 @@ def image_stack(
         dist = np.empty((len(offsets), n_px))
         phasor = np.empty(dist.shape, dtype=np.complex64)
         phase_work = (np.empty(dist.shape), np.empty(dist.shape, dtype=np.float32))
-        q, beyond, value = np.empty(n_px), np.empty(n_px, dtype=bool), np.empty(n_px, dtype=np.complex64)
+        q, value = np.empty(n_px), np.empty(n_px, dtype=np.complex64)
         work = (np.empty(n_px), np.empty(n_px, dtype=np.intp), np.empty(n_px, dtype=np.complex64))
         for c in range(c_lo, c_hi):
             # every element's field at once: the same operations in the same
@@ -467,16 +467,9 @@ def image_stack(
             for r in range(bounds[c], bounds[c + 1]):
                 t, s = tx_list[r], rx_list[r]
                 np.add(dist[t], dist[s], out=q)
-                if not in_extent:
-                    # clamped first: a far pixel's bin can overflow an index;
-                    # _interp_linear clamps the integer part too
-                    np.greater(q, last_bin, out=beyond)
-                    np.minimum(q, last_bin, out=q)
-                out = _interp_linear(rows[r - base], slopes[r - base], q, not in_extent, work, value)
+                out = _interp_linear(rows[r - base], slopes[r - base], q, work, value)
                 out *= phasor[t]
                 out *= phasor[s]
-                if not in_extent:
-                    out[beyond] = 0.0
                 partial[slot_list[r]] += out
         overflowed = np.isinf(partial.view(np.float32)).any(axis=1)
         if overflowed.any():
@@ -493,17 +486,15 @@ def image_stack(
         for c_lo in range(0, len(starts), _CYCLE_BATCH):
             c_hi = min(c_lo + _CYCLE_BATCH, len(starts))
             rows = _compress(capture.samples[sel[bounds[c_lo] : bounds[c_hi]]], taps, n_padded)
-            last_bin = rows.shape[1] - 1
-            if keep_bins < rows.shape[1]:
-                rows = rows[:, : int(keep_bins)]
+            rows = rows[:, : int(keep_bins)]
             with np.errstate(over="ignore"):
                 slopes = np.diff(rows, axis=1).astype(np.complex64)
                 rows = rows.astype(np.complex64)
             if pool is None:
                 for block in blocks:
-                    accumulate_block(block, c_lo, c_hi, rows, slopes, last_bin)
+                    accumulate_block(block, c_lo, c_hi, rows, slopes)
             else:
-                list(pool.map(lambda b: accumulate_block(b, c_lo, c_hi, rows, slopes, last_bin), blocks))
+                list(pool.map(lambda b: accumulate_block(b, c_lo, c_hi, rows, slopes), blocks))
     finally:
         if pool is not None:
             pool.shutdown()

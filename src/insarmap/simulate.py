@@ -97,18 +97,29 @@ def _sample_array(samples) -> np.ndarray:
     return rounded
 
 
-def _round_samples(values: np.ndarray, out: np.ndarray, first_record: int) -> None:
-    """Round sample rows into out, a complex64 array of their shape: the
-    precision of an INSARRAW file.  Raises ConfigError for a finite value
-    that float32 cannot hold, which would round to inf; first_record is the
-    capture index of values' first row, for the message."""
+def _round_rows(values: np.ndarray, out: np.ndarray) -> int | None:
+    """Round values into out, a float32 or complex64 array of their shape:
+    the precision of the samples, pixels and map planes of every insarmap
+    file.  Returns the index of the first
+    row that held a finite value float32 cannot hold, which rounded to inf,
+    or None when every value kept its finiteness."""
     with np.errstate(over="ignore"):
         out[...] = values
     # the float32 view is the fast test; a non-finite value needs the slow one
-    if not np.isfinite(out.view(np.float32)).all():
-        lost = np.atleast_2d(np.isfinite(out) != np.isfinite(values)).any(axis=1)
-        if lost.any():
-            raise ConfigError(f"record {first_record + int(np.argmax(lost))} holds samples beyond float32 range")
+    if np.isfinite(out.view(np.float32)).all():
+        return None
+    lost = np.atleast_2d(np.isfinite(out) != np.isfinite(values)).any(axis=1)
+    return int(np.argmax(lost)) if lost.any() else None
+
+
+def _round_samples(values: np.ndarray, out: np.ndarray, first_record: int) -> None:
+    """Round sample rows into out, a complex64 array of their shape, by
+    _round_rows.  Raises ConfigError for a finite value that float32 cannot
+    hold; first_record is the capture index of values' first row, for the
+    message."""
+    lost = _round_rows(values, out)
+    if lost is not None:
+        raise ConfigError(f"record {first_record + lost} holds samples beyond float32 range")
 
 
 @dataclass(frozen=True, eq=False)

@@ -515,6 +515,25 @@ def test_grid_at_no_finite_distance_is_a_config_error(workdir, capsys, height):
     assert not (out / "stack.insarimg").exists()
 
 
+def test_grid_beyond_the_range_profile_is_a_config_error(workdir, capsys):
+    # a grid past c*fs/(2*slope) = 93.7 m used to image to an all-zero stack
+    # at exit 0, which elevate then refused (exit 4)
+    far = workdir / "far.cfg"
+    far.write_text(CONFIG + "grid_origin_m = (-0.8, 95.0)\n")
+    out, code = run_pipeline(workdir, far)
+    assert code == 2
+    assert "range limit" in capsys.readouterr().err
+    assert (out / "capture.insarraw").exists()
+    assert not (out / "stack.insarimg").exists()
+    assert not (out / "elevation.insarelv").exists()
+
+    stack = workdir / "far.insarimg"
+    code = cli.main(["image", str(out / "capture.insarraw"), "--config", str(far), "-o", str(stack)])
+    assert code == 2
+    assert "range limit c*fs/(2*slope) = 93.69 m" in capsys.readouterr().err
+    assert not stack.exists()
+
+
 @pytest.mark.parametrize(
     "scene, traj",
     [

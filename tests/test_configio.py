@@ -17,6 +17,9 @@ pri_s = 63.9e-6
 chirps_per_tx_per_frame = 256
 num_tx = 3
 per_sample_snr_db = inf
+plus_inf = +inf
+minus_inf = -INF
+infinity = Infinity
 """
 
 
@@ -28,6 +31,7 @@ class TestKvParsing:
         assert cfg["samples_per_chirp"] == 512
         assert cfg["center_frequency_hz"] == pytest.approx(77.4e9)
         assert cfg["per_sample_snr_db"] == np.inf
+        assert (cfg["plus_inf"], cfg["minus_inf"], cfg["infinity"]) == (np.inf, -np.inf, np.inf)
         chirp = configio.load_chirp_config(cfg, source=str(path))
         assert chirp.num_tx == 3
 

@@ -1,11 +1,13 @@
 """Binary artifact round trips and corruption handling."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 import insarmap as im
 from insarmap import formats
-from insarmap.errors import DataFormatError
+from insarmap.errors import ConfigError, DataFormatError
 
 
 class TestCaptureFormat:
@@ -74,6 +76,18 @@ class TestImageStackFormat:
         assert np.array_equal(back.phase_center, stack.phase_center)
         assert len(back.array.vertical_baselines) == 4
         assert np.allclose(back.images, stack.images, rtol=1e-6, atol=1e-6 * np.abs(stack.images).max())
+        # the planes are the pixels rounded to complex64
+        assert path.read_bytes().endswith(stack.images.astype("<c8").tobytes())
+
+    def test_pixel_beyond_float32_is_refused_with_its_vx(self, tmp_path, small_e2e):
+        stack = small_e2e["stack"]
+        images = stack.images.copy()
+        images[2, 1, 3] = 1e39j
+        big = dataclasses.replace(stack, images=images)
+        path = tmp_path / "stack.insarimg"
+        with pytest.raises(ConfigError, match="VX 2 image holds pixels beyond float32 range"):
+            formats.write_image_stack(big, path)
+        assert not path.exists()
 
     def test_version_check(self, tmp_path, small_e2e):
         path = tmp_path / "stack.insarimg"
@@ -101,6 +115,10 @@ class TestElevationMapFormat:
         )
         path = tmp_path / "map.insarelv"
         formats.write_elevation_map(poked, path)
+        # the five planes are the values rounded to float32
+        intf = emap.interferogram
+        planes = (elev, intf.mean_phase_delay, intf.circular_variance, intf.combined_magnitude, intf.snr_db)
+        assert path.read_bytes().endswith(np.stack(planes).astype("<f4").tobytes())
         back = formats.read_elevation_map(path)
         assert np.isnan(back.elevation[0, 0])
         finite = np.isfinite(poked.elevation)
@@ -109,6 +127,18 @@ class TestElevationMapFormat:
             back.interferogram.snr_db, emap.interferogram.snr_db, atol=1e-3
         )
         assert back.baseline_m == emap.baseline_m
+
+    def test_value_beyond_float32_is_refused_with_its_plane(self, tmp_path, small_e2e):
+        emap = small_e2e["map"]
+        magnitude = emap.interferogram.combined_magnitude.copy()
+        magnitude[4, 0] = 1e39
+        big = dataclasses.replace(
+            emap, interferogram=dataclasses.replace(emap.interferogram, combined_magnitude=magnitude)
+        )
+        path = tmp_path / "map.insarelv"
+        with pytest.raises(ConfigError, match="combined magnitude plane holds values beyond float32 range"):
+            formats.write_elevation_map(big, path)
+        assert not path.exists()
 
     @pytest.mark.parametrize("plane, name", [(1, "phase"), (2, "variance"), (3, "magnitude"), (4, "SNR")])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

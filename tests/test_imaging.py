@@ -12,10 +12,6 @@ from insarmap.imaging import _select_aperture
 
 from conftest import make_rail_trajectory, peak_near
 
-# The kernel's one interpolator; the tolerance, oracle and profile-extent
-# cases carry its name in their ids.
-LINEAR = ["linear"]
-
 
 def monostatic_capture(cfg, scene, speed=5.0, t_half=0.11, height=0.0, margin=None):
     array = im.build_virtual_array([(0.0, 0, 0)], [(0.0, 0, 0)])
@@ -318,7 +314,7 @@ class TestSinglePrecisionTolerance:
         grid = im.ImageGrid(np.array([-0.6, 3.7]), np.array([0.9, 1.7]), 0.04)
         return small_e2e["capture"], grid, im.Aperture(0.1)
 
-    @pytest.fixture(scope="class", params=LINEAR)
+    @pytest.fixture(scope="class")
     def stacks(self, case):
         return im.image_stack(*case, threads=2), reference_stack(*case)
 
@@ -336,57 +332,42 @@ class TestInterpolation:
         rng = np.random.default_rng(5)
         profile = rng.standard_normal(300) + 1j * rng.standard_normal(300)
         slope = np.diff(profile)
-        q = np.r_[rng.uniform(0.0, 299.0, 5000), 0.0, 298.0, 298.5, 299.0]
-
-        def interp(q, clamp):
-            # complex128 tables and buffers, so the slope form is compared
-            # in double precision
-            work = (np.empty(q.size), np.empty(q.size, dtype=np.intp), np.empty(q.size, dtype=complex))
-            return imaging._interp_linear(profile, slope, q, clamp, work, np.empty(q.size, dtype=complex))
-
-        i0 = np.minimum(np.floor(q).astype(int), 298)
+        # every q below the last slope, len(slope) = 299
+        q = np.r_[rng.uniform(0.0, 299.0, 5000), 0.0, 298.0, 298.5, np.nextafter(299.0, 0.0)]
+        # complex128 tables and buffers, so the slope form is compared in
+        # double precision
+        work = (np.empty(q.size), np.empty(q.size, dtype=np.intp), np.empty(q.size, dtype=complex))
+        sloped = imaging._interp_linear(profile, slope, q, work, np.empty(q.size, dtype=complex))
+        i0 = np.floor(q).astype(int)
         w = q - i0
         two_point = profile[i0] * (1.0 - w) + profile[i0 + 1] * w
-        clamped = interp(q, clamp=True)
-        assert np.allclose(clamped, two_point, rtol=0, atol=1e-14 * np.abs(profile).max())
-        # the last bin reads w = 1 of the last slope: P[last]
-        assert q[-1] == 299.0
-        assert clamped[-1] == profile[298] + slope[298]
-        assert clamped[-1] == pytest.approx(profile[-1], rel=0, abs=1e-14 * np.abs(profile).max())
-        # up to the bin before the last, the clamp changes no bit
-        below = q <= 298.0
-        assert interp(q[below], clamp=False).tobytes() == clamped[below].tobytes()
+        assert np.allclose(sloped, two_point, rtol=0, atol=1e-14 * np.abs(profile).max())
 
-    @pytest.mark.parametrize("interpolation", LINEAR)
-    def test_pixels_beyond_profile_extent_are_zero(self, interpolation):
-        # max range is c*fs/(2*slope) = 93.7 m; a grid straddling it, and
-        # one about 1e20 m away, whose bin positions overflow an index
+    def test_grids_beyond_profile_extent_are_refused(self):
+        # max range is c*fs/(2*slope) = 93.7 m: a dechirped return from
+        # farther aliases into a near bin.  A grid straddling it, and one
+        # about 1e20 m away, whose bin positions would overflow an index.
         cfg = im.ChirpConfig(77.4e9, 30e12, 64, 18.75e6, 63.9e-6, 256, 1)
         max_range = im.derive_chirp_params(cfg).max_range_m
         scene = im.Scene((im.PointTarget(np.array([0.0, 92.0, 0.0]), 1.0),))
         cap = im.add_noise(monostatic_capture(cfg, scene, speed=1.0, t_half=0.002), 10.0, seed=4)
         for origin in ((-0.5, max_range - 2.0), (1e20, 0.0)):
             grid = im.ImageGrid(np.array(origin), np.array([1.0, 4.0]), 0.1)
-            img = im.image_stack(cap, grid, im.Aperture(0.004)).images[0]
-            # pixel ranges from the sensor, which moves along x at the origin
-            r = np.hypot(*np.meshgrid(grid.u_centers(), grid.v_centers(), indexing="ij"))
-            assert np.all(img[r > max_range + 0.1] == 0)
-            assert np.all(img[r < max_range - 0.5] != 0)
+            with pytest.raises(ConfigError, match=r"range limit c\*fs/\(2\*slope\) = 93\.69 m"):
+                im.image_stack(cap, grid, im.Aperture(0.004))
 
 
 def aperture_records(capture, grid, aperture, image_height_m, oversample_factor=4):
     """The aperture's records in cycle order, each as (cycle batch, VX, full
-    range profile, d_tx, d_rx, q, beyond): per pixel, the 3-D distance to
-    the record's TX and RX elements and the fractional bin
-    q = (d_tx + d_rx) / 2, clamped to the profile's last bin where it lies
-    beyond (those pixels read zero).  Cycle batches are runs of
-    _CYCLE_BATCH cycles, as the kernel reads them."""
+    range profile, d_tx, d_rx, q): per pixel, the 3-D distance to the
+    record's TX and RX elements and the fractional bin q = (d_tx + d_rx) / 2.
+    Cycle batches are runs of _CYCLE_BATCH cycles, as the kernel reads
+    them."""
     profiles = im.range_compress(capture, oversample_factor)
     sel, center = _select_aperture(capture, aperture)
     sel = sel[np.argsort(capture.cycle[sel], kind="stable")]
     batch = np.unique(capture.cycle[sel], return_inverse=True)[1] // imaging._CYCLE_BATCH
     array = capture.array
-    last = profiles.profiles.shape[1] - 1
     half_inv_bin = 0.5 * (1.0 / profiles.bin_spacing_m)
     pu = np.repeat(grid.u_centers(), grid.n_v)
     pv = np.tile(grid.v_centers(), grid.n_u)
@@ -397,9 +378,7 @@ def aperture_records(capture, grid, aperture, image_height_m, oversample_factor=
         rx_w = pose.to_world(array.rx_positions)[capture.rx[r]]
         d_tx, d_rx = (np.sqrt((pu - x) ** 2 + (pv - y) ** 2 + (pz - z) ** 2) for x, y, z in (tx_w, rx_w))
         q = d_tx * half_inv_bin + d_rx * half_inv_bin
-        beyond = q > last
-        q[beyond] = last
-        yield b, array.vx_index(capture.tx[r], capture.rx[r]), profiles.profiles[r], d_tx, d_rx, q, beyond
+        yield b, array.vx_index(capture.tx[r], capture.rx[r]), profiles.profiles[r], d_tx, d_rx, q
 
 
 def carrier_wavenumber(capture):
@@ -418,18 +397,17 @@ def oracle_stack(capture, grid, aperture, image_height_m, oversample_factor=4):
     images = np.zeros((capture.array.n_vx, grid.n_u * grid.n_v), dtype=np.complex128)
     partial = np.zeros(images.shape, dtype=np.complex64)
     current = 0
-    for batch, vx, profile, d_tx, d_rx, q, beyond in aperture_records(
+    for batch, vx, profile, d_tx, d_rx, q in aperture_records(
         capture, grid, aperture, image_height_m, oversample_factor
     ):
         if batch != current:
             images += partial
             partial[:] = 0.0
             current = batch
-        i = np.minimum(np.floor(q).astype(int), profile.size - 2)
+        i = np.floor(q).astype(int)
         slope = (profile[i + 1] - profile[i]).astype(np.complex64)
         value = profile[i].astype(np.complex64) + slope * (q - i).astype(np.float32)
         value = value * imaging._carrier_phasor(d_tx, k) * imaging._carrier_phasor(d_rx, k)
-        value[beyond] = 0.0
         partial[vx] += value
     images += partial
     return images.reshape(capture.array.n_vx, grid.n_u, grid.n_v)
@@ -444,19 +422,18 @@ def reference_stack(capture, grid, aperture, image_height_m=0.0, phasor=None):
             return imaging._carrier_phasor(d, k).astype(np.complex128)
     k = carrier_wavenumber(capture)
     images = np.zeros((capture.array.n_vx, grid.n_u * grid.n_v), dtype=np.complex128)
-    for _, vx, profile, d_tx, d_rx, q, beyond in aperture_records(capture, grid, aperture, image_height_m):
-        i = np.minimum(np.floor(q).astype(int), profile.size - 2)
+    for _, vx, profile, d_tx, d_rx, q in aperture_records(capture, grid, aperture, image_height_m):
+        i = np.floor(q).astype(int)
         value = profile[i] + (profile[i + 1] - profile[i]) * (q - i)
         value = value * phasor(d_tx, k) * phasor(d_rx, k)
-        value[beyond] = 0.0
         images[vx] += value
     return images.reshape(capture.array.n_vx, grid.n_u, grid.n_v)
 
 
 class TestKernelOracle:
-    """image_stack equals oracle_stack bit for bit: row blocks, profiles cut
-    to the bins in reach and the unclamped weights change no float, and the
-    complex64 partial sums run per pixel, VX and cycle batch."""
+    """image_stack equals oracle_stack bit for bit: row blocks and profiles
+    cut to the bins in reach change no float, and the complex64 partial sums
+    run per pixel, VX and cycle batch."""
 
     @pytest.fixture(scope="class")
     def config(self, small_chirp):
@@ -494,8 +471,9 @@ class TestKernelOracle:
             # within reach of a few dozen of the 256 bins, so profiles are
             # cut; 0.4 m below the sensor, so the height term counts
             "near": (im.ImageGrid(np.array([-0.5, 3.2]), np.array([1.0, 1.2]), 0.04), -0.4),
-            # straddling the profile extent at max range
-            "straddle": (im.ImageGrid(np.array([-0.5, max_range - 1.6]), np.array([1.0, 2.1]), 0.1), 0.0),
+            # reaching into the last slope of the full profile, whose last
+            # bin lies at 93.3 m, with no profile cut
+            "edge": (im.ImageGrid(np.array([-0.5, max_range - 2.0]), np.array([1.0, 1.5]), 0.1), 0.0),
         }
 
     @pytest.fixture(scope="class")
@@ -505,11 +483,8 @@ class TestKernelOracle:
 
     @pytest.mark.parametrize("blocks", [None, "rows", "row slices"])
     @pytest.mark.parametrize("threads", [1, 2])
-    @pytest.mark.parametrize("interpolation", LINEAR)
-    @pytest.mark.parametrize("grid_name", ["near", "straddle"])
-    def test_stack_equals_per_record_loop(
-        self, capture, grids, oracles, grid_name, interpolation, threads, blocks, monkeypatch
-    ):
+    @pytest.mark.parametrize("grid_name", ["near", "edge"])
+    def test_stack_equals_per_record_loop(self, capture, grids, oracles, grid_name, threads, blocks, monkeypatch):
         grid, height = grids[grid_name]
         if blocks == "rows":
             # blocks of 3 or 4 rows: the rows do not split evenly
@@ -524,19 +499,16 @@ class TestKernelOracle:
             assert len({v_hi - v_lo for _, _, v_lo, v_hi in slices}) > 1
         stack = im.image_stack(capture, grid, im.Aperture(0.03), image_height_m=height, threads=threads)
         oracle = oracles[grid_name]
-        assert np.count_nonzero(oracle) > oracle.size // 2
-        assert oracle.all() == (grid_name == "near")
+        assert oracle.all()
         assert stack.images.tobytes() == oracle.tobytes()
 
-    @pytest.mark.parametrize("interpolation", LINEAR)
-    @pytest.mark.parametrize("grid_name", ["near", "straddle"])
-    def test_monostatic_stack_equals_per_record_loop(self, monostatic, grids, grid_name, interpolation):
+    @pytest.mark.parametrize("grid_name", ["near", "edge"])
+    def test_monostatic_stack_equals_per_record_loop(self, monostatic, grids, grid_name):
         grid, height = grids[grid_name]
         assert monostatic.array.n_vx == 1
         stack = im.image_stack(monostatic, grid, im.Aperture(0.03), image_height_m=height)
         oracle = oracle_stack(monostatic, grid, im.Aperture(0.03), height)
-        assert np.count_nonzero(oracle) > oracle.size // 2
-        assert oracle.all() == (grid_name == "near")
+        assert oracle.all()
         assert stack.images.tobytes() == oracle.tobytes()
 
 
