@@ -70,10 +70,11 @@ def _peak_magnitude(images: np.ndarray) -> float:
 
 def _cmd_image(args) -> int:
     cfg = _load_config(args.config)
-    capture = formats.read_capture(args.capture)
     grid = configio.load_grid(cfg)
     aperture = configio.load_aperture(cfg)
     options = configio.load_imaging_options(cfg)
+    # only the records the aperture images
+    capture = formats.read_capture(args.capture, aperture)
     stack = imaging.image_stack(capture, grid, aperture, threads=args.threads, **options)
     formats.write_image_stack(stack, args.output)
     peak = _peak_magnitude(stack.images)
@@ -129,9 +130,11 @@ def _filter_report(cloud: pointcloud.ElevationPointCloud, cfg: pointcloud.Filter
     lines.append(f"[filter] kept: {stats.kept}")
     if len(cloud):
         z = cloud.z
-        phi = np.degrees(np.arcsin(np.clip(z / np.maximum(np.hypot(cloud.y, z), 1e-30), -1, 1)))
+        # the elevation the filter bounds: the angle above the sensor plane
+        r = np.sqrt(cloud.x**2 + cloud.y**2 + z**2)
+        eps = np.degrees(np.arcsin(np.clip(z / np.maximum(r, 1e-30), -1, 1)))
         lines.append(
-            f"[filter] elevation deg: min={phi.min():.2f} max={phi.max():.2f} mean={phi.mean():.2f}"
+            f"[filter] elevation deg: min={eps.min():.2f} max={eps.max():.2f} mean={eps.mean():.2f}"
         )
         lines.append(
             f"[filter] z range: [{z.min():.3f}, {z.max():.3f}] m relative to phase center"

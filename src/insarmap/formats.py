@@ -39,8 +39,8 @@ from contextlib import contextmanager, suppress
 
 import numpy as np
 
-from .errors import ConfigError, DataFormatError
-from .imaging import ImageGrid, SarImageStack
+from .errors import ConfigError, DataFormatError, RecordError
+from .imaging import Aperture, ImageGrid, SarImageStack, _aperture_rule
 from .interferometry import ElevationMap, InterferogramGrid
 from .simulate import RawCapture, _round_rows
 from .types import ChirpConfig, Pose, VirtualArray, build_virtual_array
@@ -176,14 +176,38 @@ def write_capture(capture: RawCapture, path) -> None:
             fh.write(rows.data)
 
 
-def read_capture(path) -> RawCapture:
+def _read_records(fh, block: np.ndarray, count: int, path):
+    """Read count records from fh's position through block, _BLOCK_ROWS at
+    a time; yields (first record, filled rows of block)."""
+    for lo in range(0, count, _BLOCK_ROWS):
+        rows = block[: min(_BLOCK_ROWS, count - lo)]
+        if fh.readinto(rows.data) != rows.nbytes:
+            raise DataFormatError(f"{path}: truncated file while reading records")
+        yield lo, rows
+
+
+def read_capture(path, aperture: Aperture | None = None) -> RawCapture:
     """Read an INSARRAW capture.  Raises DataFormatError for a damaged file:
     bad magic or version, too few bytes for the sizes the header declares,
-    or values that ChirpConfig, Pose or RawCapture reject.
+    or values that ChirpConfig, Pose or RawCapture reject.  A message that
+    names a record gives its number in the file.
 
     The samples keep the file's precision, complex64.  Records are read
-    _BLOCK_ROWS at a time straight into the preallocated samples, so the
-    peak is the capture plus one block.
+    _BLOCK_ROWS at a time through one reused block, so the peak is the
+    samples returned plus one block and the per-record header columns.
+
+    Without aperture every record is read.  With it, every record's header
+    (tx, rx, cycle, time, pose) is read first, and imaging's aperture rule
+    picks records from those columns; then only the samples of the TDM
+    cycles it picks from are read, one contiguous span of records at a
+    time.  The capture returned holds those records and the file's whole
+    pose table, so image_stack with the same aperture selects the same
+    records with the same center pose as on the whole capture, and images
+    them to the same bits.  Poses are built for every record, so a bad pose
+    anywhere is an error; the samples of the other records are never read,
+    so their values are not checked.  The rule's own errors (an empty
+    capture, a center time outside the capture span, no pulse selected)
+    are DomainErrors, as from image_stack.
     """
     with _reading(path) as fh:
         _read_preamble(fh, MAGIC_RAW, path)
@@ -192,32 +216,48 @@ def read_capture(path) -> RawCapture:
         (n_records,) = _unpack(fh, "<Q", "record count")
         dtype = _record_dtype(cfg.samples_per_chirp)
         _check_left(fh, n_records * dtype.itemsize, "records")
-        samples = np.empty((n_records, cfg.samples_per_chirp), dtype=np.complex64)
+        start = fh.tell()
         columns = np.empty(n_records, dtype=dtype.descr[:-1])  # every field but iq
         block = np.empty(min(n_records, _BLOCK_ROWS), dtype=dtype)
-        for lo in range(0, n_records, _BLOCK_ROWS):
-            rows = block[: min(_BLOCK_ROWS, n_records - lo)]
-            if fh.readinto(rows.data) != rows.nbytes:
-                raise DataFormatError(f"{path}: truncated file while reading records")
-            samples[lo : lo + rows.shape[0]] = rows["iq"]
+        # the samples are read in this pass only when every record is kept
+        samples = np.empty((n_records, cfg.samples_per_chirp), np.complex64) if aperture is None else None
+        for lo, rows in _read_records(fh, block, n_records, path):
             for name in columns.dtype.names:
                 columns[name][lo : lo + rows.shape[0]] = rows[name]
+            if samples is not None:
+                samples[lo : lo + rows.shape[0]] = rows["iq"]
         # one Pose per distinct pose, compared by its bytes
         _, first, pose_index = np.unique(
             columns["pose"].view("<u8"), axis=0, return_index=True, return_inverse=True
         )
+        pose_index = pose_index.reshape(-1)
         poses = tuple(Pose(time_s=float(r[0]), position=r[1:4], quaternion=r[4:8]) for r in columns["pose"][first])
-        return RawCapture(
-            config=cfg,
-            array=array,
-            samples=samples,
-            tx=columns["tx"],
-            rx=columns["rx"],
-            cycle=columns["cycle"],
-            time_s=columns["time"],
-            poses=poses,
-            pose_index=pose_index.reshape(-1),
-        )
+        keep = slice(None)
+        if aperture is not None:
+            sel, _ = _aperture_rule(columns["cycle"], pose_index, poses, aperture)
+            # whole cycles, so each kept cycle keeps its anchor record
+            keep = np.flatnonzero(np.isin(columns["cycle"], columns["cycle"][sel]))
+            samples = np.empty((keep.size, cfg.samples_per_chirp), np.complex64)
+            # one seek per run of consecutive records
+            breaks = np.flatnonzero(np.diff(keep) != 1) + 1
+            for a, b in zip([0, *breaks.tolist()], [*breaks.tolist(), keep.size]):
+                fh.seek(start + int(keep[a]) * dtype.itemsize)
+                for lo, rows in _read_records(fh, block, b - a, path):
+                    samples[a + lo : a + lo + rows.shape[0]] = rows["iq"]
+        try:
+            return RawCapture(
+                config=cfg,
+                array=array,
+                samples=samples,
+                tx=columns["tx"][keep],
+                rx=columns["rx"][keep],
+                cycle=columns["cycle"][keep],
+                time_s=columns["time"][keep],
+                poses=poses,
+                pose_index=pose_index[keep],
+            )
+        except RecordError as exc:  # name the record by its number in the file
+            raise RecordError(int(np.arange(n_records)[keep][exc.record]), exc.problem) from None
 
 
 def _write_grid(fh, grid: ImageGrid) -> None:

@@ -140,7 +140,8 @@ class ImageGrid:
 @dataclass(frozen=True)
 class Aperture:
     """Synthetic-aperture gate: pulses within +-length/2 along-track of the
-    center pose are imaged.  center_time_s defaults to the capture mid-time."""
+    center pose are imaged.  center_time_s defaults to the capture mid-time,
+    halfway between its earliest and latest pose."""
 
     length_m: float = 1.0
     center_time_s: float | None = None
@@ -238,37 +239,50 @@ def range_compress(
     )
 
 
-def _select_aperture(capture: RawCapture, aperture: Aperture):
-    """Pick records whose cycle pose lies within +-L/2 along-track of the
-    aperture center.  Returns (record indices, center pose)."""
-    if capture.n_records == 0:
+def _aperture_rule(cycle: np.ndarray, pose_index: np.ndarray, poses, aperture: Aperture):
+    """The aperture gate on a capture's columns: pick the records whose pose
+    lies within +-L/2 along-track of the center pose.  Returns (record
+    indices, center pose).
+
+    The along-track axis runs from the earliest to the latest pose of the
+    pose table, the default center time is their mid-time, and an explicit
+    center time must lie between them (the capture span).  The center pose
+    is the cycle anchor, the pose of a cycle's first record, nearest the
+    center time.  So the whole cycles of the picked records, with the whole
+    pose table, pass the gate with the same center pose and axis, and pick
+    the same records: formats.read_capture reads only those."""
+    if not cycle.size:
         raise DomainError("capture is empty")
-    # each cycle is anchored at the pose of its first record
-    _, first = np.unique(capture.cycle, return_index=True)
-    anchors = [capture.poses[k] for k in capture.pose_index[first]]
-    anchor_times = np.array([p.time_s for p in anchors])
+    times = np.array([p.time_s for p in poses])
+    first, last = poses[int(np.argmin(times))], poses[int(np.argmax(times))]
 
     center_time = aperture.center_time_s
     if center_time is None:
-        center_time = 0.5 * (anchor_times[0] + anchor_times[-1])
-    elif not (capture.time_s[0] <= center_time <= capture.time_s[-1]):
+        center_time = 0.5 * (first.time_s + last.time_s)
+    elif not (first.time_s <= center_time <= last.time_s):
         raise DomainError(
             f"aperture center time {float(center_time)!r} outside the capture span "
-            f"[{float(capture.time_s[0])!r}, {float(capture.time_s[-1])!r}]"
+            f"[{float(first.time_s)!r}, {float(last.time_s)!r}]"
         )
-    center_pose = anchors[int(np.argmin(np.abs(anchor_times - center_time)))]
+    # each cycle is anchored at the pose of its first record
+    _, head = np.unique(cycle, return_index=True)
+    anchors = pose_index[head]
+    center_pose = poses[anchors[int(np.argmin(np.abs(times[anchors] - center_time)))]]
 
-    motion = anchors[-1].position - anchors[0].position
+    motion = last.position - first.position
     span = float(np.linalg.norm(motion))
     u_hat = motion / span if span > 1e-12 else np.array([1.0, 0.0, 0.0])
 
-    along = np.array(
-        [abs(float(np.dot(p.position - center_pose.position, u_hat))) for p in capture.poses]
-    )
-    keep = np.flatnonzero(along[capture.pose_index] <= aperture.length_m / 2.0)
+    along = np.array([abs(float(np.dot(p.position - center_pose.position, u_hat))) for p in poses])
+    keep = np.flatnonzero(along[pose_index] <= aperture.length_m / 2.0)
     if not keep.size:
         raise DomainError("aperture selects no pulses")
     return keep, center_pose
+
+
+def _select_aperture(capture: RawCapture, aperture: Aperture):
+    """_aperture_rule on a capture: (record indices, center pose)."""
+    return _aperture_rule(capture.cycle, capture.pose_index, capture.poses, aperture)
 
 
 def _interp_linear(profile, slope, q, work, out):

@@ -9,6 +9,12 @@ the interferometric elevation back in:
 
 Coordinates are relative to the phase center; theta is the cone angle
 measured from the along-track axis, phi the elevation about that axis.
+
+A vertical baseline measures the direction cosine sin(eps) = s_z / r of a
+source, where eps, the map's elevation, is the angle above the sensor
+plane.  So phi = arcsin(sin(eps) / sin(theta)), and s_z = r*sin(eps).
+Where |sin(eps)| > |sin(theta)| no direction on the pixel's range circle
+has that height: phi is NaN and the pixel has no elevation.
 """
 
 from __future__ import annotations
@@ -20,6 +26,10 @@ import numpy as np
 
 from .errors import ConfigError, DataFormatError
 from .interferometry import ElevationMap
+
+
+# points formatted per write in write_pcd and write_csv
+_FORMAT_ROWS = 128
 
 
 @dataclass(frozen=True)
@@ -102,10 +112,12 @@ def _wrap_angle(a: np.ndarray) -> np.ndarray:
 def filter_points(emap: ElevationMap, cfg: FilterConfig | None = None) -> ElevationPointCloud:
     """Apply the filter chain and de-project the surviving pixels.
 
-    A pixel survives iff its elevation is recoverable, SNR >= threshold,
-    circular variance <= maximum, |elevation| <= maximum angle, it is not in
-    the close-range forward cone (r < min radius AND within the front
-    azimuth window), and its height clears the underground cutoff.  An empty
+    A pixel survives iff its elevation is recoverable and de-projects (see
+    the module docstring), SNR >= threshold, circular variance <= maximum,
+    |elevation| <= maximum angle, it is not in the close-range forward cone
+    (r < min radius AND within the front azimuth window), and its height
+    clears the underground cutoff.  The maximum angle bounds the measured
+    elevation eps, the angle above the sensor plane, not phi.  An empty
     cloud is a legal result.
     """
     if cfg is None:
@@ -118,7 +130,9 @@ def filter_points(emap: ElevationMap, cfg: FilterConfig | None = None) -> Elevat
     dv = grid.v_centers()[None, :] - pc[1]
     r = np.hypot(du, dv)
     theta = np.arctan2(dv, du)
-    phi = emap.elevation
+    eps = emap.elevation
+    with np.errstate(invalid="ignore", divide="ignore"):
+        phi = np.arcsin(np.sin(eps) / np.sin(theta))
     s_x, s_y, s_z = spherical_to_cartesian(r, theta, phi)
 
     max_elev = np.deg2rad(cfg.max_elevation_angle_deg)
@@ -130,7 +144,7 @@ def filter_points(emap: ElevationMap, cfg: FilterConfig | None = None) -> Elevat
     ok_snr = intf.snr_db >= cfg.snr_threshold_db
     ok_var = intf.circular_variance <= cfg.max_circular_variance
     with np.errstate(invalid="ignore"):
-        ok_elev = np.abs(phi) <= max_elev
+        ok_elev = np.abs(eps) <= max_elev
         in_front_cone = (r < cfg.min_radius_m) & (np.abs(_wrap_angle(theta - front)) <= halfwidth)
         ok_z = s_z >= min_z
     keep = has_phi & ok_snr & ok_var & ok_elev & ~in_front_cone & ok_z
@@ -158,6 +172,16 @@ def filter_points(emap: ElevationMap, cfg: FilterConfig | None = None) -> Elevat
     )
 
 
+def _write_rows(fh, row: str, columns) -> None:
+    """Write one row per point, by one % format per block of _FORMAT_ROWS
+    points: row holds one conversion per column, and the text is the same
+    as formatting each value on its own.  The block bounds the Python
+    floats and text alive at once."""
+    for lo in range(0, len(columns[0]), _FORMAT_ROWS):
+        values = np.column_stack([c[lo : lo + _FORMAT_ROWS] for c in columns]).ravel().tolist()
+        fh.write((row * (len(values) // len(columns))) % tuple(values))
+
+
 def write_pcd(cloud: ElevationPointCloud, path) -> None:
     """Write an ASCII PCD v0.7 file with x/y/z/intensity fields."""
     n = len(cloud)
@@ -177,12 +201,9 @@ def write_pcd(cloud: ElevationPointCloud, path) -> None:
         f"POINTS {n}",
         "DATA ascii",
     ]
-    for i in range(n):
-        lines.append(
-            f"{cloud.x[i]:.6g} {cloud.y[i]:.6g} {cloud.z[i]:.6g} {cloud.intensity[i]:.6g}"
-        )
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
+        _write_rows(fh, "%.6g %.6g %.6g %.6g\n", (cloud.x, cloud.y, cloud.z, cloud.intensity))
 
 
 def read_pcd(path) -> dict[str, np.ndarray]:
@@ -216,10 +237,7 @@ def read_pcd(path) -> dict[str, np.ndarray]:
 
 def write_csv(cloud: ElevationPointCloud, path) -> None:
     """CSV export with the quality attributes kept for analysis."""
+    columns = (cloud.x, cloud.y, cloud.z, cloud.intensity, cloud.snr_db, cloud.circular_variance)
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write("x,y,z,intensity,snr_db,circ_var\n")
-        for i in range(len(cloud)):
-            fh.write(
-                f"{cloud.x[i]:.9g},{cloud.y[i]:.9g},{cloud.z[i]:.9g},"
-                f"{cloud.intensity[i]:.9g},{cloud.snr_db[i]:.9g},{cloud.circular_variance[i]:.9g}\n"
-            )
+        _write_rows(fh, "%.9g,%.9g,%.9g,%.9g,%.9g,%.9g\n", columns)

@@ -35,7 +35,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, RecordError
 from .types import (
     C_LIGHT,
     ChirpConfig,
@@ -119,7 +119,7 @@ def _round_samples(values: np.ndarray, out: np.ndarray, first_record: int) -> No
     message."""
     lost = _round_rows(values, out)
     if lost is not None:
-        raise ConfigError(f"record {first_record + lost} holds samples beyond float32 range")
+        raise RecordError(first_record + lost, "holds samples beyond float32 range")
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,7 +182,7 @@ class RawCapture:
         for lo in range(0, samples.shape[0], _NOISE_ROWS):
             finite = np.isfinite(samples[lo : lo + _NOISE_ROWS]).all(axis=1)
             if not finite.all():
-                raise ConfigError(f"record {lo + int(np.argmin(finite))} holds non-finite samples")
+                raise RecordError(lo + int(np.argmin(finite)), "holds non-finite samples")
         samples.setflags(write=False)
         object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "poses", tuple(self.poses))

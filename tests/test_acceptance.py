@@ -42,7 +42,7 @@ class TestCriterion1ReflectorAccuracy:
     SENSOR_HEIGHT = 0.9
     SPEED = 5.0  # rail speed; 0.96 mm pulse spacing keeps azimuth unaliased
 
-    def run_case(self, z_mounted, seed):
+    def run_case(self, z_mounted, seed, x_mounted=0.44):
         t_start = time.monotonic()
         cfg = reference_config()
         derived = im.derive_chirp_params(cfg)
@@ -54,7 +54,7 @@ class TestCriterion1ReflectorAccuracy:
         # reflector x positions sit on 4 cm pixel centers of the grid below
         reflectors = [
             np.array([0.0, 3.2, 0.05]),
-            np.array([0.44, 4.6, z_mounted]),
+            np.array([x_mounted, 4.6, z_mounted]),
         ]
         scene = im.Scene(tuple(im.PointTarget(p, 1.0) for p in reflectors))
         capture = im.synthesize_capture(scene, traj, cfg, array)
@@ -92,6 +92,21 @@ class TestCriterion1ReflectorAccuracy:
         assert err_ground <= 0.02
         assert err_mounted <= 0.02
         assert elapsed <= 60.0
+
+
+    def test_squinted_reflector_elevation_within_2cm(self):
+        # the mounted reflector 1.5 m off broadside, where sin(theta) = 0.95:
+        # its height needs the elevation de-projected about the aperture axis
+        recovered, _ = self.run_case(0.33, 11, x_mounted=1.5)
+        err_ground = recovered[0] - 0.05
+        err_mounted = recovered[1] - 0.33
+        report(
+            f"1 analogue, mounted reflector at x = 1.5 m: ground err {err_ground*100:+.2f} cm, "
+            f"mounted err {err_mounted*100:+.2f} cm -> "
+            f"{'PASS' if max(abs(err_ground), abs(err_mounted)) <= 0.02 else 'FAIL'}"
+        )
+        assert abs(err_ground) <= 0.02
+        assert abs(err_mounted) <= 0.02
 
 
 class TestCriterion2DerivedParameters:
@@ -306,10 +321,11 @@ class TestCriterion7FilterProperties:
             assert np.all(cloud.snr_db >= cfg.snr_threshold_db)
             assert np.all(cloud.circular_variance <= cfg.max_circular_variance)
             cross = np.hypot(cloud.y, cloud.z)
-            phi = np.arcsin(np.clip(cloud.z / np.maximum(cross, 1e-12), -1, 1))
-            assert np.all(np.abs(phi) <= np.radians(cfg.max_elevation_angle_deg) + 1e-9)
-            assert np.all(cloud.z >= cfg.resolved_min_z_m)
             r = np.hypot(cloud.x, cross)
+            # the bound is on the measured elevation, the angle above the sensor plane
+            eps = np.arcsin(np.clip(cloud.z / np.maximum(r, 1e-12), -1, 1))
+            assert np.all(np.abs(eps) <= np.radians(cfg.max_elevation_angle_deg) + 1e-9)
+            assert np.all(cloud.z >= cfg.resolved_min_z_m)
             theta = np.arctan2(cross, cloud.x)
             in_cone = (r < cfg.min_radius_m) & (
                 np.abs(theta - np.radians(cfg.front_azimuth_deg))

@@ -10,7 +10,8 @@ import warnings
 import numpy as np
 import pytest
 
-from insarmap import cli
+from insarmap import cli, formats
+from insarmap.errors import DataFormatError
 
 CONFIG = """
 center_frequency_hz = 77.4e9
@@ -344,6 +345,22 @@ def test_non_finite_capture_sample_is_a_format_error(workdir, capsys):
                      "-o", str(workdir / "s.insarimg")])
     assert code == 3
     assert f"record {middle} holds non-finite samples" in capsys.readouterr().err
+
+
+def test_non_finite_sample_outside_the_aperture_does_not_stop_image(workdir, capsys):
+    # image reads the samples of only the records its aperture images, so a
+    # damaged sample elsewhere is never read; a whole-capture read refuses it
+    out, code = run_pipeline(workdir, workdir / "radar.cfg")
+    assert code == 0
+    path = out / "capture.insarraw"
+    patch(path, RAW_COUNT + 8 + 84, "<f", float("nan"))  # record 0, 5 cm before the aperture
+    capsys.readouterr()
+    code = cli.main(["image", str(path), "--config", str(workdir / "radar.cfg"),
+                     "-o", str(workdir / "s.insarimg")])
+    assert code == 0
+    assert (workdir / "s.insarimg").read_bytes() == (out / "stack.insarimg").read_bytes()
+    with pytest.raises(DataFormatError, match="record 0 holds non-finite samples"):
+        formats.read_capture(path)
 
 
 def test_non_finite_image_pixel_is_a_format_error(workdir, capsys):

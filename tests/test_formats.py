@@ -7,7 +7,10 @@ import pytest
 
 import insarmap as im
 from insarmap import formats
-from insarmap.errors import ConfigError, DataFormatError
+from insarmap.errors import ConfigError, DataFormatError, DomainError
+from insarmap.imaging import _select_aperture
+
+from conftest import make_rail_trajectory
 
 
 class TestCaptureFormat:
@@ -63,6 +66,109 @@ class TestCaptureFormat:
         path.write_bytes(data[: len(data) // 2])
         with pytest.raises(DataFormatError, match="truncated"):
             formats.read_capture(path)
+
+
+# 64 samples per chirp keep the aperture cases quick; one TDM cycle is
+# 191.7 us, 0.38 mm along a 2 m/s track
+PRI_S = 63.9e-6
+CYCLE_S = 3 * PRI_S
+CHIRP_M = 2.0 * PRI_S  # travel from one chirp to the next
+APERTURE_CHIRP = im.ChirpConfig(77.4e9, 30e12, 64, 18.75e6, PRI_S, 256, 3)
+APERTURE_GRID = im.ImageGrid(np.array([-0.2, 1.8]), np.array([0.4, 0.4]), 0.04)
+IDENTITY = np.array([1.0, 0.0, 0.0, 0.0])
+
+
+def yaw_roll(yaw_deg, roll_deg):
+    """Unit quaternion of a yaw about z after a roll about x."""
+    y, r = np.radians(yaw_deg) / 2, np.radians(roll_deg) / 2
+    q = np.array([np.cos(y) * np.cos(r), np.cos(y) * np.sin(r), np.sin(y) * np.sin(r), np.sin(y) * np.cos(r)])
+    return q / np.linalg.norm(q)
+
+
+def bent_track():
+    """A pass that runs straight at 2 m/s, then turns left and speeds up to
+    4 m/s: the chord of a part of it points another way than the chord of
+    the whole, and an aperture about the turn is not centered in time."""
+    rows = [(-0.02, -0.04, 0.0), (-0.01, -0.02, 0.0), (0.0, 0.0, 0.0), (0.01, 0.01, 0.03), (0.02, 0.01, 0.07)]
+    return im.Trajectory(tuple(im.Pose(t, np.array([x, y, 0.4]), IDENTITY) for t, x, y in rows))
+
+
+def rotated_rail():
+    traj = make_rail_trajectory(2.0, 0.02, 0.4)
+    return im.Trajectory(tuple(im.Pose(p.time_s, p.position, yaw_roll(20.0, 3.0)) for p in traj.poses))
+
+
+def per_chirp_poses(capture, traj):
+    """capture with each chirp's records at the pose of their own emission
+    time, so a TDM cycle holds three poses."""
+    times, pose_index = np.unique(capture.time_s, return_inverse=True)
+    poses = tuple(im.pose_at_time(traj, float(t)) for t in times)
+    return dataclasses.replace(capture, poses=poses, pose_index=pose_index)
+
+
+@pytest.fixture(scope="module")
+def capture_files(tmp_path_factory):
+    """Noisy captures written to files, one per trajectory."""
+    array = im.default_virtual_array(im.derive_chirp_params(APERTURE_CHIRP).wavelength_m)
+    scene = im.Scene((im.PointTarget(np.array([0.0, 2.0, 0.6]), 1.0),))
+    out = tmp_path_factory.mktemp("aperture")
+    paths = {}
+    rail = make_rail_trajectory(2.0, 0.02, 0.4)
+    for name, traj in (("rail", rail), ("bent", bent_track()), ("rotated", rotated_rail())):
+        capture = im.add_noise(im.synthesize_capture(scene, traj, APERTURE_CHIRP, array), 20.0, seed=5)
+        paths[name] = out / f"{name}.insarraw"
+        formats.write_capture(capture, paths[name])
+        if name == "rail":
+            paths["per-chirp"] = out / "per-chirp.insarraw"
+            formats.write_capture(per_chirp_poses(capture, rail), paths["per-chirp"])
+    return paths
+
+
+class TestApertureRead:
+    """read_capture(path, aperture) reads only the aperture's records, and
+    image_stack images them to the bits it makes from the whole capture."""
+
+    @pytest.mark.parametrize(
+        "track, aperture",
+        [
+            pytest.param("bent", im.Aperture(0.01), id="curved trajectory"),
+            pytest.param("bent", im.Aperture(0.01, center_time_s=0.008), id="curved, off-center"),
+            pytest.param("rotated", im.Aperture(0.01, center_time_s=-0.005), id="rotated array"),
+            # 0.3 of the way from one cycle anchor to the next; then 0.7,
+            # before the anchor of the one cycle the aperture holds
+            pytest.param("rail", im.Aperture(0.01, center_time_s=-0.02 + 120.3 * CYCLE_S),
+                         id="explicit center time"),
+            pytest.param("rail", im.Aperture(2e-4, center_time_s=-0.02 + 120.7 * CYCLE_S),
+                         id="shorter than one cycle"),
+            pytest.param("rail", im.Aperture(0.02, center_time_s=-0.02), id="at the capture start"),
+            pytest.param("rail", im.Aperture(0.02, center_time_s=0.0196), id="at the capture end"),
+            # The aperture, 1.5 chirps of travel either side, picks the last
+            # chirp of the cycle before the center one.  Alone, that chirp's
+            # pose would anchor its cycle, 0.4 chirps from the center time,
+            # nearer than the center cycle's anchor at 0.6.
+            pytest.param("per-chirp", im.Aperture(3 * CHIRP_M, center_time_s=-0.02 + 121 * CYCLE_S - 0.6 * PRI_S),
+                         id="per-chirp poses, a cycle cut by the aperture"),
+        ],
+    )
+    def test_images_the_whole_capture_bits(self, capture_files, track, aperture):
+        whole = formats.read_capture(capture_files[track])
+        cut = formats.read_capture(capture_files[track], aperture)
+        sel, center = _select_aperture(whole, aperture)
+        # the cut holds the whole cycles of the records the rule picks
+        keep = np.flatnonzero(np.isin(whole.cycle, whole.cycle[sel]))
+        assert sel.size <= keep.size < whole.n_records
+        assert np.array_equal(cut.samples, whole.samples[keep])
+        for name in ("tx", "rx", "cycle", "time_s", "pose_index"):
+            assert np.array_equal(getattr(cut, name), getattr(whole, name)[keep])
+        assert len(cut.poses) == len(whole.poses)
+        cut_sel, cut_center = _select_aperture(cut, aperture)
+        assert np.array_equal(keep[cut_sel], sel)
+        assert cut_center.position.tobytes() == center.position.tobytes()
+        if track != "per-chirp":  # one pose per cycle: the rule picks all of the cut
+            assert cut_sel.size == cut.n_records
+        a, b = (im.image_stack(c, APERTURE_GRID, aperture) for c in (cut, whole))
+        assert a.images.tobytes() == b.images.tobytes()
+        assert a.phase_center.tobytes() == b.phase_center.tobytes()
 
 
 class TestImageStackFormat:
@@ -229,21 +335,10 @@ class TestFuzz:
         formats.write_elevation_map(im.build_elevation_map(stack), paths["map"])
         return paths
 
-    # garbage header values may overflow in the readers' validation arithmetic
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-    @pytest.mark.parametrize(
-        "kind, reader",
-        [
-            ("capture", formats.read_capture),
-            ("stack", formats.read_image_stack),
-            ("map", formats.read_elevation_map),
-        ],
-    )
-    def test_damage_loads_or_is_a_format_error(self, tmp_path, artifacts, kind, reader):
-        good = artifacts[kind].read_bytes()
-        reader(artifacts[kind])
+    def damaged(self, good: bytes, path):
+        """Write each seeded damaged copy of good to path in turn, yielding
+        its case number."""
         rng = np.random.default_rng(2024)
-        path = tmp_path / artifacts[kind].name
         for case in range(self.CASES):
             data = bytearray(good)
             if case % 3 == 0:
@@ -255,9 +350,40 @@ class TestFuzz:
                 for at in rng.integers(0, min(span, len(data)), size=int(rng.integers(1, 5))):
                     data[at] = int(rng.integers(0, 256))
             path.write_bytes(bytes(data))
+            yield case
+
+    # garbage header values may overflow in the readers' validation arithmetic
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.parametrize(
+        "kind, reader",
+        [
+            ("capture", formats.read_capture),
+            ("stack", formats.read_image_stack),
+            ("map", formats.read_elevation_map),
+        ],
+    )
+    def test_damage_loads_or_is_a_format_error(self, tmp_path, artifacts, kind, reader):
+        reader(artifacts[kind])
+        path = tmp_path / artifacts[kind].name
+        for case in self.damaged(artifacts[kind].read_bytes(), path):
             try:
                 reader(path)
             except DataFormatError:
                 pass
             except Exception as exc:
                 pytest.fail(f"{kind} case {case}: {type(exc).__name__}: {exc}")
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_aperture_read_damage_loads_or_fails_cleanly(self, tmp_path, artifacts):
+        # the aperture rule's own errors (say, for a pose far beyond the
+        # others) are DomainErrors, as image_stack raises them
+        aperture = im.Aperture(0.01)
+        formats.read_capture(artifacts["capture"], aperture)
+        path = tmp_path / "c.insarraw"
+        for case in self.damaged(artifacts["capture"].read_bytes(), path):
+            try:
+                formats.read_capture(path, aperture)
+            except (DataFormatError, DomainError):
+                pass
+            except Exception as exc:
+                pytest.fail(f"aperture read case {case}: {type(exc).__name__}: {exc}")

@@ -88,6 +88,21 @@ def test_read_capture_peaks_at_the_samples_and_one_block(clean_capture, tmp_path
     assert capture.samples.dtype == np.complex64
 
 
+def test_aperture_read_allocates_the_aperture_samples_one_block_and_the_columns(clean_capture, tmp_path):
+    path = tmp_path / "capture.insarraw"
+    formats.write_capture(im.add_noise(clean_capture, 20.0, seed=1), path)
+    n_records, n = clean_capture.samples.shape
+    # 4 mm of the 2 cm track
+    capture, peak = traced_peak(lambda: formats.read_capture(path, im.Aperture(0.004)))
+    sample_bytes = n * np.dtype(np.complex64).itemsize
+    block = formats._BLOCK_ROWS * formats._record_dtype(n).itemsize
+    bound = capture.n_records * sample_bytes + block + COLUMN_BYTES_PER_RECORD * n_records + SLACK
+    assert peak <= bound
+    # the bound is below the whole capture's samples, which the read never holds
+    assert bound < n_records * sample_bytes
+    assert capture.n_records < n_records / 4
+
+
 GRID = im.ImageGrid(np.array([-2.0, 2.0]), np.array([8.0, 8.0]), 0.04)  # 200 x 200 px
 WAVELENGTH = 0.0039
 

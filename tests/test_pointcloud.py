@@ -8,6 +8,8 @@ from insarmap.errors import ConfigError
 from insarmap.imaging import ImageGrid
 from insarmap.interferometry import ElevationMap, InterferogramGrid
 
+from conftest import make_rail_trajectory
+
 
 def synthetic_map(rng, n=24, snr_spread=30.0):
     """Random elevation map with plausible value ranges."""
@@ -82,8 +84,9 @@ class TestFilterChain:
             r = np.hypot(cloud.x, np.hypot(cloud.y, cloud.z))
             assert np.all(cloud.snr_db >= cfg.snr_threshold_db)
             assert np.all(cloud.circular_variance <= cfg.max_circular_variance)
-            phi = np.arcsin(np.clip(cloud.z / np.maximum(np.hypot(cloud.y, cloud.z), 1e-12), -1, 1))
-            assert np.all(np.abs(phi) <= np.radians(cfg.max_elevation_angle_deg) + 1e-9)
+            # the bound is on the measured elevation, the angle above the sensor plane
+            eps = np.arcsin(np.clip(cloud.z / np.maximum(r, 1e-12), -1, 1))
+            assert np.all(np.abs(eps) <= np.radians(cfg.max_elevation_angle_deg) + 1e-9)
             assert np.all(cloud.z >= cfg.resolved_min_z_m)
             theta = np.arctan2(np.hypot(cloud.y, cloud.z), cloud.x)
             in_cone = (r < cfg.min_radius_m) & (
@@ -202,6 +205,36 @@ class TestFilterChain:
                 im.FilterConfig(front_azimuth_deg=value)
 
 
+class TestDeprojectedHeights:
+    """Noiseless single targets imaged on a 1 cm grid, squinted and not."""
+
+    # keeps every pixel that de-projects
+    KEEP_ALL = im.FilterConfig(
+        snr_threshold_db=-np.inf, max_elevation_angle_deg=90.0, min_radius_m=0.0,
+        max_circular_variance=1.0, min_z_m=-100.0,
+    )
+
+    @pytest.mark.parametrize("x", [0.0, 0.5, 1.5])
+    def test_height_of_the_brightest_point(self, small_chirp, x):
+        # A vertical baseline measures sin(eps) = dz / r.  Taking eps for the
+        # angle about the aperture axis scaled every height by sin(theta):
+        # -6.0 cm at x = 1.5 m, dz = 0.6 m, where sin(theta) = 0.90.
+        array = im.default_virtual_array(im.derive_chirp_params(small_chirp).wavelength_m)
+        traj = make_rail_trajectory(5.0, 0.03, 0.5)
+        errors = []
+        for dz in (-0.3, 0.3, 0.6):
+            target = np.array([x, 3.0, 0.5 + dz])
+            capture = im.synthesize_capture(im.Scene((im.PointTarget(target, 1.0),)), traj, small_chirp, array)
+            # the image plane is the sensor plane, where the target lies at its slant range
+            slant = np.hypot(3.0, dz)
+            grid = ImageGrid(np.array([x - 0.12, slant - 0.12]), np.array([0.24, 0.24]), 0.01)
+            emap = im.build_elevation_map(im.image_stack(capture, grid, im.Aperture(0.3)))
+            cloud = im.filter_points(emap, self.KEEP_ALL)
+            best = np.argmax(cloud.intensity)
+            errors.append(float(cloud.z[best] + emap.phase_center[2] - target[2]))
+        assert max(abs(e) for e in errors) <= 0.01, errors
+
+
 class TestPcdIo:
     def make_cloud(self, n, rng):
         stats = im.pointcloud.FilterStats(candidates=n, kept=n, rejected={})
@@ -258,3 +291,28 @@ class TestPcdIo:
         lines = path.read_text().splitlines()
         assert lines[0] == "x,y,z,intensity,snr_db,circ_var"
         assert len(lines) == 11
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 300])
+    def test_writers_match_formatting_each_value(self, tmp_path, n):
+        rng = np.random.default_rng(n)
+        cloud = self.make_cloud(n, rng)
+        if n:
+            # a signed zero, a subnormal-scale and a huge value in every column
+            for k, name in enumerate(("x", "y", "z", "intensity", "snr_db", "circular_variance")):
+                getattr(cloud, name)[k % n] = -0.0
+                getattr(cloud, name)[(k + 1) % n] = 1e-300
+                getattr(cloud, name)[(k + 2) % n] = 1e300
+        pcd, csv = tmp_path / "c.pcd", tmp_path / "c.csv"
+        im.write_pcd(cloud, pcd)
+        im.write_csv(cloud, csv)
+        pcd_rows = [f"{cloud.x[i]:.6g} {cloud.y[i]:.6g} {cloud.z[i]:.6g} {cloud.intensity[i]:.6g}\n"
+                    for i in range(n)]
+        csv_rows = [
+            f"{cloud.x[i]:.9g},{cloud.y[i]:.9g},{cloud.z[i]:.9g},"
+            f"{cloud.intensity[i]:.9g},{cloud.snr_db[i]:.9g},{cloud.circular_variance[i]:.9g}\n"
+            for i in range(n)
+        ]
+        assert pcd.read_text().endswith("DATA ascii\n" + "".join(pcd_rows))
+        assert csv.read_text() == "x,y,z,intensity,snr_db,circ_var\n" + "".join(csv_rows)
+        if n >= 3:
+            assert "-0 " in pcd.read_text() and "1e-300" in csv.read_text() and "1e+300" in csv.read_text()
