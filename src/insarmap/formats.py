@@ -292,9 +292,9 @@ def read_image_stack(path) -> SarImageStack:
     bad magic or version, too few bytes for the sizes the header declares,
     or values that ImageGrid, the array or SarImageStack reject.
 
-    The images are complex128.  Planes are read one at a time straight into
-    the preallocated stack, so the peak is the stack plus one complex64
-    plane."""
+    The images keep the file's precision, complex64, and are read straight
+    into the preallocated stack, so the peak is the stack itself;
+    combine_baselines widens them a plane at a time."""
     with _reading(path) as fh:
         _read_preamble(fh, MAGIC_IMG, path)
         grid = _read_grid(fh)
@@ -303,13 +303,9 @@ def read_image_stack(path) -> SarImageStack:
         array = _read_array(fh)
         dims = _unpack(fh, "<III", "stack dims")
         _check_left(fh, 8 * math.prod(dims), "image planes")
-        images = np.empty(dims, dtype=np.complex128)
-        # a header with no VX allocates no plane, whatever n_u and n_v it declares
-        plane = np.empty(dims[1:] if dims[0] else 0, dtype="<c8")
-        for image in images:
-            if fh.readinto(plane.data) != plane.nbytes:
-                raise DataFormatError(f"{path}: truncated file while reading image planes")
-            image[...] = plane
+        images = np.empty(dims, dtype="<c8")
+        if fh.readinto(images.data) != images.nbytes:
+            raise DataFormatError(f"{path}: truncated file while reading image planes")
         return SarImageStack(
             grid=grid,
             array=array,

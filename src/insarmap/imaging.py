@@ -164,12 +164,13 @@ class SarImageStack:
     """One complex image per VX on a common grid with a common phase center.
 
     Pixels and the phase center must be finite, and the wavelength finite
-    and positive.
+    and positive.  The images are complex128 as image_stack makes them, or
+    complex64 as read_image_stack reads them, at the file's precision.
     """
 
     grid: ImageGrid
     array: VirtualArray
-    images: np.ndarray  # (n_vx, n_u, n_v) complex
+    images: np.ndarray  # (n_vx, n_u, n_v) complex128 or complex64
     phase_center: np.ndarray  # (3,) world
     aperture_length_m: float
     wavelength_m: float

@@ -92,7 +92,9 @@ def mean_phase_delay(lower, upper, axis: int = 0):
 
     Baselines are summed one at a time, in order and from zero, which gives
     the floats of numpy's axis-0 sum over the stacked baselines while
-    holding only one baseline's temporaries at a time.
+    holding only one baseline's temporaries at a time.  Each baseline's
+    planes are widened to complex128 as it is summed, which is exact, so
+    complex64 planes give the floats of their complex128 widening.
     """
     if axis != 0:
         lower = np.moveaxis(np.asarray(lower), axis, 0)
@@ -102,7 +104,9 @@ def mean_phase_delay(lower, upper, axis: int = 0):
         # conj(upper) * lower, in that order: numpy's complex multiply is not
         # bitwise commutative, and this is the order its temporary elision
         # gave lower * conj(upper) over stacked baselines
-        corr = np.multiply(np.conj(up), lo)
+        corr = np.array(up, np.complex128)
+        np.conj(corr, out=corr)
+        np.multiply(corr, np.asarray(lo, np.complex128), out=corr)
         mag = np.abs(corr)
         nonzero = mag > 0.0
         with np.errstate(invalid="ignore", divide="ignore"):
@@ -182,7 +186,10 @@ def combine_baselines(stack: SarImageStack) -> InterferogramGrid:
     per-baseline phase scaling that this pipeline does not implement.
     Baselines, and the VX planes of the mean magnitude, are summed one at a
     time, so the peak memory is a few planes whatever the number of
-    baselines or VX.
+    baselines or VX.  The images may be complex64, as read from a file, or
+    complex128, as image_stack makes them.  Each plane is widened to
+    complex128 when it is used, which is exact, so a complex64 stack gives
+    the floats of its complex128 widening without a widened copy of it.
     """
     baselines = stack.array.vertical_baselines
     if not baselines:
@@ -194,11 +201,12 @@ def combine_baselines(stack: SarImageStack) -> InterferogramGrid:
     lower = [stack.images[b.lower_vx] for b in baselines]
     upper = [stack.images[b.upper_vx] for b in baselines]
     mean_phase, variance = mean_phase_delay(lower, upper)
-    # the floats of np.mean(np.abs(stack.images), axis=0), one plane at a time
-    magnitude = np.abs(stack.images[0])
+    # the floats of np.mean(np.abs(stack.images), axis=0) over the widened
+    # stack, one plane at a time; the sum starts from zero, and 0 + |x| is |x|
+    magnitude = np.zeros(stack.images.shape[1:])
     plane = np.empty_like(magnitude)
-    for image in stack.images[1:]:
-        magnitude += np.abs(image, out=plane)
+    for image in stack.images:
+        magnitude += np.abs(np.asarray(image, np.complex128), out=plane)
     magnitude /= stack.images.shape[0]
     return InterferogramGrid(
         grid=stack.grid,

@@ -207,9 +207,17 @@ def write_pcd(cloud: ElevationPointCloud, path) -> None:
 
 
 def read_pcd(path) -> dict[str, np.ndarray]:
-    """Parse an ASCII PCD written by write_pcd; returns field arrays."""
-    with open(path, "r", encoding="ascii") as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
+    """Parse an ASCII PCD written by write_pcd; returns field arrays.
+
+    Raises DataFormatError, naming the file, for one that is not such a
+    PCD: non-ASCII bytes, a malformed header, a POINTS count that is not an
+    integer or not the number of data rows, or a row that does not hold
+    one number per field."""
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            lines = [ln.rstrip("\n") for ln in fh]
+    except UnicodeDecodeError:
+        raise DataFormatError(f"{path}: non-ASCII bytes in an ASCII PCD") from None
     fields: list[str] = []
     n_points = None
     data_start = None
@@ -220,18 +228,27 @@ def read_pcd(path) -> dict[str, np.ndarray]:
         if key == "FIELDS":
             fields = value.split()
         elif key == "POINTS":
-            n_points = int(value)
+            try:
+                n_points = int(value)
+            except ValueError:
+                raise DataFormatError(f"{path}: PCD POINTS {value!r} is not an integer") from None
         elif key == "DATA":
             if value.strip() != "ascii":
-                raise DataFormatError(f"unsupported PCD data mode {value!r}")
+                raise DataFormatError(f"{path}: unsupported PCD data mode {value!r}")
             data_start = i + 1
             break
     if not fields or n_points is None or data_start is None:
         raise DataFormatError(f"malformed PCD header in {path}")
     rows = [ln.split() for ln in lines[data_start:] if ln.strip()]
     if len(rows) != n_points:
-        raise DataFormatError(f"PCD declares {n_points} points but has {len(rows)} rows")
-    data = np.array(rows, dtype=float).reshape(n_points, len(fields))
+        raise DataFormatError(f"{path}: PCD declares {n_points} points but has {len(rows)} rows")
+    for k, row in enumerate(rows):
+        if len(row) != len(fields):
+            raise DataFormatError(f"{path}: PCD point {k} has {len(row)} values for {len(fields)} fields")
+    try:
+        data = np.array(rows, dtype=float).reshape(n_points, len(fields))
+    except ValueError as exc:
+        raise DataFormatError(f"{path}: PCD data {exc}") from None
     return {name: data[:, k] for k, name in enumerate(fields)}
 
 

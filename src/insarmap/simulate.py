@@ -21,11 +21,12 @@ within 30 m.  synthesize_chirp runs the same path with its two elements,
 and distances keep np.linalg.norm's rounding, so every block row is
 bitwise equal to synthesize_chirp at that record's TX and RX positions;
 each block is then rounded into the capture's complex64 samples, the
-precision of an INSARRAW file.  Noise is drawn a block of rows at a time
-from one stream into one complex128 block, added to the widened clean
-rows, and rounded into the complex64 noisy samples, so the simulate
+precision of an INSARRAW file.  Noise is drawn a block of _NOISE_ROWS rows
+at a time from one stream into one complex128 block, added to the widened
+clean rows, and rounded into the complex64 noisy samples, so the simulate
 stage's peak memory is the clean and the noisy complex64 samples and one
-work block.
+small work block.  That is the stage's floor while add_noise returns a new
+capture: going below it would mean adding the noise in place.
 """
 
 from __future__ import annotations
@@ -48,9 +49,10 @@ from .types import (
 # Block sizes, which bound the work buffers; results do not depend on them.
 # TDM cycles synthesized per step (16 cycles of 12 records x 512 samples are
 # 1.5 MiB per complex buffer), and capture rows per noise draw, power sum
-# and finiteness check (128 rows x 512 samples are 1 MiB of complex128).
+# and finiteness check (32 rows x 512 samples are 256 KiB of complex128;
+# 16 rows measured no smaller a stage peak).
 _SYNTH_CYCLES = 16
-_NOISE_ROWS = 128
+_NOISE_ROWS = 32
 # The most TDM cycles a capture may hold: its file indexes cycles with a u32.
 _MAX_CYCLES = 2**32
 
@@ -209,7 +211,9 @@ class RawCapture:
 
     @property
     def n_cycles(self) -> int:
-        return int(self.cycle[-1]) + 1 if self.n_records else 0
+        """The number of distinct TDM cycles the records come from, which
+        an aperture-cut capture need not number from 0."""
+        return int(np.unique(self.cycle).size)
 
     def duration_s(self) -> float:
         return float(self.time_s[-1] - self.time_s[0]) if self.n_records else 0.0

@@ -170,6 +170,15 @@ class TestApertureRead:
         assert a.images.tobytes() == b.images.tobytes()
         assert a.phase_center.tobytes() == b.phase_center.tobytes()
 
+    def test_counts_the_cycles_it_holds(self, capture_files):
+        whole = formats.read_capture(capture_files["rail"])
+        cut = formats.read_capture(capture_files["rail"], im.Aperture(0.01, center_time_s=-0.02 + 120.3 * CYCLE_S))
+        # the cut holds whole cycles of 12 records, numbered from the file's
+        records_per_cycle = whole.array.n_tx * whole.array.n_rx
+        assert cut.cycle[0] > 0 and cut.n_records % records_per_cycle == 0
+        assert cut.n_cycles == cut.n_records // records_per_cycle < int(cut.cycle[-1]) + 1
+        assert whole.n_cycles == whole.n_records // records_per_cycle
+
 
 class TestImageStackFormat:
     def test_round_trip(self, tmp_path, small_e2e):
@@ -182,8 +191,10 @@ class TestImageStackFormat:
         assert np.array_equal(back.phase_center, stack.phase_center)
         assert len(back.array.vertical_baselines) == 4
         assert np.allclose(back.images, stack.images, rtol=1e-6, atol=1e-6 * np.abs(stack.images).max())
-        # the planes are the pixels rounded to complex64
+        # the planes are the pixels rounded to complex64, and read back as they are
         assert path.read_bytes().endswith(stack.images.astype("<c8").tobytes())
+        assert back.images.dtype == np.complex64
+        assert back.images.tobytes() == stack.images.astype("<c8").tobytes()
 
     def test_pixel_beyond_float32_is_refused_with_its_vx(self, tmp_path, small_e2e):
         stack = small_e2e["stack"]

@@ -1,5 +1,7 @@
 """Phase-delay relations, baseline averaging, and quality maps."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -256,6 +258,18 @@ class TestCombineBaselines:
         assert intf.mean_phase_delay.tobytes() == np.angle(np.sum(corr, axis=0)).tobytes()
         assert intf.circular_variance.tobytes() == variance.tobytes()
         assert intf.combined_magnitude.tobytes() == np.mean(np.abs(images), axis=0).tobytes()
+
+    def test_complex64_stack_maps_to_the_bits_of_its_widening(self, small_e2e):
+        # a stack read from a file is complex64; combine_baselines widens it
+        # a plane at a time, to the floats of the widened stack's map
+        stack = small_e2e["stack"]
+        narrow = dataclasses.replace(stack, images=stack.images.astype(np.complex64))
+        wide = dataclasses.replace(stack, images=narrow.images.astype(np.complex128))
+        a, b = im.build_elevation_map(narrow), im.build_elevation_map(wide)
+        assert np.isfinite(a.elevation).any()
+        assert a.elevation.tobytes() == b.elevation.tobytes()
+        for name in ("mean_phase_delay", "circular_variance", "combined_magnitude", "snr_db"):
+            assert getattr(a.interferogram, name).tobytes() == getattr(b.interferogram, name).tobytes(), name
 
     def test_end_to_end_map_matches_truth(self, small_e2e, small_scene_truth):
         emap = small_e2e["map"]

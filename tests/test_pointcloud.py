@@ -1,10 +1,12 @@
 """De-projection, filter chain, and PCD/CSV output."""
 
+import re
+
 import numpy as np
 import pytest
 
 import insarmap as im
-from insarmap.errors import ConfigError
+from insarmap.errors import ConfigError, DataFormatError
 from insarmap.imaging import ImageGrid
 from insarmap.interferometry import ElevationMap, InterferogramGrid
 
@@ -282,6 +284,21 @@ class TestPcdIo:
         fields = im.read_pcd(path)
         for name, ref in (("x", cloud.x), ("y", cloud.y), ("z", cloud.z), ("intensity", cloud.intensity)):
             assert np.allclose(fields[name], ref, rtol=1e-4, atol=1e-7)
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            pytest.param(b"POINTS two\nDATA ascii\n1 2 3 4\n5 6 7 8\n", id="non-integer POINTS"),
+            pytest.param(b"POINTS 2\nDATA ascii\n1 2 3 4\n5 6 7\n", id="short row"),
+            pytest.param(b"POINTS 2\nDATA ascii\n1 2 3 4\n5 6 x 8\n", id="non-numeric value"),
+            pytest.param(b"POINTS 2\nDATA ascii\n1 2 3 4\n5 6 7 8\xb0\n", id="non-ASCII byte"),
+        ],
+    )
+    def test_malformed_pcd_is_a_format_error_naming_the_file(self, tmp_path, body):
+        path = tmp_path / "bad.pcd"
+        path.write_bytes(b"# .PCD v0.7\nFIELDS x y z intensity\n" + body)
+        with pytest.raises(DataFormatError, match=re.escape(str(path))):
+            im.read_pcd(path)
 
     def test_csv_export(self, tmp_path):
         rng = np.random.default_rng(3)
