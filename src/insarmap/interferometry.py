@@ -92,33 +92,44 @@ def mean_phase_delay(lower, upper, axis: int = 0):
 
     Baselines are summed one at a time, in order and from zero, which gives
     the floats of numpy's axis-0 sum over the stacked baselines while
-    holding only one baseline's temporaries at a time.  Each baseline's
+    holding one set of per-baseline buffers, reused for every baseline:
+    with the running sums, about five complex128 planes.  Each baseline's
     planes are widened to complex128 as it is summed, which is exact, so
     complex64 planes give the floats of their complex128 widening.
     """
     if axis != 0:
         lower = np.moveaxis(np.asarray(lower), axis, 0)
         upper = np.moveaxis(np.asarray(upper), axis, 0)
-    total = unit_total = count = None
+    total = None
     for lo, up in zip(lower, upper):
+        if total is None:
+            # one set of per-baseline buffers, reused for every baseline
+            corr = np.array(up, np.complex128)
+            mag, nonzero, unit = np.empty(corr.shape), np.empty(corr.shape, bool), np.empty_like(corr)
+            # sums start from zero, as numpy's do: 0 + -0 is +0
+            total, unit_total, count = np.zeros_like(corr), np.zeros_like(corr), np.zeros(corr.shape, np.intp)
+        else:
+            corr[...] = up
         # conj(upper) * lower, in that order: numpy's complex multiply is not
         # bitwise commutative, and this is the order its temporary elision
-        # gave lower * conj(upper) over stacked baselines
-        corr = np.array(up, np.complex128)
+        # gave lower * conj(upper) over stacked baselines.  A complex64 lower
+        # plane is widened by the multiply's complex128 loop, which is exact.
         np.conj(corr, out=corr)
-        np.multiply(corr, np.asarray(lo, np.complex128), out=corr)
-        mag = np.abs(corr)
-        nonzero = mag > 0.0
-        with np.errstate(invalid="ignore", divide="ignore"):
-            unit = np.where(nonzero, corr / np.where(nonzero, mag, 1.0), 0.0)
-        if total is None:  # sums start from zero, as numpy's do: 0 + -0 is +0
-            total, unit_total, count = np.zeros_like(corr), np.zeros_like(unit), np.zeros_like(nonzero, np.intp)
+        np.multiply(corr, lo, out=corr)
+        np.abs(corr, out=mag)
+        np.greater(mag, 0.0, out=nonzero)
+        # corr / mag where the correlation is nonzero and +0 elsewhere, the
+        # floats of dividing by mag widened to complex128
+        unit.fill(0.0)
+        with np.errstate(invalid="ignore"):
+            np.divide(corr, mag, out=unit, where=nonzero)
         total += corr
         unit_total += unit
         count += nonzero
     if total is None:  # no baseline, so no nonzero correlation
         shape = np.shape(lower)[1:]
         return np.zeros(shape), np.ones(shape)
+    del corr, mag, nonzero, unit  # freed for the temporaries below
     mean_phase = np.angle(total)
     resultant = np.abs(unit_total)
     with np.errstate(invalid="ignore", divide="ignore"):

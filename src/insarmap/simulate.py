@@ -23,10 +23,10 @@ bitwise equal to synthesize_chirp at that record's TX and RX positions;
 each block is then rounded into the capture's complex64 samples, the
 precision of an INSARRAW file.  Noise is drawn a block of _NOISE_ROWS rows
 at a time from one stream into one complex128 block, added to the widened
-clean rows, and rounded into the complex64 noisy samples, so the simulate
-stage's peak memory is the clean and the noisy complex64 samples and one
-small work block.  That is the stage's floor while add_noise returns a new
-capture: going below it would mean adding the noise in place.
+clean rows, rounded to complex64 and written back over those rows:
+add_noise adds the noise in place and consumes its input, so the simulate
+stage holds one complex64 capture and a few small work blocks, never a
+clean and a noisy capture at once.
 """
 
 from __future__ import annotations
@@ -156,7 +156,8 @@ class RawCapture:
     cycle[i], from platform pose poses[pose_index[i]].  The pose table holds
     each distinct pose once; a synthesized capture has one pose per cycle.
     Samples and times must be finite, and times ordered.  All arrays are
-    read-only.
+    read-only, with one exception: add_noise writes its noise into the
+    samples of the capture it is given, which it consumes.
 
     Samples have one dtype, complex64, the precision of an INSARRAW file.
     complex64 samples are kept as they are; any other samples are rounded
@@ -474,21 +475,35 @@ def add_noise(
     per_sample_snr_db: float,
     seed: int,
 ) -> RawCapture:
-    """Add circularly-symmetric complex white Gaussian noise to a capture.
+    """Add circularly-symmetric complex white Gaussian noise to a capture,
+    in place: the result holds the input's own sample buffer.
+
+    add_noise consumes its input.  The noise is written into
+    capture.samples, so the input, any capture sharing its samples, and
+    any records view built earlier now see the noisy values; rebind the
+    name (capture = add_noise(capture, ...)) and do not use the input
+    afterwards.  Only samples that are a read-only view of memory the
+    capture cannot write, such as np.frombuffer over bytes, are noised
+    into a new complex64 buffer, and the input keeps its samples.
 
     Noise variance is set so mean signal power / noise power equals
     10**(snr_db/10); the power is summed in float64, over the samples
     widened to complex128.  An SNR of +inf, or one too large for that
-    ratio to be a float, returns the capture unchanged; NaN, -inf and an
-    SNR too small for it raise ConfigError.  An all-zero capture has no power to scale against
-    and raises DomainError.  Deterministic for a fixed seed.
+    ratio to be a float, returns the capture unchanged and leaves the seed
+    unused; NaN, -inf and an SNR too small for it raise ConfigError.  An
+    all-zero capture has no power to scale against and raises DomainError.
+    When there is noise to add, a seed np.random.default_rng refuses (a
+    negative or non-integer one) raises ConfigError.  All of these are
+    checked before any sample is written.  Deterministic for a fixed seed.
 
     The noise is added to the complex64 samples widened to complex128,
     and each sum is rounded to complex64.  For a synthesized capture, each
     noisy component is within one float32 ulp of max(|clean|, |noisy|) of
     the same noise added to the unrounded complex128 synthesis.  A finite
-    noisy sample beyond float32's range raises ConfigError.  Allocates the
-    complex64 result and one complex128 block of _NOISE_ROWS rows.
+    noisy sample beyond float32's range raises ConfigError naming its
+    record; the rows before that record's block are then already noisy,
+    and the rest keep their values.  Allocates one complex128 and one
+    complex64 block of _NOISE_ROWS rows, and no second capture.
     """
     if capture.n_records == 0:
         raise DomainError("capture is empty")
@@ -513,21 +528,37 @@ def add_noise(
         return capture
     except ZeroDivisionError:
         raise ConfigError(f"per_sample_snr_db {per_sample_snr_db!r} makes the noise infinite") from None
+    try:
+        rng = np.random.default_rng(seed)
+    except (TypeError, ValueError):
+        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}") from None
 
-    rng = np.random.default_rng(seed)
+    try:
+        samples.setflags(write=True)
+    except ValueError:  # memory the capture does not own and cannot write
+        noisy = np.empty(samples.shape, dtype=np.complex64)
+    else:
+        noisy = samples
     sigma = np.sqrt(noise_variance / 2.0)
     # Drawn one block of rows at a time into the block's (real, imaginary)
     # float pairs: consecutive draws continue one stream, so before rounding
     # the floats equal samples + sigma * (n[..., 0] + 1j * n[..., 1]) for a
-    # single (n_records, samples_per_chirp, 2) draw n.
-    noisy = np.empty(samples.shape, dtype=np.complex64)
+    # single (n_records, samples_per_chirp, 2) draw n.  Each block is rounded
+    # into a staging block first, so a block that overflows float32 is
+    # refused before any of its rows is written.
     block = np.empty((min(capture.n_records, _NOISE_ROWS), samples.shape[1]), dtype=np.complex128)
-    for rows in blocks:
-        clean = samples[rows]
-        noise = block[: clean.shape[0]]
-        pairs = noise.view(np.float64).reshape(*noise.shape, 2)
-        rng.standard_normal(out=pairs)
-        pairs *= sigma
-        noise += clean
-        _round_samples(noise, noisy[rows], rows.start)
+    staged = np.empty(block.shape, dtype=np.complex64)
+    try:
+        for rows in blocks:
+            clean = samples[rows]
+            noise = block[: clean.shape[0]]
+            pairs = noise.view(np.float64).reshape(*noise.shape, 2)
+            rng.standard_normal(out=pairs)
+            pairs *= sigma
+            noise += clean
+            rounded = staged[: clean.shape[0]]
+            _round_samples(noise, rounded, rows.start)
+            noisy[rows] = rounded
+    finally:
+        samples.setflags(write=False)
     return replace(capture, samples=noisy)

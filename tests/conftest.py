@@ -1,5 +1,7 @@
 """Shared fixtures: the production-scale chirp config and a small end-to-end scene."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,12 @@ def make_rail_trajectory(speed_mps, t_half_s, height_m, margin_s=0.0):
             im.Pose(t1, np.array([speed_mps * t1, 0.0, height_m]), np.array([1.0, 0, 0, 0])),
         )
     )
+
+
+def own_samples(capture):
+    """The capture on a copy of its samples: add_noise consumes the capture
+    it is given, so a fixture's capture is noised through a copy."""
+    return dataclasses.replace(capture, samples=capture.samples.copy())
 
 
 @pytest.fixture(scope="session")

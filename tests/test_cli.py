@@ -148,6 +148,21 @@ def test_simulate_summary_and_seeded_hash(workdir, capsys):
     assert sha256(out1) == sha256(out2)
 
 
+@pytest.mark.parametrize("command", ["simulate", "pipeline"])
+def test_negative_seed_is_a_config_error(workdir, capsys, command):
+    # numpy's generator refuses it; the run stops before a capture is written
+    out = workdir / "run"
+    target = ["-o", str(out / "capture.insarraw")] if command == "simulate" else ["--out-dir", str(out)]
+    out.mkdir()
+    code = cli.main(
+        ["--seed", "-1", command, str(workdir / "scene.csv"), str(workdir / "traj.csv"),
+         "--config", str(workdir / "radar.cfg")] + target
+    )
+    assert code == 2
+    assert "seed must be a non-negative integer, got -1" in capsys.readouterr().err
+    assert not (out / "capture.insarraw").exists()
+
+
 def test_empty_scene_is_a_parse_error(workdir, capsys):
     (workdir / "empty.csv").write_text("")
     code = cli.main(

@@ -10,7 +10,7 @@ from insarmap import formats
 from insarmap.errors import ConfigError, DataFormatError, DomainError
 from insarmap.imaging import _select_aperture
 
-from conftest import make_rail_trajectory
+from conftest import make_rail_trajectory, own_samples
 
 
 class TestCaptureFormat:
@@ -36,7 +36,7 @@ class TestCaptureFormat:
             assert np.array_equal(r1.samples, r2.samples)
 
     def test_full_file_round_trip_and_record_view(self, tmp_path, small_e2e):
-        cap = im.add_noise(small_e2e["capture"], 20.0, seed=3)
+        cap = im.add_noise(own_samples(small_e2e["capture"]), 20.0, seed=3)
         path, path2 = tmp_path / "cap.insarraw", tmp_path / "cap2.insarraw"
         formats.write_capture(cap, path)
         back = formats.read_capture(path)

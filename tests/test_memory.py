@@ -15,7 +15,7 @@ import insarmap as im
 from insarmap import cli, formats
 from insarmap import simulate as sim
 
-from conftest import make_rail_trajectory
+from conftest import make_rail_trajectory, own_samples
 
 # Python objects and small arrays besides the bounded ones: headers, the
 # pose table, one block's finiteness mask.
@@ -68,18 +68,39 @@ def test_synthesize_capture_allocates_its_complex64_result_and_one_block(referen
     assert capture.samples.dtype == np.complex64
 
 
-def test_add_noise_allocates_its_complex64_result_and_one_block(clean_capture):
+def test_add_noise_allocates_its_blocks_and_no_result(clean_capture):
     n_records, n = clean_capture.samples.shape
-    noisy, peak = traced_peak(lambda: im.add_noise(clean_capture, 20.0, seed=1))
-    result = n_records * n * np.dtype(np.complex64).itemsize
-    block = sim._NOISE_ROWS * n * np.dtype(np.complex128).itemsize
-    assert peak <= result + block + COLUMN_BYTES_PER_RECORD * n_records + SLACK
+    # one capture per call, made before tracing: add_noise consumes it
+    captures = iter([own_samples(clean_capture), own_samples(clean_capture)])
+    noisy, peak = traced_peak(lambda: im.add_noise(next(captures), 20.0, seed=1))
+    # the complex128 noise block and the complex64 block it is rounded into
+    blocks = sim._NOISE_ROWS * n * (np.dtype(np.complex128).itemsize + np.dtype(np.complex64).itemsize)
+    assert peak <= blocks + COLUMN_BYTES_PER_RECORD * n_records + SLACK
     assert noisy.samples.dtype == np.complex64
+
+
+def test_simulate_path_holds_one_capture(reference_chirp):
+    # the CLI's simulate stage: synthesize_capture, then add_noise, which
+    # writes the noise over the clean samples instead of into a second capture
+    array = im.default_virtual_array(im.derive_chirp_params(reference_chirp).wavelength_m)
+    scene = im.Scene((im.PointTarget(np.array([0.0, 4.0, 0.4]), 1.0),))
+    traj = make_rail_trajectory(1.0, 0.02, 0.4)
+    capture, peak = traced_peak(
+        lambda: im.add_noise(im.synthesize_capture(scene, traj, reference_chirp, array), 20.0, seed=1)
+    )
+    n_records, n = capture.samples.shape
+    samples = n_records * n * np.dtype(np.complex64).itemsize
+    # synthesis's blocks (see the synthesize_capture test) outweigh the noise's
+    rows = sim._SYNTH_CYCLES * array.n_tx * array.n_rx
+    blocks = rows * n * (2 * np.dtype(np.complex128).itemsize + np.dtype(np.float64).itemsize)
+    assert peak <= samples + blocks + COLUMN_BYTES_PER_RECORD * n_records + SLACK
+    # a second capture would not fit
+    assert blocks + COLUMN_BYTES_PER_RECORD * n_records + SLACK < samples
 
 
 def test_read_capture_peaks_at_the_samples_and_one_block(clean_capture, tmp_path):
     path = tmp_path / "capture.insarraw"
-    formats.write_capture(im.add_noise(clean_capture, 20.0, seed=1), path)
+    formats.write_capture(im.add_noise(own_samples(clean_capture), 20.0, seed=1), path)
     n_records, n = clean_capture.samples.shape
     capture, peak = traced_peak(lambda: formats.read_capture(path))
     samples = n_records * n * np.dtype(np.complex64).itemsize
@@ -90,7 +111,7 @@ def test_read_capture_peaks_at_the_samples_and_one_block(clean_capture, tmp_path
 
 def test_aperture_read_allocates_the_aperture_samples_one_block_and_the_columns(clean_capture, tmp_path):
     path = tmp_path / "capture.insarraw"
-    formats.write_capture(im.add_noise(clean_capture, 20.0, seed=1), path)
+    formats.write_capture(im.add_noise(own_samples(clean_capture), 20.0, seed=1), path)
     n_records, n = clean_capture.samples.shape
     # 4 mm of the 2 cm track
     capture, peak = traced_peak(lambda: formats.read_capture(path, im.Aperture(0.004)))
@@ -137,9 +158,11 @@ def test_elevate_path_holds_the_complex64_stack_and_a_few_wide_planes(tmp_path):
     _, peak = traced_peak(lambda: im.build_elevation_map(formats.read_image_stack(path)))
     stack = array.n_vx * GRID.n_u * GRID.n_v * np.dtype(np.complex64).itemsize
     plane = GRID.n_u * GRID.n_v * np.dtype(np.complex128).itemsize
-    # mean_phase_delay's per-baseline temporaries and running sums are about
-    # 7 complex128 planes; a complex128 copy of the 12-VX stack would be 12
-    assert peak <= stack + 8 * plane + SLACK
+    # mean_phase_delay's running sums and its one reused set of per-baseline
+    # buffers: 4 complex128 planes (total, unit_total, corr, unit) and 2 of
+    # 8-byte values (count, mag); its bool mask and the multiply's widening
+    # buffer fit in SLACK.  A complex128 copy of the 12-VX stack would be 12.
+    assert peak <= stack + 5 * plane + SLACK
 
 
 def stacked_baselines(n_baselines):

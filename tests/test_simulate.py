@@ -10,7 +10,7 @@ import insarmap as im
 from insarmap import simulate as sim
 from insarmap.errors import ConfigError, DomainError
 
-from conftest import make_rail_trajectory
+from conftest import make_rail_trajectory, own_samples
 
 
 def single_target(r, amplitude=1.0):
@@ -193,17 +193,17 @@ class TestAddNoise:
 
     def test_fixed_seed_is_deterministic(self, small_chirp):
         cap = self.make_capture(small_chirp)
-        n1 = im.add_noise(cap, 10.0, seed=42)
-        n2 = im.add_noise(cap, 10.0, seed=42)
+        n1 = im.add_noise(own_samples(cap), 10.0, seed=42)
+        n2 = im.add_noise(own_samples(cap), 10.0, seed=42)
         for r1, r2 in zip(n1.records, n2.records):
             assert np.array_equal(r1.samples, r2.samples)
-        n3 = im.add_noise(cap, 10.0, seed=43)
+        n3 = im.add_noise(own_samples(cap), 10.0, seed=43)
         assert not np.array_equal(n1.records[0].samples, n3.records[0].samples)
 
     def test_noise_power_matches_requested_snr(self, small_chirp):
         cap = self.make_capture(small_chirp)
         snr_db = 3.0
-        noisy = im.add_noise(cap, snr_db, seed=1)
+        noisy = im.add_noise(own_samples(cap), snr_db, seed=1)
         sig = np.concatenate([r.samples for r in cap.records])
         res = np.concatenate([r.samples for r in noisy.records]) - sig
         measured = np.mean(np.abs(sig) ** 2) / np.mean(np.abs(res) ** 2)
@@ -232,6 +232,41 @@ class TestAddNoise:
     def test_snr_beyond_float_range_adds_no_noise(self, small_chirp):
         cap = self.make_capture(small_chirp)
         assert im.add_noise(cap, 1e300, seed=0) is cap
+
+    def test_noise_is_added_in_place(self, small_chirp):
+        cap = self.make_capture(small_chirp)
+        records = cap.records
+        expected = im.add_noise(own_samples(cap), 10.0, seed=3).samples.tobytes()
+        noisy = im.add_noise(cap, 10.0, seed=3)
+        # the result is a capture on the input's own buffer, which the input
+        # and its record views built earlier now share, read-only again
+        assert np.shares_memory(noisy.samples, cap.samples)
+        assert noisy.samples.tobytes() == expected
+        assert cap.samples.tobytes() == expected
+        assert records[1].samples.tobytes() == noisy.samples[1].tobytes()
+        assert not cap.samples.flags.writeable
+        assert not noisy.samples.flags.writeable
+
+    def test_samples_it_cannot_write_are_noised_into_a_new_buffer(self, small_chirp):
+        cap = self.make_capture(small_chirp)
+        clean = cap.samples.tobytes()
+        frozen = np.frombuffer(clean, np.complex64).reshape(cap.samples.shape)
+        borrowed = dataclasses.replace(cap, samples=frozen)
+        assert borrowed.samples is frozen
+        noisy = im.add_noise(borrowed, 10.0, seed=3)
+        assert not np.shares_memory(noisy.samples, frozen)
+        assert frozen.tobytes() == clean
+        assert noisy.samples.tobytes() == im.add_noise(own_samples(cap), 10.0, seed=3).samples.tobytes()
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "7"])
+    def test_seed_the_generator_refuses_is_a_config_error(self, small_chirp, seed):
+        cap = self.make_capture(small_chirp)
+        clean = cap.samples.tobytes()
+        with pytest.raises(ConfigError, match=f"seed must be a non-negative integer, got {seed!r}"):
+            im.add_noise(cap, 10.0, seed=seed)
+        assert cap.samples.tobytes() == clean
+        # without noise to add, the seed is not used
+        assert im.add_noise(cap, np.inf, seed=seed) is cap
 
     @pytest.mark.parametrize("snr_db", [3.0, 25.0])
     def test_noisy_capture_within_one_ulp_of_noising_complex128(self, small_chirp, snr_db):
@@ -327,8 +362,14 @@ class TestCaptureValues:
         row = sim._NOISE_ROWS + 5
         samples = cap.samples.copy()
         samples[row] = np.finfo(np.float32).max
+        clean = samples.copy()
         with pytest.raises(ConfigError, match=f"record {row} holds samples beyond float32 range"):
             im.add_noise(dataclasses.replace(cap, samples=samples), 20.0, seed=0)
+        # the blocks before the refused one were noised in place; the refused
+        # block and the rest keep their finite values, read-only again
+        assert not np.array_equal(samples[: sim._NOISE_ROWS], clean[: sim._NOISE_ROWS])
+        assert samples[sim._NOISE_ROWS :].tobytes() == clean[sim._NOISE_ROWS :].tobytes()
+        assert not samples.flags.writeable
 
     @pytest.mark.parametrize("x", [1e300, -1e300, 1e160])
     def test_target_at_no_finite_distance_rejected(self, small_chirp, x):
