@@ -2,8 +2,9 @@
 
 Every stage materializes its artifact as a file, so the one-shot `pipeline`
 command is exactly the four stages run back to back on those files.  Exit
-codes: 0 success, 2 config/parse error, 3 data-format error, 4
-numerical-domain error.
+codes: 0 success, 2 config/parse or file error (a missing, unreadable or
+undecodable file, or a directory where a file belongs), 3 data-format
+error, 4 numerical-domain error.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ def _cmd_simulate(args) -> int:
 
 def _peak_magnitude(images: np.ndarray) -> float:
     """The largest |pixel| of a stack, one plane at a time: np.abs of the
-    whole stack would be a float64 temporary of its size."""
+    whole stack would be a float32 temporary of its size."""
     return max(float(np.abs(plane).max()) for plane in images)
 
 
@@ -261,7 +262,7 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a missing or unreadable file, or a directory given as one
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -15,6 +15,7 @@ import ast
 import csv
 import dataclasses
 import typing
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -40,10 +41,21 @@ def _parse_value(text: str):
         return text
 
 
+@contextmanager
+def _text_file(path, **open_args):
+    """Open path as UTF-8 text.  Bytes that do not decode raise ConfigError
+    naming the file."""
+    try:
+        with open(path, "r", encoding="utf-8", **open_args) as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+
+
 def parse_kv_file(path) -> dict:
     """Parse a flat key-value config file; errors carry line numbers."""
     values: dict = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with _text_file(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -147,7 +159,7 @@ def load_filter_config(cfg: dict) -> FilterConfig:
 
 
 def _read_csv_rows(path, expected_header: list[str]):
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with _text_file(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

@@ -270,8 +270,8 @@ def _read_grid(fh) -> ImageGrid:
 
 
 def write_image_stack(stack: SarImageStack, path) -> None:
-    """Write an INSARIMG stack.  Raises ConfigError, and leaves no file, for
-    a pixel beyond float32's range."""
+    """Write an INSARIMG stack: its complex64 planes as SarImageStack holds
+    them, the file's precision."""
     with _writing(path) as fh:
         _write_preamble(fh, MAGIC_IMG)
         _write_grid(fh, stack.grid)
@@ -279,12 +279,10 @@ def write_image_stack(stack: SarImageStack, path) -> None:
         fh.write(np.asarray(stack.phase_center, dtype="<f8").tobytes())
         _write_array(fh, stack.array)
         fh.write(struct.pack("<III", *stack.images.shape))
-        # one plane at a time into one buffer, so no stack-sized copy is made
-        encoded = np.empty(stack.images.shape[1:], dtype="<c8")
-        for k, plane in enumerate(stack.images):
-            if _round_rows(plane, encoded) is not None:
-                raise ConfigError(f"VX {k} image holds pixels beyond float32 range")
-            fh.write(encoded)
+        # one plane at a time, so no stack-sized copy is made of a stack
+        # that is not contiguous
+        for plane in stack.images:
+            fh.write(np.ascontiguousarray(plane, dtype="<c8"))
 
 
 def read_image_stack(path) -> SarImageStack:
@@ -372,11 +370,11 @@ def read_elevation_map(path) -> ElevationMap:
 def write_pgm(image: np.ndarray, path) -> None:
     """Dump a complex image as 16-bit log-magnitude PGM for inspection.
 
-    Magnitudes are scaled to dB below the image peak, clipped at
-    _PGM_FLOOR_DB, and mapped to the full 16-bit range.  Rows run along v,
-    columns along u.
+    Magnitudes are taken in float64, scaled to dB below the image peak,
+    clipped at _PGM_FLOOR_DB, and mapped to the full 16-bit range.  Rows run
+    along v, columns along u.
     """
-    mag = np.abs(np.asarray(image))
+    mag = np.abs(np.asarray(image, dtype=np.complex128))
     peak = mag.max()
     if peak <= 0:
         db = np.full_like(mag, _PGM_FLOOR_DB, dtype=float)

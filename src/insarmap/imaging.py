@@ -30,14 +30,16 @@ profile bins and their first differences are rounded to complex64 once per
 batch of cycles, interpolation weights to float32, and the phasors are
 complex64.  Each VX sums its records' values per pixel in complex64 over
 one batch of at most _CYCLE_BATCH cycles, and adds that partial sum into
-its complex128 image.  An image differs from one made with the exact
-complex exp and complex128 values by at most 1e-6 of its peak magnitude;
-the tests hold these bounds.  The float32 bits depend on which SIMD path
-numpy dispatches cos and sin to, so artifacts are byte-identical only on
-one numpy build and CPU dispatch path.  Single precision ends at about
-3.4e38, as the stack file's float32 does, so a range profile bin or a
-partial sum beyond that is refused as a ConfigError.  A NaN pixel, as from
-a non-finite carrier, is left to SarImageStack's finiteness check.
+its complex64 image, the precision of the stack file, so the stack is
+never held wider than the file holds it.  An image differs from one made
+with the exact complex exp and complex128 values by at most 1e-6 of its
+peak magnitude, over a thousand cycles too; the tests hold these bounds.
+The float32 bits depend on which SIMD path numpy dispatches cos and sin
+to, so artifacts are byte-identical only on one numpy build and CPU
+dispatch path.  Single precision ends at about 3.4e38, so a range profile
+bin, a partial sum or an image sum beyond that is refused as a
+ConfigError.  A NaN pixel, as from a non-finite carrier, is left to
+SarImageStack's finiteness check.
 
 Pixel blocks are whole grid rows, or slices of one row when a row is
 longer than a block, so each element's squared distance is the outer sum
@@ -66,7 +68,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .simulate import RawCapture
+from .simulate import RawCapture, _round_rows
 from .types import C_LIGHT, VirtualArray, derive_chirp_params
 
 WINDOWS = ("rectangular", "hann")
@@ -81,7 +83,7 @@ _BLOCK_PIXELS = 16384
 _CYCLE_BATCH = 8
 
 # The most pixels an ImageGrid may hold: 2**26 is 119 times the default
-# 750 x 750 grid, and its 12-VX stack is 12 GiB of complex128.
+# 750 x 750 grid, and its 12-VX stack is 6 GiB of complex64.
 _MAX_PIXELS = 2**26
 
 # The most bins a padded range profile may hold: 2**18 is 128 times the
@@ -163,28 +165,40 @@ class RangeProfileSet:
 class SarImageStack:
     """One complex image per VX on a common grid with a common phase center.
 
-    Pixels and the phase center must be finite, and the wavelength finite
-    and positive.  The images are complex128 as image_stack makes them, or
-    complex64 as read_image_stack reads them, at the file's precision.
+    Images have one dtype, complex64, the precision of an INSARIMG file, as
+    image_stack makes them and read_image_stack reads them.  complex64
+    images are kept as they are; any other images are rounded to complex64
+    by _round_rows, and a finite pixel beyond float32's range raises
+    ConfigError ("VX k image holds pixels beyond float32 range").  Pixels
+    and the phase center must be finite, and the wavelength finite and
+    positive.
     """
 
     grid: ImageGrid
     array: VirtualArray
-    images: np.ndarray  # (n_vx, n_u, n_v) complex128 or complex64
+    images: np.ndarray  # (n_vx, n_u, n_v) complex64
     phase_center: np.ndarray  # (3,) world
     aperture_length_m: float
     wavelength_m: float
 
     def __post_init__(self) -> None:
-        if self.images.shape != (self.array.n_vx, self.grid.n_u, self.grid.n_v):
+        images = np.asarray(self.images)
+        if images.shape != (self.array.n_vx, self.grid.n_u, self.grid.n_v):
             raise ConfigError(
-                f"image stack shape {self.images.shape} does not match "
+                f"image stack shape {images.shape} does not match "
                 f"{self.array.n_vx} VX on a {self.grid.n_u}x{self.grid.n_v} grid"
             )
+        if images.dtype != np.complex64:
+            rounded = np.empty(images.shape, dtype=np.complex64)
+            for k in range(images.shape[0]):
+                if _round_rows(images[k], rounded[k]) is not None:
+                    raise ConfigError(f"VX {k} image holds pixels beyond float32 range")
+            images = rounded
         # checked plane by plane, so no stack-sized mask is made
-        for k, plane in enumerate(self.images):
+        for k, plane in enumerate(images):
             if not np.isfinite(plane).all():
                 raise ConfigError(f"VX {k} image holds non-finite pixels")
+        object.__setattr__(self, "images", images)
         if not self.aperture_length_m > 0:
             raise ConfigError("aperture_length_m must be > 0")
         if not (self.wavelength_m > 0 and np.isfinite(self.wavelength_m)):
@@ -384,13 +398,15 @@ def image_stack(
     and phasor fields of every distinct element, which the VX that use
     them share.  Per pixel, each VX sums its records' complex64 values in
     strict cycle order over one cycle batch, then adds the sum to its
-    complex128 image, so neither the decomposition nor the thread count can
-    change bits.  threads must be >= 1; at most as many workers run as the
+    complex64 image, so neither the decomposition nor the thread count can
+    change bits; the stack is complex64 throughout, the SarImageStack
+    dtype.  threads must be >= 1; at most as many workers run as the
     process has CPUs.  Raises ConfigError when the grid's farthest pixel
     needs the range profile's last bin or one past it, at or beyond
     c*fs/(2*slope), so every q lies below the last kept slope; when a
-    partial sum is beyond float32's range, as a profile bin beyond it
-    makes one; and when a pixel's distance from the aperture overflows.
+    partial sum or an image sum is beyond float32's range, as a profile bin
+    beyond it makes one; and when a pixel's distance from the aperture
+    overflows.
     """
     if not np.isfinite(image_height_m):
         raise ConfigError(f"image_height_m must be finite, got {image_height_m!r}")
@@ -423,7 +439,7 @@ def image_stack(
     u, v = grid.u_centers(), grid.v_centers()
     pz = center_pose.position[2] + image_height_m
     n_v = v.shape[0]
-    images = np.zeros((array.n_vx, u.shape[0] * n_v), dtype=np.complex128)
+    images = np.zeros((array.n_vx, u.shape[0] * n_v), dtype=np.complex64)
     # A record's fractional bin q = (d_tx + d_rx) / 2 in bins is at most
     # the farthest element's distance in bins, reach, up to rounding.
     # Interpolation reads bins trunc(q) and trunc(q) + 1: none past
@@ -448,8 +464,8 @@ def image_stack(
     keep_bins = reach + 3
 
     # A value beyond float32's range, a profile bin or a sum, makes some
-    # partial sum inf, which is refused below; the steps on the way need not
-    # warn.
+    # partial sum or image sum inf, which is refused below; the steps on the
+    # way need not warn.
     @np.errstate(over="ignore", invalid="ignore")
     def accumulate_block(block, c_lo, c_hi, rows, slopes):
         u_lo, u_hi, v_lo, v_hi = block
@@ -486,10 +502,11 @@ def image_stack(
                 out *= phasor[t]
                 out *= phasor[s]
                 partial[slot_list[r]] += out
-        overflowed = np.isinf(partial.view(np.float32)).any(axis=1)
+        # an inf partial sum stays inf in the image, which held no inf before
+        images[:, pixels] += partial
+        overflowed = np.isinf(images[:, pixels].view(np.float32)).any(axis=1)
         if overflowed.any():
             raise ConfigError(f"VX {int(np.argmax(overflowed))} image holds pixels beyond float32 range")
-        images[:, pixels] += partial
 
     # workers beyond the CPUs add no speed, and each would cost a thread and
     # a pixel block of its own

@@ -197,10 +197,10 @@ def combine_baselines(stack: SarImageStack) -> InterferogramGrid:
     per-baseline phase scaling that this pipeline does not implement.
     Baselines, and the VX planes of the mean magnitude, are summed one at a
     time, so the peak memory is a few planes whatever the number of
-    baselines or VX.  The images may be complex64, as read from a file, or
-    complex128, as image_stack makes them.  Each plane is widened to
-    complex128 when it is used, which is exact, so a complex64 stack gives
-    the floats of its complex128 widening without a widened copy of it.
+    baselines or VX.  The images are complex64, as SarImageStack holds
+    them.  Each plane is widened to complex128 when it is used, which is
+    exact, so the stack gives the floats of its complex128 widening without
+    a widened copy of it.
     """
     baselines = stack.array.vertical_baselines
     if not baselines:

@@ -833,3 +833,80 @@ def test_hostile_config_and_csv_values_fail_cleanly(tmp_path, capsys):
         if code not in (0, 2, 4) or "Traceback" in err or "np.float64(" in err:
             failures.append(f"{what}: {code} {err.strip()[-200:]}")
     assert not failures, "\n".join(failures)
+
+
+def stage_argv(workdir, stage, **paths):
+    """argv for one stage on the artifacts of run_pipeline(workdir, ...),
+    with any of its paths (config, scene, trajectory, input, output, csv)
+    replaced."""
+    run = workdir / "run"
+    paths = {
+        "config": workdir / "radar.cfg",
+        "scene": workdir / "scene.csv",
+        "trajectory": workdir / "traj.csv",
+        "input": {"image": run / "capture.insarraw", "elevate": run / "stack.insarimg",
+                  "pointcloud": run / "elevation.insarelv"}.get(stage),
+        "output": workdir / f"{stage}.out",
+        **paths,
+    }
+    if stage == "simulate":
+        argv = ["simulate", paths["scene"], paths["trajectory"], "--config", paths["config"]]
+    elif stage == "elevate":
+        argv = ["elevate", paths["input"]]
+    else:
+        argv = [stage, paths["input"], "--config", paths["config"]]
+    argv += ["-o", paths["output"]]
+    if "csv" in paths:
+        argv += ["--csv", paths["csv"]]
+    return [str(a) for a in argv]
+
+
+@pytest.mark.parametrize("which", ["config", "scene", "trajectory"])
+def test_undecodable_text_file_is_a_config_error(workdir, capsys, which):
+    # used to end in a UnicodeDecodeError traceback (exit 1)
+    path = workdir / {"config": "radar.cfg", "scene": "scene.csv", "trajectory": "traj.csv"}[which]
+    path.write_bytes(path.read_bytes() + b"\xff\xfe\n")
+    code = cli.main(stage_argv(workdir, "simulate"))
+    assert code == 2
+    assert f"error: {path}: not UTF-8 text" in capsys.readouterr().err
+    assert not (workdir / "simulate.out").exists()
+
+
+@pytest.mark.parametrize(
+    "stage, which",
+    [("simulate", "config"), ("simulate", "trajectory"), ("image", "input"), ("elevate", "input"),
+     ("pointcloud", "input")],
+)
+def test_directory_as_input_is_a_config_error(workdir, capsys, stage, which):
+    # used to end in an IsADirectoryError traceback (exit 1)
+    assert run_pipeline(workdir, workdir / "radar.cfg")[1] == 0
+    capsys.readouterr()
+    code = cli.main(stage_argv(workdir, stage, **{which: workdir}))
+    assert code == 2
+    assert "error: [Errno 21] Is a directory" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "stage, which",
+    [("simulate", "output"), ("image", "output"), ("elevate", "output"), ("pointcloud", "output"),
+     ("pointcloud", "csv")],
+)
+def test_directory_as_output_is_a_config_error(workdir, capsys, stage, which):
+    # used to end in an IsADirectoryError traceback (exit 1)
+    assert run_pipeline(workdir, workdir / "radar.cfg")[1] == 0
+    capsys.readouterr()
+    target = workdir / "taken"
+    target.mkdir()
+    code = cli.main(stage_argv(workdir, stage, **{which: target}))
+    assert code == 2
+    assert "error: [Errno 21] Is a directory" in capsys.readouterr().err
+    assert target.is_dir() and not any(target.iterdir())
+
+
+def test_file_as_pipeline_out_dir_is_a_config_error(workdir, capsys):
+    # used to end in a FileExistsError traceback (exit 1)
+    (workdir / "run").write_text("not a directory\n")
+    out, code = run_pipeline(workdir, workdir / "radar.cfg")
+    assert code == 2
+    assert "error: [Errno 17] File exists" in capsys.readouterr().err
+    assert out.read_text() == "not a directory\n"

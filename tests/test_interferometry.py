@@ -243,6 +243,9 @@ class TestCombineBaselines:
             aperture_length_m=stack.aperture_length_m,
             wavelength_m=stack.wavelength_m,
         )
+        # the reference reductions run over the widened planes, as
+        # combine_baselines widens each complex64 plane it uses
+        images = stack.images.astype(np.complex128)
         baselines = stack.array.vertical_baselines
         corr = np.multiply(np.conj(images[[b.upper_vx for b in baselines]]), images[[b.lower_vx for b in baselines]])
         mag = np.abs(corr)
@@ -260,11 +263,12 @@ class TestCombineBaselines:
         assert intf.combined_magnitude.tobytes() == np.mean(np.abs(images), axis=0).tobytes()
 
     def test_complex64_stack_maps_to_the_bits_of_its_widening(self, small_e2e):
-        # a stack read from a file is complex64; combine_baselines widens it
-        # a plane at a time, to the floats of the widened stack's map
+        # SarImageStack rounds a complex128 stack to complex64, so the
+        # widened stack maps to the floats of the complex64 stack it came from
         stack = small_e2e["stack"]
         narrow = dataclasses.replace(stack, images=stack.images.astype(np.complex64))
         wide = dataclasses.replace(stack, images=narrow.images.astype(np.complex128))
+        assert wide.images.tobytes() == narrow.images.tobytes()
         a, b = im.build_elevation_map(narrow), im.build_elevation_map(wide)
         assert np.isfinite(a.elevation).any()
         assert a.elevation.tobytes() == b.elevation.tobytes()

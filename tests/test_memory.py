@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import insarmap as im
-from insarmap import cli, formats
+from insarmap import cli, formats, imaging
 from insarmap import simulate as sim
 
 from conftest import make_rail_trajectory, own_samples
@@ -185,10 +185,35 @@ def test_build_elevation_map_peak_does_not_grow_with_baselines():
     assert peaks[8] <= peaks[2] + SLACK
 
 
+def test_image_stack_holds_its_complex64_stack_the_block_buffers_and_one_batch(clean_capture):
+    # 4 mm of the 2 cm track: 21 cycles, 3 cycle batches, on a 300 x 300 grid
+    grid = im.ImageGrid(np.array([-6.0, 1.0]), np.array([12.0, 12.0]), 0.04)
+    aperture = im.Aperture(0.004)
+    stack, peak = traced_peak(lambda: im.image_stack(clean_capture, grid, aperture))
+    array, n = clean_capture.array, clean_capture.config.samples_per_chirp
+    n_px = grid.n_u * grid.n_v
+    images = array.n_vx * n_px * np.dtype(np.complex64).itemsize
+    # a pixel block's buffers: each VX's complex64 partial sum and overflow
+    # mask (two bools per pixel); each distinct element's float64 distance,
+    # complex64 phasor and float64 and float32 phase work; and one record's
+    # float64 q, complex64 value and float64, intp and complex64 work
+    blocks = imaging._pixel_blocks(grid.n_u, grid.n_v, -(-n_px // imaging._BLOCK_PIXELS))
+    block_px = max((u_hi - 1) * grid.n_v + v_hi - (u_lo * grid.n_v + v_lo) for u_lo, u_hi, v_lo, v_hi in blocks)
+    n_elements = len(np.unique(np.concatenate([array.tx_positions, array.rx_positions]), axis=0))
+    block = block_px * (array.n_vx * (8 + 2) + n_elements * (8 + 8 + 8 + 4) + 8 + 8 + 8 + 8 + 8)
+    # one cycle batch's complex128 range profiles, at the 4x default oversampling
+    profiles = imaging._CYCLE_BATCH * array.n_tx * array.n_rx * 4 * n * np.dtype(np.complex128).itemsize
+    assert peak <= images + block + profiles + SLACK
+    assert stack.images.dtype == np.complex64
+    # a complex128 stack would not fit
+    assert block + profiles + SLACK < images
+
+
 def test_image_stage_peak_magnitude_takes_one_plane_at_a_time():
     stack = random_stack(im.default_virtual_array(WAVELENGTH))
     peak, traced = traced_peak(lambda: cli._peak_magnitude(stack.images))
     assert peak == float(np.abs(stack.images).max())
-    # one float64 plane of |pixel|, against 3.8 MB for the whole stack's
+    # one float32 plane of |pixel|, within a float64 plane, against 1.9 MB
+    # for the whole complex64 stack's
     plane = GRID.n_u * GRID.n_v * np.dtype(np.float64).itemsize
     assert traced <= plane + SLACK
