@@ -10,6 +10,7 @@ error, 4 numerical-domain error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 import time
 import warnings
@@ -48,13 +49,16 @@ def _cmd_simulate(args) -> int:
             configio._number(cfg, "capture_start_s", traj.start_time_s),
             configio._number(cfg, "capture_end_s", traj.end_time_s),
         )
-    capture = simulate.synthesize_capture(
-        scene, traj, chirp, array, window,
-        pattern_cos_power=configio._number(cfg, "element_pattern_cos_power"),
-    )
+    pattern_cos_power = configio._number(cfg, "element_pattern_cos_power")
     snr_db = configio._number(cfg, "per_sample_snr_db", float("inf"))
-    capture = simulate.add_noise(capture, snr_db, seed=args.seed)
-    formats.write_capture(capture, args.output)
+    # the capture is synthesized and noised in its output file, which holds
+    # its samples; a failure removes the file
+    with formats.capture_file(args.output) as samples:
+        capture = simulate.synthesize_capture(
+            scene, traj, chirp, array, window, pattern_cos_power=pattern_cos_power, samples=samples
+        )
+        capture = simulate.add_noise(capture, snr_db, seed=args.seed)
+        formats.write_capture(capture, args.output)
     print(f"[simulate] wrote {args.output}")
     print(
         f"[simulate] pulses: {capture.n_records} records over {capture.n_cycles} TDM cycles, "
@@ -148,10 +152,17 @@ def _cmd_pointcloud(args) -> int:
     emap = formats.read_elevation_map(args.map)
     fcfg = configio.load_filter_config(cfg)
     cloud = pointcloud.filter_points(emap, fcfg)
-    pointcloud.write_pcd(cloud, args.output)
+    # every output is opened before any is written, so one that cannot be
+    # opened or written leaves none of them behind
+    with contextlib.ExitStack() as outputs:
+        pcd, csv = [
+            outputs.enter_context(pointcloud._open_output(p)) if p else None for p in (args.output, args.csv)
+        ]
+        pointcloud.write_pcd(cloud, pcd)
+        if csv is not None:
+            pointcloud.write_csv(cloud, csv)
     print(f"[pointcloud] wrote {args.output} ({len(cloud)} points)")
     if args.csv:
-        pointcloud.write_csv(cloud, args.csv)
         print(f"[pointcloud] wrote {args.csv}")
     for line in _filter_report(cloud, fcfg):
         print(line)

@@ -26,23 +26,32 @@ INSARELV (elevation map)
     f64 wavelength, f64 baseline, u32 n_u, u32 n_v,
     five f32 planes: elevation (NaN = absent), mean phase delay,
     circular variance, combined magnitude, snr_db.
+
+An INSARRAW file is also where a capture's samples are worked on: a
+CaptureFile holds a capture's samples in the file's records, and reads and
+writes them a block of records at a time.  The simulate stage synthesizes
+and noises its capture in the file that becomes its output (capture_file),
+and the image stage reads the aperture's records as it images them
+(read_capture with an aperture), so neither holds the samples of a whole
+capture.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import os
 import stat
 import struct
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager, nullcontext, suppress
 
 import numpy as np
 
-from .errors import ConfigError, DataFormatError, RecordError
+from .errors import ConfigError, DataFormatError
 from .imaging import Aperture, ImageGrid, SarImageStack, _aperture_rule
 from .interferometry import ElevationMap, InterferogramGrid
-from .simulate import RawCapture, _round_rows
+from .simulate import RawCapture, SampleStore, _round_rows
 from .types import ChirpConfig, Pose, VirtualArray, build_virtual_array
 
 MAGIC_RAW = b"INSARRAW"
@@ -58,11 +67,12 @@ _PGM_FLOOR_DB = -60.0
 
 
 @contextmanager
-def _writing(path):
-    """Open path for writing.  A writer that raises leaves no file behind:
-    it removes the regular file it opened, but never a device, a pipe or a
-    symlink given as path (such as /dev/null or /dev/stdout)."""
-    with open(path, "wb") as fh:
+def _writing(path, mode: str = "wb", **kwargs):
+    """Open path for writing, by open(path, mode, **kwargs).  A writer that
+    raises leaves no file behind: it removes the regular file it opened, but
+    never a device, a pipe or a symlink given as path (such as /dev/null or
+    /dev/stdout)."""
+    with open(path, mode, **kwargs) as fh:
         try:
             yield fh
         except BaseException:
@@ -151,29 +161,172 @@ def _record_dtype(samples_per_chirp: int) -> np.dtype:
     )
 
 
+class CaptureFile(SampleStore):
+    """The samples of an INSARRAW file's records, as a capture holds them
+    (a SampleStore): row i is the samples of the file's record records[i].
+
+    Rows are read and written a run of consecutive records at a time,
+    through a packed block of at most _BLOCK_ROWS records, so a capture on
+    a CaptureFile holds only its per-record columns.  A read refuses a file
+    that ends early and a non-finite sample, with DataFormatError naming
+    the record by its number in the file.  A store that capture_file or
+    write_capture made writes its file through the file they hold open,
+    packing each record's header from the columns it was made with; every
+    other read opens the file and closes it again, so no handle outlives
+    the read.  The file must not change while a capture reads it.
+    """
+
+    def __init__(self, path, start: int, samples_per_chirp: int, records: np.ndarray, writer=None) -> None:
+        self.path = path
+        self.shape = (records.size, samples_per_chirp)
+        self._start = start  # the offset of record 0
+        self._layout = _record_dtype(samples_per_chirp)
+        self._records = records
+        # (open file, header fields of every record) while this store writes
+        # its file; writable, as a new array is, until a capture takes it
+        self._writer = writer
+        self._writeable = writer is not None
+
+    def __len__(self) -> int:
+        return self.shape[0]
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        rows = self[:]
+        return rows if dtype is None else rows.astype(dtype)
+
+    def _writes(self) -> bool:
+        """Whether this store still writes its file through an open handle."""
+        return self._writer is not None and not self._writer[0].closed
+
+    def _is_at(self, path) -> bool:
+        """Whether path names this store's file, or, while capture_file
+        makes it, the file it will replace."""
+        if self._writes():
+            return os.path.realpath(path) == os.path.realpath(self.path)
+        with suppress(OSError):
+            return os.path.samestat(os.stat(self.path), os.stat(path))
+        return False
+
+    def setflags(self, write: bool) -> None:
+        if write and not self._writes():
+            raise ValueError(f"{self.path} is open for reading only")
+        self._writeable = bool(write)
+
+    @staticmethod
+    def _chunks(records: np.ndarray):
+        """(first row, first file record, count) of each run of at most
+        _BLOCK_ROWS consecutive file records in records."""
+        breaks = np.flatnonzero(np.diff(records) != 1) + 1
+        for a, b in zip([0, *breaks.tolist()], [*breaks.tolist(), records.size]):
+            for lo in range(a, b, _BLOCK_ROWS):
+                yield lo, int(records[lo]), min(_BLOCK_ROWS, b - lo)
+
+    def __getitem__(self, key) -> np.ndarray:
+        records = self._records[key]
+        if records.ndim == 0:  # one row, as an array's row
+            return self[[key]][0]
+        out = np.empty((records.size, self.shape[1]), dtype=np.complex64)
+        block = np.empty(min(records.size, _BLOCK_ROWS), dtype=self._layout)
+        with nullcontext(self._writer[0]) if self._writes() else open(self.path, "rb") as fh:
+            for lo, first, count in self._chunks(records):
+                rows = block[:count]
+                fh.seek(self._start + first * self._layout.itemsize)
+                if fh.readinto(rows.data) != rows.nbytes:
+                    raise DataFormatError(f"{self.path}: truncated file while reading records")
+                finite = np.isfinite(rows["iq"]).all(axis=1)
+                if not finite.all():
+                    raise DataFormatError(
+                        f"{self.path}: record {first + int(np.argmin(finite))} holds non-finite samples"
+                    )
+                out[lo : lo + count] = rows["iq"]
+        return out
+
+    def __setitem__(self, key: slice, rows) -> None:
+        if not self._writeable:
+            raise ValueError(f"{self.path} samples are read-only")
+        fh, columns = self._writer
+        records = self._records[key]
+        block = np.empty(min(records.size, _BLOCK_ROWS), dtype=self._layout)
+        for lo, first, count in self._chunks(records):
+            packed = block[:count]
+            for name in columns.dtype.names:
+                packed[name] = columns[name][first : first + count]
+            packed["iq"] = rows[lo : lo + count]
+            # a pipe, which cannot seek, is written in order
+            if fh.seekable():
+                fh.seek(self._start + first * self._layout.itemsize)
+            fh.write(packed.data)
+
+
+def _start_capture(fh, path, config, array, tx, rx, cycle, time_s, poses, pose_index) -> CaptureFile:
+    """Write the INSARRAW header of these records into fh and return a
+    writable CaptureFile over their records, which packs each record's
+    header fields with its samples."""
+    layout = _record_dtype(config.samples_per_chirp)
+    columns = np.empty(len(tx), dtype=layout.descr[:-1])  # every field but iq
+    columns["tx"], columns["rx"], columns["cycle"], columns["time"] = tx, rx, cycle, time_s
+    pose_table = np.array([[p.time_s, *p.position, *p.quaternion] for p in poses]).reshape(-1, 8)
+    columns["pose"] = pose_table[pose_index]
+    _write_preamble(fh, MAGIC_RAW)
+    fh.write(struct.pack(_CHIRP_FORMAT, *dataclasses.astuple(config)))
+    _write_array(fh, array)
+    fh.write(struct.pack("<Q", columns.size))
+    start = fh.tell() if fh.seekable() else None
+    return CaptureFile(path, start, config.samples_per_chirp, np.arange(columns.size), writer=(fh, columns))
+
+
+@contextmanager
+def capture_file(path):
+    """Make the INSARRAW file at path in a capture, and yield the samples
+    argument of simulate.synthesize_capture for it.
+
+    synthesize_capture then writes the header and each block of rows
+    straight into a new file beside path, add_noise reads, noises and
+    writes the rows back there, and write_capture(capture, path) finds the
+    capture written: the simulate stage holds the per-record columns and a
+    few blocks, never the samples of a whole capture.  When the block ends
+    without an error, the new file replaces path (the file a symlink at
+    path names), with the permission bits of the file it replaces; an
+    error inside the block removes the new file and leaves path as it was.
+    An existing path that is not a regular file (a pipe or a device, such
+    as /dev/null) cannot be read back: nothing is opened, and the samples
+    argument is None, so the capture is made in memory and write_capture
+    writes it.
+    """
+    if os.path.exists(path) and not os.path.isfile(path):
+        yield None
+        return
+    target = os.path.realpath(path)
+    folder, name = os.path.split(target)
+    part = os.path.join(folder, f".{name}.{os.urandom(4).hex()}.part")
+    with _writing(part, "x+b") as fh:
+        if os.path.exists(target):
+            os.chmod(fh.fileno(), stat.S_IMODE(os.stat(target).st_mode))
+        yield functools.partial(_start_capture, fh, path)
+        fh.flush()
+        os.replace(part, target)
+
+
 def write_capture(capture: RawCapture, path) -> None:
     """Write an INSARRAW capture.  Records are packed _BLOCK_ROWS at a time
     into one reused block.  The samples are copied as they are: RawCapture
-    holds them at the file's precision, complex64, and finite."""
-    cfg = capture.config
-    n_records = capture.n_records
-    pose_table = np.array([[p.time_s, *p.position, *p.quaternion] for p in capture.poses]).reshape(-1, 8)
-    block = np.empty(min(n_records, _BLOCK_ROWS), dtype=_record_dtype(cfg.samples_per_chirp))
+    holds them at the file's precision, complex64, and finite.
+
+    A capture that capture_file(path) is making is already written, so
+    nothing is written.  A capture whose samples are read from the file at
+    path cannot be written over it, and raises ConfigError."""
+    samples = capture.samples
+    if isinstance(samples, CaptureFile) and samples._is_at(path):
+        if samples._writes():
+            return
+        raise ConfigError(f"{path}: the capture's samples are read from this file, which it cannot overwrite")
     with _writing(path) as fh:
-        _write_preamble(fh, MAGIC_RAW)
-        fh.write(struct.pack(_CHIRP_FORMAT, *dataclasses.astuple(cfg)))
-        _write_array(fh, capture.array)
-        fh.write(struct.pack("<Q", n_records))
-        for lo in range(0, n_records, _BLOCK_ROWS):
-            rows = block[: min(_BLOCK_ROWS, n_records - lo)]
-            hi = lo + rows.shape[0]
-            rows["tx"] = capture.tx[lo:hi]
-            rows["rx"] = capture.rx[lo:hi]
-            rows["cycle"] = capture.cycle[lo:hi]
-            rows["time"] = capture.time_s[lo:hi]
-            rows["pose"] = pose_table[capture.pose_index[lo:hi]]
-            rows["iq"] = capture.samples[lo:hi]
-            fh.write(rows.data)
+        out = _start_capture(
+            fh, path, capture.config, capture.array, capture.tx, capture.rx, capture.cycle,
+            capture.time_s, capture.poses, capture.pose_index,
+        )
+        for lo in range(0, capture.n_records, _BLOCK_ROWS):
+            out[lo : lo + _BLOCK_ROWS] = samples[lo : lo + _BLOCK_ROWS]
 
 
 def _read_records(fh, block: np.ndarray, count: int, path):
@@ -193,21 +346,24 @@ def read_capture(path, aperture: Aperture | None = None) -> RawCapture:
     names a record gives its number in the file.
 
     The samples keep the file's precision, complex64.  Records are read
-    _BLOCK_ROWS at a time through one reused block, so the peak is the
-    samples returned plus one block and the per-record header columns.
+    _BLOCK_ROWS at a time through one reused block.
 
-    Without aperture every record is read.  With it, every record's header
-    (tx, rx, cycle, time, pose) is read first, and imaging's aperture rule
-    picks records from those columns; then only the samples of the TDM
-    cycles it picks from are read, one contiguous span of records at a
-    time.  The capture returned holds those records and the file's whole
-    pose table, so image_stack with the same aperture selects the same
-    records with the same center pose as on the whole capture, and images
-    them to the same bits.  Poses are built for every record, so a bad pose
-    anywhere is an error; the samples of the other records are never read,
-    so their values are not checked.  The rule's own errors (an empty
-    capture, a center time outside the capture span, no pulse selected)
-    are DomainErrors, as from image_stack.
+    Without aperture every record is read, so the peak is the samples
+    returned plus one block and the per-record header columns.  With it,
+    every record's header (tx, rx, cycle, time, pose) is read, and
+    imaging's aperture rule picks records from those columns.  The capture
+    returned holds the records of the TDM cycles it picks from, and the
+    file's whole pose table, so image_stack with the same aperture selects
+    the same records with the same center pose as on the whole capture,
+    and images them to the same bits.  Its samples stay in the file, as a
+    CaptureFile: image_stack reads each cycle batch as it images it, one
+    contiguous span of records at a time, and a non-finite sample there is
+    a DataFormatError then.  So the read holds only the header columns.
+    Poses are built for every record, so a bad pose anywhere is an error;
+    the samples of the other records are never read, so their values are
+    not checked.  The rule's own errors (an empty capture, a center time
+    outside the capture span, no pulse selected) are DomainErrors, as from
+    image_stack.
     """
     with _reading(path) as fh:
         _read_preamble(fh, MAGIC_RAW, path)
@@ -237,27 +393,18 @@ def read_capture(path, aperture: Aperture | None = None) -> RawCapture:
             sel, _ = _aperture_rule(columns["cycle"], pose_index, poses, aperture)
             # whole cycles, so each kept cycle keeps its anchor record
             keep = np.flatnonzero(np.isin(columns["cycle"], columns["cycle"][sel]))
-            samples = np.empty((keep.size, cfg.samples_per_chirp), np.complex64)
-            # one seek per run of consecutive records
-            breaks = np.flatnonzero(np.diff(keep) != 1) + 1
-            for a, b in zip([0, *breaks.tolist()], [*breaks.tolist(), keep.size]):
-                fh.seek(start + int(keep[a]) * dtype.itemsize)
-                for lo, rows in _read_records(fh, block, b - a, path):
-                    samples[a + lo : a + lo + rows.shape[0]] = rows["iq"]
-        try:
-            return RawCapture(
-                config=cfg,
-                array=array,
-                samples=samples,
-                tx=columns["tx"][keep],
-                rx=columns["rx"][keep],
-                cycle=columns["cycle"][keep],
-                time_s=columns["time"][keep],
-                poses=poses,
-                pose_index=pose_index[keep],
-            )
-        except RecordError as exc:  # name the record by its number in the file
-            raise RecordError(int(np.arange(n_records)[keep][exc.record]), exc.problem) from None
+            samples = CaptureFile(path, start, cfg.samples_per_chirp, keep)
+        return RawCapture(
+            config=cfg,
+            array=array,
+            samples=samples,
+            tx=columns["tx"][keep],
+            rx=columns["rx"][keep],
+            cycle=columns["cycle"][keep],
+            time_s=columns["time"][keep],
+            poses=poses,
+            pose_index=pose_index[keep],
+        )
 
 
 def _write_grid(fh, grid: ImageGrid) -> None:

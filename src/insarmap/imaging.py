@@ -6,10 +6,13 @@ grid.  All images reference the same phase center (the aperture-center
 pose), which keeps inter-VX pixel phase differences physically meaningful
 for the interferometric stage.
 
-image_stack is the one imaging entry point: it range-compresses the
-aperture's records one batch of cycles at a time and backprojects them
-into every VX's image.  range_compress applies the same compression to a
-whole capture at once, for inspecting the profiles.
+image_stack is the one imaging entry point: it reads and range-compresses
+the aperture's records one batch of cycles at a time and backprojects them
+into every VX's image.  A capture whose samples stay in their file (the
+image stage's read_capture with an aperture) is read a batch at a time
+too, so the stage never holds the aperture's samples at once.
+range_compress applies the same compression to a whole capture at once,
+for inspecting the profiles.
 
 Backprojection accumulates, per pixel p and pulse k,
 
@@ -249,7 +252,7 @@ def range_compress(
     """
     taps, n_padded, bin_spacing = _range_setup(capture.config, oversample_factor, window)
     return RangeProfileSet(
-        profiles=_compress(capture.samples, taps, n_padded),
+        profiles=_compress(np.asarray(capture.samples), taps, n_padded),
         bin_spacing_m=bin_spacing,
     )
 
@@ -392,9 +395,12 @@ def image_stack(
     height (default 0: the sensor plane).  Range compression is streamed
     one batch of _CYCLE_BATCH cycles at a time, which bounds the profile
     memory, and only the bins the grid can reach are kept, rounded to
-    complex64.  Pixel blocks of about _BLOCK_PIXELS (whole grid rows, or
-    slices of one row when a row is longer) keep the working set
-    cache-resident.  Per block and cycle, one pass evaluates the distance
+    complex64.  Each batch's samples are read from the capture as it is
+    compressed; from a SampleStore, such as read_capture(path, aperture)
+    gives, that is a read of the file, which refuses a non-finite sample
+    then (DataFormatError, naming its record in the file).  Pixel blocks
+    of about _BLOCK_PIXELS (whole grid rows, or slices of one row when a
+    row is longer) keep the working set cache-resident.  Per block and cycle, one pass evaluates the distance
     and phasor fields of every distinct element, which the VX that use
     them share.  Per pixel, each VX sums its records' complex64 values in
     strict cycle order over one cycle batch, then adds the sum to its

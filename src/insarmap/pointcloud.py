@@ -20,11 +20,13 @@ has that height: phi is NaN and the pixel has no elevation.
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, DataFormatError
+from .formats import _writing
 from .interferometry import ElevationMap
 
 
@@ -182,8 +184,23 @@ def _write_rows(fh, row: str, columns) -> None:
         fh.write((row * (len(values) // len(columns))) % tuple(values))
 
 
+def _open_output(path):
+    """path opened for ASCII text by formats._writing, so a writer that
+    fails leaves no file."""
+    return _writing(path, "w", encoding="ascii", newline="\n")
+
+
+def _output(path):
+    """A writer's output: path opened by _open_output, or path itself when
+    it is a text file already open for writing.  A file is opened once: a
+    second truncating open makes ext4 flush it to disk at close."""
+    return nullcontext(path) if hasattr(path, "write") else _open_output(path)
+
+
 def write_pcd(cloud: ElevationPointCloud, path) -> None:
-    """Write an ASCII PCD v0.7 file with x/y/z/intensity fields."""
+    """Write an ASCII PCD v0.7 file with x/y/z/intensity fields.  path is a
+    path, or a text file open for writing.  A write to a path that fails
+    leaves no file, as formats' writers do."""
     n = len(cloud)
     for arr in (cloud.x, cloud.y, cloud.z, cloud.intensity):
         if not np.isfinite(arr).all():
@@ -201,7 +218,7 @@ def write_pcd(cloud: ElevationPointCloud, path) -> None:
         f"POINTS {n}",
         "DATA ascii",
     ]
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
+    with _output(path) as fh:
         fh.write("\n".join(lines) + "\n")
         _write_rows(fh, "%.6g %.6g %.6g %.6g\n", (cloud.x, cloud.y, cloud.z, cloud.intensity))
 
@@ -253,8 +270,10 @@ def read_pcd(path) -> dict[str, np.ndarray]:
 
 
 def write_csv(cloud: ElevationPointCloud, path) -> None:
-    """CSV export with the quality attributes kept for analysis."""
+    """CSV export with the quality attributes kept for analysis.  path is a
+    path, or a text file open for writing.  A write to a path that fails
+    leaves no file, as formats' writers do."""
     columns = (cloud.x, cloud.y, cloud.z, cloud.intensity, cloud.snr_db, cloud.circular_variance)
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
+    with _output(path) as fh:
         fh.write("x,y,z,intensity,snr_db,circ_var\n")
         _write_rows(fh, "%.9g,%.9g,%.9g,%.9g,%.9g,%.9g\n", columns)

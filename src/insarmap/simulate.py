@@ -20,18 +20,24 @@ are range-reduced in float64 before cos and sin, and a beat is within
 within 30 m.  synthesize_chirp runs the same path with its two elements,
 and distances keep np.linalg.norm's rounding, so every block row is
 bitwise equal to synthesize_chirp at that record's TX and RX positions;
-each block is then rounded into the capture's complex64 samples, the
-precision of an INSARRAW file.  Noise is drawn a block of _NOISE_ROWS rows
-at a time from one stream into one complex128 block, added to the widened
-clean rows, rounded to complex64 and written back over those rows:
-add_noise adds the noise in place and consumes its input, so the simulate
-stage holds one complex64 capture and a few small work blocks, never a
-clean and a noisy capture at once.
+each block is then rounded to complex64, the precision of an INSARRAW
+file, checked finite and written into the capture's samples.  Noise is
+drawn a block of _NOISE_ROWS rows at a time from one stream into one
+complex128 block, added to the widened clean rows, rounded to complex64
+and written back over those rows: add_noise adds the noise in place and
+consumes its input.
+
+Samples are read and written only as row blocks (samples[lo:hi],
+samples[index], samples[lo:hi] = rows), so the same loops run over a
+complex64 array or over a SampleStore, which keeps the rows in a file.
+The simulate stage synthesizes into a store over its output file
+(formats.capture_file), so it holds the per-record columns and a few
+small work blocks, never the samples of a whole capture.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -87,6 +93,20 @@ class Scene:
         return len(self.targets)
 
 
+class SampleStore:
+    """Capture samples kept in a file rather than in memory; see
+    formats.CaptureFile.  A store stands in for an (n_records,
+    samples_per_chirp) complex64 array in the capture's block loops: it has
+    shape and dtype; store[lo:hi] and store[index] read rows into a new
+    complex64 array, store[i] reads row i, and a read refuses a non-finite
+    row; store[lo:hi] = rows writes rows; setflags(write=...) allows or
+    forbids writing, as on an array; and np.asarray(store) reads every row.
+    RawCapture keeps a store as it is, so its rows are checked as they are
+    read, not when the capture is built."""
+
+    dtype = np.dtype(np.complex64)
+
+
 def _sample_array(samples) -> np.ndarray:
     """Capture samples as complex64, the precision of an INSARRAW file:
     complex64 samples are kept as they are, and any other input is rounded
@@ -112,6 +132,21 @@ def _round_rows(values: np.ndarray, out: np.ndarray) -> int | None:
         return None
     lost = np.atleast_2d(np.isfinite(out) != np.isfinite(values)).any(axis=1)
     return int(np.argmax(lost)) if lost.any() else None
+
+
+def _mean_power(rows: np.ndarray) -> np.ndarray:
+    """Each row's mean power, over its samples widened to complex128.  A
+    row's mean does not depend on the other rows, so blocks of rows give
+    the floats of one pass over the capture."""
+    return np.mean(np.abs(rows.astype(np.complex128)) ** 2, axis=1)
+
+
+def _check_finite(rows: np.ndarray, first_record: int) -> None:
+    """Raise RecordError for the first of rows that holds a non-finite
+    sample; first_record is the capture index of rows' first row."""
+    finite = np.isfinite(rows).all(axis=1)
+    if not finite.all():
+        raise RecordError(first_record + int(np.argmin(finite)), "holds non-finite samples")
 
 
 def _round_samples(values: np.ndarray, out: np.ndarray, first_record: int) -> None:
@@ -162,7 +197,9 @@ class RawCapture:
     Samples have one dtype, complex64, the precision of an INSARRAW file.
     complex64 samples are kept as they are; any other samples are rounded
     to complex64, and a finite value beyond float32's range raises
-    ConfigError ("record N holds samples beyond float32 range").
+    ConfigError ("record N holds samples beyond float32 range").  Samples
+    may also be a SampleStore, whose rows stay in their file; it is kept
+    as it is, and checked as its rows are read.
     """
 
     config: ChirpConfig
@@ -176,16 +213,16 @@ class RawCapture:
     pose_index: np.ndarray  # (n_records,) int into poses
 
     def __post_init__(self) -> None:
-        samples = np.asarray(self.samples)
+        stored = isinstance(self.samples, SampleStore)
+        samples = self.samples if stored else np.asarray(self.samples)
         n = self.config.samples_per_chirp
-        if samples.ndim != 2 or samples.shape[1] != n:
+        if len(samples.shape) != 2 or samples.shape[1] != n:
             raise ConfigError(f"capture samples shape {samples.shape} != (n_records, {n})")
-        samples = _sample_array(samples)
-        # checked a block of rows at a time, so no capture-sized mask is made
-        for lo in range(0, samples.shape[0], _NOISE_ROWS):
-            finite = np.isfinite(samples[lo : lo + _NOISE_ROWS]).all(axis=1)
-            if not finite.all():
-                raise RecordError(lo + int(np.argmin(finite)), "holds non-finite samples")
+        if not stored:
+            samples = _sample_array(samples)
+            # checked a block of rows at a time, so no capture-sized mask is made
+            for lo in range(0, samples.shape[0], _NOISE_ROWS):
+                _check_finite(samples[lo : lo + _NOISE_ROWS], lo)
         samples.setflags(write=False)
         object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "poses", tuple(self.poses))
@@ -223,14 +260,27 @@ class RawCapture:
     def records(self) -> tuple[PulseRecord, ...]:
         """Per-record view of the columns, built on first access.  Records
         with the same pose index share one Pose object; samples are
-        read-only views into the capture's sample array."""
+        read-only views into the capture's sample array, or into every row
+        read at once from a SampleStore."""
         return tuple(
             PulseRecord(time_s=t, cycle=c, tx=tx, rx=rx, pose=self.poses[k], samples=row)
             for t, c, tx, rx, k, row in zip(
                 self.time_s.tolist(), self.cycle.tolist(), self.tx.tolist(),
-                self.rx.tolist(), self.pose_index.tolist(), self.samples,
+                self.rx.tolist(), self.pose_index.tolist(), np.asarray(self.samples),
             )
         )
+
+
+def _with_samples(capture: RawCapture, samples) -> RawCapture:
+    """capture on other samples of its shape, complex64 and finite, which
+    are made read-only: the columns are shared, not copied or checked
+    again, and no cached value is carried over."""
+    samples.setflags(write=False)
+    result = object.__new__(RawCapture)
+    for field in fields(RawCapture):
+        object.__setattr__(result, field.name, getattr(capture, field.name))
+    object.__setattr__(result, "samples", samples)
+    return result
 
 
 def _scene_table(scene: Scene) -> tuple[np.ndarray, np.ndarray]:
@@ -380,6 +430,7 @@ def synthesize_capture(
     array: VirtualArray,
     aperture_window: tuple[float, float] | None = None,
     pattern_cos_power: float | None = None,
+    samples=None,
 ) -> RawCapture:
     """Emit TDM pulse records over a time window of the trajectory.
 
@@ -396,10 +447,21 @@ def synthesize_capture(
     per unit amplitude plus one float32 ulp of the direct two-way np.exp
     sum, for targets within 30 m.  Rows are synthesized a fixed block of
     cycles at a time into one reused complex128 block, which is rounded
-    into the complex64 result, so a finite sample beyond float32's range
-    raises ConfigError, as does a target at no finite distance from an
-    element.  Allocates the result, one block, and the one-way beats of
-    one block's elements and one TX's records.
+    _NOISE_ROWS rows at a time into one complex64 block and written into
+    the samples, so a finite sample beyond float32's range raises
+    ConfigError, as does a target at no finite distance from an element.
+    Each block is checked finite before it is written: targets whose
+    amplitudes are finite can still sum to inf, and a row that holds a
+    non-finite sample raises ConfigError (RecordError) naming its record.
+
+    samples says where the rows go.  By default they fill a new complex64
+    array.  Otherwise samples is called once, with the capture's other
+    fields as keywords (config, array, tx, rx, cycle, time_s, poses,
+    pose_index), and returns the writable (n_records, samples_per_chirp)
+    store to write them into: a complex64 array, or a SampleStore such as
+    the file formats.capture_file opens.  Besides the samples, synthesis
+    allocates the two blocks, the one-way beats of one block's elements
+    and one TX's records, and the per-record columns.
     """
     if array.n_tx != cfg.num_tx:
         raise ConfigError(
@@ -432,13 +494,18 @@ def synthesize_capture(
     positions, amplitudes = _scene_table(scene)
 
     # one row per (cycle, tx, rx), in firing order
-    n_tx, n_rx = cfg.num_tx, array.n_rx
+    n_tx, n_rx, n = cfg.num_tx, array.n_rx, cfg.samples_per_chirp
     cycle, tx, rx = np.indices((n_cycles, n_tx, n_rx)).reshape(3, -1)
-    samples = np.empty((cycle.size, cfg.samples_per_chirp), dtype=np.complex64)
-    poses = [pose_at_time(traj, t_start + cyc * effective_pri) for cyc in range(n_cycles)]
+    poses = tuple(pose_at_time(traj, t_start + cyc * effective_pri) for cyc in range(n_cycles))
+    columns = dict(
+        config=cfg, array=array, tx=tx, rx=rx, cycle=cycle,
+        time_s=t_start + cycle * effective_pri + tx * cfg.pri_s, poses=poses, pose_index=cycle,
+    )
+    store = np.empty((cycle.size, n), dtype=np.complex64) if samples is None else samples(**columns)
     block_cycles = min(n_cycles, _SYNTH_CYCLES)
     work = _beat_work(block_cycles, n_tx, n_rx, cfg)
-    beat = np.empty((block_cycles, n_tx, n_rx, cfg.samples_per_chirp), dtype=np.complex128)
+    beat = np.empty((block_cycles, n_tx, n_rx, n), dtype=np.complex128)
+    staged = np.empty((min(cycle.size, _NOISE_ROWS), n), dtype=np.complex64)
     for c_lo in range(0, n_cycles, _SYNTH_CYCLES):
         block = poses[c_lo : c_lo + _SYNTH_CYCLES]
         # world positions of every element, TX then RX: (cycles, n_tx + n_rx, 3)
@@ -453,21 +520,19 @@ def synthesize_capture(
         # (cycles, n_tx, n_rx, samples), rows in firing order
         rows = beat[: len(block)]
         rows.fill(0.0)
-        _beat(dist, gain, amplitudes, cfg, rows, work)
-        r_lo = c_lo * n_tx * n_rx
-        rows = rows.reshape(-1, cfg.samples_per_chirp)
-        _round_samples(rows, samples[r_lo : r_lo + rows.shape[0]], r_lo)
-    return RawCapture(
-        config=cfg,
-        array=array,
-        samples=samples,
-        tx=tx,
-        rx=rx,
-        cycle=cycle,
-        time_s=t_start + cycle * effective_pri + tx * cfg.pri_s,
-        poses=tuple(poses),
-        pose_index=cycle,
-    )
+        # a sum beyond float64's range is refused by _check_finite below
+        with np.errstate(over="ignore", invalid="ignore"):
+            _beat(dist, gain, amplitudes, cfg, rows, work)
+        rows = rows.reshape(-1, n)
+        # rounded, checked and written _NOISE_ROWS rows at a time
+        for lo in range(0, rows.shape[0], _NOISE_ROWS):
+            part = rows[lo : lo + _NOISE_ROWS]
+            rounded = staged[: part.shape[0]]
+            first = c_lo * n_tx * n_rx + lo
+            _round_samples(part, rounded, first)
+            _check_finite(rounded, first)
+            store[first : first + part.shape[0]] = rounded
+    return RawCapture(samples=store, **columns)
 
 
 def add_noise(
@@ -502,8 +567,13 @@ def add_noise(
     the same noise added to the unrounded complex128 synthesis.  A finite
     noisy sample beyond float32's range raises ConfigError naming its
     record; the rows before that record's block are then already noisy,
-    and the rest keep their values.  Allocates one complex128 and one
-    complex64 block of _NOISE_ROWS rows, and no second capture.
+    and the rest keep their values.  The rows are read _NOISE_ROWS at a
+    time, once for their power and once to be noised and written back, so
+    samples in a SampleStore stay in their file.  Allocates one complex128
+    and one complex64 block of _NOISE_ROWS rows (and, from a store, the
+    block it reads), each row's power, and no second capture.  The result
+    shares the input's columns, which are not checked again, and its
+    samples are read-only.
     """
     if capture.n_records == 0:
         raise DomainError("capture is empty")
@@ -513,13 +583,10 @@ def add_noise(
         return capture
 
     samples = capture.samples
-    blocks = [slice(lo, lo + _NOISE_ROWS) for lo in range(0, capture.n_records, _NOISE_ROWS)]
-    # the mean of per-row mean powers; each row's mean is independent of the
-    # other rows, so blocks give the same floats as one pass
-    row_power = np.empty(capture.n_records)
-    for rows in blocks:
-        row_power[rows] = np.mean(np.abs(samples[rows].astype(np.complex128)) ** 2, axis=1)
-    mean_power = float(np.mean(row_power))
+    power = np.empty(capture.n_records)
+    for lo in range(0, capture.n_records, _NOISE_ROWS):
+        power[lo : lo + _NOISE_ROWS] = _mean_power(samples[lo : lo + _NOISE_ROWS])
+    mean_power = float(np.mean(power))
     if mean_power == 0.0:
         raise DomainError("capture has zero signal power")
     try:
@@ -549,7 +616,8 @@ def add_noise(
     block = np.empty((min(capture.n_records, _NOISE_ROWS), samples.shape[1]), dtype=np.complex128)
     staged = np.empty(block.shape, dtype=np.complex64)
     try:
-        for rows in blocks:
+        for lo in range(0, capture.n_records, _NOISE_ROWS):
+            rows = slice(lo, lo + _NOISE_ROWS)
             clean = samples[rows]
             noise = block[: clean.shape[0]]
             pairs = noise.view(np.float64).reshape(*noise.shape, 2)
@@ -557,8 +625,8 @@ def add_noise(
             pairs *= sigma
             noise += clean
             rounded = staged[: clean.shape[0]]
-            _round_samples(noise, rounded, rows.start)
+            _round_samples(noise, rounded, lo)
             noisy[rows] = rounded
     finally:
         samples.setflags(write=False)
-    return replace(capture, samples=noisy)
+    return _with_samples(capture, noisy)

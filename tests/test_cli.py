@@ -5,6 +5,7 @@ import os
 import random
 import stat
 import struct
+import threading
 import warnings
 
 import numpy as np
@@ -641,6 +642,78 @@ def test_noisy_capture_beyond_float32_is_a_config_error(workdir, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("snr", ["inf", "25"], ids=["noiseless", "noisy"])
+def test_targets_summing_to_inf_are_a_config_error(workdir, capsys, snr):
+    # each amplitude is finite, but two targets at one place sum to inf in
+    # the complex128 block; the simulate stage writes its capture into its
+    # file, and used to write that capture at exit 0 for image to reject
+    (workdir / "quiet.cfg").write_text(CONFIG + f"per_sample_snr_db = {snr}\n")
+    (workdir / "scene.csv").write_text(SCENE + "0.3,4.2,0.5,1.5e308\n" * 2)
+    out, code = run_pipeline(workdir, workdir / "quiet.cfg")
+    assert code == 2
+    assert "holds non-finite samples" in capsys.readouterr().err
+    assert not (out / "capture.insarraw").exists()
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "failure",
+    [
+        pytest.param(("--seed", "-1"), id="seed"),
+        pytest.param(("capture_end_s = 100\n", None), id="window"),
+        pytest.param(("per_sample_snr_db = inf\n", "0.3,4.2,0.5,1e39\n"), id="float32 overflow"),
+        pytest.param(("", "0.3,4.2,0.5,1.5e308\n" * 2), id="non-finite sum"),
+    ],
+)
+@pytest.mark.parametrize("kind", ["file", "symlink"])
+def test_failing_simulate_leaves_an_existing_output_as_it_was(workdir, capsys, failure, kind):
+    # the capture is made in a new file beside -o, which replaces -o only
+    # once the stage is done; the output used to be truncated when the
+    # stage began and removed when it failed
+    seed = ["--seed", "2"]
+    if failure[0] == "--seed":
+        seed = list(failure)
+    else:
+        (workdir / "radar.cfg").write_text(CONFIG + failure[0])
+        if failure[1] is not None:
+            (workdir / "scene.csv").write_text(SCENE + failure[1])
+    kept = workdir / "kept.insarraw"
+    kept.write_bytes(b"an earlier capture")
+    out = kept
+    if kind == "symlink":
+        out = workdir / "link.insarraw"
+        out.symlink_to(kept)
+    before = sorted(workdir.iterdir())
+    code = cli.main(seed + ["simulate", str(workdir / "scene.csv"), str(workdir / "traj.csv"),
+                            "--config", str(workdir / "radar.cfg"), "-o", str(out)])
+    assert code in (2, 4)
+    capsys.readouterr()
+    assert kept.read_bytes() == b"an earlier capture"
+    assert out.is_symlink() == (kind == "symlink")
+    assert sorted(workdir.iterdir()) == before
+
+
+def test_simulate_replaces_the_file_a_symlink_names(workdir, capsys):
+    # as when the file was written in place: the symlink stays, and the file
+    # it names holds the capture with its permission bits
+    argv = ["--seed", "2", "simulate", str(workdir / "scene.csv"), str(workdir / "traj.csv"),
+            "--config", str(workdir / "radar.cfg"), "-o"]
+    assert cli.main(argv + [str(workdir / "plain.insarraw")]) == 0
+    kept = workdir / "kept.insarraw"
+    kept.write_bytes(b"an earlier capture")
+    kept.chmod(0o640)
+    link = workdir / "link.insarraw"
+    link.symlink_to(kept)
+    assert cli.main(argv + [str(link)]) == 0
+    capsys.readouterr()
+    assert link.is_symlink()
+    assert kept.read_bytes() == (workdir / "plain.insarraw").read_bytes()
+    assert stat.S_IMODE(kept.stat().st_mode) == 0o640
+    assert sorted(p.name for p in workdir.iterdir()) == sorted(
+        ["radar.cfg", "scene.csv", "traj.csv", "plain.insarraw", "kept.insarraw", "link.insarraw"]
+    )
+
+
 @pytest.mark.parametrize("kind", ["symlink", "fifo"])
 def test_failing_writer_leaves_a_non_regular_target_in_place(workdir, capsys, kind):
     # a writer that raises removes the regular file it made, but never a
@@ -910,3 +983,121 @@ def test_file_as_pipeline_out_dir_is_a_config_error(workdir, capsys):
     assert code == 2
     assert "error: [Errno 17] File exists" in capsys.readouterr().err
     assert out.read_text() == "not a directory\n"
+
+
+def test_unwritable_csv_leaves_no_pcd(workdir, capsys):
+    # the PCD used to be written before --csv was opened, so a directory as
+    # --csv exited 2 and left cloud.pcd behind
+    out, code = run_pipeline(workdir, workdir / "radar.cfg")
+    assert code == 0
+    taken = workdir / "taken"
+    taken.mkdir()
+    pcd = workdir / "cloud.pcd"
+    capsys.readouterr()
+    code = cli.main(["pointcloud", str(out / "elevation.insarelv"), "--config", str(workdir / "radar.cfg"),
+                     "-o", str(pcd), "--csv", str(taken)])
+    assert code == 2
+    assert "error: [Errno 21] Is a directory" in capsys.readouterr().err
+    assert not pcd.exists()
+    assert taken.is_dir() and not any(taken.iterdir())
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_simulate_to_a_pipe_writes_the_capture_in_order(workdir, capsys):
+    # a pipe cannot be read back, so the capture is made in memory and
+    # written in record order, as into a file
+    pipe = workdir / "pipe"
+    os.mkfifo(pipe)
+    received = []
+
+    def drain():
+        with open(pipe, "rb") as fh:
+            received.append(fh.read())
+
+    reader = threading.Thread(target=drain, daemon=True)
+    reader.start()
+    argv = ["--seed", "2", "simulate", str(workdir / "scene.csv"), str(workdir / "traj.csv"),
+            "--config", str(workdir / "radar.cfg"), "-o"]
+    code = cli.main(argv + [str(pipe)])
+    if reader.is_alive() and not received:  # the writer never opened the pipe
+        os.close(os.open(pipe, os.O_WRONLY | os.O_NONBLOCK))
+    reader.join(timeout=60)
+    assert code == 0
+    assert cli.main(argv + [str(workdir / "c.insarraw")]) == 0
+    assert received == [(workdir / "c.insarraw").read_bytes()]
+    assert stat.S_ISFIFO(os.lstat(pipe).st_mode)
+
+
+def open_descriptors():
+    return set(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_no_stage_leaves_a_file_open(workdir, capsys):
+    # the simulate and image stages keep the capture's samples in its file;
+    # every handle they open is closed when the stage returns
+    cfg = str(workdir / "radar.cfg")
+    stages = [
+        ["--seed", "1", "simulate", str(workdir / "scene.csv"), str(workdir / "traj.csv"),
+         "--config", cfg, "-o", str(workdir / "c.insarraw")],
+        ["image", str(workdir / "c.insarraw"), "--config", cfg, "-o", str(workdir / "s.insarimg")],
+        ["elevate", str(workdir / "s.insarimg"), "-o", str(workdir / "m.insarelv")],
+        ["pointcloud", str(workdir / "m.insarelv"), "--config", cfg, "-o", str(workdir / "p.pcd"),
+         "--csv", str(workdir / "p.csv")],
+    ]
+    for argv in stages:
+        before = open_descriptors()
+        assert cli.main(argv) == 0
+        assert open_descriptors() <= before, argv[0] if argv[0] != "--seed" else "simulate"
+
+
+class TestSimulateInItsFile:
+    """The simulate stage synthesizes and noises its capture in its output
+    file, a block at a time; the file holds the bytes of the same capture
+    made in memory and written whole.  The float64 cos and sin of synthesis
+    may differ between numpy SIMD paths, so this runs on each of them."""
+
+    # 37 TDM cycles and 444 records: 2 whole 16-cycle blocks and 5 cycles,
+    # 13 whole 32-row blocks and 28 rows
+    PARTIAL = "capture_start_s = -0.02\ncapture_end_s = " + repr(-0.02 + 110.5 * 63.9e-6) + "\n"
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            pytest.param("", id="default"),
+            pytest.param("element_pattern_cos_power = 2.5\n", id="element pattern"),
+            pytest.param("capture_start_s = -0.01\ncapture_end_s = 0.01\n", id="capture window"),
+            pytest.param("per_sample_snr_db = inf\n", id="noiseless"),
+            pytest.param(PARTIAL, id="partial blocks"),
+        ],
+    )
+    def test_file_equals_the_capture_made_in_memory(self, workdir, capsys, extra):
+        from insarmap import configio, simulate
+        from insarmap.types import derive_chirp_params
+
+        path = workdir / "radar.cfg"
+        # a key given twice keeps its last value
+        path.write_text(CONFIG + extra)
+        out = workdir / "c.insarraw"
+        code = cli.main(["--seed", "5", "simulate", str(workdir / "scene.csv"), str(workdir / "traj.csv"),
+                         "--config", str(path), "-o", str(out)])
+        assert code == 0
+
+        cfg = configio.parse_kv_file(path)
+        chirp = configio.load_chirp_config(cfg)
+        array = configio.load_virtual_array(cfg, derive_chirp_params(chirp).wavelength_m)
+        traj = configio.load_trajectory_csv(workdir / "traj.csv")
+        window = None
+        if "capture_start_s" in cfg:
+            window = (float(cfg["capture_start_s"]), float(cfg["capture_end_s"]))
+        pattern = cfg.get("element_pattern_cos_power")
+        capture = simulate.synthesize_capture(
+            configio.load_scene_csv(workdir / "scene.csv"), traj, chirp, array, window,
+            pattern_cos_power=None if pattern is None else float(pattern),
+        )
+        assert isinstance(capture.samples, np.ndarray)
+        if extra == self.PARTIAL:
+            assert (capture.n_cycles % simulate._SYNTH_CYCLES, capture.n_records % simulate._NOISE_ROWS) == (5, 28)
+        capture = simulate.add_noise(capture, float(cfg["per_sample_snr_db"]), seed=5)
+        formats.write_capture(capture, workdir / "memory.insarraw")
+        assert out.read_bytes() == (workdir / "memory.insarraw").read_bytes()

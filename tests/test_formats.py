@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import insarmap as im
-from insarmap import formats
+from insarmap import formats, imaging
 from insarmap.errors import ConfigError, DataFormatError, DomainError
 from insarmap.imaging import _select_aperture
 
@@ -180,6 +180,117 @@ class TestApertureRead:
         assert whole.n_cycles == whole.n_records // records_per_cycle
 
 
+class TestCaptureFile:
+    """A capture whose samples stay in their INSARRAW file: read_capture
+    with an aperture gives one, and capture_file makes one in the file it
+    writes."""
+
+    @pytest.fixture(scope="class")
+    def noisy(self):
+        array = im.default_virtual_array(im.derive_chirp_params(APERTURE_CHIRP).wavelength_m)
+        scene = im.Scene((im.PointTarget(np.array([0.0, 2.0, 0.6]), 1.0),))
+        return im.add_noise(
+            im.synthesize_capture(scene, make_rail_trajectory(2.0, 0.02, 0.4), APERTURE_CHIRP, array), 20.0, seed=5
+        )
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_image_from_the_file_equals_the_capture_in_memory(self, tmp_path, noisy, threads):
+        # the float32 cos and sin of imaging may differ between numpy SIMD
+        # paths; the file and the memory must agree on each
+        path = tmp_path / "c.insarraw"
+        formats.write_capture(noisy, path)
+        aperture = im.Aperture(0.02)
+        cut = formats.read_capture(path, aperture)
+        assert isinstance(cut.samples, formats.CaptureFile)
+        assert cut.n_records > 2 * imaging._CYCLE_BATCH * 12  # several batches
+        a, b = (im.image_stack(c, APERTURE_GRID, aperture, threads=threads) for c in (cut, noisy))
+        assert a.images.tobytes() == b.images.tobytes()
+
+    def test_rows_read_from_the_file(self, tmp_path, noisy):
+        path = tmp_path / "c.insarraw"
+        formats.write_capture(noisy, path)
+        aperture = im.Aperture(0.01)
+        keep = np.flatnonzero(np.isin(noisy.cycle, noisy.cycle[_select_aperture(noisy, aperture)[0]]))
+        cut = formats.read_capture(path, aperture)
+        assert cut.samples.shape == (keep.size, APERTURE_CHIRP.samples_per_chirp)
+        assert cut.samples.dtype == np.complex64
+        assert np.asarray(cut.samples).tobytes() == noisy.samples[keep].tobytes()
+        assert cut.samples[3:40].tobytes() == noisy.samples[keep[3:40]].tobytes()
+        picked = np.array([0, 5, 6, 7, keep.size - 1])
+        assert cut.samples[picked].tobytes() == noisy.samples[keep[picked]].tobytes()
+        assert cut.records[4].samples.tobytes() == noisy.samples[keep[4]].tobytes()
+        # an integer key reads one row, as from an array
+        assert cut.samples[4].tobytes() == noisy.samples[keep[4]].tobytes()
+        assert cut.samples[np.int64(-1)].tobytes() == noisy.samples[keep[-1]].tobytes()
+
+    def test_read_only_samples_are_noised_into_memory(self, tmp_path, noisy):
+        path = tmp_path / "c.insarraw"
+        formats.write_capture(noisy, path)
+        before = path.read_bytes()
+        cut = formats.read_capture(path, im.Aperture(0.01))
+        with pytest.raises(ValueError):
+            cut.samples.setflags(write=True)
+        again = im.add_noise(cut, 10.0, seed=1)
+        assert isinstance(again.samples, np.ndarray)
+        assert path.read_bytes() == before
+        expected = dataclasses.replace(cut, samples=np.asarray(cut.samples))
+        assert again.samples.tobytes() == im.add_noise(expected, 10.0, seed=1).samples.tobytes()
+
+    def test_a_capture_cannot_overwrite_the_file_it_reads(self, tmp_path, noisy):
+        path = tmp_path / "c.insarraw"
+        formats.write_capture(noisy, path)
+        before = path.read_bytes()
+        cut = formats.read_capture(path, im.Aperture(0.01))
+        with pytest.raises(ConfigError, match="read from this file"):
+            formats.write_capture(cut, path)
+        assert path.read_bytes() == before
+        # written elsewhere, it is the aperture's records
+        formats.write_capture(cut, tmp_path / "cut.insarraw")
+        back = formats.read_capture(tmp_path / "cut.insarraw")
+        assert back.samples.tobytes() == np.asarray(cut.samples).tobytes()
+
+    def test_made_in_its_file(self, tmp_path, noisy):
+        path = tmp_path / "c.insarraw"
+        array, scene = noisy.array, im.Scene((im.PointTarget(np.array([0.0, 2.0, 0.6]), 1.0),))
+        with formats.capture_file(path) as samples:
+            cap = im.synthesize_capture(scene, make_rail_trajectory(2.0, 0.02, 0.4), APERTURE_CHIRP, array,
+                                        samples=samples)
+            assert isinstance(cap.samples, formats.CaptureFile)
+            cap = im.add_noise(cap, 20.0, seed=5)
+            formats.write_capture(cap, path)
+        memory = tmp_path / "memory.insarraw"
+        formats.write_capture(noisy, memory)
+        assert path.read_bytes() == memory.read_bytes()
+        # once the file is closed, the capture reads its rows from it
+        assert np.asarray(cap.samples).tobytes() == noisy.samples.tobytes()
+        with pytest.raises(ValueError):
+            cap.samples.setflags(write=True)
+
+    def test_a_failure_leaves_no_file(self, tmp_path, noisy):
+        path = tmp_path / "c.insarraw"
+        scene = im.Scene((im.PointTarget(np.array([0.0, 2.0, 0.6]), 1.0),))
+        with pytest.raises(ConfigError, match="seed"):
+            with formats.capture_file(path) as samples:
+                cap = im.synthesize_capture(scene, make_rail_trajectory(2.0, 0.02, 0.4), APERTURE_CHIRP,
+                                            noisy.array, samples=samples)
+                im.add_noise(cap, 20.0, seed=-1)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_non_finite_sample_is_refused_as_it_is_read(self, tmp_path, noisy):
+        path = tmp_path / "c.insarraw"
+        formats.write_capture(noisy, path)
+        aperture = im.Aperture(0.01)
+        cut = formats.read_capture(path, aperture)
+        record = int(cut.samples._records[30])  # a record of the aperture's second batch
+        layout = formats._record_dtype(APERTURE_CHIRP.samples_per_chirp)
+        data = bytearray(path.read_bytes())
+        at = cut.samples._start + record * layout.itemsize + layout.fields["iq"][1] + 4
+        data[at : at + 4] = np.float32(np.nan).tobytes()
+        path.write_bytes(bytes(data))
+        with pytest.raises(DataFormatError, match=f"record {record} holds non-finite samples"):
+            im.image_stack(formats.read_capture(path, aperture), APERTURE_GRID, aperture)
+
+
 class TestImageStackFormat:
     def test_round_trip(self, tmp_path, small_e2e):
         stack = small_e2e["stack"]
@@ -311,9 +422,11 @@ class TestPgm:
 class TestFuzz:
     """Seeded byte flips and truncations of each binary format: every case
     either loads or raises DataFormatError (CLI exit 3), never anything
-    else."""
+    else.  The aperture read is imaged too, which may also end in the
+    aperture rule's DomainError or a ConfigError image_stack documents."""
 
     CASES = 150
+    GRID = im.ImageGrid(np.array([-0.2, 2.8]), np.array([0.4, 0.4]), 0.04)
 
     @pytest.fixture(scope="class")
     def artifacts(self, tmp_path_factory):
@@ -327,8 +440,7 @@ class TestFuzz:
         )
         scene = im.Scene((im.PointTarget(np.array([0.0, 3.0, 0.5]), 1.0),))
         cap = im.add_noise(im.synthesize_capture(scene, traj, cfg, array), 20.0, seed=1)
-        grid = im.ImageGrid(np.array([-0.2, 2.8]), np.array([0.4, 0.4]), 0.04)
-        stack = im.image_stack(cap, grid, im.Aperture(0.02))
+        stack = im.image_stack(cap, self.GRID, im.Aperture(0.02))
         out = tmp_path_factory.mktemp("fuzz")
         paths = {"capture": out / "c.insarraw", "stack": out / "s.insarimg", "map": out / "m.insarelv"}
         formats.write_capture(cap, paths["capture"])
@@ -378,13 +490,17 @@ class TestFuzz:
     def test_aperture_read_damage_loads_or_fails_cleanly(self, tmp_path, artifacts):
         # the aperture rule's own errors (say, for a pose far beyond the
         # others) are DomainErrors, as image_stack raises them
+        # the aperture's samples stay in the file until image_stack reads
+        # them, so imaging runs too: a damaged sample is a DataFormatError
+        # then, and a value the kernel refuses (one beyond float32, say) is
+        # the ConfigError it documents
         aperture = im.Aperture(0.01)
-        formats.read_capture(artifacts["capture"], aperture)
+        im.image_stack(formats.read_capture(artifacts["capture"], aperture), self.GRID, aperture)
         path = tmp_path / "c.insarraw"
         for case in self.damaged(artifacts["capture"].read_bytes(), path):
             try:
-                formats.read_capture(path, aperture)
-            except (DataFormatError, DomainError):
+                im.image_stack(formats.read_capture(path, aperture), self.GRID, aperture)
+            except (DataFormatError, DomainError, ConfigError):
                 pass
             except Exception as exc:
                 pytest.fail(f"aperture read case {case}: {type(exc).__name__}: {exc}")

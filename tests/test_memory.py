@@ -3,7 +3,9 @@
 numpy reports its array allocations to tracemalloc, so a traced peak is
 the bytes of every array a call held at once.  Each bound is the arrays the
 call must hold plus one work block or plane; anything the size of a second
-copy of the samples or of the stack fails it.
+copy of the samples or of the stack fails it.  The CLI's simulate and
+image stages keep the capture's samples in its file, so their bounds hold
+no capture at all.
 """
 
 import tracemalloc
@@ -96,6 +98,64 @@ def test_simulate_path_holds_one_capture(reference_chirp):
     assert peak <= samples + blocks + COLUMN_BYTES_PER_RECORD * n_records + SLACK
     # a second capture would not fit
     assert blocks + COLUMN_BYTES_PER_RECORD * n_records + SLACK < samples
+
+
+def test_simulate_stage_holds_its_blocks_and_the_columns_not_the_capture(reference_chirp, tmp_path):
+    # the CLI's simulate stage: synthesis and noise in the output file
+    array = im.default_virtual_array(im.derive_chirp_params(reference_chirp).wavelength_m)
+    scene = im.Scene((im.PointTarget(np.array([0.0, 4.0, 0.4]), 1.0),))
+    traj = make_rail_trajectory(1.0, 0.02, 0.4)
+    path = tmp_path / "capture.insarraw"
+
+    def stage():
+        with formats.capture_file(path) as samples:
+            capture = im.synthesize_capture(scene, traj, reference_chirp, array, samples=samples)
+            capture = im.add_noise(capture, 20.0, seed=1)
+            formats.write_capture(capture, path)
+        return capture
+
+    capture, peak = traced_peak(stage)
+    n_records, n = capture.samples.shape
+    # synthesis's blocks (see the synthesize_capture test) outweigh the
+    # noise's, and the file is written and read _NOISE_ROWS packed records
+    # at a time
+    rows = sim._SYNTH_CYCLES * array.n_tx * array.n_rx
+    blocks = rows * n * (2 * np.dtype(np.complex128).itemsize + np.dtype(np.float64).itemsize)
+    packed = sim._NOISE_ROWS * formats._record_dtype(n).itemsize
+    bound = blocks + packed + COLUMN_BYTES_PER_RECORD * n_records + SLACK
+    assert peak <= bound
+    # the capture's samples would not fit
+    assert bound < n_records * n * np.dtype(np.complex64).itemsize
+    assert formats.read_capture(path).samples.tobytes() == np.asarray(capture.samples).tobytes()
+
+
+def test_image_stage_holds_the_stack_one_batch_and_the_columns_not_the_aperture(reference_chirp, tmp_path):
+    # the CLI's image stage: the aperture's samples stay in the file, and
+    # image_stack reads one cycle batch at a time
+    array = im.default_virtual_array(im.derive_chirp_params(reference_chirp).wavelength_m)
+    scene = im.Scene((im.PointTarget(np.array([0.0, 4.0, 0.4]), 1.0),))
+    capture = im.synthesize_capture(scene, make_rail_trajectory(1.0, 0.02, 0.4), reference_chirp, array)
+    path = tmp_path / "capture.insarraw"
+    formats.write_capture(im.add_noise(capture, 20.0, seed=1), path)
+    grid = im.ImageGrid(np.array([-0.5, 3.5]), np.array([1.0, 1.0]), 0.04)  # 25 x 25 px
+    aperture = im.Aperture(0.04)  # the whole 4 cm track
+    stack, peak = traced_peak(lambda: im.image_stack(formats.read_capture(path, aperture), grid, aperture))
+    n_records, n = capture.samples.shape
+    n_px = grid.n_u * grid.n_v
+    images = array.n_vx * n_px * np.dtype(np.complex64).itemsize
+    # one pixel block's buffers, as in the image_stack test below
+    n_elements = len(np.unique(np.concatenate([array.tx_positions, array.rx_positions]), axis=0))
+    block = n_px * (array.n_vx * (8 + 2) + n_elements * (8 + 8 + 8 + 4) + 8 + 8 + 8 + 8 + 8)
+    # one cycle batch: its complex64 samples, the packed records they are
+    # read through, the windowed complex128 samples and their complex128
+    # range profiles at the 4x default oversampling
+    batch_rows = imaging._CYCLE_BATCH * array.n_tx * array.n_rx
+    batch = batch_rows * (n * (8 + 16 + 4 * 16) + formats._record_dtype(n).itemsize)
+    bound = images + block + batch + COLUMN_BYTES_PER_RECORD * n_records + SLACK
+    assert peak <= bound
+    # the aperture's samples would not fit
+    assert bound < n_records * n * np.dtype(np.complex64).itemsize
+    assert stack.images.dtype == np.complex64
 
 
 def test_read_capture_peaks_at_the_samples_and_one_block(clean_capture, tmp_path):

@@ -333,3 +333,28 @@ class TestPcdIo:
         assert csv.read_text() == "x,y,z,intensity,snr_db,circ_var\n" + "".join(csv_rows)
         if n >= 3:
             assert "-0 " in pcd.read_text() and "1e-300" in csv.read_text() and "1e+300" in csv.read_text()
+
+    @pytest.mark.parametrize("writer", ["write_pcd", "write_csv"])
+    def test_a_failing_writer_leaves_no_file(self, tmp_path, monkeypatch, writer):
+        # as the binary writers do; the text writers used to leave the rows
+        # written so far
+        def fail(fh, row, columns):
+            fh.write(row % tuple(c[0] for c in columns))
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(im.pointcloud, "_write_rows", fail)
+        path = tmp_path / "cloud.out"
+        with pytest.raises(OSError, match="No space left"):
+            getattr(im, writer)(self.make_cloud(10, np.random.default_rng(5)), path)
+        assert not path.exists()
+
+    def test_writers_take_a_file_open_for_writing(self, tmp_path):
+        # the pointcloud stage opens both of its outputs before it writes
+        # either, and hands the writers the open files
+        cloud = self.make_cloud(50, np.random.default_rng(8))
+        for writer in (im.write_pcd, im.write_csv):
+            writer(cloud, tmp_path / "by_path")
+            with open(tmp_path / "by_file", "w", encoding="ascii", newline="\n") as fh:
+                writer(cloud, fh)
+                assert not fh.closed
+            assert (tmp_path / "by_file").read_bytes() == (tmp_path / "by_path").read_bytes()

@@ -258,6 +258,29 @@ class TestAddNoise:
         assert frozen.tobytes() == clean
         assert noisy.samples.tobytes() == im.add_noise(own_samples(cap), 10.0, seed=3).samples.tobytes()
 
+    @pytest.mark.parametrize("writable", [True, False], ids=["in place", "new buffer"])
+    def test_result_shares_the_input_columns(self, small_chirp, writable):
+        # the result used to be dataclasses.replace(capture, samples=...),
+        # which copied every column and checked every sample again
+        cap = self.make_capture(small_chirp)
+        if not writable:
+            frozen = np.frombuffer(cap.samples.tobytes(), np.complex64).reshape(cap.samples.shape)
+            cap = dataclasses.replace(cap, samples=frozen)
+        noisy = im.add_noise(cap, 10.0, seed=3)
+        for name in ("tx", "rx", "cycle", "time_s", "pose_index"):
+            assert np.shares_memory(getattr(noisy, name), getattr(cap, name)), name
+        assert noisy.poses is cap.poses
+        assert np.shares_memory(noisy.samples, cap.samples) == writable
+        assert not noisy.samples.flags.writeable
+
+    def test_second_noise_is_scaled_to_the_noisy_power(self, small_chirp):
+        # each add_noise measures the power of the samples it is given, the
+        # noisy ones the second time, not the clean synthesis's
+        twice = im.add_noise(im.add_noise(self.make_capture(small_chirp), 3.0, seed=1), 3.0, seed=2)
+        once = im.add_noise(self.make_capture(small_chirp), 3.0, seed=1)
+        rebuilt = dataclasses.replace(once, samples=once.samples.copy())
+        assert twice.samples.tobytes() == im.add_noise(rebuilt, 3.0, seed=2).samples.tobytes()
+
     @pytest.mark.parametrize("seed", [-1, 1.5, "7"])
     def test_seed_the_generator_refuses_is_a_config_error(self, small_chirp, seed):
         cap = self.make_capture(small_chirp)
