@@ -78,8 +78,9 @@ def _cmd_image(args) -> int:
     grid = configio.load_grid(cfg)
     aperture = configio.load_aperture(cfg)
     options = configio.load_imaging_options(cfg)
-    # only the records the aperture images
-    capture = formats.read_capture(args.capture, aperture)
+    # the samples stay in the file: image_stack reads the aperture's records
+    # a cycle batch at a time
+    capture = formats.read_capture(args.capture)
     stack = imaging.image_stack(capture, grid, aperture, threads=args.threads, **options)
     formats.write_image_stack(stack, args.output)
     peak = _peak_magnitude(stack.images)

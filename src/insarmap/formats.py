@@ -30,10 +30,10 @@ INSARELV (elevation map)
 An INSARRAW file is also where a capture's samples are worked on: a
 CaptureFile holds a capture's samples in the file's records, and reads and
 writes them a block of records at a time.  The simulate stage synthesizes
-and noises its capture in the file that becomes its output (capture_file),
-and the image stage reads the aperture's records as it images them
-(read_capture with an aperture), so neither holds the samples of a whole
-capture.
+and noises its capture in the file that becomes its output (capture_file).
+read_capture reads the records' headers and leaves every sample in the
+file, and the image stage reads the aperture's records as it images them,
+so neither stage holds the samples of a whole capture.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from contextlib import contextmanager, nullcontext, suppress
 import numpy as np
 
 from .errors import ConfigError, DataFormatError
-from .imaging import Aperture, ImageGrid, SarImageStack, _aperture_rule
+from .imaging import ImageGrid, SarImageStack
 from .interferometry import ElevationMap, InterferogramGrid
 from .simulate import RawCapture, SampleStore, _round_rows
 from .types import ChirpConfig, Pose, VirtualArray, build_virtual_array
@@ -163,7 +163,7 @@ def _record_dtype(samples_per_chirp: int) -> np.dtype:
 
 class CaptureFile(SampleStore):
     """The samples of an INSARRAW file's records, as a capture holds them
-    (a SampleStore): row i is the samples of the file's record records[i].
+    (a SampleStore): row i is the samples of the file's record i.
 
     Rows are read and written a run of consecutive records at a time,
     through a packed block of at most _BLOCK_ROWS records, so a capture on
@@ -176,12 +176,11 @@ class CaptureFile(SampleStore):
     the read.  The file must not change while a capture reads it.
     """
 
-    def __init__(self, path, start: int, samples_per_chirp: int, records: np.ndarray, writer=None) -> None:
+    def __init__(self, path, start: int, n_records: int, samples_per_chirp: int, writer=None) -> None:
         self.path = path
-        self.shape = (records.size, samples_per_chirp)
+        self.shape = (n_records, samples_per_chirp)
         self._start = start  # the offset of record 0
         self._layout = _record_dtype(samples_per_chirp)
-        self._records = records
         # (open file, header fields of every record) while this store writes
         # its file; writable, as a new array is, until a capture takes it
         self._writer = writer
@@ -222,7 +221,7 @@ class CaptureFile(SampleStore):
                 yield lo, int(records[lo]), min(_BLOCK_ROWS, b - lo)
 
     def __getitem__(self, key) -> np.ndarray:
-        records = self._records[key]
+        records = np.arange(self.shape[0])[key]
         if records.ndim == 0:  # one row, as an array's row
             return self[[key]][0]
         out = np.empty((records.size, self.shape[1]), dtype=np.complex64)
@@ -245,7 +244,7 @@ class CaptureFile(SampleStore):
         if not self._writeable:
             raise ValueError(f"{self.path} samples are read-only")
         fh, columns = self._writer
-        records = self._records[key]
+        records = np.arange(self.shape[0])[key]
         block = np.empty(min(records.size, _BLOCK_ROWS), dtype=self._layout)
         for lo, first, count in self._chunks(records):
             packed = block[:count]
@@ -272,7 +271,7 @@ def _start_capture(fh, path, config, array, tx, rx, cycle, time_s, poses, pose_i
     _write_array(fh, array)
     fh.write(struct.pack("<Q", columns.size))
     start = fh.tell() if fh.seekable() else None
-    return CaptureFile(path, start, config.samples_per_chirp, np.arange(columns.size), writer=(fh, columns))
+    return CaptureFile(path, start, columns.size, config.samples_per_chirp, writer=(fh, columns))
 
 
 @contextmanager
@@ -299,12 +298,18 @@ def capture_file(path):
     target = os.path.realpath(path)
     folder, name = os.path.split(target)
     part = os.path.join(folder, f".{name}.{os.urandom(4).hex()}.part")
-    with _writing(part, "x+b") as fh:
-        if os.path.exists(target):
-            os.chmod(fh.fileno(), stat.S_IMODE(os.stat(target).st_mode))
-        yield functools.partial(_start_capture, fh, path)
-        fh.flush()
-        os.replace(part, target)
+    try:
+        with _writing(part, "x+b") as fh:
+            if os.path.exists(target):
+                os.chmod(fh.fileno(), stat.S_IMODE(os.stat(target).st_mode))
+            yield functools.partial(_start_capture, fh, path)
+            fh.flush()
+            os.replace(part, target)
+    except OSError as exc:
+        # an error on the new file (say, in a missing folder) names the output
+        if exc.filename == part:
+            exc.filename = os.fspath(path)
+        raise
 
 
 def write_capture(capture: RawCapture, path) -> None:
@@ -329,41 +334,20 @@ def write_capture(capture: RawCapture, path) -> None:
             out[lo : lo + _BLOCK_ROWS] = samples[lo : lo + _BLOCK_ROWS]
 
 
-def _read_records(fh, block: np.ndarray, count: int, path):
-    """Read count records from fh's position through block, _BLOCK_ROWS at
-    a time; yields (first record, filled rows of block)."""
-    for lo in range(0, count, _BLOCK_ROWS):
-        rows = block[: min(_BLOCK_ROWS, count - lo)]
-        if fh.readinto(rows.data) != rows.nbytes:
-            raise DataFormatError(f"{path}: truncated file while reading records")
-        yield lo, rows
-
-
-def read_capture(path, aperture: Aperture | None = None) -> RawCapture:
+def read_capture(path) -> RawCapture:
     """Read an INSARRAW capture.  Raises DataFormatError for a damaged file:
     bad magic or version, too few bytes for the sizes the header declares,
     or values that ChirpConfig, Pose or RawCapture reject.  A message that
     names a record gives its number in the file.
 
-    The samples keep the file's precision, complex64.  Records are read
-    _BLOCK_ROWS at a time through one reused block.
-
-    Without aperture every record is read, so the peak is the samples
-    returned plus one block and the per-record header columns.  With it,
-    every record's header (tx, rx, cycle, time, pose) is read, and
-    imaging's aperture rule picks records from those columns.  The capture
-    returned holds the records of the TDM cycles it picks from, and the
-    file's whole pose table, so image_stack with the same aperture selects
-    the same records with the same center pose as on the whole capture,
-    and images them to the same bits.  Its samples stay in the file, as a
-    CaptureFile: image_stack reads each cycle batch as it images it, one
-    contiguous span of records at a time, and a non-finite sample there is
-    a DataFormatError then.  So the read holds only the header columns.
-    Poses are built for every record, so a bad pose anywhere is an error;
-    the samples of the other records are never read, so their values are
-    not checked.  The rule's own errors (an empty capture, a center time
-    outside the capture span, no pulse selected) are DomainErrors, as from
-    image_stack.
+    Every record's header (tx, rx, cycle, time, pose) is read, _BLOCK_ROWS
+    records at a time through one reused block, so the read holds the
+    header columns and one block.  The samples stay in the file, as a
+    CaptureFile over all of its records, at the file's precision,
+    complex64: they are read as they are used (image_stack reads only the
+    aperture's records, a cycle batch at a time), and a non-finite sample
+    is a DataFormatError then.  The file must not change while a capture
+    reads it.
     """
     with _reading(path) as fh:
         _read_preamble(fh, MAGIC_RAW, path)
@@ -375,35 +359,27 @@ def read_capture(path, aperture: Aperture | None = None) -> RawCapture:
         start = fh.tell()
         columns = np.empty(n_records, dtype=dtype.descr[:-1])  # every field but iq
         block = np.empty(min(n_records, _BLOCK_ROWS), dtype=dtype)
-        # the samples are read in this pass only when every record is kept
-        samples = np.empty((n_records, cfg.samples_per_chirp), np.complex64) if aperture is None else None
-        for lo, rows in _read_records(fh, block, n_records, path):
+        for lo in range(0, n_records, _BLOCK_ROWS):
+            rows = block[: min(_BLOCK_ROWS, n_records - lo)]
+            if fh.readinto(rows.data) != rows.nbytes:
+                raise DataFormatError(f"{path}: truncated file while reading records")
             for name in columns.dtype.names:
                 columns[name][lo : lo + rows.shape[0]] = rows[name]
-            if samples is not None:
-                samples[lo : lo + rows.shape[0]] = rows["iq"]
         # one Pose per distinct pose, compared by its bytes
         _, first, pose_index = np.unique(
             columns["pose"].view("<u8"), axis=0, return_index=True, return_inverse=True
         )
-        pose_index = pose_index.reshape(-1)
         poses = tuple(Pose(time_s=float(r[0]), position=r[1:4], quaternion=r[4:8]) for r in columns["pose"][first])
-        keep = slice(None)
-        if aperture is not None:
-            sel, _ = _aperture_rule(columns["cycle"], pose_index, poses, aperture)
-            # whole cycles, so each kept cycle keeps its anchor record
-            keep = np.flatnonzero(np.isin(columns["cycle"], columns["cycle"][sel]))
-            samples = CaptureFile(path, start, cfg.samples_per_chirp, keep)
         return RawCapture(
             config=cfg,
             array=array,
-            samples=samples,
-            tx=columns["tx"][keep],
-            rx=columns["rx"][keep],
-            cycle=columns["cycle"][keep],
-            time_s=columns["time"][keep],
+            samples=CaptureFile(path, start, n_records, cfg.samples_per_chirp),
+            tx=columns["tx"],
+            rx=columns["rx"],
+            cycle=columns["cycle"],
+            time_s=columns["time"],
             poses=poses,
-            pose_index=pose_index[keep],
+            pose_index=pose_index.reshape(-1),
         )
 
 

@@ -6,11 +6,11 @@ grid.  All images reference the same phase center (the aperture-center
 pose), which keeps inter-VX pixel phase differences physically meaningful
 for the interferometric stage.
 
-image_stack is the one imaging entry point: it reads and range-compresses
-the aperture's records one batch of cycles at a time and backprojects them
-into every VX's image.  A capture whose samples stay in their file (the
-image stage's read_capture with an aperture) is read a batch at a time
-too, so the stage never holds the aperture's samples at once.
+image_stack is the one imaging entry point: it selects the aperture's
+records, reads and range-compresses them one batch of cycles at a time,
+and backprojects them into every VX's image.  A capture whose samples stay
+in their file (as read_capture gives it) is read a batch at a time too, so
+the image stage never holds the aperture's samples at once.
 range_compress applies the same compression to a whole capture at once,
 for inspecting the profiles.
 
@@ -257,20 +257,18 @@ def range_compress(
     )
 
 
-def _aperture_rule(cycle: np.ndarray, pose_index: np.ndarray, poses, aperture: Aperture):
-    """The aperture gate on a capture's columns: pick the records whose pose
-    lies within +-L/2 along-track of the center pose.  Returns (record
-    indices, center pose).
+def _select_aperture(capture: RawCapture, aperture: Aperture):
+    """The aperture gate: pick the records whose pose lies within +-L/2
+    along-track of the center pose.  Returns (record indices, center pose).
 
     The along-track axis runs from the earliest to the latest pose of the
     pose table, the default center time is their mid-time, and an explicit
     center time must lie between them (the capture span).  The center pose
     is the cycle anchor, the pose of a cycle's first record, nearest the
-    center time.  So the whole cycles of the picked records, with the whole
-    pose table, pass the gate with the same center pose and axis, and pick
-    the same records: formats.read_capture reads only those."""
-    if not cycle.size:
+    center time."""
+    if not capture.n_records:
         raise DomainError("capture is empty")
+    poses = capture.poses
     times = np.array([p.time_s for p in poses])
     first, last = poses[int(np.argmin(times))], poses[int(np.argmax(times))]
 
@@ -283,8 +281,8 @@ def _aperture_rule(cycle: np.ndarray, pose_index: np.ndarray, poses, aperture: A
             f"[{float(first.time_s)!r}, {float(last.time_s)!r}]"
         )
     # each cycle is anchored at the pose of its first record
-    _, head = np.unique(cycle, return_index=True)
-    anchors = pose_index[head]
+    _, head = np.unique(capture.cycle, return_index=True)
+    anchors = capture.pose_index[head]
     center_pose = poses[anchors[int(np.argmin(np.abs(times[anchors] - center_time)))]]
 
     motion = last.position - first.position
@@ -292,15 +290,10 @@ def _aperture_rule(cycle: np.ndarray, pose_index: np.ndarray, poses, aperture: A
     u_hat = motion / span if span > 1e-12 else np.array([1.0, 0.0, 0.0])
 
     along = np.array([abs(float(np.dot(p.position - center_pose.position, u_hat))) for p in poses])
-    keep = np.flatnonzero(along[pose_index] <= aperture.length_m / 2.0)
+    keep = np.flatnonzero(along[capture.pose_index] <= aperture.length_m / 2.0)
     if not keep.size:
         raise DomainError("aperture selects no pulses")
     return keep, center_pose
-
-
-def _select_aperture(capture: RawCapture, aperture: Aperture):
-    """_aperture_rule on a capture: (record indices, center pose)."""
-    return _aperture_rule(capture.cycle, capture.pose_index, capture.poses, aperture)
 
 
 def _interp_linear(profile, slope, q, work, out):
@@ -396,11 +389,12 @@ def image_stack(
     one batch of _CYCLE_BATCH cycles at a time, which bounds the profile
     memory, and only the bins the grid can reach are kept, rounded to
     complex64.  Each batch's samples are read from the capture as it is
-    compressed; from a SampleStore, such as read_capture(path, aperture)
-    gives, that is a read of the file, which refuses a non-finite sample
-    then (DataFormatError, naming its record in the file).  Pixel blocks
-    of about _BLOCK_PIXELS (whole grid rows, or slices of one row when a
-    row is longer) keep the working set cache-resident.  Per block and cycle, one pass evaluates the distance
+    compressed; from a SampleStore, such as read_capture gives, that is a
+    read of the file, which refuses a non-finite sample then
+    (DataFormatError, naming its record in the file), and reads no sample
+    outside the aperture.  Pixel blocks of about _BLOCK_PIXELS (whole grid
+    rows, or slices of one row when a row is longer) keep the working set
+    cache-resident.  Per block and cycle, one pass evaluates the distance
     and phasor fields of every distinct element, which the VX that use
     them share.  Per pixel, each VX sums its records' complex64 values in
     strict cycle order over one cycle batch, then adds the sum to its

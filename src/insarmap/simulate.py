@@ -250,7 +250,7 @@ class RawCapture:
     @property
     def n_cycles(self) -> int:
         """The number of distinct TDM cycles the records come from, which
-        an aperture-cut capture need not number from 0."""
+        a capture need not number from 0."""
         return int(np.unique(self.cycle).size)
 
     def duration_s(self) -> float:

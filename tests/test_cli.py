@@ -365,7 +365,7 @@ def test_non_finite_capture_sample_is_a_format_error(workdir, capsys):
 
 def test_non_finite_sample_outside_the_aperture_does_not_stop_image(workdir, capsys):
     # image reads the samples of only the records its aperture images, so a
-    # damaged sample elsewhere is never read; a whole-capture read refuses it
+    # damaged sample elsewhere is never read; reading every sample refuses it
     out, code = run_pipeline(workdir, workdir / "radar.cfg")
     assert code == 0
     path = out / "capture.insarraw"
@@ -376,7 +376,7 @@ def test_non_finite_sample_outside_the_aperture_does_not_stop_image(workdir, cap
     assert code == 0
     assert (workdir / "s.insarimg").read_bytes() == (out / "stack.insarimg").read_bytes()
     with pytest.raises(DataFormatError, match="record 0 holds non-finite samples"):
-        formats.read_capture(path)
+        np.asarray(formats.read_capture(path).samples)
 
 
 def test_non_finite_image_pixel_is_a_format_error(workdir, capsys):
@@ -712,6 +712,19 @@ def test_simulate_replaces_the_file_a_symlink_names(workdir, capsys):
     assert sorted(p.name for p in workdir.iterdir()) == sorted(
         ["radar.cfg", "scene.csv", "traj.csv", "plain.insarraw", "kept.insarraw", "link.insarraw"]
     )
+
+
+def test_simulate_into_a_missing_directory_names_the_output(workdir, capsys):
+    # the capture is made in a hidden file beside -o, which the message
+    # used to name
+    out = workdir / "no" / "such" / "cap.insarraw"
+    code = cli.main(["simulate", str(workdir / "scene.csv"), str(workdir / "traj.csv"),
+                     "--config", str(workdir / "radar.cfg"), "-o", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"No such file or directory: '{out}'" in err
+    assert ".part" not in err
+    assert sorted(p.name for p in workdir.iterdir()) == ["radar.cfg", "scene.csv", "traj.csv"]
 
 
 @pytest.mark.parametrize("kind", ["symlink", "fifo"])

@@ -107,147 +107,106 @@ def per_chirp_poses(capture, traj):
 
 
 @pytest.fixture(scope="module")
-def capture_files(tmp_path_factory):
-    """Noisy captures written to files, one per trajectory."""
+def captures(tmp_path_factory):
+    """Noisy captures in memory, each with the file it was written to, one
+    per trajectory: name -> (capture, path)."""
     array = im.default_virtual_array(im.derive_chirp_params(APERTURE_CHIRP).wavelength_m)
     scene = im.Scene((im.PointTarget(np.array([0.0, 2.0, 0.6]), 1.0),))
     out = tmp_path_factory.mktemp("aperture")
-    paths = {}
+    made = {}
     rail = make_rail_trajectory(2.0, 0.02, 0.4)
     for name, traj in (("rail", rail), ("bent", bent_track()), ("rotated", rotated_rail())):
-        capture = im.add_noise(im.synthesize_capture(scene, traj, APERTURE_CHIRP, array), 20.0, seed=5)
-        paths[name] = out / f"{name}.insarraw"
-        formats.write_capture(capture, paths[name])
+        made[name] = im.add_noise(im.synthesize_capture(scene, traj, APERTURE_CHIRP, array), 20.0, seed=5)
         if name == "rail":
-            paths["per-chirp"] = out / "per-chirp.insarraw"
-            formats.write_capture(per_chirp_poses(capture, rail), paths["per-chirp"])
-    return paths
+            made["per-chirp"] = per_chirp_poses(made[name], rail)
+    paths = {name: out / f"{name}.insarraw" for name in made}
+    for name, capture in made.items():
+        formats.write_capture(capture, paths[name])
+    return {name: (capture, paths[name]) for name, capture in made.items()}
 
 
-class TestApertureRead:
-    """read_capture(path, aperture) reads only the aperture's records, and
-    image_stack images them to the bits it makes from the whole capture."""
-
-    @pytest.mark.parametrize(
-        "track, aperture",
-        [
-            pytest.param("bent", im.Aperture(0.01), id="curved trajectory"),
-            pytest.param("bent", im.Aperture(0.01, center_time_s=0.008), id="curved, off-center"),
-            pytest.param("rotated", im.Aperture(0.01, center_time_s=-0.005), id="rotated array"),
-            # 0.3 of the way from one cycle anchor to the next; then 0.7,
-            # before the anchor of the one cycle the aperture holds
-            pytest.param("rail", im.Aperture(0.01, center_time_s=-0.02 + 120.3 * CYCLE_S),
-                         id="explicit center time"),
-            pytest.param("rail", im.Aperture(2e-4, center_time_s=-0.02 + 120.7 * CYCLE_S),
-                         id="shorter than one cycle"),
-            pytest.param("rail", im.Aperture(0.02, center_time_s=-0.02), id="at the capture start"),
-            pytest.param("rail", im.Aperture(0.02, center_time_s=0.0196), id="at the capture end"),
-            # The aperture, 1.5 chirps of travel either side, picks the last
-            # chirp of the cycle before the center one.  Alone, that chirp's
-            # pose would anchor its cycle, 0.4 chirps from the center time,
-            # nearer than the center cycle's anchor at 0.6.
-            pytest.param("per-chirp", im.Aperture(3 * CHIRP_M, center_time_s=-0.02 + 121 * CYCLE_S - 0.6 * PRI_S),
-                         id="per-chirp poses, a cycle cut by the aperture"),
-        ],
-    )
-    def test_images_the_whole_capture_bits(self, capture_files, track, aperture):
-        whole = formats.read_capture(capture_files[track])
-        cut = formats.read_capture(capture_files[track], aperture)
-        sel, center = _select_aperture(whole, aperture)
-        # the cut holds the whole cycles of the records the rule picks
-        keep = np.flatnonzero(np.isin(whole.cycle, whole.cycle[sel]))
-        assert sel.size <= keep.size < whole.n_records
-        assert np.array_equal(cut.samples, whole.samples[keep])
-        for name in ("tx", "rx", "cycle", "time_s", "pose_index"):
-            assert np.array_equal(getattr(cut, name), getattr(whole, name)[keep])
-        assert len(cut.poses) == len(whole.poses)
-        cut_sel, cut_center = _select_aperture(cut, aperture)
-        assert np.array_equal(keep[cut_sel], sel)
-        assert cut_center.position.tobytes() == center.position.tobytes()
-        if track != "per-chirp":  # one pose per cycle: the rule picks all of the cut
-            assert cut_sel.size == cut.n_records
-        a, b = (im.image_stack(c, APERTURE_GRID, aperture) for c in (cut, whole))
-        assert a.images.tobytes() == b.images.tobytes()
-        assert a.phase_center.tobytes() == b.phase_center.tobytes()
-
-    def test_counts_the_cycles_it_holds(self, capture_files):
-        whole = formats.read_capture(capture_files["rail"])
-        cut = formats.read_capture(capture_files["rail"], im.Aperture(0.01, center_time_s=-0.02 + 120.3 * CYCLE_S))
-        # the cut holds whole cycles of 12 records, numbered from the file's
-        records_per_cycle = whole.array.n_tx * whole.array.n_rx
-        assert cut.cycle[0] > 0 and cut.n_records % records_per_cycle == 0
-        assert cut.n_cycles == cut.n_records // records_per_cycle < int(cut.cycle[-1]) + 1
-        assert whole.n_cycles == whole.n_records // records_per_cycle
+# (name, track, aperture): apertures that cut a capture in every way the
+# aperture rule can
+APERTURES = [
+    ("several cycle batches", "rail", im.Aperture(0.02)),
+    ("curved trajectory", "bent", im.Aperture(0.01)),
+    ("curved, off-center", "bent", im.Aperture(0.01, center_time_s=0.008)),
+    ("rotated array", "rotated", im.Aperture(0.01, center_time_s=-0.005)),
+    # 0.3 of the way from one cycle anchor to the next; then 0.7, before the
+    # anchor of the one cycle the aperture holds
+    ("explicit center time", "rail", im.Aperture(0.01, center_time_s=-0.02 + 120.3 * CYCLE_S)),
+    ("shorter than one cycle", "rail", im.Aperture(2e-4, center_time_s=-0.02 + 120.7 * CYCLE_S)),
+    ("at the capture start", "rail", im.Aperture(0.02, center_time_s=-0.02)),
+    ("at the capture end", "rail", im.Aperture(0.02, center_time_s=0.0196)),
+    # The aperture, 1.5 chirps of travel either side, picks the last chirp of
+    # the cycle before the center one, whose pose is 0.4 chirps from the
+    # center time, nearer than the center cycle's anchor at 0.6.
+    ("per-chirp poses, a cycle cut by the aperture", "per-chirp",
+     im.Aperture(3 * CHIRP_M, center_time_s=-0.02 + 121 * CYCLE_S - 0.6 * PRI_S)),
+]
 
 
 class TestCaptureFile:
     """A capture whose samples stay in their INSARRAW file: read_capture
-    with an aperture gives one, and capture_file makes one in the file it
-    writes."""
+    gives one, and capture_file makes one in the file it writes."""
 
     @pytest.fixture(scope="class")
-    def noisy(self):
-        array = im.default_virtual_array(im.derive_chirp_params(APERTURE_CHIRP).wavelength_m)
-        scene = im.Scene((im.PointTarget(np.array([0.0, 2.0, 0.6]), 1.0),))
-        return im.add_noise(
-            im.synthesize_capture(scene, make_rail_trajectory(2.0, 0.02, 0.4), APERTURE_CHIRP, array), 20.0, seed=5
-        )
+    def noisy(self, captures):
+        return captures["rail"][0]
 
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_image_from_the_file_equals_the_capture_in_memory(self, tmp_path, noisy, threads):
+    def test_image_from_the_file_equals_the_capture_in_memory(self, captures, threads):
         # the float32 cos and sin of imaging may differ between numpy SIMD
         # paths; the file and the memory must agree on each
-        path = tmp_path / "c.insarraw"
-        formats.write_capture(noisy, path)
-        aperture = im.Aperture(0.02)
-        cut = formats.read_capture(path, aperture)
-        assert isinstance(cut.samples, formats.CaptureFile)
-        assert cut.n_records > 2 * imaging._CYCLE_BATCH * 12  # several batches
-        a, b = (im.image_stack(c, APERTURE_GRID, aperture, threads=threads) for c in (cut, noisy))
-        assert a.images.tobytes() == b.images.tobytes()
+        for name, track, aperture in APERTURES:
+            memory, path = captures[track]
+            capture = formats.read_capture(path)
+            assert isinstance(capture.samples, formats.CaptureFile)
+            a, b = (im.image_stack(c, APERTURE_GRID, aperture, threads=threads) for c in (capture, memory))
+            assert a.images.tobytes() == b.images.tobytes(), name
+            assert a.phase_center.tobytes() == b.phase_center.tobytes(), name
+        # the first aperture images several cycle batches
+        rail = captures["rail"][0]
+        assert _select_aperture(rail, APERTURES[0][2])[0].size > 2 * imaging._CYCLE_BATCH * rail.array.n_vx
 
-    def test_rows_read_from_the_file(self, tmp_path, noisy):
-        path = tmp_path / "c.insarraw"
-        formats.write_capture(noisy, path)
-        aperture = im.Aperture(0.01)
-        keep = np.flatnonzero(np.isin(noisy.cycle, noisy.cycle[_select_aperture(noisy, aperture)[0]]))
-        cut = formats.read_capture(path, aperture)
-        assert cut.samples.shape == (keep.size, APERTURE_CHIRP.samples_per_chirp)
-        assert cut.samples.dtype == np.complex64
-        assert np.asarray(cut.samples).tobytes() == noisy.samples[keep].tobytes()
-        assert cut.samples[3:40].tobytes() == noisy.samples[keep[3:40]].tobytes()
-        picked = np.array([0, 5, 6, 7, keep.size - 1])
-        assert cut.samples[picked].tobytes() == noisy.samples[keep[picked]].tobytes()
-        assert cut.records[4].samples.tobytes() == noisy.samples[keep[4]].tobytes()
+    def test_rows_read_from_the_file(self, captures, noisy):
+        capture = formats.read_capture(captures["rail"][1])
+        n = noisy.n_records
+        assert n > 2 * formats._BLOCK_ROWS  # several blocks
+        assert capture.samples.shape == (n, APERTURE_CHIRP.samples_per_chirp)
+        assert capture.samples.dtype == np.complex64
+        assert np.asarray(capture.samples).tobytes() == noisy.samples.tobytes()
+        for key in (slice(3, 40), slice(100, 700), slice(None, None, 3), np.array([0, 5, 6, 7, n - 1])):
+            assert capture.samples[key].tobytes() == noisy.samples[key].tobytes()
+        assert capture.records[4].samples.tobytes() == noisy.samples[4].tobytes()
         # an integer key reads one row, as from an array
-        assert cut.samples[4].tobytes() == noisy.samples[keep[4]].tobytes()
-        assert cut.samples[np.int64(-1)].tobytes() == noisy.samples[keep[-1]].tobytes()
+        assert capture.samples[4].tobytes() == noisy.samples[4].tobytes()
+        assert capture.samples[np.int64(-1)].tobytes() == noisy.samples[-1].tobytes()
 
     def test_read_only_samples_are_noised_into_memory(self, tmp_path, noisy):
         path = tmp_path / "c.insarraw"
         formats.write_capture(noisy, path)
         before = path.read_bytes()
-        cut = formats.read_capture(path, im.Aperture(0.01))
+        back = formats.read_capture(path)
         with pytest.raises(ValueError):
-            cut.samples.setflags(write=True)
-        again = im.add_noise(cut, 10.0, seed=1)
+            back.samples.setflags(write=True)
+        again = im.add_noise(back, 10.0, seed=1)
         assert isinstance(again.samples, np.ndarray)
         assert path.read_bytes() == before
-        expected = dataclasses.replace(cut, samples=np.asarray(cut.samples))
+        expected = dataclasses.replace(back, samples=np.asarray(back.samples))
         assert again.samples.tobytes() == im.add_noise(expected, 10.0, seed=1).samples.tobytes()
 
     def test_a_capture_cannot_overwrite_the_file_it_reads(self, tmp_path, noisy):
         path = tmp_path / "c.insarraw"
         formats.write_capture(noisy, path)
         before = path.read_bytes()
-        cut = formats.read_capture(path, im.Aperture(0.01))
+        back = formats.read_capture(path)
         with pytest.raises(ConfigError, match="read from this file"):
-            formats.write_capture(cut, path)
+            formats.write_capture(back, path)
         assert path.read_bytes() == before
-        # written elsewhere, it is the aperture's records
-        formats.write_capture(cut, tmp_path / "cut.insarraw")
-        back = formats.read_capture(tmp_path / "cut.insarraw")
-        assert back.samples.tobytes() == np.asarray(cut.samples).tobytes()
+        # written elsewhere, it is the same file
+        formats.write_capture(back, tmp_path / "copy.insarraw")
+        assert (tmp_path / "copy.insarraw").read_bytes() == before
 
     def test_made_in_its_file(self, tmp_path, noisy):
         path = tmp_path / "c.insarraw"
@@ -280,15 +239,15 @@ class TestCaptureFile:
         path = tmp_path / "c.insarraw"
         formats.write_capture(noisy, path)
         aperture = im.Aperture(0.01)
-        cut = formats.read_capture(path, aperture)
-        record = int(cut.samples._records[30])  # a record of the aperture's second batch
+        # a record of the aperture's second cycle batch
+        record = int(_select_aperture(noisy, aperture)[0][imaging._CYCLE_BATCH * noisy.array.n_vx + 6])
         layout = formats._record_dtype(APERTURE_CHIRP.samples_per_chirp)
         data = bytearray(path.read_bytes())
-        at = cut.samples._start + record * layout.itemsize + layout.fields["iq"][1] + 4
+        at = formats.read_capture(path).samples._start + record * layout.itemsize + layout.fields["iq"][1] + 4
         data[at : at + 4] = np.float32(np.nan).tobytes()
         path.write_bytes(bytes(data))
         with pytest.raises(DataFormatError, match=f"record {record} holds non-finite samples"):
-            im.image_stack(formats.read_capture(path, aperture), APERTURE_GRID, aperture)
+            im.image_stack(formats.read_capture(path), APERTURE_GRID, aperture)
 
 
 class TestImageStackFormat:
@@ -422,8 +381,9 @@ class TestPgm:
 class TestFuzz:
     """Seeded byte flips and truncations of each binary format: every case
     either loads or raises DataFormatError (CLI exit 3), never anything
-    else.  The aperture read is imaged too, which may also end in the
-    aperture rule's DomainError or a ConfigError image_stack documents."""
+    else.  A capture's samples are read too, and the capture is imaged,
+    which may also end in the aperture rule's DomainError or a ConfigError
+    image_stack documents."""
 
     CASES = 150
     GRID = im.ImageGrid(np.array([-0.2, 2.8]), np.array([0.4, 0.4]), 0.04)
@@ -480,7 +440,9 @@ class TestFuzz:
         path = tmp_path / artifacts[kind].name
         for case in self.damaged(artifacts[kind].read_bytes(), path):
             try:
-                reader(path)
+                loaded = reader(path)
+                if kind == "capture":  # the samples stay in the file until read
+                    np.asarray(loaded.samples)
             except DataFormatError:
                 pass
             except Exception as exc:
@@ -489,17 +451,16 @@ class TestFuzz:
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_aperture_read_damage_loads_or_fails_cleanly(self, tmp_path, artifacts):
         # the aperture rule's own errors (say, for a pose far beyond the
-        # others) are DomainErrors, as image_stack raises them
-        # the aperture's samples stay in the file until image_stack reads
-        # them, so imaging runs too: a damaged sample is a DataFormatError
-        # then, and a value the kernel refuses (one beyond float32, say) is
-        # the ConfigError it documents
+        # others) are DomainErrors; the aperture's samples stay in the file
+        # until image_stack reads them, so a damaged sample is a
+        # DataFormatError then, and a value the kernel refuses (one beyond
+        # float32, say) is the ConfigError it documents
         aperture = im.Aperture(0.01)
-        im.image_stack(formats.read_capture(artifacts["capture"], aperture), self.GRID, aperture)
+        im.image_stack(formats.read_capture(artifacts["capture"]), self.GRID, aperture)
         path = tmp_path / "c.insarraw"
         for case in self.damaged(artifacts["capture"].read_bytes(), path):
             try:
-                im.image_stack(formats.read_capture(path, aperture), self.GRID, aperture)
+                im.image_stack(formats.read_capture(path), self.GRID, aperture)
             except (DataFormatError, DomainError, ConfigError):
                 pass
             except Exception as exc:

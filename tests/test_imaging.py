@@ -401,24 +401,25 @@ def aperture_records(capture, grid, aperture, image_height_m, oversample_factor=
     """The aperture's records in cycle order, each as (cycle batch, VX, full
     range profile, d_tx, d_rx, q): per pixel, the 3-D distance to the
     record's TX and RX elements and the fractional bin q = (d_tx + d_rx) / 2.
-    Cycle batches are runs of _CYCLE_BATCH cycles, as the kernel reads
-    them."""
-    profiles = im.range_compress(capture, oversample_factor)
+    Cycle batches are runs of _CYCLE_BATCH cycles, read from the capture and
+    range-compressed one at a time, as the kernel reads them."""
+    taps, n_padded, bin_spacing_m = imaging._range_setup(capture.config, oversample_factor, "rectangular")
     sel, center = _select_aperture(capture, aperture)
     sel = sel[np.argsort(capture.cycle[sel], kind="stable")]
     batch = np.unique(capture.cycle[sel], return_inverse=True)[1] // imaging._CYCLE_BATCH
     array = capture.array
-    half_inv_bin = 0.5 * (1.0 / profiles.bin_spacing_m)
+    half_inv_bin = 0.5 * (1.0 / bin_spacing_m)
     pu = np.repeat(grid.u_centers(), grid.n_v)
     pv = np.tile(grid.v_centers(), grid.n_u)
     pz = center.position[2] + image_height_m
-    for r, b in zip(sel, batch):
-        pose = capture.poses[capture.pose_index[r]]
-        tx_w = pose.to_world(array.tx_positions)[capture.tx[r]]
-        rx_w = pose.to_world(array.rx_positions)[capture.rx[r]]
-        d_tx, d_rx = (np.sqrt((pu - x) ** 2 + (pv - y) ** 2 + (pz - z) ** 2) for x, y, z in (tx_w, rx_w))
-        q = d_tx * half_inv_bin + d_rx * half_inv_bin
-        yield b, array.vx_index(capture.tx[r], capture.rx[r]), profiles.profiles[r], d_tx, d_rx, q
+    for b, rows in enumerate(np.split(sel, np.flatnonzero(np.diff(batch)) + 1)):
+        for r, profile in zip(rows, imaging._compress(capture.samples[rows], taps, n_padded)):
+            pose = capture.poses[capture.pose_index[r]]
+            tx_w = pose.to_world(array.tx_positions)[capture.tx[r]]
+            rx_w = pose.to_world(array.rx_positions)[capture.rx[r]]
+            d_tx, d_rx = (np.sqrt((pu - x) ** 2 + (pv - y) ** 2 + (pz - z) ** 2) for x, y, z in (tx_w, rx_w))
+            q = d_tx * half_inv_bin + d_rx * half_inv_bin
+            yield b, array.vx_index(capture.tx[r], capture.rx[r]), profile, d_tx, d_rx, q
 
 
 def carrier_wavenumber(capture):

@@ -126,7 +126,7 @@ def test_simulate_stage_holds_its_blocks_and_the_columns_not_the_capture(referen
     assert peak <= bound
     # the capture's samples would not fit
     assert bound < n_records * n * np.dtype(np.complex64).itemsize
-    assert formats.read_capture(path).samples.tobytes() == np.asarray(capture.samples).tobytes()
+    assert np.asarray(formats.read_capture(path).samples).tobytes() == np.asarray(capture.samples).tobytes()
 
 
 def test_image_stage_holds_the_stack_one_batch_and_the_columns_not_the_aperture(reference_chirp, tmp_path):
@@ -139,7 +139,7 @@ def test_image_stage_holds_the_stack_one_batch_and_the_columns_not_the_aperture(
     formats.write_capture(im.add_noise(capture, 20.0, seed=1), path)
     grid = im.ImageGrid(np.array([-0.5, 3.5]), np.array([1.0, 1.0]), 0.04)  # 25 x 25 px
     aperture = im.Aperture(0.04)  # the whole 4 cm track
-    stack, peak = traced_peak(lambda: im.image_stack(formats.read_capture(path, aperture), grid, aperture))
+    stack, peak = traced_peak(lambda: im.image_stack(formats.read_capture(path), grid, aperture))
     n_records, n = capture.samples.shape
     n_px = grid.n_u * grid.n_v
     images = array.n_vx * n_px * np.dtype(np.complex64).itemsize
@@ -158,30 +158,18 @@ def test_image_stage_holds_the_stack_one_batch_and_the_columns_not_the_aperture(
     assert stack.images.dtype == np.complex64
 
 
-def test_read_capture_peaks_at_the_samples_and_one_block(clean_capture, tmp_path):
+def test_read_capture_holds_the_columns_and_one_block_not_the_samples(clean_capture, tmp_path):
     path = tmp_path / "capture.insarraw"
     formats.write_capture(im.add_noise(own_samples(clean_capture), 20.0, seed=1), path)
     n_records, n = clean_capture.samples.shape
     capture, peak = traced_peak(lambda: formats.read_capture(path))
-    samples = n_records * n * np.dtype(np.complex64).itemsize
     block = formats._BLOCK_ROWS * formats._record_dtype(n).itemsize
-    assert peak <= samples + block + COLUMN_BYTES_PER_RECORD * n_records + SLACK
-    assert capture.samples.dtype == np.complex64
-
-
-def test_aperture_read_allocates_the_aperture_samples_one_block_and_the_columns(clean_capture, tmp_path):
-    path = tmp_path / "capture.insarraw"
-    formats.write_capture(im.add_noise(own_samples(clean_capture), 20.0, seed=1), path)
-    n_records, n = clean_capture.samples.shape
-    # 4 mm of the 2 cm track
-    capture, peak = traced_peak(lambda: formats.read_capture(path, im.Aperture(0.004)))
-    sample_bytes = n * np.dtype(np.complex64).itemsize
-    block = formats._BLOCK_ROWS * formats._record_dtype(n).itemsize
-    bound = capture.n_records * sample_bytes + block + COLUMN_BYTES_PER_RECORD * n_records + SLACK
+    bound = block + COLUMN_BYTES_PER_RECORD * n_records + SLACK
     assert peak <= bound
-    # the bound is below the whole capture's samples, which the read never holds
-    assert bound < n_records * sample_bytes
-    assert capture.n_records < n_records / 4
+    # the capture's samples would not fit: they stay in the file
+    assert bound < n_records * n * np.dtype(np.complex64).itemsize
+    assert isinstance(capture.samples, formats.CaptureFile)
+    assert capture.samples.dtype == np.complex64
 
 
 GRID = im.ImageGrid(np.array([-2.0, 2.0]), np.array([8.0, 8.0]), 0.04)  # 200 x 200 px

@@ -367,6 +367,19 @@ class TestCaptureValues:
         with pytest.raises(ConfigError, match="finite"):
             dataclasses.replace(cap, time_s=times)
 
+    def test_n_cycles_counts_the_distinct_cycles(self, small_chirp):
+        # a capture need not number its cycles from 0, nor without gaps
+        array = im.default_virtual_array(im.derive_chirp_params(small_chirp).wavelength_m)
+        cap = im.synthesize_capture(single_target(5.0), make_rail_trajectory(1.0, 0.01, 0.0), small_chirp, array)
+        rows = np.flatnonzero(np.isin(cap.cycle, [2, 3, 4, 7]))
+        part = im.RawCapture(
+            config=cap.config, array=array, samples=cap.samples[rows], tx=cap.tx[rows], rx=cap.rx[rows],
+            cycle=cap.cycle[rows], time_s=cap.time_s[rows], poses=cap.poses, pose_index=cap.pose_index[rows],
+        )
+        assert part.cycle[0] == 2 and part.n_records == 4 * array.n_vx
+        assert part.n_cycles == 4
+        assert cap.n_cycles == int(cap.cycle[-1]) + 1
+
     def test_overflowing_amplitude_fails_in_simulate(self, small_chirp):
         # finite in the complex128 synthesis block, but beyond float32 once
         # rounded into the capture
