@@ -125,25 +125,53 @@ def captures(tmp_path_factory):
     return {name: (capture, paths[name]) for name, capture in made.items()}
 
 
-# (name, track, aperture): apertures that cut a capture in every way the
-# aperture rule can
-APERTURES = [
-    ("several cycle batches", "rail", im.Aperture(0.02)),
-    ("curved trajectory", "bent", im.Aperture(0.01)),
-    ("curved, off-center", "bent", im.Aperture(0.01, center_time_s=0.008)),
-    ("rotated array", "rotated", im.Aperture(0.01, center_time_s=-0.005)),
-    # 0.3 of the way from one cycle anchor to the next; then 0.7, before the
-    # anchor of the one cycle the aperture holds
-    ("explicit center time", "rail", im.Aperture(0.01, center_time_s=-0.02 + 120.3 * CYCLE_S)),
-    ("shorter than one cycle", "rail", im.Aperture(2e-4, center_time_s=-0.02 + 120.7 * CYCLE_S)),
-    ("at the capture start", "rail", im.Aperture(0.02, center_time_s=-0.02)),
-    ("at the capture end", "rail", im.Aperture(0.02, center_time_s=0.0196)),
-    # The aperture, 1.5 chirps of travel either side, picks the last chirp of
-    # the cycle before the center one, whose pose is 0.4 chirps from the
-    # center time, nearer than the center cycle's anchor at 0.6.
-    ("per-chirp poses, a cycle cut by the aperture", "per-chirp",
-     im.Aperture(3 * CHIRP_M, center_time_s=-0.02 + 121 * CYCLE_S - 0.6 * PRI_S)),
-]
+def assert_file_images_as_memory(captures, track, aperture):
+    """image_stack of read_capture(path), which reads the aperture's records
+    from the file, makes the bits it makes from the capture in memory, at 1
+    and 2 threads.  The float32 cos and sin of imaging may differ between
+    numpy SIMD paths; the file and the memory must agree on each."""
+    memory, path = captures[track]
+    capture = formats.read_capture(path)
+    assert isinstance(capture.samples, formats.CaptureFile)
+    for threads in (1, 2):
+        a, b = (im.image_stack(c, APERTURE_GRID, aperture, threads=threads) for c in (capture, memory))
+        assert a.images.tobytes() == b.images.tobytes()
+        assert a.phase_center.tobytes() == b.phase_center.tobytes()
+
+
+class TestApertureRead:
+    """image_stack reads only the aperture's records of a capture whose
+    samples stay in their file, and images them to the bits it makes from
+    the whole capture in memory, for apertures that cut a capture in every
+    way the aperture rule can."""
+
+    @pytest.mark.parametrize(
+        "track, aperture",
+        [
+            pytest.param("bent", im.Aperture(0.01), id="curved trajectory"),
+            pytest.param("bent", im.Aperture(0.01, center_time_s=0.008), id="curved, off-center"),
+            pytest.param("rotated", im.Aperture(0.01, center_time_s=-0.005), id="rotated array"),
+            # 0.3 of the way from one cycle anchor to the next; then 0.7,
+            # before the anchor of the one cycle the aperture holds
+            pytest.param("rail", im.Aperture(0.01, center_time_s=-0.02 + 120.3 * CYCLE_S),
+                         id="explicit center time"),
+            pytest.param("rail", im.Aperture(2e-4, center_time_s=-0.02 + 120.7 * CYCLE_S),
+                         id="shorter than one cycle"),
+            pytest.param("rail", im.Aperture(0.02, center_time_s=-0.02), id="at the capture start"),
+            pytest.param("rail", im.Aperture(0.02, center_time_s=0.0196), id="at the capture end"),
+            # The aperture, 1.5 chirps of travel either side, picks the last
+            # chirp of the cycle before the center one, whose pose is 0.4
+            # chirps from the center time, nearer than the center cycle's
+            # anchor at 0.6.
+            pytest.param("per-chirp", im.Aperture(3 * CHIRP_M, center_time_s=-0.02 + 121 * CYCLE_S - 0.6 * PRI_S),
+                         id="per-chirp poses, a cycle cut by the aperture"),
+        ],
+    )
+    def test_images_the_whole_capture_bits(self, captures, track, aperture):
+        memory = captures[track][0]
+        sel, _ = _select_aperture(memory, aperture)
+        assert 0 < sel.size < memory.n_records  # the aperture cuts the capture
+        assert_file_images_as_memory(captures, track, aperture)
 
 
 class TestCaptureFile:
@@ -155,19 +183,17 @@ class TestCaptureFile:
         return captures["rail"][0]
 
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_image_from_the_file_equals_the_capture_in_memory(self, captures, threads):
+    def test_image_from_the_file_equals_the_capture_in_memory(self, captures, noisy, threads):
         # the float32 cos and sin of imaging may differ between numpy SIMD
         # paths; the file and the memory must agree on each
-        for name, track, aperture in APERTURES:
-            memory, path = captures[track]
-            capture = formats.read_capture(path)
-            assert isinstance(capture.samples, formats.CaptureFile)
-            a, b = (im.image_stack(c, APERTURE_GRID, aperture, threads=threads) for c in (capture, memory))
-            assert a.images.tobytes() == b.images.tobytes(), name
-            assert a.phase_center.tobytes() == b.phase_center.tobytes(), name
-        # the first aperture images several cycle batches
-        rail = captures["rail"][0]
-        assert _select_aperture(rail, APERTURES[0][2])[0].size > 2 * imaging._CYCLE_BATCH * rail.array.n_vx
+        aperture = im.Aperture(0.02)
+        # several cycle batches
+        assert _select_aperture(noisy, aperture)[0].size > 2 * imaging._CYCLE_BATCH * noisy.array.n_vx
+        capture = formats.read_capture(captures["rail"][1])
+        assert isinstance(capture.samples, formats.CaptureFile)
+        a, b = (im.image_stack(c, APERTURE_GRID, aperture, threads=threads) for c in (capture, noisy))
+        assert a.images.tobytes() == b.images.tobytes()
+        assert a.phase_center.tobytes() == b.phase_center.tobytes()
 
     def test_rows_read_from_the_file(self, captures, noisy):
         capture = formats.read_capture(captures["rail"][1])

@@ -172,6 +172,38 @@ def test_read_capture_holds_the_columns_and_one_block_not_the_samples(clean_capt
     assert capture.samples.dtype == np.complex64
 
 
+def test_read_capture_peaks_at_the_samples_and_one_block(clean_capture, tmp_path):
+    path = tmp_path / "capture.insarraw"
+    formats.write_capture(im.add_noise(own_samples(clean_capture), 20.0, seed=1), path)
+    n_records, n = clean_capture.samples.shape
+    # the capture and every one of its samples, read from the file
+    samples, peak = traced_peak(lambda: np.asarray(formats.read_capture(path).samples))
+    sample_bytes = n_records * n * np.dtype(np.complex64).itemsize
+    block = formats._BLOCK_ROWS * formats._record_dtype(n).itemsize
+    assert peak <= sample_bytes + block + COLUMN_BYTES_PER_RECORD * n_records + SLACK
+    assert samples.dtype == np.complex64 and samples.nbytes == sample_bytes
+
+
+def test_aperture_read_allocates_the_aperture_samples_one_block_and_the_columns(clean_capture, tmp_path):
+    path = tmp_path / "capture.insarraw"
+    formats.write_capture(im.add_noise(own_samples(clean_capture), 20.0, seed=1), path)
+    n_records, n = clean_capture.samples.shape
+    aperture = im.Aperture(0.004)  # 4 mm of the 2 cm track
+
+    def aperture_read():
+        capture = formats.read_capture(path)
+        return capture.samples[imaging._select_aperture(capture, aperture)[0]]
+
+    samples, peak = traced_peak(aperture_read)
+    sample_bytes = n * np.dtype(np.complex64).itemsize
+    block = formats._BLOCK_ROWS * formats._record_dtype(n).itemsize
+    bound = samples.shape[0] * sample_bytes + block + COLUMN_BYTES_PER_RECORD * n_records + SLACK
+    assert peak <= bound
+    # the bound is below the whole capture's samples, which the read never holds
+    assert bound < n_records * sample_bytes
+    assert samples.shape[0] < n_records / 4
+
+
 GRID = im.ImageGrid(np.array([-2.0, 2.0]), np.array([8.0, 8.0]), 0.04)  # 200 x 200 px
 WAVELENGTH = 0.0039
 
