@@ -79,10 +79,12 @@ def _cmd_image(args) -> int:
     aperture = configio.load_aperture(cfg)
     options = configio.load_imaging_options(cfg)
     # the samples stay in the file: image_stack reads the aperture's records
-    # a cycle batch at a time
+    # a cycle batch at a time, and adds them into the stack in its output
+    # file a pixel block at a time; a failure leaves the output as it was
     capture = formats.read_capture(args.capture)
-    stack = imaging.image_stack(capture, grid, aperture, threads=args.threads, **options)
-    formats.write_image_stack(stack, args.output)
+    with formats.stack_file(args.output) as images:
+        stack = imaging.image_stack(capture, grid, aperture, threads=args.threads, images=images, **options)
+        formats.write_image_stack(stack, args.output)
     peak = _peak_magnitude(stack.images)
     print(f"[image] wrote {args.output}")
     print(

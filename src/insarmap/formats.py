@@ -34,6 +34,13 @@ and noises its capture in the file that becomes its output (capture_file).
 read_capture reads the records' headers and leaves every sample in the
 file, and the image stage reads the aperture's records as it images them,
 so neither stage holds the samples of a whole capture.
+
+An INSARIMG file is likewise where a stack is made: a StackFile holds a
+stack's planes in the file, and reads and writes them a block of pixels at
+a time.  The image stage adds its images into the file that becomes its
+output (stack_file), one pixel block at a time; read_image_stack leaves
+every plane in the file, and the elevate stage reads one block of rows of
+every plane at a time, so no stage holds a whole stack.
 """
 
 from __future__ import annotations
@@ -44,12 +51,13 @@ import math
 import os
 import stat
 import struct
-from contextlib import contextmanager, nullcontext, suppress
+import threading
+from contextlib import contextmanager, suppress
 
 import numpy as np
 
 from .errors import ConfigError, DataFormatError
-from .imaging import ImageGrid, SarImageStack
+from .imaging import ImageGrid, SarImageStack, StackStore
 from .interferometry import ElevationMap, InterferogramGrid
 from .simulate import RawCapture, SampleStore, _round_rows
 from .types import ChirpConfig, Pose, VirtualArray, build_virtual_array
@@ -161,7 +169,64 @@ def _record_dtype(samples_per_chirp: int) -> np.dtype:
     )
 
 
-class CaptureFile(SampleStore):
+class _FileStore:
+    """What CaptureFile and StackFile share: an array of shape kept in the
+    file at path from byte start on, read by opening the file and closing
+    it again, so no handle outlives a read; or, while capture_file or
+    stack_file makes the file, read and written through writer, the file
+    they hold open, under a lock."""
+
+    def __init__(self, path, start: int, shape: tuple[int, ...], writer=None) -> None:
+        self.path = path
+        self.shape = shape
+        self._start = start
+        self._writer = writer
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return self.shape[0]
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        values = self[:]
+        return values if dtype is None else values.astype(dtype)
+
+    def _writes(self) -> bool:
+        """Whether this store still writes its file through an open handle."""
+        return self._writer is not None and not self._writer.closed
+
+    def _is_at(self, path) -> bool:
+        """Whether path names this store's file, or, while capture_file or
+        stack_file makes it, the file it will replace."""
+        if self._writes():
+            return os.path.realpath(path) == os.path.realpath(self.path)
+        with suppress(OSError):
+            return os.path.samestat(os.stat(self.path), os.stat(path))
+        return False
+
+    @contextmanager
+    def _file(self):
+        """The file to read, positioned anywhere."""
+        if self._writes():
+            with self._lock:
+                yield self._writer
+        else:
+            with open(self.path, "rb") as fh:
+                yield fh
+
+
+def _written(store, path, what: str) -> bool:
+    """Whether store is a file store that capture_file or stack_file is
+    making at path, so the artifact is already written there.  Raises
+    ConfigError when store reads the file at path, which the artifact
+    cannot be written over."""
+    if not (isinstance(store, _FileStore) and store._is_at(path)):
+        return False
+    if store._writes():
+        return True
+    raise ConfigError(f"{path}: {what} are read from this file, which it cannot overwrite")
+
+
+class CaptureFile(_FileStore, SampleStore):
     """The samples of an INSARRAW file's records, as a capture holds them
     (a SampleStore): row i is the samples of the file's record i.
 
@@ -176,35 +241,14 @@ class CaptureFile(SampleStore):
     the read.  The file must not change while a capture reads it.
     """
 
-    def __init__(self, path, start: int, n_records: int, samples_per_chirp: int, writer=None) -> None:
-        self.path = path
-        self.shape = (n_records, samples_per_chirp)
-        self._start = start  # the offset of record 0
+    def __init__(self, path, start: int, n_records: int, samples_per_chirp: int, writer=None, columns=None) -> None:
+        # start is the offset of record 0
+        super().__init__(path, start, (n_records, samples_per_chirp), writer)
         self._layout = _record_dtype(samples_per_chirp)
-        # (open file, header fields of every record) while this store writes
-        # its file; writable, as a new array is, until a capture takes it
-        self._writer = writer
+        # the header fields of every record, while this store writes its
+        # file; writable, as a new array is, until a capture takes it
+        self._columns = columns
         self._writeable = writer is not None
-
-    def __len__(self) -> int:
-        return self.shape[0]
-
-    def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        rows = self[:]
-        return rows if dtype is None else rows.astype(dtype)
-
-    def _writes(self) -> bool:
-        """Whether this store still writes its file through an open handle."""
-        return self._writer is not None and not self._writer[0].closed
-
-    def _is_at(self, path) -> bool:
-        """Whether path names this store's file, or, while capture_file
-        makes it, the file it will replace."""
-        if self._writes():
-            return os.path.realpath(path) == os.path.realpath(self.path)
-        with suppress(OSError):
-            return os.path.samestat(os.stat(self.path), os.stat(path))
-        return False
 
     def setflags(self, write: bool) -> None:
         if write and not self._writes():
@@ -226,7 +270,7 @@ class CaptureFile(SampleStore):
             return self[[key]][0]
         out = np.empty((records.size, self.shape[1]), dtype=np.complex64)
         block = np.empty(min(records.size, _BLOCK_ROWS), dtype=self._layout)
-        with nullcontext(self._writer[0]) if self._writes() else open(self.path, "rb") as fh:
+        with self._file() as fh:
             for lo, first, count in self._chunks(records):
                 rows = block[:count]
                 fh.seek(self._start + first * self._layout.itemsize)
@@ -243,7 +287,7 @@ class CaptureFile(SampleStore):
     def __setitem__(self, key: slice, rows) -> None:
         if not self._writeable:
             raise ValueError(f"{self.path} samples are read-only")
-        fh, columns = self._writer
+        fh, columns = self._writer, self._columns
         records = np.arange(self.shape[0])[key]
         block = np.empty(min(records.size, _BLOCK_ROWS), dtype=self._layout)
         for lo, first, count in self._chunks(records):
@@ -271,7 +315,36 @@ def _start_capture(fh, path, config, array, tx, rx, cycle, time_s, poses, pose_i
     _write_array(fh, array)
     fh.write(struct.pack("<Q", columns.size))
     start = fh.tell() if fh.seekable() else None
-    return CaptureFile(path, start, columns.size, config.samples_per_chirp, writer=(fh, columns))
+    return CaptureFile(path, start, columns.size, config.samples_per_chirp, writer=fh, columns=columns)
+
+
+@contextmanager
+def _replacing(path):
+    """Yield a new file beside path, open for reading and writing, which
+    replaces path when the block ends without an error: the file a symlink
+    at path names, with the permission bits of the file it replaces.  An
+    error inside the block removes the new file and leaves path as it was,
+    and an OSError on the new file (say, in a missing folder) names path.
+    An existing path that is not a regular file (a pipe or a device, such
+    as /dev/null) cannot be read back: nothing is opened, and None is
+    yielded."""
+    if os.path.exists(path) and not os.path.isfile(path):
+        yield None
+        return
+    target = os.path.realpath(path)
+    folder, name = os.path.split(target)
+    part = os.path.join(folder, f".{name}.{os.urandom(4).hex()}.part")
+    try:
+        with _writing(part, "x+b") as fh:
+            if os.path.exists(target):
+                os.chmod(fh.fileno(), stat.S_IMODE(os.stat(target).st_mode))
+            yield fh
+            fh.flush()
+            os.replace(part, target)
+    except OSError as exc:
+        if exc.filename == part:
+            exc.filename = os.fspath(path)
+        raise
 
 
 @contextmanager
@@ -284,32 +357,13 @@ def capture_file(path):
     writes the rows back there, and write_capture(capture, path) finds the
     capture written: the simulate stage holds the per-record columns and a
     few blocks, never the samples of a whole capture.  When the block ends
-    without an error, the new file replaces path (the file a symlink at
-    path names), with the permission bits of the file it replaces; an
-    error inside the block removes the new file and leaves path as it was.
-    An existing path that is not a regular file (a pipe or a device, such
-    as /dev/null) cannot be read back: nothing is opened, and the samples
-    argument is None, so the capture is made in memory and write_capture
-    writes it.
+    without an error, the new file replaces path; an error inside the block
+    removes it and leaves path as it was (see _replacing).  An existing
+    path that is not a regular file, such as /dev/null, yields None, so the
+    capture is made in memory and write_capture writes it.
     """
-    if os.path.exists(path) and not os.path.isfile(path):
-        yield None
-        return
-    target = os.path.realpath(path)
-    folder, name = os.path.split(target)
-    part = os.path.join(folder, f".{name}.{os.urandom(4).hex()}.part")
-    try:
-        with _writing(part, "x+b") as fh:
-            if os.path.exists(target):
-                os.chmod(fh.fileno(), stat.S_IMODE(os.stat(target).st_mode))
-            yield functools.partial(_start_capture, fh, path)
-            fh.flush()
-            os.replace(part, target)
-    except OSError as exc:
-        # an error on the new file (say, in a missing folder) names the output
-        if exc.filename == part:
-            exc.filename = os.fspath(path)
-        raise
+    with _replacing(path) as fh:
+        yield None if fh is None else functools.partial(_start_capture, fh, path)
 
 
 def write_capture(capture: RawCapture, path) -> None:
@@ -321,10 +375,8 @@ def write_capture(capture: RawCapture, path) -> None:
     nothing is written.  A capture whose samples are read from the file at
     path cannot be written over it, and raises ConfigError."""
     samples = capture.samples
-    if isinstance(samples, CaptureFile) and samples._is_at(path):
-        if samples._writes():
-            return
-        raise ConfigError(f"{path}: the capture's samples are read from this file, which it cannot overwrite")
+    if _written(samples, path, "the capture's samples"):
+        return
     with _writing(path) as fh:
         out = _start_capture(
             fh, path, capture.config, capture.array, capture.tx, capture.rx, capture.cycle,
@@ -392,18 +444,131 @@ def _read_grid(fh) -> ImageGrid:
     return ImageGrid(origin_m=np.array([ou, ov]), extent_m=np.array([eu, ev]), pixel_size_m=pix)
 
 
+class StackFile(_FileStore, StackStore):
+    """The planes of an INSARIMG file, as a stack holds them (a
+    StackStore): plane k is the file's plane k, u-major.
+
+    store[k] reads plane k, store[:, rows] the rows of every plane, and
+    store[:, rows, cols] a block of them, into new complex64 arrays; rows
+    and columns are unit-step slices, and each plane's part is read one run
+    of consecutive pixels at a time.  A read refuses a file that ends early
+    and a non-finite pixel, with DataFormatError naming the file and the
+    VX.  A store that stack_file made also writes store[:, rows, cols] =
+    block, through the file stack_file holds open, under a lock, so
+    image_stack's workers may read and write their disjoint blocks at once.
+    The file must not change while a stack reads it.
+    """
+
+    def _block(self, key):
+        """The VX, row and column ranges key selects, and the shape of the
+        array they make: an integer drops its axis, as from an array."""
+        key = key if isinstance(key, tuple) else (key,)
+        if len(key) > len(self.shape):
+            raise IndexError(f"too many indices for a stack of shape {self.shape}")
+        picked = [range(n)[k] for n, k in zip(self.shape, key + (slice(None),) * (3 - len(key)))]
+        shape = tuple(len(p) for p in picked if isinstance(p, range))
+        vx, rows, cols = (p if isinstance(p, range) else range(p, p + 1) for p in picked)
+        if rows.step != 1 or cols.step != 1:
+            raise IndexError("a stack file reads unit-step rows and columns")
+        return vx, rows, cols, shape
+
+    def _runs(self, vx: range, rows: range, cols: range):
+        """(plane of the block, first value in it, count, file offset) of
+        each run of the block's pixels that lie one after another in a
+        plane, plane by plane."""
+        n_v = self.shape[2]
+        if len(cols) == n_v or len(rows) == 1:
+            runs = [(rows.start * n_v + cols.start, len(rows) * len(cols))]
+        else:
+            runs = [(r * n_v + cols.start, len(cols)) for r in rows]
+        for i, k in enumerate(vx):
+            at = 0
+            for first, count in runs:
+                yield i, at, count, self._start + 8 * (k * self.shape[1] * n_v + first)
+                at += count
+
+    def __getitem__(self, key) -> np.ndarray:
+        vx, rows, cols, shape = self._block(key)
+        out = np.empty((len(vx), len(rows) * len(cols)), dtype="<c8")
+        with self._file() as fh:
+            for i, at, count, offset in self._runs(vx, rows, cols):
+                run = out[i, at : at + count]
+                fh.seek(offset)
+                if fh.readinto(run.data) != run.nbytes:
+                    raise DataFormatError(f"{self.path}: truncated file while reading image planes")
+        # the float32 view is the fast test, plane by plane
+        for plane, k in zip(out, vx):
+            if not np.isfinite(plane.view("<f4")).all():
+                raise DataFormatError(f"{self.path}: VX {k} image holds non-finite pixels")
+        return out.astype(np.complex64, copy=False).reshape(shape)
+
+    def __setitem__(self, key, block) -> None:
+        if not self._writes():
+            raise ValueError(f"{self.path} is open for reading only")
+        vx, rows, cols, _ = self._block(key)
+        block = np.ascontiguousarray(block, dtype="<c8").reshape(len(vx), -1)
+        with self._file() as fh:
+            for i, at, count, offset in self._runs(vx, rows, cols):
+                fh.seek(offset)
+                fh.write(block[i, at : at + count])
+
+
+def _write_stack_header(
+    fh, grid: ImageGrid, array: VirtualArray, phase_center, aperture_length_m: float, wavelength_m: float
+) -> None:
+    """The INSARIMG header, up to the planes."""
+    _write_preamble(fh, MAGIC_IMG)
+    _write_grid(fh, grid)
+    fh.write(struct.pack("<dd", aperture_length_m, wavelength_m))
+    fh.write(np.asarray(phase_center, dtype="<f8").tobytes())
+    _write_array(fh, array)
+    fh.write(struct.pack("<III", array.n_vx, grid.n_u, grid.n_v))
+
+
+def _start_stack(fh, path, **fields) -> StackFile:
+    """Write the INSARIMG header of a stack with these fields into fh, then
+    zero planes, and return a writable StackFile over them."""
+    _write_stack_header(fh, **fields)
+    start = fh.tell()
+    shape = (fields["array"].n_vx, fields["grid"].n_u, fields["grid"].n_v)
+    fh.truncate(start + 8 * math.prod(shape))
+    return StackFile(path, start, shape, writer=fh)
+
+
+@contextmanager
+def stack_file(path):
+    """Make the INSARIMG file at path in a stack, and yield the images
+    argument of imaging.image_stack for it.
+
+    image_stack then writes the header and zero planes into a new file
+    beside path, and adds each cycle batch into one pixel block of the
+    planes there at a time; write_image_stack(stack, path) finds the stack
+    written, so the image stage holds one block of the stack, never all of
+    it.  When the block ends without an error, the new file replaces path;
+    an error inside the block removes it and leaves path as it was (see
+    _replacing).  An existing path that is not a regular file, such as
+    /dev/null, yields None, so the stack is made in memory and
+    write_image_stack writes it.
+    """
+    with _replacing(path) as fh:
+        yield None if fh is None else functools.partial(_start_stack, fh, path)
+
+
 def write_image_stack(stack: SarImageStack, path) -> None:
     """Write an INSARIMG stack: its complex64 planes as SarImageStack holds
-    them, the file's precision."""
+    them, the file's precision, one plane at a time.
+
+    A stack that stack_file(path) is making is already written, so nothing
+    is written.  A stack whose planes are read from the file at path cannot
+    be written over it, and raises ConfigError."""
+    if _written(stack.images, path, "the stack's images"):
+        return
     with _writing(path) as fh:
-        _write_preamble(fh, MAGIC_IMG)
-        _write_grid(fh, stack.grid)
-        fh.write(struct.pack("<dd", stack.aperture_length_m, stack.wavelength_m))
-        fh.write(np.asarray(stack.phase_center, dtype="<f8").tobytes())
-        _write_array(fh, stack.array)
-        fh.write(struct.pack("<III", *stack.images.shape))
+        _write_stack_header(
+            fh, stack.grid, stack.array, stack.phase_center, stack.aperture_length_m, stack.wavelength_m
+        )
         # one plane at a time, so no stack-sized copy is made of a stack
-        # that is not contiguous
+        # that is not contiguous or not in memory
         for plane in stack.images:
             fh.write(np.ascontiguousarray(plane, dtype="<c8"))
 
@@ -413,9 +578,11 @@ def read_image_stack(path) -> SarImageStack:
     bad magic or version, too few bytes for the sizes the header declares,
     or values that ImageGrid, the array or SarImageStack reject.
 
-    The images keep the file's precision, complex64, and are read straight
-    into the preallocated stack, so the peak is the stack itself;
-    combine_baselines widens them a plane at a time."""
+    The planes stay in the file, as a StackFile at the file's precision,
+    complex64: they are read as they are used (combine_baselines reads one
+    block of rows of every plane at a time), and a non-finite pixel is a
+    DataFormatError then.  The file must not change while a stack reads
+    it."""
     with _reading(path) as fh:
         _read_preamble(fh, MAGIC_IMG, path)
         grid = _read_grid(fh)
@@ -424,13 +591,10 @@ def read_image_stack(path) -> SarImageStack:
         array = _read_array(fh)
         dims = _unpack(fh, "<III", "stack dims")
         _check_left(fh, 8 * math.prod(dims), "image planes")
-        images = np.empty(dims, dtype="<c8")
-        if fh.readinto(images.data) != images.nbytes:
-            raise DataFormatError(f"{path}: truncated file while reading image planes")
         return SarImageStack(
             grid=grid,
             array=array,
-            images=images,
+            images=StackFile(path, fh.tell(), dims),
             phase_center=phase_center,
             aperture_length_m=aperture_length,
             wavelength_m=wavelength,
@@ -471,8 +635,14 @@ def read_elevation_map(path) -> ElevationMap:
         phase_center = np.frombuffer(_read_exact(fh, 24, "phase center"), dtype="<f8").copy()
         wavelength, baseline = _unpack(fh, "<dd", "map header")
         n_u, n_v = _unpack(fh, "<II", "map dims")
-        raw = _read_exact(fh, 5 * n_u * n_v * 4, "map planes")
-        planes = np.frombuffer(raw, dtype="<f4").reshape(5, n_u, n_v).astype(np.float64)
+        _check_left(fh, 5 * n_u * n_v * 4, "map planes")
+        # each float32 plane is read into one reused buffer and widened
+        planes = np.empty((5, n_u, n_v))
+        encoded = np.empty((n_u, n_v), dtype="<f4")
+        for plane in planes:
+            if fh.readinto(encoded.data) != encoded.nbytes:
+                raise DataFormatError(f"{path}: truncated file while reading map planes")
+            plane[...] = encoded
         elevation, phase, variance, magnitude, snr = planes
         return ElevationMap(
             grid=grid,

@@ -10,7 +10,10 @@ image_stack is the one imaging entry point: it selects the aperture's
 records, reads and range-compresses them one batch of cycles at a time,
 and backprojects them into every VX's image.  A capture whose samples stay
 in their file (as read_capture gives it) is read a batch at a time too, so
-the image stage never holds the aperture's samples at once.
+the image stage never holds the aperture's samples at once.  The stack may
+be made in its file too (a StackStore, as formats.stack_file opens): each
+cycle batch reads, adds to and writes back one pixel block of it at a
+time, so the image stage never holds the stack either.
 range_compress applies the same compression to a whole capture at once,
 for inspecting the profiles.
 
@@ -41,8 +44,7 @@ The float32 bits depend on which SIMD path numpy dispatches cos and sin
 to, so artifacts are byte-identical only on one numpy build and CPU
 dispatch path.  Single precision ends at about 3.4e38, so a range profile
 bin, a partial sum or an image sum beyond that is refused as a
-ConfigError.  A NaN pixel, as from a non-finite carrier, is left to
-SarImageStack's finiteness check.
+ConfigError, and so is a NaN pixel, as from a non-finite carrier.
 
 Pixel blocks are whole grid rows, or slices of one row when a row is
 longer than a block, so each element's squared distance is the outer sum
@@ -81,7 +83,8 @@ WINDOWS = ("rectangular", "hann")
 # to stay cache-resident; cycle batches bounding how many range profiles
 # are alive at once (8 cycles of 12 records x 2048 bins are 3 MiB, plus the
 # first differences of the bins in reach).  Per-pixel accumulation order
-# does not depend on either.
+# does not depend on either.  The elevate and pointcloud stages work in
+# blocks of whole rows of about as many pixels (_row_blocks).
 _BLOCK_PIXELS = 16384
 _CYCLE_BATCH = 8
 
@@ -164,17 +167,32 @@ class RangeProfileSet:
     bin_spacing_m: float
 
 
+class StackStore:
+    """An image stack kept in a file rather than in memory; see
+    formats.StackFile.  A store stands in for an (n_vx, n_u, n_v) complex64
+    array where the pipeline reads and writes a stack: it has shape, dtype
+    and len; store[k] reads plane k, store[:, rows] the rows of every
+    plane, and store[:, rows, cols] a block of them, into new complex64
+    arrays, and a read refuses a non-finite pixel; store[:, rows, cols] =
+    block writes a block; iterating reads one plane at a time; and
+    np.asarray(store) reads every plane.  SarImageStack keeps a store as it
+    is, so its pixels are checked as they are read."""
+
+    dtype = np.dtype(np.complex64)
+
+
 @dataclass(frozen=True, eq=False)
 class SarImageStack:
     """One complex image per VX on a common grid with a common phase center.
 
     Images have one dtype, complex64, the precision of an INSARIMG file, as
-    image_stack makes them and read_image_stack reads them.  complex64
-    images are kept as they are; any other images are rounded to complex64
-    by _round_rows, and a finite pixel beyond float32's range raises
-    ConfigError ("VX k image holds pixels beyond float32 range").  Pixels
-    and the phase center must be finite, and the wavelength finite and
-    positive.
+    image_stack makes them.  complex64 images are kept as they are; any
+    other images are rounded to complex64 by _round_rows, and a finite
+    pixel beyond float32's range raises ConfigError ("VX k image holds
+    pixels beyond float32 range").  Images may also be a StackStore, whose
+    planes stay in their file, as read_image_stack gives them; it is kept
+    as it is, and checked as its pixels are read.  Pixels and the phase
+    center must be finite, and the wavelength finite and positive.
     """
 
     grid: ImageGrid
@@ -185,22 +203,24 @@ class SarImageStack:
     wavelength_m: float
 
     def __post_init__(self) -> None:
-        images = np.asarray(self.images)
+        stored = isinstance(self.images, StackStore)
+        images = self.images if stored else np.asarray(self.images)
         if images.shape != (self.array.n_vx, self.grid.n_u, self.grid.n_v):
             raise ConfigError(
                 f"image stack shape {images.shape} does not match "
                 f"{self.array.n_vx} VX on a {self.grid.n_u}x{self.grid.n_v} grid"
             )
-        if images.dtype != np.complex64:
-            rounded = np.empty(images.shape, dtype=np.complex64)
-            for k in range(images.shape[0]):
-                if _round_rows(images[k], rounded[k]) is not None:
-                    raise ConfigError(f"VX {k} image holds pixels beyond float32 range")
-            images = rounded
-        # checked plane by plane, so no stack-sized mask is made
-        for k, plane in enumerate(images):
-            if not np.isfinite(plane).all():
-                raise ConfigError(f"VX {k} image holds non-finite pixels")
+        if not stored:
+            if images.dtype != np.complex64:
+                rounded = np.empty(images.shape, dtype=np.complex64)
+                for k in range(images.shape[0]):
+                    if _round_rows(images[k], rounded[k]) is not None:
+                        raise ConfigError(f"VX {k} image holds pixels beyond float32 range")
+                images = rounded
+            # checked plane by plane, so no stack-sized mask is made
+            for k, plane in enumerate(images):
+                if not np.isfinite(plane).all():
+                    raise ConfigError(f"VX {k} image holds non-finite pixels")
         object.__setattr__(self, "images", images)
         if not self.aperture_length_m > 0:
             raise ConfigError("aperture_length_m must be > 0")
@@ -371,6 +391,14 @@ def _pixel_blocks(n_u: int, n_v: int, n_blocks: int) -> list[tuple[int, int, int
     return [(r, r + 1, lo, hi) for r in range(n_u) for lo, hi in per_row]
 
 
+def _row_blocks(grid: ImageGrid) -> list[slice]:
+    """Runs of whole grid rows, about _BLOCK_PIXELS pixels each (one row
+    when a row is longer), covering the grid in order: the blocks the
+    elevate and pointcloud stages work in."""
+    n_blocks = -(-grid.n_u * grid.n_v // _BLOCK_PIXELS)
+    return [slice(lo, hi) for lo, hi in _chunk_bounds(grid.n_u, n_blocks)]
+
+
 def image_stack(
     capture: RawCapture,
     grid: ImageGrid,
@@ -380,6 +408,7 @@ def image_stack(
     window: str = "rectangular",
     image_height_m: float = 0.0,
     threads: int = 1,
+    images=None,
 ) -> SarImageStack:
     """Form one backprojected image per virtual element: the one
     backprojection kernel.
@@ -405,8 +434,19 @@ def image_stack(
     needs the range profile's last bin or one past it, at or beyond
     c*fs/(2*slope), so every q lies below the last kept slope; when a
     partial sum or an image sum is beyond float32's range, as a profile bin
-    beyond it makes one; and when a pixel's distance from the aperture
-    overflows.
+    beyond it makes one; when a pixel is NaN, as a non-finite carrier
+    makes it ("VX k image holds non-finite pixels"); and when a pixel's
+    distance from the aperture overflows.
+
+    images says where the stack goes.  By default it is a new complex64
+    array.  Otherwise images is called once, with the stack's other fields
+    as keywords (grid, array, phase_center, aperture_length_m,
+    wavelength_m), and returns the writable, zeroed (n_vx, n_u, n_v) store
+    to add the images into: a complex64 array, or a StackStore such as the
+    file formats.stack_file opens.  For each cycle batch and pixel block,
+    the block's slices of every VX are read from the store, the batch's
+    partial sums added and checked, and the slices written back, so a
+    stack made in its file is held one pixel block at a time.
     """
     if not np.isfinite(image_height_m):
         raise ConfigError(f"image_height_m must be finite, got {image_height_m!r}")
@@ -439,7 +479,6 @@ def image_stack(
     u, v = grid.u_centers(), grid.v_centers()
     pz = center_pose.position[2] + image_height_m
     n_v = v.shape[0]
-    images = np.zeros((array.n_vx, u.shape[0] * n_v), dtype=np.complex64)
     # A record's fractional bin q = (d_tx + d_rx) / 2 in bins is at most
     # the farthest element's distance in bins, reach, up to rounding.
     # Interpolation reads bins trunc(q) and trunc(q) + 1: none past
@@ -462,6 +501,14 @@ def image_stack(
             f"(range limit c*fs/(2*slope) = {n_padded * bin_spacing_m:.4g} m)"
         )
     keep_bins = reach + 3
+    fields = dict(
+        grid=grid,
+        array=array,
+        phase_center=center_pose.position,
+        aperture_length_m=aperture.length_m,
+        wavelength_m=derive_chirp_params(capture.config).wavelength_m,
+    )
+    store = np.zeros((array.n_vx, grid.n_u, grid.n_v), dtype=np.complex64) if images is None else images(**fields)
 
     # A value beyond float32's range, a profile bin or a sum, makes some
     # partial sum or image sum inf, which is refused below; the steps on the
@@ -470,11 +517,10 @@ def image_stack(
     def accumulate_block(block, c_lo, c_hi, rows, slopes):
         u_lo, u_hi, v_lo, v_hi = block
         bu, bv = u[u_lo:u_hi], v[v_lo:v_hi]
-        pixels = slice(u_lo * n_v + v_lo, (u_hi - 1) * n_v + v_hi)
         base = bounds[c_lo]
-        n_px = pixels.stop - pixels.start
+        n_px = (u_hi - 1 - u_lo) * n_v + v_hi - v_lo
         # each VX's values over this cycle batch, at most _CYCLE_BATCH per VX
-        partial = np.zeros((images.shape[0], n_px), dtype=np.complex64)
+        partial = np.zeros((array.n_vx, n_px), dtype=np.complex64)
         # buffers reused by every cycle: each element's distance (then in
         # half bins) and phasor; and by every record
         dist = np.empty((len(offsets), n_px))
@@ -502,16 +548,25 @@ def image_stack(
                 out *= phasor[t]
                 out *= phasor[s]
                 partial[slot_list[r]] += out
-        # an inf partial sum stays inf in the image, which held no inf before
-        images[:, pixels] += partial
-        overflowed = np.isinf(images[:, pixels].view(np.float32)).any(axis=1)
-        if overflowed.any():
-            raise ConfigError(f"VX {int(np.argmax(overflowed))} image holds pixels beyond float32 range")
+        # the block's image sums: a view of an array, or slices read from a
+        # store and written back.  A non-finite partial sum stays non-finite
+        # in the image, which held only finite pixels before.
+        region = (slice(None), slice(u_lo, u_hi), slice(v_lo, v_hi))
+        sums = store[region]
+        sums += partial.reshape(sums.shape)
+        values = sums.reshape(array.n_vx, -1).view(np.float32)
+        finite = np.isfinite(values).all(axis=1)
+        if not finite.all():
+            overflowed = np.isinf(values).any(axis=1)
+            if overflowed.any():
+                raise ConfigError(f"VX {int(np.argmax(overflowed))} image holds pixels beyond float32 range")
+            raise ConfigError(f"VX {int(np.argmin(finite))} image holds non-finite pixels")
+        store[region] = sums
 
     # workers beyond the CPUs add no speed, and each would cost a thread and
     # a pixel block of its own
     workers = int(min(threads, _available_cpus()))
-    n_blocks = -(-images.shape[1] // _BLOCK_PIXELS)
+    n_blocks = -(-grid.n_u * n_v // _BLOCK_PIXELS)
     blocks = _pixel_blocks(u.shape[0], n_v, max(workers, n_blocks))
     pool = ThreadPoolExecutor(max_workers=min(workers, len(blocks))) if workers > 1 and len(blocks) > 1 else None
     try:
@@ -530,14 +585,7 @@ def image_stack(
     finally:
         if pool is not None:
             pool.shutdown()
-    return SarImageStack(
-        grid=grid,
-        array=array,
-        images=images.reshape(array.n_vx, grid.n_u, grid.n_v),
-        phase_center=center_pose.position,
-        aperture_length_m=aperture.length_m,
-        wavelength_m=derive_chirp_params(capture.config).wavelength_m,
-    )
+    return SarImageStack(images=store, **fields)
 
 
 def predicted_azimuth_resolution(aperture_length_m: float, wavelength_m: float, theta_rad: float) -> float:

@@ -8,6 +8,11 @@ The vertical-baseline relations:
 
 With d_v <= lambda/4 the recovery is unambiguous over +-90 degrees; larger
 baselines would need fringe-ambiguity resolution and are rejected.
+
+build_elevation_map works one block of grid rows at a time: it reads that
+block of every VX image (from the file, for a stack read_image_stack
+gives), so besides the map's planes it holds one block of the stack and
+its work, never the stack.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .imaging import ImageGrid, SarImageStack
+from .imaging import ImageGrid, SarImageStack, _row_blocks
 from .types import C_LIGHT
 
 # Relative slack when checking d_v against lambda/4, so a baseline built as
@@ -190,17 +195,39 @@ def snr_map(magnitude: np.ndarray) -> np.ndarray:
         return 20.0 * np.log10(magnitude / median)
 
 
+def _combine_rows(images: np.ndarray, baselines) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The mean phase delay, circular variance and mean magnitude of a
+    block of grid rows of every VX image, (n_vx, rows, n_v).  Its own
+    function, so a block and its work are freed before the next is read."""
+    mean_phase, variance = mean_phase_delay(
+        [images[b.lower_vx] for b in baselines], [images[b.upper_vx] for b in baselines]
+    )
+    # the floats of np.mean(np.abs(images), axis=0) over the widened images,
+    # one plane at a time; the sum starts from zero, and 0 + |x| is |x|
+    magnitude = np.zeros(images.shape[1:])
+    plane = np.empty_like(magnitude)
+    for image in images:
+        magnitude += np.abs(np.asarray(image, np.complex128), out=plane)
+    magnitude /= images.shape[0]
+    return mean_phase, variance, magnitude
+
+
 def combine_baselines(stack: SarImageStack) -> InterferogramGrid:
     """Correlate every vertical baseline and average per pixel.
 
     All baselines must share the same separation; mixed spacings would need
-    per-baseline phase scaling that this pipeline does not implement.
-    Baselines, and the VX planes of the mean magnitude, are summed one at a
-    time, so the peak memory is a few planes whatever the number of
-    baselines or VX.  The images are complex64, as SarImageStack holds
-    them.  Each plane is widened to complex128 when it is used, which is
-    exact, so the stack gives the floats of its complex128 widening without
-    a widened copy of it.
+    per-baseline phase scaling that this pipeline does not implement.  The
+    phase delays and the mean magnitude are computed one block of grid rows
+    at a time (imaging._row_blocks), from that block of every VX plane:
+    read from the file for a stack on a StackStore, as read_image_stack
+    gives it.  Within a block, baselines and VX planes are summed one at a
+    time, so the peak memory is the output planes and one block's work
+    whatever the number of baselines or VX; the per-pixel operations, and
+    so the floats, do not depend on the blocks.  The images are complex64,
+    as SarImageStack holds them.  Each plane is widened to complex128 when
+    it is used, which is exact, so the stack gives the floats of its
+    complex128 widening without a widened copy of it.  snr_map then takes
+    the whole magnitude plane, for its median.
     """
     baselines = stack.array.vertical_baselines
     if not baselines:
@@ -209,16 +236,10 @@ def combine_baselines(stack: SarImageStack) -> InterferogramGrid:
     if np.any(np.abs(seps - seps[0]) > 1e-12 * seps[0]):
         raise DomainError(f"mixed baseline separations are unsupported: {sorted(set(seps))}")
 
-    lower = [stack.images[b.lower_vx] for b in baselines]
-    upper = [stack.images[b.upper_vx] for b in baselines]
-    mean_phase, variance = mean_phase_delay(lower, upper)
-    # the floats of np.mean(np.abs(stack.images), axis=0) over the widened
-    # stack, one plane at a time; the sum starts from zero, and 0 + |x| is |x|
-    magnitude = np.zeros(stack.images.shape[1:])
-    plane = np.empty_like(magnitude)
-    for image in stack.images:
-        magnitude += np.abs(np.asarray(image, np.complex128), out=plane)
-    magnitude /= stack.images.shape[0]
+    shape = (stack.grid.n_u, stack.grid.n_v)
+    mean_phase, variance, magnitude = np.empty(shape), np.empty(shape), np.empty(shape)
+    for rows in _row_blocks(stack.grid):
+        mean_phase[rows], variance[rows], magnitude[rows] = _combine_rows(stack.images[:, rows], baselines)
     return InterferogramGrid(
         grid=stack.grid,
         mean_phase_delay=mean_phase,
@@ -253,13 +274,17 @@ class ElevationMap:
 
 
 def build_elevation_map(stack: SarImageStack) -> ElevationMap:
-    """Extract per-pixel elevation from a SAR image stack."""
+    """Extract per-pixel elevation from a SAR image stack.  Like the
+    baseline combination, the elevation is computed one block of grid rows
+    at a time, so its temporaries are one block's."""
     intf = combine_baselines(stack)
     d_v = stack.array.vertical_baselines[0].separation_m
     lam = stack.wavelength_m
     _check_baseline(d_v, lam)
-    arg = lam * intf.mean_phase_delay / (4.0 * np.pi * d_v)
-    elevation = np.where(np.abs(arg) <= 1.0, np.arcsin(np.clip(arg, -1.0, 1.0)), np.nan)
+    elevation = np.empty(intf.mean_phase_delay.shape)
+    for rows in _row_blocks(stack.grid):
+        arg = lam * intf.mean_phase_delay[rows] / (4.0 * np.pi * d_v)
+        elevation[rows] = np.where(np.abs(arg) <= 1.0, np.arcsin(np.clip(arg, -1.0, 1.0)), np.nan)
     return ElevationMap(
         grid=stack.grid,
         phase_center=stack.phase_center,

@@ -15,6 +15,9 @@ source, where eps, the map's elevation, is the angle above the sensor
 plane.  So phi = arcsin(sin(eps) / sin(theta)), and s_z = r*sin(eps).
 Where |sin(eps)| > |sin(theta)| no direction on the pixel's range circle
 has that height: phi is NaN and the pixel has no elevation.
+
+filter_points works one block of grid rows at a time, so besides the map's
+planes it holds one block's temporaries and the kept points.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ import numpy as np
 
 from .errors import ConfigError, DataFormatError
 from .formats import _writing
+from .imaging import _row_blocks
 from .interferometry import ElevationMap
 
 
@@ -111,6 +115,47 @@ def _wrap_angle(a: np.ndarray) -> np.ndarray:
     return (a + np.pi) % (2.0 * np.pi) - np.pi
 
 
+# the filter's rejection counts, in report order
+_REJECTIONS = ("no_elevation", "snr", "circular_variance", "elevation_angle", "front_cone", "underground")
+
+
+def _filter_rows(emap: ElevationMap, cfg: FilterConfig, rows: slice):
+    """The kept points of a block of grid rows, as (x, y, z, intensity,
+    snr_db, circular_variance) in grid order, and the number of its pixels
+    each predicate of _REJECTIONS rejects.  Its own function, so a block's
+    temporaries are freed before the next block's are made."""
+    grid = emap.grid
+    intf = emap.interferogram
+    pc = emap.phase_center
+
+    du = grid.u_centers()[rows, None] - pc[0]
+    dv = grid.v_centers()[None, :] - pc[1]
+    r = np.hypot(du, dv)
+    theta = np.arctan2(dv, du)
+    eps = emap.elevation[rows]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        phi = np.arcsin(np.sin(eps) / np.sin(theta))
+    s_x, s_y, s_z = spherical_to_cartesian(r, theta, phi)
+
+    max_elev = np.deg2rad(cfg.max_elevation_angle_deg)
+    front = np.deg2rad(cfg.front_azimuth_deg)
+    halfwidth = np.deg2rad(cfg.front_azimuth_halfwidth_deg)
+    min_z = cfg.resolved_min_z_m
+    snr, variance = intf.snr_db[rows], intf.circular_variance[rows]
+
+    has_phi = np.isfinite(phi)
+    ok_snr = snr >= cfg.snr_threshold_db
+    ok_var = variance <= cfg.max_circular_variance
+    with np.errstate(invalid="ignore"):
+        ok_elev = np.abs(eps) <= max_elev
+        in_front_cone = (r < cfg.min_radius_m) & (np.abs(_wrap_angle(theta - front)) <= halfwidth)
+        ok_z = s_z >= min_z
+    keep = has_phi & ok_snr & ok_var & ok_elev & ~in_front_cone & ok_z
+    rejected = (~has_phi, ~ok_snr, ~ok_var, has_phi & ~ok_elev, in_front_cone, has_phi & ~ok_z)
+    points = [c[keep] for c in (s_x, s_y, s_z, intf.combined_magnitude[rows], snr, variance)]
+    return points, [int(np.count_nonzero(mask)) for mask in rejected]
+
+
 def filter_points(emap: ElevationMap, cfg: FilterConfig | None = None) -> ElevationPointCloud:
     """Apply the filter chain and de-project the surviving pixels.
 
@@ -121,56 +166,29 @@ def filter_points(emap: ElevationMap, cfg: FilterConfig | None = None) -> Elevat
     clears the underground cutoff.  The maximum angle bounds the measured
     elevation eps, the angle above the sensor plane, not phi.  An empty
     cloud is a legal result.
+
+    The predicates and the de-projection run one block of grid rows at a
+    time (imaging._row_blocks), so the temporaries are one block's, and
+    the per-pixel operations, and so the floats, do not depend on the
+    blocks; the kept points are joined in grid order, and the counts added
+    up over the blocks.
     """
     if cfg is None:
         cfg = FilterConfig()
-    grid = emap.grid
-    intf = emap.interferogram
-    pc = emap.phase_center
-
-    du = grid.u_centers()[:, None] - pc[0]
-    dv = grid.v_centers()[None, :] - pc[1]
-    r = np.hypot(du, dv)
-    theta = np.arctan2(dv, du)
-    eps = emap.elevation
-    with np.errstate(invalid="ignore", divide="ignore"):
-        phi = np.arcsin(np.sin(eps) / np.sin(theta))
-    s_x, s_y, s_z = spherical_to_cartesian(r, theta, phi)
-
-    max_elev = np.deg2rad(cfg.max_elevation_angle_deg)
-    front = np.deg2rad(cfg.front_azimuth_deg)
-    halfwidth = np.deg2rad(cfg.front_azimuth_halfwidth_deg)
-    min_z = cfg.resolved_min_z_m
-
-    has_phi = np.isfinite(phi)
-    ok_snr = intf.snr_db >= cfg.snr_threshold_db
-    ok_var = intf.circular_variance <= cfg.max_circular_variance
-    with np.errstate(invalid="ignore"):
-        ok_elev = np.abs(eps) <= max_elev
-        in_front_cone = (r < cfg.min_radius_m) & (np.abs(_wrap_angle(theta - front)) <= halfwidth)
-        ok_z = s_z >= min_z
-    keep = has_phi & ok_snr & ok_var & ok_elev & ~in_front_cone & ok_z
-
-    stats = FilterStats(
-        candidates=int(phi.size),
-        kept=int(np.count_nonzero(keep)),
-        rejected={
-            "no_elevation": int(np.count_nonzero(~has_phi)),
-            "snr": int(np.count_nonzero(~ok_snr)),
-            "circular_variance": int(np.count_nonzero(~ok_var)),
-            "elevation_angle": int(np.count_nonzero(has_phi & ~ok_elev)),
-            "front_cone": int(np.count_nonzero(in_front_cone)),
-            "underground": int(np.count_nonzero(has_phi & ~ok_z)),
-        },
-    )
+    points, counts = zip(*(_filter_rows(emap, cfg, rows) for rows in _row_blocks(emap.grid)))
+    x, y, z, intensity, snr_db, circular_variance = (np.concatenate(c) for c in zip(*points))
     return ElevationPointCloud(
-        x=s_x[keep],
-        y=s_y[keep],
-        z=s_z[keep],
-        intensity=intf.combined_magnitude[keep],
-        snr_db=intf.snr_db[keep],
-        circular_variance=intf.circular_variance[keep],
-        stats=stats,
+        x=x,
+        y=y,
+        z=z,
+        intensity=intensity,
+        snr_db=snr_db,
+        circular_variance=circular_variance,
+        stats=FilterStats(
+            candidates=emap.grid.n_u * emap.grid.n_v,
+            kept=len(x),
+            rejected=dict(zip(_REJECTIONS, np.sum(counts, axis=0).tolist())),
+        ),
     )
 
 

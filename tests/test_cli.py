@@ -393,6 +393,22 @@ def test_non_finite_image_pixel_is_a_format_error(workdir, capsys):
     assert "VX 0 image holds non-finite pixels" in capsys.readouterr().err
 
 
+def test_damaged_stack_pixel_stops_elevate_naming_the_file(workdir, capsys):
+    # the planes are read a block of rows at a time, so a pixel in the last
+    # block of VX 7 is found only when elevate reaches it
+    out, code = run_pipeline(workdir, workdir / "radar.cfg")
+    assert code == 0
+    path = out / "stack.insarimg"
+    n_u, n_v = struct.unpack_from("<II", path.read_bytes(), IMG_DIMS + 4)
+    patch(path, IMG_DIMS + 12 + 8 * (8 * n_u * n_v - 1), "<f", float("inf"))
+    capsys.readouterr()
+    emap = workdir / "m.insarelv"
+    code = cli.main(["elevate", str(path), "-o", str(emap)])
+    assert code == 3
+    assert f"{path}: VX 7 image holds non-finite pixels" in capsys.readouterr().err
+    assert not emap.exists()
+
+
 def test_non_finite_map_snr_is_a_format_error(workdir, capsys):
     # a NaN SNR used to drop the pixel silently at exit 0; NaN elevation is
     # "absent", but the four quality planes hold no absent values
@@ -725,6 +741,93 @@ def test_simulate_into_a_missing_directory_names_the_output(workdir, capsys):
     assert f"No such file or directory: '{out}'" in err
     assert ".part" not in err
     assert sorted(p.name for p in workdir.iterdir()) == ["radar.cfg", "scene.csv", "traj.csv"]
+
+
+def simulate_capture(workdir, name="c.insarraw"):
+    path = workdir / name
+    assert cli.main(["--seed", "2", "simulate", str(workdir / "scene.csv"), str(workdir / "traj.csv"),
+                     "--config", str(workdir / "radar.cfg"), "-o", str(path)]) == 0
+    return path
+
+
+def test_image_and_elevate_may_write_over_their_input(workdir, capsys):
+    # the image stage reads the capture as it images it, and elevate the
+    # stack as it combines it; each replaces its input only when done
+    capture = simulate_capture(workdir)
+    twin = workdir / "twin.insarraw"
+    twin.write_bytes(capture.read_bytes())
+    cfg = ["--config", str(workdir / "radar.cfg")]
+    stack = workdir / "s.insarimg"
+    assert cli.main(["image", str(capture), *cfg, "-o", str(stack)]) == 0
+    assert cli.main(["image", str(twin), *cfg, "-o", str(twin)]) == 0
+    assert twin.read_bytes() == stack.read_bytes()
+    emap = workdir / "m.insarelv"
+    assert cli.main(["elevate", str(stack), "-o", str(emap)]) == 0
+    assert cli.main(["elevate", str(twin), "-o", str(twin)]) == 0
+    assert twin.read_bytes() == emap.read_bytes()
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "config, scene, message",
+    [
+        pytest.param("grid_origin_m = (-0.8, 95.0)\n", "", "range limit", id="grid past the range profile"),
+        pytest.param("per_sample_snr_db = inf\n", "0.3,4.2,0.5,1e37\n", "beyond float32 range",
+                     id="float32 overflow"),
+    ],
+)
+@pytest.mark.parametrize("kind", ["file", "symlink"])
+def test_failing_image_leaves_an_existing_output_as_it_was(workdir, capsys, config, scene, message, kind):
+    # the stack is made in a new file beside -o, which replaces -o only once
+    # the stage is done; an overflow ends the stage with blocks of the stack
+    # already written there
+    (workdir / "radar.cfg").write_text(CONFIG + config)
+    (workdir / "scene.csv").write_text(SCENE + scene)
+    capture = simulate_capture(workdir)
+    kept = workdir / "kept.insarimg"
+    kept.write_bytes(b"an earlier stack")
+    out = kept
+    if kind == "symlink":
+        out = workdir / "link.insarimg"
+        out.symlink_to(kept)
+    before = sorted(workdir.iterdir())
+    capsys.readouterr()
+    code = cli.main(["image", str(capture), "--config", str(workdir / "radar.cfg"), "-o", str(out)])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert kept.read_bytes() == b"an earlier stack"
+    assert out.is_symlink() == (kind == "symlink")
+    assert sorted(workdir.iterdir()) == before
+
+
+def test_image_into_a_missing_directory_names_the_output(workdir, capsys):
+    # the stack is made in a hidden file beside -o, which the message must
+    # not name
+    capture = simulate_capture(workdir)
+    out = workdir / "no" / "such" / "s.insarimg"
+    capsys.readouterr()
+    code = cli.main(["image", str(capture), "--config", str(workdir / "radar.cfg"), "-o", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"No such file or directory: '{out}'" in err
+    assert ".part" not in err
+    assert sorted(p.name for p in workdir.iterdir()) == ["c.insarraw", "radar.cfg", "scene.csv", "traj.csv"]
+
+
+@pytest.mark.skipif(not os.path.exists(os.devnull) or os.path.isfile(os.devnull), reason="needs a null device")
+def test_image_to_the_null_device_makes_the_stack_in_memory(workdir, capsys):
+    # the null device cannot be read back, so the stack is made in memory;
+    # its report and PGMs are those of the stack made in its file
+    capture = simulate_capture(workdir)
+    capsys.readouterr()
+    cfg = ["--config", str(workdir / "radar.cfg")]
+    stack = str(workdir / "s.insarimg")
+    assert cli.main(["image", str(capture), *cfg, "-o", stack, "--pgm-dir", str(workdir / "a")]) == 0
+    expected = capsys.readouterr().out.replace(stack, os.devnull).replace(str(workdir / "a"), str(workdir / "b"))
+    assert cli.main(["image", str(capture), *cfg, "-o", os.devnull, "--pgm-dir", str(workdir / "b")]) == 0
+    assert capsys.readouterr().out == expected
+    for pgm in (workdir / "a").iterdir():
+        assert (workdir / "b" / pgm.name).read_bytes() == pgm.read_bytes()
 
 
 @pytest.mark.parametrize("kind", ["symlink", "fifo"])
@@ -1114,3 +1217,46 @@ class TestSimulateInItsFile:
         capture = simulate.add_noise(capture, float(cfg["per_sample_snr_db"]), seed=5)
         formats.write_capture(capture, workdir / "memory.insarraw")
         assert out.read_bytes() == (workdir / "memory.insarraw").read_bytes()
+
+
+class TestImageInItsFile:
+    """The image stage adds its images into its output file, one pixel
+    block at a time; the file holds the bytes of the same stack made in
+    memory and written whole.  The float32 cos and sin of imaging may
+    differ between numpy SIMD paths, so this runs on each of them."""
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize(
+        "grid, n_blocks",
+        [
+            # 640 x 160 px: 7 blocks of whole rows
+            pytest.param("grid_origin_m = (-6.4, 3.2)\ngrid_extent_m = (12.8, 3.2)\npixel_size_m = 0.02\n", 7,
+                         id="whole rows"),
+            # 2 x 20 000 px: 4 blocks, each half a row
+            pytest.param("grid_extent_m = (0.004, 40.0)\npixel_size_m = 0.002\n", 4, id="parts of rows"),
+        ],
+    )
+    def test_file_equals_the_stack_made_in_memory(self, workdir, capsys, grid, n_blocks, threads):
+        from insarmap import configio, imaging
+
+        path = workdir / "radar.cfg"
+        # a key given twice keeps its last value; a 2 cm aperture holds 21
+        # cycles, in 3 cycle batches
+        path.write_text(CONFIG + "aperture_length_m = 0.02\n" + grid)
+        capture = simulate_capture(workdir)
+        out = workdir / "s.insarimg"
+        code = cli.main(["--threads", str(threads), "image", str(capture), "--config", str(path), "-o", str(out)])
+        assert code == 0
+
+        cfg = configio.parse_kv_file(path)
+        grid = configio.load_grid(cfg)
+        aperture = configio.load_aperture(cfg)
+        read = formats.read_capture(capture)
+        stack = imaging.image_stack(read, grid, aperture, threads=threads, **configio.load_imaging_options(cfg))
+        assert isinstance(stack.images, np.ndarray)
+        formats.write_image_stack(stack, workdir / "memory.insarimg")
+        assert out.read_bytes() == (workdir / "memory.insarimg").read_bytes()
+        n_cycles = np.unique(read.cycle[imaging._select_aperture(read, aperture)[0]]).size
+        assert n_cycles > 2 * imaging._CYCLE_BATCH
+        n_px = grid.n_u * grid.n_v
+        assert len(imaging._pixel_blocks(grid.n_u, grid.n_v, -(-n_px // imaging._BLOCK_PIXELS))) == n_blocks

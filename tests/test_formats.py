@@ -1,6 +1,8 @@
 """Binary artifact round trips and corruption handling."""
 
 import dataclasses
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -290,7 +292,9 @@ class TestImageStackFormat:
         # the planes are the pixels rounded to complex64, and read back as they are
         assert path.read_bytes().endswith(stack.images.astype("<c8").tobytes())
         assert back.images.dtype == np.complex64
-        assert back.images.tobytes() == stack.images.astype("<c8").tobytes()
+        # the planes stay in the file until they are read
+        assert isinstance(back.images, formats.StackFile)
+        assert np.asarray(back.images).tobytes() == stack.images.astype("<c8").tobytes()
 
     def test_version_check(self, tmp_path, small_e2e):
         path = tmp_path / "stack.insarimg"
@@ -300,6 +304,139 @@ class TestImageStackFormat:
         path.write_bytes(bytes(data))
         with pytest.raises(DataFormatError, match="version"):
             formats.read_image_stack(path)
+
+
+class TestStackFile:
+    """A stack whose planes stay in their INSARIMG file: read_image_stack
+    gives one, and stack_file makes one in the file it writes."""
+
+    APERTURE = im.Aperture(0.01)
+
+    @pytest.fixture(scope="class")
+    def stack(self, captures):
+        return im.image_stack(captures["rail"][0], APERTURE_GRID, self.APERTURE)
+
+    def test_blocks_read_from_the_file(self, tmp_path, stack):
+        path = tmp_path / "s.insarimg"
+        formats.write_image_stack(stack, path)
+        back = formats.read_image_stack(path)
+        assert isinstance(back.images, formats.StackFile)
+        assert (back.images.shape, back.images.dtype, len(back.images)) == (stack.images.shape, np.complex64, 12)
+        whole = (slice(None),)
+        for key in (
+            7, np.int64(-1), slice(2, 5),  # planes
+            whole + (slice(3, 6),),  # whole rows of every plane
+            whole + (4, slice(2, 9)),  # part of one row
+            whole + (slice(2, 5), slice(3, 7)),  # a block of parts of rows
+            (slice(1, 3), slice(None), 6),  # one column of two planes
+        ):
+            block = back.images[key]
+            assert block.dtype == np.complex64
+            assert block.shape == stack.images[key].shape
+            assert block.tobytes() == stack.images[key].tobytes()
+        assert [p.tobytes() for p in back.images] == [p.tobytes() for p in stack.images]
+        with pytest.raises(IndexError):
+            back.images[:, ::2]
+        with pytest.raises(ValueError, match="reading only"):
+            back.images[:, 0:1] = stack.images[:, 0:1]
+
+    def test_made_in_its_file(self, tmp_path, captures, stack):
+        path = tmp_path / "s.insarimg"
+        with formats.stack_file(path) as images:
+            made = im.image_stack(formats.read_capture(captures["rail"][1]), APERTURE_GRID, self.APERTURE,
+                                  images=images)
+            assert isinstance(made.images, formats.StackFile)
+            formats.write_image_stack(made, path)
+        memory = tmp_path / "memory.insarimg"
+        formats.write_image_stack(stack, memory)
+        assert path.read_bytes() == memory.read_bytes()
+        # once the file is closed, the stack reads its planes from it
+        assert np.asarray(made.images).tobytes() == stack.images.tobytes()
+        with pytest.raises(ValueError, match="reading only"):
+            made.images[:, 0:1] = stack.images[:, 0:1]
+
+    def test_workers_add_into_disjoint_blocks_through_one_file(self, tmp_path, stack):
+        # image_stack's workers read, add to and write back their own pixel
+        # blocks through the one file stack_file holds open; a write that
+        # lands at another thread's file position loses or misplaces a sum
+        n_vx, n_u, n_v = stack.images.shape
+        blocks = [(slice(None), slice(r, r + 1), slice(lo, lo + n_v // 2)) for r in range(n_u) for lo in (0, n_v // 2)]
+        rounds, failures = 40, []
+
+        def work(mine):
+            try:
+                for _ in range(rounds):
+                    for region in mine:
+                        sums = images[region]
+                        sums += 1.0
+                        images[region] = sums
+            except Exception as exc:  # reported by the test thread
+                failures.append(exc)
+
+        path = tmp_path / "s.insarimg"
+        with formats.stack_file(path) as start:
+            images = start(grid=stack.grid, array=stack.array, phase_center=stack.phase_center,
+                           aperture_length_m=stack.aperture_length_m, wavelength_m=stack.wavelength_m)
+            workers = [threading.Thread(target=work, args=(blocks[i::8],)) for i in range(8)]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                for worker in workers:
+                    worker.start()
+                for worker in workers:
+                    worker.join(timeout=120)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(worker.is_alive() for worker in workers)
+        assert failures == []
+        assert (np.asarray(formats.read_image_stack(path).images) == rounds).all()
+
+    def test_a_failure_leaves_the_output_as_it_was(self, tmp_path, captures):
+        path = tmp_path / "s.insarimg"
+        path.write_bytes(b"an earlier stack")
+        with pytest.raises(RuntimeError, match="stopped"):
+            with formats.stack_file(path) as images:
+                im.image_stack(captures["rail"][0], APERTURE_GRID, self.APERTURE, images=images)
+                raise RuntimeError("stopped")
+        assert path.read_bytes() == b"an earlier stack"
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_a_stack_cannot_overwrite_the_file_it_reads(self, tmp_path, stack):
+        path = tmp_path / "s.insarimg"
+        formats.write_image_stack(stack, path)
+        before = path.read_bytes()
+        back = formats.read_image_stack(path)
+        with pytest.raises(ConfigError, match="read from this file"):
+            formats.write_image_stack(back, path)
+        assert path.read_bytes() == before
+        # written elsewhere, it is the same file
+        formats.write_image_stack(back, tmp_path / "copy.insarimg")
+        assert (tmp_path / "copy.insarimg").read_bytes() == before
+
+    def test_non_finite_pixel_is_refused_as_it_is_read(self, tmp_path, stack):
+        path = tmp_path / "s.insarimg"
+        formats.write_image_stack(stack, path)
+        back = formats.read_image_stack(path)
+        n_u, n_v = APERTURE_GRID.n_u, APERTURE_GRID.n_v
+        data = bytearray(path.read_bytes())
+        at = back.images._start + 8 * (5 * n_u * n_v + 7 * n_v + 2)  # VX 5, row 7
+        data[at : at + 4] = np.float32(np.nan).tobytes()
+        path.write_bytes(bytes(data))
+        back = formats.read_image_stack(path)
+        assert back.images[:, :7].tobytes() == stack.images[:, :7].tobytes()
+        with pytest.raises(DataFormatError, match=f"{path}: VX 5 image holds non-finite pixels"):
+            back.images[:, 7:]
+        with pytest.raises(DataFormatError, match="VX 5 image holds non-finite pixels"):
+            im.build_elevation_map(back)
+
+    def test_a_file_cut_short_is_refused_as_it_is_read(self, tmp_path, stack):
+        path = tmp_path / "s.insarimg"
+        formats.write_image_stack(stack, path)
+        back = formats.read_image_stack(path)
+        path.write_bytes(path.read_bytes()[:-8])
+        assert back.images[0].tobytes() == stack.images[0].tobytes()
+        with pytest.raises(DataFormatError, match="truncated file while reading image planes"):
+            back.images[-1]
 
 
 class TestElevationMapFormat:
@@ -467,8 +604,11 @@ class TestFuzz:
         for case in self.damaged(artifacts[kind].read_bytes(), path):
             try:
                 loaded = reader(path)
-                if kind == "capture":  # the samples stay in the file until read
+                # the samples and the planes stay in the file until read
+                if kind == "capture":
                     np.asarray(loaded.samples)
+                elif kind == "stack":
+                    np.asarray(loaded.images)
             except DataFormatError:
                 pass
             except Exception as exc:

@@ -262,6 +262,39 @@ class TestCombineBaselines:
         assert intf.circular_variance.tobytes() == variance.tobytes()
         assert intf.combined_magnitude.tobytes() == np.mean(np.abs(images), axis=0).tobytes()
 
+    def test_row_blocks_give_the_floats_of_whole_planes(self, small_e2e, tmp_path):
+        # build_elevation_map works one block of grid rows at a time; on a
+        # grid of several blocks its planes must be the floats of the same
+        # operations over whole planes, in memory and from a stack file
+        from insarmap import formats, imaging
+
+        array = small_e2e["array"]
+        grid = im.ImageGrid(np.array([-4.0, 1.0]), np.array([8.0, 8.0]), 0.04)  # 200 x 200 px
+        assert len(imaging._row_blocks(grid)) == 3
+        rng = np.random.default_rng(3)
+        shape = (array.n_vx, grid.n_u, grid.n_v)
+        images = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)).astype(np.complex64)
+        images[[b.upper_vx for b in array.vertical_baselines][:2], 60:80] = 0.0
+        stack = im.SarImageStack(grid=grid, array=array, images=images, phase_center=np.zeros(3),
+                                 aperture_length_m=0.1, wavelength_m=small_e2e["stack"].wavelength_m)
+        wide = images.astype(np.complex128)
+        baselines = array.vertical_baselines
+        phase, variance = im.mean_phase_delay([wide[b.lower_vx] for b in baselines],
+                                              [wide[b.upper_vx] for b in baselines])
+        magnitude = np.mean(np.abs(wide), axis=0)
+        d_v = baselines[0].separation_m
+        arg = stack.wavelength_m * phase / (4.0 * np.pi * d_v)
+        elevation = np.where(np.abs(arg) <= 1.0, np.arcsin(np.clip(arg, -1.0, 1.0)), np.nan)
+        path = tmp_path / "s.insarimg"
+        formats.write_image_stack(stack, path)
+        for emap in (im.build_elevation_map(stack), im.build_elevation_map(formats.read_image_stack(path))):
+            intf = emap.interferogram
+            assert intf.mean_phase_delay.tobytes() == phase.tobytes()
+            assert intf.circular_variance.tobytes() == variance.tobytes()
+            assert intf.combined_magnitude.tobytes() == magnitude.tobytes()
+            assert intf.snr_db.tobytes() == im.snr_map(magnitude).tobytes()
+            assert emap.elevation.tobytes() == elevation.tobytes()
+
     def test_complex64_stack_maps_to_the_bits_of_its_widening(self, small_e2e):
         # SarImageStack rounds a complex128 stack to complex64, so the
         # widened stack maps to the floats of the complex64 stack it came from

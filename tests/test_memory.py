@@ -1,20 +1,22 @@
-"""Peak memory of the capture, image and elevate paths.
+"""Peak memory of the capture, image, elevate and pointcloud paths.
 
 numpy reports its array allocations to tracemalloc, so a traced peak is
 the bytes of every array a call held at once.  Each bound is the arrays the
 call must hold plus one work block or plane; anything the size of a second
 copy of the samples or of the stack fails it.  The CLI's simulate and
 image stages keep the capture's samples in its file, so their bounds hold
-no capture at all.
+no capture at all; its image and elevate stages keep the stack in its file
+too, so theirs hold one block of it.
 """
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import insarmap as im
-from insarmap import cli, formats, imaging
+from insarmap import cli, formats, imaging, pointcloud
 from insarmap import simulate as sim
 
 from conftest import make_rail_trajectory, own_samples
@@ -205,14 +207,17 @@ def test_aperture_read_allocates_the_aperture_samples_one_block_and_the_columns(
 
 
 GRID = im.ImageGrid(np.array([-2.0, 2.0]), np.array([8.0, 8.0]), 0.04)  # 200 x 200 px
+# 400 x 400 px in 10 blocks of 40 rows: the 12-VX complex64 stack, 15.4 MB,
+# outweighs what the streamed stages hold besides one block of it
+WIDE_GRID = im.ImageGrid(np.array([-8.0, 1.0]), np.array([16.0, 16.0]), 0.04)
 WAVELENGTH = 0.0039
 
 
-def random_stack(array, seed=0):
+def random_stack(array, grid=GRID, seed=0):
     rng = np.random.default_rng(seed)
-    shape = (array.n_vx, GRID.n_u, GRID.n_v)
+    shape = (array.n_vx, grid.n_u, grid.n_v)
     return im.SarImageStack(
-        grid=GRID,
+        grid=grid,
         array=array,
         images=rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
         phase_center=np.zeros(3),
@@ -221,21 +226,38 @@ def random_stack(array, seed=0):
     )
 
 
+def in_memory(stack):
+    """stack with every plane read from its file into memory."""
+    return dataclasses.replace(stack, images=np.asarray(stack.images))
+
+
 def test_read_image_stack_peaks_at_the_stack_and_one_plane(tmp_path):
     stack = random_stack(im.default_virtual_array(WAVELENGTH))
     path = tmp_path / "stack.insarimg"
     formats.write_image_stack(stack, path)
-    back, peak = traced_peak(lambda: formats.read_image_stack(path))
+    # the stack and every one of its planes, read from the file
+    images, peak = traced_peak(lambda: np.asarray(formats.read_image_stack(path).images))
     # the file's complex64 planes, read straight into the stack
     assert peak <= stack.images.size * np.dtype(np.complex64).itemsize + SLACK
-    assert back.images.dtype == np.complex64
+    assert images.dtype == np.complex64 and images.tobytes() == stack.images.tobytes()
+
+
+def test_read_image_stack_holds_no_plane(tmp_path):
+    stack = random_stack(im.default_virtual_array(WAVELENGTH))
+    path = tmp_path / "stack.insarimg"
+    formats.write_image_stack(stack, path)
+    back, peak = traced_peak(lambda: formats.read_image_stack(path))
+    # the header; the planes stay in the file
+    assert peak <= SLACK
+    assert isinstance(back.images, formats.StackFile)
 
 
 def test_elevate_path_holds_the_complex64_stack_and_a_few_wide_planes(tmp_path):
+    # the elevate path on a stack read whole into memory
     array = im.default_virtual_array(WAVELENGTH)
     path = tmp_path / "stack.insarimg"
     formats.write_image_stack(random_stack(array), path)
-    _, peak = traced_peak(lambda: im.build_elevation_map(formats.read_image_stack(path)))
+    _, peak = traced_peak(lambda: im.build_elevation_map(in_memory(formats.read_image_stack(path))))
     stack = array.n_vx * GRID.n_u * GRID.n_v * np.dtype(np.complex64).itemsize
     plane = GRID.n_u * GRID.n_v * np.dtype(np.complex128).itemsize
     # mean_phase_delay's running sums and its one reused set of per-baseline
@@ -297,3 +319,93 @@ def test_image_stage_peak_magnitude_takes_one_plane_at_a_time():
     # for the whole complex64 stack's
     plane = GRID.n_u * GRID.n_v * np.dtype(np.float64).itemsize
     assert traced <= plane + SLACK
+
+
+def largest_block(grid, blocks):
+    """The most pixels any of blocks, (u_lo, u_hi, v_lo, v_hi), holds."""
+    return max((u_hi - 1 - u_lo) * grid.n_v + v_hi - v_lo for u_lo, u_hi, v_lo, v_hi in blocks)
+
+
+def largest_row_block(grid):
+    """The most pixels any block of imaging._row_blocks holds."""
+    return max(rows.stop - rows.start for rows in imaging._row_blocks(grid)) * grid.n_v
+
+
+def test_image_stage_in_its_file_holds_one_pixel_block_of_the_stack(clean_capture, tmp_path):
+    # the CLI's image stage: the samples stay in the capture file, and the
+    # stack is made in its own, one pixel block at a time
+    path = tmp_path / "capture.insarraw"
+    formats.write_capture(im.add_noise(own_samples(clean_capture), 20.0, seed=1), path)
+    out = tmp_path / "stack.insarimg"
+    aperture = im.Aperture(0.004)  # 21 cycles, 3 cycle batches
+
+    def stage():
+        with formats.stack_file(out) as images:
+            stack = im.image_stack(formats.read_capture(path), WIDE_GRID, aperture, images=images)
+            formats.write_image_stack(stack, out)
+        return stack
+
+    stack, peak = traced_peak(stage)
+    array, (n_records, n) = clean_capture.array, clean_capture.samples.shape
+    n_px = WIDE_GRID.n_u * WIDE_GRID.n_v
+    n_blocks = -(-n_px // imaging._BLOCK_PIXELS)
+    block_px = largest_block(WIDE_GRID, imaging._pixel_blocks(WIDE_GRID.n_u, WIDE_GRID.n_v, n_blocks))
+    # a pixel block's buffers, as in the image_stack test above, and the
+    # block's slices of every VX, read from the file and written back
+    n_elements = len(np.unique(np.concatenate([array.tx_positions, array.rx_positions]), axis=0))
+    block = block_px * (array.n_vx * (8 + 2) + n_elements * (8 + 8 + 8 + 4) + 8 + 8 + 8 + 8 + 8)
+    block += array.n_vx * block_px * np.dtype(np.complex64).itemsize
+    # one cycle batch, as in the image-stage test above
+    batch_rows = imaging._CYCLE_BATCH * array.n_tx * array.n_rx
+    batch = batch_rows * (n * (8 + 16 + 4 * 16) + formats._record_dtype(n).itemsize)
+    bound = block + batch + COLUMN_BYTES_PER_RECORD * n_records + SLACK
+    assert peak <= bound
+    # the stack would not fit
+    assert bound < array.n_vx * n_px * np.dtype(np.complex64).itemsize
+    assert isinstance(stack.images, formats.StackFile)
+
+
+def test_elevate_stage_holds_the_map_planes_and_one_block_of_rows(tmp_path):
+    # the CLI's elevate stage: the stack stays in its file, and each block
+    # of rows of every plane is read as it is combined
+    array = im.default_virtual_array(WAVELENGTH)
+    path = tmp_path / "stack.insarimg"
+    formats.write_image_stack(random_stack(array, WIDE_GRID), path)
+    emap, peak = traced_peak(lambda: im.build_elevation_map(formats.read_image_stack(path)))
+    n_px = WIDE_GRID.n_u * WIDE_GRID.n_v
+    # the map's five float64 planes, or, while snr_map runs, the three
+    # combined planes, the median's copy of the magnitude and the ratio
+    planes = 5 * n_px * np.dtype(np.float64).itemsize
+    # one block of rows: its complex64 slices of every VX, mean_phase_delay's
+    # four complex128 and two 8-byte buffers, and a dozen float64
+    # temporaries (its results, the widened plane and magnitude, and the
+    # elevation's)
+    block = largest_row_block(WIDE_GRID) * (array.n_vx * 8 + 4 * 16 + 2 * 8 + 12 * 8)
+    bound = planes + block + SLACK
+    assert peak <= bound
+    # the stack would not fit
+    assert bound < array.n_vx * n_px * np.dtype(np.complex64).itemsize
+    assert emap.elevation.shape == (WIDE_GRID.n_u, WIDE_GRID.n_v)
+
+
+def test_pointcloud_stage_holds_the_map_planes_and_one_block_of_temporaries(tmp_path):
+    path = tmp_path / "map.insarelv"
+    formats.write_elevation_map(im.build_elevation_map(random_stack(im.default_virtual_array(WAVELENGTH), WIDE_GRID)),
+                                path)
+    # thresholds that keep about a sixth of the random map's pixels
+    cfg = pointcloud.FilterConfig(snr_threshold_db=0.0, max_circular_variance=1.0)
+    cloud, peak = traced_peak(lambda: pointcloud.filter_points(formats.read_elevation_map(path), cfg))
+    n_px = WIDE_GRID.n_u * WIDE_GRID.n_v
+    planes = 5 * n_px * np.dtype(np.float64).itemsize
+    # beside the map's five float64 planes, the read holds one float32 plane
+    # and InterferogramGrid's check one float64 plane and three masks; the
+    # filter, one block of rows' dozen float64 and dozen bool temporaries,
+    # and the kept points' six float64 columns, per block and joined
+    read = n_px * (4 + 8 + 3)
+    kept = 2 * len(cloud) * 6 * np.dtype(np.float64).itemsize
+    block = largest_row_block(WIDE_GRID) * (12 * 8 + 12)
+    bound = planes + max(read, block + kept) + SLACK
+    assert peak <= bound
+    assert len(cloud) > n_px / 10
+    # the stack the map was made from would not fit
+    assert bound < 12 * n_px * np.dtype(np.complex64).itemsize

@@ -175,6 +175,48 @@ class TestFilterChain:
         assert len(cloud) == 0
         assert cloud.stats.rejected["front_cone"] == 1
 
+    def test_row_blocks_give_the_points_of_whole_planes(self):
+        # filter_points works one block of grid rows at a time; on a grid of
+        # several blocks its points and counts must be those of the same
+        # operations over whole planes, in grid order
+        from insarmap import imaging
+        from insarmap.pointcloud import _wrap_angle
+
+        emap = synthetic_map(np.random.default_rng(11), n=300)
+        assert len(imaging._row_blocks(emap.grid)) == 6
+        cfg = im.FilterConfig(snr_threshold_db=0.0, max_circular_variance=0.3, min_radius_m=3.0, sensor_height_m=1.0)
+        intf, pc = emap.interferogram, emap.phase_center
+        du = emap.grid.u_centers()[:, None] - pc[0]
+        dv = emap.grid.v_centers()[None, :] - pc[1]
+        r, theta, eps = np.hypot(du, dv), np.arctan2(dv, du), emap.elevation
+        with np.errstate(invalid="ignore", divide="ignore"):
+            phi = np.arcsin(np.sin(eps) / np.sin(theta))
+        s_x, s_y, s_z = im.spherical_to_cartesian(r, theta, phi)
+        has_phi = np.isfinite(phi)
+        with np.errstate(invalid="ignore"):
+            ok_elev = np.abs(eps) <= np.deg2rad(cfg.max_elevation_angle_deg)
+            cone = (r < cfg.min_radius_m) & (
+                np.abs(_wrap_angle(theta - np.deg2rad(cfg.front_azimuth_deg)))
+                <= np.deg2rad(cfg.front_azimuth_halfwidth_deg)
+            )
+            ok_z = s_z >= cfg.resolved_min_z_m
+        ok_snr, ok_var = intf.snr_db >= cfg.snr_threshold_db, intf.circular_variance <= cfg.max_circular_variance
+        keep = has_phi & ok_snr & ok_var & ok_elev & ~cone & ok_z
+        cloud = im.filter_points(emap, cfg)
+        assert 0 < len(cloud) < keep.size
+        for got, want in ((cloud.x, s_x), (cloud.y, s_y), (cloud.z, s_z), (cloud.intensity, intf.combined_magnitude),
+                          (cloud.snr_db, intf.snr_db), (cloud.circular_variance, intf.circular_variance)):
+            assert got.tobytes() == want[keep].tobytes()
+        assert cloud.stats.candidates == keep.size and cloud.stats.kept == np.count_nonzero(keep)
+        assert cloud.stats.rejected == {
+            "no_elevation": np.count_nonzero(~has_phi),
+            "snr": np.count_nonzero(~ok_snr),
+            "circular_variance": np.count_nonzero(~ok_var),
+            "elevation_angle": np.count_nonzero(has_phi & ~ok_elev),
+            "front_cone": np.count_nonzero(cone),
+            "underground": np.count_nonzero(has_phi & ~ok_z),
+        }
+
     def test_empty_cloud_is_legal(self):
         rng = np.random.default_rng(1)
         emap = synthetic_map(rng)
