@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import os
 import sys
 import time
 import warnings
@@ -52,7 +53,7 @@ def _cmd_simulate(args) -> int:
     pattern_cos_power = configio._number(cfg, "element_pattern_cos_power")
     snr_db = configio._number(cfg, "per_sample_snr_db", float("inf"))
     # the capture is synthesized and noised in its output file, which holds
-    # its samples; a failure removes the file
+    # its samples; a failure leaves the output as it was
     with formats.capture_file(args.output) as samples:
         capture = simulate.synthesize_capture(
             scene, traj, chirp, array, window, pattern_cos_power=pattern_cos_power, samples=samples
@@ -80,11 +81,17 @@ def _cmd_image(args) -> int:
     options = configio.load_imaging_options(cfg)
     # the samples stay in the file: image_stack reads the aperture's records
     # a cycle batch at a time, and adds them into the stack in its output
-    # file a pixel block at a time; a failure leaves the output as it was
+    # file a pixel block at a time; a failure, the PGMs' included, leaves
+    # the output as it was
     capture = formats.read_capture(args.capture)
     with formats.stack_file(args.output) as images:
         stack = imaging.image_stack(capture, grid, aperture, threads=args.threads, images=images, **options)
         formats.write_image_stack(stack, args.output)
+        if args.pgm_dir:
+            pgm_dir = Path(args.pgm_dir)
+            pgm_dir.mkdir(parents=True, exist_ok=True)
+            for k in range(stack.array.n_vx):
+                formats.write_pgm(stack.images[k], pgm_dir / f"vx{k:02d}.pgm")
     peak = _peak_magnitude(stack.images)
     print(f"[image] wrote {args.output}")
     print(
@@ -93,10 +100,6 @@ def _cmd_image(args) -> int:
         f"peak |I| = {peak:.4g}"
     )
     if args.pgm_dir:
-        pgm_dir = Path(args.pgm_dir)
-        pgm_dir.mkdir(parents=True, exist_ok=True)
-        for k in range(stack.array.n_vx):
-            formats.write_pgm(stack.images[k], pgm_dir / f"vx{k:02d}.pgm")
         print(f"[image] dumped {stack.array.n_vx} log-magnitude PGMs to {pgm_dir}")
     return 0
 
@@ -151,12 +154,16 @@ def _filter_report(cloud: pointcloud.ElevationPointCloud, cfg: pointcloud.Filter
 
 
 def _cmd_pointcloud(args) -> int:
+    # each output replaces its path when done, so one would silently replace
+    # the other
+    if args.csv and os.path.realpath(args.csv) == os.path.realpath(args.output):
+        raise ConfigError(f"--csv {args.csv} is the -o output")
     cfg = _load_config(args.config)
     emap = formats.read_elevation_map(args.map)
     fcfg = configio.load_filter_config(cfg)
     cloud = pointcloud.filter_points(emap, fcfg)
     # every output is opened before any is written, so one that cannot be
-    # opened or written leaves none of them behind
+    # opened or written leaves every output as it was
     with contextlib.ExitStack() as outputs:
         pcd, csv = [
             outputs.enter_context(pointcloud._open_output(p)) if p else None for p in (args.output, args.csv)

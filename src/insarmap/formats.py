@@ -27,6 +27,10 @@ INSARELV (elevation map)
     five f32 planes: elevation (NaN = absent), mean phase delay,
     circular variance, combined magnitude, snr_db.
 
+Every writer opens its output through _replacing: a regular file is made
+beside the output and replaces it only when the writer is done, so a writer
+that fails leaves the output as it was.
+
 An INSARRAW file is also where a capture's samples are worked on: a
 CaptureFile holds a capture's samples in the file's records, and reads and
 writes them a block of records at a time.  The simulate stage synthesizes
@@ -72,24 +76,6 @@ _CHIRP_FORMAT = "<ddIddII"
 _BLOCK_ROWS = 256
 # write_pgm clips magnitudes this far below the image peak
 _PGM_FLOOR_DB = -60.0
-
-
-@contextmanager
-def _writing(path, mode: str = "wb", **kwargs):
-    """Open path for writing, by open(path, mode, **kwargs).  A writer that
-    raises leaves no file behind: it removes the regular file it opened, but
-    never a device, a pipe or a symlink given as path (such as /dev/null or
-    /dev/stdout)."""
-    with open(path, mode, **kwargs) as fh:
-        try:
-            yield fh
-        except BaseException:
-            opened = os.fstat(fh.fileno())
-            fh.close()
-            with suppress(OSError):
-                if stat.S_ISREG(opened.st_mode) and os.path.samestat(os.lstat(path), opened):
-                    os.remove(path)
-            raise
 
 
 @contextmanager
@@ -194,15 +180,6 @@ class _FileStore:
         """Whether this store still writes its file through an open handle."""
         return self._writer is not None and not self._writer.closed
 
-    def _is_at(self, path) -> bool:
-        """Whether path names this store's file, or, while capture_file or
-        stack_file makes it, the file it will replace."""
-        if self._writes():
-            return os.path.realpath(path) == os.path.realpath(self.path)
-        with suppress(OSError):
-            return os.path.samestat(os.stat(self.path), os.stat(path))
-        return False
-
     @contextmanager
     def _file(self):
         """The file to read, positioned anywhere."""
@@ -214,16 +191,14 @@ class _FileStore:
                 yield fh
 
 
-def _written(store, path, what: str) -> bool:
+def _written(store, path) -> bool:
     """Whether store is a file store that capture_file or stack_file is
-    making at path, so the artifact is already written there.  Raises
-    ConfigError when store reads the file at path, which the artifact
-    cannot be written over."""
-    if not (isinstance(store, _FileStore) and store._is_at(path)):
-        return False
-    if store._writes():
-        return True
-    raise ConfigError(f"{path}: {what} are read from this file, which it cannot overwrite")
+    making at path, so the artifact is already written there."""
+    return (
+        isinstance(store, _FileStore)
+        and store._writes()
+        and os.path.realpath(path) == os.path.realpath(store.path)
+    )
 
 
 class CaptureFile(_FileStore, SampleStore):
@@ -319,30 +294,37 @@ def _start_capture(fh, path, config, array, tx, rx, cycle, time_s, poses, pose_i
 
 
 @contextmanager
-def _replacing(path):
-    """Yield a new file beside path, open for reading and writing, which
-    replaces path when the block ends without an error: the file a symlink
-    at path names, with the permission bits of the file it replaces.  An
-    error inside the block removes the new file and leaves path as it was,
-    and an OSError on the new file (say, in a missing folder) names path.
-    An existing path that is not a regular file (a pipe or a device, such
-    as /dev/null) cannot be read back: nothing is opened, and None is
-    yielded."""
+def _replacing(path, mode: str = "b", **kwargs):
+    """Open the output at path for a writer, in mode "b" (bytes) or "t"
+    (text, with open's **kwargs), and yield it.
+
+    A regular path, or one that does not exist yet, is written as a new file
+    beside it, open for reading and writing, which replaces path when the
+    block ends without an error: the file a symlink at path names, with the
+    permission bits of the file it replaces.  An error inside the block
+    removes the new file and leaves path as it was, and an OSError on the
+    new file (say, in a missing folder) names path.  So no output is
+    truncated before its writer is done, and an artifact may be written
+    over the file it is read from.  Any other path (a pipe or a device,
+    such as /dev/null) is opened for writing only, and written in order.
+    """
     if os.path.exists(path) and not os.path.isfile(path):
-        yield None
+        with open(path, "w" + mode, **kwargs) as fh:
+            yield fh
         return
     target = os.path.realpath(path)
     folder, name = os.path.split(target)
     part = os.path.join(folder, f".{name}.{os.urandom(4).hex()}.part")
     try:
-        with _writing(part, "x+b") as fh:
+        with open(part, "x+" + mode, **kwargs) as fh:
             if os.path.exists(target):
                 os.chmod(fh.fileno(), stat.S_IMODE(os.stat(target).st_mode))
             yield fh
-            fh.flush()
-            os.replace(part, target)
-    except OSError as exc:
-        if exc.filename == part:
+        os.replace(part, target)
+    except BaseException as exc:
+        with suppress(OSError):
+            os.remove(part)
+        if isinstance(exc, OSError) and exc.filename == part:
             exc.filename = os.fspath(path)
         raise
 
@@ -356,14 +338,13 @@ def capture_file(path):
     straight into a new file beside path, add_noise reads, noises and
     writes the rows back there, and write_capture(capture, path) finds the
     capture written: the simulate stage holds the per-record columns and a
-    few blocks, never the samples of a whole capture.  When the block ends
-    without an error, the new file replaces path; an error inside the block
-    removes it and leaves path as it was (see _replacing).  An existing
-    path that is not a regular file, such as /dev/null, yields None, so the
-    capture is made in memory and write_capture writes it.
+    few blocks, never the samples of a whole capture.  The new file
+    replaces path when the block ends without an error (see _replacing).
+    An output that cannot be read back, such as /dev/null, yields None, so
+    the capture is made in memory and write_capture writes it.
     """
     with _replacing(path) as fh:
-        yield None if fh is None else functools.partial(_start_capture, fh, path)
+        yield functools.partial(_start_capture, fh, path) if fh.readable() else None
 
 
 def write_capture(capture: RawCapture, path) -> None:
@@ -372,12 +353,12 @@ def write_capture(capture: RawCapture, path) -> None:
     holds them at the file's precision, complex64, and finite.
 
     A capture that capture_file(path) is making is already written, so
-    nothing is written.  A capture whose samples are read from the file at
-    path cannot be written over it, and raises ConfigError."""
+    nothing is written.  The output is opened by _replacing, so a capture
+    read from path may be written over it."""
     samples = capture.samples
-    if _written(samples, path, "the capture's samples"):
+    if _written(samples, path):
         return
-    with _writing(path) as fh:
+    with _replacing(path) as fh:
         out = _start_capture(
             fh, path, capture.config, capture.array, capture.tx, capture.rx, capture.cycle,
             capture.time_s, capture.poses, capture.pose_index,
@@ -544,14 +525,13 @@ def stack_file(path):
     beside path, and adds each cycle batch into one pixel block of the
     planes there at a time; write_image_stack(stack, path) finds the stack
     written, so the image stage holds one block of the stack, never all of
-    it.  When the block ends without an error, the new file replaces path;
-    an error inside the block removes it and leaves path as it was (see
-    _replacing).  An existing path that is not a regular file, such as
+    it.  The new file replaces path when the block ends without an error
+    (see _replacing).  An output that cannot be read back, such as
     /dev/null, yields None, so the stack is made in memory and
     write_image_stack writes it.
     """
     with _replacing(path) as fh:
-        yield None if fh is None else functools.partial(_start_stack, fh, path)
+        yield functools.partial(_start_stack, fh, path) if fh.readable() else None
 
 
 def write_image_stack(stack: SarImageStack, path) -> None:
@@ -559,11 +539,11 @@ def write_image_stack(stack: SarImageStack, path) -> None:
     them, the file's precision, one plane at a time.
 
     A stack that stack_file(path) is making is already written, so nothing
-    is written.  A stack whose planes are read from the file at path cannot
-    be written over it, and raises ConfigError."""
-    if _written(stack.images, path, "the stack's images"):
+    is written.  The output is opened by _replacing, so a stack read from
+    path may be written over it."""
+    if _written(stack.images, path):
         return
-    with _writing(path) as fh:
+    with _replacing(path) as fh:
         _write_stack_header(
             fh, stack.grid, stack.array, stack.phase_center, stack.aperture_length_m, stack.wavelength_m
         )
@@ -602,11 +582,11 @@ def read_image_stack(path) -> SarImageStack:
 
 
 def write_elevation_map(emap: ElevationMap, path) -> None:
-    """Write an INSARELV map.  Raises ConfigError, and leaves no file, for a
-    finite value beyond float32's range (NaN elevations and -inf SNRs are
-    stored as they are)."""
+    """Write an INSARELV map.  Raises ConfigError, and leaves path as it
+    was, for a finite value beyond float32's range (NaN elevations and -inf
+    SNRs are stored as they are)."""
     intf = emap.interferogram
-    with _writing(path) as fh:
+    with _replacing(path) as fh:
         _write_preamble(fh, MAGIC_ELV)
         _write_grid(fh, emap.grid)
         fh.write(np.asarray(emap.phase_center, dtype="<f8").tobytes())
@@ -677,6 +657,6 @@ def write_pgm(image: np.ndarray, path) -> None:
         db = np.maximum(db, _PGM_FLOOR_DB)
     scaled = np.round((db - _PGM_FLOOR_DB) / (-_PGM_FLOOR_DB) * 65535.0).astype(">u2")
     scaled = scaled.T  # (n_v, n_u): image row = cross-track line
-    with open(path, "wb") as fh:
+    with _replacing(path) as fh:
         fh.write(f"P5\n{scaled.shape[1]} {scaled.shape[0]}\n65535\n".encode("ascii"))
         fh.write(scaled.tobytes())

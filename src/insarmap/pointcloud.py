@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataFormatError
-from .formats import _writing
+from .formats import _replacing
 from .imaging import _row_blocks
 from .interferometry import ElevationMap
 
@@ -203,22 +203,21 @@ def _write_rows(fh, row: str, columns) -> None:
 
 
 def _open_output(path):
-    """path opened for ASCII text by formats._writing, so a writer that
-    fails leaves no file."""
-    return _writing(path, "w", encoding="ascii", newline="\n")
+    """path opened for ASCII text by formats._replacing, so a writer that
+    fails leaves the output as it was."""
+    return _replacing(path, "t", encoding="ascii", newline="\n")
 
 
 def _output(path):
     """A writer's output: path opened by _open_output, or path itself when
-    it is a text file already open for writing.  A file is opened once: a
-    second truncating open makes ext4 flush it to disk at close."""
+    it is a text file already open for writing."""
     return nullcontext(path) if hasattr(path, "write") else _open_output(path)
 
 
 def write_pcd(cloud: ElevationPointCloud, path) -> None:
     """Write an ASCII PCD v0.7 file with x/y/z/intensity fields.  path is a
     path, or a text file open for writing.  A write to a path that fails
-    leaves no file, as formats' writers do."""
+    leaves the output as it was, as formats' writers do."""
     n = len(cloud)
     for arr in (cloud.x, cloud.y, cloud.z, cloud.intensity):
         if not np.isfinite(arr).all():
@@ -290,7 +289,7 @@ def read_pcd(path) -> dict[str, np.ndarray]:
 def write_csv(cloud: ElevationPointCloud, path) -> None:
     """CSV export with the quality attributes kept for analysis.  path is a
     path, or a text file open for writing.  A write to a path that fails
-    leaves no file, as formats' writers do."""
+    leaves the output as it was, as formats' writers do."""
     columns = (cloud.x, cloud.y, cloud.z, cloud.intensity, cloud.snr_db, cloud.circular_variance)
     with _output(path) as fh:
         fh.write("x,y,z,intensity,snr_db,circ_var\n")

@@ -268,6 +268,31 @@ def test_pgm_dump(workdir, capsys):
     assert files[0].read_bytes().startswith(b"P5\n")
 
 
+def test_pgm_dir_that_cannot_be_made_leaves_the_output_as_it_was(workdir, capsys):
+    # the PGMs are written before the stack replaces -o; a --pgm-dir that
+    # is a file used to fail the stage after -o was replaced
+    assert cli.main(
+        ["--seed", "2", "simulate", str(workdir / "scene.csv"), str(workdir / "traj.csv"),
+         "--config", str(workdir / "radar.cfg"), "-o", str(workdir / "cap.insarraw")]
+    ) == 0
+    out = workdir / "s.insarimg"
+    out.write_bytes(b"an earlier stack")
+    taken = workdir / "taken"
+    taken.write_bytes(b"a file")
+    before = sorted(workdir.iterdir())
+    capsys.readouterr()
+    argv = ["image", str(workdir / "cap.insarraw"), "--config", str(workdir / "radar.cfg"), "-o", str(out)]
+    assert cli.main(argv + ["--pgm-dir", str(taken)]) == 2
+    assert "[Errno 17] File exists" in capsys.readouterr().err
+    assert out.read_bytes() == b"an earlier stack"
+    assert sorted(workdir.iterdir()) == before
+    # once the folder can be made, the report's lines keep their order
+    assert cli.main(argv + ["--pgm-dir", str(workdir / "pgms")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[1] for line in lines] == ["wrote", "12", "dumped"]
+    assert len(list((workdir / "pgms").glob("vx*.pgm"))) == 12
+
+
 def test_elevate_without_baselines_is_a_domain_error(workdir, capsys):
     (workdir / "flat.cfg").write_text(
         CONFIG + "tx_positions_m = [(0, 0, 0)]\nrx_positions_m = [(0, 0, 0)]\nnum_tx = 1\n"
@@ -1116,6 +1141,28 @@ def test_unwritable_csv_leaves_no_pcd(workdir, capsys):
     assert "error: [Errno 21] Is a directory" in capsys.readouterr().err
     assert not pcd.exists()
     assert taken.is_dir() and not any(taken.iterdir())
+
+
+@pytest.mark.parametrize("kind", ["same path", "symlink"])
+def test_csv_over_the_pcd_is_a_config_error(workdir, capsys, kind):
+    # each output replaces its path when done, so one would replace the
+    # other; the CSV used to be written over the PCD at exit 0
+    out, code = run_pipeline(workdir, workdir / "radar.cfg")
+    assert code == 0
+    pcd = workdir / "cloud.pcd"
+    pcd.write_text("an earlier cloud\n")
+    csv = pcd
+    if kind == "symlink":
+        csv = workdir / "link.csv"
+        csv.symlink_to(pcd)
+    before = sorted(workdir.iterdir())
+    capsys.readouterr()
+    code = cli.main(["pointcloud", str(out / "elevation.insarelv"), "--config", str(workdir / "radar.cfg"),
+                     "-o", str(pcd), "--csv", str(csv)])
+    assert code == 2
+    assert "is the -o output" in capsys.readouterr().err
+    assert pcd.read_text() == "an earlier cloud\n"
+    assert sorted(workdir.iterdir()) == before
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")

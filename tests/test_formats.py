@@ -224,14 +224,16 @@ class TestCaptureFile:
         expected = dataclasses.replace(back, samples=np.asarray(back.samples))
         assert again.samples.tobytes() == im.add_noise(expected, 10.0, seed=1).samples.tobytes()
 
-    def test_a_capture_cannot_overwrite_the_file_it_reads(self, tmp_path, noisy):
+    def test_a_capture_may_be_written_over_the_file_it_reads(self, tmp_path, noisy):
+        # the new file replaces the one the samples are read from only once
+        # every record is copied; the write used to be refused
         path = tmp_path / "c.insarraw"
         formats.write_capture(noisy, path)
         before = path.read_bytes()
         back = formats.read_capture(path)
-        with pytest.raises(ConfigError, match="read from this file"):
-            formats.write_capture(back, path)
+        formats.write_capture(back, path)
         assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
         # written elsewhere, it is the same file
         formats.write_capture(back, tmp_path / "copy.insarraw")
         assert (tmp_path / "copy.insarraw").read_bytes() == before
@@ -401,14 +403,16 @@ class TestStackFile:
         assert path.read_bytes() == b"an earlier stack"
         assert list(tmp_path.iterdir()) == [path]
 
-    def test_a_stack_cannot_overwrite_the_file_it_reads(self, tmp_path, stack):
+    def test_a_stack_may_be_written_over_the_file_it_reads(self, tmp_path, stack):
+        # the new file replaces the one the planes are read from only once
+        # every plane is copied; the write used to be refused
         path = tmp_path / "s.insarimg"
         formats.write_image_stack(stack, path)
         before = path.read_bytes()
         back = formats.read_image_stack(path)
-        with pytest.raises(ConfigError, match="read from this file"):
-            formats.write_image_stack(back, path)
+        formats.write_image_stack(back, path)
         assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
         # written elsewhere, it is the same file
         formats.write_image_stack(back, tmp_path / "copy.insarimg")
         assert (tmp_path / "copy.insarimg").read_bytes() == before
@@ -479,6 +483,12 @@ class TestElevationMapFormat:
         with pytest.raises(ConfigError, match="combined magnitude plane holds values beyond float32 range"):
             formats.write_elevation_map(big, path)
         assert not path.exists()
+        # an existing map is left as it was, and no new file beside it
+        path.write_bytes(b"an earlier map")
+        with pytest.raises(ConfigError, match="combined magnitude plane holds values beyond float32 range"):
+            formats.write_elevation_map(big, path)
+        assert path.read_bytes() == b"an earlier map"
+        assert list(tmp_path.iterdir()) == [path]
 
     @pytest.mark.parametrize("plane, name", [(1, "phase"), (2, "variance"), (3, "magnitude"), (4, "SNR")])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -539,6 +549,38 @@ class TestPgm:
         assert int(dims[0]) == stack.grid.n_u
         assert int(dims[1]) == stack.grid.n_v
         assert len(rest) == 2 * stack.grid.n_u * stack.grid.n_v
+
+    def test_a_failing_write_leaves_an_existing_pgm(self, tmp_path, small_e2e, monkeypatch):
+        # the disk fills after the header: the PGM used to be left half written
+        class DiskFull:
+            def __init__(self, fh):
+                self.fh, self.writes = fh, []
+
+            def __getattr__(self, name):
+                return getattr(self.fh, name)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                if self.writes:
+                    raise OSError(28, "No space left on device")
+                self.writes.append(data)
+                return self.fh.write(data)
+
+        opened = []
+        monkeypatch.setattr(formats, "open", lambda *a, **k: opened.append(DiskFull(open(*a, **k))) or opened[-1],
+                            raising=False)
+        path = tmp_path / "vx00.pgm"
+        path.write_bytes(b"an earlier PGM")
+        with pytest.raises(OSError, match="No space left"):
+            formats.write_pgm(small_e2e["stack"].images[0], path)
+        assert opened[0].writes[0].startswith(b"P5\n")
+        assert path.read_bytes() == b"an earlier PGM"
+        assert list(tmp_path.iterdir()) == [path]
 
 
 class TestFuzz:

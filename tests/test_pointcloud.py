@@ -385,10 +385,17 @@ class TestPcdIo:
             raise OSError(28, "No space left on device")
 
         monkeypatch.setattr(im.pointcloud, "_write_rows", fail)
+        cloud = self.make_cloud(10, np.random.default_rng(5))
         path = tmp_path / "cloud.out"
         with pytest.raises(OSError, match="No space left"):
-            getattr(im, writer)(self.make_cloud(10, np.random.default_rng(5)), path)
+            getattr(im, writer)(cloud, path)
         assert not path.exists()
+        # an existing output is left as it was, and no new file beside it
+        path.write_text("an earlier cloud\n")
+        with pytest.raises(OSError, match="No space left"):
+            getattr(im, writer)(cloud, path)
+        assert path.read_text() == "an earlier cloud\n"
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_writers_take_a_file_open_for_writing(self, tmp_path):
         # the pointcloud stage opens both of its outputs before it writes
