@@ -75,6 +75,11 @@ def _peak_magnitude(images: np.ndarray) -> float:
 
 
 def _cmd_image(args) -> int:
+    # the PGMs are written before the stack replaces -o: a --pgm-dir in -o
+    # would be made, and then fail the stage
+    output = os.path.realpath(args.output)
+    if args.pgm_dir and os.path.commonpath([os.path.realpath(args.pgm_dir), output]) == output:
+        raise ConfigError(f"--pgm-dir {args.pgm_dir} is or lies in the -o output")
     cfg = _load_config(args.config)
     grid = configio.load_grid(cfg)
     aperture = configio.load_aperture(cfg)
@@ -92,7 +97,7 @@ def _cmd_image(args) -> int:
             pgm_dir.mkdir(parents=True, exist_ok=True)
             for k in range(stack.array.n_vx):
                 formats.write_pgm(stack.images[k], pgm_dir / f"vx{k:02d}.pgm")
-    peak = _peak_magnitude(stack.images)
+        peak = _peak_magnitude(stack.images)  # a device output cannot be read after the block
     print(f"[image] wrote {args.output}")
     print(
         f"[image] {stack.array.n_vx} VX images of {grid.n_u}x{grid.n_v} px "

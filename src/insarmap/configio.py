@@ -132,13 +132,14 @@ def load_grid(cfg: dict) -> ImageGrid:
 
 def load_aperture(cfg: dict) -> Aperture:
     return Aperture(
-        length_m=_number(cfg, "aperture_length_m", 1.0),
+        length_m=_number(cfg, "aperture_length_m", Aperture.length_m),
         center_time_s=_number(cfg, "aperture_center_time_s"),
     )
 
 
 def load_imaging_options(cfg: dict) -> dict:
-    """image_stack's keyword options.  The interpolation key may only be
+    """image_stack's keyword options, of the keys cfg sets, so image_stack's
+    own defaults apply to the rest.  The interpolation key may only be
     linear, the kernel's one interpolator, as it is when absent."""
     interpolation = cfg.get("interpolation", "linear")
     if interpolation != "linear":
@@ -146,11 +147,14 @@ def load_imaging_options(cfg: dict) -> dict:
             f"interpolation must be 'linear', got {interpolation!r}; "
             "raise oversample_factor for finer interpolation"
         )
-    return {
-        "oversample_factor": _number(cfg, "oversample_factor", 4, integer=True),
-        "window": str(cfg.get("range_window", "rectangular")),
-        "image_height_m": _number(cfg, "image_height_m", 0.0),
-    }
+    options = {}
+    if "oversample_factor" in cfg:
+        options["oversample_factor"] = _number(cfg, "oversample_factor", integer=True)
+    if "range_window" in cfg:
+        options["window"] = str(cfg["range_window"])
+    if "image_height_m" in cfg:
+        options["image_height_m"] = _number(cfg, "image_height_m")
+    return options
 
 
 def load_filter_config(cfg: dict) -> FilterConfig:

@@ -27,9 +27,9 @@ INSARELV (elevation map)
     five f32 planes: elevation (NaN = absent), mean phase delay,
     circular variance, combined magnitude, snr_db.
 
-Every writer opens its output through _replacing: a regular file is made
-beside the output and replaces it only when the writer is done, so a writer
-that fails leaves the output as it was.
+Every writer works in a file it can read back, which _replacing makes the
+output only when the writer is done, so a writer that fails leaves the
+output as it was.
 
 An INSARRAW file is also where a capture's samples are worked on: a
 CaptureFile holds a capture's samples in the file's records, and reads and
@@ -53,8 +53,10 @@ import dataclasses
 import functools
 import math
 import os
+import shutil
 import stat
 import struct
+import tempfile
 import threading
 from contextlib import contextmanager, suppress
 
@@ -201,6 +203,20 @@ def _written(store, path) -> bool:
     )
 
 
+def _write_stored(artifact, field: str, make_file, path, step: int) -> None:
+    """Write artifact in make_file(path): its factory takes every field of
+    artifact but field, and field's values are copied into the store it
+    returns, step rows at a time.  Values that make_file(path) is making
+    are already written, so nothing is written."""
+    values = getattr(artifact, field)
+    if _written(values, path):
+        return
+    with make_file(path) as start:
+        out = start(**{f.name: getattr(artifact, f.name) for f in dataclasses.fields(artifact) if f.name != field})
+        for lo in range(0, len(values), step):
+            out[lo : lo + step] = values[lo : lo + step]
+
+
 class CaptureFile(_FileStore, SampleStore):
     """The samples of an INSARRAW file's records, as a capture holds them
     (a SampleStore): row i is the samples of the file's record i.
@@ -209,11 +225,11 @@ class CaptureFile(_FileStore, SampleStore):
     through a packed block of at most _BLOCK_ROWS records, so a capture on
     a CaptureFile holds only its per-record columns.  A read refuses a file
     that ends early and a non-finite sample, with DataFormatError naming
-    the record by its number in the file.  A store that capture_file or
-    write_capture made writes its file through the file they hold open,
-    packing each record's header from the columns it was made with; every
-    other read opens the file and closes it again, so no handle outlives
-    the read.  The file must not change while a capture reads it.
+    the record by its number in the file.  A store that capture_file made
+    writes its file through the file capture_file holds open, packing each
+    record's header from the columns it was made with; every other read
+    opens the file and closes it again, so no handle outlives the read.
+    The file must not change while a capture reads it.
     """
 
     def __init__(self, path, start: int, n_records: int, samples_per_chirp: int, writer=None, columns=None) -> None:
@@ -270,9 +286,7 @@ class CaptureFile(_FileStore, SampleStore):
             for name in columns.dtype.names:
                 packed[name] = columns[name][first : first + count]
             packed["iq"] = rows[lo : lo + count]
-            # a pipe, which cannot seek, is written in order
-            if fh.seekable():
-                fh.seek(self._start + first * self._layout.itemsize)
+            fh.seek(self._start + first * self._layout.itemsize)
             fh.write(packed.data)
 
 
@@ -289,28 +303,31 @@ def _start_capture(fh, path, config, array, tx, rx, cycle, time_s, poses, pose_i
     fh.write(struct.pack(_CHIRP_FORMAT, *dataclasses.astuple(config)))
     _write_array(fh, array)
     fh.write(struct.pack("<Q", columns.size))
-    start = fh.tell() if fh.seekable() else None
-    return CaptureFile(path, start, columns.size, config.samples_per_chirp, writer=fh, columns=columns)
+    return CaptureFile(path, fh.tell(), columns.size, config.samples_per_chirp, writer=fh, columns=columns)
 
 
 @contextmanager
 def _replacing(path, mode: str = "b", **kwargs):
     """Open the output at path for a writer, in mode "b" (bytes) or "t"
-    (text, with open's **kwargs), and yield it.
+    (text, with open's **kwargs), and yield a file open for reading and
+    writing, which becomes path when the block ends without an error.
 
     A regular path, or one that does not exist yet, is written as a new file
-    beside it, open for reading and writing, which replaces path when the
-    block ends without an error: the file a symlink at path names, with the
-    permission bits of the file it replaces.  An error inside the block
-    removes the new file and leaves path as it was, and an OSError on the
-    new file (say, in a missing folder) names path.  So no output is
-    truncated before its writer is done, and an artifact may be written
-    over the file it is read from.  Any other path (a pipe or a device,
-    such as /dev/null) is opened for writing only, and written in order.
+    beside it, which replaces the file a symlink at path names, with its
+    permission bits.  An error inside the block removes the new file and
+    leaves path as it was, and an OSError on the new file (say, in a
+    missing folder) names path.  So no output is truncated before its
+    writer is done, and an artifact may be written over the file it is
+    read from.  Any other path (a pipe or a device, such as /dev/null) is
+    opened for writing first, then written in an anonymous temporary file
+    whose bytes are copied into path at the end; an error inside the block
+    sends nothing there.
     """
     if os.path.exists(path) and not os.path.isfile(path):
-        with open(path, "w" + mode, **kwargs) as fh:
+        with open(path, "wb") as out, tempfile.TemporaryFile("w+" + mode, **kwargs) as fh:
             yield fh
+            fh.seek(0)  # which flushes a text file's pending text into its buffer
+            shutil.copyfileobj(getattr(fh, "buffer", fh), out)
         return
     target = os.path.realpath(path)
     folder, name = os.path.split(target)
@@ -335,36 +352,26 @@ def capture_file(path):
     argument of simulate.synthesize_capture for it.
 
     synthesize_capture then writes the header and each block of rows
-    straight into a new file beside path, add_noise reads, noises and
+    straight into the file _replacing opens, add_noise reads, noises and
     writes the rows back there, and write_capture(capture, path) finds the
     capture written: the simulate stage holds the per-record columns and a
-    few blocks, never the samples of a whole capture.  The new file
-    replaces path when the block ends without an error (see _replacing).
-    An output that cannot be read back, such as /dev/null, yields None, so
-    the capture is made in memory and write_capture writes it.
+    few blocks, never the samples of a whole capture.  The file becomes
+    path when the block ends; a pipe or device output cannot be read
+    through the samples after that.
     """
     with _replacing(path) as fh:
-        yield functools.partial(_start_capture, fh, path) if fh.readable() else None
+        yield functools.partial(_start_capture, fh, path)
 
 
 def write_capture(capture: RawCapture, path) -> None:
-    """Write an INSARRAW capture.  Records are packed _BLOCK_ROWS at a time
-    into one reused block.  The samples are copied as they are: RawCapture
-    holds them at the file's precision, complex64, and finite.
+    """Write an INSARRAW capture in capture_file(path), _BLOCK_ROWS records
+    at a time.  The samples are copied as they are: RawCapture holds them
+    at the file's precision, complex64, and finite.
 
     A capture that capture_file(path) is making is already written, so
-    nothing is written.  The output is opened by _replacing, so a capture
-    read from path may be written over it."""
-    samples = capture.samples
-    if _written(samples, path):
-        return
-    with _replacing(path) as fh:
-        out = _start_capture(
-            fh, path, capture.config, capture.array, capture.tx, capture.rx, capture.cycle,
-            capture.time_s, capture.poses, capture.pose_index,
-        )
-        for lo in range(0, capture.n_records, _BLOCK_ROWS):
-            out[lo : lo + _BLOCK_ROWS] = samples[lo : lo + _BLOCK_ROWS]
+    nothing is written.  A capture read from path may be written over it
+    (see _replacing)."""
+    _write_stored(capture, "samples", capture_file, path, _BLOCK_ROWS)
 
 
 def read_capture(path) -> RawCapture:
@@ -434,8 +441,8 @@ class StackFile(_FileStore, StackStore):
     and columns are unit-step slices, and each plane's part is read one run
     of consecutive pixels at a time.  A read refuses a file that ends early
     and a non-finite pixel, with DataFormatError naming the file and the
-    VX.  A store that stack_file made also writes store[:, rows, cols] =
-    block, through the file stack_file holds open, under a lock, so
+    VX.  A store that stack_file made also writes store[key] = block, for
+    such a key, through the file stack_file holds open, under a lock, so
     image_stack's workers may read and write their disjoint blocks at once.
     The file must not change while a stack reads it.
     """
@@ -494,24 +501,17 @@ class StackFile(_FileStore, StackStore):
                 fh.write(block[i, at : at + count])
 
 
-def _write_stack_header(
-    fh, grid: ImageGrid, array: VirtualArray, phase_center, aperture_length_m: float, wavelength_m: float
-) -> None:
-    """The INSARIMG header, up to the planes."""
+def _start_stack(fh, path, grid, array, phase_center, aperture_length_m, wavelength_m) -> StackFile:
+    """Write the INSARIMG header of a stack with these fields into fh, then
+    zero planes, and return a writable StackFile over them."""
     _write_preamble(fh, MAGIC_IMG)
     _write_grid(fh, grid)
     fh.write(struct.pack("<dd", aperture_length_m, wavelength_m))
     fh.write(np.asarray(phase_center, dtype="<f8").tobytes())
     _write_array(fh, array)
-    fh.write(struct.pack("<III", array.n_vx, grid.n_u, grid.n_v))
-
-
-def _start_stack(fh, path, **fields) -> StackFile:
-    """Write the INSARIMG header of a stack with these fields into fh, then
-    zero planes, and return a writable StackFile over them."""
-    _write_stack_header(fh, **fields)
+    shape = (array.n_vx, grid.n_u, grid.n_v)
+    fh.write(struct.pack("<III", *shape))
     start = fh.tell()
-    shape = (fields["array"].n_vx, fields["grid"].n_u, fields["grid"].n_v)
     fh.truncate(start + 8 * math.prod(shape))
     return StackFile(path, start, shape, writer=fh)
 
@@ -521,36 +521,26 @@ def stack_file(path):
     """Make the INSARIMG file at path in a stack, and yield the images
     argument of imaging.image_stack for it.
 
-    image_stack then writes the header and zero planes into a new file
-    beside path, and adds each cycle batch into one pixel block of the
+    image_stack then writes the header and zero planes into the file
+    _replacing opens, and adds each cycle batch into one pixel block of the
     planes there at a time; write_image_stack(stack, path) finds the stack
     written, so the image stage holds one block of the stack, never all of
-    it.  The new file replaces path when the block ends without an error
-    (see _replacing).  An output that cannot be read back, such as
-    /dev/null, yields None, so the stack is made in memory and
-    write_image_stack writes it.
+    it.  The file becomes path when the block ends; a pipe or device output
+    cannot be read through the images after that.
     """
     with _replacing(path) as fh:
-        yield functools.partial(_start_stack, fh, path) if fh.readable() else None
+        yield functools.partial(_start_stack, fh, path)
 
 
 def write_image_stack(stack: SarImageStack, path) -> None:
-    """Write an INSARIMG stack: its complex64 planes as SarImageStack holds
-    them, the file's precision, one plane at a time.
+    """Write an INSARIMG stack in stack_file(path): its complex64 planes as
+    SarImageStack holds them, the file's precision, one plane at a time,
+    so no stack-sized copy is made of a stack that is not in memory.
 
     A stack that stack_file(path) is making is already written, so nothing
-    is written.  The output is opened by _replacing, so a stack read from
-    path may be written over it."""
-    if _written(stack.images, path):
-        return
-    with _replacing(path) as fh:
-        _write_stack_header(
-            fh, stack.grid, stack.array, stack.phase_center, stack.aperture_length_m, stack.wavelength_m
-        )
-        # one plane at a time, so no stack-sized copy is made of a stack
-        # that is not contiguous or not in memory
-        for plane in stack.images:
-            fh.write(np.ascontiguousarray(plane, dtype="<c8"))
+    is written.  A stack read from path may be written over it (see
+    _replacing)."""
+    _write_stored(stack, "images", stack_file, path, 1)
 
 
 def read_image_stack(path) -> SarImageStack:

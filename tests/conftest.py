@@ -1,6 +1,9 @@
 """Shared fixtures: the production-scale chirp config and a small end-to-end scene."""
 
 import dataclasses
+import os
+import threading
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -23,6 +26,36 @@ def own_samples(capture):
     """The capture on a copy of its samples: add_noise consumes the capture
     it is given, so a fixture's capture is noised through a copy."""
     return dataclasses.replace(capture, samples=capture.samples.copy())
+
+
+@contextmanager
+def output_pipe(path):
+    """Make a named pipe at path, and yield a bytearray that holds, when the
+    block ends, every byte written into the pipe in the block.  A thread
+    reads the pipe as bytes come, so a writer never blocks on a full pipe;
+    a write end held open until the block ends keeps the reader from
+    reading end-of-file before the block's writer opens the pipe."""
+    os.mkfifo(path)
+    reader = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+    os.set_blocking(reader, True)
+    keeper = os.open(path, os.O_WRONLY)
+    chunks = []
+
+    def drain():
+        while chunk := os.read(reader, 1 << 16):
+            chunks.append(chunk)
+
+    thread = threading.Thread(target=drain, daemon=True)
+    thread.start()
+    received = bytearray()
+    try:
+        yield received
+    finally:
+        os.close(keeper)
+        thread.join(timeout=60)
+        os.close(reader)
+        assert not thread.is_alive(), "a writer still holds the pipe open"
+        received.extend(b"".join(chunks))
 
 
 @pytest.fixture(scope="session")

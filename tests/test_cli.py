@@ -293,6 +293,23 @@ def test_pgm_dir_that_cannot_be_made_leaves_the_output_as_it_was(workdir, capsys
     assert len(list((workdir / "pgms").glob("vx*.pgm"))) == 12
 
 
+@pytest.mark.parametrize("pgm_dir", ["s.insarimg", "s.insarimg/pgm", "link/pgm"])
+def test_pgm_dir_in_the_output_is_a_config_error(workdir, capsys, pgm_dir):
+    # the stage used to make -o a folder, write the PGMs into it, and only
+    # then fail to replace it with the stack
+    capture = simulate_capture(workdir)
+    (workdir / "link").symlink_to(workdir / "s.insarimg")
+    before = sorted(workdir.iterdir())
+    capsys.readouterr()
+    argv = ["image", str(capture), "--config", str(workdir / "radar.cfg"), "-o", str(workdir / "s.insarimg")]
+    assert cli.main(argv + ["--pgm-dir", str(workdir / pgm_dir)]) == 2
+    assert "is or lies in the -o output" in capsys.readouterr().err
+    assert sorted(workdir.iterdir()) == before
+    # a folder whose name only begins with the output's is no part of it
+    assert cli.main(argv + ["--pgm-dir", str(workdir / "s.insarimg-pgm")]) == 0
+    assert len(list((workdir / "s.insarimg-pgm").glob("vx*.pgm"))) == 12
+
+
 def test_elevate_without_baselines_is_a_domain_error(workdir, capsys):
     (workdir / "flat.cfg").write_text(
         CONFIG + "tx_positions_m = [(0, 0, 0)]\nrx_positions_m = [(0, 0, 0)]\nnum_tx = 1\n"
@@ -840,9 +857,9 @@ def test_image_into_a_missing_directory_names_the_output(workdir, capsys):
 
 
 @pytest.mark.skipif(not os.path.exists(os.devnull) or os.path.isfile(os.devnull), reason="needs a null device")
-def test_image_to_the_null_device_makes_the_stack_in_memory(workdir, capsys):
-    # the null device cannot be read back, so the stack is made in memory;
-    # its report and PGMs are those of the stack made in its file
+def test_image_to_the_null_device_reports_and_dumps_what_a_file_output_does(workdir, capsys):
+    # the stack for the null device is made in a temporary file; its report
+    # and PGMs are those of the stack made in its output file
     capture = simulate_capture(workdir)
     capsys.readouterr()
     cfg = ["--config", str(workdir / "radar.cfg")]
@@ -857,7 +874,7 @@ def test_image_to_the_null_device_makes_the_stack_in_memory(workdir, capsys):
 
 @pytest.mark.parametrize("kind", ["symlink", "fifo"])
 def test_failing_writer_leaves_a_non_regular_target_in_place(workdir, capsys, kind):
-    # a writer that raises removes the regular file it made, but never a
+    # a writer that raises removes the file it worked in, but never a
     # symlink, device or pipe named by -o (as /dev/stdout or /dev/null are)
     (workdir / "quiet.cfg").write_text(CONFIG + "per_sample_snr_db = inf\n")
     (workdir / "scene.csv").write_text(SCENE + "0.3,4.2,0.5,1e39\n")
@@ -1167,8 +1184,8 @@ def test_csv_over_the_pcd_is_a_config_error(workdir, capsys, kind):
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
 def test_simulate_to_a_pipe_writes_the_capture_in_order(workdir, capsys):
-    # a pipe cannot be read back, so the capture is made in memory and
-    # written in record order, as into a file
+    # the capture is made in a temporary file, whose bytes are copied into
+    # the pipe when the stage is done: the bytes of a file output
     pipe = workdir / "pipe"
     os.mkfifo(pipe)
     received = []

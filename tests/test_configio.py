@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from insarmap import configio
+from insarmap.imaging import Aperture
 from insarmap.errors import ConfigError
 
 
@@ -73,6 +74,17 @@ class TestKvParsing:
         assert cfg.max_elevation_angle_deg == 45.0
         cfg2 = configio.load_filter_config({"min_z_m": -0.4})
         assert cfg2.resolved_min_z_m == -0.4
+
+    def test_imaging_defaults_are_the_library_defaults(self):
+        # stated once, by Aperture and image_stack: a key the config does
+        # not set is left to them
+        assert configio.load_aperture({}) == Aperture()
+        assert configio.load_aperture({"aperture_length_m": 0.3}) == Aperture(length_m=0.3)
+        assert configio.load_imaging_options({}) == {}
+        options = configio.load_imaging_options(
+            {"oversample_factor": 8, "range_window": "hann", "image_height_m": -0.5}
+        )
+        assert options == {"oversample_factor": 8, "window": "hann", "image_height_m": -0.5}
 
 
 class TestCsvFormats:

@@ -1,6 +1,8 @@
 """Binary artifact round trips and corruption handling."""
 
 import dataclasses
+import os
+import stat
 import sys
 import threading
 
@@ -12,7 +14,7 @@ from insarmap import formats, imaging
 from insarmap.errors import ConfigError, DataFormatError, DomainError
 from insarmap.imaging import _select_aperture
 
-from conftest import make_rail_trajectory, own_samples
+from conftest import make_rail_trajectory, output_pipe, own_samples
 
 
 class TestCaptureFormat:
@@ -489,6 +491,12 @@ class TestElevationMapFormat:
             formats.write_elevation_map(big, path)
         assert path.read_bytes() == b"an earlier map"
         assert list(tmp_path.iterdir()) == [path]
+        # nothing is sent into a pipe; the header used to be
+        if hasattr(os, "mkfifo"):
+            pipe = tmp_path / "pipe"
+            with pytest.raises(ConfigError, match="beyond float32 range"), output_pipe(pipe) as received:
+                formats.write_elevation_map(big, pipe)
+            assert received == b""
 
     @pytest.mark.parametrize("plane, name", [(1, "phase"), (2, "variance"), (3, "magnitude"), (4, "SNR")])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -581,6 +589,29 @@ class TestPgm:
         assert opened[0].writes[0].startswith(b"P5\n")
         assert path.read_bytes() == b"an earlier PGM"
         assert list(tmp_path.iterdir()) == [path]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+class TestPipeOutput:
+    """A pipe output is made in a temporary file, whose bytes are copied
+    into the pipe when the writer is done."""
+
+    WRITERS = {
+        "capture": lambda e2e, path: formats.write_capture(e2e["capture"], path),
+        "stack": lambda e2e, path: formats.write_image_stack(e2e["stack"], path),
+        "map": lambda e2e, path: formats.write_elevation_map(e2e["map"], path),
+        "pgm": lambda e2e, path: formats.write_pgm(e2e["stack"].images[0], path),
+    }
+
+    @pytest.mark.parametrize("kind", WRITERS)
+    def test_a_pipe_receives_the_bytes_of_a_file(self, tmp_path, small_e2e, kind):
+        write = self.WRITERS[kind]
+        write(small_e2e, tmp_path / "file")
+        with output_pipe(tmp_path / "pipe") as received:
+            write(small_e2e, tmp_path / "pipe")
+        assert received == (tmp_path / "file").read_bytes()
+        assert stat.S_ISFIFO(os.lstat(tmp_path / "pipe").st_mode)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["file", "pipe"]
 
 
 class TestFuzz:

@@ -6,10 +6,12 @@ call must hold plus one work block or plane; anything the size of a second
 copy of the samples or of the stack fails it.  The CLI's simulate and
 image stages keep the capture's samples in its file, so their bounds hold
 no capture at all; its image and elevate stages keep the stack in its file
-too, so theirs hold one block of it.
+too, so theirs hold one block of it.  The same bounds hold for an output
+that is a device, which the stages make in a temporary file.
 """
 
 import dataclasses
+import os
 import tracemalloc
 
 import numpy as np
@@ -103,20 +105,21 @@ def test_simulate_path_holds_one_capture(reference_chirp):
 
 
 def test_simulate_stage_holds_its_blocks_and_the_columns_not_the_capture(reference_chirp, tmp_path):
-    # the CLI's simulate stage: synthesis and noise in the output file
+    # the CLI's simulate stage: synthesis and noise in the output file, or
+    # in the temporary file of a device output
     array = im.default_virtual_array(im.derive_chirp_params(reference_chirp).wavelength_m)
     scene = im.Scene((im.PointTarget(np.array([0.0, 4.0, 0.4]), 1.0),))
     traj = make_rail_trajectory(1.0, 0.02, 0.4)
-    path = tmp_path / "capture.insarraw"
 
-    def stage():
+    def stage(path):
         with formats.capture_file(path) as samples:
             capture = im.synthesize_capture(scene, traj, reference_chirp, array, samples=samples)
             capture = im.add_noise(capture, 20.0, seed=1)
             formats.write_capture(capture, path)
         return capture
 
-    capture, peak = traced_peak(stage)
+    path = tmp_path / "capture.insarraw"
+    capture, peak = traced_peak(lambda: stage(path))
     n_records, n = capture.samples.shape
     # synthesis's blocks (see the synthesize_capture test) outweigh the
     # noise's, and the file is written and read _NOISE_ROWS packed records
@@ -129,6 +132,9 @@ def test_simulate_stage_holds_its_blocks_and_the_columns_not_the_capture(referen
     # the capture's samples would not fit
     assert bound < n_records * n * np.dtype(np.complex64).itemsize
     assert np.asarray(formats.read_capture(path).samples).tobytes() == np.asarray(capture.samples).tobytes()
+    # a device output, which cannot be read back, is held to the same bound
+    _, peak = traced_peak(lambda: stage(os.devnull))
+    assert peak <= bound
 
 
 def test_image_stage_holds_the_stack_one_batch_and_the_columns_not_the_aperture(reference_chirp, tmp_path):
@@ -333,19 +339,18 @@ def largest_row_block(grid):
 
 def test_image_stage_in_its_file_holds_one_pixel_block_of_the_stack(clean_capture, tmp_path):
     # the CLI's image stage: the samples stay in the capture file, and the
-    # stack is made in its own, one pixel block at a time
+    # stack is made in its own, one pixel block at a time, or in the
+    # temporary file of a device output
     path = tmp_path / "capture.insarraw"
     formats.write_capture(im.add_noise(own_samples(clean_capture), 20.0, seed=1), path)
-    out = tmp_path / "stack.insarimg"
     aperture = im.Aperture(0.004)  # 21 cycles, 3 cycle batches
 
-    def stage():
+    def stage(out):
         with formats.stack_file(out) as images:
             stack = im.image_stack(formats.read_capture(path), WIDE_GRID, aperture, images=images)
             formats.write_image_stack(stack, out)
         return stack
 
-    stack, peak = traced_peak(stage)
     array, (n_records, n) = clean_capture.array, clean_capture.samples.shape
     n_px = WIDE_GRID.n_u * WIDE_GRID.n_v
     n_blocks = -(-n_px // imaging._BLOCK_PIXELS)
@@ -359,10 +364,12 @@ def test_image_stage_in_its_file_holds_one_pixel_block_of_the_stack(clean_captur
     batch_rows = imaging._CYCLE_BATCH * array.n_tx * array.n_rx
     batch = batch_rows * (n * (8 + 16 + 4 * 16) + formats._record_dtype(n).itemsize)
     bound = block + batch + COLUMN_BYTES_PER_RECORD * n_records + SLACK
-    assert peak <= bound
     # the stack would not fit
     assert bound < array.n_vx * n_px * np.dtype(np.complex64).itemsize
-    assert isinstance(stack.images, formats.StackFile)
+    for out in (tmp_path / "stack.insarimg", os.devnull):
+        stack, peak = traced_peak(lambda: stage(out))
+        assert peak <= bound, out
+        assert isinstance(stack.images, formats.StackFile)
 
 
 def test_elevate_stage_holds_the_map_planes_and_one_block_of_rows(tmp_path):

@@ -1,5 +1,6 @@
 """De-projection, filter chain, and PCD/CSV output."""
 
+import os
 import re
 
 import numpy as np
@@ -10,7 +11,7 @@ from insarmap.errors import ConfigError, DataFormatError
 from insarmap.imaging import ImageGrid
 from insarmap.interferometry import ElevationMap, InterferogramGrid
 
-from conftest import make_rail_trajectory
+from conftest import make_rail_trajectory, output_pipe
 
 
 def synthetic_map(rng, n=24, snr_spread=30.0):
@@ -396,6 +397,21 @@ class TestPcdIo:
             getattr(im, writer)(cloud, path)
         assert path.read_text() == "an earlier cloud\n"
         assert list(tmp_path.iterdir()) == [path]
+        # nothing is sent into a pipe; the header and a row used to be
+        if hasattr(os, "mkfifo"):
+            pipe = tmp_path / "pipe"
+            with pytest.raises(OSError, match="No space left"), output_pipe(pipe) as received:
+                getattr(im, writer)(cloud, pipe)
+            assert received == b""
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    @pytest.mark.parametrize("writer", ["write_pcd", "write_csv"])
+    def test_a_pipe_receives_the_bytes_of_a_file(self, tmp_path, writer):
+        cloud = self.make_cloud(50, np.random.default_rng(8))
+        getattr(im, writer)(cloud, tmp_path / "file")
+        with output_pipe(tmp_path / "pipe") as received:
+            getattr(im, writer)(cloud, tmp_path / "pipe")
+        assert received == (tmp_path / "file").read_bytes()
 
     def test_writers_take_a_file_open_for_writing(self, tmp_path):
         # the pointcloud stage opens both of its outputs before it writes
