@@ -31,20 +31,17 @@ Every writer works in a file it can read back, which _replacing makes the
 output only when the writer is done, so a writer that fails leaves the
 output as it was.
 
-An INSARRAW file is also where a capture's samples are worked on: a
-CaptureFile holds a capture's samples in the file's records, and reads and
-writes them a block of records at a time.  The simulate stage synthesizes
-and noises its capture in the file that becomes its output (capture_file).
-read_capture reads the records' headers and leaves every sample in the
-file, and the image stage reads the aperture's records as it images them,
-so neither stage holds the samples of a whole capture.
-
-An INSARIMG file is likewise where a stack is made: a StackFile holds a
-stack's planes in the file, and reads and writes them a block of pixels at
-a time.  The image stage adds its images into the file that becomes its
-output (stack_file), one pixel block at a time; read_image_stack leaves
-every plane in the file, and the elevate stage reads one block of rows of
-every plane at a time, so no stage holds a whole stack.
+An INSARRAW or INSARIMG file is also where a capture's samples or a
+stack's planes are worked on: an ArrayFile holds the complex64 array in
+the file, as lines of its last axis (a record's samples, or a grid row of
+one VX's plane), and reads and writes it a run of lines at a time.  The
+simulate stage synthesizes and noises its capture in the file that
+becomes its output (capture_file), and the image stage adds its images
+into its output one pixel block at a time (stack_file).  read_capture
+reads the records' headers and read_image_stack the stack's, and both
+leave every sample or pixel in the file: the image stage reads the
+aperture's records as it images them, and the elevate stage one block of
+rows of every plane at a time, so no stage holds a whole capture or stack.
 """
 
 from __future__ import annotations
@@ -52,6 +49,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import operator
 import os
 import shutil
 import stat
@@ -63,10 +61,10 @@ from contextlib import contextmanager, suppress
 import numpy as np
 
 from .errors import ConfigError, DataFormatError
-from .imaging import ImageGrid, SarImageStack, StackStore
+from .imaging import ImageGrid, SarImageStack
 from .interferometry import ElevationMap, InterferogramGrid
-from .simulate import RawCapture, SampleStore, _round_rows
-from .types import ChirpConfig, Pose, VirtualArray, build_virtual_array
+from .simulate import RawCapture, _round_rows
+from .types import ArrayStore, ChirpConfig, Pose, VirtualArray, build_virtual_array
 
 MAGIC_RAW = b"INSARRAW"
 MAGIC_IMG = b"INSARIMG"
@@ -157,24 +155,52 @@ def _record_dtype(samples_per_chirp: int) -> np.dtype:
     )
 
 
-class _FileStore:
-    """What CaptureFile and StackFile share: an array of shape kept in the
-    file at path from byte start on, read by opening the file and closing
-    it again, so no handle outlives a read; or, while capture_file or
-    stack_file makes the file, read and written through writer, the file
-    they hold open, under a lock."""
+class ArrayFile(ArrayStore):
+    """A complex64 array of shape kept in the file at path as lines of its
+    last axis: line i, the values at the leading index
+    np.unravel_index(i, shape[:-1]), starts at byte start + i*stride + lead.
+    An INSARRAW file holds a capture's samples as lines of one record each,
+    after the record's header; an INSARIMG file holds a stack's planes as
+    lines of one grid row of one VX each.
 
-    def __init__(self, path, start: int, shape: tuple[int, ...], writer=None) -> None:
+    store[key] reads what key selects into a new complex64 array, as from
+    an array of shape: the leading axes take any key an array takes, and
+    the last axis an int or a unit-step slice (any other key there is an
+    IndexError).  Each run of consecutive lines is read at most _BLOCK_ROWS
+    lines at a time, straight into the result where its values lie one
+    after another in the file, else through one reused block.  A read
+    refuses a file that ends early and a non-finite value, with
+    DataFormatError naming the file and, in words, the index on the first
+    axis: words is (what the lines are, a format of the refusal for that
+    index), such as ("records", "record {} holds non-finite samples").
+
+    A store that capture_file or stack_file made reads and writes through
+    the file they hold open, under a lock, so image_stack's workers may
+    read and write their disjoint blocks at once; store[key] = values
+    writes each run the same way, patching the block it reads where a run
+    holds other bytes between its values.  It is writable, as a new array
+    is, until setflags(write=False); no other store is.  Every other read
+    opens the file and closes it again, so no handle outlives the read, and
+    a store whose file is not a regular file (say, one made for a pipe)
+    cannot be read, a ValueError.  The file must not change while a store
+    reads it.
+    """
+
+    def __init__(self, path, start: int, shape: tuple[int, ...], stride: int, lead: int, words, writer=None):
         self.path = path
-        self.shape = shape
-        self._start = start
+        self.shape = tuple(shape)
+        self._words = words
+        self._start, self._stride, self._lead = start, stride, lead
         self._writer = writer
+        self._writeable = writer is not None
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
         return self.shape[0]
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        if copy is False:
+            raise ValueError(f"{self.path}: values kept in a file are read only into a copy")
         values = self[:]
         return values if dtype is None else values.astype(dtype)
 
@@ -182,22 +208,111 @@ class _FileStore:
         """Whether this store still writes its file through an open handle."""
         return self._writer is not None and not self._writer.closed
 
+    def setflags(self, write: bool) -> None:
+        if write and not self._writes():
+            raise ValueError(f"{self.path} is open for reading only")
+        self._writeable = bool(write)
+
     @contextmanager
     def _file(self):
         """The file to read, positioned anywhere."""
         if self._writes():
             with self._lock:
                 yield self._writer
+        elif not os.path.isfile(self.path):
+            raise ValueError(f"{self.path} is not a regular file, so its {self._words[0]} cannot be read back")
         else:
             with open(self.path, "rb") as fh:
                 yield fh
+
+    def _lines(self, key):
+        """The lines key selects, in the order of the result's values, the
+        result's shape, and the first value and the count of values key
+        selects of each line."""
+        key = list(key) if isinstance(key, tuple) else [key]
+        # the axes each part of key takes: a boolean mask one per dimension
+        taken = [
+            0 if k is None or k is Ellipsis else 1 if isinstance(k, slice)
+            else np.ndim(k) if np.asarray(k).dtype == bool else 1
+            for k in key
+        ]
+        left = len(self.shape) - sum(taken)
+        if left < 0:
+            raise IndexError(f"too many indices for an array of shape {self.shape}")
+        at = next((i for i, k in enumerate(key) if k is Ellipsis), len(key))
+        key[at : at + 1] = [slice(None)] * left
+        last, n = key.pop(), self.shape[-1]
+        if isinstance(last, slice):
+            picked = range(n)[last]
+            if len(picked) > 1 and picked.step != 1:
+                raise IndexError("a file store reads a unit-step slice of its last axis")
+            first, width, kept = (picked[0] if picked else 0), len(picked), (len(picked),)
+        else:
+            try:
+                first, width, kept = range(n)[operator.index(last)], 1, ()
+            except TypeError:
+                raise IndexError("a file store reads an int or a unit-step slice of its last axis") from None
+        lines = np.arange(math.prod(self.shape[:-1])).reshape(self.shape[:-1])[tuple(key)]
+        return lines.reshape(-1), lines.shape + kept, first, width
+
+    def _spans(self, lines: np.ndarray, first: int, width: int):
+        """(block, first row of the values, count of lines, file offset,
+        bytes) of each run of at most _BLOCK_ROWS consecutive lines, whose
+        bytes run from the first value selected of its first line to the
+        last of its last.  block is the one buffer every run that holds
+        other bytes between its values goes through, or None when the
+        values lie one after another in the file."""
+        block = None
+        if self._stride != 8 * width:
+            block = np.empty(min(lines.size, _BLOCK_ROWS) * self._stride, dtype=np.uint8)
+        breaks = (np.flatnonzero(np.diff(lines) != 1) + 1).tolist()
+        for a, b in zip([0, *breaks], [*breaks, lines.size]):
+            for lo in range(a, b, _BLOCK_ROWS):
+                count = min(_BLOCK_ROWS, b - lo)
+                offset = self._start + int(lines[lo]) * self._stride + self._lead + 8 * first
+                yield block, lo, count, offset, (count - 1) * self._stride + 8 * width
+
+    def __getitem__(self, key) -> np.ndarray:
+        lines, shape, first, width = self._lines(key)
+        out = np.empty((lines.size, width), dtype="<c8")
+        with self._file() as fh:
+            for block, lo, count, offset, size in self._spans(lines, first, width):
+                rows = out[lo : lo + count]
+                fh.seek(offset)
+                if fh.readinto(rows.data if block is None else block[:size].data) != size:
+                    raise DataFormatError(f"{self.path}: truncated file while reading {self._words[0]}")
+                if block is not None:
+                    rows[...] = block[: count * self._stride].reshape(count, -1)[:, : 8 * width].view("<c8")
+                # the float32 view is the fast test; a non-finite value needs the slow one
+                if not np.isfinite(rows.view("<f4")).all():
+                    line = int(lines[lo + np.argmin(np.isfinite(rows).all(axis=1))])
+                    index = line // math.prod(self.shape[1:-1])
+                    raise DataFormatError(f"{self.path}: {self._words[1].format(index)}")
+        return out.astype(np.complex64, copy=False).reshape(shape)
+
+    def __setitem__(self, key, values) -> None:
+        if not (self._writeable and self._writes()):
+            raise ValueError(f"{self.path} is open for reading only")
+        lines, shape, first, width = self._lines(key)
+        values = np.ascontiguousarray(np.broadcast_to(values, shape), dtype="<c8").reshape(lines.size, width)
+        with self._file() as fh:
+            for block, lo, count, offset, size in self._spans(lines, first, width):
+                rows = values[lo : lo + count]
+                fh.seek(offset)
+                if block is not None:
+                    # the bytes between the run's values are read and written back
+                    fh.readinto(block[:size].data)
+                    block[: count * self._stride].reshape(count, -1)[:, : 8 * width] = rows.view(np.uint8)
+                    rows = block[:size]
+                    fh.seek(offset)
+                fh.write(rows.data)
 
 
 def _written(store, path) -> bool:
     """Whether store is a file store that capture_file or stack_file is
     making at path, so the artifact is already written there."""
     return (
-        isinstance(store, _FileStore)
+        isinstance(store, ArrayFile)
         and store._writes()
         and os.path.realpath(path) == os.path.realpath(store.path)
     )
@@ -217,93 +332,27 @@ def _write_stored(artifact, field: str, make_file, path, step: int) -> None:
             out[lo : lo + step] = values[lo : lo + step]
 
 
-class CaptureFile(_FileStore, SampleStore):
-    """The samples of an INSARRAW file's records, as a capture holds them
-    (a SampleStore): row i is the samples of the file's record i.
-
-    Rows are read and written a run of consecutive records at a time,
-    through a packed block of at most _BLOCK_ROWS records, so a capture on
-    a CaptureFile holds only its per-record columns.  A read refuses a file
-    that ends early and a non-finite sample, with DataFormatError naming
-    the record by its number in the file.  A store that capture_file made
-    writes its file through the file capture_file holds open, packing each
-    record's header from the columns it was made with; every other read
-    opens the file and closes it again, so no handle outlives the read.
-    The file must not change while a capture reads it.
-    """
-
-    def __init__(self, path, start: int, n_records: int, samples_per_chirp: int, writer=None, columns=None) -> None:
-        # start is the offset of record 0
-        super().__init__(path, start, (n_records, samples_per_chirp), writer)
-        self._layout = _record_dtype(samples_per_chirp)
-        # the header fields of every record, while this store writes its
-        # file; writable, as a new array is, until a capture takes it
-        self._columns = columns
-        self._writeable = writer is not None
-
-    def setflags(self, write: bool) -> None:
-        if write and not self._writes():
-            raise ValueError(f"{self.path} is open for reading only")
-        self._writeable = bool(write)
-
-    @staticmethod
-    def _chunks(records: np.ndarray):
-        """(first row, first file record, count) of each run of at most
-        _BLOCK_ROWS consecutive file records in records."""
-        breaks = np.flatnonzero(np.diff(records) != 1) + 1
-        for a, b in zip([0, *breaks.tolist()], [*breaks.tolist(), records.size]):
-            for lo in range(a, b, _BLOCK_ROWS):
-                yield lo, int(records[lo]), min(_BLOCK_ROWS, b - lo)
-
-    def __getitem__(self, key) -> np.ndarray:
-        records = np.arange(self.shape[0])[key]
-        if records.ndim == 0:  # one row, as an array's row
-            return self[[key]][0]
-        out = np.empty((records.size, self.shape[1]), dtype=np.complex64)
-        block = np.empty(min(records.size, _BLOCK_ROWS), dtype=self._layout)
-        with self._file() as fh:
-            for lo, first, count in self._chunks(records):
-                rows = block[:count]
-                fh.seek(self._start + first * self._layout.itemsize)
-                if fh.readinto(rows.data) != rows.nbytes:
-                    raise DataFormatError(f"{self.path}: truncated file while reading records")
-                finite = np.isfinite(rows["iq"]).all(axis=1)
-                if not finite.all():
-                    raise DataFormatError(
-                        f"{self.path}: record {first + int(np.argmin(finite))} holds non-finite samples"
-                    )
-                out[lo : lo + count] = rows["iq"]
-        return out
-
-    def __setitem__(self, key: slice, rows) -> None:
-        if not self._writeable:
-            raise ValueError(f"{self.path} samples are read-only")
-        fh, columns = self._writer, self._columns
-        records = np.arange(self.shape[0])[key]
-        block = np.empty(min(records.size, _BLOCK_ROWS), dtype=self._layout)
-        for lo, first, count in self._chunks(records):
-            packed = block[:count]
-            for name in columns.dtype.names:
-                packed[name] = columns[name][first : first + count]
-            packed["iq"] = rows[lo : lo + count]
-            fh.seek(self._start + first * self._layout.itemsize)
-            fh.write(packed.data)
-
-
-def _start_capture(fh, path, config, array, tx, rx, cycle, time_s, poses, pose_index) -> CaptureFile:
-    """Write the INSARRAW header of these records into fh and return a
-    writable CaptureFile over their records, which packs each record's
-    header fields with its samples."""
+def _start_capture(fh, path, config, array, tx, rx, cycle, time_s, poses, pose_index) -> ArrayFile:
+    """Write the INSARRAW header of these records into fh, then every
+    record's header with zero samples, _BLOCK_ROWS records at a time, and
+    return a writable ArrayFile over the records' samples."""
     layout = _record_dtype(config.samples_per_chirp)
-    columns = np.empty(len(tx), dtype=layout.descr[:-1])  # every field but iq
-    columns["tx"], columns["rx"], columns["cycle"], columns["time"] = tx, rx, cycle, time_s
-    pose_table = np.array([[p.time_s, *p.position, *p.quaternion] for p in poses]).reshape(-1, 8)
-    columns["pose"] = pose_table[pose_index]
     _write_preamble(fh, MAGIC_RAW)
     fh.write(struct.pack(_CHIRP_FORMAT, *dataclasses.astuple(config)))
     _write_array(fh, array)
-    fh.write(struct.pack("<Q", columns.size))
-    return CaptureFile(path, fh.tell(), columns.size, config.samples_per_chirp, writer=fh, columns=columns)
+    fh.write(struct.pack("<Q", len(tx)))
+    start = fh.tell()
+    pose_table = np.array([[p.time_s, *p.position, *p.quaternion] for p in poses]).reshape(-1, 8)
+    block = np.zeros(min(len(tx), _BLOCK_ROWS), dtype=layout)
+    for lo in range(0, len(tx), _BLOCK_ROWS):
+        part = slice(lo, lo + _BLOCK_ROWS)
+        rows = block[: len(tx[part])]
+        rows["tx"], rows["rx"], rows["cycle"], rows["time"] = tx[part], rx[part], cycle[part], time_s[part]
+        rows["pose"] = pose_table[pose_index[part]]
+        fh.write(rows.data)
+    shape = (len(tx), config.samples_per_chirp)
+    words = ("records", "record {} holds non-finite samples")
+    return ArrayFile(path, start, shape, layout.itemsize, layout.fields["iq"][1], words, writer=fh)
 
 
 @contextmanager
@@ -351,13 +400,14 @@ def capture_file(path):
     """Make the INSARRAW file at path in a capture, and yield the samples
     argument of simulate.synthesize_capture for it.
 
-    synthesize_capture then writes the header and each block of rows
-    straight into the file _replacing opens, add_noise reads, noises and
-    writes the rows back there, and write_capture(capture, path) finds the
-    capture written: the simulate stage holds the per-record columns and a
-    few blocks, never the samples of a whole capture.  The file becomes
-    path when the block ends; a pipe or device output cannot be read
-    through the samples after that.
+    synthesize_capture then writes the header and every record's header
+    into the file _replacing opens, and each block of rows into the
+    records there, add_noise reads, noises and writes the rows back there,
+    and write_capture(capture, path) finds the capture written: the
+    simulate stage holds the per-record columns and a few blocks, never
+    the samples of a whole capture.  The file becomes path when the block
+    ends; the samples of a pipe or device output cannot be read after
+    that, a ValueError.
     """
     with _replacing(path) as fh:
         yield functools.partial(_start_capture, fh, path)
@@ -382,11 +432,11 @@ def read_capture(path) -> RawCapture:
 
     Every record's header (tx, rx, cycle, time, pose) is read, _BLOCK_ROWS
     records at a time through one reused block, so the read holds the
-    header columns and one block.  The samples stay in the file, as a
-    CaptureFile over all of its records, at the file's precision,
-    complex64: they are read as they are used (image_stack reads only the
-    aperture's records, a cycle batch at a time), and a non-finite sample
-    is a DataFormatError then.  The file must not change while a capture
+    header columns and one block.  The samples stay in the file, as an
+    ArrayFile over all of its records, at the file's precision, complex64:
+    they are read as they are used (image_stack reads only the aperture's
+    records, a cycle batch at a time), and a non-finite sample is a
+    DataFormatError then.  The file must not change while a capture
     reads it.
     """
     with _reading(path) as fh:
@@ -410,10 +460,11 @@ def read_capture(path) -> RawCapture:
             columns["pose"].view("<u8"), axis=0, return_index=True, return_inverse=True
         )
         poses = tuple(Pose(time_s=float(r[0]), position=r[1:4], quaternion=r[4:8]) for r in columns["pose"][first])
+        shape, words = (n_records, cfg.samples_per_chirp), ("records", "record {} holds non-finite samples")
         return RawCapture(
             config=cfg,
             array=array,
-            samples=CaptureFile(path, start, n_records, cfg.samples_per_chirp),
+            samples=ArrayFile(path, start, shape, dtype.itemsize, dtype.fields["iq"][1], words),
             tx=columns["tx"],
             rx=columns["rx"],
             cycle=columns["cycle"],
@@ -432,78 +483,9 @@ def _read_grid(fh) -> ImageGrid:
     return ImageGrid(origin_m=np.array([ou, ov]), extent_m=np.array([eu, ev]), pixel_size_m=pix)
 
 
-class StackFile(_FileStore, StackStore):
-    """The planes of an INSARIMG file, as a stack holds them (a
-    StackStore): plane k is the file's plane k, u-major.
-
-    store[k] reads plane k, store[:, rows] the rows of every plane, and
-    store[:, rows, cols] a block of them, into new complex64 arrays; rows
-    and columns are unit-step slices, and each plane's part is read one run
-    of consecutive pixels at a time.  A read refuses a file that ends early
-    and a non-finite pixel, with DataFormatError naming the file and the
-    VX.  A store that stack_file made also writes store[key] = block, for
-    such a key, through the file stack_file holds open, under a lock, so
-    image_stack's workers may read and write their disjoint blocks at once.
-    The file must not change while a stack reads it.
-    """
-
-    def _block(self, key):
-        """The VX, row and column ranges key selects, and the shape of the
-        array they make: an integer drops its axis, as from an array."""
-        key = key if isinstance(key, tuple) else (key,)
-        if len(key) > len(self.shape):
-            raise IndexError(f"too many indices for a stack of shape {self.shape}")
-        picked = [range(n)[k] for n, k in zip(self.shape, key + (slice(None),) * (3 - len(key)))]
-        shape = tuple(len(p) for p in picked if isinstance(p, range))
-        vx, rows, cols = (p if isinstance(p, range) else range(p, p + 1) for p in picked)
-        if rows.step != 1 or cols.step != 1:
-            raise IndexError("a stack file reads unit-step rows and columns")
-        return vx, rows, cols, shape
-
-    def _runs(self, vx: range, rows: range, cols: range):
-        """(plane of the block, first value in it, count, file offset) of
-        each run of the block's pixels that lie one after another in a
-        plane, plane by plane."""
-        n_v = self.shape[2]
-        if len(cols) == n_v or len(rows) == 1:
-            runs = [(rows.start * n_v + cols.start, len(rows) * len(cols))]
-        else:
-            runs = [(r * n_v + cols.start, len(cols)) for r in rows]
-        for i, k in enumerate(vx):
-            at = 0
-            for first, count in runs:
-                yield i, at, count, self._start + 8 * (k * self.shape[1] * n_v + first)
-                at += count
-
-    def __getitem__(self, key) -> np.ndarray:
-        vx, rows, cols, shape = self._block(key)
-        out = np.empty((len(vx), len(rows) * len(cols)), dtype="<c8")
-        with self._file() as fh:
-            for i, at, count, offset in self._runs(vx, rows, cols):
-                run = out[i, at : at + count]
-                fh.seek(offset)
-                if fh.readinto(run.data) != run.nbytes:
-                    raise DataFormatError(f"{self.path}: truncated file while reading image planes")
-        # the float32 view is the fast test, plane by plane
-        for plane, k in zip(out, vx):
-            if not np.isfinite(plane.view("<f4")).all():
-                raise DataFormatError(f"{self.path}: VX {k} image holds non-finite pixels")
-        return out.astype(np.complex64, copy=False).reshape(shape)
-
-    def __setitem__(self, key, block) -> None:
-        if not self._writes():
-            raise ValueError(f"{self.path} is open for reading only")
-        vx, rows, cols, _ = self._block(key)
-        block = np.ascontiguousarray(block, dtype="<c8").reshape(len(vx), -1)
-        with self._file() as fh:
-            for i, at, count, offset in self._runs(vx, rows, cols):
-                fh.seek(offset)
-                fh.write(block[i, at : at + count])
-
-
-def _start_stack(fh, path, grid, array, phase_center, aperture_length_m, wavelength_m) -> StackFile:
+def _start_stack(fh, path, grid, array, phase_center, aperture_length_m, wavelength_m) -> ArrayFile:
     """Write the INSARIMG header of a stack with these fields into fh, then
-    zero planes, and return a writable StackFile over them."""
+    zero planes, and return a writable ArrayFile over them."""
     _write_preamble(fh, MAGIC_IMG)
     _write_grid(fh, grid)
     fh.write(struct.pack("<dd", aperture_length_m, wavelength_m))
@@ -513,7 +495,8 @@ def _start_stack(fh, path, grid, array, phase_center, aperture_length_m, wavelen
     fh.write(struct.pack("<III", *shape))
     start = fh.tell()
     fh.truncate(start + 8 * math.prod(shape))
-    return StackFile(path, start, shape, writer=fh)
+    words = ("image planes", "VX {} image holds non-finite pixels")
+    return ArrayFile(path, start, shape, 8 * grid.n_v, 0, words, writer=fh)
 
 
 @contextmanager
@@ -525,8 +508,8 @@ def stack_file(path):
     _replacing opens, and adds each cycle batch into one pixel block of the
     planes there at a time; write_image_stack(stack, path) finds the stack
     written, so the image stage holds one block of the stack, never all of
-    it.  The file becomes path when the block ends; a pipe or device output
-    cannot be read through the images after that.
+    it.  The file becomes path when the block ends; the images of a pipe
+    or device output cannot be read after that, a ValueError.
     """
     with _replacing(path) as fh:
         yield functools.partial(_start_stack, fh, path)
@@ -548,7 +531,7 @@ def read_image_stack(path) -> SarImageStack:
     bad magic or version, too few bytes for the sizes the header declares,
     or values that ImageGrid, the array or SarImageStack reject.
 
-    The planes stay in the file, as a StackFile at the file's precision,
+    The planes stay in the file, as an ArrayFile at the file's precision,
     complex64: they are read as they are used (combine_baselines reads one
     block of rows of every plane at a time), and a non-finite pixel is a
     DataFormatError then.  The file must not change while a stack reads
@@ -561,10 +544,11 @@ def read_image_stack(path) -> SarImageStack:
         array = _read_array(fh)
         dims = _unpack(fh, "<III", "stack dims")
         _check_left(fh, 8 * math.prod(dims), "image planes")
+        words = ("image planes", "VX {} image holds non-finite pixels")
         return SarImageStack(
             grid=grid,
             array=array,
-            images=StackFile(path, fh.tell(), dims),
+            images=ArrayFile(path, fh.tell(), dims, 8 * dims[2], 0, words),
             phase_center=phase_center,
             aperture_length_m=aperture_length,
             wavelength_m=wavelength,

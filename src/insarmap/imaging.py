@@ -11,9 +11,9 @@ records, reads and range-compresses them one batch of cycles at a time,
 and backprojects them into every VX's image.  A capture whose samples stay
 in their file (as read_capture gives it) is read a batch at a time too, so
 the image stage never holds the aperture's samples at once.  The stack may
-be made in its file too (a StackStore, as formats.stack_file opens): each
-cycle batch reads, adds to and writes back one pixel block of it at a
-time, so the image stage never holds the stack either.
+be made in its file too (a types.ArrayStore, as formats.stack_file
+opens): each cycle batch reads, adds to and writes back one pixel block of
+it at a time, so the image stage never holds the stack either.
 range_compress applies the same compression to a whole capture at once,
 for inspecting the profiles.
 
@@ -74,7 +74,7 @@ import numpy as np
 
 from .errors import ConfigError, DomainError
 from .simulate import RawCapture, _round_rows
-from .types import C_LIGHT, VirtualArray, derive_chirp_params
+from .types import C_LIGHT, ArrayStore, VirtualArray, derive_chirp_params
 
 WINDOWS = ("rectangular", "hann")
 
@@ -167,20 +167,6 @@ class RangeProfileSet:
     bin_spacing_m: float
 
 
-class StackStore:
-    """An image stack kept in a file rather than in memory; see
-    formats.StackFile.  A store stands in for an (n_vx, n_u, n_v) complex64
-    array where the pipeline reads and writes a stack: it has shape, dtype
-    and len; store[k] reads plane k, store[:, rows] the rows of every
-    plane, and store[:, rows, cols] a block of them, into new complex64
-    arrays, and a read refuses a non-finite pixel; store[:, rows, cols] =
-    block writes a block; iterating reads one plane at a time; and
-    np.asarray(store) reads every plane.  SarImageStack keeps a store as it
-    is, so its pixels are checked as they are read."""
-
-    dtype = np.dtype(np.complex64)
-
-
 @dataclass(frozen=True, eq=False)
 class SarImageStack:
     """One complex image per VX on a common grid with a common phase center.
@@ -189,7 +175,7 @@ class SarImageStack:
     image_stack makes them.  complex64 images are kept as they are; any
     other images are rounded to complex64 by _round_rows, and a finite
     pixel beyond float32's range raises ConfigError ("VX k image holds
-    pixels beyond float32 range").  Images may also be a StackStore, whose
+    pixels beyond float32 range").  Images may also be an ArrayStore, whose
     planes stay in their file, as read_image_stack gives them; it is kept
     as it is, and checked as its pixels are read.  Pixels and the phase
     center must be finite, and the wavelength finite and positive.
@@ -203,7 +189,7 @@ class SarImageStack:
     wavelength_m: float
 
     def __post_init__(self) -> None:
-        stored = isinstance(self.images, StackStore)
+        stored = isinstance(self.images, ArrayStore)
         images = self.images if stored else np.asarray(self.images)
         if images.shape != (self.array.n_vx, self.grid.n_u, self.grid.n_v):
             raise ConfigError(
@@ -418,7 +404,7 @@ def image_stack(
     one batch of _CYCLE_BATCH cycles at a time, which bounds the profile
     memory, and only the bins the grid can reach are kept, rounded to
     complex64.  Each batch's samples are read from the capture as it is
-    compressed; from a SampleStore, such as read_capture gives, that is a
+    compressed; from an ArrayStore, such as read_capture gives, that is a
     read of the file, which refuses a non-finite sample then
     (DataFormatError, naming its record in the file), and reads no sample
     outside the aperture.  Pixel blocks of about _BLOCK_PIXELS (whole grid
@@ -442,7 +428,7 @@ def image_stack(
     array.  Otherwise images is called once, with the stack's other fields
     as keywords (grid, array, phase_center, aperture_length_m,
     wavelength_m), and returns the writable, zeroed (n_vx, n_u, n_v) store
-    to add the images into: a complex64 array, or a StackStore such as the
+    to add the images into: a complex64 array, or an ArrayStore such as the
     file formats.stack_file opens.  For each cycle batch and pixel block,
     the block's slices of every VX are read from the store, the batch's
     partial sums added and checked, and the slices written back, so a

@@ -219,7 +219,7 @@ def combine_baselines(stack: SarImageStack) -> InterferogramGrid:
     per-baseline phase scaling that this pipeline does not implement.  The
     phase delays and the mean magnitude are computed one block of grid rows
     at a time (imaging._row_blocks), from that block of every VX plane:
-    read from the file for a stack on a StackStore, as read_image_stack
+    read from the file for a stack on an ArrayStore, as read_image_stack
     gives it.  Within a block, baselines and VX planes are summed one at a
     time, so the peak memory is the output planes and one block's work
     whatever the number of baselines or VX; the per-pixel operations, and

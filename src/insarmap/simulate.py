@@ -29,7 +29,8 @@ consumes its input.
 
 Samples are read and written only as row blocks (samples[lo:hi],
 samples[index], samples[lo:hi] = rows), so the same loops run over a
-complex64 array or over a SampleStore, which keeps the rows in a file.
+complex64 array or over a types.ArrayStore, which keeps the rows in a
+file.
 The simulate stage synthesizes into a store over its output file
 (formats.capture_file), so it holds the per-record columns and a few
 small work blocks, never the samples of a whole capture.
@@ -45,6 +46,7 @@ import numpy as np
 from .errors import ConfigError, DomainError, RecordError
 from .types import (
     C_LIGHT,
+    ArrayStore,
     ChirpConfig,
     Pose,
     Trajectory,
@@ -91,20 +93,6 @@ class Scene:
 
     def __len__(self) -> int:
         return len(self.targets)
-
-
-class SampleStore:
-    """Capture samples kept in a file rather than in memory; see
-    formats.CaptureFile.  A store stands in for an (n_records,
-    samples_per_chirp) complex64 array in the capture's block loops: it has
-    shape and dtype; store[lo:hi] and store[index] read rows into a new
-    complex64 array, store[i] reads row i, and a read refuses a non-finite
-    row; store[lo:hi] = rows writes rows; setflags(write=...) allows or
-    forbids writing, as on an array; and np.asarray(store) reads every row.
-    RawCapture keeps a store as it is, so its rows are checked as they are
-    read, not when the capture is built."""
-
-    dtype = np.dtype(np.complex64)
 
 
 def _sample_array(samples) -> np.ndarray:
@@ -198,7 +186,7 @@ class RawCapture:
     complex64 samples are kept as they are; any other samples are rounded
     to complex64, and a finite value beyond float32's range raises
     ConfigError ("record N holds samples beyond float32 range").  Samples
-    may also be a SampleStore, whose rows stay in their file; it is kept
+    may also be an ArrayStore, whose rows stay in their file; it is kept
     as it is, and checked as its rows are read.
     """
 
@@ -213,7 +201,7 @@ class RawCapture:
     pose_index: np.ndarray  # (n_records,) int into poses
 
     def __post_init__(self) -> None:
-        stored = isinstance(self.samples, SampleStore)
+        stored = isinstance(self.samples, ArrayStore)
         samples = self.samples if stored else np.asarray(self.samples)
         n = self.config.samples_per_chirp
         if len(samples.shape) != 2 or samples.shape[1] != n:
@@ -261,7 +249,7 @@ class RawCapture:
         """Per-record view of the columns, built on first access.  Records
         with the same pose index share one Pose object; samples are
         read-only views into the capture's sample array, or into every row
-        read at once from a SampleStore."""
+        read at once from an ArrayStore."""
         return tuple(
             PulseRecord(time_s=t, cycle=c, tx=tx, rx=rx, pose=self.poses[k], samples=row)
             for t, c, tx, rx, k, row in zip(
@@ -458,7 +446,7 @@ def synthesize_capture(
     array.  Otherwise samples is called once, with the capture's other
     fields as keywords (config, array, tx, rx, cycle, time_s, poses,
     pose_index), and returns the writable (n_records, samples_per_chirp)
-    store to write them into: a complex64 array, or a SampleStore such as
+    store to write them into: a complex64 array, or an ArrayStore such as
     the file formats.capture_file opens.  Besides the samples, synthesis
     allocates the two blocks, the one-way beats of one block's elements
     and one TX's records, and the per-record columns.
@@ -569,7 +557,7 @@ def add_noise(
     record; the rows before that record's block are then already noisy,
     and the rest keep their values.  The rows are read _NOISE_ROWS at a
     time, once for their power and once to be noised and written back, so
-    samples in a SampleStore stay in their file.  Allocates one complex128
+    samples in an ArrayStore stay in their file.  Allocates one complex128
     and one complex64 block of _NOISE_ROWS rows (and, from a store, the
     block it reads), each row's power, and no second capture.  The result
     shares the input's columns, which are not checked again, and its

@@ -1,4 +1,5 @@
-"""Radar configuration, virtual-array geometry, and platform trajectory types.
+"""Radar configuration, virtual-array geometry, platform trajectory types,
+and the marker of an array kept in a file.
 
 Conventions used throughout the package:
     - Array frame: x = along-track (direction of travel), y = cross-track
@@ -341,3 +342,20 @@ def pose_at_time(traj: Trajectory, t: float) -> Pose:
         position=lo.position + frac * (hi.position - lo.position),
         quaternion=_slerp(lo.quaternion, hi.quaternion, frac),
     )
+
+
+class ArrayStore:
+    """A complex64 array kept in a file rather than in memory, such as
+    formats.ArrayFile: a capture's samples (n_records, samples_per_chirp)
+    or a stack's images (n_vx, n_u, n_v).  A store stands in for the array
+    where the pipeline reads and writes it: it has shape, dtype and len;
+    store[key] reads what key selects into a new complex64 array, as from
+    the array, for any key on the leading axes and an int or a unit-step
+    slice on the last, and refuses a non-finite value; store[key] = values
+    writes, while the store is writable; setflags(write=...) allows or
+    forbids writing, as on an array; iterating reads one row of the first
+    axis at a time; and np.asarray(store) reads every value.  RawCapture
+    and SarImageStack keep a store as it is, so its values are checked as
+    they are read, not when the capture or stack is built."""
+
+    dtype = np.dtype(np.complex64)

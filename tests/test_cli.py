@@ -1231,6 +1231,7 @@ def test_no_stage_leaves_a_file_open(workdir, capsys):
         assert open_descriptors() <= before, argv[0] if argv[0] != "--seed" else "simulate"
 
 
+@pytest.mark.simd
 class TestSimulateInItsFile:
     """The simulate stage synthesizes and noises its capture in its output
     file, a block at a time; the file holds the bytes of the same capture
@@ -1283,6 +1284,7 @@ class TestSimulateInItsFile:
         assert out.read_bytes() == (workdir / "memory.insarraw").read_bytes()
 
 
+@pytest.mark.simd
 class TestImageInItsFile:
     """The image stage adds its images into its output file, one pixel
     block at a time; the file holds the bytes of the same stack made in

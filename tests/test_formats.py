@@ -1,5 +1,6 @@
 """Binary artifact round trips and corruption handling."""
 
+import contextlib
 import dataclasses
 import os
 import stat
@@ -136,7 +137,7 @@ def assert_file_images_as_memory(captures, track, aperture):
     numpy SIMD paths; the file and the memory must agree on each."""
     memory, path = captures[track]
     capture = formats.read_capture(path)
-    assert isinstance(capture.samples, formats.CaptureFile)
+    assert isinstance(capture.samples, formats.ArrayFile)
     for threads in (1, 2):
         a, b = (im.image_stack(c, APERTURE_GRID, aperture, threads=threads) for c in (capture, memory))
         assert a.images.tobytes() == b.images.tobytes()
@@ -149,6 +150,7 @@ class TestApertureRead:
     the whole capture in memory, for apertures that cut a capture in every
     way the aperture rule can."""
 
+    @pytest.mark.simd
     @pytest.mark.parametrize(
         "track, aperture",
         [
@@ -186,6 +188,7 @@ class TestCaptureFile:
     def noisy(self, captures):
         return captures["rail"][0]
 
+    @pytest.mark.simd
     @pytest.mark.parametrize("threads", [1, 2])
     def test_image_from_the_file_equals_the_capture_in_memory(self, captures, noisy, threads):
         # the float32 cos and sin of imaging may differ between numpy SIMD
@@ -194,7 +197,7 @@ class TestCaptureFile:
         # several cycle batches
         assert _select_aperture(noisy, aperture)[0].size > 2 * imaging._CYCLE_BATCH * noisy.array.n_vx
         capture = formats.read_capture(captures["rail"][1])
-        assert isinstance(capture.samples, formats.CaptureFile)
+        assert isinstance(capture.samples, formats.ArrayFile)
         a, b = (im.image_stack(c, APERTURE_GRID, aperture, threads=threads) for c in (capture, noisy))
         assert a.images.tobytes() == b.images.tobytes()
         assert a.phase_center.tobytes() == b.phase_center.tobytes()
@@ -206,12 +209,8 @@ class TestCaptureFile:
         assert capture.samples.shape == (n, APERTURE_CHIRP.samples_per_chirp)
         assert capture.samples.dtype == np.complex64
         assert np.asarray(capture.samples).tobytes() == noisy.samples.tobytes()
-        for key in (slice(3, 40), slice(100, 700), slice(None, None, 3), np.array([0, 5, 6, 7, n - 1])):
-            assert capture.samples[key].tobytes() == noisy.samples[key].tobytes()
         assert capture.records[4].samples.tobytes() == noisy.samples[4].tobytes()
-        # an integer key reads one row, as from an array
-        assert capture.samples[4].tobytes() == noisy.samples[4].tobytes()
-        assert capture.samples[np.int64(-1)].tobytes() == noisy.samples[-1].tobytes()
+        # the keys a store reads are TestStoreKeys'
 
     def test_read_only_samples_are_noised_into_memory(self, tmp_path, noisy):
         path = tmp_path / "c.insarraw"
@@ -246,7 +245,7 @@ class TestCaptureFile:
         with formats.capture_file(path) as samples:
             cap = im.synthesize_capture(scene, make_rail_trajectory(2.0, 0.02, 0.4), APERTURE_CHIRP, array,
                                         samples=samples)
-            assert isinstance(cap.samples, formats.CaptureFile)
+            assert isinstance(cap.samples, formats.ArrayFile)
             cap = im.add_noise(cap, 20.0, seed=5)
             formats.write_capture(cap, path)
         memory = tmp_path / "memory.insarraw"
@@ -297,7 +296,7 @@ class TestImageStackFormat:
         assert path.read_bytes().endswith(stack.images.astype("<c8").tobytes())
         assert back.images.dtype == np.complex64
         # the planes stay in the file until they are read
-        assert isinstance(back.images, formats.StackFile)
+        assert isinstance(back.images, formats.ArrayFile)
         assert np.asarray(back.images).tobytes() == stack.images.astype("<c8").tobytes()
 
     def test_version_check(self, tmp_path, small_e2e):
@@ -324,23 +323,10 @@ class TestStackFile:
         path = tmp_path / "s.insarimg"
         formats.write_image_stack(stack, path)
         back = formats.read_image_stack(path)
-        assert isinstance(back.images, formats.StackFile)
+        assert isinstance(back.images, formats.ArrayFile)
         assert (back.images.shape, back.images.dtype, len(back.images)) == (stack.images.shape, np.complex64, 12)
-        whole = (slice(None),)
-        for key in (
-            7, np.int64(-1), slice(2, 5),  # planes
-            whole + (slice(3, 6),),  # whole rows of every plane
-            whole + (4, slice(2, 9)),  # part of one row
-            whole + (slice(2, 5), slice(3, 7)),  # a block of parts of rows
-            (slice(1, 3), slice(None), 6),  # one column of two planes
-        ):
-            block = back.images[key]
-            assert block.dtype == np.complex64
-            assert block.shape == stack.images[key].shape
-            assert block.tobytes() == stack.images[key].tobytes()
+        # the keys a store reads are TestStoreKeys'
         assert [p.tobytes() for p in back.images] == [p.tobytes() for p in stack.images]
-        with pytest.raises(IndexError):
-            back.images[:, ::2]
         with pytest.raises(ValueError, match="reading only"):
             back.images[:, 0:1] = stack.images[:, 0:1]
 
@@ -349,7 +335,7 @@ class TestStackFile:
         with formats.stack_file(path) as images:
             made = im.image_stack(formats.read_capture(captures["rail"][1]), APERTURE_GRID, self.APERTURE,
                                   images=images)
-            assert isinstance(made.images, formats.StackFile)
+            assert isinstance(made.images, formats.ArrayFile)
             formats.write_image_stack(made, path)
         memory = tmp_path / "memory.insarimg"
         formats.write_image_stack(stack, memory)
@@ -443,6 +429,121 @@ class TestStackFile:
         assert back.images[0].tobytes() == stack.images[0].tobytes()
         with pytest.raises(DataFormatError, match="truncated file while reading image planes"):
             back.images[-1]
+
+
+def stored_fields(artifact, field):
+    """Every field of artifact but field, the arguments of the factory that
+    capture_file or stack_file yields."""
+    return {f.name: getattr(artifact, f.name) for f in dataclasses.fields(artifact) if f.name != field}
+
+
+@pytest.fixture(scope="module")
+def artifacts_in_files(captures, tmp_path_factory):
+    """A noisy capture and a stack imaged from it, each in memory and in its
+    file: name -> (artifact, the field its file keeps, path, file factory)."""
+    capture, capture_path = captures["rail"]
+    stack = im.image_stack(capture, APERTURE_GRID, im.Aperture(0.01))
+    stack_path = tmp_path_factory.mktemp("stores") / "s.insarimg"
+    formats.write_image_stack(stack, stack_path)
+    return {
+        "capture": (capture, "samples", capture_path, formats.capture_file),
+        "stack": (stack, "images", stack_path, formats.stack_file),
+    }
+
+
+def read_back(artifact, path):
+    """The values of artifact's file as read_capture or read_image_stack
+    leaves them, in a store over the file."""
+    if isinstance(artifact, im.RawCapture):
+        return formats.read_capture(path).samples
+    return formats.read_image_stack(path).images
+
+
+# keys of both artifacts, then keys of a stack's three axes
+STORE_KEYS = {
+    "int": 7,
+    "negative np.int64": np.int64(-1),
+    "slice": slice(2, 5),
+    "stepped slice": slice(1, None, 3),
+    "empty slice": slice(5, 2),
+    "list": [0, 3],
+    "array": np.array([0, 5, 6, 7, -1]),
+    "boolean mask": lambda values: np.arange(len(values)) % 3 == 1,
+    "Ellipsis": Ellipsis,
+    "Ellipsis, last int": (Ellipsis, 0),
+    "Ellipsis, last slice": (Ellipsis, slice(2, 5)),
+    "block of parts of rows": (slice(3, 5), slice(0, 10)),
+}
+STACK_KEYS = {
+    "rows of every plane": (slice(None), slice(3, 6)),
+    "stepped rows of every plane": (slice(None), slice(None, None, 2)),
+    "part of one row of every plane": (slice(None), 4, slice(2, 9)),
+    "block of parts of rows of every plane": (slice(None), slice(2, 5), slice(3, 7)),
+    "one column of two planes": (slice(1, 3), slice(None), 6),
+    "listed planes, one column": ([0, 3], slice(None), 6),
+}
+KEY_CASES = [
+    pytest.param(kind, key, id=f"{kind}-{name}")
+    for kind, keys in (("capture", STORE_KEYS), ("stack", {**STORE_KEYS, **STACK_KEYS}))
+    for name, key in keys.items()
+]
+
+
+class TestStoreKeys:
+    """A store over a capture's samples (n_records, samples_per_chirp) or a
+    stack's planes (n_vx, n_u, n_v) reads and writes what the array in
+    memory does, for any key on the leading axes and an int or a unit-step
+    slice on the last."""
+
+    @pytest.mark.parametrize("kind, key", KEY_CASES)
+    def test_a_store_reads_what_an_array_reads(self, artifacts_in_files, kind, key):
+        artifact, field, path, _ = artifacts_in_files[kind]
+        values = getattr(artifact, field)
+        key = key(values) if callable(key) else key
+        block = read_back(artifact, path)[key]
+        assert block.dtype == np.complex64
+        assert block.shape == values[key].shape
+        assert block.tobytes() == values[key].tobytes()
+
+    @pytest.mark.parametrize("kind, key", KEY_CASES)
+    def test_a_store_writes_what_an_array_writes(self, tmp_path, artifacts_in_files, kind, key):
+        artifact, field, _, make_file = artifacts_in_files[kind]
+        values = getattr(artifact, field)
+        key = key(values) if callable(key) else key
+        expected = np.zeros_like(values)
+        expected[key] = values[key]
+        path = tmp_path / "out"
+        with make_file(path) as start:
+            store = start(**stored_fields(artifact, field))
+            store[key] = values[key]
+            assert np.asarray(store).tobytes() == expected.tobytes()
+        # the record headers stay as the file's factory wrote them
+        memory = tmp_path / "memory"
+        with make_file(memory) as start:
+            start(**stored_fields(artifact, field))[:] = expected
+        assert path.read_bytes() == memory.read_bytes()
+
+    @pytest.mark.parametrize("kind", ["capture", "stack"])
+    @pytest.mark.parametrize("key", [(Ellipsis, slice(None, None, 2)), (Ellipsis, [1, 2])],
+                             ids=["stepped last axis", "list on the last axis"])
+    def test_a_key_a_store_cannot_serve_is_an_index_error(self, tmp_path, artifacts_in_files, kind, key):
+        artifact, field, path, make_file = artifacts_in_files[kind]
+        getattr(artifact, field)[key]  # an array serves it
+        with pytest.raises(IndexError, match="last axis"):
+            read_back(artifact, path)[key]
+        with make_file(tmp_path / "out") as start:
+            store = start(**stored_fields(artifact, field))
+            with pytest.raises(IndexError, match="last axis"):
+                store[key] = 0
+
+    @pytest.mark.skipif(np.lib.NumpyVersion(np.__version__) < "2.0.0", reason="numpy 2's copy keyword")
+    @pytest.mark.parametrize("kind", ["capture", "stack"])
+    def test_an_array_without_a_copy_is_refused(self, artifacts_in_files, kind):
+        artifact, field, path, _ = artifacts_in_files[kind]
+        store = read_back(artifact, path)
+        with pytest.raises(ValueError, match="copy"):
+            np.asarray(store, copy=False)
+        assert np.asarray(store, copy=True).tobytes() == getattr(artifact, field).tobytes()
 
 
 class TestElevationMapFormat:
@@ -612,6 +713,40 @@ class TestPipeOutput:
         assert received == (tmp_path / "file").read_bytes()
         assert stat.S_ISFIFO(os.lstat(tmp_path / "pipe").st_mode)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["file", "pipe"]
+
+    @pytest.mark.parametrize("kind", ["capture", "stack"])
+    @pytest.mark.parametrize("output", ["pipe", "device"])
+    def test_a_store_made_for_a_pipe_or_device_is_refused_when_read(self, tmp_path, small_e2e, kind, output):
+        # once the output is written, the store's file is the pipe or the
+        # device: a pipe opened for reading blocks until a writer opens it,
+        # and /dev/null reads as an empty file
+        artifact, field = (small_e2e["capture"], "samples") if kind == "capture" else (small_e2e["stack"], "images")
+        make_file = formats.capture_file if kind == "capture" else formats.stack_file
+        path = tmp_path / "pipe" if output == "pipe" else os.devnull
+        with contextlib.ExitStack() as outputs:
+            if output == "pipe":
+                outputs.enter_context(output_pipe(path))
+            with make_file(path) as start:
+                store = start(**stored_fields(artifact, field))
+                store[:] = getattr(artifact, field)
+                assert np.asarray(store).tobytes() == getattr(artifact, field).tobytes()
+        failures = []
+
+        def read():
+            try:
+                np.asarray(store)
+            except Exception as exc:  # reported by the test thread
+                failures.append(exc)
+
+        reader = threading.Thread(target=read, daemon=True)
+        reader.start()
+        reader.join(timeout=10)
+        if reader.is_alive():
+            # a writer's open lets a reader blocked in its open go on
+            os.close(os.open(path, os.O_WRONLY | os.O_NONBLOCK))
+            pytest.fail("reading the store blocks")
+        assert len(failures) == 1 and isinstance(failures[0], ValueError)
+        assert f"{path} is not a regular file" in str(failures[0])
 
 
 class TestFuzz:

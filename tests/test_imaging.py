@@ -254,6 +254,7 @@ def exact_phasor(d, k_carrier):
     return np.exp(-1j * k_carrier * d)
 
 
+@pytest.mark.simd
 class TestPhasorTolerance:
     """The kernel's float32 carrier phasor against the exact complex exp.
 
@@ -301,6 +302,7 @@ def assert_baseline_phases_within_1e5_rad(stack, reference, emap):
         assert np.abs(np.angle(fast[strong] * np.conj(slow[strong]))).max() <= 1e-5
 
 
+@pytest.mark.simd
 class TestSinglePrecisionTolerance:
     """image_stack's complex64 values and per-batch partial sums against
     reference_stack: the same phasors, with float64 weights and every record
@@ -327,6 +329,7 @@ class TestSinglePrecisionTolerance:
         assert_baseline_phases_within_1e5_rad(stack, reference, im.build_elevation_map(stack))
 
 
+@pytest.mark.simd
 class TestManyBatchTolerance:
     """TestSinglePrecisionTolerance's bounds over a thousand cycles, 131
     cycle batches: each batch's sum is added into the complex64 image, so
@@ -471,6 +474,7 @@ def reference_stack(capture, grid, aperture, image_height_m=0.0, phasor=None):
     return images.reshape(capture.array.n_vx, grid.n_u, grid.n_v)
 
 
+@pytest.mark.simd
 class TestKernelOracle:
     """image_stack equals oracle_stack bit for bit: row blocks and profiles
     cut to the bins in reach change no float, and the complex64 partial sums

@@ -262,6 +262,7 @@ class TestCombineBaselines:
         assert intf.circular_variance.tobytes() == variance.tobytes()
         assert intf.combined_magnitude.tobytes() == np.mean(np.abs(images), axis=0).tobytes()
 
+    @pytest.mark.simd
     def test_row_blocks_give_the_floats_of_whole_planes(self, small_e2e, tmp_path):
         # build_elevation_map works one block of grid rows at a time; on a
         # grid of several blocks its planes must be the floats of the same

@@ -176,7 +176,7 @@ def test_read_capture_holds_the_columns_and_one_block_not_the_samples(clean_capt
     assert peak <= bound
     # the capture's samples would not fit: they stay in the file
     assert bound < n_records * n * np.dtype(np.complex64).itemsize
-    assert isinstance(capture.samples, formats.CaptureFile)
+    assert isinstance(capture.samples, formats.ArrayFile)
     assert capture.samples.dtype == np.complex64
 
 
@@ -255,7 +255,7 @@ def test_read_image_stack_holds_no_plane(tmp_path):
     back, peak = traced_peak(lambda: formats.read_image_stack(path))
     # the header; the planes stay in the file
     assert peak <= SLACK
-    assert isinstance(back.images, formats.StackFile)
+    assert isinstance(back.images, formats.ArrayFile)
 
 
 def test_elevate_path_holds_the_complex64_stack_and_a_few_wide_planes(tmp_path):
@@ -369,7 +369,7 @@ def test_image_stage_in_its_file_holds_one_pixel_block_of_the_stack(clean_captur
     for out in (tmp_path / "stack.insarimg", os.devnull):
         stack, peak = traced_peak(lambda: stage(out))
         assert peak <= bound, out
-        assert isinstance(stack.images, formats.StackFile)
+        assert isinstance(stack.images, formats.ArrayFile)
 
 
 def test_elevate_stage_holds_the_map_planes_and_one_block_of_rows(tmp_path):

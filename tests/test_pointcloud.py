@@ -176,6 +176,7 @@ class TestFilterChain:
         assert len(cloud) == 0
         assert cloud.stats.rejected["front_cone"] == 1
 
+    @pytest.mark.simd
     def test_row_blocks_give_the_points_of_whole_planes(self):
         # filter_points works one block of grid rows at a time; on a grid of
         # several blocks its points and counts must be those of the same

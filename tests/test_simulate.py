@@ -476,6 +476,7 @@ def assert_row_within_tolerance(scene, row, oracle):
     assert np.all(np.abs(got - want) <= BEAT_TOL * sum(t.amplitude for t in scene.targets) + ulp)
 
 
+@pytest.mark.simd
 class TestBeatOracle:
     """synthesize_chirp is within BEAT_TOL per unit amplitude of the plain
     per-target sum of amplitude * np.exp(1j * 2*pi*(slope*tau*n/fs +
