@@ -13,16 +13,6 @@ class ConfigError(InsarError):
     """Invalid configuration value or unparseable config/scene/trajectory text."""
 
 
-class RecordError(ConfigError):
-    """A value rule that one record of a capture breaks.  record is the
-    row's index, so a reader can name the record of its file instead."""
-
-    def __init__(self, record: int, problem: str) -> None:
-        super().__init__(f"record {record} {problem}")
-        self.record = record
-        self.problem = problem
-
-
 class DataFormatError(InsarError):
     """Corrupt or inconsistent binary artifact (bad magic, truncation, mismatch)."""
 

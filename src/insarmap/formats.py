@@ -42,6 +42,8 @@ reads the records' headers and read_image_stack the stack's, and both
 leave every sample or pixel in the file: the image stage reads the
 aperture's records as it images them, and the elevate stage one block of
 rows of every plane at a time, so no stage holds a whole capture or stack.
+Every value is stored by the rule types states, and refused in the words
+of its artifact: simulate.SAMPLES, imaging.PIXELS, interferometry.map_plane.
 """
 
 from __future__ import annotations
@@ -61,10 +63,10 @@ from contextlib import contextmanager, suppress
 import numpy as np
 
 from .errors import ConfigError, DataFormatError
-from .imaging import ImageGrid, SarImageStack
-from .interferometry import ElevationMap, InterferogramGrid
-from .simulate import RawCapture, _round_rows
-from .types import ArrayStore, ChirpConfig, Pose, VirtualArray, build_virtual_array
+from .imaging import PIXELS, ImageGrid, SarImageStack
+from .interferometry import ElevationMap, InterferogramGrid, map_plane
+from .simulate import SAMPLES, RawCapture
+from .types import ArrayStore, ChirpConfig, Pose, Rows, VirtualArray, build_virtual_array, round_rows
 
 MAGIC_RAW = b"INSARRAW"
 MAGIC_IMG = b"INSARIMG"
@@ -170,9 +172,9 @@ class ArrayFile(ArrayStore):
     lines at a time, straight into the result where its values lie one
     after another in the file, else through one reused block.  A read
     refuses a file that ends early and a non-finite value, with
-    DataFormatError naming the file and, in words, the index on the first
-    axis: words is (what the lines are, a format of the refusal for that
-    index), such as ("records", "record {} holds non-finite samples").
+    DataFormatError naming the file and, in the words of rows, what was
+    read or the index on the first axis ("record 7 holds non-finite
+    samples").
 
     A store that capture_file or stack_file made reads and writes through
     the file they hold open, under a lock, so image_stack's workers may
@@ -186,10 +188,10 @@ class ArrayFile(ArrayStore):
     reads it.
     """
 
-    def __init__(self, path, start: int, shape: tuple[int, ...], stride: int, lead: int, words, writer=None):
+    def __init__(self, path, start: int, shape: tuple[int, ...], stride: int, lead: int, rows: Rows, writer=None):
         self.path = path
         self.shape = tuple(shape)
-        self._words = words
+        self._rows = rows
         self._start, self._stride, self._lead = start, stride, lead
         self._writer = writer
         self._writeable = writer is not None
@@ -220,7 +222,7 @@ class ArrayFile(ArrayStore):
             with self._lock:
                 yield self._writer
         elif not os.path.isfile(self.path):
-            raise ValueError(f"{self.path} is not a regular file, so its {self._words[0]} cannot be read back")
+            raise ValueError(f"{self.path} is not a regular file, so its {self._rows.name} cannot be read back")
         else:
             with open(self.path, "rb") as fh:
                 yield fh
@@ -280,14 +282,14 @@ class ArrayFile(ArrayStore):
                 rows = out[lo : lo + count]
                 fh.seek(offset)
                 if fh.readinto(rows.data if block is None else block[:size].data) != size:
-                    raise DataFormatError(f"{self.path}: truncated file while reading {self._words[0]}")
+                    raise DataFormatError(f"{self.path}: truncated file while reading {self._rows.name}")
                 if block is not None:
                     rows[...] = block[: count * self._stride].reshape(count, -1)[:, : 8 * width].view("<c8")
                 # the float32 view is the fast test; a non-finite value needs the slow one
                 if not np.isfinite(rows.view("<f4")).all():
                     line = int(lines[lo + np.argmin(np.isfinite(rows).all(axis=1))])
                     index = line // math.prod(self.shape[1:-1])
-                    raise DataFormatError(f"{self.path}: {self._words[1].format(index)}")
+                    raise DataFormatError(f"{self.path}: {self._rows.non_finite(index)}")
         return out.astype(np.complex64, copy=False).reshape(shape)
 
     def __setitem__(self, key, values) -> None:
@@ -351,8 +353,7 @@ def _start_capture(fh, path, config, array, tx, rx, cycle, time_s, poses, pose_i
         rows["pose"] = pose_table[pose_index[part]]
         fh.write(rows.data)
     shape = (len(tx), config.samples_per_chirp)
-    words = ("records", "record {} holds non-finite samples")
-    return ArrayFile(path, start, shape, layout.itemsize, layout.fields["iq"][1], words, writer=fh)
+    return ArrayFile(path, start, shape, layout.itemsize, layout.fields["iq"][1], SAMPLES, writer=fh)
 
 
 @contextmanager
@@ -445,14 +446,14 @@ def read_capture(path) -> RawCapture:
         array = _read_array(fh)
         (n_records,) = _unpack(fh, "<Q", "record count")
         dtype = _record_dtype(cfg.samples_per_chirp)
-        _check_left(fh, n_records * dtype.itemsize, "records")
+        _check_left(fh, n_records * dtype.itemsize, SAMPLES.name)
         start = fh.tell()
         columns = np.empty(n_records, dtype=dtype.descr[:-1])  # every field but iq
         block = np.empty(min(n_records, _BLOCK_ROWS), dtype=dtype)
         for lo in range(0, n_records, _BLOCK_ROWS):
             rows = block[: min(_BLOCK_ROWS, n_records - lo)]
             if fh.readinto(rows.data) != rows.nbytes:
-                raise DataFormatError(f"{path}: truncated file while reading records")
+                raise DataFormatError(f"{path}: truncated file while reading {SAMPLES.name}")
             for name in columns.dtype.names:
                 columns[name][lo : lo + rows.shape[0]] = rows[name]
         # one Pose per distinct pose, compared by its bytes
@@ -460,11 +461,11 @@ def read_capture(path) -> RawCapture:
             columns["pose"].view("<u8"), axis=0, return_index=True, return_inverse=True
         )
         poses = tuple(Pose(time_s=float(r[0]), position=r[1:4], quaternion=r[4:8]) for r in columns["pose"][first])
-        shape, words = (n_records, cfg.samples_per_chirp), ("records", "record {} holds non-finite samples")
+        shape = (n_records, cfg.samples_per_chirp)
         return RawCapture(
             config=cfg,
             array=array,
-            samples=ArrayFile(path, start, shape, dtype.itemsize, dtype.fields["iq"][1], words),
+            samples=ArrayFile(path, start, shape, dtype.itemsize, dtype.fields["iq"][1], SAMPLES),
             tx=columns["tx"],
             rx=columns["rx"],
             cycle=columns["cycle"],
@@ -495,8 +496,7 @@ def _start_stack(fh, path, grid, array, phase_center, aperture_length_m, wavelen
     fh.write(struct.pack("<III", *shape))
     start = fh.tell()
     fh.truncate(start + 8 * math.prod(shape))
-    words = ("image planes", "VX {} image holds non-finite pixels")
-    return ArrayFile(path, start, shape, 8 * grid.n_v, 0, words, writer=fh)
+    return ArrayFile(path, start, shape, 8 * grid.n_v, 0, PIXELS, writer=fh)
 
 
 @contextmanager
@@ -543,12 +543,11 @@ def read_image_stack(path) -> SarImageStack:
         phase_center = np.frombuffer(_read_exact(fh, 24, "phase center"), dtype="<f8").copy()
         array = _read_array(fh)
         dims = _unpack(fh, "<III", "stack dims")
-        _check_left(fh, 8 * math.prod(dims), "image planes")
-        words = ("image planes", "VX {} image holds non-finite pixels")
+        _check_left(fh, 8 * math.prod(dims), PIXELS.name)
         return SarImageStack(
             grid=grid,
             array=array,
-            images=ArrayFile(path, fh.tell(), dims, 8 * dims[2], 0, words),
+            images=ArrayFile(path, fh.tell(), dims, 8 * dims[2], 0, PIXELS),
             phase_center=phase_center,
             aperture_length_m=aperture_length,
             wavelength_m=wavelength,
@@ -574,9 +573,7 @@ def write_elevation_map(emap: ElevationMap, path) -> None:
             ("combined magnitude", intf.combined_magnitude),
             ("snr_db", intf.snr_db),
         ):
-            if _round_rows(plane, encoded) is not None:
-                raise ConfigError(f"{name} plane holds values beyond float32 range")
-            fh.write(encoded)
+            fh.write(round_rows(plane, encoded, map_plane(name)))
 
 
 def read_elevation_map(path) -> ElevationMap:

@@ -44,7 +44,8 @@ The float32 bits depend on which SIMD path numpy dispatches cos and sin
 to, so artifacts are byte-identical only on one numpy build and CPU
 dispatch path.  Single precision ends at about 3.4e38, so a range profile
 bin, a partial sum or an image sum beyond that is refused as a
-ConfigError, and so is a NaN pixel, as from a non-finite carrier.
+ConfigError naming the VX (PIXELS), and so is a NaN pixel, as from a
+non-finite carrier.
 
 Pixel blocks are whole grid rows, or slices of one row when a row is
 longer than a block, so each element's squared distance is the outer sum
@@ -73,8 +74,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .simulate import RawCapture, _round_rows
-from .types import C_LIGHT, ArrayStore, VirtualArray, derive_chirp_params
+from .simulate import RawCapture
+from .types import C_LIGHT, Rows, VirtualArray, check_finite, derive_chirp_params, held_values
 
 WINDOWS = ("rectangular", "hann")
 
@@ -96,6 +97,8 @@ _MAX_PIXELS = 2**26
 # default 512-sample chirp at 4x, and one cycle batch of the default 12-VX
 # array, 96 records of complex128 profiles, is 384 MiB at the cap.
 _MAX_PROFILE_BINS = 2**18
+
+PIXELS = Rows("image planes", "VX {} image", "pixels")  # a stack's rows: one VX's plane each
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,14 +174,11 @@ class RangeProfileSet:
 class SarImageStack:
     """One complex image per VX on a common grid with a common phase center.
 
-    Images have one dtype, complex64, the precision of an INSARIMG file, as
-    image_stack makes them.  complex64 images are kept as they are; any
-    other images are rounded to complex64 by _round_rows, and a finite
-    pixel beyond float32's range raises ConfigError ("VX k image holds
-    pixels beyond float32 range").  Images may also be an ArrayStore, whose
-    planes stay in their file, as read_image_stack gives them; it is kept
-    as it is, and checked as its pixels are read.  Pixels and the phase
-    center must be finite, and the wavelength finite and positive.
+    Images are complex64, the precision of an INSARIMG file, as image_stack
+    makes them, or an ArrayStore whose planes stay in their file, as
+    read_image_stack gives them; types.held_values holds them and refuses
+    them in the words of PIXELS.  The phase center must be finite, and the
+    wavelength finite and positive.
     """
 
     grid: ImageGrid
@@ -189,25 +189,13 @@ class SarImageStack:
     wavelength_m: float
 
     def __post_init__(self) -> None:
-        stored = isinstance(self.images, ArrayStore)
-        images = self.images if stored else np.asarray(self.images)
-        if images.shape != (self.array.n_vx, self.grid.n_u, self.grid.n_v):
+        shape = np.shape(self.images)
+        if shape != (self.array.n_vx, self.grid.n_u, self.grid.n_v):
             raise ConfigError(
-                f"image stack shape {images.shape} does not match "
+                f"image stack shape {shape} does not match "
                 f"{self.array.n_vx} VX on a {self.grid.n_u}x{self.grid.n_v} grid"
             )
-        if not stored:
-            if images.dtype != np.complex64:
-                rounded = np.empty(images.shape, dtype=np.complex64)
-                for k in range(images.shape[0]):
-                    if _round_rows(images[k], rounded[k]) is not None:
-                        raise ConfigError(f"VX {k} image holds pixels beyond float32 range")
-                images = rounded
-            # checked plane by plane, so no stack-sized mask is made
-            for k, plane in enumerate(images):
-                if not np.isfinite(plane).all():
-                    raise ConfigError(f"VX {k} image holds non-finite pixels")
-        object.__setattr__(self, "images", images)
+        object.__setattr__(self, "images", held_values(self.images, PIXELS, 1))
         if not self.aperture_length_m > 0:
             raise ConfigError("aperture_length_m must be > 0")
         if not (self.wavelength_m > 0 and np.isfinite(self.wavelength_m)):
@@ -541,12 +529,11 @@ def image_stack(
         sums = store[region]
         sums += partial.reshape(sums.shape)
         values = sums.reshape(array.n_vx, -1).view(np.float32)
-        finite = np.isfinite(values).all(axis=1)
-        if not finite.all():
+        if not np.isfinite(values).all():
             overflowed = np.isinf(values).any(axis=1)
             if overflowed.any():
-                raise ConfigError(f"VX {int(np.argmax(overflowed))} image holds pixels beyond float32 range")
-            raise ConfigError(f"VX {int(np.argmin(finite))} image holds non-finite pixels")
+                raise ConfigError(PIXELS.beyond_range(int(np.argmax(overflowed))))
+            check_finite(sums, PIXELS)
         store[region] = sums
 
     # workers beyond the CPUs add no speed, and each would cost a thread and

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ConfigError, DomainError
 from .imaging import ImageGrid, SarImageStack, _row_blocks
-from .types import C_LIGHT
+from .types import C_LIGHT, Rows, check_finite
 
 # Relative slack when checking d_v against lambda/4, so a baseline built as
 # exactly a quarter wavelength is not rejected over float dust.
@@ -143,6 +143,11 @@ def mean_phase_delay(lower, upper, axis: int = 0):
     return mean_phase, variance
 
 
+def map_plane(name: str) -> Rows:
+    """How a map's refusals name its plane name ("snr_db plane")."""
+    return Rows("map planes", f"{name} plane", "values")
+
+
 def _check_plane(grid: ImageGrid, name: str, plane: np.ndarray) -> None:
     if np.shape(plane) != (grid.n_u, grid.n_v):
         raise ConfigError(f"{name} plane shape {np.shape(plane)} does not match the {grid.n_u}x{grid.n_v} grid")
@@ -175,8 +180,7 @@ class InterferogramGrid:
         silent = (self.snr_db == -np.inf) & (self.combined_magnitude == 0.0)
         planes["SNR"] = np.where(silent, 0.0, self.snr_db)
         for name, plane in planes.items():
-            if not np.isfinite(plane).all():
-                raise ConfigError(f"{name} plane holds non-finite values")
+            check_finite(plane, map_plane(name))
 
 
 def snr_map(magnitude: np.ndarray) -> np.ndarray:

@@ -21,7 +21,8 @@ within 30 m.  synthesize_chirp runs the same path with its two elements,
 and distances keep np.linalg.norm's rounding, so every block row is
 bitwise equal to synthesize_chirp at that record's TX and RX positions;
 each block is then rounded to complex64, the precision of an INSARRAW
-file, checked finite and written into the capture's samples.  Noise is
+file, checked finite (both in the words of SAMPLES, by the rule in
+types) and written into the capture's samples.  Noise is
 drawn a block of _NOISE_ROWS rows at a time from one stream into one
 complex128 block, added to the widened clean rows, rounded to complex64
 and written back over those rows: add_noise adds the noise in place and
@@ -43,15 +44,18 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, RecordError
+from .errors import ConfigError, DomainError
 from .types import (
     C_LIGHT,
-    ArrayStore,
     ChirpConfig,
     Pose,
+    Rows,
     Trajectory,
     VirtualArray,
+    check_finite,
+    held_values,
     pose_at_time,
+    round_rows,
 )
 
 # Block sizes, which bound the work buffers; results do not depend on them.
@@ -63,6 +67,7 @@ _SYNTH_CYCLES = 16
 _NOISE_ROWS = 32
 # The most TDM cycles a capture may hold: its file indexes cycles with a u32.
 _MAX_CYCLES = 2**32
+SAMPLES = Rows("records", "record {}", "samples")  # a capture's rows: one record each
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,56 +100,11 @@ class Scene:
         return len(self.targets)
 
 
-def _sample_array(samples) -> np.ndarray:
-    """Capture samples as complex64, the precision of an INSARRAW file:
-    complex64 samples are kept as they are, and any other input is rounded
-    by _round_samples."""
-    samples = np.asarray(samples)
-    if samples.dtype == np.complex64:
-        return samples
-    rounded = np.empty(samples.shape, dtype=np.complex64)
-    _round_samples(samples, rounded, 0)
-    return rounded
-
-
-def _round_rows(values: np.ndarray, out: np.ndarray) -> int | None:
-    """Round values into out, a float32 or complex64 array of their shape:
-    the precision of the samples, pixels and map planes of every insarmap
-    file.  Returns the index of the first
-    row that held a finite value float32 cannot hold, which rounded to inf,
-    or None when every value kept its finiteness."""
-    with np.errstate(over="ignore"):
-        out[...] = values
-    # the float32 view is the fast test; a non-finite value needs the slow one
-    if np.isfinite(out.view(np.float32)).all():
-        return None
-    lost = np.atleast_2d(np.isfinite(out) != np.isfinite(values)).any(axis=1)
-    return int(np.argmax(lost)) if lost.any() else None
-
-
 def _mean_power(rows: np.ndarray) -> np.ndarray:
     """Each row's mean power, over its samples widened to complex128.  A
     row's mean does not depend on the other rows, so blocks of rows give
     the floats of one pass over the capture."""
     return np.mean(np.abs(rows.astype(np.complex128)) ** 2, axis=1)
-
-
-def _check_finite(rows: np.ndarray, first_record: int) -> None:
-    """Raise RecordError for the first of rows that holds a non-finite
-    sample; first_record is the capture index of rows' first row."""
-    finite = np.isfinite(rows).all(axis=1)
-    if not finite.all():
-        raise RecordError(first_record + int(np.argmin(finite)), "holds non-finite samples")
-
-
-def _round_samples(values: np.ndarray, out: np.ndarray, first_record: int) -> None:
-    """Round sample rows into out, a complex64 array of their shape, by
-    _round_rows.  Raises ConfigError for a finite value that float32 cannot
-    hold; first_record is the capture index of values' first row, for the
-    message."""
-    lost = _round_rows(values, out)
-    if lost is not None:
-        raise RecordError(first_record + lost, "holds samples beyond float32 range")
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,10 +121,12 @@ class PulseRecord:
     tx: int
     rx: int
     pose: Pose
-    samples: np.ndarray  # (samples_per_chirp,) complex64, as _sample_array
+    samples: np.ndarray  # (samples_per_chirp,) complex64, as RawCapture rounds them
 
     def __post_init__(self) -> None:
-        samples = _sample_array(self.samples)
+        samples = np.asarray(self.samples)
+        if samples.dtype != np.complex64:
+            samples = round_rows(samples, np.empty(samples.shape, dtype=np.complex64), SAMPLES)
         samples.setflags(write=False)
         object.__setattr__(self, "samples", samples)
 
@@ -182,12 +144,9 @@ class RawCapture:
     read-only, with one exception: add_noise writes its noise into the
     samples of the capture it is given, which it consumes.
 
-    Samples have one dtype, complex64, the precision of an INSARRAW file.
-    complex64 samples are kept as they are; any other samples are rounded
-    to complex64, and a finite value beyond float32's range raises
-    ConfigError ("record N holds samples beyond float32 range").  Samples
-    may also be an ArrayStore, whose rows stay in their file; it is kept
-    as it is, and checked as its rows are read.
+    Samples are complex64, the precision of an INSARRAW file, or an
+    ArrayStore whose rows stay in their file, as types.held_values holds
+    them and refuses them in the words of SAMPLES.
     """
 
     config: ChirpConfig
@@ -201,17 +160,10 @@ class RawCapture:
     pose_index: np.ndarray  # (n_records,) int into poses
 
     def __post_init__(self) -> None:
-        stored = isinstance(self.samples, ArrayStore)
-        samples = self.samples if stored else np.asarray(self.samples)
-        n = self.config.samples_per_chirp
-        if len(samples.shape) != 2 or samples.shape[1] != n:
-            raise ConfigError(f"capture samples shape {samples.shape} != (n_records, {n})")
-        if not stored:
-            samples = _sample_array(samples)
-            # checked a block of rows at a time, so no capture-sized mask is made
-            for lo in range(0, samples.shape[0], _NOISE_ROWS):
-                _check_finite(samples[lo : lo + _NOISE_ROWS], lo)
-        samples.setflags(write=False)
+        shape, n = np.shape(self.samples), self.config.samples_per_chirp
+        if len(shape) != 2 or shape[1] != n:
+            raise ConfigError(f"capture samples shape {shape} != (n_records, {n})")
+        samples = held_values(self.samples, SAMPLES, _NOISE_ROWS)
         object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "poses", tuple(self.poses))
         for name, dtype, limit in (
@@ -428,7 +380,8 @@ def synthesize_capture(
     records.  Only complete TDM cycles are emitted so every TX/RX pair stays
     balanced.  pattern_cos_power, when given, applies a cosine-power element
     pattern about the array boresight (+y in the array frame).  A
-    non-finite window bound raises ConfigError.
+    non-finite window bound, or a window that does not start before it
+    ends, raises ConfigError.
 
     Row r equals synthesize_chirp at record r's TX and RX world positions
     rounded to complex64, bit for bit; so each component is within 5e-11
@@ -440,7 +393,7 @@ def synthesize_capture(
     ConfigError, as does a target at no finite distance from an element.
     Each block is checked finite before it is written: targets whose
     amplitudes are finite can still sum to inf, and a row that holds a
-    non-finite sample raises ConfigError (RecordError) naming its record.
+    non-finite sample raises ConfigError naming its record.
 
     samples says where the rows go.  By default they fill a new complex64
     array.  Otherwise samples is called once, with the capture's other
@@ -462,6 +415,8 @@ def synthesize_capture(
     t_start, t_end = float(t_start), float(t_end)
     if not (np.isfinite(t_start) and np.isfinite(t_end)):
         raise ConfigError(f"capture window [{t_start!r}, {t_end!r}] must be finite")
+    if not t_start < t_end:
+        raise ConfigError(f"capture window [{t_start!r}, {t_end!r}] must start before it ends")
     if t_start < traj.start_time_s or t_end > traj.end_time_s:
         raise DomainError(
             f"trajectory [{traj.start_time_s}, {traj.end_time_s}] does not span "
@@ -508,7 +463,7 @@ def synthesize_capture(
         # (cycles, n_tx, n_rx, samples), rows in firing order
         rows = beat[: len(block)]
         rows.fill(0.0)
-        # a sum beyond float64's range is refused by _check_finite below
+        # a sum beyond float64's range is refused by check_finite below
         with np.errstate(over="ignore", invalid="ignore"):
             _beat(dist, gain, amplitudes, cfg, rows, work)
         rows = rows.reshape(-1, n)
@@ -517,8 +472,8 @@ def synthesize_capture(
             part = rows[lo : lo + _NOISE_ROWS]
             rounded = staged[: part.shape[0]]
             first = c_lo * n_tx * n_rx + lo
-            _round_samples(part, rounded, first)
-            _check_finite(rounded, first)
+            round_rows(part, rounded, SAMPLES, first)
+            check_finite(rounded, SAMPLES, first)
             store[first : first + part.shape[0]] = rounded
     return RawCapture(samples=store, **columns)
 
@@ -613,7 +568,7 @@ def add_noise(
             pairs *= sigma
             noise += clean
             rounded = staged[: clean.shape[0]]
-            _round_samples(noise, rounded, lo)
+            round_rows(noise, rounded, SAMPLES, lo)
             noisy[rows] = rounded
     finally:
         samples.setflags(write=False)

@@ -1,5 +1,6 @@
 """Radar configuration, virtual-array geometry, platform trajectory types,
-and the marker of an array kept in a file.
+the marker of an array kept in a file, and the one rule every stored value
+obeys (round_rows, check_finite, held_values).
 
 Conventions used throughout the package:
     - Array frame: x = along-track (direction of travel), y = cross-track
@@ -19,6 +20,7 @@ import bisect
 import math
 import warnings
 from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -354,8 +356,71 @@ class ArrayStore:
     slice on the last, and refuses a non-finite value; store[key] = values
     writes, while the store is writable; setflags(write=...) allows or
     forbids writing, as on an array; iterating reads one row of the first
-    axis at a time; and np.asarray(store) reads every value.  RawCapture
-    and SarImageStack keep a store as it is, so its values are checked as
-    they are read, not when the capture or stack is built."""
+    axis at a time; and np.asarray(store) reads every value.  held_values
+    keeps a store as it is, so its values are checked as they are read."""
 
     dtype = np.dtype(np.complex64)
+
+
+class Rows(NamedTuple):
+    """How refusals name an artifact's rows, the first axis of its values
+    (a 1-D array is one row): name says what the rows are ("records"), row
+    formats one row's index ("record {}"; "snr_db plane" names one plane),
+    and values says what a row holds ("samples")."""
+
+    name: str
+    row: str
+    values: str
+
+    def beyond_range(self, index: int) -> str:
+        return f"{self.row.format(index)} holds {self.values} beyond float32 range"
+
+    def non_finite(self, index: int) -> str:
+        return f"{self.row.format(index)} holds non-finite {self.values}"
+
+
+def _first_row(bad: np.ndarray) -> int | None:
+    """The index of the first row of bad that holds True, or None."""
+    bad = np.atleast_2d(bad)
+    rows = bad.reshape(bad.shape[0], -1).any(axis=1)
+    return int(np.argmax(rows)) if rows.any() else None
+
+
+def round_rows(values, out: np.ndarray, rows: Rows, first: int = 0) -> np.ndarray:
+    """Round values into out, a float32 or complex64 array of their shape,
+    and return out.  Raises ConfigError for the first row that held a finite
+    value float32 cannot hold; first is the index of values' first row."""
+    with np.errstate(over="ignore"):
+        out[...] = values
+    # the float32 view is the fast test; a non-finite value needs the slow one
+    if not np.isfinite(out.view(np.float32)).all():
+        lost = _first_row(np.isfinite(out) != np.isfinite(values))
+        if lost is not None:
+            raise ConfigError(rows.beyond_range(first + lost))
+    return out
+
+
+def check_finite(values: np.ndarray, rows: Rows, first: int = 0) -> None:
+    """Raise ConfigError for the first row of values that holds a
+    non-finite value; first is the index of values' first row."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        raise ConfigError(rows.non_finite(first + _first_row(~finite)))
+
+
+def held_values(values, rows: Rows, block: int):
+    """values as a capture holds its samples and a stack its images, made
+    read-only: an ArrayStore as it is, checked as it is read; anything else
+    a complex64 array, rounded, then checked, block rows at a time, so no
+    mask of the whole array is made and any overflow is refused first."""
+    if not isinstance(values, ArrayStore):
+        values = np.asarray(values)
+        if values.dtype != np.complex64:
+            rounded = np.empty(values.shape, dtype=np.complex64)
+            for lo in range(0, len(values), block):
+                round_rows(values[lo : lo + block], rounded[lo : lo + block], rows, lo)
+            values = rounded
+        for lo in range(0, len(values), block):
+            check_finite(values[lo : lo + block], rows, lo)
+    values.setflags(write=False)
+    return values

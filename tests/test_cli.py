@@ -592,6 +592,25 @@ def test_non_finite_capture_window_is_a_config_error(workdir, capsys, line):
     assert not (out / "capture.insarraw").exists()
 
 
+@pytest.mark.parametrize(
+    "window, code, message",
+    [
+        # inside the trajectory's [-0.02, 0.02] s, but ending before it
+        # starts: a config error, not a trajectory too short (exit 4)
+        pytest.param((0.015, -0.015), 2, "capture window [0.015, -0.015] must start before it ends", id="inverted"),
+        pytest.param((0.01, 0.01), 2, "capture window [0.01, 0.01] must start before it ends", id="empty"),
+        # a window in order but shorter than one TDM cycle (191.7 us)
+        pytest.param((0.0, 1e-4), 4, "no complete TDM cycle fits the window", id="shorter than a cycle"),
+    ],
+)
+def test_capture_window_must_start_before_it_ends(workdir, capsys, window, code, message):
+    (workdir / "window.cfg").write_text(CONFIG + "capture_start_s = {!r}\ncapture_end_s = {!r}\n".format(*window))
+    out, got = run_pipeline(workdir, workdir / "window.cfg")
+    assert got == code
+    assert message in capsys.readouterr().err
+    assert not (out / "capture.insarraw").exists()
+
+
 @pytest.mark.parametrize("height", ["1e300", "-1e300"])
 def test_grid_at_no_finite_distance_is_a_config_error(workdir, capsys, height):
     # the farthest pixel's squared distance overflowed with a warning, and

@@ -746,7 +746,8 @@ class TestPipeOutput:
             os.close(os.open(path, os.O_WRONLY | os.O_NONBLOCK))
             pytest.fail("reading the store blocks")
         assert len(failures) == 1 and isinstance(failures[0], ValueError)
-        assert f"{path} is not a regular file" in str(failures[0])
+        lines = "records" if kind == "capture" else "image planes"
+        assert f"{path} is not a regular file, so its {lines} cannot be read back" in str(failures[0])
 
 
 class TestFuzz:

@@ -617,10 +617,12 @@ class TestStackValues:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_pixel_rejected_with_its_vx(self, small_e2e, bad):
-        images = small_e2e["stack"].images.copy()
-        images[3, 1, 2] = bad
-        with pytest.raises(ConfigError, match="VX 3 image holds non-finite pixels"):
-            self.stack_with(small_e2e["stack"], images=images)
+        # kept as complex64, or rounded to it first
+        for dtype in (np.complex64, np.complex128):
+            images = small_e2e["stack"].images.astype(dtype)
+            images[3, 1, 2] = bad
+            with pytest.raises(ConfigError, match="VX 3 image holds non-finite pixels"):
+                self.stack_with(small_e2e["stack"], images=images)
 
     def test_images_are_held_at_complex64(self, small_e2e):
         # complex64 planes are kept as they are; others are rounded to them
@@ -632,10 +634,35 @@ class TestStackValues:
         assert rounded.dtype == np.complex64
         assert rounded.tobytes() == wide.astype(np.complex64).tobytes()
 
+    def test_images_are_read_only_once_checked(self, small_e2e, tmp_path):
+        # a NaN written into a writable stack after its check would reach the
+        # elevate stage, which would blame the phase plane, not the VX image
+        from insarmap import formats
+
+        stack = small_e2e["stack"]
+        for images in (stack.images.copy(), stack.images.astype(np.complex128)):
+            held = self.stack_with(stack, images=images).images
+            assert not held.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                held[0, 0, 0] = np.nan
+        # a store too, while the file it is made in is open for writing
+        with formats.stack_file(tmp_path / "s.insarimg") as start:
+            fields = dict(
+                grid=stack.grid, array=stack.array, phase_center=stack.phase_center,
+                aperture_length_m=stack.aperture_length_m, wavelength_m=stack.wavelength_m,
+            )
+            held = self.stack_with(stack, images=start(**fields)).images
+            with pytest.raises(ValueError, match="reading only"):
+                held[0, 0, 0] = np.nan
+
     def test_pixel_beyond_float32_is_refused_with_its_vx(self, small_e2e):
         # 1e39 is finite as complex128 but inf once rounded to complex64
         images = small_e2e["stack"].images.astype(np.complex128)
         images[2, 1, 3] = 1e39j
+        with pytest.raises(ConfigError, match="VX 2 image holds pixels beyond float32 range"):
+            self.stack_with(small_e2e["stack"], images=images)
+        # a NaN pixel in an earlier plane: the overflow is still the refusal
+        images[1, 0, 0] = np.nan
         with pytest.raises(ConfigError, match="VX 2 image holds pixels beyond float32 range"):
             self.stack_with(small_e2e["stack"], images=images)
 

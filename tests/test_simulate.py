@@ -350,6 +350,14 @@ class TestCaptureValues:
         wide[row, 3] = 1e39
         with pytest.raises(ConfigError, match=f"record {row} holds samples beyond float32 range"):
             dataclasses.replace(cap, samples=wide)
+        # a non-finite sample earlier in the same block: the overflow is still
+        # the refusal
+        wide[row - 1, 0] = np.nan
+        with pytest.raises(ConfigError, match=f"record {row} holds samples beyond float32 range"):
+            dataclasses.replace(cap, samples=wide)
+        # a single record is rounded by the same rule, as record 0
+        with pytest.raises(ConfigError, match="record 0 holds samples beyond float32 range"):
+            sim.PulseRecord(0.0, 0, 0, 0, cap.poses[0], wide[row])
 
     def test_non_finite_sample_rejected_with_its_record(self, small_chirp):
         # a record past the first check block, so the block offset counts
