@@ -18,9 +18,7 @@ from .imaging import (
 )
 from .interferometry import (
     ElevationMap,
-    InterferogramGrid,
     build_elevation_map,
-    combine_baselines,
     elevation_from_phase,
     mean_phase_delay,
     phase_delay,
@@ -75,7 +73,6 @@ __all__ = [
     "FilterConfig",
     "ImageGrid",
     "InsarError",
-    "InterferogramGrid",
     "PointTarget",
     "Pose",
     "PulseRecord",
@@ -89,7 +86,6 @@ __all__ = [
     "add_noise",
     "build_elevation_map",
     "build_virtual_array",
-    "combine_baselines",
     "default_virtual_array",
     "derive_chirp_params",
     "elevation_from_phase",

@@ -28,13 +28,22 @@ def _load_config(path) -> dict:
     return configio.parse_kv_file(path) if path else {}
 
 
+@contextlib.contextmanager
+def _config_values(path):
+    """Name the config file path in every refusal of a value loaded from it."""
+    try:
+        yield
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
 def _cmd_simulate(args) -> int:
     cfg = _load_config(args.config)
     if not cfg:
         raise ConfigError("simulate requires --config with the chirp parameters")
-    chirp = configio.load_chirp_config(cfg, source=str(args.config))
-    derived = derive_chirp_params(chirp)
-    array = configio.load_virtual_array(cfg, derived.wavelength_m)
+    with _config_values(args.config):
+        chirp = configio.load_chirp_config(cfg)
+        array = configio.load_virtual_array(cfg, derive_chirp_params(chirp).wavelength_m)
     scene = configio.load_scene_csv(args.scene)
     # surface the trajectory speed warning on stderr instead of the warning
     # machinery, so scripts see it regardless of -W settings
@@ -44,14 +53,15 @@ def _cmd_simulate(args) -> int:
     for w in caught:
         print(f"warning: {w.message}", file=sys.stderr)
 
-    window = None
-    if "capture_start_s" in cfg or "capture_end_s" in cfg:
-        window = (
-            configio._number(cfg, "capture_start_s", traj.start_time_s),
-            configio._number(cfg, "capture_end_s", traj.end_time_s),
-        )
-    pattern_cos_power = configio._number(cfg, "element_pattern_cos_power")
-    snr_db = configio._number(cfg, "per_sample_snr_db", float("inf"))
+    with _config_values(args.config):
+        window = None
+        if "capture_start_s" in cfg or "capture_end_s" in cfg:
+            window = (
+                configio._number(cfg, "capture_start_s", traj.start_time_s),
+                configio._number(cfg, "capture_end_s", traj.end_time_s),
+            )
+        pattern_cos_power = configio._number(cfg, "element_pattern_cos_power")
+        snr_db = configio._number(cfg, "per_sample_snr_db", float("inf"))
     # the capture is synthesized and noised in its output file, which holds
     # its samples; a failure leaves the output as it was
     with formats.capture_file(args.output) as samples:
@@ -81,9 +91,10 @@ def _cmd_image(args) -> int:
     if args.pgm_dir and os.path.commonpath([os.path.realpath(args.pgm_dir), output]) == output:
         raise ConfigError(f"--pgm-dir {args.pgm_dir} is or lies in the -o output")
     cfg = _load_config(args.config)
-    grid = configio.load_grid(cfg)
-    aperture = configio.load_aperture(cfg)
-    options = configio.load_imaging_options(cfg)
+    with _config_values(args.config):
+        grid = configio.load_grid(cfg)
+        aperture = configio.load_aperture(cfg)
+        options = configio.load_imaging_options(cfg)
     # the samples stay in the file: image_stack reads the aperture's records
     # a cycle batch at a time, and adds them into the stack in its output
     # file a pixel block at a time; a failure, the PGMs' included, leaves
@@ -165,7 +176,8 @@ def _cmd_pointcloud(args) -> int:
         raise ConfigError(f"--csv {args.csv} is the -o output")
     cfg = _load_config(args.config)
     emap = formats.read_elevation_map(args.map)
-    fcfg = configio.load_filter_config(cfg)
+    with _config_values(args.config):
+        fcfg = configio.load_filter_config(cfg)
     cloud = pointcloud.filter_points(emap, fcfg)
     # every output is opened before any is written, so one that cannot be
     # opened or written leaves every output as it was
@@ -187,7 +199,8 @@ def _cmd_pointcloud(args) -> int:
 def _cmd_report(args) -> int:
     cfg = _load_config(args.config)
     emap = formats.read_elevation_map(args.map)
-    fcfg = configio.load_filter_config(cfg)
+    with _config_values(args.config):
+        fcfg = configio.load_filter_config(cfg)
     cloud = pointcloud.filter_points(emap, fcfg)
     for line in _filter_report(cloud, fcfg):
         print(line)

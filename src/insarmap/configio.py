@@ -70,11 +70,11 @@ def parse_kv_file(path) -> dict:
     return values
 
 
-def _number(cfg: dict, key: str, default=None, *, integer: bool = False, source=""):
+def _number(cfg: dict, key: str, default=None, *, integer: bool = False):
     """cfg[key], or default when the key is absent, as a float (an int when
     integer is set).  Returns None when both are absent.  Anything that is
     not a number, NaN, an integer literal beyond float's range, and a
-    non-integral value for an integer key raise ConfigError."""
+    non-integral value for an integer key raise ConfigError naming key."""
     value = cfg.get(key, default)
     if value is None:
         return None
@@ -82,23 +82,36 @@ def _number(cfg: dict, key: str, default=None, *, integer: bool = False, source=
     try:
         number = float(value) if ok else None
     except OverflowError:  # an int that no float holds
-        raise ConfigError(f"{source or 'config'}: {key} is beyond float range") from None
+        raise ConfigError(f"{key} is beyond float range") from None
     if ok and integer:
         ok = number.is_integer()
     if not ok:
         kind = "an integer" if integer else "a number"
-        raise ConfigError(f"{source or 'config'}: {key} must be {kind}, got {value!r}")
+        raise ConfigError(f"{key} must be {kind}, got {value!r}")
     return int(value) if integer else number
 
 
-def load_chirp_config(cfg: dict, source="") -> ChirpConfig:
+def _floats(cfg: dict, key: str, default=None, size: int | None = None) -> np.ndarray:
+    """cfg[key], or default when the key is absent, as a float array, of
+    size numbers when size is given.  Anything else raises ConfigError
+    naming key."""
+    value = cfg.get(key, default)
+    try:
+        array = np.asarray(value, float)
+        return array if size is None else array.reshape(size)
+    except (TypeError, ValueError, OverflowError):
+        count = "" if size is None else f"{size} "
+        raise ConfigError(f"{key} must be {count}numbers, got {value!r}") from None
+
+
+def load_chirp_config(cfg: dict) -> ChirpConfig:
     """Every ChirpConfig field is a required key; int fields take integers."""
     keys = [f.name for f in dataclasses.fields(ChirpConfig)]
     missing = [key for key in keys if key not in cfg]
     if missing:
-        raise ConfigError(f"{source or 'config'}: missing required key {missing[0]!r}")
+        raise ConfigError(f"missing required key {missing[0]!r}")
     hints = typing.get_type_hints(ChirpConfig)
-    return ChirpConfig(**{key: _number(cfg, key, integer=hints[key] is int, source=source) for key in keys})
+    return ChirpConfig(**{key: _number(cfg, key, integer=hints[key] is int) for key in keys})
 
 
 def load_virtual_array(cfg: dict, wavelength_m: float) -> VirtualArray:
@@ -110,24 +123,18 @@ def load_virtual_array(cfg: dict, wavelength_m: float) -> VirtualArray:
     if tx is None or rx is None:
         raise ConfigError("tx_positions_m and rx_positions_m must be given together")
     try:
-        tx, rx = np.asarray(tx, float), np.asarray(rx, float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"bad element positions: {exc}") from exc
+        tx, rx = _floats(cfg, "tx_positions_m"), _floats(cfg, "rx_positions_m")
+    except ConfigError as exc:
+        raise ConfigError(f"bad element positions: {exc}") from None
     return build_virtual_array(tx, rx)
 
 
 def load_grid(cfg: dict) -> ImageGrid:
-    origin = cfg.get("grid_origin_m", (-15.0, 0.0))
-    extent = cfg.get("grid_extent_m", (30.0, 30.0))
-    pixel = _number(cfg, "pixel_size_m", 0.04)
-    try:
-        return ImageGrid(
-            origin_m=np.asarray(origin, float).reshape(2),
-            extent_m=np.asarray(extent, float).reshape(2),
-            pixel_size_m=pixel,
-        )
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"bad grid configuration: {exc}") from exc
+    return ImageGrid(
+        origin_m=_floats(cfg, "grid_origin_m", (-15.0, 0.0), 2),
+        extent_m=_floats(cfg, "grid_extent_m", (30.0, 30.0), 2),
+        pixel_size_m=_number(cfg, "pixel_size_m", 0.04),
+    )
 
 
 def load_aperture(cfg: dict) -> Aperture:

@@ -43,7 +43,7 @@ leave every sample or pixel in the file: the image stage reads the
 aperture's records as it images them, and the elevate stage one block of
 rows of every plane at a time, so no stage holds a whole capture or stack.
 Every value is stored by the rule types states, and refused in the words
-of its artifact: simulate.SAMPLES, imaging.PIXELS, interferometry.map_plane.
+of its artifact: simulate.SAMPLES, imaging.PIXELS, interferometry.MAP_PLANES.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ import numpy as np
 
 from .errors import ConfigError, DataFormatError
 from .imaging import PIXELS, ImageGrid, SarImageStack
-from .interferometry import ElevationMap, InterferogramGrid, map_plane
+from .interferometry import MAP_PLANES, ElevationMap
 from .simulate import SAMPLES, RawCapture
 from .types import ArrayStore, ChirpConfig, Pose, Rows, VirtualArray, build_virtual_array, round_rows
 
@@ -532,7 +532,7 @@ def read_image_stack(path) -> SarImageStack:
     or values that ImageGrid, the array or SarImageStack reject.
 
     The planes stay in the file, as an ArrayFile at the file's precision,
-    complex64: they are read as they are used (combine_baselines reads one
+    complex64: they are read as they are used (build_elevation_map reads one
     block of rows of every plane at a time), and a non-finite pixel is a
     DataFormatError then.  The file must not change while a stack reads
     it."""
@@ -558,7 +558,6 @@ def write_elevation_map(emap: ElevationMap, path) -> None:
     """Write an INSARELV map.  Raises ConfigError, and leaves path as it
     was, for a finite value beyond float32's range (NaN elevations and -inf
     SNRs are stored as they are)."""
-    intf = emap.interferogram
     with _replacing(path) as fh:
         _write_preamble(fh, MAGIC_ELV)
         _write_grid(fh, emap.grid)
@@ -566,48 +565,34 @@ def write_elevation_map(emap: ElevationMap, path) -> None:
         fh.write(struct.pack("<dd", emap.wavelength_m, emap.baseline_m))
         fh.write(struct.pack("<II", emap.grid.n_u, emap.grid.n_v))
         encoded = np.empty((emap.grid.n_u, emap.grid.n_v), dtype="<f4")
-        for name, plane in (
-            ("elevation", emap.elevation),
-            ("mean phase delay", intf.mean_phase_delay),
-            ("circular variance", intf.circular_variance),
-            ("combined magnitude", intf.combined_magnitude),
-            ("snr_db", intf.snr_db),
-        ):
-            fh.write(round_rows(plane, encoded, map_plane(name)))
+        for field, rows in MAP_PLANES.items():
+            fh.write(round_rows(getattr(emap, field), encoded, rows))
 
 
 def read_elevation_map(path) -> ElevationMap:
     """Read an INSARELV map.  Raises DataFormatError for a damaged file:
     bad magic or version, too few bytes for the sizes the header declares,
-    or values that ImageGrid, InterferogramGrid or ElevationMap reject."""
+    or values that ImageGrid or ElevationMap reject."""
     with _reading(path) as fh:
         _read_preamble(fh, MAGIC_ELV, path)
         grid = _read_grid(fh)
         phase_center = np.frombuffer(_read_exact(fh, 24, "phase center"), dtype="<f8").copy()
         wavelength, baseline = _unpack(fh, "<dd", "map header")
         n_u, n_v = _unpack(fh, "<II", "map dims")
-        _check_left(fh, 5 * n_u * n_v * 4, "map planes")
+        _check_left(fh, len(MAP_PLANES) * n_u * n_v * 4, "map planes")
         # each float32 plane is read into one reused buffer and widened
-        planes = np.empty((5, n_u, n_v))
+        planes = np.empty((len(MAP_PLANES), n_u, n_v))
         encoded = np.empty((n_u, n_v), dtype="<f4")
         for plane in planes:
             if fh.readinto(encoded.data) != encoded.nbytes:
                 raise DataFormatError(f"{path}: truncated file while reading map planes")
             plane[...] = encoded
-        elevation, phase, variance, magnitude, snr = planes
         return ElevationMap(
             grid=grid,
             phase_center=phase_center,
             wavelength_m=wavelength,
             baseline_m=baseline,
-            elevation=elevation,
-            interferogram=InterferogramGrid(
-                grid=grid,
-                mean_phase_delay=phase,
-                circular_variance=variance,
-                combined_magnitude=magnitude,
-                snr_db=snr,
-            ),
+            **dict(zip(MAP_PLANES, planes)),
         )
 
 

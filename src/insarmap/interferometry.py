@@ -143,44 +143,61 @@ def mean_phase_delay(lower, upper, axis: int = 0):
     return mean_phase, variance
 
 
-def map_plane(name: str) -> Rows:
-    """How a map's refusals name its plane name ("snr_db plane")."""
-    return Rows("map planes", f"{name} plane", "values")
-
-
-def _check_plane(grid: ImageGrid, name: str, plane: np.ndarray) -> None:
-    if np.shape(plane) != (grid.n_u, grid.n_v):
-        raise ConfigError(f"{name} plane shape {np.shape(plane)} does not match the {grid.n_u}x{grid.n_v} grid")
+# The INSARELV file's planes, in its order: each ElevationMap field, and how
+# every refusal of it names it, in the file's words ("snr_db plane").
+MAP_PLANES = {
+    field: Rows("map planes", f"{name} plane", "values")
+    for field, name in (
+        ("elevation", "elevation"),
+        ("mean_phase_delay", "mean phase delay"),
+        ("circular_variance", "circular variance"),
+        ("combined_magnitude", "combined magnitude"),
+        ("snr_db", "snr_db"),
+    )
+}
 
 
 @dataclass(frozen=True, eq=False)
-class InterferogramGrid:
-    """Per-pixel interferometric measurements on an image grid.
+class ElevationMap:
+    """Per-pixel elevation angles and the interferometric quality that
+    qualifies them: the INSARELV file's five planes (MAP_PLANES), each of
+    the grid's shape.
 
-    Every plane has the grid's shape and holds finite values, except the
-    -inf SNR of a pixel whose magnitude is exactly zero (20*log10(0)).
+    elevation is in radians, NaN where the angle is unrecoverable
+    (correlation argument outside the arcsin domain); snr_db is -inf where
+    the magnitude is exactly zero (20*log10(0)).  Every other value is
+    finite.
     """
 
     grid: ImageGrid
+    phase_center: np.ndarray  # (3,)
+    wavelength_m: float
+    baseline_m: float
+    elevation: np.ndarray
     mean_phase_delay: np.ndarray
     circular_variance: np.ndarray
     combined_magnitude: np.ndarray
     snr_db: np.ndarray
 
     def __post_init__(self) -> None:
-        planes = {
-            "phase": self.mean_phase_delay,
-            "variance": self.circular_variance,
-            "magnitude": self.combined_magnitude,
-            "SNR": self.snr_db,
-        }
-        for name, plane in planes.items():
-            _check_plane(self.grid, name, plane)
-        # -inf is the SNR of a zero-magnitude pixel, not damage
-        silent = (self.snr_db == -np.inf) & (self.combined_magnitude == 0.0)
-        planes["SNR"] = np.where(silent, 0.0, self.snr_db)
-        for name, plane in planes.items():
-            check_finite(plane, map_plane(name))
+        for field, rows in MAP_PLANES.items():
+            plane = getattr(self, field)
+            if np.shape(plane) != (self.grid.n_u, self.grid.n_v):
+                raise ConfigError(
+                    f"{rows.row} shape {np.shape(plane)} does not match the {self.grid.n_u}x{self.grid.n_v} grid"
+                )
+            # NaN is an absent elevation, and -inf the SNR of a pixel whose
+            # magnitude is exactly zero: neither is damage
+            if field == "elevation":
+                plane = np.where(np.isnan(plane), 0.0, plane)
+            elif field == "snr_db":
+                plane = np.where((plane == -np.inf) & (self.combined_magnitude == 0.0), 0.0, plane)
+            check_finite(plane, rows)
+        pc = np.asarray(self.phase_center, dtype=float).reshape(3)
+        if not np.isfinite(pc).all():
+            raise ConfigError("phase_center must be finite")
+        pc.setflags(write=False)
+        object.__setattr__(self, "phase_center", pc)
 
 
 def snr_map(magnitude: np.ndarray) -> np.ndarray:
@@ -199,9 +216,9 @@ def snr_map(magnitude: np.ndarray) -> np.ndarray:
         return 20.0 * np.log10(magnitude / median)
 
 
-def _combine_rows(images: np.ndarray, baselines) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The mean phase delay, circular variance and mean magnitude of a
-    block of grid rows of every VX image, (n_vx, rows, n_v).  Its own
+def _map_rows(images: np.ndarray, baselines, wavelength: float, d_v: float):
+    """The elevation, mean phase delay, circular variance and mean magnitude
+    of a block of grid rows of every VX image, (n_vx, rows, n_v).  Its own
     function, so a block and its work are freed before the next is read."""
     mean_phase, variance = mean_phase_delay(
         [images[b.lower_vx] for b in baselines], [images[b.upper_vx] for b in baselines]
@@ -213,23 +230,29 @@ def _combine_rows(images: np.ndarray, baselines) -> tuple[np.ndarray, np.ndarray
     for image in images:
         magnitude += np.abs(np.asarray(image, np.complex128), out=plane)
     magnitude /= images.shape[0]
-    return mean_phase, variance, magnitude
+    arg = wavelength * mean_phase / (4.0 * np.pi * d_v)
+    elevation = np.where(np.abs(arg) <= 1.0, np.arcsin(np.clip(arg, -1.0, 1.0)), np.nan)
+    return elevation, mean_phase, variance, magnitude
 
 
-def combine_baselines(stack: SarImageStack) -> InterferogramGrid:
-    """Correlate every vertical baseline and average per pixel.
+def build_elevation_map(stack: SarImageStack) -> ElevationMap:
+    """Extract per-pixel elevation, and its quality, from a SAR image stack.
 
-    All baselines must share the same separation; mixed spacings would need
-    per-baseline phase scaling that this pipeline does not implement.  The
-    phase delays and the mean magnitude are computed one block of grid rows
-    at a time (imaging._row_blocks), from that block of every VX plane:
-    read from the file for a stack on an ArrayStore, as read_image_stack
-    gives it.  Within a block, baselines and VX planes are summed one at a
-    time, so the peak memory is the output planes and one block's work
-    whatever the number of baselines or VX; the per-pixel operations, and
-    so the floats, do not depend on the blocks.  The images are complex64,
-    as SarImageStack holds them.  Each plane is widened to complex128 when
-    it is used, which is exact, so the stack gives the floats of its
+    Every vertical baseline is correlated and averaged per pixel.  The
+    array needs one, and all must share the same separation, at most a
+    quarter wavelength; mixed spacings would need per-baseline phase
+    scaling that this pipeline does not implement.  These are checked
+    before any pixel is read.
+
+    The map's planes are computed one block of grid rows at a time
+    (imaging._row_blocks), from that block of every VX plane: read from
+    the file for a stack on an ArrayStore, as read_image_stack gives it.
+    Within a block, baselines and VX planes are summed one at a time, so
+    the peak memory is the map's planes and one block's work whatever the
+    number of baselines or VX; the per-pixel operations, and so the floats,
+    do not depend on the blocks.  The images are complex64, as
+    SarImageStack holds them.  Each plane is widened to complex128 when it
+    is used, which is exact, so the stack gives the floats of its
     complex128 widening without a widened copy of it.  snr_map then takes
     the whole magnitude plane, for its median.
     """
@@ -239,61 +262,23 @@ def combine_baselines(stack: SarImageStack) -> InterferogramGrid:
     seps = np.array([b.separation_m for b in baselines])
     if np.any(np.abs(seps - seps[0]) > 1e-12 * seps[0]):
         raise DomainError(f"mixed baseline separations are unsupported: {sorted(set(seps))}")
+    d_v, lam = baselines[0].separation_m, stack.wavelength_m
+    _check_baseline(d_v, lam)
 
     shape = (stack.grid.n_u, stack.grid.n_v)
-    mean_phase, variance, magnitude = np.empty(shape), np.empty(shape), np.empty(shape)
+    elevation, mean_phase, variance, magnitude = (np.empty(shape) for _ in range(4))
     for rows in _row_blocks(stack.grid):
-        mean_phase[rows], variance[rows], magnitude[rows] = _combine_rows(stack.images[:, rows], baselines)
-    return InterferogramGrid(
-        grid=stack.grid,
-        mean_phase_delay=mean_phase,
-        circular_variance=variance,
-        combined_magnitude=magnitude,
-        snr_db=snr_map(magnitude),
-    )
-
-
-@dataclass(frozen=True, eq=False)
-class ElevationMap:
-    """Per-pixel elevation angles plus the interferometric quality maps.
-
-    elevation is NaN where the angle is unrecoverable (correlation argument
-    outside the arcsin domain); its shape is the grid's.
-    """
-
-    grid: ImageGrid
-    phase_center: np.ndarray  # (3,)
-    wavelength_m: float
-    baseline_m: float
-    elevation: np.ndarray  # radians, NaN = absent
-    interferogram: InterferogramGrid
-
-    def __post_init__(self) -> None:
-        _check_plane(self.grid, "elevation", self.elevation)
-        pc = np.asarray(self.phase_center, dtype=float).reshape(3)
-        if not np.isfinite(pc).all():
-            raise ConfigError("phase_center must be finite")
-        pc.setflags(write=False)
-        object.__setattr__(self, "phase_center", pc)
-
-
-def build_elevation_map(stack: SarImageStack) -> ElevationMap:
-    """Extract per-pixel elevation from a SAR image stack.  Like the
-    baseline combination, the elevation is computed one block of grid rows
-    at a time, so its temporaries are one block's."""
-    intf = combine_baselines(stack)
-    d_v = stack.array.vertical_baselines[0].separation_m
-    lam = stack.wavelength_m
-    _check_baseline(d_v, lam)
-    elevation = np.empty(intf.mean_phase_delay.shape)
-    for rows in _row_blocks(stack.grid):
-        arg = lam * intf.mean_phase_delay[rows] / (4.0 * np.pi * d_v)
-        elevation[rows] = np.where(np.abs(arg) <= 1.0, np.arcsin(np.clip(arg, -1.0, 1.0)), np.nan)
+        elevation[rows], mean_phase[rows], variance[rows], magnitude[rows] = _map_rows(
+            stack.images[:, rows], baselines, lam, d_v
+        )
     return ElevationMap(
         grid=stack.grid,
         phase_center=stack.phase_center,
         wavelength_m=lam,
         baseline_m=d_v,
         elevation=elevation,
-        interferogram=intf,
+        mean_phase_delay=mean_phase,
+        circular_variance=variance,
+        combined_magnitude=magnitude,
+        snr_db=snr_map(magnitude),
     )

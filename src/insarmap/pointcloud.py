@@ -125,7 +125,6 @@ def _filter_rows(emap: ElevationMap, cfg: FilterConfig, rows: slice):
     each predicate of _REJECTIONS rejects.  Its own function, so a block's
     temporaries are freed before the next block's are made."""
     grid = emap.grid
-    intf = emap.interferogram
     pc = emap.phase_center
 
     du = grid.u_centers()[rows, None] - pc[0]
@@ -141,7 +140,7 @@ def _filter_rows(emap: ElevationMap, cfg: FilterConfig, rows: slice):
     front = np.deg2rad(cfg.front_azimuth_deg)
     halfwidth = np.deg2rad(cfg.front_azimuth_halfwidth_deg)
     min_z = cfg.resolved_min_z_m
-    snr, variance = intf.snr_db[rows], intf.circular_variance[rows]
+    snr, variance = emap.snr_db[rows], emap.circular_variance[rows]
 
     has_phi = np.isfinite(phi)
     ok_snr = snr >= cfg.snr_threshold_db
@@ -152,7 +151,7 @@ def _filter_rows(emap: ElevationMap, cfg: FilterConfig, rows: slice):
         ok_z = s_z >= min_z
     keep = has_phi & ok_snr & ok_var & ok_elev & ~in_front_cone & ok_z
     rejected = (~has_phi, ~ok_snr, ~ok_var, has_phi & ~ok_elev, in_front_cone, has_phi & ~ok_z)
-    points = [c[keep] for c in (s_x, s_y, s_z, intf.combined_magnitude[rows], snr, variance)]
+    points = [c[keep] for c in (s_x, s_y, s_z, emap.combined_magnitude[rows], snr, variance)]
     return points, [int(np.count_nonzero(mask)) for mask in rejected]
 
 

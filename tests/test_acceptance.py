@@ -51,7 +51,7 @@ class TestCriterion1ReflectorAccuracy:
         epri = derived.effective_pri_s
         t_half = 522 * epri
         traj = make_rail_trajectory(self.SPEED, t_half, self.SENSOR_HEIGHT, margin_s=epri)
-        # reflector x positions sit on 4 cm pixel centers of the grid below
+        # x = 0 and the default x_mounted sit on 4 cm pixel centers of the grid below
         reflectors = [
             np.array([0.0, 3.2, 0.05]),
             np.array([x_mounted, 4.6, z_mounted]),
@@ -96,17 +96,20 @@ class TestCriterion1ReflectorAccuracy:
 
     def test_squinted_reflector_elevation_within_2cm(self):
         # the mounted reflector 1.5 m off broadside, where sin(theta) = 0.95:
-        # its height needs the elevation de-projected about the aperture axis
-        recovered, _ = self.run_case(0.33, 11, x_mounted=1.5)
-        err_ground = recovered[0] - 0.05
-        err_mounted = recovered[1] - 0.33
-        report(
-            f"1 analogue, mounted reflector at x = 1.5 m: ground err {err_ground*100:+.2f} cm, "
-            f"mounted err {err_mounted*100:+.2f} cm -> "
-            f"{'PASS' if max(abs(err_ground), abs(err_mounted)) <= 0.02 else 'FAIL'}"
-        )
-        assert abs(err_ground) <= 0.02
-        assert abs(err_mounted) <= 0.02
+        # its height needs the elevation de-projected about the aperture
+        # axis; and at x = 0.46 m, 2 cm off the 0.44 m pixel center, half a
+        # pixel from where the other cases sit on the 4 cm grid
+        for x_mounted in (1.5, 0.46):
+            recovered, _ = self.run_case(0.33, 11, x_mounted=x_mounted)
+            err_ground = recovered[0] - 0.05
+            err_mounted = recovered[1] - 0.33
+            report(
+                f"1 analogue, mounted reflector at x = {x_mounted:g} m: ground err {err_ground*100:+.2f} cm, "
+                f"mounted err {err_mounted*100:+.2f} cm -> "
+                f"{'PASS' if max(abs(err_ground), abs(err_mounted)) <= 0.02 else 'FAIL'}"
+            )
+            assert abs(err_ground) <= 0.02, x_mounted
+            assert abs(err_mounted) <= 0.02, x_mounted
 
 
 class TestCriterion2DerivedParameters:
@@ -281,7 +284,7 @@ class TestCriterion6BackprojectionOracle:
 
 class TestCriterion7FilterProperties:
     def random_map(self, rng, n=16):
-        from insarmap.interferometry import ElevationMap, InterferogramGrid
+        from insarmap.interferometry import ElevationMap
         from insarmap.imaging import ImageGrid
 
         grid = ImageGrid(np.array([-3.0, 0.5]), np.array([6.0, 6.0]), 6.0 / n)
@@ -295,13 +298,10 @@ class TestCriterion7FilterProperties:
             wavelength_m=0.00387,
             baseline_m=0.00387 / 4,
             elevation=phi,
-            interferogram=InterferogramGrid(
-                grid=grid,
-                mean_phase_delay=rng.uniform(-np.pi, np.pi, shape),
-                circular_variance=rng.uniform(0.0, 0.4, shape),
-                combined_magnitude=mag,
-                snr_db=20.0 * np.log10(mag / np.median(mag)),
-            ),
+            mean_phase_delay=rng.uniform(-np.pi, np.pi, shape),
+            circular_variance=rng.uniform(0.0, 0.4, shape),
+            combined_magnitude=mag,
+            snr_db=20.0 * np.log10(mag / np.median(mag)),
         )
 
     def test_randomized_maps_and_boundaries(self):
@@ -352,7 +352,7 @@ class TestCriterion7FilterProperties:
                f"({checked} subset checks) -> PASS")
 
     def boundary_cases(self):
-        from insarmap.interferometry import ElevationMap, InterferogramGrid
+        from insarmap.interferometry import ElevationMap
         from insarmap.imaging import ImageGrid
 
         grid = ImageGrid(np.array([-0.5, 0.0]), np.array([1.0, 6.0]), 1.0)
@@ -365,13 +365,10 @@ class TestCriterion7FilterProperties:
                 wavelength_m=0.00387,
                 baseline_m=0.00387 / 4,
                 elevation=np.full(shape, np.radians(phi_deg)),
-                interferogram=InterferogramGrid(
-                    grid=grid,
-                    mean_phase_delay=np.zeros(shape),
-                    circular_variance=np.zeros(shape),
-                    combined_magnitude=np.ones(shape),
-                    snr_db=np.full(shape, snr),
-                ),
+                mean_phase_delay=np.zeros(shape),
+                circular_variance=np.zeros(shape),
+                combined_magnitude=np.ones(shape),
+                snr_db=np.full(shape, snr),
             )
 
         cfg = im.FilterConfig(sensor_height_m=1.0)
@@ -394,13 +391,10 @@ class TestCriterion7FilterProperties:
                 wavelength_m=0.00387,
                 baseline_m=0.00387 / 4,
                 elevation=np.zeros((1, 1)),
-                interferogram=InterferogramGrid(
-                    grid=gridb,
-                    mean_phase_delay=np.zeros((1, 1)),
-                    circular_variance=np.zeros((1, 1)),
-                    combined_magnitude=np.ones((1, 1)),
-                    snr_db=np.full((1, 1), 30.0),
-                ),
+                mean_phase_delay=np.zeros((1, 1)),
+                circular_variance=np.zeros((1, 1)),
+                combined_magnitude=np.ones((1, 1)),
+                snr_db=np.full((1, 1), 30.0),
             )
             cfgb = im.FilterConfig(sensor_height_m=1.0, front_azimuth_halfwidth_deg=halfwidth)
             assert len(im.filter_points(emap, cfgb)) == expect

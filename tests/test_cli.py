@@ -244,12 +244,14 @@ def test_report_subcommand(workdir, capsys):
         ["--seed", "5", "pipeline", str(workdir / "scene.csv"), str(workdir / "traj.csv"),
          "--config", str(workdir / "radar.cfg"), "--out-dir", str(out)]
     ) == 0
-    capsys.readouterr()
+    pipeline = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("[filter]")]
     assert cli.main(["report", str(out / "elevation.insarelv"),
                      "--config", str(workdir / "radar.cfg")]) == 0
     text = capsys.readouterr().out
     assert "[filter] candidates:" in text
     assert "[filter] kept:" in text
+    # the pointcloud stage's accounting of the same map and config
+    assert text.splitlines() == pipeline
 
 
 def test_pgm_dump(workdir, capsys):
@@ -464,7 +466,7 @@ def test_non_finite_map_snr_is_a_format_error(workdir, capsys):
     code = cli.main(["pointcloud", str(path), "--config", str(workdir / "radar.cfg"),
                      "-o", str(workdir / "c.pcd")])
     assert code == 3
-    assert "SNR plane holds non-finite values" in capsys.readouterr().err
+    assert "snr_db plane holds non-finite values" in capsys.readouterr().err
 
 
 # Header value fields: INSARRAW's u32 samples_per_chirp, the f64 origin u
@@ -531,6 +533,40 @@ def test_bad_config_number_exit_code(workdir, capsys, line):
     _, code = run_pipeline(workdir, workdir / "bad.cfg")
     assert code == 2
     assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "pri_s = abc",
+        "pixel_size_m = abc",
+        "aperture_length_m = abc",
+        "oversample_factor = abc",
+        "snr_threshold_db = abc",
+        "capture_start_s = abc",
+        "capture_end_s = abc",
+        "element_pattern_cos_power = abc",
+        "per_sample_snr_db = abc",
+        "grid_origin_m = abc",
+        "grid_extent_m = (1, 2, 3)",
+        pytest.param("tx_positions_m = abc\nrx_positions_m = [(0, 0, 0)]", id="tx_positions_m = abc"),
+        # values the loaded types refuse
+        "pixel_size_m = -1",
+        "front_azimuth_deg = inf",
+        "num_tx = 0",
+    ],
+)
+def test_bad_config_value_names_the_file_and_the_key(workdir, capsys, line):
+    # only the chirp keys' refusals used to name the file, and a grid
+    # origin that is not numbers named neither the file nor the key
+    key = line.split()[0]
+    path = workdir / "bad.cfg"
+    path.write_text(CONFIG + line + "\n")
+    _, code = run_pipeline(workdir, path)
+    assert code == 2
+    (error,) = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("error:")]
+    assert error.startswith(f"error: {path}: ")
+    assert key in error
 
 
 def test_non_finite_pose_in_capture_is_a_format_error(workdir, capsys):

@@ -33,7 +33,7 @@ class TestKvParsing:
         assert cfg["center_frequency_hz"] == pytest.approx(77.4e9)
         assert cfg["per_sample_snr_db"] == np.inf
         assert (cfg["plus_inf"], cfg["minus_inf"], cfg["infinity"]) == (np.inf, -np.inf, np.inf)
-        chirp = configio.load_chirp_config(cfg, source=str(path))
+        chirp = configio.load_chirp_config(cfg)
         assert chirp.num_tx == 3
 
     def test_tuple_values(self, tmp_path):
@@ -57,7 +57,7 @@ class TestKvParsing:
 
     def test_missing_key_reported(self, tmp_path):
         with pytest.raises(ConfigError, match="center_frequency_hz"):
-            configio.load_chirp_config({}, source="x")
+            configio.load_chirp_config({})
 
     def test_default_array_when_positions_omitted(self):
         arr = configio.load_virtual_array({}, 0.00387)

@@ -552,36 +552,24 @@ class TestElevationMapFormat:
         # poke a NaN elevation in to confirm absent pixels survive the file
         elev = emap.elevation.copy()
         elev[0, 0] = np.nan
-        poked = im.ElevationMap(
-            grid=emap.grid,
-            phase_center=emap.phase_center,
-            wavelength_m=emap.wavelength_m,
-            baseline_m=emap.baseline_m,
-            elevation=elev,
-            interferogram=emap.interferogram,
-        )
+        poked = dataclasses.replace(emap, elevation=elev)
         path = tmp_path / "map.insarelv"
         formats.write_elevation_map(poked, path)
         # the five planes are the values rounded to float32
-        intf = emap.interferogram
-        planes = (elev, intf.mean_phase_delay, intf.circular_variance, intf.combined_magnitude, intf.snr_db)
+        planes = (elev, emap.mean_phase_delay, emap.circular_variance, emap.combined_magnitude, emap.snr_db)
         assert path.read_bytes().endswith(np.stack(planes).astype("<f4").tobytes())
         back = formats.read_elevation_map(path)
         assert np.isnan(back.elevation[0, 0])
         finite = np.isfinite(poked.elevation)
         assert np.allclose(back.elevation[finite], poked.elevation[finite], atol=1e-6)
-        assert np.allclose(
-            back.interferogram.snr_db, emap.interferogram.snr_db, atol=1e-3
-        )
+        assert np.allclose(back.snr_db, emap.snr_db, atol=1e-3)
         assert back.baseline_m == emap.baseline_m
 
     def test_value_beyond_float32_is_refused_with_its_plane(self, tmp_path, small_e2e):
         emap = small_e2e["map"]
-        magnitude = emap.interferogram.combined_magnitude.copy()
+        magnitude = emap.combined_magnitude.copy()
         magnitude[4, 0] = 1e39
-        big = dataclasses.replace(
-            emap, interferogram=dataclasses.replace(emap.interferogram, combined_magnitude=magnitude)
-        )
+        big = dataclasses.replace(emap, combined_magnitude=magnitude)
         path = tmp_path / "map.insarelv"
         with pytest.raises(ConfigError, match="combined magnitude plane holds values beyond float32 range"):
             formats.write_elevation_map(big, path)
@@ -599,8 +587,21 @@ class TestElevationMapFormat:
                 formats.write_elevation_map(big, pipe)
             assert received == b""
 
-    @pytest.mark.parametrize("plane, name", [(1, "phase"), (2, "variance"), (3, "magnitude"), (4, "SNR")])
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize(
+        "bad, plane, name",
+        [
+            pytest.param(bad, plane, name, id=f"{bad}-{plane}-{short}")
+            for bad in (np.nan, np.inf, -np.inf)
+            for plane, name, short in (
+                (1, "mean phase delay", "phase"),
+                (2, "circular variance", "variance"),
+                (3, "combined magnitude", "magnitude"),
+                (4, "snr_db", "SNR"),
+            )
+        ]
+        # NaN is an absent elevation
+        + [pytest.param(bad, 0, "elevation", id=f"{bad}-0-elevation") for bad in (np.inf, -np.inf)],
+    )
     def test_non_finite_quality_value_is_a_format_error(self, tmp_path, small_e2e, plane, name, bad):
         path = tmp_path / "map.insarelv"
         formats.write_elevation_map(small_e2e["map"], path)
@@ -613,29 +614,14 @@ class TestElevationMapFormat:
 
     def test_zero_magnitude_pixel_keeps_its_minus_inf_snr(self, tmp_path, small_e2e):
         emap = small_e2e["map"]
-        intf = emap.interferogram
-        magnitude = intf.combined_magnitude.copy()
+        magnitude = emap.combined_magnitude.copy()
         magnitude[0, 0] = 0.0
-        snr = im.snr_map(magnitude)
-        poked = im.ElevationMap(
-            grid=emap.grid,
-            phase_center=emap.phase_center,
-            wavelength_m=emap.wavelength_m,
-            baseline_m=emap.baseline_m,
-            elevation=emap.elevation,
-            interferogram=im.InterferogramGrid(
-                grid=emap.grid,
-                mean_phase_delay=intf.mean_phase_delay,
-                circular_variance=intf.circular_variance,
-                combined_magnitude=magnitude,
-                snr_db=snr,
-            ),
-        )
+        poked = dataclasses.replace(emap, combined_magnitude=magnitude, snr_db=im.snr_map(magnitude))
         path = tmp_path / "map.insarelv"
         formats.write_elevation_map(poked, path)
         back = formats.read_elevation_map(path)
-        assert back.interferogram.snr_db[0, 0] == -np.inf
-        assert np.isfinite(back.interferogram.snr_db.reshape(-1)[1:]).all()
+        assert back.snr_db[0, 0] == -np.inf
+        assert np.isfinite(back.snr_db.reshape(-1)[1:]).all()
 
     def test_truncation(self, tmp_path, small_e2e):
         path = tmp_path / "map.insarelv"

@@ -294,7 +294,7 @@ def assert_within_1e6_of_peak(images, reference):
 def assert_baseline_phases_within_1e5_rad(stack, reference, emap):
     """Every vertical baseline's phase agrees with reference's to 1e-5 rad
     on the map's pixels at 15 dB SNR or more."""
-    strong = emap.interferogram.snr_db >= 15.0
+    strong = emap.snr_db >= 15.0
     assert strong.sum() >= 20
     for b in stack.array.vertical_baselines:
         fast = stack.images[b.lower_vx] * np.conj(stack.images[b.upper_vx])
@@ -636,7 +636,7 @@ class TestStackValues:
 
     def test_images_are_read_only_once_checked(self, small_e2e, tmp_path):
         # a NaN written into a writable stack after its check would reach the
-        # elevate stage, which would blame the phase plane, not the VX image
+        # elevate stage, which would blame the mean phase delay plane, not the VX image
         from insarmap import formats
 
         stack = small_e2e["stack"]

@@ -207,7 +207,7 @@ class TestCombineBaselines:
             wavelength_m=stack.wavelength_m,
         )
         with pytest.raises(DomainError, match="baseline"):
-            im.combine_baselines(bad)
+            im.build_elevation_map(bad)
 
     def test_mixed_separations_rejected(self, small_e2e):
         stack = small_e2e["stack"]
@@ -223,10 +223,10 @@ class TestCombineBaselines:
             wavelength_m=stack.wavelength_m,
         )
         with pytest.raises(DomainError, match="mixed"):
-            im.combine_baselines(bad)
+            im.build_elevation_map(bad)
 
     def test_floats_equal_axis0_reductions_over_stacked_planes(self, small_e2e):
-        # combine_baselines sums one baseline or VX plane at a time; the
+        # build_elevation_map sums one baseline or VX plane at a time; the
         # floats must be those of numpy's axis-0 reductions over the stacked
         # planes, including pixels where some correlations are exactly zero.
         # np.multiply fixes the operand order, which an operator's temporary
@@ -244,7 +244,7 @@ class TestCombineBaselines:
             wavelength_m=stack.wavelength_m,
         )
         # the reference reductions run over the widened planes, as
-        # combine_baselines widens each complex64 plane it uses
+        # build_elevation_map widens each complex64 plane it uses
         images = stack.images.astype(np.complex128)
         baselines = stack.array.vertical_baselines
         corr = np.multiply(np.conj(images[[b.upper_vx for b in baselines]]), images[[b.lower_vx for b in baselines]])
@@ -256,11 +256,11 @@ class TestCombineBaselines:
         variance = np.clip(
             np.where(count > 0, 1.0 - np.abs(np.sum(unit, axis=0)) / np.maximum(count, 1), 1.0), 0.0, 1.0
         )
-        intf = im.combine_baselines(stack)
+        emap = im.build_elevation_map(stack)
         assert (count == 0).any() and (count < len(baselines)).sum() > (count == 0).sum()
-        assert intf.mean_phase_delay.tobytes() == np.angle(np.sum(corr, axis=0)).tobytes()
-        assert intf.circular_variance.tobytes() == variance.tobytes()
-        assert intf.combined_magnitude.tobytes() == np.mean(np.abs(images), axis=0).tobytes()
+        assert emap.mean_phase_delay.tobytes() == np.angle(np.sum(corr, axis=0)).tobytes()
+        assert emap.circular_variance.tobytes() == variance.tobytes()
+        assert emap.combined_magnitude.tobytes() == np.mean(np.abs(images), axis=0).tobytes()
 
     @pytest.mark.simd
     def test_row_blocks_give_the_floats_of_whole_planes(self, small_e2e, tmp_path):
@@ -289,11 +289,10 @@ class TestCombineBaselines:
         path = tmp_path / "s.insarimg"
         formats.write_image_stack(stack, path)
         for emap in (im.build_elevation_map(stack), im.build_elevation_map(formats.read_image_stack(path))):
-            intf = emap.interferogram
-            assert intf.mean_phase_delay.tobytes() == phase.tobytes()
-            assert intf.circular_variance.tobytes() == variance.tobytes()
-            assert intf.combined_magnitude.tobytes() == magnitude.tobytes()
-            assert intf.snr_db.tobytes() == im.snr_map(magnitude).tobytes()
+            assert emap.mean_phase_delay.tobytes() == phase.tobytes()
+            assert emap.circular_variance.tobytes() == variance.tobytes()
+            assert emap.combined_magnitude.tobytes() == magnitude.tobytes()
+            assert emap.snr_db.tobytes() == im.snr_map(magnitude).tobytes()
             assert emap.elevation.tobytes() == elevation.tobytes()
 
     def test_complex64_stack_maps_to_the_bits_of_its_widening(self, small_e2e):
@@ -307,7 +306,7 @@ class TestCombineBaselines:
         assert np.isfinite(a.elevation).any()
         assert a.elevation.tobytes() == b.elevation.tobytes()
         for name in ("mean_phase_delay", "circular_variance", "combined_magnitude", "snr_db"):
-            assert getattr(a.interferogram, name).tobytes() == getattr(b.interferogram, name).tobytes(), name
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
 
     def test_end_to_end_map_matches_truth(self, small_e2e, small_scene_truth):
         emap = small_e2e["map"]
@@ -317,50 +316,49 @@ class TestCombineBaselines:
             slant_cross = np.hypot(rel[1], rel[2])
             mu = np.abs(stack.grid.u_centers() - truth["position"][0]) <= 0.3
             mv = np.abs(stack.grid.v_centers() - slant_cross) <= 0.3
-            sub = emap.interferogram.combined_magnitude[np.ix_(mu, mv)]
+            sub = emap.combined_magnitude[np.ix_(mu, mv)]
             k = np.unravel_index(np.argmax(sub), sub.shape)
             iu, iv = np.flatnonzero(mu)[k[0]], np.flatnonzero(mv)[k[1]]
             phi_true = np.arcsin(rel[2] / slant_cross)
             assert emap.elevation[iu, iv] == pytest.approx(phi_true, abs=0.02)
-            assert emap.interferogram.circular_variance[iu, iv] < 0.01
-            assert emap.interferogram.snr_db[iu, iv] > 15.0
+            assert emap.circular_variance[iu, iv] < 0.01
+            assert emap.snr_db[iu, iv] > 15.0
 
 
 class TestMapValues:
-    def planes(self, small_e2e, **changes):
-        intf = small_e2e["map"].interferogram
-        planes = dict(
-            mean_phase_delay=intf.mean_phase_delay, circular_variance=intf.circular_variance,
-            combined_magnitude=intf.combined_magnitude, snr_db=intf.snr_db,
-        )
-        return {**planes, **changes}
-
     @pytest.mark.parametrize("field", ["mean_phase_delay", "circular_variance", "combined_magnitude", "snr_db"])
     def test_plane_shape_must_match_the_grid(self, small_e2e, field):
-        plane = getattr(small_e2e["map"].interferogram, field)
+        emap = small_e2e["map"]
         with pytest.raises(ConfigError, match="does not match"):
-            im.InterferogramGrid(grid=small_e2e["grid"], **self.planes(small_e2e, **{field: plane[1:]}))
+            dataclasses.replace(emap, **{field: getattr(emap, field)[1:]})
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_quality_value_rejected(self, small_e2e, bad):
-        variance = small_e2e["map"].interferogram.circular_variance.copy()
+        variance = small_e2e["map"].circular_variance.copy()
         variance[2, 2] = bad
-        with pytest.raises(ConfigError, match="variance plane holds non-finite values"):
-            im.InterferogramGrid(grid=small_e2e["grid"], **self.planes(small_e2e, circular_variance=variance))
+        with pytest.raises(ConfigError, match="circular variance plane holds non-finite values"):
+            dataclasses.replace(small_e2e["map"], circular_variance=variance)
 
     def test_minus_inf_snr_only_at_zero_magnitude(self, small_e2e):
-        magnitude = small_e2e["map"].interferogram.combined_magnitude.copy()
+        magnitude = small_e2e["map"].combined_magnitude.copy()
         magnitude[0, 0] = 0.0
         snr = im.snr_map(magnitude)
-        im.InterferogramGrid(grid=small_e2e["grid"], **self.planes(small_e2e, combined_magnitude=magnitude, snr_db=snr))
+        dataclasses.replace(small_e2e["map"], combined_magnitude=magnitude, snr_db=snr)
         snr[0, 1] = -np.inf
-        with pytest.raises(ConfigError, match="SNR plane"):
-            im.InterferogramGrid(grid=small_e2e["grid"], **self.planes(small_e2e, combined_magnitude=magnitude, snr_db=snr))
+        with pytest.raises(ConfigError, match="snr_db plane"):
+            dataclasses.replace(small_e2e["map"], combined_magnitude=magnitude, snr_db=snr)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    def test_infinite_elevation_rejected(self, small_e2e, bad):
+        # NaN is an absent elevation; an infinite one is damage
+        elevation = small_e2e["map"].elevation.copy()
+        elevation[0, 0] = np.nan
+        dataclasses.replace(small_e2e["map"], elevation=elevation)
+        elevation[0, 1] = bad
+        with pytest.raises(ConfigError, match="elevation plane holds non-finite values"):
+            dataclasses.replace(small_e2e["map"], elevation=elevation)
 
     def test_elevation_shape_must_match_the_grid(self, small_e2e):
         emap = small_e2e["map"]
         with pytest.raises(ConfigError, match="elevation plane shape"):
-            im.ElevationMap(
-                grid=emap.grid, phase_center=emap.phase_center, wavelength_m=emap.wavelength_m,
-                baseline_m=emap.baseline_m, elevation=emap.elevation.T, interferogram=emap.interferogram,
-            )
+            dataclasses.replace(emap, elevation=emap.elevation.T)

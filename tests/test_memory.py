@@ -405,7 +405,7 @@ def test_pointcloud_stage_holds_the_map_planes_and_one_block_of_temporaries(tmp_
     n_px = WIDE_GRID.n_u * WIDE_GRID.n_v
     planes = 5 * n_px * np.dtype(np.float64).itemsize
     # beside the map's five float64 planes, the read holds one float32 plane
-    # and InterferogramGrid's check one float64 plane and three masks; the
+    # and ElevationMap's check one float64 plane and three masks; the
     # filter, one block of rows' dozen float64 and dozen bool temporaries,
     # and the kept points' six float64 columns, per block and joined
     read = n_px * (4 + 8 + 3)

@@ -9,7 +9,7 @@ import pytest
 import insarmap as im
 from insarmap.errors import ConfigError, DataFormatError
 from insarmap.imaging import ImageGrid
-from insarmap.interferometry import ElevationMap, InterferogramGrid
+from insarmap.interferometry import ElevationMap
 
 from conftest import make_rail_trajectory, output_pipe
 
@@ -28,13 +28,10 @@ def synthetic_map(rng, n=24, snr_spread=30.0):
         wavelength_m=0.00387,
         baseline_m=0.00387 / 4,
         elevation=phi,
-        interferogram=InterferogramGrid(
-            grid=grid,
-            mean_phase_delay=rng.uniform(-np.pi, np.pi, shape),
-            circular_variance=rng.uniform(0.0, 0.4, shape),
-            combined_magnitude=mag,
-            snr_db=snr,
-        ),
+        mean_phase_delay=rng.uniform(-np.pi, np.pi, shape),
+        circular_variance=rng.uniform(0.0, 0.4, shape),
+        combined_magnitude=mag,
+        snr_db=snr,
     )
 
 
@@ -133,13 +130,10 @@ class TestFilterChain:
             wavelength_m=0.00387,
             baseline_m=0.00387 / 4,
             elevation=phi,
-            interferogram=InterferogramGrid(
-                grid=grid,
-                mean_phase_delay=np.zeros(shape),
-                circular_variance=np.zeros(shape),
-                combined_magnitude=mag,
-                snr_db=snr,
-            ),
+            mean_phase_delay=np.zeros(shape),
+            circular_variance=np.zeros(shape),
+            combined_magnitude=mag,
+            snr_db=snr,
         )
         cfg = im.FilterConfig(sensor_height_m=2.0)
         cloud = im.filter_points(emap, cfg)
@@ -163,13 +157,10 @@ class TestFilterChain:
             wavelength_m=0.00387,
             baseline_m=0.00387 / 4,
             elevation=np.zeros((1, 1)),
-            interferogram=InterferogramGrid(
-                grid=grid,
-                mean_phase_delay=np.zeros((1, 1)),
-                circular_variance=np.zeros((1, 1)),
-                combined_magnitude=np.ones((1, 1)),
-                snr_db=np.full((1, 1), 30.0),
-            ),
+            mean_phase_delay=np.zeros((1, 1)),
+            circular_variance=np.zeros((1, 1)),
+            combined_magnitude=np.ones((1, 1)),
+            snr_db=np.full((1, 1), 30.0),
         )
         # pixel at (0, 1.5): r = 1.5 straight ahead -> inside exclusion cone
         cloud = im.filter_points(emap, im.FilterConfig())
@@ -187,7 +178,7 @@ class TestFilterChain:
         emap = synthetic_map(np.random.default_rng(11), n=300)
         assert len(imaging._row_blocks(emap.grid)) == 6
         cfg = im.FilterConfig(snr_threshold_db=0.0, max_circular_variance=0.3, min_radius_m=3.0, sensor_height_m=1.0)
-        intf, pc = emap.interferogram, emap.phase_center
+        pc = emap.phase_center
         du = emap.grid.u_centers()[:, None] - pc[0]
         dv = emap.grid.v_centers()[None, :] - pc[1]
         r, theta, eps = np.hypot(du, dv), np.arctan2(dv, du), emap.elevation
@@ -202,12 +193,12 @@ class TestFilterChain:
                 <= np.deg2rad(cfg.front_azimuth_halfwidth_deg)
             )
             ok_z = s_z >= cfg.resolved_min_z_m
-        ok_snr, ok_var = intf.snr_db >= cfg.snr_threshold_db, intf.circular_variance <= cfg.max_circular_variance
+        ok_snr, ok_var = emap.snr_db >= cfg.snr_threshold_db, emap.circular_variance <= cfg.max_circular_variance
         keep = has_phi & ok_snr & ok_var & ok_elev & ~cone & ok_z
         cloud = im.filter_points(emap, cfg)
         assert 0 < len(cloud) < keep.size
-        for got, want in ((cloud.x, s_x), (cloud.y, s_y), (cloud.z, s_z), (cloud.intensity, intf.combined_magnitude),
-                          (cloud.snr_db, intf.snr_db), (cloud.circular_variance, intf.circular_variance)):
+        for got, want in ((cloud.x, s_x), (cloud.y, s_y), (cloud.z, s_z), (cloud.intensity, emap.combined_magnitude),
+                          (cloud.snr_db, emap.snr_db), (cloud.circular_variance, emap.circular_variance)):
             assert got.tobytes() == want[keep].tobytes()
         assert cloud.stats.candidates == keep.size and cloud.stats.kept == np.count_nonzero(keep)
         assert cloud.stats.rejected == {
