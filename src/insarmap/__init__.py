@@ -36,7 +36,6 @@ from .pointcloud import (
     write_pcd,
 )
 from .simulate import (
-    PointTarget,
     PulseRecord,
     RawCapture,
     Scene,
@@ -73,7 +72,6 @@ __all__ = [
     "FilterConfig",
     "ImageGrid",
     "InsarError",
-    "PointTarget",
     "Pose",
     "PulseRecord",
     "RangeProfileSet",

@@ -28,20 +28,11 @@ def _load_config(path) -> dict:
     return configio.parse_kv_file(path) if path else {}
 
 
-@contextlib.contextmanager
-def _config_values(path):
-    """Name the config file path in every refusal of a value loaded from it."""
-    try:
-        yield
-    except ConfigError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-
-
 def _cmd_simulate(args) -> int:
     cfg = _load_config(args.config)
     if not cfg:
         raise ConfigError("simulate requires --config with the chirp parameters")
-    with _config_values(args.config):
+    with configio.values_from(args.config):
         chirp = configio.load_chirp_config(cfg)
         array = configio.load_virtual_array(cfg, derive_chirp_params(chirp).wavelength_m)
     scene = configio.load_scene_csv(args.scene)
@@ -53,15 +44,8 @@ def _cmd_simulate(args) -> int:
     for w in caught:
         print(f"warning: {w.message}", file=sys.stderr)
 
-    with _config_values(args.config):
-        window = None
-        if "capture_start_s" in cfg or "capture_end_s" in cfg:
-            window = (
-                configio._number(cfg, "capture_start_s", traj.start_time_s),
-                configio._number(cfg, "capture_end_s", traj.end_time_s),
-            )
-        pattern_cos_power = configio._number(cfg, "element_pattern_cos_power")
-        snr_db = configio._number(cfg, "per_sample_snr_db", float("inf"))
+    with configio.values_from(args.config):
+        window, pattern_cos_power, snr_db = configio.load_simulate_options(cfg, traj)
     # the capture is synthesized and noised in its output file, which holds
     # its samples; a failure leaves the output as it was
     with formats.capture_file(args.output) as samples:
@@ -91,7 +75,7 @@ def _cmd_image(args) -> int:
     if args.pgm_dir and os.path.commonpath([os.path.realpath(args.pgm_dir), output]) == output:
         raise ConfigError(f"--pgm-dir {args.pgm_dir} is or lies in the -o output")
     cfg = _load_config(args.config)
-    with _config_values(args.config):
+    with configio.values_from(args.config):
         grid = configio.load_grid(cfg)
         aperture = configio.load_aperture(cfg)
         options = configio.load_imaging_options(cfg)
@@ -176,7 +160,7 @@ def _cmd_pointcloud(args) -> int:
         raise ConfigError(f"--csv {args.csv} is the -o output")
     cfg = _load_config(args.config)
     emap = formats.read_elevation_map(args.map)
-    with _config_values(args.config):
+    with configio.values_from(args.config):
         fcfg = configio.load_filter_config(cfg)
     cloud = pointcloud.filter_points(emap, fcfg)
     # every output is opened before any is written, so one that cannot be
@@ -199,7 +183,7 @@ def _cmd_pointcloud(args) -> int:
 def _cmd_report(args) -> int:
     cfg = _load_config(args.config)
     emap = formats.read_elevation_map(args.map)
-    with _config_values(args.config):
+    with configio.values_from(args.config):
         fcfg = configio.load_filter_config(cfg)
     cloud = pointcloud.filter_points(emap, fcfg)
     for line in _filter_report(cloud, fcfg):

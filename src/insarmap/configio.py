@@ -19,10 +19,11 @@ from contextlib import contextmanager
 
 import numpy as np
 
+from . import imaging, simulate
 from .errors import ConfigError
 from .imaging import Aperture, ImageGrid
 from .pointcloud import FilterConfig
-from .simulate import PointTarget, Scene
+from .simulate import Scene
 from .types import ChirpConfig, Pose, Trajectory, VirtualArray, build_virtual_array, default_virtual_array
 
 def _parse_value(text: str):
@@ -39,6 +40,15 @@ def _parse_value(text: str):
         return ast.literal_eval(text)
     except (ValueError, SyntaxError):
         return text
+
+
+@contextmanager
+def values_from(path):
+    """Name path in every refusal of a value read from it."""
+    try:
+        yield
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 @contextmanager
@@ -146,8 +156,9 @@ def load_aperture(cfg: dict) -> Aperture:
 
 def load_imaging_options(cfg: dict) -> dict:
     """image_stack's keyword options, of the keys cfg sets, so image_stack's
-    own defaults apply to the rest.  The interpolation key may only be
-    linear, the kernel's one interpolator, as it is when absent."""
+    own defaults apply to the rest, each checked by image_stack's rule.  The
+    interpolation key may only be linear, the kernel's one interpolator, as
+    it is when absent."""
     interpolation = cfg.get("interpolation", "linear")
     if interpolation != "linear":
         raise ConfigError(
@@ -157,11 +168,33 @@ def load_imaging_options(cfg: dict) -> dict:
     options = {}
     if "oversample_factor" in cfg:
         options["oversample_factor"] = _number(cfg, "oversample_factor", integer=True)
+        imaging.check_oversample_factor(options["oversample_factor"])
     if "range_window" in cfg:
         options["window"] = str(cfg["range_window"])
+        imaging.check_range_window(options["window"])
     if "image_height_m" in cfg:
         options["image_height_m"] = _number(cfg, "image_height_m")
+        imaging.check_image_height(options["image_height_m"])
     return options
+
+
+def load_simulate_options(cfg: dict, traj: Trajectory) -> tuple:
+    """(capture window or None, pattern cosine power or None, SNR in dB), as
+    the simulate stage takes them and checked by its rules; a window end
+    cfg leaves unset is traj's, and an unset SNR is inf (no noise)."""
+    window = None
+    if "capture_start_s" in cfg or "capture_end_s" in cfg:
+        window = (
+            _number(cfg, "capture_start_s", traj.start_time_s),
+            _number(cfg, "capture_end_s", traj.end_time_s),
+        )
+        simulate.check_capture_window(*window)
+    power = _number(cfg, "element_pattern_cos_power")
+    if power is not None:
+        simulate.check_pattern_power(power)
+    snr_db = _number(cfg, "per_sample_snr_db", float("inf"))
+    simulate.snr_ratio(snr_db)
+    return window, power, snr_db
 
 
 def load_filter_config(cfg: dict) -> FilterConfig:
@@ -196,18 +229,11 @@ def _read_csv_rows(path, expected_header: list[str]):
 
 def load_trajectory_csv(path) -> Trajectory:
     rows = _read_csv_rows(path, ["t", "x", "y", "z", "qw", "qx", "qy", "qz"])
-    if not rows:
-        raise ConfigError(f"{path}: trajectory has no samples")
-    poses = [
-        Pose(time_s=r[0], position=np.array(r[1:4]), quaternion=np.array(r[4:8]))
-        for r in rows
-    ]
-    return Trajectory(poses=tuple(poses))
+    with values_from(path):
+        return Trajectory(tuple(Pose(r[0], np.array(r[1:4]), np.array(r[4:8])) for r in rows))
 
 
 def load_scene_csv(path) -> Scene:
-    rows = _read_csv_rows(path, ["x", "y", "z", "amplitude"])
-    if not rows:
-        raise ConfigError(f"{path}: scene has no targets")
-    targets = [PointTarget(position=np.array(r[0:3]), amplitude=r[3]) for r in rows]
-    return Scene(targets=tuple(targets))
+    rows = np.array(_read_csv_rows(path, ["x", "y", "z", "amplitude"])).reshape(-1, 4)
+    with values_from(path):
+        return Scene(rows[:, :3], rows[:, 3])

@@ -159,7 +159,7 @@ class Aperture:
 
     def __post_init__(self) -> None:
         if not (self.length_m > 0 and np.isfinite(self.length_m)):
-            raise ConfigError(f"aperture length must be > 0, got {self.length_m!r}")
+            raise ConfigError(f"aperture_length_m must be > 0, got {self.length_m!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -207,16 +207,31 @@ class SarImageStack:
         object.__setattr__(self, "phase_center", pc)
 
 
-def _range_setup(cfg, oversample_factor, window: str):
-    """Validated (window taps, padded length, bin spacing in m)."""
+# The rule of each imaging option, in its config key's words: configio
+# applies it as it loads the key, and image_stack as it is called.
+def check_oversample_factor(oversample_factor) -> None:
     try:
         whole = int(oversample_factor) == oversample_factor
     except (TypeError, ValueError, OverflowError):  # int() of None, NaN or inf
         whole = False
     if not whole or oversample_factor < 2:
         raise ConfigError(f"oversample_factor must be an integer >= 2, got {oversample_factor!r}")
+
+
+def check_range_window(window) -> None:
     if window not in WINDOWS:
-        raise ConfigError(f"unknown window {window!r}; expected one of {WINDOWS}")
+        raise ConfigError(f"unknown range_window {window!r}; expected one of {WINDOWS}")
+
+
+def check_image_height(image_height_m) -> None:
+    if not np.isfinite(image_height_m):
+        raise ConfigError(f"image_height_m must be finite, got {image_height_m!r}")
+
+
+def _range_setup(cfg, oversample_factor, window: str):
+    """Validated (window taps, padded length, bin spacing in m)."""
+    check_oversample_factor(oversample_factor)
+    check_range_window(window)
     n = cfg.samples_per_chirp
     n_padded = n * int(oversample_factor)
     if n_padded > _MAX_PROFILE_BINS:
@@ -422,8 +437,7 @@ def image_stack(
     partial sums added and checked, and the slices written back, so a
     stack made in its file is held one pixel block at a time.
     """
-    if not np.isfinite(image_height_m):
-        raise ConfigError(f"image_height_m must be finite, got {image_height_m!r}")
+    check_image_height(image_height_m)
     if not threads >= 1:
         raise ConfigError(f"threads must be >= 1, got {threads!r}")
     taps, n_padded, bin_spacing_m = _range_setup(capture.config, oversample_factor, window)

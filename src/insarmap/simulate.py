@@ -71,33 +71,65 @@ SAMPLES = Rows("records", "record {}", "samples")  # a capture's rows: one recor
 
 
 @dataclass(frozen=True, eq=False)
-class PointTarget:
-    """Idealized point scatterer with linear reflectivity amplitude."""
-
-    position: np.ndarray  # (3,), world frame
-    amplitude: float
-
-    def __post_init__(self) -> None:
-        pos = np.asarray(self.position, dtype=float).reshape(3)
-        if not np.isfinite(pos).all():
-            raise ConfigError("target position must be finite")
-        if not (np.isfinite(self.amplitude) and self.amplitude >= 0):
-            raise ConfigError(f"target amplitude must be >= 0, got {self.amplitude!r}")
-        pos.setflags(write=False)
-        object.__setattr__(self, "position", pos)
-
-
-@dataclass(frozen=True)
 class Scene:
-    """Collection of point targets."""
+    """Point scatterers as read-only float64 columns: world positions (n, 3)
+    and linear amplitudes (n,).  At least one target; positions finite,
+    amplitudes finite and >= 0; a refusal names the first bad target."""
 
-    targets: tuple[PointTarget, ...]
+    positions: np.ndarray  # (n_targets, 3), world frame
+    amplitudes: np.ndarray  # (n_targets,)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "targets", tuple(self.targets))
+        positions = np.array(self.positions, dtype=np.float64)
+        amplitudes = np.array(self.amplitudes, dtype=np.float64)
+        if amplitudes.ndim != 1 or positions.shape != amplitudes.shape + (3,):
+            shapes = f"scene positions {positions.shape} and amplitudes {amplitudes.shape}"
+            raise ConfigError(f"{shapes} are not (n, 3) and (n,)")
+        if not len(amplitudes):
+            raise ConfigError("scene has no targets")
+        finite = np.isfinite(positions).all(axis=1)
+        good = finite & np.isfinite(amplitudes) & (amplitudes >= 0)
+        if not good.all():
+            i = int(np.argmin(good))
+            if not finite[i]:
+                raise ConfigError(f"target {i} position must be finite, got {tuple(positions[i].tolist())}")
+            raise ConfigError(f"target {i} amplitude must be finite and >= 0, got {float(amplitudes[i])!r}")
+        positions.setflags(write=False)
+        amplitudes.setflags(write=False)
+        object.__setattr__(self, "positions", positions)
+        object.__setattr__(self, "amplitudes", amplitudes)
 
     def __len__(self) -> int:
-        return len(self.targets)
+        return len(self.amplitudes)
+
+
+# The rule of each simulate option, in its config key's words: configio
+# applies it as it loads the key, and the stage as it is called.
+def check_capture_window(t_start: float, t_end: float) -> None:
+    keys = "(keys capture_start_s, capture_end_s)"
+    if not (np.isfinite(t_start) and np.isfinite(t_end)):
+        raise ConfigError(f"capture window [{t_start!r}, {t_end!r}] must be finite {keys}")
+    if not t_start < t_end:
+        raise ConfigError(f"capture window [{t_start!r}, {t_end!r}] must start before it ends {keys}")
+
+
+def check_pattern_power(power: float) -> None:
+    if not power >= 0.0:
+        raise ConfigError(f"element_pattern_cos_power, the pattern's cosine power, must be >= 0, got {power!r}")
+
+
+def snr_ratio(per_sample_snr_db: float) -> float:
+    """10**(per_sample_snr_db/10), the signal-to-noise power ratio: inf (no
+    noise) for +inf and for an SNR too large for a float ratio, about
+    3 080 dB and up.  NaN, -inf and an SNR too small for the ratio to be
+    above 0, which would make the noise infinite, raise ConfigError."""
+    try:
+        ratio = 10.0 ** (per_sample_snr_db / 10.0)
+    except OverflowError:
+        return np.inf
+    if not ratio > 0.0:
+        raise ConfigError(f"per_sample_snr_db must be above -inf with finite noise, got {per_sample_snr_db!r}")
+    return ratio
 
 
 def _mean_power(rows: np.ndarray) -> np.ndarray:
@@ -223,15 +255,6 @@ def _with_samples(capture: RawCapture, samples) -> RawCapture:
     return result
 
 
-def _scene_table(scene: Scene) -> tuple[np.ndarray, np.ndarray]:
-    """Target positions (n_targets, 3) and amplitudes (n_targets,), in scene order."""
-    if len(scene) == 0:
-        raise ConfigError("scene is empty")
-    positions = np.array([t.position for t in scene.targets])
-    amplitudes = np.array([t.amplitude for t in scene.targets], dtype=float)
-    return positions, amplitudes
-
-
 def _element_legs(points: np.ndarray, targets: np.ndarray, pattern) -> tuple[np.ndarray, np.ndarray | None]:
     """Distance from each element position (..., 3) to each target (T, 3),
     shaped (..., T), and the element's gain toward it (None without a
@@ -258,8 +281,6 @@ def _element_legs(points: np.ndarray, targets: np.ndarray, pattern) -> tuple[np.
     if pattern is None:
         return dist, None
     power, boresight = pattern
-    if not power >= 0.0:
-        raise ConfigError(f"element pattern cosine power must be >= 0, got {power!r}")
     with np.errstate(divide="ignore", invalid="ignore"):
         cos = (rows @ boresight[..., None, :, None])[..., 0, 0] / dist
     gain = np.zeros_like(dist)
@@ -350,16 +371,16 @@ def synthesize_chirp(
     unit amplitude of the direct two-way np.exp sum for targets within
     30 m.
     """
-    positions, amplitudes = _scene_table(scene)
     points = np.array([tx_pos_world, rx_pos_world], dtype=float).reshape(1, 2, 3)
     if not np.isfinite(points).all():
         raise ConfigError("TX/RX positions must be finite")
     if pattern is not None:
         power, boresight = pattern
+        check_pattern_power(power)
         pattern = (power, np.broadcast_to(np.asarray(boresight, dtype=float), points.shape))
-    dist, gain = _element_legs(points, positions, pattern)
+    dist, gain = _element_legs(points, scene.positions, pattern)
     out = np.zeros((1, 1, 1, cfg.samples_per_chirp), dtype=np.complex128)
-    _beat(dist, gain, amplitudes, cfg, out, _beat_work(1, 1, 1, cfg))
+    _beat(dist, gain, scene.amplitudes, cfg, out, _beat_work(1, 1, 1, cfg))
     return out.reshape(-1)
 
 
@@ -413,10 +434,9 @@ def synthesize_capture(
         traj.end_time_s,
     )
     t_start, t_end = float(t_start), float(t_end)
-    if not (np.isfinite(t_start) and np.isfinite(t_end)):
-        raise ConfigError(f"capture window [{t_start!r}, {t_end!r}] must be finite")
-    if not t_start < t_end:
-        raise ConfigError(f"capture window [{t_start!r}, {t_end!r}] must start before it ends")
+    check_capture_window(t_start, t_end)
+    if pattern_cos_power is not None:
+        check_pattern_power(pattern_cos_power)
     if t_start < traj.start_time_s or t_end > traj.end_time_s:
         raise DomainError(
             f"trajectory [{traj.start_time_s}, {traj.end_time_s}] does not span "
@@ -434,7 +454,6 @@ def synthesize_capture(
         n_cycles += 1
     if n_cycles == 0:
         raise DomainError("trajectory too short: no complete TDM cycle fits the window")
-    positions, amplitudes = _scene_table(scene)
 
     # one row per (cycle, tx, rx), in firing order
     n_tx, n_rx, n = cfg.num_tx, array.n_rx, cfg.samples_per_chirp
@@ -459,13 +478,13 @@ def synthesize_capture(
         if pattern_cos_power is not None:
             boresight = np.array([p.rotation_matrix() @ np.array([0.0, 1.0, 0.0]) for p in block])
             pattern = (float(pattern_cos_power), np.broadcast_to(boresight[:, None, :], points.shape))
-        dist, gain = _element_legs(points, positions, pattern)
+        dist, gain = _element_legs(points, scene.positions, pattern)
         # (cycles, n_tx, n_rx, samples), rows in firing order
         rows = beat[: len(block)]
         rows.fill(0.0)
         # a sum beyond float64's range is refused by check_finite below
         with np.errstate(over="ignore", invalid="ignore"):
-            _beat(dist, gain, amplitudes, cfg, rows, work)
+            _beat(dist, gain, scene.amplitudes, cfg, rows, work)
         rows = rows.reshape(-1, n)
         # rounded, checked and written _NOISE_ROWS rows at a time
         for lo in range(0, rows.shape[0], _NOISE_ROWS):
@@ -495,11 +514,10 @@ def add_noise(
     into a new complex64 buffer, and the input keeps its samples.
 
     Noise variance is set so mean signal power / noise power equals
-    10**(snr_db/10); the power is summed in float64, over the samples
-    widened to complex128.  An SNR of +inf, or one too large for that
-    ratio to be a float, returns the capture unchanged and leaves the seed
-    unused; NaN, -inf and an SNR too small for it raise ConfigError.  An
-    all-zero capture has no power to scale against and raises DomainError.
+    snr_ratio(per_sample_snr_db), which refuses an SNR without finite noise;
+    the power is summed in float64, over the samples widened to
+    complex128.  An infinite ratio returns the capture unchanged and leaves
+    the seed unused.  An all-zero capture raises DomainError.
     When there is noise to add, a seed np.random.default_rng refuses (a
     negative or non-integer one) raises ConfigError.  All of these are
     checked before any sample is written.  Deterministic for a fixed seed.
@@ -520,9 +538,8 @@ def add_noise(
     """
     if capture.n_records == 0:
         raise DomainError("capture is empty")
-    if not per_sample_snr_db > -np.inf:
-        raise ConfigError(f"per_sample_snr_db must be a number above -inf, got {per_sample_snr_db!r}")
-    if per_sample_snr_db == np.inf:
+    ratio = snr_ratio(per_sample_snr_db)
+    if ratio == np.inf:
         return capture
 
     samples = capture.samples
@@ -532,12 +549,7 @@ def add_noise(
     mean_power = float(np.mean(power))
     if mean_power == 0.0:
         raise DomainError("capture has zero signal power")
-    try:
-        noise_variance = mean_power / 10.0 ** (per_sample_snr_db / 10.0)
-    except OverflowError:  # about 3 080 dB and up: no noise to add
-        return capture
-    except ZeroDivisionError:
-        raise ConfigError(f"per_sample_snr_db {per_sample_snr_db!r} makes the noise infinite") from None
+    noise_variance = mean_power / ratio
     try:
         rng = np.random.default_rng(seed)
     except (TypeError, ValueError):

@@ -105,9 +105,7 @@ def small_e2e(small_chirp, small_scene_truth):
     derived = im.derive_chirp_params(small_chirp)
     array = im.default_virtual_array(derived.wavelength_m)
     traj = make_rail_trajectory(5.0, 0.05, 0.5)
-    scene = im.Scene(
-        tuple(im.PointTarget(t["position"], t["amplitude"]) for t in small_scene_truth)
-    )
+    scene = im.Scene([t["position"] for t in small_scene_truth], [t["amplitude"] for t in small_scene_truth])
     capture = im.synthesize_capture(scene, traj, small_chirp, array)
     grid = im.ImageGrid(np.array([-1.5, 2.5]), np.array([3.0, 4.0]), 0.04)
     aperture = im.Aperture(length_m=0.4)

@@ -56,7 +56,7 @@ class TestCriterion1ReflectorAccuracy:
             np.array([0.0, 3.2, 0.05]),
             np.array([x_mounted, 4.6, z_mounted]),
         ]
-        scene = im.Scene(tuple(im.PointTarget(p, 1.0) for p in reflectors))
+        scene = im.Scene(reflectors, [1.0, 1.0])
         capture = im.synthesize_capture(scene, traj, cfg, array)
         capture = im.add_noise(capture, 20.0, seed=seed)
         grid = im.ImageGrid(np.array([-4.98, 0.0]), np.array([10.0, 10.0]), 0.04)
@@ -137,7 +137,7 @@ class TestCriterion3AzimuthPointResponse:
         lam = im.derive_chirp_params(cfg).wavelength_m
         array = im.build_virtual_array([(0.0, 0, 0)], [(0.0, 0, 0)])
         traj = make_rail_trajectory(self.SPEED, 0.11, 0.9, margin_s=cfg.pri_s)
-        scene = im.Scene((im.PointTarget(np.array([0.0, 10.0, 0.9]), 1.0),))
+        scene = im.Scene([[0.0, 10.0, 0.9]], [1.0])
         capture = im.synthesize_capture(scene, traj, cfg, array)
         grid = im.ImageGrid(np.array([-0.54, 9.58]), np.array([1.08, 0.84]), 0.04)
         img = im.image_stack(capture, grid, im.Aperture(1.0), threads=2).images[0]
@@ -232,14 +232,8 @@ class TestCriterion6BackprojectionOracle:
         cfg = reference_config(num_tx=1, samples=128)
         array = im.build_virtual_array([(0.0, 0, 0)], [(0.0, 0, 0)])
         traj = make_rail_trajectory(1.0, 0.01, 0.0)
-        targets = [
-            im.PointTarget(np.array([1.0, 6.0, 0.0]), 1.0),
-            im.PointTarget(np.array([-2.0, 7.5, 0.0]), 0.7),
-            im.PointTarget(np.array([2.5, 9.0, 0.3]), 1.3),
-        ]
-        capture = im.synthesize_capture(
-            im.Scene(tuple(targets)), traj, cfg, array, (-0.01, -0.01 + 48 * cfg.pri_s)
-        )
+        scene = im.Scene([[1.0, 6.0, 0.0], [-2.0, 7.5, 0.0], [2.5, 9.0, 0.3]], [1.0, 0.7, 1.3])
+        capture = im.synthesize_capture(scene, traj, cfg, array, (-0.01, -0.01 + 48 * cfg.pri_s))
         grid = im.ImageGrid(np.array([-4.0, 4.0]), np.array([8.0, 8.0]), 0.25)
         aperture = im.Aperture(1.0)
         # linear interpolation meets the bound from 64x oversampling on
@@ -249,10 +243,10 @@ class TestCriterion6BackprojectionOracle:
         sel, center = _select_aperture(capture, aperture)
         n = np.arange(cfg.samples_per_chirp)
         worst = 0.0
-        for t in targets:
-            rel = t.position - center.position
+        for position in scene.positions:
+            rel = position - center.position
             slant = np.hypot(rel[1], rel[2])
-            mu = np.abs(grid.u_centers() - t.position[0]) <= 0.6
+            mu = np.abs(grid.u_centers() - position[0]) <= 0.6
             mv = np.abs(grid.v_centers() - slant) <= 0.6
             sub = np.abs(img)[np.ix_(mu, mv)]
             k = np.unravel_index(np.argmax(sub), sub.shape)

@@ -554,11 +554,21 @@ def test_bad_config_number_exit_code(workdir, capsys, line):
         "pixel_size_m = -1",
         "front_azimuth_deg = inf",
         "num_tx = 0",
+        "aperture_length_m = -1",
+        # values a stage refuses, by the rule its loader applies
+        "per_sample_snr_db = -inf",
+        "oversample_factor = 1",
+        "range_window = hamming2",
+        "image_height_m = inf",
+        "element_pattern_cos_power = -1",
+        pytest.param("capture_start_s = 5", id="capture_start_s = 5 (inverted window)"),
     ],
 )
 def test_bad_config_value_names_the_file_and_the_key(workdir, capsys, line):
     # only the chirp keys' refusals used to name the file, and a grid
-    # origin that is not numbers named neither the file nor the key
+    # origin that is not numbers named neither the file nor the key; the
+    # values a stage refuses named neither the file nor, for the window and
+    # the aperture length, the key
     key = line.split()[0]
     path = workdir / "bad.cfg"
     path.write_text(CONFIG + line + "\n")
@@ -606,6 +616,29 @@ def test_non_finite_trajectory_value_is_a_config_error(workdir, capsys, row):
     assert code == 2
     assert not (out / "capture.insarraw").exists()
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "name, text, message",
+    [
+        ("scene.csv", SCENE + "0.3,4.2,0.5,-1\n", "target 2 amplitude must be finite and >= 0, got -1.0"),
+        ("scene.csv", SCENE.replace("-0.3,4.6", "nan,4.6"), "target 1 position must be finite, got (nan, 4.6, 0.9)"),
+        ("traj.csv", TRAJ.replace("0.02,0.1,0,0.4,1", "0.02,0.1,0,0.4,0.9"), "quaternion norm 0.9 is not 1"),
+        ("traj.csv", TRAJ.replace("0.02,0.1", "-0.03,0.1"), "trajectory times must be strictly increasing"),
+    ],
+    ids=["negative amplitude", "nan position", "quaternion norm 0.9", "decreasing times"],
+)
+def test_refused_csv_value_names_the_file(workdir, capsys, name, text, message):
+    # these refusals, made by the scene and trajectory types, used to name
+    # no file
+    path = workdir / name
+    path.write_text(text)
+    out, code = run_pipeline(workdir, workdir / "radar.cfg")
+    assert code == 2
+    (error,) = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("error:")]
+    assert error.startswith(f"error: {path}: ")
+    assert message in error
+    assert not (out / "capture.insarraw").exists()
 
 
 def test_overflowing_scene_amplitude_is_a_config_error(workdir, capsys):

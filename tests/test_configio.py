@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from insarmap import configio
+from insarmap import Pose, Trajectory, configio, imaging, simulate
 from insarmap.imaging import Aperture
 from insarmap.errors import ConfigError
 
+RAIL = Trajectory(tuple(Pose(t, np.zeros(3), np.array([1.0, 0, 0, 0])) for t in (-0.02, 0.02)))
 
 RADAR_CFG = """
 # chamber radar
@@ -86,6 +87,33 @@ class TestKvParsing:
         )
         assert options == {"oversample_factor": 8, "window": "hann", "image_height_m": -0.5}
 
+    def test_simulate_options_defaults(self):
+        assert configio.load_simulate_options({}, RAIL) == (None, None, np.inf)
+        window, power, snr = configio.load_simulate_options({"capture_end_s": 0.01, "per_sample_snr_db": 20}, RAIL)
+        assert (window, power, snr) == ((-0.02, 0.01), None, 20.0)
+
+    @pytest.mark.parametrize(
+        "key, value, stage_rule",
+        [
+            ("oversample_factor", 1, imaging.check_oversample_factor),
+            ("range_window", "hamming2", imaging.check_range_window),
+            ("image_height_m", np.inf, imaging.check_image_height),
+            ("per_sample_snr_db", -np.inf, simulate.snr_ratio),
+            ("element_pattern_cos_power", -1.0, simulate.check_pattern_power),
+            ("capture_start_s", 5.0, lambda start: simulate.check_capture_window(start, RAIL.end_time_s)),
+        ],
+    )
+    def test_a_stage_option_is_refused_by_the_stage_rule(self, key, value, stage_rule):
+        # the loader refuses a value in the words of the rule the stage
+        # applies; each loader ignores the other's keys
+        with pytest.raises(ConfigError) as loaded:
+            configio.load_imaging_options({key: value})
+            configio.load_simulate_options({key: value}, RAIL)
+        with pytest.raises(ConfigError) as staged:
+            stage_rule(value)
+        assert key in str(loaded.value)
+        assert str(loaded.value) == str(staged.value)
+
 
 class TestCsvFormats:
     def test_trajectory_round_trip(self, tmp_path):
@@ -101,8 +129,8 @@ class TestCsvFormats:
         path.write_text("x,y,z,amplitude\n1,2,3,0.5\n-1,4,0,2\n")
         back = configio.load_scene_csv(path)
         assert len(back) == 2
-        assert back.targets[0].amplitude == 0.5
-        assert back.targets[1].position == pytest.approx([-1.0, 4.0, 0.0])
+        assert back.amplitudes.tolist() == [0.5, 2.0]
+        assert back.positions.tolist() == [[1.0, 2.0, 3.0], [-1.0, 4.0, 0.0]]
 
     def test_empty_scene_file_names_the_file(self, tmp_path):
         path = tmp_path / "empty.csv"

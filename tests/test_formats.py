@@ -116,7 +116,7 @@ def captures(tmp_path_factory):
     """Noisy captures in memory, each with the file it was written to, one
     per trajectory: name -> (capture, path)."""
     array = im.default_virtual_array(im.derive_chirp_params(APERTURE_CHIRP).wavelength_m)
-    scene = im.Scene((im.PointTarget(np.array([0.0, 2.0, 0.6]), 1.0),))
+    scene = im.Scene([[0.0, 2.0, 0.6]], [1.0])
     out = tmp_path_factory.mktemp("aperture")
     made = {}
     rail = make_rail_trajectory(2.0, 0.02, 0.4)
@@ -241,7 +241,7 @@ class TestCaptureFile:
 
     def test_made_in_its_file(self, tmp_path, noisy):
         path = tmp_path / "c.insarraw"
-        array, scene = noisy.array, im.Scene((im.PointTarget(np.array([0.0, 2.0, 0.6]), 1.0),))
+        array, scene = noisy.array, im.Scene([[0.0, 2.0, 0.6]], [1.0])
         with formats.capture_file(path) as samples:
             cap = im.synthesize_capture(scene, make_rail_trajectory(2.0, 0.02, 0.4), APERTURE_CHIRP, array,
                                         samples=samples)
@@ -258,7 +258,7 @@ class TestCaptureFile:
 
     def test_a_failure_leaves_no_file(self, tmp_path, noisy):
         path = tmp_path / "c.insarraw"
-        scene = im.Scene((im.PointTarget(np.array([0.0, 2.0, 0.6]), 1.0),))
+        scene = im.Scene([[0.0, 2.0, 0.6]], [1.0])
         with pytest.raises(ConfigError, match="seed"):
             with formats.capture_file(path) as samples:
                 cap = im.synthesize_capture(scene, make_rail_trajectory(2.0, 0.02, 0.4), APERTURE_CHIRP,
@@ -756,7 +756,7 @@ class TestFuzz:
                 im.Pose(0.004, np.array([0.02, 0.0, 0.4]), np.array([1.0, 0, 0, 0])),
             )
         )
-        scene = im.Scene((im.PointTarget(np.array([0.0, 3.0, 0.5]), 1.0),))
+        scene = im.Scene([[0.0, 3.0, 0.5]], [1.0])
         cap = im.add_noise(im.synthesize_capture(scene, traj, cfg, array), 20.0, seed=1)
         stack = im.image_stack(cap, self.GRID, im.Aperture(0.02))
         out = tmp_path_factory.mktemp("fuzz")

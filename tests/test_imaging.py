@@ -21,7 +21,7 @@ def monostatic_capture(cfg, scene, speed=5.0, t_half=0.11, height=0.0, margin=No
 
 class TestRangeCompress:
     def test_peak_within_one_bin_of_target(self, reference_chirp):
-        scene = im.Scene((im.PointTarget(np.array([0.0, 23.4, 0.0]), 1.0),))
+        scene = im.Scene([[0.0, 23.4, 0.0]], [1.0])
         cfg = im.ChirpConfig(77.4e9, 30e12, 512, 18.75e6, 63.9e-6, 256, 1)
         cap = monostatic_capture(cfg, scene, speed=1.0, t_half=0.001)
         prof = im.range_compress(cap, oversample_factor=4, window="rectangular")
@@ -32,7 +32,7 @@ class TestRangeCompress:
         assert abs(peak_bin - 23.4 / prof.bin_spacing_m) <= 1.0
 
     def test_zero_pulse_gives_zero_profile(self, small_chirp):
-        scene = im.Scene((im.PointTarget(np.array([0.0, 5.0, 0.0]), 0.0),))
+        scene = im.Scene([[0.0, 5.0, 0.0]], [0.0])
         cfg = im.ChirpConfig(77.4e9, 30e12, 64, 18.75e6, 63.9e-6, 256, 1)
         cap = monostatic_capture(cfg, scene, speed=1.0, t_half=0.001)
         prof = im.range_compress(cap)
@@ -47,7 +47,7 @@ class TestRangeCompress:
         # near the blind spot, so the margin case is the honest observable.)
         cfg = im.ChirpConfig(77.4e9, 30e12, 512, 18.75e6, 63.9e-6, 256, 1)
         rr = im.derive_chirp_params(cfg).range_resolution_m
-        one = im.Scene((im.PointTarget(np.array([0.0, 20.0, 0.0]), 1.0),))
+        one = im.Scene([[0.0, 20.0, 0.0]], [1.0])
         cap = monostatic_capture(cfg, one, speed=1.0, t_half=0.001)
         prof = im.range_compress(cap, oversample_factor=8, window="rectangular")
         mag = np.abs(prof.profiles[0])
@@ -57,12 +57,7 @@ class TestRangeCompress:
         width = (above.max() - above.min() + 1) * prof.bin_spacing_m
         assert width <= rr
 
-        pair = im.Scene(
-            (
-                im.PointTarget(np.array([0.0, 20.0, 0.0]), 1.0),
-                im.PointTarget(np.array([0.0, 20.0 + 1.5 * rr, 0.0]), 1.0),
-            )
-        )
+        pair = im.Scene([[0.0, 20.0, 0.0], [0.0, 20.0 + 1.5 * rr, 0.0]], [1.0, 1.0])
         cap = monostatic_capture(cfg, pair, speed=1.0, t_half=0.001)
         prof = im.range_compress(cap, oversample_factor=8, window="rectangular")
         mag = np.abs(prof.profiles[0])
@@ -95,7 +90,7 @@ class TestRangeCompress:
 class TestBackproject:
     def test_peak_within_one_pixel_broadside(self):
         cfg = im.ChirpConfig(77.4e9, 30e12, 256, 18.75e6, 191.7e-6, 256, 1)
-        scene = im.Scene((im.PointTarget(np.array([0.0, 10.0, 0.0]), 1.0),))
+        scene = im.Scene([[0.0, 10.0, 0.0]], [1.0])
         cap = monostatic_capture(cfg, scene, speed=5.0, t_half=0.105)
         # grid aligned so the target sits on a pixel center: the azimuth
         # mainlobe (~2 cm here) is narrower than the 4 cm pixel pitch
@@ -112,7 +107,7 @@ class TestBackproject:
         grid = im.ImageGrid(np.array([-0.5, 4.0]), np.array([1.0, 1.0]), 0.1)
         imgs = []
         for amp in (1.0, 2.0):
-            scene = im.Scene((im.PointTarget(np.array([0.0, 4.5, 0.0]), amp),))
+            scene = im.Scene([[0.0, 4.5, 0.0]], [amp])
             cap = monostatic_capture(cfg, scene, speed=2.0, t_half=0.02)
             imgs.append(im.image_stack(cap, grid, im.Aperture(0.1)).images[0])
         assert np.allclose(imgs[1], 2 * imgs[0], rtol=1e-12, atol=0)
@@ -129,7 +124,7 @@ class TestBackproject:
         # projection effect: peak lands at slant range, not ground range
         cfg = im.ChirpConfig(77.4e9, 30e12, 256, 18.75e6, 191.7e-6, 256, 1)
         target = np.array([0.0, 4.0, 1.5])  # slant 4.272 m from sensor plane
-        scene = im.Scene((im.PointTarget(target, 1.0),))
+        scene = im.Scene([target], [1.0])
         cap = monostatic_capture(cfg, scene, speed=5.0, t_half=0.055)
         grid = im.ImageGrid(np.array([-0.3, 3.5]), np.array([0.6, 1.4]), 0.04)
         img = im.image_stack(cap, grid, im.Aperture(0.5)).images[0]
@@ -169,7 +164,7 @@ class TestBackproject:
         monkeypatch.setattr(imaging, "ThreadPoolExecutor", SerialPool)
         monkeypatch.setattr(imaging, "_available_cpus", lambda: 3)
         cfg = im.ChirpConfig(77.4e9, 30e12, 64, 18.75e6, 63.9e-6, 256, 1)
-        scene = im.Scene((im.PointTarget(np.array([0.0, 4.5, 0.0]), 1.0),))
+        scene = im.Scene([[0.0, 4.5, 0.0]], [1.0])
         cap = monostatic_capture(cfg, scene, speed=2.0, t_half=0.02)
         grid = im.ImageGrid(np.array([-0.5, 4.0]), np.array([1.0, 1.0]), 0.1)
         serial = im.image_stack(cap, grid, im.Aperture(0.1), threads=1)
@@ -227,12 +222,7 @@ class TestImageStack:
                     im.Pose(0.01, np.array([0.05, 0, 0.4]) + shift, np.array([1.0, 0, 0, 0])),
                 )
             )
-            scene = im.Scene(
-                (
-                    im.PointTarget(np.array([0.1, 4.0, 0.9]) + shift, 1.0),
-                    im.PointTarget(np.array([-0.2, 4.6, 0.2]) + shift, 0.8),
-                )
-            )
+            scene = im.Scene(np.array([[0.1, 4.0, 0.9], [-0.2, 4.6, 0.2]]) + shift, [1.0, 0.8])
             cap = im.synthesize_capture(scene, traj, cfg, array)
             grid = im.ImageGrid(np.array([-0.4, 3.6]) + shift[:2], np.array([0.8, 1.4]), 0.05)
             return im.image_stack(cap, grid, im.Aperture(0.08))
@@ -342,13 +332,7 @@ class TestManyBatchTolerance:
         cfg = im.ChirpConfig(77.4e9, 30e12, 64, 18.75e6, 63.9e-6, 256, 2)
         lam = im.derive_chirp_params(cfg).wavelength_m
         array = im.build_virtual_array([(0.0, 0, 0), (0.0, 0, lam / 2)], [(0.0, 0, 0), (lam / 2, 0, 0)])
-        scene = im.Scene(
-            (
-                im.PointTarget(np.array([-0.2, 4.0, 0.8]), 1.0),
-                im.PointTarget(np.array([0.1, 4.3, 0.3]), 0.7),
-                im.PointTarget(np.array([0.25, 3.9, 0.5]), 0.5),
-            )
-        )
+        scene = im.Scene([[-0.2, 4.0, 0.8], [0.1, 4.3, 0.3], [0.25, 3.9, 0.5]], [1.0, 0.7, 0.5])
         capture = im.synthesize_capture(scene, make_rail_trajectory(5.0, 0.0665, 0.5), cfg, array)
         capture = im.add_noise(capture, 20.0, seed=5)
         grid = im.ImageGrid(np.array([-0.4, 3.6]), np.array([0.8, 0.8]), 0.04)
@@ -392,7 +376,7 @@ class TestInterpolation:
         # about 1e20 m away, whose bin positions would overflow an index.
         cfg = im.ChirpConfig(77.4e9, 30e12, 64, 18.75e6, 63.9e-6, 256, 1)
         max_range = im.derive_chirp_params(cfg).max_range_m
-        scene = im.Scene((im.PointTarget(np.array([0.0, 92.0, 0.0]), 1.0),))
+        scene = im.Scene([[0.0, 92.0, 0.0]], [1.0])
         cap = im.add_noise(monostatic_capture(cfg, scene, speed=1.0, t_half=0.002), 10.0, seed=4)
         for origin in ((-0.5, max_range - 2.0), (1e20, 0.0)):
             grid = im.ImageGrid(np.array(origin), np.array([1.0, 4.0]), 0.1)
@@ -487,13 +471,7 @@ class TestKernelOracle:
     @pytest.fixture(scope="class")
     def scene(self, config):
         max_range = im.derive_chirp_params(config).max_range_m
-        return im.Scene(
-            (
-                im.PointTarget(np.array([0.1, 3.6, 0.9]), 1.0),
-                im.PointTarget(np.array([-0.2, 4.1, 0.2]), 0.8),
-                im.PointTarget(np.array([0.0, max_range - 0.6, 0.5]), 1.0),
-            )
-        )
+        return im.Scene([[0.1, 3.6, 0.9], [-0.2, 4.1, 0.2], [0.0, max_range - 0.6, 0.5]], [1.0, 0.8, 1.0])
 
     @pytest.fixture(scope="class")
     def capture(self, config, scene):
@@ -679,7 +657,7 @@ class TestStackValues:
         # does not; at 1e37 the bins do not
         cfg = dataclasses.replace(small_chirp, samples_per_chirp=64)
         array = im.default_virtual_array(im.derive_chirp_params(cfg).wavelength_m)
-        scene = im.Scene((im.PointTarget(np.array([0.0, 3.8, 0.5]), amplitude),))
+        scene = im.Scene([[0.0, 3.8, 0.5]], [amplitude])
         capture = im.synthesize_capture(scene, make_rail_trajectory(5.0, 0.004, 0.5), cfg, array)
         grid = im.ImageGrid(np.array([-0.5, 3.2]), np.array([1.0, 1.2]), 0.04)
         with pytest.raises(ConfigError, match="VX 0 image holds pixels beyond float32 range"):

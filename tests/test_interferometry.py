@@ -325,6 +325,67 @@ class TestCombineBaselines:
             assert emap.snr_db[iu, iv] > 15.0
 
 
+def target_heights(emap, positions, pixels=None):
+    """Each target's recovered height, phase-center z + r*sin(elevation),
+    read at its brightest pixel within 0.3 m of its slant position (or at
+    the given pixels), as pointcloud de-projects it; and the pixels."""
+    grid, pc = emap.grid, emap.phase_center
+    if pixels is None:
+        pixels = []
+        for p in positions:
+            rel = p - pc
+            mu = np.abs(grid.u_centers() - p[0]) <= 0.3
+            mv = np.abs(grid.v_centers() - np.hypot(rel[1], rel[2])) <= 0.3
+            sub = emap.combined_magnitude[np.ix_(mu, mv)]
+            k = np.unravel_index(np.argmax(sub), sub.shape)
+            pixels.append((np.flatnonzero(mu)[k[0]], np.flatnonzero(mv)[k[1]]))
+    r = np.array([np.hypot(grid.u_centers()[iu] - pc[0], grid.v_centers()[iv] - pc[1]) for iu, iv in pixels])
+    heights = pc[2] + r * np.sin([emap.elevation[px] for px in pixels])
+    return heights, r, pixels
+
+
+class TestRollBudget:
+    """How the recovered heights depend on the array's roll about the
+    along-track axis (the first row of the navigation-error budget).  The
+    noiseless small_e2e scene, whose rail poses are unrotated, is imaged
+    with every pose rolled by alpha."""
+
+    @staticmethod
+    def rolled(poses, alpha):
+        roll = np.array([np.cos(alpha / 2), np.sin(alpha / 2), 0.0, 0.0])
+        return tuple(im.Pose(p.time_s, p.position, roll) for p in poses)
+
+    @staticmethod
+    def heights(capture, e2e, pixels):
+        stack = im.image_stack(capture, e2e["grid"], e2e["aperture"], threads=2)
+        return target_heights(im.build_elevation_map(stack), e2e["scene"].positions, pixels)[0]
+
+    @pytest.mark.parametrize("alpha_deg", [0.1, 0.5])
+    def test_unknown_roll_moves_each_height_by_r_sin_alpha(self, small_e2e, alpha_deg):
+        # measured: the shift is 0.9995 (target at 5.2 m, 10 deg up) and
+        # 1.0019 (4.0 m, in the sensor plane) times R*sin(alpha), at both
+        # rolls; 0.5 deg moves the heights by 3.5 and 4.5 cm
+        alpha = np.radians(alpha_deg)
+        assert all(np.array_equal(p.quaternion, [1.0, 0, 0, 0]) for p in small_e2e["capture"].poses)
+        truth, r, pixels = target_heights(small_e2e["map"], small_e2e["scene"].positions)
+        capture = dataclasses.replace(small_e2e["capture"], poses=self.rolled(small_e2e["capture"].poses, alpha))
+        shift = self.heights(capture, small_e2e, pixels) - truth
+        assert shift / (r * np.sin(alpha)) == pytest.approx([1.0, 1.0], abs=0.01)
+
+    @pytest.mark.parametrize("alpha_deg", [0.1, 0.5])
+    def test_roll_known_to_both_sides_keeps_the_heights(self, small_e2e, alpha_deg):
+        # synthesized on the rolled trajectory and imaged with its poses:
+        # measured within 0.001 cm (sensor-plane target) and 0.013 cm
+        # (0.1 deg) or 0.061 cm (0.5 deg) of the unrolled heights (10 deg
+        # target), about R*alpha*(1 - cos(elevation)), which the elevation's
+        # vertical-baseline reading does not undo
+        alpha = np.radians(alpha_deg)
+        truth, _, pixels = target_heights(small_e2e["map"], small_e2e["scene"].positions)
+        traj = im.Trajectory(self.rolled(small_e2e["trajectory"].poses, alpha))
+        capture = im.synthesize_capture(small_e2e["scene"], traj, small_e2e["config"], small_e2e["array"])
+        assert np.all(np.abs(self.heights(capture, small_e2e, pixels) - truth) <= 0.002)
+
+
 class TestMapValues:
     @pytest.mark.parametrize("field", ["mean_phase_delay", "circular_variance", "combined_magnitude", "snr_db"])
     def test_plane_shape_must_match_the_grid(self, small_e2e, field):

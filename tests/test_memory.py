@@ -53,13 +53,13 @@ def traced_peak(fn):
 @pytest.fixture(scope="module")
 def clean_capture(reference_chirp):
     array = im.default_virtual_array(im.derive_chirp_params(reference_chirp).wavelength_m)
-    scene = im.Scene((im.PointTarget(np.array([0.0, 4.0, 0.4]), 1.0),))
+    scene = im.Scene([[0.0, 4.0, 0.4]], [1.0])
     return im.synthesize_capture(scene, make_rail_trajectory(1.0, 0.01, 0.4), reference_chirp, array)
 
 
 def test_synthesize_capture_allocates_its_complex64_result_and_one_block(reference_chirp):
     array = im.default_virtual_array(im.derive_chirp_params(reference_chirp).wavelength_m)
-    scene = im.Scene((im.PointTarget(np.array([0.0, 4.0, 0.4]), 1.0),))
+    scene = im.Scene([[0.0, 4.0, 0.4]], [1.0])
     traj = make_rail_trajectory(1.0, 0.02, 0.4)
     capture, peak = traced_peak(lambda: im.synthesize_capture(scene, traj, reference_chirp, array))
     n_records, n = capture.samples.shape
@@ -89,7 +89,7 @@ def test_simulate_path_holds_one_capture(reference_chirp):
     # the CLI's simulate stage: synthesize_capture, then add_noise, which
     # writes the noise over the clean samples instead of into a second capture
     array = im.default_virtual_array(im.derive_chirp_params(reference_chirp).wavelength_m)
-    scene = im.Scene((im.PointTarget(np.array([0.0, 4.0, 0.4]), 1.0),))
+    scene = im.Scene([[0.0, 4.0, 0.4]], [1.0])
     traj = make_rail_trajectory(1.0, 0.02, 0.4)
     capture, peak = traced_peak(
         lambda: im.add_noise(im.synthesize_capture(scene, traj, reference_chirp, array), 20.0, seed=1)
@@ -108,7 +108,7 @@ def test_simulate_stage_holds_its_blocks_and_the_columns_not_the_capture(referen
     # the CLI's simulate stage: synthesis and noise in the output file, or
     # in the temporary file of a device output
     array = im.default_virtual_array(im.derive_chirp_params(reference_chirp).wavelength_m)
-    scene = im.Scene((im.PointTarget(np.array([0.0, 4.0, 0.4]), 1.0),))
+    scene = im.Scene([[0.0, 4.0, 0.4]], [1.0])
     traj = make_rail_trajectory(1.0, 0.02, 0.4)
 
     def stage(path):
@@ -141,7 +141,7 @@ def test_image_stage_holds_the_stack_one_batch_and_the_columns_not_the_aperture(
     # the CLI's image stage: the aperture's samples stay in the file, and
     # image_stack reads one cycle batch at a time
     array = im.default_virtual_array(im.derive_chirp_params(reference_chirp).wavelength_m)
-    scene = im.Scene((im.PointTarget(np.array([0.0, 4.0, 0.4]), 1.0),))
+    scene = im.Scene([[0.0, 4.0, 0.4]], [1.0])
     capture = im.synthesize_capture(scene, make_rail_trajectory(1.0, 0.02, 0.4), reference_chirp, array)
     path = tmp_path / "capture.insarraw"
     formats.write_capture(im.add_noise(capture, 20.0, seed=1), path)

@@ -261,7 +261,7 @@ class TestDeprojectedHeights:
         errors = []
         for dz in (-0.3, 0.3, 0.6):
             target = np.array([x, 3.0, 0.5 + dz])
-            capture = im.synthesize_capture(im.Scene((im.PointTarget(target, 1.0),)), traj, small_chirp, array)
+            capture = im.synthesize_capture(im.Scene([target], [1.0]), traj, small_chirp, array)
             # the image plane is the sensor plane, where the target lies at its slant range
             slant = np.hypot(3.0, dz)
             grid = ImageGrid(np.array([x - 0.12, slant - 0.12]), np.array([0.24, 0.24]), 0.01)

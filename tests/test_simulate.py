@@ -14,7 +14,36 @@ from conftest import make_rail_trajectory, own_samples
 
 
 def single_target(r, amplitude=1.0):
-    return im.Scene((im.PointTarget(np.array([0.0, r, 0.0]), amplitude),))
+    return im.Scene([[0.0, r, 0.0]], [amplitude])
+
+
+class TestScene:
+    def test_columns_are_read_only_float64_copies(self):
+        positions, amplitudes = np.array([[0.0, 4.0, 0.5], [1.0, 5.0, 0.0]]), np.array([1, 2])
+        scene = im.Scene(positions, amplitudes)
+        assert len(scene) == 2
+        assert scene.positions.dtype == scene.amplitudes.dtype == np.float64
+        assert not (scene.positions.flags.writeable or scene.amplitudes.flags.writeable)
+        positions[0, 0] = 9.0
+        assert scene.positions[0, 0] == 0.0
+        assert positions.flags.writeable
+
+    @pytest.mark.parametrize(
+        "positions, amplitudes, message",
+        [
+            ([[0.0, 4.0, 0.5]], [1.0, 1.0], r"positions \(1, 3\) and amplitudes \(2,\) are not \(n, 3\) and \(n,\)"),
+            ([0.0, 4.0, 0.5], [1.0], r"scene positions \(3,\) and amplitudes \(1,\) are not"),
+            ([[0, 4, 0], [0, 5, 0], [0, np.nan, 0]], [1, 1, 1], r"target 2 position must be finite, got \(0.0, nan"),
+            ([[0, 4, 0], [0, 5, 0]], [1, -1], "target 1 amplitude must be finite and >= 0, got -1.0"),
+            ([[0, 4, 0], [0, 5, 0]], [np.inf, 1], "target 0 amplitude must be finite and >= 0, got inf"),
+            ([[0, 4, 0], [0, 5, np.inf]], [np.nan, 1], "target 0 amplitude .* got nan"),
+        ],
+        ids=["shapes disagree", "one target as a row", "nan position", "negative amplitude",
+             "infinite amplitude", "the first bad target"],
+    )
+    def test_refusal_names_the_first_bad_target(self, positions, amplitudes, message):
+        with pytest.raises(ConfigError, match=message):
+            im.Scene(positions, amplitudes)
 
 
 class TestSynthesizeChirp:
@@ -32,13 +61,14 @@ class TestSynthesizeChirp:
 
     def test_two_coincident_targets_double_the_signal(self, reference_chirp):
         one = im.synthesize_chirp(single_target(15.0), np.zeros(3), np.zeros(3), reference_chirp)
-        t = im.PointTarget(np.array([0.0, 15.0, 0.0]), 1.0)
-        two = im.synthesize_chirp(im.Scene((t, t)), np.zeros(3), np.zeros(3), reference_chirp)
+        two = im.synthesize_chirp(
+            im.Scene([[0.0, 15.0, 0.0]] * 2, [1.0, 1.0]), np.zeros(3), np.zeros(3), reference_chirp
+        )
         assert np.allclose(two, 2 * one, rtol=0, atol=0)
 
-    def test_empty_scene_rejected(self, reference_chirp):
-        with pytest.raises(ConfigError):
-            im.synthesize_chirp(im.Scene(()), np.zeros(3), np.zeros(3), reference_chirp)
+    def test_empty_scene_rejected(self):
+        with pytest.raises(ConfigError, match="scene has no targets"):
+            im.Scene(np.empty((0, 3)), np.empty(0))
 
 
 class TestSynthesizeCapture:
@@ -108,14 +138,13 @@ class TestSynthesizeCapture:
         # synthesize_chirp's complex128 sum: a capture row is that sum
         # rounded to complex64, where the rounding of each part can differ
         cfg = im.ChirpConfig(77.4e9, 30e12, 64, 18.75e6, 63.9e-6, 256, 1)
-        a = im.PointTarget(np.array([1.0, 6.0, 0.0]), 1.0)
-        b = im.PointTarget(np.array([-2.0, 8.0, 0.5]), 0.7)
-        c = im.PointTarget(np.array([0.5, 12.0, -0.2]), 1.3)
+        positions = [[1.0, 6.0, 0.0], [-2.0, 8.0, 0.5], [0.5, 12.0, -0.2]]
+        amplitudes = [1.0, 0.7, 1.3]
         for x in np.linspace(-0.01, 0.01, 8):
             pos = np.array([x, 0.0, 0.0])
-            ab = im.synthesize_chirp(im.Scene((a, b)), pos, pos, cfg)
-            only_c = im.synthesize_chirp(im.Scene((c,)), pos, pos, cfg)
-            abc = im.synthesize_chirp(im.Scene((a, b, c)), pos, pos, cfg)
+            ab = im.synthesize_chirp(im.Scene(positions[:2], amplitudes[:2]), pos, pos, cfg)
+            only_c = im.synthesize_chirp(im.Scene(positions[2:], amplitudes[2:]), pos, pos, cfg)
+            abc = im.synthesize_chirp(im.Scene(positions, amplitudes), pos, pos, cfg)
             # sequential in-order accumulation makes this exact, not just close
             assert np.array_equal(abc, ab + only_c)
 
@@ -152,7 +181,7 @@ class TestElementPattern:
 
     def test_off_boresight_scaled_on_both_legs(self, small_chirp):
         # target 60 degrees off boresight: amplitude scales by cos(60)^p twice
-        target = im.Scene((im.PointTarget(np.array([np.sqrt(3.0) * 2.5, 2.5, 0.0]), 1.0),))
+        target = im.Scene([[np.sqrt(3.0) * 2.5, 2.5, 0.0]], [1.0])
         iso = im.synthesize_chirp(target, np.zeros(3), np.zeros(3), small_chirp)
         pat = im.synthesize_chirp(
             target, np.zeros(3), np.zeros(3), small_chirp, pattern=(1.0, np.array([0.0, 1.0, 0.0]))
@@ -160,7 +189,7 @@ class TestElementPattern:
         assert np.allclose(pat, 0.25 * iso, rtol=1e-12, atol=0)
 
     def test_target_behind_is_silent(self, small_chirp):
-        behind = im.Scene((im.PointTarget(np.array([0.0, -5.0, 0.0]), 1.0),))
+        behind = im.Scene([[0.0, -5.0, 0.0]], [1.0])
         pat = im.synthesize_chirp(
             behind, np.zeros(3), np.zeros(3), small_chirp, pattern=(1.0, np.array([0.0, 1.0, 0.0]))
         )
@@ -298,9 +327,7 @@ class TestAddNoise:
         # max(|clean|, |noisy|) of the same noise added to the unrounded
         # complex128 synthesis and rounded once
         array = im.default_virtual_array(im.derive_chirp_params(small_chirp).wavelength_m)
-        scene = im.Scene(
-            (im.PointTarget(np.array([0.0, 4.0, 0.4]), 1.0), im.PointTarget(np.array([-0.3, 4.6, 0.9]), 0.3))
-        )
+        scene = im.Scene([[0.0, 4.0, 0.4], [-0.3, 4.6, 0.9]], [1.0, 0.3])
         cap = im.synthesize_capture(scene, make_rail_trajectory(1.0, 0.01, 0.4), small_chirp, array)
         clean = np.array(
             [
@@ -419,7 +446,7 @@ class TestCaptureValues:
     def test_target_at_no_finite_distance_rejected(self, small_chirp, x):
         # the squared distance overflows; refused before any beat is formed,
         # with no overflow or invalid-value warning
-        scene = im.Scene((im.PointTarget(np.array([x, 4.0, 0.5]), 1.0),))
+        scene = im.Scene([[x, 4.0, 0.5]], [1.0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ConfigError, match=r"target 0 at \(.*\) lies at no finite distance"):
@@ -444,10 +471,8 @@ def loop_chirp(scene, tx_pos, rx_pos, cfg, pattern=None):
     BEAT_TOL."""
     n = np.arange(cfg.samples_per_chirp)
     out = np.zeros(cfg.samples_per_chirp, dtype=np.complex128)
-    for target in scene.targets:
-        p = target.position
+    for p, amplitude in zip(scene.positions, scene.amplitudes.tolist()):
         tau = (np.linalg.norm(p - tx_pos) + np.linalg.norm(p - rx_pos)) / im.C_LIGHT
-        amplitude = target.amplitude
         if pattern is not None:
             power, boresight = pattern
             for element in (tx_pos, rx_pos):
@@ -471,7 +496,7 @@ BEAT_TOL = 5e-11
 
 
 def assert_beat_within_tolerance(scene, chirp, oracle):
-    assert np.max(np.abs(chirp - oracle)) <= BEAT_TOL * sum(t.amplitude for t in scene.targets)
+    assert np.max(np.abs(chirp - oracle)) <= BEAT_TOL * scene.amplitudes.sum()
 
 
 def assert_row_within_tolerance(scene, row, oracle):
@@ -481,7 +506,7 @@ def assert_row_within_tolerance(scene, row, oracle):
     got = row.view(np.float32).astype(np.float64)
     want = oracle.view(np.float64)
     ulp = np.spacing(np.maximum(np.abs(got), np.abs(want)).astype(np.float32))
-    assert np.all(np.abs(got - want) <= BEAT_TOL * sum(t.amplitude for t in scene.targets) + ulp)
+    assert np.all(np.abs(got - want) <= BEAT_TOL * scene.amplitudes.sum() + ulp)
 
 
 @pytest.mark.simd
@@ -513,15 +538,12 @@ class TestBeatOracle:
     @staticmethod
     def mixed_scene(*extra):
         return im.Scene(
-            tuple(
-                im.PointTarget(np.array(p), a)
-                for p, a in (
-                    ((0.0, 4.0, 0.5), 1.0),
-                    ((-1.2, 6.5, 1.3), 0.7),
-                    ((2.0, 11.0, -0.2), 2.0),
-                    ((0.3, 30.0, 0.9), 1e-3),
-                    *extra,
-                )
+            *zip(
+                ((0.0, 4.0, 0.5), 1.0),
+                ((-1.2, 6.5, 1.3), 0.7),
+                ((2.0, 11.0, -0.2), 2.0),
+                ((0.3, 30.0, 0.9), 1e-3),
+                *extra,
             )
         )
 
@@ -537,12 +559,7 @@ class TestBeatOracle:
     def test_near_and_far_targets(self):
         # unit targets from half a metre to 30 m: the far ones carry the
         # largest phases, and so the largest rounding, of the two formulas
-        scene = im.Scene(
-            tuple(
-                im.PointTarget(np.array(p), 1.0)
-                for p in ((0.0, 0.5, 0.5), (0.2, 1.0, 0.3), (-3.0, 20.0, 1.0), (2.0, 29.9, -0.5))
-            )
-        )
+        scene = im.Scene([(0.0, 0.5, 0.5), (0.2, 1.0, 0.3), (-3.0, 20.0, 1.0), (2.0, 29.9, -0.5)], [1.0] * 4)
         self.check_capture(scene, 256, None)
 
 
@@ -564,15 +581,12 @@ class TestBlockPaths:
             )
         )
         scene = im.Scene(
-            tuple(
-                im.PointTarget(np.array(p), a)
-                for p, a in (
-                    ((0.0, 4.0, 0.5), 1.0),
-                    ((-1.2, 6.5, 1.3), 0.7),
-                    ((2.0, 3.0, -0.2), 2.0),
-                    ((0.3, -2.0, 0.5), 1.0),  # behind the array
-                    ((-0.1, 0.0, 0.5), 0.5),  # at TX 0 in cycle 0
-                )
+            *zip(
+                ((0.0, 4.0, 0.5), 1.0),
+                ((-1.2, 6.5, 1.3), 0.7),
+                ((2.0, 3.0, -0.2), 2.0),
+                ((0.3, -2.0, 0.5), 1.0),  # behind the array
+                ((-0.1, 0.0, 0.5), 0.5),  # at TX 0 in cycle 0
             )
         )
         n_cycles = 2 * sim._SYNTH_CYCLES + 5
