@@ -66,7 +66,7 @@ from .errors import ConfigError, DataFormatError
 from .imaging import PIXELS, ImageGrid, SarImageStack
 from .interferometry import MAP_PLANES, ElevationMap
 from .simulate import SAMPLES, RawCapture
-from .types import ArrayStore, ChirpConfig, Pose, Rows, VirtualArray, build_virtual_array, round_rows
+from .types import ArrayStore, ChirpConfig, Rows, VirtualArray, build_virtual_array, round_rows
 
 MAGIC_RAW = b"INSARRAW"
 MAGIC_IMG = b"INSARIMG"
@@ -334,7 +334,7 @@ def _write_stored(artifact, field: str, make_file, path, step: int) -> None:
             out[lo : lo + step] = values[lo : lo + step]
 
 
-def _start_capture(fh, path, config, array, tx, rx, cycle, time_s, poses, pose_index) -> ArrayFile:
+def _start_capture(fh, path, config, array, tx, rx, cycle, time_s, pose) -> ArrayFile:
     """Write the INSARRAW header of these records into fh, then every
     record's header with zero samples, _BLOCK_ROWS records at a time, and
     return a writable ArrayFile over the records' samples."""
@@ -344,13 +344,12 @@ def _start_capture(fh, path, config, array, tx, rx, cycle, time_s, poses, pose_i
     _write_array(fh, array)
     fh.write(struct.pack("<Q", len(tx)))
     start = fh.tell()
-    pose_table = np.array([[p.time_s, *p.position, *p.quaternion] for p in poses]).reshape(-1, 8)
     block = np.zeros(min(len(tx), _BLOCK_ROWS), dtype=layout)
     for lo in range(0, len(tx), _BLOCK_ROWS):
         part = slice(lo, lo + _BLOCK_ROWS)
         rows = block[: len(tx[part])]
         rows["tx"], rows["rx"], rows["cycle"], rows["time"] = tx[part], rx[part], cycle[part], time_s[part]
-        rows["pose"] = pose_table[pose_index[part]]
+        rows["pose"] = pose[part]
         fh.write(rows.data)
     shape = (len(tx), config.samples_per_chirp)
     return ArrayFile(path, start, shape, layout.itemsize, layout.fields["iq"][1], SAMPLES, writer=fh)
@@ -428,8 +427,9 @@ def write_capture(capture: RawCapture, path) -> None:
 def read_capture(path) -> RawCapture:
     """Read an INSARRAW capture.  Raises DataFormatError for a damaged file:
     bad magic or version, too few bytes for the sizes the header declares,
-    or values that ChirpConfig, Pose or RawCapture reject.  A message that
-    names a record gives its number in the file.
+    or values that ChirpConfig or RawCapture reject (a pose that breaks
+    Pose's rule among them).  A message that names a record gives its
+    number in the file.
 
     Every record's header (tx, rx, cycle, time, pose) is read, _BLOCK_ROWS
     records at a time through one reused block, so the read holds the
@@ -456,11 +456,6 @@ def read_capture(path) -> RawCapture:
                 raise DataFormatError(f"{path}: truncated file while reading {SAMPLES.name}")
             for name in columns.dtype.names:
                 columns[name][lo : lo + rows.shape[0]] = rows[name]
-        # one Pose per distinct pose, compared by its bytes
-        _, first, pose_index = np.unique(
-            columns["pose"].view("<u8"), axis=0, return_index=True, return_inverse=True
-        )
-        poses = tuple(Pose(time_s=float(r[0]), position=r[1:4], quaternion=r[4:8]) for r in columns["pose"][first])
         shape = (n_records, cfg.samples_per_chirp)
         return RawCapture(
             config=cfg,
@@ -470,8 +465,7 @@ def read_capture(path) -> RawCapture:
             rx=columns["rx"],
             cycle=columns["cycle"],
             time_s=columns["time"],
-            poses=poses,
-            pose_index=pose_index.reshape(-1),
+            pose=columns["pose"],
         )
 
 

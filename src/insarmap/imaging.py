@@ -75,7 +75,7 @@ import numpy as np
 
 from .errors import ConfigError, DomainError
 from .simulate import RawCapture
-from .types import C_LIGHT, Rows, VirtualArray, check_finite, derive_chirp_params, held_values
+from .types import C_LIGHT, Pose, Rows, VirtualArray, check_finite, derive_chirp_params, held_values
 
 WINDOWS = ("rectangular", "hann")
 
@@ -101,6 +101,14 @@ _MAX_PROFILE_BINS = 2**18
 PIXELS = Rows("image planes", "VX {} image", "pixels")  # a stack's rows: one VX's plane each
 
 
+def check_positive(key: str, value) -> None:
+    """The rule of a length that must be finite and > 0, in its key's words:
+    the pixel size, the aperture length and the wavelength, wherever one is
+    given or read."""
+    if not (value > 0 and np.isfinite(value)):
+        raise ConfigError(f"{key} must be > 0 and finite, got {value!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class ImageGrid:
     """World-frame pixel grid.  u = along-track axis, v = cross-track axis.
@@ -117,8 +125,7 @@ class ImageGrid:
     def __post_init__(self) -> None:
         origin = np.asarray(self.origin_m, dtype=float).reshape(2)
         extent = np.asarray(self.extent_m, dtype=float).reshape(2)
-        if not (self.pixel_size_m > 0 and np.isfinite(self.pixel_size_m)):
-            raise ConfigError(f"pixel_size_m must be > 0, got {self.pixel_size_m!r}")
+        check_positive("pixel_size_m", self.pixel_size_m)
         if not np.isfinite(origin).all():
             raise ConfigError("grid origin must be finite")
         if not (np.all(extent > 0) and np.isfinite(extent).all()):
@@ -152,14 +159,15 @@ class ImageGrid:
 class Aperture:
     """Synthetic-aperture gate: pulses within +-length/2 along-track of the
     center pose are imaged.  center_time_s defaults to the capture mid-time,
-    halfway between its earliest and latest pose."""
+    halfway between its earliest and latest pose; one given must be finite."""
 
     length_m: float = 1.0
     center_time_s: float | None = None
 
     def __post_init__(self) -> None:
-        if not (self.length_m > 0 and np.isfinite(self.length_m)):
-            raise ConfigError(f"aperture_length_m must be > 0, got {self.length_m!r}")
+        check_positive("aperture_length_m", self.length_m)
+        if self.center_time_s is not None and not np.isfinite(self.center_time_s):
+            raise ConfigError(f"aperture_center_time_s must be finite, got {self.center_time_s!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,10 +204,8 @@ class SarImageStack:
                 f"{self.array.n_vx} VX on a {self.grid.n_u}x{self.grid.n_v} grid"
             )
         object.__setattr__(self, "images", held_values(self.images, PIXELS, 1))
-        if not self.aperture_length_m > 0:
-            raise ConfigError("aperture_length_m must be > 0")
-        if not (self.wavelength_m > 0 and np.isfinite(self.wavelength_m)):
-            raise ConfigError(f"wavelength_m must be finite and > 0, got {self.wavelength_m!r}")
+        check_positive("aperture_length_m", self.aperture_length_m)
+        check_positive("wavelength_m", self.wavelength_m)
         pc = np.asarray(self.phase_center, dtype=float).reshape(3)
         if not np.isfinite(pc).all():
             raise ConfigError("phase_center must be finite")
@@ -270,39 +276,38 @@ def _select_aperture(capture: RawCapture, aperture: Aperture):
     """The aperture gate: pick the records whose pose lies within +-L/2
     along-track of the center pose.  Returns (record indices, center pose).
 
-    The along-track axis runs from the earliest to the latest pose of the
-    pose table, the default center time is their mid-time, and an explicit
+    The along-track axis runs from the earliest to the latest row of the
+    pose column, the default center time is their mid-time, and an explicit
     center time must lie between them (the capture span).  The center pose
     is the cycle anchor, the pose of a cycle's first record, nearest the
-    center time."""
+    center time.  Only the center pose is made a Pose."""
     if not capture.n_records:
         raise DomainError("capture is empty")
-    poses = capture.poses
-    times = np.array([p.time_s for p in poses])
-    first, last = poses[int(np.argmin(times))], poses[int(np.argmax(times))]
+    times, positions = capture.pose[:, 0], capture.pose[:, 1:4]
+    first, last = int(np.argmin(times)), int(np.argmax(times))
 
     center_time = aperture.center_time_s
     if center_time is None:
-        center_time = 0.5 * (first.time_s + last.time_s)
-    elif not (first.time_s <= center_time <= last.time_s):
+        center_time = 0.5 * (times[first] + times[last])
+    elif not (times[first] <= center_time <= times[last]):
         raise DomainError(
             f"aperture center time {float(center_time)!r} outside the capture span "
-            f"[{float(first.time_s)!r}, {float(last.time_s)!r}]"
+            f"[{float(times[first])!r}, {float(times[last])!r}]"
         )
     # each cycle is anchored at the pose of its first record
     _, head = np.unique(capture.cycle, return_index=True)
-    anchors = capture.pose_index[head]
-    center_pose = poses[anchors[int(np.argmin(np.abs(times[anchors] - center_time)))]]
+    center = head[int(np.argmin(np.abs(times[head] - center_time)))]
 
-    motion = last.position - first.position
+    motion = positions[last] - positions[first]
     span = float(np.linalg.norm(motion))
     u_hat = motion / span if span > 1e-12 else np.array([1.0, 0.0, 0.0])
 
-    along = np.array([abs(float(np.dot(p.position - center_pose.position, u_hat))) for p in poses])
-    keep = np.flatnonzero(along[capture.pose_index] <= aperture.length_m / 2.0)
+    along = np.abs((positions - positions[center]) @ u_hat)
+    keep = np.flatnonzero(along <= aperture.length_m / 2.0)
     if not keep.size:
         raise DomainError("aperture selects no pulses")
-    return keep, center_pose
+    row = capture.pose[center]
+    return keep, Pose(row[0], row[1:4], row[4:])
 
 
 def _interp_linear(profile, slope, q, work, out):
@@ -456,7 +461,7 @@ def image_stack(
         np.concatenate([array.tx_positions, array.rx_positions]), axis=0, return_inverse=True
     )
     key = key.reshape(-1)
-    world = np.stack([capture.poses[k].to_world(offsets) for k in capture.pose_index[sel[starts]]])
+    world = np.stack([Pose(p[0], p[1:4], p[4:]).to_world(offsets) for p in capture.pose[sel[starts]]])
     tx_list = key[capture.tx[sel]].tolist()
     rx_list = key[array.n_tx + capture.rx[sel]].tolist()
     slot_list = slot.tolist()
@@ -577,8 +582,7 @@ def image_stack(
 
 def predicted_azimuth_resolution(aperture_length_m: float, wavelength_m: float, theta_rad: float) -> float:
     """Nominal azimuth resolution lambda / (L * sin(theta)) in radians."""
-    if not aperture_length_m > 0:
-        raise ConfigError(f"aperture length must be > 0, got {aperture_length_m!r}")
+    check_positive("aperture_length_m", aperture_length_m)
     s = np.sin(theta_rad)
     if s == 0.0:
         raise DomainError("degenerate angle: sin(theta) = 0")

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .imaging import ImageGrid, SarImageStack, _row_blocks
+from .imaging import ImageGrid, SarImageStack, _row_blocks, check_positive
 from .types import C_LIGHT, Rows, check_finite
 
 # Relative slack when checking d_v against lambda/4, so a baseline built as
@@ -57,15 +57,16 @@ def phase_from_elevation(phi: float, d_v: float, wavelength: float) -> float:
     return 4.0 * np.pi * (d_v / wavelength) * np.sin(phi)
 
 
-def _check_baseline(d_v: float, wavelength: float) -> None:
-    """Raise DomainError unless 0 < d_v <= lambda/4: larger baselines have
-    ambiguous fringes, which are out of scope."""
+def _check_baseline(d_v: float, wavelength: float, error: type[Exception] = DomainError) -> None:
+    """Raise error unless 0 < d_v <= lambda/4: larger baselines have
+    ambiguous fringes, which are out of scope.  A stage given such a
+    baseline meets a DomainError; a map that holds one is a ConfigError."""
     if not d_v > 0:
-        raise DomainError(f"baseline must be > 0, got {d_v!r}")
+        raise error(f"baseline must be > 0, got {d_v!r}")
     if not wavelength > 0:
-        raise DomainError(f"wavelength must be > 0, got {wavelength!r}")
+        raise error(f"wavelength must be > 0, got {wavelength!r}")
     if d_v > 0.25 * wavelength * (1.0 + _AMBIGUITY_SLACK):
-        raise DomainError(
+        raise error(
             f"ambiguous baseline: d_v = {d_v:.6g} m exceeds lambda/4 = "
             f"{0.25 * wavelength:.6g} m"
         )
@@ -166,7 +167,8 @@ class ElevationMap:
     elevation is in radians, NaN where the angle is unrecoverable
     (correlation argument outside the arcsin domain); snr_db is -inf where
     the magnitude is exactly zero (20*log10(0)).  Every other value is
-    finite.
+    finite.  The wavelength obeys the stack's rule, and the baseline
+    _check_baseline's, 0 < d_v <= lambda/4.
     """
 
     grid: ImageGrid
@@ -180,6 +182,8 @@ class ElevationMap:
     snr_db: np.ndarray
 
     def __post_init__(self) -> None:
+        check_positive("wavelength_m", self.wavelength_m)
+        _check_baseline(self.baseline_m, self.wavelength_m, ConfigError)
         for field, rows in MAP_PLANES.items():
             plane = getattr(self, field)
             if np.shape(plane) != (self.grid.n_u, self.grid.n_v):

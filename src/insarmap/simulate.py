@@ -53,6 +53,7 @@ from .types import (
     Trajectory,
     VirtualArray,
     check_finite,
+    check_poses,
     held_values,
     pose_at_time,
     round_rows,
@@ -170,11 +171,12 @@ class RawCapture:
 
     Row i is one received chirp: samples[i] (complex fast-time samples)
     recorded by RX rx[i] while TX tx[i] fired at time_s[i] in TDM cycle
-    cycle[i], from platform pose poses[pose_index[i]].  The pose table holds
-    each distinct pose once; a synthesized capture has one pose per cycle.
-    Samples and times must be finite, and times ordered.  All arrays are
-    read-only, with one exception: add_noise writes its noise into the
-    samples of the capture it is given, which it consumes.
+    cycle[i], from platform pose pose[i] = (time, x, y, z, qw, qx, qy, qz),
+    as an INSARRAW record stores it; a synthesized capture has one pose per
+    cycle.  Samples and times must be finite, times ordered, and each pose
+    row obey Pose's rule (types.check_poses).  All arrays are read-only,
+    with one exception: add_noise writes its noise into the samples of the
+    capture it is given, which it consumes.
 
     Samples are complex64, the precision of an INSARRAW file, or an
     ArrayStore whose rows stay in their file, as types.held_values holds
@@ -188,8 +190,7 @@ class RawCapture:
     rx: np.ndarray  # (n_records,) int
     cycle: np.ndarray  # (n_records,) int
     time_s: np.ndarray  # (n_records,) float
-    poses: tuple[Pose, ...]
-    pose_index: np.ndarray  # (n_records,) int into poses
+    pose: np.ndarray  # (n_records, 8) float: time, position xyz, quaternion wxyz
 
     def __post_init__(self) -> None:
         shape, n = np.shape(self.samples), self.config.samples_per_chirp
@@ -197,12 +198,10 @@ class RawCapture:
             raise ConfigError(f"capture samples shape {shape} != (n_records, {n})")
         samples = held_values(self.samples, SAMPLES, _NOISE_ROWS)
         object.__setattr__(self, "samples", samples)
-        object.__setattr__(self, "poses", tuple(self.poses))
         for name, dtype, limit in (
             ("tx", np.intp, self.array.n_tx),
             ("rx", np.intp, self.array.n_rx),
             ("cycle", np.intp, np.inf),
-            ("pose_index", np.intp, len(self.poses)),
             ("time_s", np.float64, None),
         ):
             col = np.array(getattr(self, name), dtype=dtype)
@@ -214,6 +213,12 @@ class RawCapture:
             object.__setattr__(self, name, col)
         if not np.isfinite(self.time_s).all() or np.any(np.diff(self.time_s) < 0):
             raise ConfigError("pulse record times must be finite and ordered")
+        pose = np.array(self.pose, dtype=np.float64)
+        if pose.shape != (samples.shape[0], 8):
+            raise ConfigError(f"RawCapture.pose shape {pose.shape} != ({samples.shape[0]}, 8)")
+        check_poses(pose, f"{SAMPLES.row} pose")
+        pose.setflags(write=False)
+        object.__setattr__(self, "pose", pose)
 
     @property
     def n_records(self) -> int:
@@ -230,15 +235,15 @@ class RawCapture:
 
     @cached_property
     def records(self) -> tuple[PulseRecord, ...]:
-        """Per-record view of the columns, built on first access.  Records
-        with the same pose index share one Pose object; samples are
+        """Per-record view of the columns, built on first access.  Each
+        record's Pose is built from its row of the pose column; samples are
         read-only views into the capture's sample array, or into every row
         read at once from an ArrayStore."""
         return tuple(
-            PulseRecord(time_s=t, cycle=c, tx=tx, rx=rx, pose=self.poses[k], samples=row)
-            for t, c, tx, rx, k, row in zip(
+            PulseRecord(time_s=t, cycle=c, tx=tx, rx=rx, pose=Pose(p[0], p[1:4], p[4:]), samples=row)
+            for t, c, tx, rx, p, row in zip(
                 self.time_s.tolist(), self.cycle.tolist(), self.tx.tolist(),
-                self.rx.tolist(), self.pose_index.tolist(), np.asarray(self.samples),
+                self.rx.tolist(), self.pose, np.asarray(self.samples),
             )
         )
 
@@ -418,10 +423,10 @@ def synthesize_capture(
 
     samples says where the rows go.  By default they fill a new complex64
     array.  Otherwise samples is called once, with the capture's other
-    fields as keywords (config, array, tx, rx, cycle, time_s, poses,
-    pose_index), and returns the writable (n_records, samples_per_chirp)
-    store to write them into: a complex64 array, or an ArrayStore such as
-    the file formats.capture_file opens.  Besides the samples, synthesis
+    fields as keywords (config, array, tx, rx, cycle, time_s, pose), and
+    returns the writable (n_records, samples_per_chirp) store to write them
+    into: a complex64 array, or an ArrayStore such as the file
+    formats.capture_file opens.  Besides the samples, synthesis
     allocates the two blocks, the one-way beats of one block's elements
     and one TX's records, and the per-record columns.
     """
@@ -459,9 +464,10 @@ def synthesize_capture(
     n_tx, n_rx, n = cfg.num_tx, array.n_rx, cfg.samples_per_chirp
     cycle, tx, rx = np.indices((n_cycles, n_tx, n_rx)).reshape(3, -1)
     poses = tuple(pose_at_time(traj, t_start + cyc * effective_pri) for cyc in range(n_cycles))
+    table = np.array([[p.time_s, *p.position, *p.quaternion] for p in poses])
     columns = dict(
         config=cfg, array=array, tx=tx, rx=rx, cycle=cycle,
-        time_s=t_start + cycle * effective_pri + tx * cfg.pri_s, poses=poses, pose_index=cycle,
+        time_s=t_start + cycle * effective_pri + tx * cfg.pri_s, pose=table[cycle],
     )
     store = np.empty((cycle.size, n), dtype=np.complex64) if samples is None else samples(**columns)
     block_cycles = min(n_cycles, _SYNTH_CYCLES)

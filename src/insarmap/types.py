@@ -222,12 +222,25 @@ def default_virtual_array(wavelength_m: float) -> VirtualArray:
     return build_virtual_array(tx, rx)
 
 
-def _quat_normalize(q: np.ndarray) -> np.ndarray:
-    norm = float(np.linalg.norm(q))
+def check_poses(pose: np.ndarray, row: str) -> np.ndarray:
+    """The rule of a pose, applied to each row (time, x, y, z, qw, qx, qy,
+    qz) of pose (n, 8): time and position finite, and the scalar-first
+    quaternion unit to 1e-9.  Raises ConfigError for the first bad row,
+    named by row.format(index) ("record 7"); returns each row's quaternion
+    norm, which rounds as np.linalg.norm's does: a stacked (1, 4) @ (4, 1)
+    product is the dot product it takes."""
+    quat = pose[:, 4:]
+    norm = np.sqrt((quat[:, None, :] @ quat[:, :, None])[:, 0, 0])
+    finite = np.isfinite(pose[:, :4]).all(axis=1)
     # written so that a NaN norm fails too
-    if not abs(norm - 1.0) <= 1e-9:
-        raise ConfigError(f"quaternion norm {norm!r} is not 1 within 1e-9")
-    return q / norm
+    good = finite & (np.abs(norm - 1.0) <= 1e-9)
+    if not good.all():
+        i = int(np.argmin(good))
+        if not finite[i]:
+            t, position = float(pose[i, 0]), pose[i, 1:4].tolist()
+            raise ConfigError(f"{row.format(i)} time and position must be finite, got {t!r}, {position}")
+        raise ConfigError(f"{row.format(i)} quaternion norm {float(norm[i])!r} is not 1 within 1e-9")
+    return norm
 
 
 @dataclass(frozen=True, eq=False)
@@ -235,7 +248,8 @@ class Pose:
     """Platform pose: world position plus world-from-array rotation.
 
     time_s and position must be finite; quaternion is scalar-first
-    (w, x, y, z) and must be unit to 1e-9.
+    (w, x, y, z), must be unit to 1e-9 (check_poses), and is stored
+    divided by its norm.
     """
 
     time_s: float
@@ -243,10 +257,10 @@ class Pose:
     quaternion: np.ndarray  # (4,), scalar first
 
     def __post_init__(self) -> None:
-        pos = np.asarray(self.position, dtype=float).reshape(3)
-        if not (math.isfinite(self.time_s) and np.isfinite(pos).all()):
-            raise ConfigError(f"pose time and position must be finite, got {self.time_s!r}, {pos.tolist()}")
-        quat = _quat_normalize(np.asarray(self.quaternion, dtype=float).reshape(4))
+        parts = [[self.time_s], np.reshape(self.position, 3), np.reshape(self.quaternion, 4)]
+        row = np.concatenate(parts, dtype=float)
+        (norm,) = check_poses(row[None], "pose")
+        pos, quat = row[1:4], row[4:] / norm
         pos.setflags(write=False)
         quat.setflags(write=False)
         object.__setattr__(self, "position", pos)

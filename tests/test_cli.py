@@ -478,6 +478,9 @@ GRID_PIXEL = 12 + 32
 IMG_PHASE_CENTER = 12 + 40 + 16
 ELV_PHASE_CENTER = 12 + 40
 IMG_WAVELENGTH = 12 + 40 + 8
+IMG_APERTURE = 12 + 40
+ELV_WAVELENGTH = 12 + 40 + 24
+ELV_BASELINE = 12 + 40 + 24 + 8
 
 
 @pytest.mark.parametrize(
@@ -494,6 +497,13 @@ IMG_WAVELENGTH = 12 + 40 + 8
         # a NaN or negative wavelength used to exit 4 (a domain error)
         ("stack.insarimg", IMG_WAVELENGTH, "<d", float("nan"), ["elevate", "-o", "OUT"]),
         ("stack.insarimg", IMG_WAVELENGTH, "<d", -0.004, ["elevate", "-o", "OUT"]),
+        # an infinite aperture length used to load without a word
+        ("stack.insarimg", IMG_APERTURE, "<d", float("inf"), ["elevate", "-o", "OUT"]),
+        # a map's NaN wavelength or negative baseline used to load too
+        ("elevation.insarelv", ELV_WAVELENGTH, "<d", float("nan"), ["pointcloud", "--config", "CFG", "-o", "OUT"]),
+        ("elevation.insarelv", ELV_WAVELENGTH, "<d", float("nan"), ["report", "--config", "CFG"]),
+        ("elevation.insarelv", ELV_BASELINE, "<d", -1.0, ["pointcloud", "--config", "CFG", "-o", "OUT"]),
+        ("elevation.insarelv", ELV_BASELINE, "<d", -1.0, ["report", "--config", "CFG"]),
     ],
 )
 def test_corrupt_header_value_is_a_format_error(workdir, capsys, artifact, offset, fmt, value, argv):
@@ -562,6 +572,9 @@ def test_bad_config_number_exit_code(workdir, capsys, line):
         "image_height_m = inf",
         "element_pattern_cos_power = -1",
         pytest.param("capture_start_s = 5", id="capture_start_s = 5 (inverted window)"),
+        # an infinite center time used to exit 4, naming neither
+        "aperture_center_time_s = inf",
+        "aperture_center_time_s = -inf",
     ],
 )
 def test_bad_config_value_names_the_file_and_the_key(workdir, capsys, line):
@@ -593,6 +606,27 @@ def test_non_finite_pose_in_capture_is_a_format_error(workdir, capsys):
                      "-o", str(workdir / "s.insarimg")])
     assert code == 3
     assert "pose time and position must be finite" in capsys.readouterr().err
+
+
+def test_flipped_pose_byte_in_capture_is_a_format_error(workdir, capsys):
+    # every bit of the top byte of qw (sign and exponent) flipped: 1.0 becomes -65536.0
+    out, code = run_pipeline(workdir, workdir / "radar.cfg")
+    assert code == 0
+    path = out / "capture.insarraw"
+    data = bytearray(path.read_bytes())
+    (n_records,) = struct.unpack_from("<Q", data, RAW_COUNT)
+    record_bytes = 84 + 8 * 64
+    qw_top = 12 + 8 + 8 + 24 + 7  # the last byte of the pose's qw
+    middle = n_records // 2
+    data[RAW_COUNT + 8 + middle * record_bytes + qw_top] ^= 0xFF
+    path.write_bytes(bytes(data))
+    capsys.readouterr()
+    code = cli.main(["image", str(path), "--config", str(workdir / "radar.cfg"),
+                     "-o", str(workdir / "s.insarimg")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert f"{path}: record {middle} pose quaternion norm 65536.0 is not 1" in err
+    assert not (workdir / "s.insarimg").exists()
 
 
 # A last trajectory row with a NaN position, a NaN quaternion, or a NaN or
@@ -736,7 +770,8 @@ def test_target_at_no_finite_distance_is_a_config_error(workdir, capsys, scene, 
 
 
 def test_aperture_center_outside_capture_names_plain_floats(workdir, capsys):
-    (workdir / "late.cfg").write_text(CONFIG + "aperture_center_time_s = inf\n")
+    # a finite time after the capture (a non-finite one is a config error)
+    (workdir / "late.cfg").write_text(CONFIG + "aperture_center_time_s = 5.0\n")
     _, code = run_pipeline(workdir, workdir / "late.cfg")
     assert code == 4
     err = capsys.readouterr().err

@@ -3,6 +3,7 @@
 import contextlib
 import dataclasses
 import os
+import re
 import stat
 import sys
 import threading
@@ -49,14 +50,15 @@ class TestCaptureFormat:
         assert path2.read_bytes() == path.read_bytes()
         # the record view is cached and agrees with the columns
         assert back.records is back.records
-        poses_by_cycle = {}
+        # the pose column holds the rows the file stores
+        assert back.pose.tobytes() == cap.pose.tobytes()
         for i, rec in enumerate(back.records):
             assert (rec.tx, rec.rx, rec.cycle) == (back.tx[i], back.rx[i], back.cycle[i])
             assert rec.time_s == back.time_s[i]
-            assert rec.pose is back.poses[back.pose_index[i]]
+            assert rec.pose.time_s == back.pose[i, 0]
+            assert np.array_equal(rec.pose.position, back.pose[i, 1:4])
+            assert np.array_equal(rec.pose.quaternion, back.pose[i, 4:])
             assert np.array_equal(rec.samples, back.samples[i])
-            poses_by_cycle.setdefault(rec.cycle, set()).add(id(rec.pose))
-        assert all(len(ids) == 1 for ids in poses_by_cycle.values())
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.insarraw"
@@ -106,9 +108,9 @@ def rotated_rail():
 def per_chirp_poses(capture, traj):
     """capture with each chirp's records at the pose of their own emission
     time, so a TDM cycle holds three poses."""
-    times, pose_index = np.unique(capture.time_s, return_inverse=True)
-    poses = tuple(im.pose_at_time(traj, float(t)) for t in times)
-    return dataclasses.replace(capture, poses=poses, pose_index=pose_index)
+    poses = [im.pose_at_time(traj, t) for t in capture.time_s.tolist()]
+    pose = np.array([[p.time_s, *p.position, *p.quaternion] for p in poses])
+    return dataclasses.replace(capture, pose=pose)
 
 
 @pytest.fixture(scope="module")
@@ -306,6 +308,18 @@ class TestImageStackFormat:
         data[8] = 99  # version field
         path.write_bytes(bytes(data))
         with pytest.raises(DataFormatError, match="version"):
+            formats.read_image_stack(path)
+
+    def test_infinite_aperture_length_is_a_format_error(self, tmp_path, small_e2e):
+        # the INSARIMG header's f64 aperture length, after the magic, the
+        # version and the grid; inf used to load without a word
+        path = tmp_path / "stack.insarimg"
+        formats.write_image_stack(small_e2e["stack"], path)
+        data = bytearray(path.read_bytes())
+        data[52:60] = np.float64(np.inf).tobytes()
+        path.write_bytes(bytes(data))
+        message = "aperture_length_m must be > 0 and finite, got inf"
+        with pytest.raises(DataFormatError, match=f"{re.escape(str(path))}: {message}"):
             formats.read_image_stack(path)
 
 
@@ -547,6 +561,22 @@ class TestStoreKeys:
 
 
 class TestElevationMapFormat:
+    @pytest.mark.parametrize(
+        "offset, value, message",
+        [(76, np.nan, "wavelength_m must be > 0 and finite, got nan"), (84, -1.0, "baseline must be > 0, got -1.0")],
+        ids=["nan wavelength", "negative baseline"],
+    )
+    def test_header_the_map_refuses_is_a_format_error(self, tmp_path, small_e2e, offset, value, message):
+        # the INSARELV header's f64 wavelength and baseline, after the magic,
+        # the version, the grid and the phase center
+        path = tmp_path / "map.insarelv"
+        formats.write_elevation_map(small_e2e["map"], path)
+        data = bytearray(path.read_bytes())
+        data[offset : offset + 8] = np.float64(value).tobytes()
+        path.write_bytes(bytes(data))
+        with pytest.raises(DataFormatError, match=f"{re.escape(str(path))}: {message}"):
+            formats.read_elevation_map(path)
+
     def test_round_trip_with_nans(self, tmp_path, small_e2e):
         emap = small_e2e["map"]
         # poke a NaN elevation in to confirm absent pixels survive the file

@@ -112,6 +112,12 @@ class TestBackproject:
             imgs.append(im.image_stack(cap, grid, im.Aperture(0.1)).images[0])
         assert np.allclose(imgs[1], 2 * imgs[0], rtol=1e-12, atol=0)
 
+    @pytest.mark.parametrize("time", [np.inf, -np.inf, np.nan])
+    def test_non_finite_center_time_is_a_config_error(self, time):
+        # an infinite one used to reach the capture-span check, a DomainError
+        with pytest.raises(ConfigError, match=f"aperture_center_time_s must be finite, got {time!r}"):
+            im.Aperture(center_time_s=time)
+
     def test_empty_aperture_rejected(self, small_e2e):
         with pytest.raises(DomainError):
             im.image_stack(
@@ -401,7 +407,7 @@ def aperture_records(capture, grid, aperture, image_height_m, oversample_factor=
     pz = center.position[2] + image_height_m
     for b, rows in enumerate(np.split(sel, np.flatnonzero(np.diff(batch)) + 1)):
         for r, profile in zip(rows, imaging._compress(capture.samples[rows], taps, n_padded)):
-            pose = capture.poses[capture.pose_index[r]]
+            pose = capture.records[r].pose
             tx_w = pose.to_world(array.tx_positions)[capture.tx[r]]
             rx_w = pose.to_world(array.rx_positions)[capture.rx[r]]
             d_tx, d_rx = (np.sqrt((pu - x) ** 2 + (pv - y) ** 2 + (pz - z) ** 2) for x, y, z in (tx_w, rx_w))
@@ -643,6 +649,18 @@ class TestStackValues:
         images[1, 0, 0] = np.nan
         with pytest.raises(ConfigError, match="VX 2 image holds pixels beyond float32 range"):
             self.stack_with(small_e2e["stack"], images=images)
+
+    @pytest.mark.parametrize("length", [np.inf, np.nan, 0.0, -1.0])
+    def test_one_aperture_length_rule(self, small_e2e, length):
+        # the stack and the resolution formula used to take an infinite
+        # aperture length, which Aperture refused
+        for make in (
+            lambda: im.Aperture(length_m=length),
+            lambda: self.stack_with(small_e2e["stack"], aperture_length_m=length),
+            lambda: im.predicted_azimuth_resolution(length, 0.004, 1.0),
+        ):
+            with pytest.raises(ConfigError, match=r"aperture_length_m must be > 0"):
+                make()
 
     @pytest.mark.parametrize("wavelength", [np.nan, -0.004, 0.0, np.inf])
     def test_wavelength_must_be_finite_and_positive(self, small_e2e, wavelength):

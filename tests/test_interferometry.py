@@ -351,9 +351,9 @@ class TestRollBudget:
     with every pose rolled by alpha."""
 
     @staticmethod
-    def rolled(poses, alpha):
-        roll = np.array([np.cos(alpha / 2), np.sin(alpha / 2), 0.0, 0.0])
-        return tuple(im.Pose(p.time_s, p.position, roll) for p in poses)
+    def roll(alpha):
+        """The quaternion of a roll by alpha about the along-track axis."""
+        return np.array([np.cos(alpha / 2), np.sin(alpha / 2), 0.0, 0.0])
 
     @staticmethod
     def heights(capture, e2e, pixels):
@@ -366,9 +366,11 @@ class TestRollBudget:
         # 1.0019 (4.0 m, in the sensor plane) times R*sin(alpha), at both
         # rolls; 0.5 deg moves the heights by 3.5 and 4.5 cm
         alpha = np.radians(alpha_deg)
-        assert all(np.array_equal(p.quaternion, [1.0, 0, 0, 0]) for p in small_e2e["capture"].poses)
+        assert (small_e2e["capture"].pose[:, 4:] == [1.0, 0, 0, 0]).all()
         truth, r, pixels = target_heights(small_e2e["map"], small_e2e["scene"].positions)
-        capture = dataclasses.replace(small_e2e["capture"], poses=self.rolled(small_e2e["capture"].poses, alpha))
+        pose = small_e2e["capture"].pose.copy()
+        pose[:, 4:] = self.roll(alpha)
+        capture = dataclasses.replace(small_e2e["capture"], pose=pose)
         shift = self.heights(capture, small_e2e, pixels) - truth
         assert shift / (r * np.sin(alpha)) == pytest.approx([1.0, 1.0], abs=0.01)
 
@@ -381,7 +383,7 @@ class TestRollBudget:
         # vertical-baseline reading does not undo
         alpha = np.radians(alpha_deg)
         truth, _, pixels = target_heights(small_e2e["map"], small_e2e["scene"].positions)
-        traj = im.Trajectory(self.rolled(small_e2e["trajectory"].poses, alpha))
+        traj = im.Trajectory(tuple(im.Pose(p.time_s, p.position, self.roll(alpha)) for p in small_e2e["trajectory"].poses))
         capture = im.synthesize_capture(small_e2e["scene"], traj, small_e2e["config"], small_e2e["array"])
         assert np.all(np.abs(self.heights(capture, small_e2e, pixels) - truth) <= 0.002)
 
@@ -418,6 +420,26 @@ class TestMapValues:
         elevation[0, 1] = bad
         with pytest.raises(ConfigError, match="elevation plane holds non-finite values"):
             dataclasses.replace(small_e2e["map"], elevation=elevation)
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({"wavelength_m": np.nan}, "wavelength_m must be > 0 and finite"),
+            ({"wavelength_m": np.inf}, "wavelength_m must be > 0 and finite"),
+            ({"wavelength_m": -0.004}, "wavelength_m must be > 0 and finite"),
+            ({"baseline_m": -1.0}, "baseline must be > 0"),
+            ({"baseline_m": np.nan}, "baseline must be > 0"),
+            ({"baseline_m": 0.0}, "baseline must be > 0"),
+            ({"baseline_m": 0.002}, "ambiguous baseline"),
+        ],
+    )
+    def test_header_obeys_the_stack_and_baseline_rules(self, small_e2e, changes, message):
+        # a NaN wavelength or a negative baseline used to write and read back
+        emap = small_e2e["map"]
+        with pytest.raises(ConfigError, match=message):
+            dataclasses.replace(emap, **changes)
+        # a baseline of exactly a quarter wavelength is the largest allowed
+        dataclasses.replace(emap, baseline_m=0.25 * emap.wavelength_m)
 
     def test_elevation_shape_must_match_the_grid(self, small_e2e):
         emap = small_e2e["map"]

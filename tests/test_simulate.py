@@ -82,11 +82,12 @@ class TestSynthesizeCapture:
             (r.cycle, r.tx) for r in cap.records if r.rx == 0
         ]
         assert [tx for _, tx in firings] == [0, 1, 2, 0, 1, 2]
-        poses = {}
-        for rec in cap.records:
-            poses.setdefault(rec.cycle, set()).add(id(rec.pose))
-        assert all(len(s) == 1 for s in poses.values())
-        assert len(poses) == 2
+        # the pose is sampled once per cycle: a cycle's pose rows are equal
+        for c in np.unique(cap.cycle):
+            rows = cap.pose[cap.cycle == c]
+            assert (rows == rows[0]).all()
+        assert cap.n_cycles == 2
+        assert not np.array_equal(cap.pose[0], cap.pose[-1])
 
     def test_stationary_trajectory_repeats_pulses(self, small_chirp):
         array = im.default_virtual_array(im.derive_chirp_params(small_chirp).wavelength_m)
@@ -296,9 +297,8 @@ class TestAddNoise:
             frozen = np.frombuffer(cap.samples.tobytes(), np.complex64).reshape(cap.samples.shape)
             cap = dataclasses.replace(cap, samples=frozen)
         noisy = im.add_noise(cap, 10.0, seed=3)
-        for name in ("tx", "rx", "cycle", "time_s", "pose_index"):
+        for name in ("tx", "rx", "cycle", "time_s", "pose"):
             assert np.shares_memory(getattr(noisy, name), getattr(cap, name)), name
-        assert noisy.poses is cap.poses
         assert np.shares_memory(noisy.samples, cap.samples) == writable
         assert not noisy.samples.flags.writeable
 
@@ -333,11 +333,11 @@ class TestAddNoise:
             [
                 im.synthesize_chirp(
                     scene,
-                    cap.poses[k].to_world(array.tx_positions)[tx],
-                    cap.poses[k].to_world(array.rx_positions)[rx],
+                    rec.pose.to_world(array.tx_positions)[rec.tx],
+                    rec.pose.to_world(array.rx_positions)[rec.rx],
                     small_chirp,
                 )
-                for k, tx, rx in zip(cap.pose_index, cap.tx, cap.rx)
+                for rec in cap.records
             ]
         )
         mean_power = np.mean(np.mean(np.abs(clean) ** 2, axis=1))
@@ -369,7 +369,7 @@ class TestCaptureValues:
             assert rounded.samples.dtype == np.complex64
             assert rounded.samples.tobytes() == np.asarray(other).astype(np.complex64).tobytes()
             assert rounded.records[0].samples.dtype == np.complex64
-        record = sim.PulseRecord(0.0, 0, 0, 0, cap.poses[0], wide[0])
+        record = sim.PulseRecord(0.0, 0, 0, 0, cap.records[0].pose, wide[0])
         assert record.samples.tobytes() == wide[0].astype(np.complex64).tobytes()
         # a finite value that complex64 cannot hold is refused, with its record
         row = sim._NOISE_ROWS + 5
@@ -384,7 +384,7 @@ class TestCaptureValues:
             dataclasses.replace(cap, samples=wide)
         # a single record is rounded by the same rule, as record 0
         with pytest.raises(ConfigError, match="record 0 holds samples beyond float32 range"):
-            sim.PulseRecord(0.0, 0, 0, 0, cap.poses[0], wide[row])
+            sim.PulseRecord(0.0, 0, 0, 0, cap.records[0].pose, wide[row])
 
     def test_non_finite_sample_rejected_with_its_record(self, small_chirp):
         # a record past the first check block, so the block offset counts
@@ -402,6 +402,37 @@ class TestCaptureValues:
         with pytest.raises(ConfigError, match="finite"):
             dataclasses.replace(cap, time_s=times)
 
+    @pytest.mark.parametrize(
+        "column, value, message",
+        [
+            (4, 0.9, "record 7 pose quaternion norm 0.9 is not 1 within 1e-9"),
+            (2, np.nan, r"record 7 pose time and position must be finite, got .*, \[.*nan.*\]"),
+            (0, np.inf, "record 7 pose time and position must be finite, got inf"),
+        ],
+        ids=["quaternion norm 0.9", "nan position", "infinite time"],
+    )
+    def test_bad_pose_row_is_refused_with_its_record(self, small_chirp, column, value, message):
+        # the column is checked once, by Pose's own rule
+        array = im.default_virtual_array(im.derive_chirp_params(small_chirp).wavelength_m)
+        cap = im.synthesize_capture(single_target(5.0), make_rail_trajectory(1.0, 0.01, 0.0), small_chirp, array)
+        pose = cap.pose.copy()
+        pose[7, column] = value
+        pose[9, column] = value  # the first bad record is named
+        with pytest.raises(ConfigError, match=message):
+            dataclasses.replace(cap, pose=pose)
+
+    def test_pose_column_shape_and_read_only(self, small_chirp):
+        array = im.default_virtual_array(im.derive_chirp_params(small_chirp).wavelength_m)
+        cap = im.synthesize_capture(single_target(5.0), make_rail_trajectory(1.0, 0.01, 0.0), small_chirp, array)
+        assert cap.pose.shape == (cap.n_records, 8) and cap.pose.dtype == np.float64
+        with pytest.raises(ValueError, match="read-only"):
+            cap.pose[0, 1] = 0.0
+        with pytest.raises(ConfigError, match=r"RawCapture.pose shape \(\d+, 7\)"):
+            dataclasses.replace(cap, pose=cap.pose[:, :7])
+        # each record's Pose is its row
+        rec = cap.records[5]
+        assert [rec.pose.time_s, *rec.pose.position, *rec.pose.quaternion] == cap.pose[5].tolist()
+
     def test_n_cycles_counts_the_distinct_cycles(self, small_chirp):
         # a capture need not number its cycles from 0, nor without gaps
         array = im.default_virtual_array(im.derive_chirp_params(small_chirp).wavelength_m)
@@ -409,7 +440,7 @@ class TestCaptureValues:
         rows = np.flatnonzero(np.isin(cap.cycle, [2, 3, 4, 7]))
         part = im.RawCapture(
             config=cap.config, array=array, samples=cap.samples[rows], tx=cap.tx[rows], rx=cap.rx[rows],
-            cycle=cap.cycle[rows], time_s=cap.time_s[rows], poses=cap.poses, pose_index=cap.pose_index[rows],
+            cycle=cap.cycle[rows], time_s=cap.time_s[rows], pose=cap.pose[rows],
         )
         assert part.cycle[0] == 2 and part.n_records == 4 * array.n_vx
         assert part.n_cycles == 4
@@ -527,7 +558,7 @@ class TestBeatOracle:
         cap = im.synthesize_capture(scene, traj, cfg, array, window, pattern_cos_power=power)
         assert cap.n_cycles == n_cycles
         for r in range(cap.n_records):
-            pose = cap.poses[cap.pose_index[r]]
+            pose = cap.records[r].pose
             tx_pos = pose.to_world(array.tx_positions)[cap.tx[r]]
             rx_pos = pose.to_world(array.rx_positions)[cap.rx[r]]
             pattern = None if power is None else (power, pose.rotation_matrix() @ np.array([0.0, 1.0, 0.0]))
@@ -594,7 +625,7 @@ class TestBlockPaths:
         cap = im.synthesize_capture(scene, traj, cfg, array, window, pattern_cos_power=power)
         assert cap.n_cycles == n_cycles
         for r in range(cap.n_records):
-            pose = cap.poses[cap.pose_index[r]]
+            pose = cap.records[r].pose
             tx_pos = pose.to_world(array.tx_positions)[cap.tx[r]]
             rx_pos = pose.to_world(array.rx_positions)[cap.rx[r]]
             pattern = None if power is None else (power, pose.rotation_matrix() @ np.array([0.0, 1.0, 0.0]))
@@ -614,8 +645,7 @@ class TestBlockPaths:
             rx=np.zeros(n_rows, dtype=int),
             cycle=np.arange(n_rows),
             time_s=np.arange(n_rows) * small_chirp.pri_s,
-            poses=(im.Pose(0.0, np.zeros(3), np.array([1.0, 0, 0, 0])),),
-            pose_index=np.zeros(n_rows, dtype=int),
+            pose=np.tile([0.0, 0, 0, 0, 1.0, 0, 0, 0], (n_rows, 1)),
         )
         snr_db = 7.0
         # the one-pass float64 mean power and one whole draw of the same seed,
